@@ -2,7 +2,8 @@
 and report emission.
 
     gibbsflow <experiment> --config <path> [--jobs N] [--out DIR]
-              [--preset SYS-A|SYS-B|SYS-C]
+              [--preset SYS-A|SYS-B|SYS-C|SYS-A-BERNOULLI|SYS-A-LINROOF|
+                        SYS-C-NLROOF]
 
 Exit codes: 0 success, 1 operational error, 2 a numerically audited
 inequality failed beyond tolerance.  GIBBSFLOW_SEED overrides the seed.

@@ -25,8 +25,8 @@ from scipy.interpolate import PchipInterpolator
 from .gibbs import adapted_partition
 from .operator import (EigenData, GridFunction, c6_bound, deep_apply,
                        hoelder_seminorm, norm_b)
-from .system import MarkovSystem, admissible_words, branch_chain
-from .uni import _lam_rho, c7_constant
+from .system import MarkovSystem, branch_chain, word_array
+from .uni import _lam_rho, c7_constant, transversal_pair
 
 __all__ = [
     "ConeBPair", "BumpFunction", "ConstraintViolationError",
@@ -225,16 +225,6 @@ def _default_depths(sys: MarkovSystem, b: float, delta: float,
     return n1, n2
 
 
-def _greedy_prefix(sys: MarkovSystem, first: int, n1: int) -> tuple[int, ...]:
-    prefix = []
-    nxt = first
-    for _ in range(n1):
-        k = min(i for i in range(sys.m) if sys.transition[i, nxt])
-        prefix.insert(0, k)
-        nxt = k
-    return tuple(prefix)
-
-
 def build_bump(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
                delta: float, Delta: float | None = None, n: int | None = None,
                scan: int = 64, sub_grid: int = 32) -> tuple[BumpFunction, list]:
@@ -261,7 +251,7 @@ def build_bump(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
     if n is None:
         n = n1 + n2
     part = adapted_partition(sys, b, Delta)
-    tails = admissible_words(sys, n2)
+    tails = word_array(sys, n2)
     ueval, veval = pair.u.eval, pair.v.eval
     rad = delta / abs(b)
 
@@ -269,29 +259,11 @@ def build_bump(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
     for j, q in enumerate(part.elements):
         qlo, qhi = q.left, q.right
         x0 = 0.5 * (qlo + qhi)
-        # transversal tail pair with widest gap of slope intervals at x0
-        ivals = []
-        for t in tails:
-            dlo, dhi = sys.image_interval(t[-1])
-            if not (dlo <= x0 <= dhi):
-                continue
-            ch = branch_chain(sys, t, np.array([x0]))
-            c = -float(ch["DSnr_h"][0])
-            hw = c7 / abs(float(ch["dTn"][0]))
-            ivals.append((t, c - hw, c + hw))
-        best, tpair = 0.0, None
-        for ii in range(len(ivals)):
-            for jj in range(ii + 1, len(ivals)):
-                t1, l1, h1 = ivals[ii]
-                t2, l2, h2 = ivals[jj]
-                gap = max(l2 - h1, l1 - h2)
-                if gap > best:
-                    best, tpair = gap, (t1, t2)
-        if tpair is None:
+        found = transversal_pair(sys, tails, n1, x0, c7)
+        if found is None:
             raise NoCancellationWitness(
                 f"Q_{j}: no transversal tail pair at depth {n2}", j)
-        w = _greedy_prefix(sys, tpair[0][0], n1) + tpair[0]
-        wbar = _greedy_prefix(sys, tpair[1][0], n1) + tpair[1]
+        w, wbar = found
         dlo = max(sys.image_interval(w[-1])[0], sys.image_interval(wbar[-1])[0])
         dhi = min(sys.image_interval(w[-1])[1], sys.image_interval(wbar[-1])[1])
 

@@ -295,9 +295,7 @@ def to_str(e: Expr) -> str:
         base = to_str(e.base)
         if not isinstance(e.base, _ATOMIC) or (isinstance(e.base, Num) and e.base.value < 0):
             base = f"({base})"
-        exp = str(e.exponent) if e.exponent >= 0 else f"(-{-e.exponent})"
-        # negative exponents print with parens purely for readability
-        return f"{base}^{e.exponent}" if e.exponent >= 0 else f"{base}^-{-e.exponent}"
+        return f"{base}^{e.exponent}"
     if isinstance(e, Neg):
         inner = to_str(e.operand)
         if not isinstance(e.operand, _ATOMIC):
@@ -308,62 +306,59 @@ def to_str(e: Expr) -> str:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def compile_expr(e: Expr):
-    """Compile to a callable ``f(**env)`` accepting floats or numpy arrays."""
+def _emit(e: Expr, consts: list) -> str:
+    """Python source for ``e``; operands are emitted in the evaluation order
+    of the expression tree, so values match a node-by-node evaluation."""
     if isinstance(e, Num):
-        v = e.value
-        return lambda **env: v
+        consts.append(e.value)
+        return f"_c{len(consts) - 1}"
     if isinstance(e, Pi):
-        return lambda **env: math.pi
+        return "_pi"
     if isinstance(e, Var):
-        name = e.name
-        return lambda **env: env[name]
-    if isinstance(e, Add):
-        f, g = compile_expr(e.left), compile_expr(e.right)
-        return lambda **env: f(**env) + g(**env)
-    if isinstance(e, Sub):
-        f, g = compile_expr(e.left), compile_expr(e.right)
-        return lambda **env: f(**env) - g(**env)
-    if isinstance(e, Mul):
-        f, g = compile_expr(e.left), compile_expr(e.right)
-        return lambda **env: f(**env) * g(**env)
+        return f"env[{e.name!r}]"
+    if isinstance(e, (Add, Sub, Mul)):
+        op = {Add: "+", Sub: "-", Mul: "*"}[type(e)]
+        return f"({_emit(e.left, consts)} {op} {_emit(e.right, consts)})"
     if isinstance(e, Div):
-        f, g = compile_expr(e.left), compile_expr(e.right)
-
-        def _div(**env):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return f(**env) / g(**env)
-
-        return _div
+        return f"_divide({_emit(e.left, consts)}, {_emit(e.right, consts)})"
     if isinstance(e, Pow):
-        f, n = compile_expr(e.base), e.exponent
-
-        def _pow(**env):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.power(f(**env), float(n)) if n >= 0 else f(**env) ** float(n)
-
-        return _pow
+        return f"_power({_emit(e.base, consts)}, {float(e.exponent)!r})"
     if isinstance(e, Neg):
-        f = compile_expr(e.operand)
-        return lambda **env: -f(**env)
+        return f"(-{_emit(e.operand, consts)})"
     if isinstance(e, Call):
-        f = compile_expr(e.arg)
-        if e.func == "sin":
-            return lambda **env: np.sin(f(**env))
-        if e.func == "cos":
-            return lambda **env: np.cos(f(**env))
-        if e.func == "exp":
-            return lambda **env: np.exp(f(**env))
-        if e.func == "log":
-
-            def _log(**env):
-                a = f(**env)
-                if np.any(np.asarray(a) <= 0):
-                    raise DomainError("log of a non-positive value")
-                return np.log(a)
-
-            return _log
+        return f"_{e.func}({_emit(e.arg, consts)})"
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def _log(a):
+    if np.any(np.asarray(a) <= 0):
+        raise DomainError("log of a non-positive value")
+    return np.log(a)
+
+
+_NAMESPACE = {"_pi": math.pi, "_divide": np.divide, "_power": np.power,
+              "_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": _log,
+              "_errstate": np.errstate}
+
+
+def compile_expr(e: Expr):
+    """Compile to one generated numpy function ``f(**env)`` accepting floats
+    or numpy arrays.
+
+    Division and integer powers follow numpy for scalars as for arrays: a
+    zero divisor gives inf or nan, without a warning.
+    """
+    consts: list[float] = []
+    body = _emit(e, consts)
+    if "_divide(" in body or "_power(" in body:
+        body = ("with _errstate(divide='ignore', invalid='ignore'):\n"
+                f"        return {body}")
+    else:
+        body = f"return {body}"
+    namespace = dict(_NAMESPACE)
+    namespace.update((f"_c{k}", v) for k, v in enumerate(consts))
+    exec(f"def compiled(**env):\n    {body}\n", namespace)
+    return namespace["compiled"]
 
 
 def evaluate(e: Expr, x=None, **env):
@@ -433,7 +428,9 @@ def differentiate(e: Expr, var: str = "x") -> Expr:
         if e.exponent == 1:
             return db
         inner = e.base if e.exponent == 2 else Pow(e.base, e.exponent - 1)
-        return _mul(Num(float(e.exponent)), _mul(inner, db))
+        d = _mul(Num(float(abs(e.exponent))), _mul(inner, db))
+        # a negative literal has no printed form that parses back to itself
+        return d if e.exponent > 0 else Neg(d)
     if isinstance(e, Neg):
         d = differentiate(e.operand, var)
         return Num(0.0) if _is_zero(d) else Neg(d)

@@ -11,8 +11,8 @@ import numpy as np
 
 from .expr import Mul, Num, Sub
 from .operator import EigenData, eigendata, node_grid
-from .system import (Cylinder, MarkovSystem, birkhoff_sum, branch_chain,
-                     cylinders)
+from .system import (Cylinder, MarkovSystem, NotCoveringError, birkhoff_sum,
+                     branch_chain, cylinders, pullbacks, word_array)
 
 __all__ = [
     "CylinderMeasureTable", "AdaptedPartition",
@@ -80,58 +80,33 @@ def _mass_tables(sys: MarkovSystem, eig: EigenData, max_depth: int,
                  cap: int = 2_000_000):
     """Yield CylinderMeasureTable for every depth 1..max_depth.
 
-    Pullbacks are built by prepending symbols (h_{(i,)+w} = h_i o h_w shares
-    the domain of h_w), so each extra depth costs one branch inversion per
-    word instead of a full chain recomputation.
+    For each symbol s, one engine run pulls the nodes of the elements in the
+    image of s back along the admissible words ending in s, depth by depth,
+    and carries only the inverse Jacobians J_w (see ``Pullback``).  Their
+    sum over all words is L_sigma^n 1 = 1 only up to interpolation error in
+    f, so J is normalised pointwise before the quadrature against the node
+    weights of mu gives the mass of each cylinder.
     """
+    if not np.all(sys.transition.any(axis=0)):
+        # the engine builds the lower depths as suffixes of the deepest words
+        raise NotCoveringError("some symbol has no predecessor")
     nodes = node_grid(sys, eig.N)
-    f = eig.f.eval
-
-    def adm(last):
-        lo, hi = sys.image_interval(last)
-        return [e for e in range(sys.m)
-                if sys.partition[e] >= lo - 1e-12
-                and sys.partition[e + 1] <= hi + 1e-12]
-
-    def depth_one_weight(i, z, ys):
-        # z = h_i(ys) lies in element i by construction; index the branch
-        # directly so closure endpoints are not misattributed
-        phi = sys._phi[i](x=z) + 0.0 * z
-        r = sys._r[i](x=z) + 0.0 * z
-        return (np.exp(phi - eig.sigma * r)
-                * np.real(f(z)) / np.real(f(ys)) / eig.lam)
-
-    state = {}
-    for n in range(1, max_depth + 1):
-        cyls = cylinders(sys, n, cap=cap)  # raises before state can explode
-        if n == 1:
-            for i in range(sys.m):
-                ys = np.concatenate([nodes[e] for e in adm(i)])
-                z = sys.inverse_branch(i, ys)
-                state[(i,)] = (z, depth_one_weight(i, z, ys))
-        else:
-            new = {}
-            for w, (z, u) in state.items():
-                for i in range(sys.m):
-                    if sys.transition[i, w[0]]:
-                        zi = sys.inverse_branch(i, z)
-                        new[(i,) + w] = (zi, u * depth_one_weight(i, zi, z))
-            state = new
-
-        # raw weights sum to (L_sigma^n 1)(x) = 1 only up to interpolation
-        # error in f; normalise pointwise so the masses partition unity
+    words = word_array(sys, max_depth, cap)
+    symbols = [s for s in range(sys.m) if np.any(words[:, -1] == s)]
+    images = [slice(*sys.branches[s].image) for s in symbols]
+    engines = [pullbacks(sys, words[words[:, -1] == s],
+                         nodes[img].reshape(-1), ("J",), eig)
+               for s, img in zip(symbols, images)]
+    for n, levels in enumerate(zip(*engines), start=1):
+        cyls = cylinders(sys, n, cap=cap)
         norm = np.zeros((sys.m, eig.N))
-        for w, (_, u) in state.items():
-            for j, e in enumerate(adm(w[-1])):
-                norm[e] += u[j * eig.N:(j + 1) * eig.N]
+        for img, pb in zip(images, levels):
+            norm[img] += pb.J.sum(axis=0).reshape(-1, eig.N)
+        row = {c.word: k for k, c in enumerate(cyls)}
         masses = np.zeros(len(cyls))
-        for k, c in enumerate(cyls):
-            u = state[c.word][1]
-            total = 0.0
-            for j, e in enumerate(adm(c.word[-1])):
-                chunk = u[j * eig.N:(j + 1) * eig.N]
-                total += float(np.dot(eig.mu[e], chunk / norm[e]))
-            masses[k] = total
+        for img, pb in zip(images, levels):
+            per_word = pb.J @ (eig.mu[img] / norm[img]).reshape(-1)
+            masses[[row[tuple(w)] for w in pb.words.tolist()]] = per_word
         yield CylinderMeasureTable(n, cyls, masses, eig.pressure)
 
 
@@ -244,9 +219,7 @@ def _child_cylinders(sys: MarkovSystem, cyl: Cylinder) -> list[Cylinder]:
         if not sys.transition[cyl.word[-1], j]:
             continue
         w = cyl.word + (j,)
-        ends = np.array(sys.image_interval(j))
-        for k in range(len(w) - 1, -1, -1):
-            ends = sys.inverse_branch(w[k], ends)
+        ends = branch_chain(sys, w, np.array(sys.image_interval(j)))["x"]
         out.append(Cylinder(w, float(min(ends)), float(max(ends))))
     return out
 

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import PchipInterpolator
 
-from .system import MarkovSystem, branch_chain, admissible_words
+from .system import MarkovSystem, NoConvergenceError, pullback, word_array
 
 __all__ = [
     "GridFunction", "EigenData", "NoConvergenceError",
@@ -32,10 +32,6 @@ __all__ = [
     "eigendata", "apply_P", "apply_L", "hoelder_seminorm", "norm_b",
     "c6_bound", "lasota_yorke_audit", "deep_apply",
 ]
-
-
-class NoConvergenceError(RuntimeError):
-    pass
 
 
 def node_grid(sys: MarkovSystem, N: int) -> np.ndarray:
@@ -354,10 +350,12 @@ def deep_apply(sys: MarkovSystem, eig: EigenData, b: float, n: int,
                xs: np.ndarray, terms: list[dict]) -> dict:
     """Depth-n branch-sum application of the normalised operator at points xs.
 
-    Enumerates all admissible depth-n inverse branches explicitly, so
-    twisting phases exp(-i b S_n r) are exact and no intermediate iterate
-    is ever interpolated.  Weights are normalised per point so that the
-    untwisted operator maps 1 to exactly 1.
+    For each symbol s, one engine call pulls the xs in the image of s back
+    along every admissible depth-n word ending in s, so twisting phases
+    exp(-i b S_n r) are exact and no intermediate iterate is ever
+    interpolated.  Each branch h_w enters with its inverse Jacobian J_w (see
+    ``Pullback``); the sums are divided per point by the sum of the J_w, so
+    the untwisted operator maps 1 to exactly 1.
 
     Each term is a dict with keys:
         name   output key
@@ -365,40 +363,34 @@ def deep_apply(sys: MarkovSystem, eig: EigenData, b: float, n: int,
         twist  bool, multiply by exp(-i b S_n r(h_w xs))
         chi    optional extra factor evaluated at the preimages
 
-    Returns {name: array over xs} plus 'weight_sum' (the raw normaliser).
+    Returns {name: array over xs} plus 'weight_sum', the sum of the J_w
+    before that division: (L_sigma^n 1)(x) up to interpolation error in f.
     """
     xs = np.asarray(xs, dtype=float)
-    idx = sys.element_of(xs)
-    out = {t["name"]: np.zeros(xs.shape, dtype=complex) for t in terms}
-    norm = np.zeros(xs.shape)
-    words = admissible_words(sys, n)
-    feval = eig.f.eval
-    for e in range(sys.m):
-        mask = idx == e
-        if not np.any(mask):
+    flat = xs.reshape(-1)
+    idx = sys.element_of(flat)
+    words = word_array(sys, n)
+    sums = {t["name"]: np.zeros(flat.shape, dtype=complex) for t in terms}
+    norm = np.zeros(flat.shape)
+    for s in range(sys.m):
+        lo, hi = sys.branches[s].image
+        cols = np.flatnonzero((idx >= lo) & (idx < hi))
+        ends = words[:, -1] == s
+        if not (len(cols) and np.any(ends)):
             continue
-        sub = xs[mask]
-        acc = {t["name"]: np.zeros(sub.shape, dtype=complex) for t in terms}
-        acc_norm = np.zeros(sub.shape)
-        for w in words:
-            if not sys.transition[w[-1], e]:
-                continue
-            ch = branch_chain(sys, w, sub)
-            hx = ch["x"]
-            raw = np.exp(ch["Snphi"] - eig.sigma * ch["Snr"]) * feval(hx).real
-            acc_norm += raw
-            phase = np.exp(-1j * b * ch["Snr"]) if b != 0.0 else 1.0
-            for t in terms:
-                val = raw.astype(complex)
-                if t.get("twist"):
-                    val = val * phase
-                if t.get("chi") is not None:
-                    val = val * t["chi"](hx)
-                if t.get("fn") is not None:
-                    val = val * t["fn"](hx)
-                acc[t["name"]] += val
+        pb = pullback(sys, words[ends], flat[cols], ("x", "Snr", "J"), eig)
+        hx = pb.x.reshape(-1)
+        norm[cols] += pb.J.sum(axis=0)
+        phase = np.exp(-1j * b * pb.Snr) if b != 0.0 else 1.0
         for t in terms:
-            out[t["name"]][mask] = acc[t["name"]] / acc_norm
-        norm[mask] = acc_norm
-    out["weight_sum"] = norm
+            val = pb.J.astype(complex)
+            if t.get("twist"):
+                val = val * phase
+            if t.get("chi") is not None:
+                val = val * np.reshape(t["chi"](hx), val.shape)
+            if t.get("fn") is not None:
+                val = val * np.reshape(t["fn"](hx), val.shape)
+            sums[t["name"]][cols] += val.sum(axis=0)
+    out = {name: (acc / norm).reshape(xs.shape) for name, acc in sums.items()}
+    out["weight_sum"] = norm.reshape(xs.shape)
     return out

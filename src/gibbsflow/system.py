@@ -4,6 +4,22 @@ A system is a finite partition 0 = a_0 < ... < a_m = 1 of the unit
 interval, one monotone expanding branch per element mapping it onto a
 union of consecutive elements, and per-element roof and potential
 expressions.  Elements are taken left-closed: [a_i, a_{i+1}).
+
+Config layout (JSON), as read by ``system_from_config``:
+
+    {"partition": [a_0, ..., a_m],
+     "branches": [{"expr": "2*x", "image": [lo, hi]}, ...],   # one per element
+     "roof": ["(2+cos(2*pi*x))/3", ...],                       # one per element
+     "potential": ["0", ...],                                  # one per element
+     "alpha": 1.0}                                             # optional
+
+Expressions use the variable x (see ``expr``); ``image`` is the half-open
+range of element indices that the branch maps onto.
+
+Inverse branches of every depth are computed by one engine, ``pullbacks``:
+words are built by prepending symbols, h_{iw} = h_i o h_w, and each depth
+carries (words x points) arrays of the pulled-back points and the orbit
+sums along them.
 """
 
 from __future__ import annotations
@@ -13,13 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr, compile_expr, differentiate, parse
+from .expr import Expr, Num, compile_expr, differentiate, parse
 
 __all__ = [
-    "Branch", "MarkovSystem", "Cylinder", "ValidationReport",
+    "Branch", "MarkovSystem", "Cylinder", "ValidationReport", "Pullback",
     "NotMarkovError", "NotExpandingError", "NotCoveringError",
-    "RoofBoundsError", "CapExceededError", "system_from_config",
-    "validate", "cylinders", "branch_chain", "birkhoff_sum",
+    "RoofBoundsError", "CapExceededError", "OutsideImageError",
+    "NoConvergenceError", "system_from_config", "validate", "cylinders",
+    "admissible_words", "word_array", "pullbacks", "pullback", "branch_chain",
+    "birkhoff_sum",
 ]
 
 
@@ -41,6 +59,14 @@ class RoofBoundsError(ValueError):
 
 class CapExceededError(RuntimeError):
     pass
+
+
+class OutsideImageError(ValueError):
+    """A point to pull back lies outside the image of the branch."""
+
+
+class NoConvergenceError(RuntimeError):
+    """An iterative solve stopped without meeting its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -110,8 +136,9 @@ class MarkovSystem:
                 raise NotMarkovError(f"branch image range {b.image} out of bounds")
 
         # compiled branch maps and derivatives
+        slopes = [differentiate(b.expr) for b in self.branches]
         self._T = [compile_expr(b.expr) for b in self.branches]
-        self._dT = [compile_expr(differentiate(b.expr)) for b in self.branches]
+        self._dT = [compile_expr(d) for d in slopes]
         self._r = [compile_expr(e) for e in self.roof]
         self._dr = [compile_expr(differentiate(e)) for e in self.roof]
         self._phi = [compile_expr(e) for e in self.potential]
@@ -125,6 +152,11 @@ class MarkovSystem:
         mids = 0.5 * (self.partition[:-1] + self.partition[1:])
         self.increasing = np.array(
             [float(self._dT[i](x=mids[i])) > 0 for i in range(self.m)])
+        # affine branches: (T(midpoint), slope), for a one-step inverse
+        self._affine = [
+            (float(self._T[i](x=mids[i])), d.value)
+            if isinstance(d, Num) and d.value != 0 else None
+            for i, d in enumerate(slopes)]
 
     # -- pointwise structure ------------------------------------------------
 
@@ -170,26 +202,47 @@ class MarkovSystem:
     def inverse_branch(self, i: int, y):
         """Solve T_i(z) = y on element i; safeguarded Newton, |residual| tol 1e-13.
 
-        y must lie in the closed image interval of branch i.
+        Raises OutsideImageError when some y lies outside the closed image of
+        branch i by more than 1e-12 times the element width, and
+        NoConvergenceError when Newton has not converged after 200 steps.
+        For an affine branch the first Newton step from the midpoint is the
+        root up to rounding; it is kept when it passes the bracket and
+        residual tests that Newton applies to it.
         """
         a, b = self.element_interval(i)
         y = np.asarray(y, dtype=float)
+        lo_img, hi_img = self.image_interval(i)
+        slack = 1e-12 * (b - a)
+        if np.any((y < lo_img - slack) | (y > hi_img + slack)):
+            raise OutsideImageError(
+                f"points outside the image [{lo_img}, {hi_img}] of branch {i}")
+        mid = 0.5 * (a + b)
+        T = self._T[i]
+        if self._affine[i] is not None:
+            t_mid, slope = self._affine[i]
+            z = mid - (t_mid - y) / slope
+            # the step lands on the side of mid that holds the root, so
+            # Newton's bracket test reduces to staying inside the element
+            if np.all((z >= a) & (z <= b)) and np.all(np.abs(T(x=z) - y) < 1e-13):
+                return z
         lo = np.full(y.shape, a)
         hi = np.full(y.shape, b)
-        z = np.full(y.shape, 0.5 * (a + b))
-        T, dT = self._T[i], self._dT[i]
+        z = np.full(y.shape, mid)
+        dT = self._dT[i]
         sign = 1.0 if self.increasing[i] else -1.0
         for _ in range(200):
             f = T(x=z) - y
             if np.all(np.abs(f) < 1e-13):
-                break
+                return np.clip(z, a, b)
             fs = f * sign
             lo = np.where(fs <= 0, z, lo)
             hi = np.where(fs > 0, z, hi)
             zn = z - f / (dT(x=z) + 0.0 * z)
             zn = np.where((zn < lo) | (zn > hi), 0.5 * (lo + hi), zn)
             z = zn
-        return np.clip(z, a, b)
+        raise NoConvergenceError(
+            f"inverse of branch {i}: Newton residual {float(np.max(np.abs(f)))!r}"
+            " after 200 steps")
 
     def admissible_branches(self, x):
         """Branch indices i with element_of(x) in the image range of branch i."""
@@ -212,7 +265,7 @@ class MarkovSystem:
 
 
 def system_from_config(cfg: dict) -> MarkovSystem:
-    """Build a system from the JSON config layout (see README)."""
+    """Build a system from the JSON config layout in the module docstring."""
     if isinstance(cfg, str):
         cfg = json.loads(cfg)
     known = {"partition", "branches", "roof", "potential", "alpha"}
@@ -318,7 +371,7 @@ def validate(sys: MarkovSystem, grid: int = 2048, raise_on_fail: bool = True
     )
 
 
-# -- cylinders and branch chains ----------------------------------------------
+# -- words, the pullback engine, cylinders ------------------------------------
 
 
 def _count_words(sys: MarkovSystem, n: int) -> int:
@@ -328,18 +381,23 @@ def _count_words(sys: MarkovSystem, n: int) -> int:
     return int(counts.sum())
 
 
-def admissible_words(sys: MarkovSystem, n: int, cap: int = 2_000_000
-                     ) -> list[tuple[int, ...]]:
+def word_array(sys: MarkovSystem, n: int, cap: int = 2_000_000) -> np.ndarray:
+    """(K, n) array of all admissible depth-n words, in lexicographic order."""
     if n < 1:
         raise ValueError("depth must be >= 1")
     total = _count_words(sys, n)
     if total > cap:
         raise CapExceededError(f"{total} depth-{n} cylinders exceed cap {cap}")
-    words: list[tuple[int, ...]] = [(i,) for i in range(sys.m)]
+    words = np.arange(sys.m, dtype=np.intp)[:, None]
     for _ in range(n - 1):
-        words = [w + (j,) for w in words for j in range(sys.m)
-                 if sys.transition[w[-1], j]]
+        rows, nxt = np.nonzero(sys.transition[words[:, -1]])
+        words = np.column_stack([words[rows], nxt])
     return words
+
+
+def admissible_words(sys: MarkovSystem, n: int, cap: int = 2_000_000
+                     ) -> list[tuple[int, ...]]:
+    return [tuple(w) for w in word_array(sys, n, cap).tolist()]
 
 
 def _domain_interval(sys: MarkovSystem, word: tuple[int, ...]) -> tuple[float, float]:
@@ -347,64 +405,161 @@ def _domain_interval(sys: MarkovSystem, word: tuple[int, ...]) -> tuple[float, f
     return sys.image_interval(word[-1])
 
 
-def branch_chain(sys: MarkovSystem, word: tuple[int, ...], y) -> dict:
-    """Pull y back along the inverse branch of ``word`` and accumulate orbit data.
+FIELDS = ("x", "dTn", "Snr", "Snphi", "DSnr_h")
+_BLOCK = 1 << 16  # (word, point) pairs per batched solve; bounds temporaries
 
-    Returns x = h_word(y), the orbit points z_j = T^j x, and the forward
-    quantities needed everywhere: DT^n(x), S_n r, S_n phi, D(S_n r)(x),
-    and D(S_n r o h)(y) = D(S_n r)(x) / DT^n(x).
+
+@dataclass
+class Pullback:
+    """One depth k of the pullback engine: row a is the word ``words[a]``,
+    column b the point y_b, and each field is a (words, points) array:
+
+        x       h_w(y)
+        dTn     DT^k(x)
+        Snr     S_k r(x)
+        Snphi   S_k phi(x)
+        DSnr_h  D(S_k r o h_w)(y) = D(S_k r)(x) / DT^k(x)
+        J       lam^-k exp(S_k(phi - sigma r)(x)) f(x) / f(y), the inverse
+                Jacobian of mu_sigma along h_w
+
+    Fields that were not asked for are None.
+    """
+    words: np.ndarray
+    x: np.ndarray | None = None
+    dTn: np.ndarray | None = None
+    Snr: np.ndarray | None = None
+    Snphi: np.ndarray | None = None
+    DSnr_h: np.ndarray | None = None
+    J: np.ndarray | None = None
+
+
+def _suffix_tree(words: np.ndarray) -> list[tuple]:
+    """Per depth k = 1..n, over the distinct length-k suffixes of ``words`` in
+    lexicographic order: their first symbols, the row of each one's own
+    suffix at depth k - 1, and a row of ``words`` that ends in it."""
+    K, n = words.shape
+    rank = np.zeros(K, dtype=np.intp)
+    count = 1
+    levels = []
+    for k in range(1, n + 1):
+        uniq, first, rank = np.unique(words[:, n - k] * count + rank,
+                                      return_index=True, return_inverse=True)
+        sym, parent = np.divmod(uniq, count)
+        levels.append((sym, parent, first))
+        count = len(uniq)
+    if count != K or np.any(rank != np.arange(K)):
+        raise ValueError("words must be distinct and in lexicographic order")
+    return levels
+
+
+def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, need: set, k: int,
+             eig, fy) -> dict:
+    """Depth-k fields of the words i + w from the depth-(k-1) rows of w."""
+    z = sys.inverse_branch(i, prev["x"][rows])
+    out = {"x": z}
+    if "dTn" in need:
+        out["dTn"] = sys._dT[i](x=z) * prev["dTn"][rows]
+    if "DSnr_h" in need:
+        out["DSnr_h"] = sys._dr[i](x=z) / out["dTn"] + prev["DSnr_h"][rows]
+    if "Snr" in need or ("lw" in need and eig.sigma != 0.0):
+        r = sys._r[i](x=z)
+    if "Snr" in need:
+        out["Snr"] = r + prev["Snr"][rows]
+    if "Snphi" in need or "lw" in need:
+        phi = sys._phi[i](x=z)
+    if "Snphi" in need:
+        out["Snphi"] = phi + prev["Snphi"][rows]
+    if "lw" in need:
+        g = phi if eig.sigma == 0.0 else phi - eig.sigma * r
+        out["lw"] = g + prev["lw"][rows]
+        out["J"] = (eig.lam ** (-k) * np.exp(out["lw"])
+                    * eig.f.eval(z).real / fy)
+    return out
+
+
+def pullbacks(sys: MarkovSystem, words, ys, fields=FIELDS, eig=None):
+    """Pull the points ys back along every suffix of ``words``, depth by depth.
+
+    ``words`` is a (K, n) array of distinct words in lexicographic order;
+    every y must lie in the image of the last symbol of every word.  Depth k
+    comes from depth k - 1 by prepending a symbol, h_{iw} = h_i o h_w, with
+    one batched ``inverse_branch`` per symbol over row blocks of at most
+    2^16 (word, point) pairs.  Yields one Pullback per depth k = 1..n, with
+    rows the distinct length-k suffixes in lexicographic order (at depth n,
+    ``words`` itself), carrying ``fields``; "J" needs the EigenData ``eig``.
+    Only the previous depth is held while the next is built, and the last
+    depth keeps nothing but ``fields``.
+    """
+    words = np.asarray(words, dtype=np.intp)
+    ys = np.asarray(ys, dtype=float)
+    n = words.shape[1]
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    levels = _suffix_tree(words)
+    want = set(fields)
+    need = want | {"x"}
+    if "DSnr_h" in need:
+        need.add("dTn")
+    fy = None
+    if "J" in need:
+        need.add("lw")
+        fy = eig.f.eval(ys).real
+    P = len(ys)
+    # depth 0: the empty word, h = identity
+    state = {f: np.full((1, P), 1.0 if f == "dTn" else 0.0) for f in need}
+    state["x"] = ys[None, :]
+    step = max(1, _BLOCK // max(P, 1))
+    for k, (sym, parent, first) in enumerate(levels, start=1):
+        keep = need if k < n else want
+        new = {f: np.empty((len(sym), P)) for f in keep}
+        bounds = np.searchsorted(sym, np.arange(sys.m + 1))
+        for i in range(sys.m):
+            for a in range(bounds[i], bounds[i + 1], step):
+                rows = slice(a, min(a + step, bounds[i + 1]))
+                block = _prepend(sys, i, state, parent[rows], need, k, eig, fy)
+                for f in keep:
+                    new[f][rows] = block[f]
+        state = new
+        yield Pullback(words[first, n - k:], **{f: state[f] for f in want})
+
+
+def pullback(sys: MarkovSystem, words, ys, fields=FIELDS, eig=None) -> Pullback:
+    """The last depth of ``pullbacks``: one row per word of ``words``."""
+    for level in pullbacks(sys, words, ys, fields, eig):
+        pass
+    return level
+
+
+def branch_chain(sys: MarkovSystem, word: tuple[int, ...], y) -> dict:
+    """Pull y back along the inverse branch of ``word`` (the engine on one word).
+
+    Returns x = h_word(y) and the orbit data along it: DT^n(x), S_n r,
+    S_n phi and D(S_n r o h)(y) = D(S_n r)(x) / DT^n(x), each shaped like y.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = len(word)
-    z = [None] * (n + 1)
-    z[n] = y
-    for j in range(n - 1, -1, -1):
-        z[j] = sys.inverse_branch(word[j], z[j + 1])
-
-    dTn = np.ones_like(y)
-    dTj = np.ones_like(y)   # DT^j(x), running
-    snr = np.zeros_like(y)
-    snphi = np.zeros_like(y)
-    dsnr = np.zeros_like(y)
-    for j in range(n):
-        i = word[j]
-        zj = z[j]
-        dsnr = dsnr + (sys._dr[i](x=zj) + np.zeros_like(y)) * dTj
-        snr = snr + sys._r[i](x=zj)
-        snphi = snphi + sys._phi[i](x=zj)
-        dt = sys._dT[i](x=zj) + np.zeros_like(y)
-        dTj = dTj * dt
-        dTn = dTn * dt
-    return {
-        "x": z[0], "orbit": z[:n], "dTn": dTn, "Snr": snr, "Snphi": snphi,
-        "DSnr": dsnr, "DSnr_h": dsnr / dTn,
-    }
+    level = pullback(sys, [word], y.reshape(-1))
+    return {f: getattr(level, f)[0].reshape(y.shape) for f in FIELDS}
 
 
 def cylinders(sys: MarkovSystem, n: int, cap: int = 2_000_000) -> list[Cylinder]:
     """All depth-n cylinders, sorted by left endpoint.
 
-    Built by prepending symbols: [iw] = h_i([w]), so each level costs one
-    vectorised branch inversion per symbol over all suffix endpoints.
+    [w e] = h_w(element e): the engine pulls the endpoints of each element e
+    back along all depth-(n-1) words that may precede it.
     """
-    if n < 1:
-        raise ValueError("depth must be >= 1")
-    if _count_words(sys, n) > cap:
-        raise CapExceededError(f"too many depth-{n} cylinders for cap {cap}")
-    cur = {(i,): sys.element_interval(i) for i in range(sys.m)}
-    for _ in range(n - 1):
-        new = {}
-        for i in range(sys.m):
-            words = [w for w in cur if sys.transition[i, w[0]]]
-            if not words:
-                continue
-            ends = np.array([e for w in words for e in cur[w]])
-            z = sys.inverse_branch(i, ends)
-            for k, w in enumerate(words):
-                lo, hi = z[2 * k], z[2 * k + 1]
-                new[(i,) + w] = (float(min(lo, hi)), float(max(lo, hi)))
-        cur = new
-    out = [Cylinder(w, lo, hi) for w, (lo, hi) in cur.items()]
+    words = word_array(sys, n, cap)
+    if n == 1:
+        return [Cylinder((i,), *sys.element_interval(i)) for i in range(sys.m)]
+    out = []
+    for e in range(sys.m):
+        heads = words[words[:, -1] == e, :-1]
+        if not len(heads):
+            continue
+        x = pullback(sys, heads, np.array(sys.element_interval(e)), ("x",)).x
+        lo = np.minimum(x[:, 0], x[:, 1]).tolist()
+        hi = np.maximum(x[:, 0], x[:, 1]).tolist()
+        out += [Cylinder(tuple(w) + (e,), l, h)
+                for w, l, h in zip(heads.tolist(), lo, hi)]
     out.sort(key=lambda c: (c.left, c.word))
     return out
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import EigenData
-from .system import (MarkovSystem, admissible_words, branch_chain, cylinders,
-                     itineraries)
+from .system import (MarkovSystem, branch_chain, cylinders, itineraries,
+                     pullback, word_array)
 
 __all__ = [
     "PsiFunction", "EmptyDomainError", "NotSiblingsError",
@@ -160,19 +160,21 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512,
     D_point: min over grid y of the best pair through y of the inf of
     |D psi| over B(y, R) intersected with the pair's domain.
     """
-    words = admissible_words(sys, n)
-    if len(words) * len(words) > pair_cap:
+    warr = word_array(sys, n)
+    if len(warr) * len(warr) > pair_cap:
         raise ValueError("too many branch pairs at this depth")
     xs = np.linspace(0.0, 1.0, grid)
-    rows = {}
-    doms = {}
-    for w in words:
-        lo, hi = sys.image_interval(w[-1])
-        mask = (xs >= lo) & (xs <= hi)
-        d = np.full(grid, np.nan)
-        d[mask] = branch_chain(sys, w, xs[mask])["DSnr_h"]
-        rows[w] = d
-        doms[w] = (lo, hi)
+    dsnr = np.full((len(warr), grid), np.nan)
+    for s in range(sys.m):
+        ends = np.flatnonzero(warr[:, -1] == s)
+        lo, hi = sys.image_interval(s)
+        cols = np.flatnonzero((xs >= lo) & (xs <= hi))
+        if len(ends):
+            dsnr[np.ix_(ends, cols)] = pullback(
+                sys, warr[ends], xs[cols], ("DSnr_h",)).DSnr_h
+    words = [tuple(w) for w in warr.tolist()]
+    rows = dict(zip(words, dsnr))
+    doms = {w: sys.image_interval(w[-1]) for w in words}
 
     d_full = 0.0
     full = [w for w in words if doms[w][0] <= 1e-12 and doms[w][1] >= 1 - 1e-12]
@@ -207,30 +209,36 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512,
 
 
 def _preimage_tableau(sys: MarkovSystem, eig0: EigenData, n: int,
-                      ys: np.ndarray, c7: float):
+                      ys: np.ndarray, c7: float, cap: int = 2_000_000):
     """Interval and weight arrays over (word, y); NaN where inadmissible.
 
-    Weights are the inverse Jacobians of mu_0, normalised per y so they
-    sum to exactly 1 over the admissible preimages.
+    Rows are the depth-n words in ``admissible_words`` order.  The words
+    ending in each symbol s are pulled back in one engine call at the ys in
+    the image of s; a row holds the slope interval -D(S_n r o h)(y) +- C7 /
+    |DT^n| and the weight exp(S_n phi) f(h y) / f(y).  Weights are the
+    inverse Jacobians of mu_0, normalised per y so they sum to exactly 1 over
+    the admissible preimages.
     """
-    words = admissible_words(sys, n)
+    words = word_array(sys, n, cap)
     k, g = len(words), len(ys)
     lo = np.full((k, g), np.nan)
     hi = np.full((k, g), np.nan)
     wgt = np.full((k, g), np.nan)
     f = eig0.f.eval
     fy = f(ys).real
-    for a, w in enumerate(words):
-        dlo, dhi = sys.image_interval(w[-1])
-        mask = (ys >= dlo) & (ys <= dhi)
-        if not np.any(mask):
+    for s in range(sys.m):
+        rows = np.flatnonzero(words[:, -1] == s)
+        dlo, dhi = sys.image_interval(s)
+        cols = np.flatnonzero((ys >= dlo) & (ys <= dhi))
+        if not (len(rows) and len(cols)):
             continue
-        ch = branch_chain(sys, w, ys[mask])
-        centre = -ch["DSnr_h"]
-        half = c7 / np.abs(ch["dTn"])
-        lo[a, mask] = centre - half
-        hi[a, mask] = centre + half
-        wgt[a, mask] = np.exp(ch["Snphi"]) * f(ch["x"]).real / fy[mask]
+        pb = pullback(sys, words[rows], ys[cols], ("x", "dTn", "Snphi", "DSnr_h"))
+        centre = -pb.DSnr_h
+        half = c7 / np.abs(pb.dTn)
+        cell = np.ix_(rows, cols)
+        lo[cell] = centre - half
+        hi[cell] = centre + half
+        wgt[cell] = np.exp(pb.Snphi) * f(pb.x).real / fy[cols]
     totals = np.nansum(wgt, axis=0)
     wgt = wgt / totals[None, :]
     return words, lo, hi, wgt
@@ -248,9 +256,9 @@ def a_sequence(sys: MarkovSystem, eig0: EigenData, n_max: int,
     c7 = c7_constant(sys)["C7"]
     out = []
     for n in range(1, n_max + 1):
-        admissible_words(sys, n, cap=cap)  # enforce cap early
+        word_array(sys, n, cap)  # enforce the cap before building the grid
         ys = _y_grid(sys, n, grid)
-        _, lo, hi, wgt = _preimage_tableau(sys, eig0, n, ys, c7)
+        _, lo, hi, wgt = _preimage_tableau(sys, eig0, n, ys, c7, cap)
         worst = 0.0
         for col in range(lo.shape[1]):
             valid = ~np.isnan(wgt[:, col])
@@ -279,9 +287,9 @@ def b_sequence(sys: MarkovSystem, eig0: EigenData, n_max: int,
     c7 = c7_constant(sys)["C7"]
     out = []
     for n in range(1, n_max + 1):
-        admissible_words(sys, n, cap=cap)
+        word_array(sys, n, cap)  # enforce the cap before building the grid
         ys = _y_grid(sys, n, grid)
-        _, lo, hi, wgt = _preimage_tableau(sys, eig0, n, ys, c7)
+        _, lo, hi, wgt = _preimage_tableau(sys, eig0, n, ys, c7, cap)
         worst = 0.0
         for col in range(lo.shape[1]):
             valid = ~np.isnan(wgt[:, col])
@@ -319,22 +327,16 @@ def _greedy_chain(sys: MarkovSystem, start_elem: int, length: int,
 
 def _theta_eval(sys: MarkovSystem, chains: dict[int, list[int]], y0: float,
                 pts: np.ndarray, J: int) -> np.ndarray:
-    """Truncated telescoping sum theta(y) = sum_j [r(h_j y) - r(h_j y0)]."""
+    """Truncated telescoping sum theta(y) = sum_j [r(h_j y) - r(h_j y0)]:
+    S_J r along the word of the backward chain, at y minus at y0."""
     pts = np.asarray(pts, dtype=float)
     out = np.zeros_like(pts)
     elems = sys.element_of(pts)
     for e in np.unique(elems):
-        chain = chains[int(e)]
         mask = elems == e
-        z = pts[mask]
-        z0 = np.array([y0])
-        acc = np.zeros_like(z)
-        for j in range(J):
-            k = chain[j]
-            z = sys.inverse_branch(k, z)
-            z0 = sys.inverse_branch(k, z0)
-            acc += sys._r[k](x=z) - sys._r[k](x=z0)
-        out[mask] = acc
+        word = tuple(reversed(chains[int(e)][:J]))
+        snr = branch_chain(sys, word, np.append(pts[mask], y0))["Snr"]
+        out[mask] = snr[:-1] - snr[-1]
     return out
 
 
@@ -411,37 +413,16 @@ def uni_from_transversality(sys: MarkovSystem, delta: float, b: float,
     Delta = 4.0 * math.pi / (c7 * delta)
     radius = Delta / abs(b)
 
-    tails = admissible_words(sys, n2)
+    tails = word_array(sys, n2)
     results = []
     npass = 0
     nfail = 0
     for y in np.linspace(1e-6, 1 - 1e-6, y_points):
-        # tail cone intervals at x = h_tail(y)
-        intervals = []
-        for t in tails:
-            dlo, dhi = sys.image_interval(t[-1])
-            if not (dlo <= y <= dhi):
-                continue
-            ch = branch_chain(sys, t, np.array([y]))
-            c = -float(ch["DSnr_h"][0])
-            hw = c7 / abs(float(ch["dTn"][0]))
-            intervals.append((t, c - hw, c + hw))
-        pair = None
-        best_gap = 0.0
-        for i in range(len(intervals)):
-            for j in range(i + 1, len(intervals)):
-                t1, l1, h1 = intervals[i]
-                t2, l2, h2 = intervals[j]
-                gap = max(l2 - h1, l1 - h2)
-                if gap > best_gap:
-                    # domains of the full psi must both contain y
-                    best_gap, pair = gap, (t1, t2)
+        pair = transversal_pair(sys, tails, n1, y, c7)
         if pair is None:
             results.append({"y": float(y), "status": "NoTransversalPair"})
             continue
-        t1, t2 = pair
-        w1 = tuple(_greedy_prefix(sys, t1[0], n1)) + t1
-        w2 = tuple(_greedy_prefix(sys, t2[0], n1)) + t2
+        w1, w2 = pair
         p = psi(sys, w1, w2)
         zlo = max(p.domain[0], y - radius)
         zhi = min(p.domain[1], y + radius)
@@ -463,13 +444,42 @@ def uni_from_transversality(sys: MarkovSystem, delta: float, b: float,
     }
 
 
-def _greedy_prefix(sys: MarkovSystem, first_tail_symbol: int, n1: int) -> list[int]:
+def _greedy_prefix(sys: MarkovSystem, first_tail_symbol: int, n1: int
+                   ) -> tuple[int, ...]:
     """Lowest-index admissible word of length n1 that may precede the tail."""
     prefix: list[int] = []
     nxt = first_tail_symbol
     for _ in range(n1):
-        options = [i for i in range(sys.m) if sys.transition[i, nxt]]
-        k = min(options)
+        k = min(i for i in range(sys.m) if sys.transition[i, nxt])
         prefix.insert(0, k)
         nxt = k
-    return prefix
+    return tuple(prefix)
+
+
+def transversal_pair(sys: MarkovSystem, tails: np.ndarray, n1: int, y: float,
+                     c7: float):
+    """Depth-(n1 + n2) words (w1, w2) through y whose depth-n2 tails have the
+    widest gap between their slope intervals at y, each tail extended by its
+    greedy prefix; None when no two tails through y are transversal.
+
+    ``tails`` is ``word_array(sys, n2)``; the tails whose domain holds y are
+    pulled back in one engine call, and ties go to the first pair in
+    lexicographic order.
+    """
+    through = [s for s in range(sys.m)
+               if sys.image_interval(s)[0] <= y <= sys.image_interval(s)[1]]
+    tails = tails[np.isin(tails[:, -1], through)]
+    if len(tails) < 2:
+        return None
+    pb = pullback(sys, tails, np.array([y]), ("dTn", "DSnr_h"))
+    centre = -pb.DSnr_h[:, 0]
+    hw = c7 / np.abs(pb.dTn[:, 0])
+    lo, hi = centre - hw, centre + hw
+    gap = np.maximum(lo[None, :] - hi[:, None], lo[:, None] - hi[None, :])
+    gap[np.tril_indices(len(tails))] = 0.0
+    best = int(np.argmax(gap))
+    if gap.flat[best] <= 0.0:
+        return None
+    t1, t2 = (tuple(tails[a].tolist()) for a in divmod(best, len(tails)))
+    return (_greedy_prefix(sys, t1[0], n1) + t1,
+            _greedy_prefix(sys, t2[0], n1) + t2)

@@ -1,11 +1,14 @@
 """Command-line driver: config validation, exit codes, manifests, reports."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gibbsflow
 from gibbsflow.cli import (ConfigError, MissingManifestError, load_config,
                            main, report_bundle, run)
 from gibbsflow.presets import make_preset
@@ -194,10 +197,15 @@ def test_bundle_missing_manifest(tmp_path):
 def test_console_script_entry_point(tmp_path):
     p = write_cfg(tmp_path / "c.json",
                   {"preset": "SYS-A", "experiment": "validate"})
+    # the child imports the same gibbsflow as this process, however pytest
+    # put it on the path
+    src = str(Path(gibbsflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "gibbsflow.cli", "validate", "--config", p,
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from gibbsflow.expr import (
     Add, Call, DomainError, Div, Mul, Neg, Num, ParseError, Pi, Pow, Sub,
-    UnknownIdentifierError, Var, differentiate, evaluate, parse, to_str,
+    UnknownIdentifierError, Var, compile_expr, differentiate, evaluate, parse,
+    to_str,
 )
 
 
@@ -126,3 +127,18 @@ def test_derivative_closed_forms():
     x = 0.2
     assert evaluate(d2, x) == pytest.approx(
         -2 * math.pi * math.sin(2 * math.pi * x) / 3, rel=1e-12)
+
+
+def test_negative_power_at_scalar_zero_is_inf():
+    f = compile_expr(parse("x^-1"))
+    assert f(x=0.0) == math.inf
+    assert np.all(f(x=np.zeros(3)) == math.inf)
+    assert compile_expr(parse("1/x"))(x=0.0) == math.inf
+
+
+def test_derivative_of_negative_power_round_trips():
+    for src in ("x^-1", "x^-3", "(1+x)^-2"):
+        d = differentiate(parse(src))
+        assert parse(to_str(d)) == d
+    d = differentiate(parse("x^-1"))
+    assert evaluate(d, 2.0) == pytest.approx(-0.25, rel=1e-15)
