@@ -311,7 +311,7 @@ def _run_contraction(sys_, params, out, seed, jobs):
     eig = eigendata(sys_, sigma, N=512)
     l1 = l1_contraction(sys_, eig, b_list, beta=beta)
     sweep = norm_contraction_sweep(sys_, eig, b_list, B=B, trials=60,
-                                   seed=_int_seed(seed))
+                                   seed=seed)
     rows = []
     for r1, r2 in zip(l1["rows"], sweep["rows"]):
         rows.append((r1["b"], r1["k"], r1["ratio"], r2["zeta_hat"],
@@ -327,10 +327,6 @@ def _run_contraction(sys_, params, out, seed, jobs):
     return (0 if ok else AUDIT_FAILED), summary
 
 
-def _int_seed(seed):
-    return int(seed)
-
-
 def _run_correlate(sys_, params, out, seed, jobs):
     sigma = float(params.get("sigma", 0.0))
     v = str(params.get("v", "cos(2*pi*u)+x"))
@@ -340,7 +336,7 @@ def _run_correlate(sys_, params, out, seed, jobs):
     samples = int(params.get("samples", 100_000))
     eig = eigendata(sys_, sigma, N=256)
     series = correlation(sys_, eig, v, w, np.linspace(0.0, t_max, t_points),
-                         samples, seed=_int_seed(seed))
+                         samples, seed=seed)
     (out / "correlate.csv").write_text(series.to_csv(), encoding="utf-8")
     summary = {"rate": series.rate, "prefactor": series.prefactor,
                "t_star": series.t_star, "window": list(series.window),

@@ -23,8 +23,9 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .gibbs import adapted_partition
-from .operator import (EigenData, GridFunction, c6_bound, deep_apply,
-                       hoelder_seminorm, norm_b)
+from .operator import (EigenData, GridFunction, apply_L, c6_bound,
+                       deep_apply, eigendata, hoelder_seminorm,
+                       lasota_yorke_audit, norm_b)
 from .system import MarkovSystem, branch_chain, word_array
 from .uni import _lam_rho, c7_constant, transversal_pair
 
@@ -616,39 +617,99 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list, beta: float = 1.0,
     return {"beta": beta, "rows": rows, "xi_hat": xi_hat, "C6": c6}
 
 
+# complex trial values per block of the norm sweep, 2^18 x 16 bytes = 4 MiB:
+# 4 trials at m N = 65536 nodes, so a block adds less memory than the
+# eigendata the sweep already holds at that N
+_TRIAL_BUDGET = 1 << 18
+_MODES = 12
+
+
+def _trial_block(nodes: np.ndarray, coef: np.ndarray, ts) -> np.ndarray:
+    """(len(ts), m, N) values of the trial functions ``ts`` on ``nodes``.
+
+    Trial 0 is the constant 1 and can only come first; trial t > 0 is
+    sum_q coef[t - 1, q] exp(2 pi i q x).  Each mode is computed once and
+    added to every trial in q order, the order of the one-trial sum.  The
+    q = 0 mode is exactly 1, so its term is the coefficient itself.
+    """
+    vals = np.empty((len(ts),) + nodes.shape, dtype=complex)
+    rand = [(k, t - 1) for k, t in enumerate(ts) if t > 0]
+    if len(rand) < len(ts):
+        vals[0] = 1.0
+    for k, r in rand:
+        vals[k] = coef[r, 0]
+    mode = np.empty(nodes.shape, dtype=complex)
+    term = np.empty_like(mode)
+    for q in range(1, _MODES if rand else 1):
+        np.exp(2j * np.pi * q * nodes, out=mode)
+        for k, r in rand:
+            # coefficient first: numpy's product rounds by operand order
+            np.multiply(coef[r, q], mode, out=term)
+            vals[k] += term
+    return vals
+
+
+def _trial_ratios(eg: EigenData, b: float, ell: int,
+                  coef: np.ndarray) -> list[float]:
+    """||L^ell v||_(b) / ||v||_(b) for the trials 0..len(coef) on the grid of
+    ``eg``, in blocks of at most _TRIAL_BUDGET complex node values."""
+    nodes = eg.f.nodes
+    trials = len(coef) + 1
+    block = max(1, _TRIAL_BUDGET // nodes.size)
+    ratios: list[float] = []
+    for t0 in range(0, trials, block):
+        vals = _trial_block(nodes, coef, range(t0, min(t0 + block, trials)))
+        v = GridFunction(eg.system, np.moveaxis(vals, 0, -1).copy(), nodes)
+        del vals
+        ratios += (norm_b(apply_L(eg, b, v, ell), b) / norm_b(v, b)).tolist()
+        del v  # freed before the next block is built
+    return ratios
+
+
 def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
                            B: float = 1.0, trials: int = 200,
                            power_iters: int = 4, seed: int = 0) -> dict:
     """Empirical lower-bound estimate of the operator norm of L^ell_s on the
     b-adapted norm, ell = ceil(B log |b|): randomized maximization over
     Hoelder test functions plus power-iteration refinement; reports
-    zeta_hat(b) = ratio^{1/ell}."""
-    from .operator import apply_L, eigendata, lasota_yorke_audit
+    zeta_hat(b) = ratio^{1/ell}.
+
+    Trial 0 is the constant 1; trial t > 0 is sum_{q < 12} c_q exp(2 pi i q
+    x) with c_q = (g + i g') / (1 + q) and g, g' standard normals, drawn
+    per b in trial, then q order.  The trial of largest ratio ||L^ell v||_(b)
+    / ||v||_(b) (strict >, so the first maximum wins) starts the power
+    iterations.  Trials run in blocks of at most 2^18 complex node values,
+    a fixed memory budget (4 trials at m N = 65536): each Fourier mode is
+    computed once per block, L^ell takes one sparse product per step for
+    the whole block, and the norms of all its columns are taken at once.
+    Every ratio has the same bits as the trial built, mapped and normed on
+    its own.  The
+    eigendata lives on N = 16 |b| nodes per element, clipped to [2048,
+    32768]; consecutive b with the same N share it.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     lam, _ = _lam_rho(sys)
+    scale = 1.0 + np.arange(_MODES)
     results = []
+    eg = None
     for b in b_list:
         ell = int(math.ceil(B * math.log(abs(b))))
         N = int(min(32768, max(2048, 16 * abs(b))))
-        eg = eigendata(sys, eig.sigma, N=N)
-        nodes = np.stack([eg.f.nodes[e] for e in range(sys.m)])
-        best = 0.0
-        best_v = None
-        for t in range(trials):
-            if t == 0:
-                vals = np.ones_like(nodes, dtype=complex)
-            else:
-                vals = np.zeros_like(nodes, dtype=complex)
-                for q in range(12):
-                    c = (rng.normal() + 1j * rng.normal()) / (1.0 + q)
-                    vals += c * np.exp(2j * np.pi * q * nodes)
-            v = GridFunction(sys, vals)
-            denom = norm_b(v, b)
-            w = apply_L(eg, b, v, ell)
-            ratio = norm_b(w, b) / denom
+        if eg is None or eg.N != N:
+            eg = None  # released before the next one is built
+            eg = eigendata(sys, eig.sigma, N=N)
+        eg.L_matrix(b)  # assembled before any block exists: a lower peak
+        # divided componentwise, as Python's complex / float does
+        g = rng.normal(size=(trials - 1, _MODES, 2)) / scale[:, None]
+        coef = g[..., 0] + 1j * g[..., 1]
+        best, best_t = 0.0, None
+        for t, ratio in enumerate(_trial_ratios(eg, b, ell, coef)):
             if ratio > best:
-                best, best_v = ratio, v
-        w = best_v
+                best, best_t = ratio, t
+        w = GridFunction(sys, _trial_block(eg.f.nodes, coef, [best_t])[0],
+                         eg.f.nodes)
         for _ in range(power_iters):
             prev = norm_b(w, b)
             w = apply_L(eg, b, w, ell)

@@ -472,12 +472,14 @@ def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, need: set, k: int,
     if "lw" in need:
         g = phi if eig.sigma == 0.0 else phi - eig.sigma * r
         out["lw"] = g + prev["lw"][rows]
+    if "J" in need:
         out["J"] = (eig.lam ** (-k) * np.exp(out["lw"])
                     * eig.f.eval(z).real / fy)
     return out
 
 
-def pullbacks(sys: MarkovSystem, words, ys, fields=FIELDS, eig=None):
+def pullbacks(sys: MarkovSystem, words, ys, fields=FIELDS, eig=None,
+              every_depth: bool = True):
     """Pull the points ys back along every suffix of ``words``, depth by depth.
 
     ``words`` is a (K, n) array of distinct words in lexicographic order;
@@ -488,7 +490,9 @@ def pullbacks(sys: MarkovSystem, words, ys, fields=FIELDS, eig=None):
     rows the distinct length-k suffixes in lexicographic order (at depth n,
     ``words`` itself), carrying ``fields``; "J" needs the EigenData ``eig``.
     Only the previous depth is held while the next is built, and the last
-    depth keeps nothing but ``fields``.
+    depth keeps nothing but ``fields``.  With ``every_depth`` False only
+    depth n is yielded, and J, which no deeper depth needs, is computed
+    there alone.
     """
     words = np.asarray(words, dtype=np.intp)
     ys = np.asarray(ys, dtype=float)
@@ -510,22 +514,27 @@ def pullbacks(sys: MarkovSystem, words, ys, fields=FIELDS, eig=None):
     state["x"] = ys[None, :]
     step = max(1, _BLOCK // max(P, 1))
     for k, (sym, parent, first) in enumerate(levels, start=1):
-        keep = need if k < n else want
+        yields = every_depth or k == n
+        step_need = need if yields else need - {"J"}
+        keep = step_need if k < n else want
         new = {f: np.empty((len(sym), P)) for f in keep}
         bounds = np.searchsorted(sym, np.arange(sys.m + 1))
         for i in range(sys.m):
             for a in range(bounds[i], bounds[i + 1], step):
                 rows = slice(a, min(a + step, bounds[i + 1]))
-                block = _prepend(sys, i, state, parent[rows], need, k, eig, fy)
+                block = _prepend(sys, i, state, parent[rows], step_need, k,
+                                 eig, fy)
                 for f in keep:
                     new[f][rows] = block[f]
         state = new
-        yield Pullback(words[first, n - k:], **{f: state[f] for f in want})
+        if yields:
+            yield Pullback(words[first, n - k:],
+                           **{f: state[f] for f in want})
 
 
 def pullback(sys: MarkovSystem, words, ys, fields=FIELDS, eig=None) -> Pullback:
     """The last depth of ``pullbacks``: one row per word of ``words``."""
-    for level in pullbacks(sys, words, ys, fields, eig):
+    for level in pullbacks(sys, words, ys, fields, eig, every_depth=False):
         pass
     return level
 

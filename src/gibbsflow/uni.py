@@ -208,37 +208,35 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512,
 # -- a(n) and b(n) ---------------------------------------------------------------
 
 
-def _preimage_tableau(sys: MarkovSystem, eig0: EigenData, n: int,
+def _preimage_tableau(sys: MarkovSystem, eig: EigenData, n: int,
                       ys: np.ndarray, c7: float, cap: int = 2_000_000):
     """Interval and weight arrays over (word, y); NaN where inadmissible.
 
     Rows are the depth-n words in ``admissible_words`` order.  The words
     ending in each symbol s are pulled back in one engine call at the ys in
     the image of s; a row holds the slope interval -D(S_n r o h)(y) +- C7 /
-    |DT^n| and the weight exp(S_n phi) f(h y) / f(y).  Weights are the
-    inverse Jacobians of mu_0, normalised per y so they sum to exactly 1 over
-    the admissible preimages.
+    |DT^n| and the weight J_w(y), the inverse Jacobian of mu_sigma along h_w
+    at the sigma of ``eig``, normalised per y so the weights sum to exactly 1
+    over the admissible preimages.
     """
     words = word_array(sys, n, cap)
     k, g = len(words), len(ys)
     lo = np.full((k, g), np.nan)
     hi = np.full((k, g), np.nan)
     wgt = np.full((k, g), np.nan)
-    f = eig0.f.eval
-    fy = f(ys).real
     for s in range(sys.m):
         rows = np.flatnonzero(words[:, -1] == s)
         dlo, dhi = sys.image_interval(s)
         cols = np.flatnonzero((ys >= dlo) & (ys <= dhi))
         if not (len(rows) and len(cols)):
             continue
-        pb = pullback(sys, words[rows], ys[cols], ("x", "dTn", "Snphi", "DSnr_h"))
+        pb = pullback(sys, words[rows], ys[cols], ("dTn", "DSnr_h", "J"), eig)
         centre = -pb.DSnr_h
         half = c7 / np.abs(pb.dTn)
         cell = np.ix_(rows, cols)
         lo[cell] = centre - half
         hi[cell] = centre + half
-        wgt[cell] = np.exp(pb.Snphi) * f(pb.x).real / fy[cols]
+        wgt[cell] = pb.J
     totals = np.nansum(wgt, axis=0)
     wgt = wgt / totals[None, :]
     return words, lo, hi, wgt
@@ -250,15 +248,16 @@ def _y_grid(sys: MarkovSystem, n: int, grid: int) -> np.ndarray:
     return np.unique(np.asarray(ys))
 
 
-def a_sequence(sys: MarkovSystem, eig0: EigenData, n_max: int,
+def a_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
                grid: int = 512, cap: int = 2_000_000) -> list[float]:
-    """a(n): worst total weight of preimages not transversal to some x0."""
+    """a(n): worst total mu_sigma-Jacobian weight of preimages not
+    transversal to some x0, at the sigma of ``eig``."""
     c7 = c7_constant(sys)["C7"]
     out = []
     for n in range(1, n_max + 1):
         word_array(sys, n, cap)  # enforce the cap before building the grid
         ys = _y_grid(sys, n, grid)
-        _, lo, hi, wgt = _preimage_tableau(sys, eig0, n, ys, c7, cap)
+        _, lo, hi, wgt = _preimage_tableau(sys, eig, n, ys, c7, cap)
         worst = 0.0
         for col in range(lo.shape[1]):
             valid = ~np.isnan(wgt[:, col])
@@ -281,15 +280,16 @@ def a_sequence(sys: MarkovSystem, eig0: EigenData, n_max: int,
     return out
 
 
-def b_sequence(sys: MarkovSystem, eig0: EigenData, n_max: int,
+def b_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
                grid: int = 512, cap: int = 2_000_000) -> list[float]:
-    """b(n): worst Jacobian-weighted stabbing number of the slope intervals."""
+    """b(n): worst stabbing number of the slope intervals, weighted by the
+    inverse Jacobians of mu_sigma at the sigma of ``eig``."""
     c7 = c7_constant(sys)["C7"]
     out = []
     for n in range(1, n_max + 1):
         word_array(sys, n, cap)  # enforce the cap before building the grid
         ys = _y_grid(sys, n, grid)
-        _, lo, hi, wgt = _preimage_tableau(sys, eig0, n, ys, c7, cap)
+        _, lo, hi, wgt = _preimage_tableau(sys, eig, n, ys, c7, cap)
         worst = 0.0
         for col in range(lo.shape[1]):
             valid = ~np.isnan(wgt[:, col])

@@ -222,3 +222,85 @@ def test_norm_sweep_sys_b(sys_b, eig_b):
 def test_norm_sweep_constant_roof_no_contraction(sys_a, eig_a):
     rep = norm_contraction_sweep(sys_a, eig_a, [2 * math.pi], trials=10)
     assert rep["rows"][0]["zeta_hat"] == pytest.approx(1.0, abs=1e-6)
+
+
+def _sweep_one_trial_at_a_time(sys, eig, b_list, B=1.0, trials=200,
+                               power_iters=4, seed=0):
+    """The sweep by its definition: each trial built, mapped and normed alone.
+    Returns the rows and, per b, the ratio of every trial.
+
+    Each mode is bound to a name before it is scaled.  Written as
+    ``c * np.exp(...)``, numpy reuses the unnamed temporary for the product
+    once it reaches 256 KiB, and that in-place product rounds differently
+    in the last bit; the sum would then depend on the array size.
+    """
+    from gibbsflow.dolgopyat import _lam_rho
+    from gibbsflow.operator import (GridFunction, apply_L, c6_bound,
+                                    lasota_yorke_audit, norm_b)
+    rng = np.random.default_rng(seed)
+    lam, _ = _lam_rho(sys)
+    results, all_ratios = [], []
+    for b in b_list:
+        ell = int(math.ceil(B * math.log(abs(b))))
+        N = int(min(32768, max(2048, 16 * abs(b))))
+        eg = eigendata(sys, eig.sigma, N=N)
+        nodes = np.stack([eg.f.nodes[e] for e in range(sys.m)])
+        best = 0.0
+        best_v = None
+        all_ratios.append([])
+        for t in range(trials):
+            if t == 0:
+                vals = np.ones_like(nodes, dtype=complex)
+            else:
+                vals = np.zeros_like(nodes, dtype=complex)
+                for q in range(12):
+                    c = (rng.normal() + 1j * rng.normal()) / (1.0 + q)
+                    mode = np.exp(2j * np.pi * q * nodes)
+                    vals += c * mode
+            v = GridFunction(sys, vals)
+            denom = norm_b(v, b)
+            w = apply_L(eg, b, v, ell)
+            ratio = norm_b(w, b) / denom
+            all_ratios[-1].append(ratio)
+            if ratio > best:
+                best, best_v = ratio, v
+        w = best_v
+        for _ in range(power_iters):
+            prev = norm_b(w, b)
+            w = apply_L(eg, b, w, ell)
+            cur = norm_b(w, b)
+            best = max(best, cur / prev)
+            w = w.copy_with(w.values / cur)
+        envelope = (c6_bound(eg, lam)
+                    + lasota_yorke_audit(eg, b, lam, n_values=(ell,),
+                                         trials=4)["c8_hat"]) ** (1.0 / ell)
+        results.append({"b": float(b), "ell": ell, "ratio": best,
+                        "zeta_hat": best ** (1.0 / ell), "envelope": envelope})
+    return results, all_ratios
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 8192])
+def test_norm_sweep_blocks_match_one_trial_at_a_time(sys_b, eig_b, budget,
+                                                     monkeypatch):
+    # budget None: all 11 trials in one block; 3 * 8192: blocks of 3, 3, 3, 2
+    # at b = 256 (m N = 8192) and of one trial at b = 512.  The constant
+    # trial wins here, so the rows alone would not see the random trials:
+    # every trial's ratio is compared too.
+    import gibbsflow.dolgopyat as dg
+    if budget is not None:
+        monkeypatch.setattr(dg, "_TRIAL_BUDGET", budget)
+    seen = []
+    blocked = dg._trial_ratios
+    monkeypatch.setattr(dg, "_trial_ratios",
+                        lambda *args: seen.append(blocked(*args)) or seen[-1])
+    b_list = [256.0, 512.0]
+    rep = norm_contraction_sweep(sys_b, eig_b, b_list, trials=11, seed=3)
+    rows, ratios = _sweep_one_trial_at_a_time(sys_b, eig_b, b_list,
+                                              trials=11, seed=3)
+    assert rep["rows"] == rows
+    assert seen == ratios
+
+
+def test_norm_sweep_refuses_no_trials(sys_b, eig_b):
+    with pytest.raises(ValueError):
+        norm_contraction_sweep(sys_b, eig_b, [256.0], trials=0)

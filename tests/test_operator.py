@@ -156,3 +156,76 @@ def test_deep_apply_twist_phase_exact():
     out = deep_apply(eig.system, eig, b, n, xs, [
         {"name": "v", "fn": None, "twist": True}])
     assert np.max(np.abs(out["v"] - np.exp(-1j * b * n))) < 1e-12
+
+
+def _hoelder_one_function(v, a, random_pairs=10_000, seed=0):
+    """The seminorm of a single function, as a scalar loop over elements."""
+    best = 0.0
+    rng = np.random.default_rng(seed)
+    for e in range(v.system.m):
+        xs, vs = v.nodes[e], v.values[e]
+        d = np.abs(np.diff(vs)) / np.abs(np.diff(xs)) ** a
+        best = max(best, float(d.max()))
+        n = len(xs)
+        i = rng.integers(0, n, random_pairs)
+        j = rng.integers(0, n, random_pairs)
+        keep = i != j
+        i, j = i[keep], j[keep]
+        q = np.abs(vs[i] - vs[j]) / np.abs(xs[i] - xs[j]) ** a
+        best = max(best, float(q.max()))
+    return best
+
+
+def test_norms_of_a_block_equal_the_column_norms(eig_b):
+    sys = eig_b.system
+    nodes = node_grid(sys, N)
+    rng = np.random.default_rng(5)
+    cols = [np.exp(2j * np.pi * q * nodes) * (1 + rng.normal(size=nodes.shape))
+            for q in range(5)]
+    block = GridFunction(sys, np.stack(cols, axis=-1))
+    b = 300.0
+    semis = hoelder_seminorm(block)
+    norms = norm_b(block, b)
+    images = apply_L(eig_b, b, block, 3)
+    for k, vals in enumerate(cols):
+        v = GridFunction(sys, vals)
+        assert semis[k] == hoelder_seminorm(v) == _hoelder_one_function(
+            v, sys.alpha)
+        assert norms[k] == norm_b(v, b)
+        assert np.array_equal(images.values[..., k],
+                              apply_L(eig_b, b, v, 3).values)
+    assert block.sup_norm().tolist() == [GridFunction(sys, c).sup_norm()
+                                         for c in cols]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_gridfunction_csv_bytes_match_csv_writer(eig_b, kind):
+    import csv
+    import io
+    if kind == "real":
+        v = eig_b.f
+    else:
+        nodes = node_grid(eig_b.system, 33)
+        vals = np.exp(2j * np.pi * nodes)
+        vals.imag[:, ::3] = -0.0
+        v = GridFunction(eig_b.system, vals)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["element_index", "node_x", "re", "im"])
+    vals = v.values.astype(complex)
+    for e in range(v.system.m):
+        for k in range(v.N):
+            w.writerow([e, repr(float(v.nodes[e, k])),
+                        repr(float(vals[e, k].real)),
+                        repr(float(vals[e, k].imag))])
+    assert v.to_csv() == buf.getvalue()
+    if kind == "complex":
+        assert ",-0.0\n" in buf.getvalue()
+
+
+def test_l_matrix_cache_holds_the_latest_b():
+    eig = eigendata(make_preset("SYS-B"), 0.0, N=64)
+    eig.L_matrix(3.0)
+    M = eig.L_matrix(5.0)
+    assert list(eig._lmat_cache) == [5.0]
+    assert eig.L_matrix(5.0) is M

@@ -287,3 +287,22 @@ def test_uni_from_transversality_sys_b(sys_b):
 def test_uni_from_transversality_degenerate(sys_a):
     rep = uni_from_transversality(sys_a, delta=0.05, b=1000.0)
     assert rep["no_pair_everywhere"]
+
+
+def test_tableau_weights_are_mu_sigma_jacobians(sys_b):
+    # at sigma != 0 the weights carry exp(-sigma S_n r): they are the inverse
+    # Jacobians of mu_sigma, as gibbs._jacobian_weight computes them per word
+    from gibbsflow.gibbs import _jacobian_weight
+    from gibbsflow.uni import _preimage_tableau
+    eig = eigendata(sys_b, 0.5, N=256)
+    ys = np.linspace(1e-9, 1 - 1e-9, 37)
+    words, _, _, wgt = _preimage_tableau(sys_b, eig, 4, ys,
+                                         c7_constant(sys_b)["C7"])
+    ref = np.full(wgt.shape, np.nan)
+    for row, word in enumerate(words.tolist()):
+        lo, hi = sys_b.image_interval(word[-1])
+        cols = (ys >= lo) & (ys <= hi)
+        ref[row, cols] = _jacobian_weight(sys_b, eig, tuple(word), ys[cols])[0]
+    ref /= np.nansum(ref, axis=0)[None, :]
+    assert np.array_equal(np.isnan(wgt), np.isnan(ref))
+    assert np.nanmax(np.abs(wgt - ref)) < 1e-13
