@@ -38,13 +38,15 @@ def evolve_many(sys: MarkovSystem, xs, us, t):
     s = np.array(us, dtype=float, copy=True) + np.asarray(t, dtype=float)
     if np.any(s < 0):
         raise ValueError("flow time must be nonnegative")
-    while True:
-        r = sys.roof_at(xs)
-        mask = s >= r
-        if not np.any(mask):
-            break
-        s[mask] -= r[mask]
-        xs[mask] = sys.apply_T(xs[mask])
+    x_flat, s_flat = xs.reshape(-1), s.reshape(-1)
+    # only the points still crossing a roof are evaluated and moved
+    active = np.arange(x_flat.size)
+    while active.size:
+        r = sys.roof_at(x_flat[active])
+        crossing = s_flat[active] >= r
+        active = active[crossing]
+        s_flat[active] -= r[crossing]
+        x_flat[active] = sys.apply_T(x_flat[active])
     return xs, np.maximum(s, 0.0)
 
 
@@ -88,9 +90,9 @@ def sample_flow_measure(sys: MarkovSystem, eig: EigenData, count: int,
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     sup_r = _sup_roof(sys)
-    nodes_q = np.concatenate([eig.f.nodes[e] for e in range(sys.m)])
-    wq_q = eig.mu.reshape(-1)
-    accept_est = float(np.sum(wq_q * sys.roof_at(nodes_q))) / sup_r
+    r_nodes = sys.roof_at(eig.f.nodes.reshape(-1))
+    rbar = float(np.sum(eig.mu.reshape(-1) * r_nodes))  # int r dmu, by mu_N
+    accept_est = rbar / sup_r
     xs_out, us_out = [], []
     have = 0
     attempt = 0
@@ -108,10 +110,7 @@ def sample_flow_measure(sys: MarkovSystem, eig: EigenData, count: int,
     xs = np.concatenate(xs_out)[:count]
     us = np.concatenate(us_out)[:count]
 
-    nodes = np.concatenate([eig.f.nodes[e] for e in range(sys.m)])
-    wq = eig.mu.reshape(-1)
-    rbar = float(np.sum(wq * sys.roof_at(nodes)))
-    inf_r = float(np.min(sys.roof_at(nodes)))
+    inf_r = float(np.min(r_nodes))
     slab = float(np.mean(us < inf_r / 2))
     expected = (inf_r / 2) / rbar
     se = math.sqrt(max(expected * (1 - expected), 1e-12) / count)
@@ -153,25 +152,26 @@ def correlation(sys: MarkovSystem, eig: EigenData, v_expr: str, w_expr: str,
     vf = compile_expr(parse(v_expr, variables=("x", "u")))
     wf = compile_expr(parse(w_expr, variables=("x", "u")))
     sample = sample_flow_measure(sys, eig, samples, seed)
-    xs, us = sample.xs, sample.us
-    v0 = vf(x=xs, u=us) + 0.0 * xs
-    vbar = float(np.mean(v0))
+    # sample j belongs to batch j mod batches; sorted by batch once (stably),
+    # each batch is a contiguous segment in the order of the sample
+    batch_of = np.arange(samples) % batches
+    order = np.argsort(batch_of, kind="stable")
+    ends = np.cumsum(np.bincount(batch_of, minlength=batches))
+    segments = [slice(a, b) for a, b in zip(np.r_[0, ends[:-1]], ends)]
+    cx, cu = sample.xs[order], sample.us[order]
+    v0 = vf(x=cx, u=cu) + 0.0 * cx
+    v0_means = [np.mean(v0[seg]) for seg in segments]
 
-    idx = np.arange(samples) % batches
     ests, ses = [], []
-    cx, cu = xs.copy(), us.copy()
     prev_t = 0.0
-    wbar_t = []
     for t in t_grid:
         cx, cu = evolve_many(sys, cx, cu, t - prev_t)
         prev_t = t
         wt = wf(x=cx, u=cu) + 0.0 * cx
-        wbar = float(np.mean(wt))
-        wbar_t.append(wbar)
+        vw = v0 * wt
         batch_est = np.array([
-            np.mean(v0[idx == k] * wt[idx == k])
-            - np.mean(v0[idx == k]) * np.mean(wt[idx == k])
-            for k in range(batches)])
+            np.mean(vw[seg]) - vm * np.mean(wt[seg])
+            for seg, vm in zip(segments, v0_means)])
         ests.append(float(np.mean(batch_est)))
         ses.append(float(np.std(batch_est, ddof=1) / math.sqrt(batches)))
     ests = np.array(ests)

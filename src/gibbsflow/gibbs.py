@@ -11,8 +11,9 @@ import numpy as np
 
 from .expr import Mul, Num, Sub
 from .operator import EigenData, eigendata, node_grid
-from .system import (Cylinder, MarkovSystem, NotCoveringError, birkhoff_sum,
-                     branch_chain, cylinders, pullbacks, word_array)
+from .system import (Cylinder, MarkovSystem, NotCoveringError,
+                     NotExpandingError, birkhoff_sum, branch_chain, cylinders,
+                     pullbacks, word_array)
 
 __all__ = [
     "CylinderMeasureTable", "AdaptedPartition",
@@ -140,44 +141,79 @@ def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int,
             "per_depth": per_depth}
 
 
-def sample_mu(sys: MarkovSystem, eig: EigenData, count: int, seed: int,
-              burn_in: int = 1000, thin: int = 10, x0: float = 0.5,
-              chains: int | None = None) -> np.ndarray:
+def _backward_step(sys: MarkovSystem, eig: EigenData, x: np.ndarray):
+    """Preimages and backward transition probabilities at the points x.
+
+    Returns ``(ys, weights)``, both (m, len(x)): ys[i] = h_i(x) and
+    weights[i] proportional to exp((phi - sigma r)(ys[i])) f(ys[i]) where
+    branch i is admissible at x, zeros elsewhere; each column of weights
+    sums to 1.  f is evaluated once, on every preimage stacked.
+    """
+    admissible = sys.transition[:, sys.element_of(x)]
+    ys = np.zeros(admissible.shape)
+    weights = np.zeros(admissible.shape)
+    for i in range(sys.m):
+        mask = admissible[i]
+        if not np.any(mask):
+            continue
+        y = sys.inverse_branch(i, x[mask])
+        ys[i, mask] = y
+        weights[i, mask] = np.exp(sys._phi[i](x=y) - eig.sigma * sys._r[i](x=y))
+    weights[admissible] *= eig.f.eval(ys[admissible]).real
+    weights /= weights.sum(axis=0)
+    return ys, weights
+
+
+def _burn_in(sys: MarkovSystem, eig: EigenData) -> int:
+    """k = ceil(53 / log2 lam) with lam = inf |T'| on the nodes of eig: every
+    depth-k cylinder is then at most 2^-53 long (see ``sample_mu``)."""
+    lam = min(float(np.min(np.abs(sys._dT[e](x=eig.f.nodes[e]))))
+              for e in range(sys.m))
+    if lam <= 1.0:
+        raise NotExpandingError(f"inf |T'| = {lam} <= 1 on the nodes")
+    return math.ceil(53 / math.log2(lam))
+
+
+def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
+              seed: int) -> np.ndarray:
     """Backward-chain sampler whose stationary law is mu_sigma.
 
-    From x0, repeatedly jump to a preimage y of x with probability
-    proportional to exp((phi - sigma r)(y)) f(y); the proportionality
-    constant is the exact normaliser, so weights sum to 1.  Burn-in states
-    are dropped and every ``thin``-th state is emitted.  Large requests run
-    that chain rule on many independent chains in parallel, one seed stream.
+    One step jumps from x to the preimage y = h_i(x) with probability
+    proportional to exp((phi - sigma r)(y)) f(y), normalised over the
+    admissible branches: the transition operator of the chain is the
+    normalised operator L_sigma, so E g(x_{j+1}) = E (L_sigma g)(x_j).
+
+    Each chain starts from mu_N, the node weights ``eig.mu`` of the
+    eigendata, and runs k = ceil(53 / log2 lam) steps of burn-in, lam =
+    inf |T'| on the nodes (53 on the doubling map).  Then E g(x_k) =
+    mu_N(L^k g), while mu(L^k g) = mu(g) by invariance.  For A a union of
+    depth-k cylinders, L^k 1_A = sum over words w inside A of J_w is smooth,
+    so |P(x_k in A) - mu(A)| is the quadrature error of mu_N on a smooth
+    function, the discretisation error the eigendata already has.  Every
+    depth-k cylinder is at most lam^-k <= 2^-53 long, so every interval is
+    such a union up to its two end cylinders.  From a fixed start x0 the
+    depth-k word of x_k has law J_w(x0) instead, which differs from mu[w]
+    whenever J_w depends on x: no number of steps certifies that start.
+
+    After burn-in every 10th state is emitted; ``count`` samples run on
+    min(max(1, count // 64), 4096) independent chains in parallel, all from
+    one seed stream (the start, then one uniform per chain per step).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if chains is None:
-        chains = int(min(max(1, count // 64), 4096))
+    thin = 10
+    chains = int(min(max(1, count // 64), 4096))
     per = -(-count // chains)  # emits per chain
+    burn_in = _burn_in(sys, eig)
     rng = np.random.default_rng(seed)
-    x = np.full(chains, x0)
-    f = eig.f.eval
+    x = rng.choice(eig.f.nodes.reshape(-1), size=chains, p=eig.mu.reshape(-1))
+    cols = np.arange(chains)
 
     def step(x):
-        elem = sys.element_of(x)
-        weights = np.zeros((sys.m, len(x)))
-        ys = np.zeros((sys.m, len(x)))
-        for i in range(sys.m):
-            mask = sys.transition[i, elem]
-            if not np.any(mask):
-                continue
-            y = sys.inverse_branch(i, x[mask])
-            ys[i, mask] = y
-            weights[i, mask] = (
-                np.exp(sys._phi[i](x=y) - eig.sigma * sys._r[i](x=y))
-                * f(y).real)
-        weights /= weights.sum(axis=0)
-        u = rng.random(len(x))
+        ys, weights = _backward_step(sys, eig, x)
+        u = rng.random(chains)
         choice = (np.cumsum(weights, axis=0) < u[None, :]).sum(axis=0)
-        choice = np.minimum(choice, sys.m - 1)
-        return ys[choice, np.arange(len(x))]
+        return ys[np.minimum(choice, sys.m - 1), cols]
 
     for _ in range(burn_in):
         x = step(x)
@@ -190,16 +226,10 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int, seed: int,
 
 
 def transition_weights(sys: MarkovSystem, eig: EigenData, x: float) -> dict:
-    """Normalised backward transition probabilities at a single point."""
-    f = eig.f.eval
-    raw = {}
-    fx = float(f(np.array([x])).real[0])
-    for i in sys.admissible_branches(x):
-        y = float(sys.inverse_branch(i, np.array([x]))[0])
-        raw[i] = (math.exp(float(sys._phi[i](x=y)) - eig.sigma * float(sys._r[i](x=y)))
-                  * float(f(np.array([y])).real[0]) / (eig.lam * fx))
-    total = sum(raw.values())
-    return {i: w / total for i, w in raw.items()}
+    """Normalised backward transition probabilities at a single point, one
+    per admissible branch."""
+    _, weights = _backward_step(sys, eig, np.array([float(x)]))
+    return {i: float(weights[i, 0]) for i in sys.admissible_branches(x)}
 
 
 # -- adapted partitions --------------------------------------------------------

@@ -352,7 +352,10 @@ def lasota_yorke_audit(eig: EigenData, b: float, lam_expansion: float,
         coef = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
         vals = np.zeros_like(nodes, dtype=complex)
         for q, c in enumerate(coef):
-            vals += c * np.exp(2j * np.pi * q * nodes)
+            # named, so numpy cannot multiply a large unnamed temporary in
+            # place, array first: the product rounds by operand order
+            mode = np.exp(2j * np.pi * q * nodes)
+            vals += c * mode
         v = GridFunction(sys, vals)
         nv = norm_b(v, b, a)
         sup = v.sup_norm()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gibbsflow.expr import compile_expr, parse
 from gibbsflow.flow import (CorrelationSeries, FlowPoint,
                             InsufficientSignalError, correlation, evolve,
                             evolve_many, sample_flow_measure)
@@ -69,6 +70,57 @@ def test_semigroup_property(sys_b):
     x_one, u_one = evolve_many(sys_b, xs, us, t1 + t2)
     assert np.max(np.abs(x_two - x_one)) < 1e-9
     assert np.max(np.abs(u_two - u_one)) < 1e-9
+
+
+def _evolve_every_point(sys, xs, us, t):
+    """evolve_many with the roof evaluated on every point at every crossing."""
+    xs = np.array(xs, dtype=float, copy=True)
+    s = np.array(us, dtype=float, copy=True) + np.asarray(t, dtype=float)
+    while True:
+        r = sys.roof_at(xs)
+        mask = s >= r
+        if not np.any(mask):
+            break
+        s[mask] -= r[mask]
+        xs[mask] = sys.apply_T(xs[mask])
+    return xs, np.maximum(s, 0.0)
+
+
+@pytest.mark.parametrize("name", ["SYS-B", "NL-DOUBLING"])
+def test_evolve_many_equals_every_point_loop(nl_doubling, name):
+    sys = nl_doubling if name == "NL-DOUBLING" else make_preset(name)
+    rng = np.random.default_rng(2)
+    xs = rng.random(5000)
+    us = rng.random(5000) * sys.roof_at(xs)
+    got, want = (xs, us), (xs, us)
+    for dt in (0.0, 0.4, 1.7, 5.0, rng.random(5000) * 8):
+        got = evolve_many(sys, *got, dt)
+        want = _evolve_every_point(sys, *want, dt)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("samples", [20_000, 30_001])
+def test_batch_means_equal_boolean_masks(sys_b, eig_b, samples):
+    ts = np.linspace(0.0, 3.0, 4)
+    expr = "cos(2*pi*u)+x"
+    got = correlation(sys_b, eig_b, expr, expr, ts, samples, seed=15)
+    f = compile_expr(parse(expr, variables=("x", "u")))
+    sample = sample_flow_measure(sys_b, eig_b, samples, 15)
+    cx, cu = sample.xs, sample.us
+    v0 = f(x=cx, u=cu) + 0.0 * cx
+    idx = np.arange(samples) % 32
+    prev = 0.0
+    for t, est, se in zip(ts, got.estimates, got.stderrs):
+        cx, cu = evolve_many(sys_b, cx, cu, t - prev)
+        prev = t
+        wt = f(x=cx, u=cu) + 0.0 * cx
+        batch_est = np.array([
+            np.mean(v0[idx == k] * wt[idx == k])
+            - np.mean(v0[idx == k]) * np.mean(wt[idx == k])
+            for k in range(32)])
+        assert est == float(np.mean(batch_est))
+        assert se == float(np.std(batch_est, ddof=1) / np.sqrt(32))
 
 
 # -- invariant measure sampling -----------------------------------------------------

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from gibbsflow.gibbs import (
-    BracketFailureError, FrequencyTooSmallError, adapted_partition,
+    BracketFailureError, FrequencyTooSmallError, _burn_in, adapted_partition,
     cylinder_masses, federer_audit, gibbs_audit, measure_of_interval,
     normalize_flow_potential, sample_mu, transition_weights,
 )
@@ -108,6 +109,96 @@ def test_sampler_seed_stability(eig_a):
     assert np.array_equal(a, b)
     c = sample_mu(eig_a.system, eig_a, 1000, seed=6)
     assert not np.array_equal(a, c)
+
+
+def _per_branch_sampler(sys, eig, count, seed):
+    """The sampler one branch at a time, f evaluated per branch, from the
+    mu_N start with the certified burn-in."""
+    chains = int(min(max(1, count // 64), 4096))
+    per = -(-count // chains)
+    rng = np.random.default_rng(seed)
+    x = rng.choice(eig.f.nodes.reshape(-1), size=chains, p=eig.mu.reshape(-1))
+    f = eig.f.eval
+
+    def step(x):
+        elem = sys.element_of(x)
+        weights = np.zeros((sys.m, len(x)))
+        ys = np.zeros((sys.m, len(x)))
+        for i in range(sys.m):
+            mask = sys.transition[i, elem]
+            if not np.any(mask):
+                continue
+            y = sys.inverse_branch(i, x[mask])
+            ys[i, mask] = y
+            weights[i, mask] = (
+                np.exp(sys._phi[i](x=y) - eig.sigma * sys._r[i](x=y))
+                * f(y).real)
+        weights /= weights.sum(axis=0)
+        u = rng.random(len(x))
+        choice = (np.cumsum(weights, axis=0) < u[None, :]).sum(axis=0)
+        choice = np.minimum(choice, sys.m - 1)
+        return ys[choice, np.arange(len(x))]
+
+    for _ in range(_burn_in(sys, eig)):
+        x = step(x)
+    out = np.empty((per, chains))
+    for k in range(per):
+        for _ in range(10):
+            x = step(x)
+        out[k] = x
+    return out.reshape(-1)[:count]
+
+
+def test_burn_in_certifies_double_precision(nl_doubling):
+    # ceil(53 / log2 inf|T'|): inf|T'| = 2 on SYS-B, 2 - 0.24 pi on NL-DOUBLING
+    sys_b = make_preset("SYS-B")
+    assert _burn_in(sys_b, eigendata(sys_b, 0.0, N=256)) == 53
+    assert _burn_in(nl_doubling, eigendata(nl_doubling, 0.0, N=256)) == 168
+
+
+@pytest.mark.parametrize("count", [40, 3000])
+def test_sampler_equals_per_branch_steps(eig_c, nl_doubling, count):
+    eig_nl = eigendata(nl_doubling, 0.0, N=256)
+    for eig in (eig_c, eig_nl):
+        got = sample_mu(eig.system, eig, count, seed=7)
+        want = _per_branch_sampler(eig.system, eig, count, seed=7)
+        assert np.array_equal(got, want)
+
+
+def test_transition_weights_values():
+    # SYS-C-NLROOF at sigma = 1: the weights vary with the preimage
+    eig = eigendata(make_preset("SYS-C-NLROOF"), 1.0, N=N)
+    sys = eig.system
+    for x in (0.1, 0.37, 0.62, 0.9):
+        w = transition_weights(sys, eig, x)
+        assert sorted(w) == sys.admissible_branches(x)
+        raw = {}
+        for i in w:
+            y = sys.inverse_branch(i, np.array([x]))
+            raw[i] = float((np.exp(-sys._r[i](x=y)) * eig.f.eval(y).real)[0])
+        total = sum(raw.values())
+        for i in w:
+            assert w[i] == pytest.approx(raw[i] / total, rel=1e-14)
+
+
+@pytest.mark.parametrize("name,sigma", [("NL-DOUBLING", 0.0),
+                                        ("SYS-C-NLROOF", 1.0)])
+def test_sampler_depth6_frequencies_chi_square(nl_doubling, name, sigma):
+    # phi - sigma r is not constant here, so the law of a depth-k word seen
+    # from a fixed start point differs from its mu-mass
+    sys = nl_doubling if name == "NL-DOUBLING" else make_preset(name)
+    eig = eigendata(sys, sigma, N=512)
+    count = 100_000
+    xs = sample_mu(sys, eig, count, seed=21)
+    table = cylinder_masses(sys, eig, 6)
+    words = itineraries(sys, xs, 6)
+    row = {c.word: k for k, c in enumerate(table.cylinders)}
+    observed = np.bincount([row[tuple(w)] for w in words.tolist()],
+                           minlength=len(table.cylinders))
+    expected = count * table.masses
+    assert expected.min() > 5
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    assert stat < chi2.isf(1e-4, len(expected) - 1)
 
 
 def test_adapted_partition_sys_a_b64():

@@ -133,6 +133,34 @@ def test_lasota_yorke_audit_bounded(eig_b):
     assert q[4] < 4 * max(q[1], 1.0)
 
 
+def test_lasota_yorke_audit_rounding_does_not_depend_on_grid_size():
+    # at N = 8192 the (m, N) complex array is 256 KiB, where numpy starts to
+    # multiply into unnamed temporaries in place
+    eig = eigendata(make_preset("SYS-B"), 0.0, N=8192)
+    b, n_values, trials = 64.0, (1, 2), 3
+    rep = lasota_yorke_audit(eig, b, 2.0, n_values=n_values, trials=trials,
+                             seed=4)
+    rng = np.random.default_rng(4)
+    nodes = node_grid(eig.system, eig.N)
+    worst = 0.0
+    for _ in range(trials):
+        deg = int(rng.integers(1, 7))
+        coef = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        vals = np.zeros_like(nodes, dtype=complex)
+        for q, c in enumerate(coef):
+            mode = np.exp(2j * np.pi * q * nodes)
+            vals += c * mode
+        v = GridFunction(eig.system, vals)
+        nv, sup = norm_b(v, b, 1.0), v.sup_norm()
+        w, prev = v, 0
+        for n in n_values:
+            w = apply_L(eig, b, w, n - prev)
+            prev = n
+            worst = max(worst, float(norm_b(w, b, 1.0)
+                                     / (2.0 ** (-n) * nv + sup)))
+    assert rep["c8_hat"] == worst
+
+
 def test_deep_apply_matches_matrix(eig_b):
     sys = eig_b.system
     xs = np.linspace(0.01, 0.99, 301)

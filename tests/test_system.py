@@ -15,17 +15,6 @@ from gibbsflow.system import (
 )
 from gibbsflow.expr import parse
 
-# T(x) = 2x + 0.12 sin(2 pi x) mod 1: Markov on {0, 1/2, 1} with nonlinear
-# branches, roof (2 + cos 2 pi x)/3 and potential -log T'
-NL_DOUBLING = {
-    "partition": [0.0, 0.5, 1.0],
-    "branches": [{"expr": "2*x+0.12*sin(2*pi*x)", "image": [0, 2]},
-                 {"expr": "2*x-1+0.12*sin(2*pi*x)", "image": [0, 2]}],
-    "roof": ["(2+cos(2*pi*x))/3"] * 2,
-    "potential": ["-log(2+0.24*pi*cos(2*pi*x))"] * 2,
-}
-
-
 def test_presets_validate():
     for name in preset_names():
         rep = validate(make_preset(name))
@@ -203,14 +192,13 @@ def _close(got, want, rel=1e-13):
 SYSTEMS = preset_names() + ["NL-DOUBLING"]
 
 
-def _system(name):
-    return system_from_config(NL_DOUBLING) if name == "NL-DOUBLING" \
-        else make_preset(name)
+def _system(name, nl_doubling):
+    return nl_doubling if name == "NL-DOUBLING" else make_preset(name)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
-def test_pullback_engine_matches_per_word_chains(name):
-    sys = _system(name)
+def test_pullback_engine_matches_per_word_chains(name, nl_doubling):
+    sys = _system(name, nl_doubling)
     for n in range(1, 7):
         words = word_array(sys, n)
         assert [tuple(w) for w in words.tolist()] == admissible_words(sys, n)
@@ -233,8 +221,8 @@ def test_pullback_engine_rejects_unsorted_words():
 @pytest.mark.parametrize("name,sigma", [("SYS-C-NLROOF", 0.5),
                                         ("SYS-A-BERNOULLI", 0.0),
                                         ("NL-DOUBLING", 0.0)])
-def test_cylinder_masses_match_per_word_jacobians(name, sigma):
-    sys = _system(name)
+def test_cylinder_masses_match_per_word_jacobians(name, sigma, nl_doubling):
+    sys = _system(name, nl_doubling)
     eig = eigendata(sys, sigma, N=64)
     nodes = node_grid(sys, eig.N)
     table = cylinder_masses(sys, eig, 6)
@@ -269,8 +257,8 @@ def test_cylinder_masses_refuse_symbol_without_predecessor():
 
 @pytest.mark.parametrize("name,sigma,b", [("SYS-C-NLROOF", 0.5, 7.0),
                                           ("NL-DOUBLING", 0.0, 30.0)])
-def test_deep_apply_matches_per_word_jacobians(name, sigma, b):
-    sys = _system(name)
+def test_deep_apply_matches_per_word_jacobians(name, sigma, b, nl_doubling):
+    sys = _system(name, nl_doubling)
     eig = eigendata(sys, sigma, N=64)
     n = 5
     xs = np.linspace(0.0, 1.0, 41)
