@@ -1,7 +1,7 @@
 """Command-line front end: configuration ingestion, experiment orchestration,
 and report emission.
 
-    gibbsflow <experiment> --config <path> [--jobs N] [--out DIR]
+    gibbsflow <experiment> --config <path> [--out DIR]
               [--preset SYS-A|SYS-B|SYS-C|SYS-A-BERNOULLI|SYS-A-LINROOF|
                         SYS-C-NLROOF]
 
@@ -108,6 +108,10 @@ def load_config(path: str) -> dict:
         _check_range("sigma", params["sigma"], -50, 50, p + "sigma")
     if "b" in params:
         _check_range("b", params["b"], low=1e-9, pointer=p + "b")
+    if "N" in params:
+        _check_range("N", params["N"], 2, pointer=p + "N")
+        if not float(params["N"]).is_integer():
+            raise ConfigError("N must be an integer", p + "N")
     if "depth" in params:
         _check_range("depth", params["depth"], 1, 30, p + "depth")
     if "samples" in params:
@@ -165,7 +169,7 @@ def _write_csv(path: Path, header, rows) -> None:
 # each returns (exit_code, summary-dict)
 
 
-def _run_validate(sys_, params, out, seed, jobs):
+def _run_validate(sys_, params, out, seed):
     rep = validate(sys_, raise_on_fail=False)
     summary = {
         "lambda": rep.expansion, "rho": rep.rho, "C2": rep.c2, "C4": rep.c4,
@@ -178,7 +182,7 @@ def _run_validate(sys_, params, out, seed, jobs):
     return (0 if rep.ok else AUDIT_FAILED), summary
 
 
-def _run_eigen(sys_, params, out, seed, jobs):
+def _run_eigen(sys_, params, out, seed):
     sigma = float(params.get("sigma", 0.0))
     N = int(params.get("N", 1024))
     eig = eigendata(sys_, sigma, N=N)
@@ -192,7 +196,7 @@ def _run_eigen(sys_, params, out, seed, jobs):
     return (0 if residual <= 1e-8 else AUDIT_FAILED), summary
 
 
-def _run_gibbs_audit(sys_, params, out, seed, jobs):
+def _run_gibbs_audit(sys_, params, out, seed):
     sigma = float(params.get("sigma", 0.0))
     depth = int(params.get("depth", 8))
     eig = eigendata(sys_, sigma, N=512)
@@ -209,7 +213,7 @@ def _run_gibbs_audit(sys_, params, out, seed, jobs):
     return (0 if ok else AUDIT_FAILED), summary
 
 
-def _run_partition(sys_, params, out, seed, jobs):
+def _run_partition(sys_, params, out, seed):
     b = float(params.get("b", 2.0 ** 10))
     Delta = float(params.get("Delta", 1.0))
     part = adapted_partition(sys_, b, Delta)
@@ -228,7 +232,7 @@ def _run_partition(sys_, params, out, seed, jobs):
     return (0 if ok else AUDIT_FAILED), summary
 
 
-def _run_uni(sys_, params, out, seed, jobs):
+def _run_uni(sys_, params, out, seed):
     sigma = float(params.get("sigma", 0.0))
     n = int(params.get("n", 2))
     R = float(params.get("R", 0.1))
@@ -247,7 +251,7 @@ def _run_uni(sys_, params, out, seed, jobs):
     return (0 if ok else AUDIT_FAILED), summary
 
 
-def _run_transversality(sys_, params, out, seed, jobs):
+def _run_transversality(sys_, params, out, seed):
     delta = float(params.get("delta", 0.05))
     b = float(params.get("b", 2.0 ** 10))
     beta = float(params.get("beta", 1.0))
@@ -261,7 +265,7 @@ def _run_transversality(sys_, params, out, seed, jobs):
     return (0 if ok else AUDIT_FAILED), summary
 
 
-def _run_cohomology(sys_, params, out, seed, jobs):
+def _run_cohomology(sys_, params, out, seed):
     J = int(params.get("J_trunc", 40))
     tol = float(params.get("tol", 1e-6))
     rep = coboundary_test(sys_, J_trunc=J, tol=tol)
@@ -269,7 +273,7 @@ def _run_cohomology(sys_, params, out, seed, jobs):
     return 0, rep
 
 
-def _run_cancellation(sys_, params, out, seed, jobs):
+def _run_cancellation(sys_, params, out, seed):
     sigma = float(params.get("sigma", 0.0))
     b = float(params.get("b", 2.0 ** 8))
     delta = float(params.get("delta", 0.05))
@@ -296,7 +300,7 @@ def _run_cancellation(sys_, params, out, seed, jobs):
     return (0 if ok else AUDIT_FAILED), summary
 
 
-def _run_contraction(sys_, params, out, seed, jobs):
+def _run_contraction(sys_, params, out, seed):
     sigma = float(params.get("sigma", 0.0))
     b_list = [float(b) for b in params.get("b_list",
                                            [2.0 ** q for q in range(8, 13)])]
@@ -315,10 +319,9 @@ def _run_contraction(sys_, params, out, seed, jobs):
     rows = []
     for r1, r2 in zip(l1["rows"], sweep["rows"]):
         rows.append((r1["b"], r1["k"], r1["ratio"], r2["zeta_hat"],
-                     l1["xi_hat"], 0))
+                     l1["xi_hat"]))
     _write_csv(out / "contraction.csv",
-               ["b", "k_or_ell", "ratio", "zeta_hat", "xi_hat",
-                "witnesses_failed"], rows)
+               ["b", "k_or_ell", "ratio", "zeta_hat", "xi_hat"], rows)
     summary = {"xi_hat": l1["xi_hat"], "zeta_max": sweep["zeta_max"],
                "l1_rows": l1["rows"], "sweep_rows": sweep["rows"]}
     _write_json(out / "contraction.json", summary)
@@ -327,7 +330,7 @@ def _run_contraction(sys_, params, out, seed, jobs):
     return (0 if ok else AUDIT_FAILED), summary
 
 
-def _run_correlate(sys_, params, out, seed, jobs):
+def _run_correlate(sys_, params, out, seed):
     sigma = float(params.get("sigma", 0.0))
     v = str(params.get("v", "cos(2*pi*u)+x"))
     w = str(params.get("w", v))
@@ -362,7 +365,7 @@ _HANDLERS = {
 # -- orchestration -----------------------------------------------------------------
 
 
-def run(config_path: str, jobs: int = 1, out_dir: str | None = None,
+def run(config_path: str, out_dir: str | None = None,
         preset: str | None = None) -> int:
     """Execute one experiment; returns the exit code and writes reports plus
     a run manifest into the output directory."""
@@ -373,8 +376,7 @@ def run(config_path: str, jobs: int = 1, out_dir: str | None = None,
     exp = cfg["experiment"]
     out = Path(out_dir) if out_dir else Path("gibbsflow-out") / exp
     out.mkdir(parents=True, exist_ok=True)
-    code, summary = _HANDLERS[exp](sys_, cfg.get("params", {}), out, seed,
-                                   jobs)
+    code, summary = _HANDLERS[exp](sys_, cfg.get("params", {}), out, seed)
     blob = json.dumps(cfg, sort_keys=True).encode()
     manifest = {
         "experiment": exp,
@@ -383,7 +385,6 @@ def run(config_path: str, jobs: int = 1, out_dir: str | None = None,
         "version": __version__,
         "numpy": np.__version__,
         "seed": seed,
-        "jobs": jobs,
         "exit_code": code,
         "wall_time_s": time.time() - t0,
         "outputs": sorted(p.name for p in out.iterdir() if p.is_file()),
@@ -456,7 +457,6 @@ def main(argv=None) -> int:
     parser.add_argument("experiment",
                         choices=sorted(_HANDLERS) + ["bundle"])
     parser.add_argument("--config", help="JSON experiment configuration")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None)
     parser.add_argument("--preset", default=None,
                         help="named system overriding the config")
@@ -476,12 +476,10 @@ def main(argv=None) -> int:
                 json.dump({"experiment": args.experiment}, fh)
                 path = fh.name
             try:
-                return run(path, jobs=args.jobs, out_dir=args.out,
-                           preset=args.preset)
+                return run(path, out_dir=args.out, preset=args.preset)
             finally:
                 os.unlink(path)
-        return run(args.config, jobs=args.jobs, out_dir=args.out,
-                   preset=args.preset)
+        return run(args.config, out_dir=args.out, preset=args.preset)
     except (ConfigError, MissingManifestError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 1

@@ -44,6 +44,24 @@ def test_out_of_range_param_rejected(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("N", [1, 0, -4, 256.5, "256", True, float("nan")])
+def test_eigen_N_below_two_or_fractional_rejected(tmp_path, N):
+    p = write_cfg(tmp_path / "c.json",
+                  {"preset": "SYS-A", "experiment": "eigen",
+                   "params": {"N": N}})
+    with pytest.raises(ConfigError) as exc:
+        load_config(p)
+    assert exc.value.pointer == "/params/N"
+    assert main(["eigen", "--config", p, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_eigen_N_integral_float_accepted(tmp_path):
+    p = write_cfg(tmp_path / "c.json",
+                  {"preset": "SYS-A", "experiment": "eigen",
+                   "params": {"N": 2.0}})
+    assert load_config(p)["params"]["N"] == 2.0
+
+
 def test_malformed_json_is_config_error(tmp_path):
     p = tmp_path / "c.json"
     p.write_text("{not json", encoding="utf-8")
