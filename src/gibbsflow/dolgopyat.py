@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .gibbs import adapted_partition
-from .operator import (EigenData, GridFunction, apply_L, c6_bound,
-                       deep_apply, eigendata, hoelder_seminorm,
+from .operator import (EigenData, GridFunction, _ElementwisePchip, apply_L,
+                       c6_bound, deep_apply, eigendata, hoelder_seminorm,
                        lasota_yorke_audit, norm_b)
 from .system import MarkovSystem, branch_chain, word_array
 from .uni import _lam_rho, c7_constant, transversal_pair
@@ -343,38 +342,8 @@ def cancellation_check(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
 
 
 # -- windowed piecewise representation -------------------------------------------
-
-
-class _ElementwisePchip:
-    """Monotone-cubic interpolant on per-element, possibly non-uniform nodes."""
-
-    def __init__(self, sys: MarkovSystem, node_list, value_list):
-        self.system = sys
-        self.nodes = node_list
-        self.values = value_list
-        self._interp = [
-            (PchipInterpolator(n, v.real, extrapolate=True),
-             PchipInterpolator(n, v.imag, extrapolate=True)
-             if np.iscomplexobj(v) else None)
-            for n, v in zip(node_list, value_list)]
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        cplx = any(im is not None for _, im in self._interp)
-        out = np.zeros(x.shape, dtype=complex if cplx else float)
-        idx = self.system.element_of(x)
-        for e in range(self.system.m):
-            mask = idx == e
-            if not np.any(mask):
-                continue
-            lo, hi = self.nodes[e][0], self.nodes[e][-1]
-            z = np.clip(x[mask], lo, hi)
-            re, im = self._interp[e]
-            out[mask] = re(z) + (1j * im(z) if im is not None else 0.0)
-        return out
-
-    def sup_norm(self):
-        return max(float(np.max(np.abs(v))) for v in self.values)
+# Functions on the windowed node sets are ``_ElementwisePchip`` interpolants
+# (from ``operator``): one PPoly over all elements' non-uniform nodes.
 
 
 def _node_sets(sys: MarkovSystem, base_n: int, windows, fine_n: int = 192):

@@ -8,6 +8,9 @@ discretised by collocation on N equally spaced nodes per partition
 element.  Off-grid preimages are filled in by interpolation: linear
 inside operator matrices (so the discrete eigenproblem is exactly
 linear), monotone cubic in GridFunction.eval for function evaluation.
+Every monotone cubic is one ``_ElementwisePchip``: a single scipy PPoly
+over all elements' nodes, so an evaluation is one clip and one interval
+search.
 
 The normalised operator at the leading real eigendata (lam, f) is
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from .system import MarkovSystem, NoConvergenceError, pullback, word_array
 
@@ -41,12 +44,56 @@ def node_grid(sys: MarkovSystem, N: int) -> np.ndarray:
     ])
 
 
+class _ElementwisePchip:
+    """Monotone cubic (PCHIP, Fritsch-Carlson) interpolant on per-element
+    nodes, evaluated as one scipy ``PPoly`` over all elements.
+
+    Element e's nodes must start at partition[e] and end at partition[e+1];
+    they may be non-uniform and differ in number between elements.  The
+    coefficients are each element's ``PchipInterpolator`` coefficients side
+    by side, and the breakpoints are all elements' nodes, concatenated, with
+    the partition point that adjacent elements share taken once.  So a point
+    runs the same polynomial on the same interval as under a per-element
+    interpolator, to the bit, and PPoly's search x[i] <= x < x[i+1] sends a
+    point on an interior breakpoint to the right-hand element (the
+    left-closed element convention).  Real and imaginary parts are a
+    trailing axis of the coefficients, evaluated by one call and read in
+    place as complex values: the bits of re + 1j * im wherever im is
+    finite.  Points outside [0, 1] are clamped to the end nodes; NaN stays
+    NaN.
+    """
+
+    def __init__(self, sys: MarkovSystem, node_list, value_list):
+        if len(node_list) != sys.m:
+            raise ValueError(f"{len(node_list)} node sets for {sys.m} elements")
+        self._complex = any(np.iscomplexobj(v) for v in value_list)
+        coefs = []
+        for e, (xs, vs) in enumerate(zip(node_list, value_list)):
+            lo, hi = sys.element_interval(e)
+            if xs[0] != lo or xs[-1] != hi:
+                # the shared breakpoint is taken once: across a gap or an
+                # overlap a point would run the wrong element's cubic
+                raise ValueError(f"nodes of element {e} do not run from "
+                                 f"{lo!r} to {hi!r}")
+            ys = np.stack([vs.real, vs.imag], axis=-1) if self._complex else vs
+            coefs.append(PchipInterpolator(xs, ys).c)
+        breaks = np.concatenate([node_list[0]] + [xs[1:] for xs in node_list[1:]])
+        self._pp = PPoly(np.concatenate(coefs, axis=1), breaks)
+        self._lo, self._hi = breaks[0], breaks[-1]
+
+    def eval(self, x):
+        res = self._pp(np.clip(np.asarray(x, dtype=float), self._lo, self._hi))
+        return res.view(complex)[..., 0] if self._complex else res
+
+
 class GridFunction:
     """Function sampled on the element node grid; complex values allowed.
 
     Evaluation between nodes uses monotone cubic interpolation per element,
     which reproduces node values exactly and does not overshoot the data
-    range of either real part.
+    range of either real part.  It is one ``_ElementwisePchip``, built on
+    the first evaluation: one clip and one PPoly call, with real and
+    imaginary parts as one trailing axis.
 
     Values of shape (m, N, k) hold a block of k functions on the same nodes,
     one per trailing column.  A block goes through ``apply_L``,
@@ -60,38 +107,16 @@ class GridFunction:
         self.nodes = node_grid(sys, self.values.shape[1]) if nodes is None else nodes
         if self.values.shape[:2] != self.nodes.shape:
             raise ValueError("values and nodes shapes differ")
-        self._interp = None
+        self._pchip = None
 
     @property
     def N(self) -> int:
         return self.values.shape[1]
 
-    def _build_interp(self):
-        if self._interp is None:
-            objs = []
-            for e in range(self.system.m):
-                vr = PchipInterpolator(self.nodes[e], self.values[e].real)
-                vi = None
-                if np.iscomplexobj(self.values):
-                    vi = PchipInterpolator(self.nodes[e], self.values[e].imag)
-                objs.append((vr, vi))
-            self._interp = objs
-        return self._interp
-
     def eval(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape, dtype=self.values.dtype)
-        idx = self.system.element_of(x)
-        # points exactly at an interior breakpoint evaluate from the right,
-        # matching the left-closed element convention
-        interp = self._build_interp()
-        for e in range(self.system.m):
-            mask = idx == e
-            if np.any(mask):
-                vr, vi = interp[e]
-                xe = np.clip(x[mask], self.nodes[e][0], self.nodes[e][-1])
-                out[mask] = vr(xe) + (1j * vi(xe) if vi is not None else 0.0)
-        return out
+        if self._pchip is None:
+            self._pchip = _ElementwisePchip(self.system, self.nodes, self.values)
+        return self._pchip.eval(np.atleast_1d(x))
 
     def sup_norm(self):
         """sup |v|; for a block, the array of the column sups."""

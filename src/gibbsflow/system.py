@@ -212,6 +212,8 @@ class MarkovSystem:
         Raises OutsideImageError when some y lies outside the closed image of
         branch i by more than 1e-12 times the element width, and
         NoConvergenceError when Newton has not converged after 200 steps.
+        A y within that slack outside the image is clamped to the image, so
+        it returns the element end.
         For an affine branch the first Newton step from the midpoint is the
         root up to rounding; it is kept when it passes the bracket and
         residual tests that Newton applies to it, and Newton runs from the
@@ -231,9 +233,14 @@ class MarkovSystem:
         y = np.asarray(y, dtype=float)
         lo_img, hi_img = self.image_interval(i)
         slack = 1e-12 * (b - a)
-        if np.any((y < lo_img - slack) | (y > hi_img + slack)):
-            raise OutsideImageError(
-                f"points outside the image [{lo_img}, {hi_img}] of branch {i}")
+        if y.size:
+            y_lo, y_hi = y.min(), y.max()
+            if y_lo < lo_img - slack or y_hi > hi_img + slack:
+                raise OutsideImageError(
+                    f"points outside the image [{lo_img}, {hi_img}] of branch {i}")
+            if y_lo < lo_img or y_hi > hi_img:
+                # no z in the element may meet the residual test out there
+                y = np.clip(y, lo_img, hi_img)
         mid = 0.5 * (a + b)
         T = self._T[i]
         if self._affine[i] is not None:
@@ -613,16 +620,6 @@ def cylinders(sys: MarkovSystem, n: int, cap: int = 2_000_000) -> list[Cylinder]
                 for w, l, h in zip(heads.tolist(), lo, hi)]
     out.sort(key=lambda c: (c.left, c.word))
     return out
-
-
-def cylinder_of(sys: MarkovSystem, x: float, n: int) -> tuple[int, ...]:
-    """Itinerary of x over n steps (symbols of the orbit's elements)."""
-    word = []
-    z = float(x)
-    for _ in range(n):
-        word.append(int(sys.element_of(z)))
-        z = float(sys.apply_T(np.array([z]))[0])
-    return tuple(word)
 
 
 def itineraries(sys: MarkovSystem, x, n: int) -> np.ndarray:

@@ -115,6 +115,20 @@ def test_affine_presets_keep_the_one_step_inverse(name):
     assert sys._inverse_tables == [None] * sys.m
 
 
+@pytest.mark.parametrize("cfg", [make_preset("SYS-B").to_config(), NL_DOUBLING])
+def test_slack_outside_the_image_returns_the_element_end(cfg):
+    # 4e-13 outside the image no z in the element meets the 1e-13 residual
+    # test; the point is clamped to the image end, so its element end is
+    # returned, and the points inside keep their bits
+    sys = system_from_config(cfg)
+    lo, hi = sys.image_interval(0)
+    a, b = sys.element_interval(0)
+    inside = lo + (hi - lo) * np.random.default_rng(2).random(1000)
+    z = sys.inverse_branch(0, np.concatenate([inside, [hi + 4e-13, lo - 4e-13]]))
+    assert z[-2:].tolist() == [b, a]
+    assert np.array_equal(z[:-2], sys.inverse_branch(0, inside))
+
+
 # -- property test: random monotone nonlinear branches against bisection ---------
 
 
