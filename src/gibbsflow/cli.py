@@ -217,11 +217,10 @@ def _run_partition(sys_, params, out, seed):
     b = float(params.get("b", 2.0 ** 10))
     Delta = float(params.get("Delta", 1.0))
     part = adapted_partition(sys_, b, Delta)
-    rep = validate(sys_, raise_on_fail=False)
     _write_csv(out / "partition.csv", ["left", "right", "diam"],
                [(q.left, q.right, q.diam) for q in part.elements])
     lo_bound = 2 * Delta / abs(b)
-    hi_bound = 2 * Delta * rep.rho / abs(b)
+    hi_bound = 2 * Delta * sys_.constants.rho / abs(b)
     diams = [q.diam for q in part.elements]
     ok = (all(lo_bound <= d <= hi_bound * (1 + 1e-12) for d in diams)
           and part.count <= abs(b) / (2 * Delta))

@@ -26,7 +26,7 @@ from .operator import (EigenData, GridFunction, _ElementwisePchip, apply_L,
                        c6_bound, deep_apply, eigendata, hoelder_seminorm,
                        lasota_yorke_audit, norm_b)
 from .system import MarkovSystem, branch_chain, word_array
-from .uni import _lam_rho, c7_constant, transversal_pair
+from .uni import transversal_pair
 
 __all__ = [
     "ConeBPair", "BumpFunction", "ConstraintViolationError",
@@ -51,17 +51,6 @@ class NoCancellationWitness(RuntimeError):
 # -- constants and gates -------------------------------------------------------
 
 
-def _sup_and_semi(sys: MarkovSystem, fns, grid: int = 2048) -> tuple[float, float]:
-    sup, semi = 0.0, 0.0
-    for e in range(sys.m):
-        xs = np.linspace(*sys.element_interval(e), grid)
-        vs = fns[e](x=xs) + 0.0 * xs
-        sup = max(sup, float(np.max(np.abs(vs))))
-        semi = max(semi, float(np.max(
-            np.abs(np.diff(vs)) / np.diff(xs) ** sys.alpha)))
-    return sup, semi
-
-
 def c0_constant(sys: MarkovSystem, eig0: EigenData, variant: str = "multiply",
                 floor: float = 0.1) -> dict:
     """Cone-regularity constant
@@ -75,14 +64,12 @@ def c0_constant(sys: MarkovSystem, eig0: EigenData, variant: str = "multiply",
     if variant not in ("multiply", "divide"):
         raise ValueError("variant must be 'multiply' or 'divide'")
     a = sys.alpha
-    lam, _ = _lam_rho(sys)
+    c = sys.constants
     fmin = float(eig0.f.values.real.min())
     semi_f = hoelder_seminorm(eig0.f)
-    _, semi_phi = _sup_and_semi(sys, sys._phi)
-    _, semi_r = _sup_and_semi(sys, sys._r)
-    factor = 1.0 - lam ** (-a)
-    tail = (semi_phi + semi_r) * factor if variant == "multiply" \
-        else (semi_phi + semi_r) / factor
+    factor = 1.0 - c.lam ** (-a)
+    tail = (c.semi_phi + c.semi_r) * factor if variant == "multiply" \
+        else (c.semi_phi + c.semi_r) / factor
     raw = 4.0 * (1.0 / fmin) * semi_f + 2.0 * tail
     floored = raw < floor
     return {"C0": max(raw, floor), "raw": raw, "variant": variant,
@@ -99,11 +86,11 @@ def constraint_gates(sys: MarkovSystem, eig0: EigenData, delta: float,
         lam^{a floor(beta log|b|)/16} <= C0 |b|^a  for every swept b.
     """
     a = sys.alpha
-    lam, _ = _lam_rho(sys)
+    lam = sys.constants.lam
     if c0 is None:
         c0 = c0_constant(sys, eig0)["C0"]
     if c7 is None:
-        c7 = c7_constant(sys)["C7"]
+        c7 = sys.constants.c7
     checks = {
         "c0_delta": (c0 * delta ** a, 1.0 / 6.0),
         "eta_gap": ((2.0 / 3.0) * math.exp(c0 * delta ** a), ETA0),
@@ -219,8 +206,7 @@ class BumpFunction:
 
 def _default_depths(sys: MarkovSystem, b: float, delta: float,
                     beta: float = 1.0) -> tuple[int, int]:
-    _, rho = _lam_rho(sys)
-    n2 = int(math.floor(math.log(1.0 / delta) / math.log(rho)))
+    n2 = int(math.floor(math.log(1.0 / delta) / math.log(sys.constants.rho)))
     n1 = int(math.floor(beta * math.log(abs(b))))
     return n1, n2
 
@@ -239,8 +225,7 @@ def build_bump(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
     B(x1, delta/6|b|) and B(x1, delta/2|b|) become plateau and support.
     """
     b = pair.b
-    cs = c7_constant(sys)
-    c7, rho = cs["C7"], cs["rho"]
+    c7 = sys.constants.c7
     if c7 == 0.0:
         raise NoCancellationWitness(
             "constant roof: cone images are lines, no transversal pairs")
@@ -457,9 +442,9 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
         n = n1 + n2
     a = sys.alpha
     K = c0 * abs(b) ** a
-    cs = c7_constant(sys)
+    c7 = sys.constants.c7
     Delta_used = Delta if Delta is not None else (
-        4.0 * math.pi / (cs["C7"] * delta) if cs["C7"] > 0 else math.inf)
+        4.0 * math.pi / (c7 * delta) if c7 > 0 else math.inf)
     dens = _mu_density(eig)
 
     # v lives on a uniform grid resolving the 1/b oscillation scale
@@ -551,7 +536,7 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list, beta: float = 1.0,
     max ||L^k_s v||_{L1(mu)} / ||v||_inf, and fit the decay exponent xi_hat
     from log-ratio against k log lam."""
     a = sys.alpha
-    lam, _ = _lam_rho(sys)
+    lam = sys.constants.lam
     if c0 is None:
         c0 = c0_constant(sys, eig)["C0"]
     for b in b_list:
@@ -659,7 +644,7 @@ def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    lam, _ = _lam_rho(sys)
+    lam = sys.constants.lam
     scale = 1.0 + np.arange(_MODES)
     results = []
     eg = None

@@ -73,14 +73,6 @@ class FlowSample:
         return FlowPoint(float(self.xs[i]), float(self.us[i]))
 
 
-def _sup_roof(sys: MarkovSystem, grid: int = 8192) -> float:
-    best = 0.0
-    for e in range(sys.m):
-        zs = np.linspace(*sys.element_interval(e), grid)
-        best = max(best, float(np.max(sys._r[e](x=zs) + 0 * zs)))
-    return best * 1.001
-
-
 def sample_flow_measure(sys: MarkovSystem, eig: EigenData, count: int,
                         seed: int) -> FlowSample:
     """Draw from the invariant measure of the semiflow: base points from the
@@ -89,7 +81,7 @@ def sample_flow_measure(sys: MarkovSystem, eig: EigenData, count: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    sup_r = _sup_roof(sys)
+    sup_r = sys.constants.roof_sup * 1.001
     r_nodes = sys.roof_at(eig.f.nodes.reshape(-1))
     rbar = float(np.sum(eig.mu.reshape(-1) * r_nodes))  # int r dmu, by mu_N
     accept_est = rbar / sup_r
@@ -110,7 +102,7 @@ def sample_flow_measure(sys: MarkovSystem, eig: EigenData, count: int,
     xs = np.concatenate(xs_out)[:count]
     us = np.concatenate(us_out)[:count]
 
-    inf_r = float(np.min(r_nodes))
+    inf_r = sys.constants.roof_inf
     slab = float(np.mean(us < inf_r / 2))
     expected = (inf_r / 2) / rbar
     se = math.sqrt(max(expected * (1 - expected), 1e-12) / count)

@@ -12,8 +12,8 @@ import numpy as np
 from .expr import Mul, Num, Sub
 from .operator import EigenData, eigendata, node_grid
 from .system import (Cylinder, MarkovSystem, NotCoveringError,
-                     NotExpandingError, birkhoff_sum, branch_chain, cylinders,
-                     pullbacks, word_array)
+                     NotExpandingError, branch_chain, cylinders, pullbacks,
+                     word_array)
 
 __all__ = [
     "CylinderMeasureTable", "AdaptedPartition",
@@ -123,16 +123,31 @@ def cylinder_masses(sys: MarkovSystem, eig: EigenData, n: int,
 def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int,
                 cap: int = 2_000_000) -> dict:
     """Two-sided empirical Gibbs constant: extremes over depth n <= max_depth
-    of mass(omega) / exp(-P n + S_n(phi - sigma r)(midpoint))."""
+    of mass(omega) / exp(-P n + S_n(phi - sigma r)(x_omega)).
+
+    The reference point of a cylinder omega is x_omega = h_omega(y), y the
+    midpoint of the domain of h_omega (the image of omega's last symbol); on
+    affine branches it is the cylinder's midpoint.  The orbit sums come from
+    one engine run per last symbol, at that one y.
+    """
     lo, hi = np.inf, 0.0
     per_depth = {}
     P = eig.pressure
-    for table in _mass_tables(sys, eig, max_depth, cap=cap):
+    words = word_array(sys, max_depth, cap)
+    engines = [pullbacks(sys, words[words[:, -1] == s],
+                         [0.5 * sum(sys.image_interval(s))],
+                         ("x", "Snr", "Snphi"))
+               for s in range(sys.m)]
+    del words  # each engine holds its own rows
+    for table, levels in zip(_mass_tables(sys, eig, max_depth, cap=cap),
+                             zip(*engines)):
         n = table.depth
-        mids = np.array([c.midpoint for c in table.cylinders])
-        s = (np.atleast_1d(birkhoff_sum(sys, "potential", mids, n))
-             - eig.sigma * np.atleast_1d(birkhoff_sum(sys, "roof", mids, n)))
-        ratios = table.masses / np.exp(-P * n + s)
+        x = np.concatenate([pb.x[:, 0] for pb in levels])
+        sn = np.concatenate([(pb.Snphi - eig.sigma * pb.Snr)[:, 0]
+                             for pb in levels])
+        # x_omega lies inside omega, and the depth-n cylinders are disjoint:
+        # sorted by x_omega, the sums are in the order of table.cylinders
+        ratios = table.masses / np.exp(-P * n + sn[np.argsort(x)])
         per_depth[n] = (float(ratios.min()), float(ratios.max()))
         lo = min(lo, per_depth[n][0])
         hi = max(hi, per_depth[n][1])
@@ -164,13 +179,12 @@ def _backward_step(sys: MarkovSystem, eig: EigenData, x: np.ndarray):
     return ys, weights
 
 
-def _burn_in(sys: MarkovSystem, eig: EigenData) -> int:
-    """k = ceil(53 / log2 lam) with lam = inf |T'| on the nodes of eig: every
-    depth-k cylinder is then at most 2^-53 long (see ``sample_mu``)."""
-    lam = min(float(np.min(np.abs(sys._dT[e](x=eig.f.nodes[e]))))
-              for e in range(sys.m))
+def _burn_in(sys: MarkovSystem) -> int:
+    """k = ceil(53 / log2 lam) with lam = inf |T'| from ``sys.constants``:
+    every depth-k cylinder is then at most 2^-53 long (see ``sample_mu``)."""
+    lam = sys.constants.lam
     if lam <= 1.0:
-        raise NotExpandingError(f"inf |T'| = {lam} <= 1 on the nodes")
+        raise NotExpandingError(f"inf |T'| = {lam} <= 1")
     return math.ceil(53 / math.log2(lam))
 
 
@@ -185,8 +199,8 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
 
     Each chain starts from mu_N, the node weights ``eig.mu`` of the
     eigendata, and runs k = ceil(53 / log2 lam) steps of burn-in, lam =
-    inf |T'| on the nodes (53 on the doubling map).  Then E g(x_k) =
-    mu_N(L^k g), while mu(L^k g) = mu(g) by invariance.  For A a union of
+    inf |T'| from ``sys.constants`` (53 on the doubling map).  Then E g(x_k)
+    = mu_N(L^k g), while mu(L^k g) = mu(g) by invariance.  For A a union of
     depth-k cylinders, L^k 1_A = sum over words w inside A of J_w is smooth,
     so |P(x_k in A) - mu(A)| is the quadrature error of mu_N on a smooth
     function, the discretisation error the eigendata already has.  Every
@@ -204,7 +218,7 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
     thin = 10
     chains = int(min(max(1, count // 64), 4096))
     per = -(-count // chains)  # emits per chain
-    burn_in = _burn_in(sys, eig)
+    burn_in = _burn_in(sys)
     rng = np.random.default_rng(seed)
     x = rng.choice(eig.f.nodes.reshape(-1), size=chains, p=eig.mu.reshape(-1))
     cols = np.arange(chains)
@@ -235,14 +249,6 @@ def transition_weights(sys: MarkovSystem, eig: EigenData, x: float) -> dict:
 # -- adapted partitions --------------------------------------------------------
 
 
-def _sup_dT(sys: MarkovSystem, grid: int = 512) -> float:
-    rho = 0.0
-    for i in range(sys.m):
-        xs = np.linspace(*sys.element_interval(i), grid)
-        rho = max(rho, float(np.max(np.abs(sys._dT[i](x=xs) + 0 * xs))))
-    return rho
-
-
 def _child_cylinders(sys: MarkovSystem, cyl: Cylinder) -> list[Cylinder]:
     out = []
     for j in range(sys.m):
@@ -257,7 +263,7 @@ def _child_cylinders(sys: MarkovSystem, cyl: Cylinder) -> list[Cylinder]:
 def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedPartition:
     """Partition into cylinders Q = P^(l(x,b))(x) where l(x,b) is the largest
     depth whose cylinder still has diameter >= 2 Delta / |b|."""
-    rho = _sup_dT(sys)
+    rho = sys.constants.rho
     min_diam = float(np.min(np.diff(sys.partition)))
     if abs(b) <= 2 * Delta * rho / min_diam:
         raise FrequencyTooSmallError(
@@ -350,7 +356,7 @@ def federer_audit(sys: MarkovSystem, eig: EigenData, b: float, Delta: float,
     if not (0 < delta < Delta):
         raise ValueError("need 0 < delta < Delta")
     part = adapted_partition(sys, b, Delta)
-    rho = _sup_dT(sys)
+    rho = sys.constants.rho
     half = delta / abs(b)
     gammas, gammas_left = [], []
     cache: dict = {}

@@ -16,6 +16,11 @@ Config layout (JSON), as read by ``system_from_config``:
 Expressions use the variable x (see ``expr``); ``image`` is the half-open
 range of element indices that the branch maps onto.
 
+The constants every estimate runs on (lam = inf|T'|, rho = sup|T'|, C4,
+C7, the roof range and the Hoelder seminorms of phi, r and r') come from
+one scan of the system, cached as ``MarkovSystem.constants``; no other
+module scans the expressions for them.
+
 Inverse branches of every depth are computed by one engine, ``pullbacks``:
 words are built by prepending symbols, h_{iw} = h_i o h_w, and each depth
 carries (words x points) arrays of the pulled-back points and the orbit
@@ -26,23 +31,26 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .expr import Expr, Num, compile_expr, differentiate, parse
 
 __all__ = [
-    "Branch", "MarkovSystem", "Cylinder", "ValidationReport", "Pullback",
-    "NotMarkovError", "NotExpandingError", "NotCoveringError",
-    "RoofBoundsError", "CapExceededError", "OutsideImageError",
-    "NoConvergenceError", "system_from_config", "validate", "cylinders",
-    "admissible_words", "word_array", "pullbacks", "pullback", "branch_chain",
-    "birkhoff_sum",
+    "Branch", "MarkovSystem", "Cylinder", "SystemConstants",
+    "ValidationReport", "Pullback", "NotMarkovError", "NotExpandingError",
+    "NotCoveringError", "RoofBoundsError", "CapExceededError",
+    "OutsideImageError", "NoConvergenceError", "system_from_config",
+    "validate", "cylinders", "admissible_words", "word_array", "pullbacks",
+    "pullback", "branch_chain",
 ]
 
 
 # nodes of the tabulated inverse that starts Newton in inverse_branch
 _INVERSE_NODES = 4097
+# equally spaced points per element of the scan behind MarkovSystem.constants
+_SCAN = 2048
 
 
 class NotMarkovError(ValueError):
@@ -97,6 +105,38 @@ class Cylinder:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.left + self.right)
+
+
+@dataclass(frozen=True)
+class SystemConstants:
+    """Constants of a system, from one scan of _SCAN equally spaced points
+    per element, ends included:
+
+        lam, rho            inf |T'| and sup |T'|
+        c4                  sup |D(r o h)| = sup |r'| / |T'| over the
+                            inverse branches h
+        roof_inf, roof_sup  inf r and sup r
+        semi_phi, semi_r    alpha-Hoelder seminorms of phi and r, from
+                            neighbouring points within an element
+        sup_dr, semi_dr     sup |r'| and the alpha-Hoelder seminorm of r'
+        monotone            per branch: T' never takes both signs
+    """
+    lam: float
+    rho: float
+    c4: float
+    roof_inf: float
+    roof_sup: float
+    semi_phi: float
+    semi_r: float
+    sup_dr: float
+    semi_dr: float
+    monotone: tuple[bool, ...]
+
+    @property
+    def c7(self) -> float:
+        """Closed-form bound with |D(S_n r o h)| <= C7 / 2 for all n."""
+        q = 1.0 - 1.0 / self.lam
+        return max(2.0 * self.c4 * self.rho / q, q * self.c4)
 
 
 @dataclass
@@ -165,6 +205,11 @@ class MarkovSystem:
         # built by the branch's first inverse_branch call
         self._inverse_tables: list[np.ndarray | None] = [None] * self.m
 
+    @cached_property
+    def constants(self) -> SystemConstants:
+        """The system's constants, scanned on first use (SystemConstants)."""
+        return _scan_constants(self)
+
     # -- pointwise structure ------------------------------------------------
 
     def element_of(self, x):
@@ -209,9 +254,9 @@ class MarkovSystem:
     def inverse_branch(self, i: int, y):
         """Solve T_i(z) = y on element i; safeguarded Newton, |residual| tol 1e-13.
 
-        Raises OutsideImageError when some y lies outside the closed image of
-        branch i by more than 1e-12 times the element width, and
-        NoConvergenceError when Newton has not converged after 200 steps.
+        Raises OutsideImageError when some y is NaN or lies outside the
+        closed image of branch i by more than 1e-12 times the element width,
+        and NoConvergenceError when Newton has not converged after 200 steps.
         A y within that slack outside the image is clamped to the image, so
         it returns the element end.
         For an affine branch the first Newton step from the midpoint is the
@@ -235,7 +280,8 @@ class MarkovSystem:
         slack = 1e-12 * (b - a)
         if y.size:
             y_lo, y_hi = y.min(), y.max()
-            if y_lo < lo_img - slack or y_hi > hi_img + slack:
+            # written so that NaN, which fails every comparison, fails it
+            if not (y_lo >= lo_img - slack and y_hi <= hi_img + slack):
                 raise OutsideImageError(
                     f"points outside the image [{lo_img}, {hi_img}] of branch {i}")
             if y_lo < lo_img or y_hi > hi_img:
@@ -331,42 +377,58 @@ def system_from_config(cfg: dict) -> MarkovSystem:
                         alpha=cfg.get("alpha", 1.0))
 
 
-# -- validation ---------------------------------------------------------------
+# -- constants and validation -------------------------------------------------
 
 
-def validate(sys: MarkovSystem, grid: int = 2048, raise_on_fail: bool = True
-             ) -> ValidationReport:
-    """Check the standing hypotheses on a per-element grid.
+def _scan_constants(sys: MarkovSystem) -> SystemConstants:
+    """The one scan behind ``MarkovSystem.constants``."""
+    lam, rho, c4 = np.inf, 0.0, 0.0
+    r_inf, r_sup = np.inf, -np.inf
+    semi_phi = semi_r = sup_dr = semi_dr = 0.0
+    monotone = []
+    for i in range(sys.m):
+        xs = np.linspace(*sys.element_interval(i), _SCAN)
+        dx = np.diff(xs) ** sys.alpha
+        dT, dr, r, phi = (f[i](x=xs) + 0.0 * xs
+                          for f in (sys._dT, sys._dr, sys._r, sys._phi))
+        monotone.append(not (np.any(dT > 0) and np.any(dT < 0)))
+        absdT = np.abs(dT)
+        lam = min(lam, float(absdT.min()))
+        rho = max(rho, float(absdT.max()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c4 = max(c4, float(np.max(np.abs(dr) / absdT)))
+        r_inf = min(r_inf, float(r.min()))
+        r_sup = max(r_sup, float(r.max()))
+        semi_phi = max(semi_phi, float(np.max(np.abs(np.diff(phi)) / dx)))
+        semi_r = max(semi_r, float(np.max(np.abs(np.diff(r)) / dx)))
+        sup_dr = max(sup_dr, float(np.max(np.abs(dr))))
+        semi_dr = max(semi_dr, float(np.max(np.abs(np.diff(dr)) / dx)))
+    return SystemConstants(lam=lam, rho=rho, c4=c4, roof_inf=r_inf,
+                           roof_sup=r_sup, semi_phi=semi_phi, semi_r=semi_r,
+                           sup_dr=sup_dr, semi_dr=semi_dr,
+                           monotone=tuple(monotone))
+
+
+def validate(sys: MarkovSystem, raise_on_fail: bool = True) -> ValidationReport:
+    """Check the standing hypotheses.
 
     Verifies: expansion inf|T'| > 1, branch monotonicity, Markov property
     (branch endpoints land on breakpoints of the declared image), covering
     (some power of the transition matrix is strictly positive), roof bounds
     0 < inf r <= sup r <= 1, and estimates the distortion constant of
-    inverse-branch derivatives and sup |D(r o h)|.
+    inverse-branch derivatives.  lam, rho, C4 and the roof range are read
+    from ``sys.constants``.
     """
+    c = sys.constants
+    if not all(c.monotone):
+        raise NotExpandingError(
+            f"branch {c.monotone.index(False)} is not monotone")
     msgs: list[str] = []
-    lam = np.inf
-    rho = 0.0
-    c4 = 0.0
-    r_inf, r_sup = np.inf, -np.inf
     markov_res = 0.0
-
     for i in range(sys.m):
-        a, b = sys.element_interval(i)
-        xs = np.linspace(a, b, grid)
-        dT = sys._dT[i](x=xs) + np.zeros_like(xs)
-        if np.any(dT > 0) and np.any(dT < 0):
-            raise NotExpandingError(f"branch {i} is not monotone")
-        absdT = np.abs(dT)
-        lam = min(lam, float(absdT.min()))
-        rho = max(rho, float(absdT.max()))
-        dr = sys._dr[i](x=xs) + np.zeros_like(xs)
-        c4 = max(c4, float(np.max(np.abs(dr) / absdT)))
-        r = sys._r[i](x=xs) + np.zeros_like(xs)
-        r_inf = min(r_inf, float(r.min()))
-        r_sup = max(r_sup, float(r.max()))
         # Markov endpoints: closure of T(element) must be the closure of the
         # declared image interval
+        a, b = sys.element_interval(i)
         lo, hi = sys.image_interval(i)
         ta, tb = float(sys._T[i](x=a)), float(sys._T[i](x=b))
         t0, t1 = min(ta, tb), max(ta, tb)
@@ -377,13 +439,14 @@ def validate(sys: MarkovSystem, grid: int = 2048, raise_on_fail: bool = True
             raise exc(msg)
         msgs.append(msg)
 
-    if lam <= 1.0:
-        fail(NotExpandingError, f"inf |T'| = {lam} <= 1")
+    if c.lam <= 1.0:
+        fail(NotExpandingError, f"inf |T'| = {c.lam} <= 1")
     if markov_res > 1e-9:
         fail(NotMarkovError,
              f"branch images miss declared breakpoints by {markov_res:.3e}")
-    if not (r_inf > 0 and r_sup <= 1.0 + 1e-12):
-        fail(RoofBoundsError, f"roof range [{r_inf}, {r_sup}] outside (0, 1]")
+    if not (c.roof_inf > 0 and c.roof_sup <= 1.0 + 1e-12):
+        fail(RoofBoundsError,
+             f"roof range [{c.roof_inf}, {c.roof_sup}] outside (0, 1]")
 
     # covering: some power of the transition matrix is strictly positive
     power = 0
@@ -402,7 +465,7 @@ def validate(sys: MarkovSystem, grid: int = 2048, raise_on_fail: bool = True
     c2 = 0.0
     for depth in (1, 2, 3):
         for cyl in cylinders(sys, depth):
-            dom = _domain_interval(sys, cyl.word)
+            dom = sys.image_interval(cyl.word[-1])  # the domain of h_word
             ys = np.linspace(dom[0], dom[1], 64)
             ch = branch_chain(sys, cyl.word, ys)
             dh = 1.0 / ch["dTn"]
@@ -413,8 +476,8 @@ def validate(sys: MarkovSystem, grid: int = 2048, raise_on_fail: bool = True
             c2 = max(c2, float(np.nanmax(q)))
 
     return ValidationReport(
-        expansion=lam, rho=rho, c2=c2, c4=c4,
-        roof_inf=r_inf, roof_sup=r_sup,
+        expansion=c.lam, rho=c.rho, c2=c2, c4=c.c4,
+        roof_inf=c.roof_inf, roof_sup=c.roof_sup,
         markov_residual=markov_res, covering_power=power,
         ok=not msgs, messages=msgs,
     )
@@ -447,11 +510,6 @@ def word_array(sys: MarkovSystem, n: int, cap: int = 2_000_000) -> np.ndarray:
 def admissible_words(sys: MarkovSystem, n: int, cap: int = 2_000_000
                      ) -> list[tuple[int, ...]]:
     return [tuple(w) for w in word_array(sys, n, cap).tolist()]
-
-
-def _domain_interval(sys: MarkovSystem, word: tuple[int, ...]) -> tuple[float, float]:
-    """Domain of the inverse branch h_word, i.e. closure of T^n(cylinder)."""
-    return sys.image_interval(word[-1])
 
 
 FIELDS = ("x", "dTn", "Snr", "Snphi", "DSnr_h")
@@ -620,34 +678,3 @@ def cylinders(sys: MarkovSystem, n: int, cap: int = 2_000_000) -> list[Cylinder]
                 for w, l, h in zip(heads.tolist(), lo, hi)]
     out.sort(key=lambda c: (c.left, c.word))
     return out
-
-
-def itineraries(sys: MarkovSystem, x, n: int) -> np.ndarray:
-    """(len(x), n) array of symbol sequences along forward orbits."""
-    z = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-    out = np.empty((len(z), n), dtype=int)
-    for j in range(n):
-        out[:, j] = sys.element_of(z)
-        if j < n - 1:
-            z = sys.apply_T(z)
-            z = np.where(z >= 1.0, np.nextafter(1.0, 0.0), np.maximum(z, 0.0))
-    return out
-
-
-def birkhoff_sum(sys: MarkovSystem, which: str, x, n: int):
-    """S_n g(x) for g the roof or the potential, along the forward orbit.
-
-    Orbit points landing within 1e-13 of a breakpoint are nudged into the
-    element interior to keep the itinerary well defined.
-    """
-    fns = sys._r if which == "roof" else sys._phi
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    total = np.zeros_like(x)
-    z = x.copy()
-    for _ in range(n):
-        near = np.abs(z[:, None] - sys.partition[None, :]).min(axis=1) < 1e-13
-        z = np.where(near, z + 1e-12, z)
-        total = total + sys._piecewise(fns, z)
-        z = sys.apply_T(z)
-        z = np.where(z >= 1.0, np.nextafter(1.0, 0.0), np.maximum(z, 0.0))
-    return total if total.size > 1 else float(total[0])

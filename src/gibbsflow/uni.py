@@ -1,14 +1,18 @@
 """Displacement functions, transversality of cone images, the a(n)/b(n)
 sequences and the coboundary trichotomy test.
 
+The constants (lam, rho, C4, C7, the Hoelder data of r') are read from
+``MarkovSystem.constants``.
+
 Projective convention: a 2d cone {(a, c) : |c| <= C7 |a|} is stored as the
-slope interval [-C7, C7]; the image under the cocycle matrix
+slope interval [-C7, C7]; its image under the cocycle matrix
 
     D^n(x) = [[DT^n(x), 0], [-D S_n r(x), 1]]
 
-is the slope interval with centre -D(S_n r o h)(y) and half-width
-C7 / |DT^n(x)|.  Transversality of two preimages means their slope
-intervals are disjoint as closed intervals.
+at x = h_w(y), the preimage of y along a word w, is the slope interval with
+centre -D(S_n r o h_w)(y) and half-width C7 / |DT^n(x)|, both read off the
+pullback engine at y.  Transversality of two preimages h_w1(y), h_w2(y)
+means their slope intervals are disjoint as closed intervals.
 """
 
 from __future__ import annotations
@@ -19,12 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import EigenData
-from .system import (MarkovSystem, branch_chain, cylinders, itineraries,
-                     pullback, word_array)
+from .system import MarkovSystem, branch_chain, cylinders, pullback, word_array
 
 __all__ = [
-    "PsiFunction", "EmptyDomainError", "NotSiblingsError",
-    "c4_constant", "c7_constant", "c9_constant", "psi", "check_uni",
+    "PsiFunction", "EmptyDomainError", "c9_constant", "psi", "check_uni",
     "cone_image", "transversal", "a_sequence", "b_sequence",
     "coboundary_test", "uni_from_transversality",
 ]
@@ -34,50 +36,10 @@ class EmptyDomainError(ValueError):
     pass
 
 
-class NotSiblingsError(ValueError):
-    pass
-
-
-def c4_constant(sys: MarkovSystem, grid: int = 2048) -> float:
-    """sup over inverse branches h of |D(r o h)| = sup |r'| / |T'|."""
-    best = 0.0
-    for i in range(sys.m):
-        xs = np.linspace(*sys.element_interval(i), grid)
-        dr = np.abs(sys._dr[i](x=xs) + 0 * xs)
-        dt = np.abs(sys._dT[i](x=xs) + 0 * xs)
-        best = max(best, float(np.max(dr / dt)))
-    return best
-
-
-def _lam_rho(sys: MarkovSystem, grid: int = 2048) -> tuple[float, float]:
-    lam, rho = np.inf, 0.0
-    for i in range(sys.m):
-        xs = np.linspace(*sys.element_interval(i), grid)
-        dt = np.abs(sys._dT[i](x=xs) + 0 * xs)
-        lam = min(lam, float(dt.min()))
-        rho = max(rho, float(dt.max()))
-    return lam, rho
-
-
-def c7_constant(sys: MarkovSystem, grid: int = 2048) -> dict:
-    """Closed-form bound with |D(S_n r o h)| <= C7 / 2 for all n."""
-    c4 = c4_constant(sys, grid)
-    lam, rho = _lam_rho(sys, grid)
-    c7 = max(2.0 * c4 * rho / (1.0 - 1.0 / lam), (1.0 - 1.0 / lam) * c4)
-    return {"C4": c4, "C7": c7, "lam": lam, "rho": rho}
-
-
-def c9_constant(sys: MarkovSystem, c2: float, grid: int = 2048) -> float:
+def c9_constant(sys: MarkovSystem, c2: float) -> float:
     """Hoelder bound for D psi: 2 max{C2, 1} ||Dr||_{C^alpha} / (1 - 1/lam)."""
-    lam, _ = _lam_rho(sys, grid)
-    sup_dr, semi_dr = 0.0, 0.0
-    for i in range(sys.m):
-        xs = np.linspace(*sys.element_interval(i), grid)
-        dr = sys._dr[i](x=xs) + 0 * xs
-        sup_dr = max(sup_dr, float(np.max(np.abs(dr))))
-        semi_dr = max(semi_dr, float(np.max(
-            np.abs(np.diff(dr)) / np.diff(xs) ** sys.alpha)))
-    return 2.0 * max(c2, 1.0) * (sup_dr + semi_dr) / (1.0 - 1.0 / lam)
+    c = sys.constants
+    return 2.0 * max(c2, 1.0) * (c.sup_dr + c.semi_dr) / (1.0 - 1.0 / c.lam)
 
 
 @dataclass
@@ -110,45 +72,25 @@ def psi(sys: MarkovSystem, w1: tuple[int, ...], w2: tuple[int, ...]) -> PsiFunct
     return PsiFunction(sys, tuple(w1), tuple(w2), (lo, hi))
 
 
-def cone_image(sys: MarkovSystem, x: float, n: int, c7: float | None = None
-               ) -> tuple[float, float]:
-    """Slope interval of D^n(x) applied to the base cone of half-slope C7."""
+def cone_image(sys: MarkovSystem, word: tuple[int, ...], y: float,
+               c7: float | None = None) -> tuple[float, float]:
+    """Slope interval of D^n(h_w(y)) applied to the base cone of half-slope
+    C7, n = len(word): centre -D(S_n r o h_w)(y), half-width C7 / |DT^n|."""
     if c7 is None:
-        c7 = c7_constant(sys)["C7"]
-    word = tuple(itineraries(sys, [x], n)[0])
-    z = np.array([x])
-    dTn = 1.0
-    dTj = 1.0
-    dsnr = 0.0
-    for j in range(n):
-        i = word[j]
-        dsnr += float(sys._dr[i](x=z[0]) + 0.0) * dTj
-        dt = float(sys._dT[i](x=z[0]) + 0.0)
-        dTj *= dt
-        dTn *= dt
-        z = sys.apply_T(z)
-    lo = (-c7 - dsnr) / dTn
-    hi = (c7 - dsnr) / dTn
-    return (min(lo, hi), max(lo, hi))
+        c7 = sys.constants.c7
+    ch = branch_chain(sys, word, y)
+    centre = -float(ch["DSnr_h"][0])
+    half = c7 / abs(float(ch["dTn"][0]))
+    return (centre - half, centre + half)
 
 
-def transversal(sys: MarkovSystem, x1: float, x2: float, n: int,
-                c7: float | None = None) -> bool:
-    """Closed slope intervals of the two cone images are disjoint."""
-    y1 = float(np.atleast_1d(_iterate(sys, x1, n))[0])
-    y2 = float(np.atleast_1d(_iterate(sys, x2, n))[0])
-    if abs(y1 - y2) > 1e-9:
-        raise NotSiblingsError(f"T^{n} x1 = {y1} != {y2} = T^{n} x2")
-    i1 = cone_image(sys, x1, n, c7)
-    i2 = cone_image(sys, x2, n, c7)
+def transversal(sys: MarkovSystem, w1: tuple[int, ...], w2: tuple[int, ...],
+                y: float, c7: float | None = None) -> bool:
+    """Closed slope intervals of the cone images at h_w1(y) and h_w2(y) are
+    disjoint; y must lie in the domain of both inverse branches."""
+    i1 = cone_image(sys, w1, y, c7)
+    i2 = cone_image(sys, w2, y, c7)
     return i1[1] < i2[0] or i2[1] < i1[0]
-
-
-def _iterate(sys: MarkovSystem, x: float, n: int):
-    z = np.array([float(x)])
-    for _ in range(n):
-        z = sys.apply_T(z)
-    return z
 
 
 def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512,
@@ -248,11 +190,12 @@ def _y_grid(sys: MarkovSystem, n: int, grid: int) -> np.ndarray:
     return np.unique(np.asarray(ys))
 
 
-def a_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
-               grid: int = 512, cap: int = 2_000_000) -> list[float]:
-    """a(n): worst total mu_sigma-Jacobian weight of preimages not
-    transversal to some x0, at the sigma of ``eig``."""
-    c7 = c7_constant(sys)["C7"]
+def _sequence(sys: MarkovSystem, eig: EigenData, n_max: int, grid: int,
+              cap: int, name: str, statistic) -> list[float]:
+    """max over y of statistic(lo, hi, w) on the tableau column of each y,
+    over its admissible preimages, for n = 1..n_max; a value above 1 + 1e-8
+    is an error, and the rest is capped at 1 + 1e-12."""
+    c7 = sys.constants.c7
     out = []
     for n in range(1, n_max + 1):
         word_array(sys, n, cap)  # enforce the cap before building the grid
@@ -261,52 +204,51 @@ def a_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
         worst = 0.0
         for col in range(lo.shape[1]):
             valid = ~np.isnan(wgt[:, col])
-            if not np.any(valid):
-                continue
-            l, h, w = lo[valid, col], hi[valid, col], wgt[valid, col]
-            order_l = np.argsort(l)
-            order_h = np.argsort(h)
-            ls, ws_l = l[order_l], np.concatenate([[0.0], np.cumsum(w[order_l])])
-            hs, ws_h = h[order_h], np.concatenate([[0.0], np.cumsum(w[order_h])])
-            total = float(np.sum(w))
-            # for each candidate x0: drop intervals strictly left/right of its
-            # own interval; what remains intersects it (closed intervals)
-            left = ws_h[np.searchsorted(hs, l, side="left")]
-            right = total - ws_l[np.searchsorted(ls, h, side="right")]
-            worst = max(worst, float(np.max(total - left - right)))
+            if np.any(valid):
+                worst = max(worst, statistic(lo[valid, col], hi[valid, col],
+                                             wgt[valid, col]))
         if worst > 1.0 + 1e-8:
-            raise AssertionError(f"a({n}) = {worst} exceeds 1")
+            raise AssertionError(f"{name}({n}) = {worst} exceeds 1")
         out.append(min(worst, 1.0 + 1e-12))
     return out
+
+
+def _non_transversal_weight(l, h, w) -> float:
+    """Largest total weight of the intervals [l, h] meeting one of them."""
+    order_l = np.argsort(l)
+    order_h = np.argsort(h)
+    ls, ws_l = l[order_l], np.concatenate([[0.0], np.cumsum(w[order_l])])
+    hs, ws_h = h[order_h], np.concatenate([[0.0], np.cumsum(w[order_h])])
+    total = float(np.sum(w))
+    # for each candidate x0: drop intervals strictly left/right of its
+    # own interval; what remains intersects it (closed intervals)
+    left = ws_h[np.searchsorted(hs, l, side="left")]
+    right = total - ws_l[np.searchsorted(ls, h, side="right")]
+    return float(np.max(total - left - right))
+
+
+def _stabbing_weight(l, h, w) -> float:
+    """Largest total weight of the intervals [l, h] through one point."""
+    # sweep: all openings at a coordinate fire before any closing
+    coords = np.concatenate([l, h])
+    deltas = np.concatenate([w, -w])
+    kind = np.concatenate([np.zeros(len(l)), np.ones(len(h))])
+    order = np.lexsort((kind, coords))
+    return float(np.max(np.cumsum(deltas[order])))
+
+
+def a_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
+               grid: int = 512, cap: int = 2_000_000) -> list[float]:
+    """a(n): worst total mu_sigma-Jacobian weight of preimages not
+    transversal to some x0, at the sigma of ``eig``."""
+    return _sequence(sys, eig, n_max, grid, cap, "a", _non_transversal_weight)
 
 
 def b_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
                grid: int = 512, cap: int = 2_000_000) -> list[float]:
     """b(n): worst stabbing number of the slope intervals, weighted by the
     inverse Jacobians of mu_sigma at the sigma of ``eig``."""
-    c7 = c7_constant(sys)["C7"]
-    out = []
-    for n in range(1, n_max + 1):
-        word_array(sys, n, cap)  # enforce the cap before building the grid
-        ys = _y_grid(sys, n, grid)
-        _, lo, hi, wgt = _preimage_tableau(sys, eig, n, ys, c7, cap)
-        worst = 0.0
-        for col in range(lo.shape[1]):
-            valid = ~np.isnan(wgt[:, col])
-            if not np.any(valid):
-                continue
-            l, h, w = lo[valid, col], hi[valid, col], wgt[valid, col]
-            # sweep: all openings at a coordinate fire before any closing
-            coords = np.concatenate([l, h])
-            deltas = np.concatenate([w, -w])
-            kind = np.concatenate([np.zeros(len(l)), np.ones(len(h))])
-            order = np.lexsort((kind, coords))
-            running = np.cumsum(deltas[order])
-            worst = max(worst, float(np.max(running)))
-        if worst > 1.0 + 1e-8:
-            raise AssertionError(f"b({n}) = {worst} exceeds 1")
-        out.append(min(worst, 1.0 + 1e-12))
-    return out
+    return _sequence(sys, eig, n_max, grid, cap, "b", _stabbing_weight)
 
 
 # -- coboundary test ---------------------------------------------------------------
@@ -349,8 +291,7 @@ def coboundary_test(sys: MarkovSystem, J_trunc: int = 40, tol: float = 1e-6,
     chain per element (greedy lowest admissible index); a second chain
     (greedy highest) provides an independent witness.
     """
-    lam, _ = _lam_rho(sys)
-    c4 = c4_constant(sys)
+    lam, c4 = sys.constants.lam, sys.constants.c4
     chains_lo = {e: _greedy_chain(sys, e, J_trunc, lowest=True)
                  for e in range(sys.m)}
     chains_hi = {e: _greedy_chain(sys, e, J_trunc, lowest=False)
@@ -399,8 +340,7 @@ def uni_from_transversality(sys: MarkovSystem, delta: float, b: float,
     B(y, Delta/|b|) intersected with the pair's domain."""
     if not (0 < delta < 1):
         raise ValueError("delta must be in (0,1)")
-    cs = c7_constant(sys)
-    c7, rho = cs["C7"], cs["rho"]
+    c7, rho = sys.constants.c7, sys.constants.rho
     if c7 == 0.0:
         return {"D": 0.0, "Delta": math.inf, "pass_rate": 0.0,
                 "no_pair_everywhere": True, "results": []}

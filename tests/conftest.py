@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gibbsflow.system import system_from_config
@@ -16,3 +17,15 @@ NL_DOUBLING = {
 @pytest.fixture(scope="session")
 def nl_doubling():
     return system_from_config(NL_DOUBLING)
+
+
+def itineraries(sys, x, n: int) -> np.ndarray:
+    """(len(x), n) array of symbol sequences along forward orbits."""
+    z = np.atleast_1d(np.asarray(x, dtype=float)).copy()
+    out = np.empty((len(z), n), dtype=int)
+    for j in range(n):
+        out[:, j] = sys.element_of(z)
+        if j < n - 1:
+            z = sys.apply_T(z)
+            z = np.where(z >= 1.0, np.nextafter(1.0, 0.0), np.maximum(z, 0.0))
+    return out

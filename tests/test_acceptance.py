@@ -16,8 +16,8 @@ from gibbsflow.gibbs import adapted_partition, cylinder_masses, gibbs_audit, sam
 from gibbsflow.operator import GridFunction, apply_L, eigendata
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.system import admissible_words, branch_chain, cylinders, validate
-from gibbsflow.uni import (a_sequence, b_sequence, c7_constant, coboundary_test,
-                           cone_image, psi, transversal)
+from gibbsflow.uni import (a_sequence, b_sequence, coboundary_test, cone_image,
+                           psi, transversal)
 
 # runtime budgets are on CPU time: the sandboxed runner throttles wall clock
 # by large, unpredictable factors
@@ -50,14 +50,15 @@ def eig_b(sys_b):
 
 
 def sibling_pairs(sys, n, y=0.5):
-    """Pairs (x1, x2) of distinct depth-n preimages of y."""
-    xs = []
+    """Pairs (w1, w2) of distinct depth-n words whose inverse branches are
+    defined at y: h_w1(y) and h_w2(y) are distinct depth-n preimages of y."""
+    ws = []
     for w in admissible_words(sys, n):
         lo, hi = sys.image_interval(w[-1])
         if lo <= y <= hi:
-            xs.append(float(branch_chain(sys, w, np.array([y]))["x"][0]))
-    return [(xs[i], xs[j]) for i in range(len(xs))
-            for j in range(i + 1, len(xs))]
+            ws.append(w)
+    return [(ws[i], ws[j]) for i in range(len(ws))
+            for j in range(i + 1, len(ws))]
 
 
 # -- 1: leading eigendata of the full shift, closed form ------------------------------
@@ -132,11 +133,11 @@ def test_trichotomy_oscillating_side(sys_b):
         assert coboundary_test(sys)["residual"] > 1e-5
         eig = eigendata(sys, 0.0, N=256)
         assert any(v < 1.0 - 1e-9 for v in a_sequence(sys, eig, 10))
-        c7 = c7_constant(sys)["C7"]
+        c7 = sys.constants.c7
         found = False
         for n in (2, 3, 4):
-            for x1, x2 in sibling_pairs(sys, n):
-                if transversal(sys, x1, x2, n, c7=c7):
+            for w1, w2 in sibling_pairs(sys, n):
+                if transversal(sys, w1, w2, 0.5, c7=c7):
                     found = True
                     break
             if found:
@@ -152,7 +153,7 @@ def test_sequence_and_cone_bounds(sys_b, sys_c, eig_b):
     t0 = cpu_now()
     eig_c = eigendata(sys_c, 0.0, N=256)
     for sys, eig in ((sys_b, eig_b), (sys_c, eig_c)):
-        c7 = c7_constant(sys)["C7"]
+        c7 = sys.constants.c7
         a = a_sequence(sys, eig, 8)
         b = b_sequence(sys, eig, 8)
         assert all(v <= 1 + 1e-9 for v in a + b)
@@ -162,9 +163,7 @@ def test_sequence_and_cone_bounds(sys_b, sys_c, eig_b):
 
         for n in (1, 2, 3):
             pairs = sibling_pairs(sys, n)
-            for x1, x2 in pairs[:20]:
-                w1 = tuple(int(s) for s in _itinerary(sys, x1, n)[0])
-                w2 = tuple(int(s) for s in _itinerary(sys, x2, n)[0])
+            for w1, w2 in pairs[:20]:
                 ps = psi(sys, w1, w2)
                 ys = np.linspace(ps.domain[0] + 1e-9, ps.domain[1] - 1e-9, 64)
                 assert np.max(np.abs(ps.deriv(ys))) <= c7 + 1e-9
@@ -175,14 +174,9 @@ def test_sequence_and_cone_bounds(sys_b, sys_c, eig_b):
                 ys = np.linspace(dom[0] + 1e-9, dom[1] - 1e-9, 16)
                 ch = branch_chain(sys, cyl.word, ys)
                 assert np.max(np.abs(ch["DSnr_h"])) <= 0.5 * c7 + 1e-9
-                lo, hi = cone_image(sys, float(ch["x"][0]), n, c7=c7)
+                lo, hi = cone_image(sys, cyl.word, ys[0], c7=c7)
                 assert -c7 - 1e-9 <= lo and hi <= c7 + 1e-9
     assert cpu_now() - t0 < 120.0
-
-
-def _itinerary(sys, x, n):
-    from gibbsflow.system import itineraries
-    return itineraries(sys, np.array([x]), n)
 
 
 # -- 6: cancellation witnesses and cone iteration -------------------------------------

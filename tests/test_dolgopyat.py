@@ -234,11 +234,10 @@ def _sweep_one_trial_at_a_time(sys, eig, b_list, B=1.0, trials=200,
     once it reaches 256 KiB, and that in-place product rounds differently
     in the last bit; the sum would then depend on the array size.
     """
-    from gibbsflow.dolgopyat import _lam_rho
     from gibbsflow.operator import (GridFunction, apply_L, c6_bound,
                                     lasota_yorke_audit, norm_b)
     rng = np.random.default_rng(seed)
-    lam, _ = _lam_rho(sys)
+    lam = sys.constants.lam
     results, all_ratios = [], []
     for b in b_list:
         ell = int(math.ceil(B * math.log(abs(b))))

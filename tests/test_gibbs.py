@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from conftest import itineraries
 from gibbsflow.gibbs import (
     BracketFailureError, FrequencyTooSmallError, _burn_in, adapted_partition,
     cylinder_masses, federer_audit, gibbs_audit, measure_of_interval,
@@ -11,7 +12,7 @@ from gibbsflow.gibbs import (
 )
 from gibbsflow.operator import eigendata
 from gibbsflow.presets import make_preset
-from gibbsflow.system import itineraries
+from gibbsflow.system import branch_chain
 
 N = 512
 
@@ -64,6 +65,30 @@ def test_gibbs_audit_sigma_one_constant_roof():
     rep = gibbs_audit(eig.system, eig, 5)
     assert rep["C5_lower"] > 1 - 1e-6
     assert rep["C5_upper"] < 1 + 1e-6
+
+
+def test_gibbs_audit_reference_point(nl_doubling):
+    # S_n(phi - sigma r) at x_omega = h_omega(midpoint of its domain),
+    # summed along the forward orbit of x_omega; on these nonlinear branches
+    # x_omega is not the cylinder midpoint, and the sums vary with omega, so
+    # a sum paired with another cylinder's mass fails too
+    sys = nl_doubling
+    eig = eigendata(sys, 0.5, N=256)
+    rep = gibbs_audit(sys, eig, 4)
+    for n in range(1, 5):
+        table = cylinder_masses(sys, eig, n)
+        ratios = []
+        for c, mass in zip(table.cylinders, table.masses):
+            y = 0.5 * sum(sys.image_interval(c.word[-1]))
+            z = branch_chain(sys, c.word, y)["x"]
+            s = 0.0
+            for _ in range(n):
+                s += float(sys.potential_at(z)[0]
+                           - eig.sigma * sys.roof_at(z)[0])
+                z = sys.apply_T(z)
+            ratios.append(mass / math.exp(-eig.pressure * n + s))
+        assert rep["per_depth"][n] == pytest.approx((min(ratios), max(ratios)),
+                                                    rel=1e-9)
 
 
 def test_gibbs_audit_bounded_sys_c(eig_c):
@@ -139,7 +164,7 @@ def _per_branch_sampler(sys, eig, count, seed):
         choice = np.minimum(choice, sys.m - 1)
         return ys[choice, np.arange(len(x))]
 
-    for _ in range(_burn_in(sys, eig)):
+    for _ in range(_burn_in(sys)):
         x = step(x)
     out = np.empty((per, chains))
     for k in range(per):
@@ -152,8 +177,8 @@ def _per_branch_sampler(sys, eig, count, seed):
 def test_burn_in_certifies_double_precision(nl_doubling):
     # ceil(53 / log2 inf|T'|): inf|T'| = 2 on SYS-B, 2 - 0.24 pi on NL-DOUBLING
     sys_b = make_preset("SYS-B")
-    assert _burn_in(sys_b, eigendata(sys_b, 0.0, N=256)) == 53
-    assert _burn_in(nl_doubling, eigendata(nl_doubling, 0.0, N=256)) == 168
+    assert _burn_in(sys_b) == 53
+    assert _burn_in(nl_doubling) == 168
 
 
 @pytest.mark.parametrize("count", [40, 3000])

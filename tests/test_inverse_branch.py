@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from conftest import NL_DOUBLING
 from gibbsflow.presets import make_preset, preset_names
-from gibbsflow.system import system_from_config
+from gibbsflow.system import OutsideImageError, system_from_config
 
 # a decreasing nonlinear branch: T(0) = 1, T(1/2) = 0, T' in [-2.63, -1.37]
 DECREASING = {
@@ -127,6 +127,21 @@ def test_slack_outside_the_image_returns_the_element_end(cfg):
     z = sys.inverse_branch(0, np.concatenate([inside, [hi + 4e-13, lo - 4e-13]]))
     assert z[-2:].tolist() == [b, a]
     assert np.array_equal(z[:-2], sys.inverse_branch(0, inside))
+
+
+@pytest.mark.parametrize("cfg", [make_preset("SYS-B").to_config(), NL_DOUBLING])
+def test_nan_is_outside_the_image(cfg):
+    # NaN fails every comparison, so it must fail the image check rather
+    # than reach Newton; the points inside the image keep their bits
+    sys = system_from_config(cfg)
+    lo, hi = sys.image_interval(0)
+    inside = lo + (hi - lo) * np.random.default_rng(3).random(1000)
+    before = sys.inverse_branch(0, inside)
+    for y in ([0.3, np.nan], [np.nan], [np.nan, 0.3, np.inf]):
+        with pytest.raises(OutsideImageError):
+            sys.inverse_branch(0, np.array(y))
+    assert np.array_equal(sys.inverse_branch(0, inside), before)
+    assert np.array_equal(before, system_from_config(cfg).inverse_branch(0, inside))
 
 
 # -- property test: random monotone nonlinear branches against bisection ---------

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -10,8 +11,8 @@ from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.system import (
     Branch, CapExceededError, NoConvergenceError, NotCoveringError,
     NotExpandingError, NotMarkovError, OutsideImageError, admissible_words,
-    birkhoff_sum, branch_chain, cylinders, pullback, system_from_config,
-    validate, word_array,
+    branch_chain, cylinders, pullback, system_from_config, validate,
+    word_array,
 )
 from gibbsflow.expr import parse
 
@@ -44,6 +45,50 @@ def test_sys_c_structure():
     # depth-2 words: 11,12,13 from symbol 0; 22,23 from symbol 1; 31,32 from 2
     words = sorted(c.word for c in cylinders(sys, 2))
     assert words == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)]
+
+
+def test_system_constants_sys_b_closed_forms():
+    # |T'| = 2, r = (2 + cos 2 pi x)/3: C4 = sup |r'| / 2 = pi/3, C7 =
+    # max{2 C4 rho / (1 - 1/lam), (1 - 1/lam) C4} = 8 pi/3, r in [1/3, 1]
+    c = make_preset("SYS-B").constants
+    assert c.lam == 2.0 and c.rho == 2.0
+    assert c.c4 == pytest.approx(math.pi / 3, abs=1e-6)
+    assert c.c7 == pytest.approx(8 * math.pi / 3, rel=1e-6)
+    assert c.roof_inf == pytest.approx(1 / 3, abs=1e-15)
+    assert c.roof_sup == pytest.approx(1.0, abs=1e-15)
+    assert c.monotone == (True, True)
+
+
+def test_system_constants_nl_doubling_closed_forms(nl_doubling):
+    # T' = 2 + 0.24 pi cos(2 pi x), extreme at the partition points 0, 1/2, 1
+    c = nl_doubling.constants
+    assert c.lam == pytest.approx(2 - 0.24 * math.pi, abs=1e-14)
+    assert c.rho == pytest.approx(2 + 0.24 * math.pi, abs=1e-14)
+
+
+def test_system_constants_constant_roof():
+    c = make_preset("SYS-A").constants
+    assert c.c4 == 0.0 and c.c7 == 0.0
+    assert c.semi_r == 0.0 and c.sup_dr == 0.0 and c.semi_dr == 0.0
+
+
+def test_system_constants_are_cached():
+    sys = make_preset("SYS-B")
+    assert sys.constants is sys.constants
+    # validate reads the same scan
+    rep = validate(sys)
+    c = sys.constants
+    assert (rep.expansion, rep.rho, rep.c4, rep.roof_inf, rep.roof_sup) == (
+        c.lam, c.rho, c.c4, c.roof_inf, c.roof_sup)
+
+
+@pytest.mark.parametrize("name", ["cli", "dolgopyat", "expr", "flow", "gibbs",
+                                  "operator", "presets", "system", "uni"])
+def test_every_export_resolves(name):
+    mod = importlib.import_module(f"gibbsflow.{name}")
+    assert len(mod.__all__) == len(set(mod.__all__))
+    missing = [n for n in mod.__all__ if not hasattr(mod, n)]
+    assert not missing
 
 
 def test_not_expanding_rejected():
@@ -117,14 +162,17 @@ def test_branch_chain_consistency():
     ys = np.linspace(0.05, 0.95, 11)
     ch = branch_chain(sys, word, ys)
     x = ch["x"]
-    # forward orbit of x reproduces y and the itinerary
+    # forward orbit of x reproduces y and the itinerary, and S_n r is the
+    # sum of r along it
     z = x.copy()
+    snr = np.zeros_like(x)
     for sym in word:
         assert np.all(sys.element_of(z) == sym)
+        snr += sys.roof_at(z)
         z = sys.apply_T(z)
     assert np.allclose(z, ys, atol=1e-10)
-    # S_n r matches birkhoff_sum; derivative matches finite differences
-    assert np.allclose(ch["Snr"], birkhoff_sum(sys, "roof", x, 4), atol=1e-10)
+    assert np.allclose(ch["Snr"], snr, atol=1e-10)
+    # derivative matches finite differences
     h = 1e-6
     chp = branch_chain(sys, word, ys + h)
     chm = branch_chain(sys, word, ys - h)
@@ -132,14 +180,19 @@ def test_branch_chain_consistency():
     assert np.allclose(ch["DSnr_h"], fd, rtol=1e-5, atol=1e-7)
 
 
-def test_birkhoff_sum_doubling():
+def test_pullback_orbit_sums_doubling():
     sys = make_preset("SYS-A")
-    assert birkhoff_sum(sys, "roof", 0.1, 5) == pytest.approx(5.0)
+    # orbit 0.1 -> 0.2 -> 0.4 -> 0.8 -> 0.6 -> 0.2: symbols 0, 0, 0, 1, 1
+    ch = branch_chain(sys, (0, 0, 0, 1, 1), 0.2)
+    assert ch["x"][0] == pytest.approx(0.1, abs=1e-15)
+    assert ch["Snr"][0] == pytest.approx(5.0)
     # potential log p / log (1-p): S_3 phi counts symbols
     sysb = make_preset("SYS-A-BERNOULLI")
-    x = 0.3  # orbit 0.3 -> 0.6 -> 0.2: symbols 0, 1, 0
+    # orbit 0.3 -> 0.6 -> 0.2 -> 0.4: symbols 0, 1, 0
+    ch = branch_chain(sysb, (0, 1, 0), 0.4)
+    assert ch["x"][0] == pytest.approx(0.3, abs=1e-15)
     expect = math.log(0.3) + math.log(0.7) + math.log(0.3)
-    assert birkhoff_sum(sysb, "potential", x, 3) == pytest.approx(expect, rel=1e-9)
+    assert ch["Snphi"][0] == pytest.approx(expect, rel=1e-9)
 
 
 def test_inverse_branch_refuses_point_outside_image():

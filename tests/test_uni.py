@@ -3,11 +3,10 @@ import pytest
 
 from gibbsflow.operator import eigendata
 from gibbsflow.presets import make_preset
-from gibbsflow.system import admissible_words, branch_chain
-from gibbsflow.uni import (EmptyDomainError, NotSiblingsError, a_sequence,
-                           b_sequence, c4_constant, c7_constant, c9_constant,
-                           check_uni, coboundary_test, cone_image, psi,
-                           transversal, uni_from_transversality)
+from gibbsflow.system import OutsideImageError, admissible_words, branch_chain
+from gibbsflow.uni import (EmptyDomainError, a_sequence, b_sequence,
+                           c9_constant, check_uni, coboundary_test, cone_image,
+                           psi, transversal, uni_from_transversality)
 
 
 @pytest.fixture(scope="module")
@@ -49,20 +48,19 @@ def eig_lin(sys_lin):
 
 
 def test_constant_roof_kills_c4_and_c7(sys_a):
-    cs = c7_constant(sys_a)
-    assert cs["C4"] == 0.0
-    assert cs["C7"] == 0.0
+    cs = sys_a.constants
+    assert cs.c4 == 0.0
+    assert cs.c7 == 0.0
 
 
 def test_sys_b_c4_closed_form(sys_b):
     # r = (2 + cos 2 pi x)/3, |r'| <= 2 pi / 3, |T'| = 2: C4 = pi/3
-    assert c4_constant(sys_b) == pytest.approx(np.pi / 3, rel=1e-6)
+    assert sys_b.constants.c4 == pytest.approx(np.pi / 3, rel=1e-6)
 
 
 def test_sys_b_c7_closed_form(sys_b):
     # max{2 C4 rho / (1 - 1/lam), (1 - 1/lam) C4} with lam = rho = 2
-    cs = c7_constant(sys_b)
-    assert cs["C7"] == pytest.approx(8 * np.pi / 3, rel=1e-6)
+    assert sys_b.constants.c7 == pytest.approx(8 * np.pi / 3, rel=1e-6)
 
 
 def test_c9_dominates_observed_holder_ratio(sys_b):
@@ -121,7 +119,7 @@ def test_psi_empty_domain_rejected():
 
 
 def test_psi_derivative_bounded_by_c7(sys_b):
-    c7 = c7_constant(sys_b)["C7"]
+    c7 = sys_b.constants.c7
     ys = np.linspace(0.0, 1.0, 200)
     for n in (1, 2, 3, 4):
         words = admissible_words(sys_b, n)
@@ -135,40 +133,44 @@ def test_psi_derivative_bounded_by_c7(sys_b):
 
 
 def test_cone_image_constant_roof_degenerate(sys_a):
-    lo, hi = cone_image(sys_a, 0.3, 4)
+    # at x = 0.3: orbit 0.3 -> 0.6 -> 0.2 -> 0.4 -> 0.8, symbols 0, 1, 0, 0
+    lo, hi = cone_image(sys_a, (0, 1, 0, 0), 0.8)
     assert lo == pytest.approx(0.0, abs=1e-15)
     assert hi == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cone_image_width_matches_jacobian(sys_b):
-    c7 = c7_constant(sys_b)["C7"]
-    lo, hi = cone_image(sys_b, 0.2, 3)
+    c7 = sys_b.constants.c7
+    # at x = 0.2: orbit 0.2 -> 0.4 -> 0.8 -> 0.6, symbols 0, 0, 1
+    lo, hi = cone_image(sys_b, (0, 0, 1), 0.6)
     assert hi - lo == pytest.approx(2 * c7 / 8, rel=1e-9)  # |DT^3| = 8
 
 
-def test_transversal_requires_siblings(sys_b):
-    with pytest.raises(NotSiblingsError):
-        transversal(sys_b, 0.1, 0.3, 1)
+def test_transversal_refuses_y_outside_a_domain(sys_c):
+    # the domain of h_(0,1) is the image [1/3, 1) of symbol 1; 0.1 lies in
+    # the domain [0, 2/3) of h_(0,2) only
+    with pytest.raises(OutsideImageError):
+        transversal(sys_c, (0, 1), (0, 2), 0.1)
+    with pytest.raises(OutsideImageError):
+        cone_image(sys_c, (0, 1), 0.1)
 
 
 def test_constant_roof_never_transversal(sys_a):
     # degenerate intervals {0} touch, and closed intervals touching are
-    # counted as non-transversal
-    assert transversal(sys_a, 0.2, 0.7, 1) is False
+    # counted as non-transversal; h_0(0.4) = 0.2 and h_1(0.4) = 0.7
+    assert transversal(sys_a, (0,), (1,), 0.4) is False
 
 
 def test_sys_b_has_a_transversal_sibling_pair(sys_b):
-    c7 = c7_constant(sys_b)["C7"]
+    c7 = sys_b.constants.c7
     found = False
     for n in (3, 4, 5):
         ys = np.linspace(0.05, 0.95, 7)
         for y in ys:
             words = admissible_words(sys_b, n)
-            xs = [float(branch_chain(sys_b, w, np.array([y]))["x"][0])
-                  for w in words]
-            for i in range(len(xs)):
-                for j in range(i + 1, len(xs)):
-                    if transversal(sys_b, xs[i], xs[j], n, c7):
+            for i in range(len(words)):
+                for j in range(i + 1, len(words)):
+                    if transversal(sys_b, words[i], words[j], y, c7):
                         found = True
     assert found
 
@@ -297,7 +299,7 @@ def test_tableau_weights_are_mu_sigma_jacobians(sys_b):
     eig = eigendata(sys_b, 0.5, N=256)
     ys = np.linspace(1e-9, 1 - 1e-9, 37)
     words, _, _, wgt = _preimage_tableau(sys_b, eig, 4, ys,
-                                         c7_constant(sys_b)["C7"])
+                                         sys_b.constants.c7)
     ref = np.full(wgt.shape, np.nan)
     for row, word in enumerate(words.tolist()):
         lo, hi = sys_b.image_interval(word[-1])
