@@ -25,7 +25,7 @@ from .gibbs import adapted_partition
 from .operator import (EigenData, GridFunction, _ElementwisePchip, apply_L,
                        c6_bound, deep_apply, eigendata, hoelder_seminorm,
                        lasota_yorke_audit, norm_b)
-from .system import MarkovSystem, branch_chain, word_array
+from .system import MarkovSystem, branch_chain, sampled_seminorm, word_array
 from .uni import transversal_pair
 
 __all__ = [
@@ -126,6 +126,10 @@ def in_cone_b(pair: ConeBPair, grid: int = 2048, samples: int = 4096,
 
         u > 0,  |v| <= u,  |log u|_alpha <= C0|b|^a,
         |v(x) - v(y)| <= C0|b|^a u(y) d(x,y)^a  on sampled pairs.
+
+    All four are read at ``grid`` points per element; |log u|_alpha is their
+    ``sampled_seminorm``, and the v-condition is checked on adjacent pairs plus
+    ``samples`` random pairs.
     """
     sys = system if system is not None else pair.u.system
     a = sys.alpha
@@ -143,15 +147,11 @@ def in_cone_b(pair: ConeBPair, grid: int = 2048, samples: int = 4096,
         m_pos = min(m_pos, float(u.min()))
         m_dom = min(m_dom, float(np.min(u - np.abs(v))))
         if u.min() > 0:
-            lg = np.log(u)
-            d = np.abs(np.diff(lg)) / np.diff(xs) ** a
-            m_logu = min(m_logu, K - float(d.max()))
+            m_logu = min(m_logu, K - sampled_seminorm(xs, np.log(u), a))
             i = rng.integers(0, grid, samples)
             j = rng.integers(0, grid, samples)
             keep = i != j
             i, j = i[keep], j[keep]
-            q = np.abs(lg[i] - lg[j]) / np.abs(xs[i] - xs[j]) ** a
-            m_logu = min(m_logu, K - float(q.max()))
             gap = K * u[j] * np.abs(xs[i] - xs[j]) ** a - np.abs(v[i] - v[j])
             adj = K * u[1:] * np.diff(xs) ** a - np.abs(np.diff(v))
             m_vh = min(m_vh, float(gap.min()), float(adj.min()))
@@ -501,10 +501,9 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
             margins["positivity"] = min(margins["positivity"], float(uu.min()))
             margins["dominates_v"] = min(margins["dominates_v"],
                                          float(np.min(uu - vv)))
-            lg = np.log(uu)
-            sl = np.abs(np.diff(lg)) / np.diff(xs) ** a
-            margins["log_u_hoelder"] = min(margins["log_u_hoelder"],
-                                           K - float(sl.max()))
+            margins["log_u_hoelder"] = min(
+                margins["log_u_hoelder"],
+                K - sampled_seminorm(xs, np.log(uu), a))
         trace.append({
             "m": m, "int_u2": int_u2_next, "tau_hat": tau_hat,
             "I": I_next, "J": J_next, "margins": margins,

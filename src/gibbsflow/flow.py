@@ -69,9 +69,6 @@ class FlowSample:
     def __len__(self):
         return len(self.xs)
 
-    def __getitem__(self, i) -> FlowPoint:
-        return FlowPoint(float(self.xs[i]), float(self.us[i]))
-
 
 def sample_flow_measure(sys: MarkovSystem, eig: EigenData, count: int,
                         seed: int) -> FlowSample:

@@ -38,12 +38,6 @@ class CylinderMeasureTable:
     masses: np.ndarray
     pressure: float
 
-    def mass(self, word: tuple[int, ...]) -> float:
-        for c, m in zip(self.cylinders, self.masses):
-            if c.word == word:
-                return float(m)
-        raise KeyError(word)
-
     @property
     def total(self) -> float:
         return float(self.masses.sum())

@@ -27,12 +27,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import PchipInterpolator, PPoly
 
-from .system import MarkovSystem, NoConvergenceError, pullback, word_array
+from .system import (_SCAN, MarkovSystem, NoConvergenceError, pullback,
+                     sampled_seminorm, word_array)
 
 __all__ = [
     "GridFunction", "EigenData", "NoConvergenceError",
     "node_grid", "grid_function_from_callable", "transfer_matrix",
-    "eigendata", "apply_P", "apply_L", "hoelder_seminorm", "norm_b",
+    "eigendata", "apply_L", "hoelder_seminorm", "norm_b",
     "c6_bound", "lasota_yorke_audit", "deep_apply",
 ]
 
@@ -263,13 +264,6 @@ def eigendata(sys: MarkovSystem, sigma: float, N: int = 1024,
                      iterations=it1 + it2, matrix=M)
 
 
-def apply_P(sys: MarkovSystem, s: complex, v: GridFunction) -> GridFunction:
-    """One application of P_s; same linear-interpolation rule as the matrix."""
-    M = transfer_matrix(sys, s, v.N)
-    out = (M @ v.values.reshape(-1)).reshape(sys.m, v.N)
-    return v.copy_with(out)
-
-
 def apply_L(eig: EigenData, b: float, v: GridFunction, n: int = 1) -> GridFunction:
     """n-fold application of the normalised twisted operator L_{sigma+ib}.
 
@@ -288,30 +282,17 @@ def apply_L(eig: EigenData, b: float, v: GridFunction, n: int = 1) -> GridFuncti
 # -- norms ---------------------------------------------------------------------
 
 
-def hoelder_seminorm(v: GridFunction, alpha: float | None = None,
-                     random_pairs: int = 10_000, seed: int = 0):
-    """C^alpha seminorm within partition elements (adjacent + random pairs).
+def hoelder_seminorm(v: GridFunction, alpha: float | None = None):
+    """C^alpha seminorm within partition elements: the largest
+    ``sampled_seminorm`` of an element's node values.
 
-    For a block, the array of the column seminorms: every column sees the
-    same random pairs, so each equals the seminorm of that column alone.
+    For a block, the array of the column seminorms, each equal to the
+    seminorm of that column alone.
     """
-    sys = v.system
-    a = sys.alpha if alpha is None else alpha
-    vals = v.values.reshape(v.values.shape[:2] + (-1,))
-    best = np.zeros(vals.shape[2])
-    rng = np.random.default_rng(seed)
-    for e in range(sys.m):
-        xs, vs = v.nodes[e], vals[e]
-        d = np.abs(np.diff(vs, axis=0)) / (np.abs(np.diff(xs)) ** a)[:, None]
-        best = np.maximum(best, d.max(axis=0))
-        n = len(xs)
-        i = rng.integers(0, n, random_pairs)
-        j = rng.integers(0, n, random_pairs)
-        keep = i != j
-        i, j = i[keep], j[keep]
-        q = np.abs(vs[i] - vs[j]) / (np.abs(xs[i] - xs[j]) ** a)[:, None]
-        best = np.maximum(best, q.max(axis=0))
-    return float(best[0]) if v.values.ndim == 2 else best
+    a = v.system.alpha if alpha is None else alpha
+    best = np.max([sampled_seminorm(v.nodes[e], v.values[e], a)
+                   for e in range(v.system.m)], axis=0)
+    return float(best) if v.values.ndim == 2 else best
 
 
 def norm_b(v: GridFunction, b: float, alpha: float | None = None):
@@ -321,33 +302,21 @@ def norm_b(v: GridFunction, b: float, alpha: float | None = None):
     return hoelder_seminorm(v, a) / (1.0 + abs(b) ** a) + v.sup_norm()
 
 
-def _piecewise_seminorm(sys: MarkovSystem, fn, alpha: float, grid: int = 2048) -> float:
-    best = 0.0
-    for e in range(sys.m):
-        xs = np.linspace(*sys.element_interval(e), grid)
-        vs = fn(e, xs)
-        d = np.abs(np.diff(vs)) / np.diff(xs) ** alpha
-        best = max(best, float(np.max(d)))
-        # coarse long-range pairs
-        step = max(1, grid // 64)
-        sub = np.arange(0, grid, step)
-        q = np.abs(vs[sub][:, None] - vs[sub][None, :])
-        dx = np.abs(xs[sub][:, None] - xs[sub][None, :]) ** alpha
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(dx > 0, q / dx, 0.0)
-        best = max(best, float(np.max(q)))
-    return best
-
-
 def c6_bound(eig: EigenData, lam_expansion: float) -> float:
     """A priori bound on sup f / inf f products used by the Gibbs estimates:
 
         exp(|phi - sigma r|_alpha / (1 - lam^-alpha)) * sup f * sup 1/f
+
+    with |phi - sigma r|_alpha the ``sampled_seminorm`` of phi - sigma r at
+    _SCAN equally spaced points per element.
     """
     sys = eig.system
     a = sys.alpha
-    semi = _piecewise_seminorm(
-        sys, lambda e, xs: sys._phi[e](x=xs) - eig.sigma * sys._r[e](x=xs) + 0 * xs, a)
+    semi = 0.0
+    for e in range(sys.m):
+        xs = np.linspace(*sys.element_interval(e), _SCAN)
+        g = sys._phi[e](x=xs) - eig.sigma * sys._r[e](x=xs) + 0 * xs
+        semi = max(semi, sampled_seminorm(xs, g, a))
     diam = 1.0  # the interval J = [0, 1]
     fmax = float(eig.f.values.max())
     fmin = float(eig.f.values.min())

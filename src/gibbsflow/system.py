@@ -19,7 +19,8 @@ range of element indices that the branch maps onto.
 The constants every estimate runs on (lam = inf|T'|, rho = sup|T'|, C4,
 C7, the roof range and the Hoelder seminorms of phi, r and r') come from
 one scan of the system, cached as ``MarkovSystem.constants``; no other
-module scans the expressions for them.
+module scans the expressions for them.  Every Hoelder seminorm of sampled
+values, there and in the other modules, is one ``sampled_seminorm``.
 
 Inverse branches of every depth are computed by one engine, ``pullbacks``:
 words are built by prepending symbols, h_{iw} = h_i o h_w, and each depth
@@ -43,7 +44,7 @@ __all__ = [
     "NotCoveringError", "RoofBoundsError", "CapExceededError",
     "OutsideImageError", "NoConvergenceError", "system_from_config",
     "validate", "cylinders", "admissible_words", "word_array", "pullbacks",
-    "pullback", "branch_chain",
+    "pullback", "branch_chain", "sampled_seminorm",
 ]
 
 
@@ -51,6 +52,10 @@ __all__ = [
 _INVERSE_NODES = 4097
 # equally spaced points per element of the scan behind MarkovSystem.constants
 _SCAN = 2048
+# evenly spaced sample indices, ends included, whose pairs sampled_seminorm
+# takes all of, and those pairs (i < j) as positions among the indices
+_COARSE = 65
+_COARSE_PAIRS = np.triu_indices(_COARSE, 1)
 
 
 class NotMarkovError(ValueError):
@@ -116,8 +121,8 @@ class SystemConstants:
         c4                  sup |D(r o h)| = sup |r'| / |T'| over the
                             inverse branches h
         roof_inf, roof_sup  inf r and sup r
-        semi_phi, semi_r    alpha-Hoelder seminorms of phi and r, from
-                            neighbouring points within an element
+        semi_phi, semi_r    alpha-Hoelder seminorms of phi and r within
+                            an element (``sampled_seminorm``)
         sup_dr, semi_dr     sup |r'| and the alpha-Hoelder seminorm of r'
         monotone            per branch: T' never takes both signs
     """
@@ -237,14 +242,8 @@ class MarkovSystem:
     def apply_T(self, x):
         return self._piecewise(self._T, x)
 
-    def d_T(self, x):
-        return self._piecewise(self._dT, x)
-
     def roof_at(self, x):
         return self._piecewise(self._r, x)
-
-    def d_roof_at(self, x):
-        return self._piecewise(self._dr, x)
 
     def potential_at(self, x):
         return self._piecewise(self._phi, x)
@@ -380,6 +379,33 @@ def system_from_config(cfg: dict) -> MarkovSystem:
 # -- constants and validation -------------------------------------------------
 
 
+def sampled_seminorm(xs, vals, alpha: float):
+    """alpha-Hoelder seminorm of the samples vals at the points xs of one
+    element: the largest |v_i - v_j| / |x_i - x_j|^alpha over adjacent
+    pairs and over all pairs of _COARSE evenly spaced indices, both ends
+    included.
+
+    At alpha = 1 the adjacent pairs give the exact seminorm of the samples,
+    since a longer difference quotient is a weighted mean of adjacent ones;
+    at alpha < 1 the coarse pairs catch the long-range quotients.  vals may
+    carry trailing columns, and then the result is the array of the column
+    seminorms, each with the bits of that column alone.
+    """
+    xs = np.asarray(xs, dtype=float)
+    vals = np.asarray(vals)
+    n = len(xs)
+    k = min(n, _COARSE)
+    sub = np.arange(k) * (n - 1) // (k - 1)
+    pairs = _COARSE_PAIRS if k == _COARSE else np.triu_indices(k, 1)
+    i, j = sub[pairs[0]], sub[pairs[1]]
+    col = (-1,) + (1,) * (vals.ndim - 1)  # spread over trailing columns
+    dx = (np.abs(np.diff(xs)) ** alpha).reshape(col)
+    adj = np.abs(np.diff(vals, axis=0)) / dx
+    far = np.abs(vals[j] - vals[i]) / (np.abs(xs[j] - xs[i]) ** alpha).reshape(col)
+    best = np.maximum(adj.max(axis=0), far.max(axis=0))
+    return float(best) if vals.ndim == 1 else best
+
+
 def _scan_constants(sys: MarkovSystem) -> SystemConstants:
     """The one scan behind ``MarkovSystem.constants``."""
     lam, rho, c4 = np.inf, 0.0, 0.0
@@ -388,7 +414,6 @@ def _scan_constants(sys: MarkovSystem) -> SystemConstants:
     monotone = []
     for i in range(sys.m):
         xs = np.linspace(*sys.element_interval(i), _SCAN)
-        dx = np.diff(xs) ** sys.alpha
         dT, dr, r, phi = (f[i](x=xs) + 0.0 * xs
                           for f in (sys._dT, sys._dr, sys._r, sys._phi))
         monotone.append(not (np.any(dT > 0) and np.any(dT < 0)))
@@ -399,10 +424,10 @@ def _scan_constants(sys: MarkovSystem) -> SystemConstants:
             c4 = max(c4, float(np.max(np.abs(dr) / absdT)))
         r_inf = min(r_inf, float(r.min()))
         r_sup = max(r_sup, float(r.max()))
-        semi_phi = max(semi_phi, float(np.max(np.abs(np.diff(phi)) / dx)))
-        semi_r = max(semi_r, float(np.max(np.abs(np.diff(r)) / dx)))
+        semi_phi = max(semi_phi, sampled_seminorm(xs, phi, sys.alpha))
+        semi_r = max(semi_r, sampled_seminorm(xs, r, sys.alpha))
         sup_dr = max(sup_dr, float(np.max(np.abs(dr))))
-        semi_dr = max(semi_dr, float(np.max(np.abs(np.diff(dr)) / dx)))
+        semi_dr = max(semi_dr, sampled_seminorm(xs, dr, sys.alpha))
     return SystemConstants(lam=lam, rho=rho, c4=c4, roof_inf=r_inf,
                            roof_sup=r_sup, semi_phi=semi_phi, semi_r=semi_r,
                            sup_dr=sup_dr, semi_dr=semi_dr,
@@ -415,14 +440,13 @@ def validate(sys: MarkovSystem, raise_on_fail: bool = True) -> ValidationReport:
     Verifies: expansion inf|T'| > 1, branch monotonicity, Markov property
     (branch endpoints land on breakpoints of the declared image), covering
     (some power of the transition matrix is strictly positive), roof bounds
-    0 < inf r <= sup r <= 1, and estimates the distortion constant of
-    inverse-branch derivatives.  lam, rho, C4 and the roof range are read
-    from ``sys.constants``.
+    0 < inf r <= sup r <= 1, and estimates the distortion constant C2 of
+    inverse-branch derivatives (NaN when some branch is not monotone).
+    lam, rho, C4 and the roof range are read from ``sys.constants``.  A
+    failed check raises its named error, or with ``raise_on_fail`` False
+    is reported in ``messages``.
     """
     c = sys.constants
-    if not all(c.monotone):
-        raise NotExpandingError(
-            f"branch {c.monotone.index(False)} is not monotone")
     msgs: list[str] = []
     markov_res = 0.0
     for i in range(sys.m):
@@ -439,6 +463,10 @@ def validate(sys: MarkovSystem, raise_on_fail: bool = True) -> ValidationReport:
             raise exc(msg)
         msgs.append(msg)
 
+    monotone = all(c.monotone)
+    if not monotone:
+        fail(NotExpandingError,
+             f"branch {c.monotone.index(False)} is not monotone")
     if c.lam <= 1.0:
         fail(NotExpandingError, f"inf |T'| = {c.lam} <= 1")
     if markov_res > 1e-9:
@@ -461,9 +489,10 @@ def validate(sys: MarkovSystem, raise_on_fail: bool = True) -> ValidationReport:
              "transition matrix has no strictly positive power")
 
     # distortion of inverse-branch derivatives at small depths:
-    # sup |Dh_n(x) - Dh_n(y)| / (|Dh_n(x)| d(x,y)^alpha)
-    c2 = 0.0
-    for depth in (1, 2, 3):
+    # sup |Dh_n(x) - Dh_n(y)| / (|Dh_n(x)| d(x,y)^alpha); NaN when some
+    # branch is not monotone, since its inverse is undefined
+    c2 = 0.0 if monotone else np.nan
+    for depth in (1, 2, 3) if monotone else ():
         for cyl in cylinders(sys, depth):
             dom = sys.image_interval(cyl.word[-1])  # the domain of h_word
             ys = np.linspace(dom[0], dom[1], 64)

@@ -101,6 +101,18 @@ def test_validate_audit_failure_exits_2(tmp_path):
     assert any("roof" in m for m in rep["messages"])
 
 
+def test_validate_non_monotone_branch_exits_2(tmp_path):
+    cfg = make_preset("SYS-A").to_config()
+    cfg["branches"][0]["expr"] = "8*x*(1-2*x)"
+    p = write_cfg(tmp_path / "c.json",
+                  {"system": cfg, "experiment": "validate"})
+    out = tmp_path / "out"
+    assert run(p, out_dir=str(out)) == 2
+    rep = json.loads((out / "validate.json").read_text())
+    assert not rep["ok"]
+    assert "branch 0 is not monotone" in rep["messages"]
+
+
 def test_preset_flag_overrides_config_system(tmp_path):
     cfg = make_preset("SYS-B").to_config()
     p = write_cfg(tmp_path / "c.json",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gibbsflow.operator import (
-    GridFunction, apply_L, apply_P, c6_bound, deep_apply, eigendata,
+    GridFunction, apply_L, c6_bound, deep_apply, eigendata,
     grid_function_from_callable, hoelder_seminorm, lasota_yorke_audit,
     node_grid, norm_b,
 )
@@ -49,8 +49,8 @@ def test_bernoulli_eigenvalue():
 
 
 def test_eigen_residual_at_nodes(eig_b):
-    Pf = apply_P(eig_b.system, eig_b.sigma, eig_b.f)
-    rel = np.max(np.abs(Pf.values - eig_b.lam * eig_b.f.values)) / eig_b.lam
+    f = eig_b.f.values.reshape(-1)
+    rel = np.max(np.abs(eig_b.matrix @ f - eig_b.lam * f)) / eig_b.lam
     assert rel < 1e-8
 
 
@@ -124,6 +124,39 @@ def test_c6_bound_dominates(eig_b):
     assert c6 < 50
 
 
+def _old_piecewise_seminorm(sys, fn, alpha, grid=2048):
+    """The recipe c6_bound used before the shared seminorm helper: adjacent
+    pairs plus all pairs of every 32nd point, per element."""
+    best = 0.0
+    for e in range(sys.m):
+        xs = np.linspace(*sys.element_interval(e), grid)
+        vs = fn(e, xs)
+        d = np.abs(np.diff(vs)) / np.diff(xs) ** alpha
+        best = max(best, float(np.max(d)))
+        sub = np.arange(0, grid, max(1, grid // 64))
+        q = np.abs(vs[sub][:, None] - vs[sub][None, :])
+        dx = np.abs(xs[sub][:, None] - xs[sub][None, :]) ** alpha
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.where(dx > 0, q / dx, 0.0)
+        best = max(best, float(np.max(q)))
+    return best
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 0.5])
+def test_c6_bound_takes_the_seminorm_of_the_difference(nl_doubling, sigma):
+    # |phi - sigma r|_alpha is sampled as one function: the triangle bound
+    # |phi|_alpha + |sigma| |r|_alpha is 4.65 instead of 0.80 at sigma = -1
+    sys = nl_doubling
+    eig = eigendata(sys, sigma, N=256)
+    lam, a = sys.constants.lam, sys.alpha
+    semi = _old_piecewise_seminorm(
+        sys, lambda e, xs: sys._phi[e](x=xs) - sigma * sys._r[e](x=xs) + 0 * xs,
+        a)
+    fmax, fmin = float(eig.f.values.max()), float(eig.f.values.min())
+    want = float(np.exp(semi / (1.0 - lam ** (-a))) * fmax / fmin)
+    assert c6_bound(eig, lam) == want
+
+
 def test_lasota_yorke_audit_bounded(eig_b):
     rep = lasota_yorke_audit(eig_b, b=16.0, lam_expansion=2.0,
                              n_values=(1, 2, 3, 4), trials=8)
@@ -186,8 +219,24 @@ def test_deep_apply_twist_phase_exact():
     assert np.max(np.abs(out["v"] - np.exp(-1j * b * n))) < 1e-12
 
 
-def _hoelder_one_function(v, a, random_pairs=10_000, seed=0):
-    """The seminorm of a single function, as a scalar loop over elements."""
+def _hoelder_one_function(v, a):
+    """The seminorm of a single function, as a loop over elements: adjacent
+    nodes, and all pairs of 65 evenly spaced nodes, both ends included."""
+    best = 0.0
+    for e in range(v.system.m):
+        xs, vs = v.nodes[e], v.values[e]
+        d = np.abs(np.diff(vs)) / np.abs(np.diff(xs)) ** a
+        best = max(best, float(d.max()))
+        sub = [k * (len(xs) - 1) // 64 for k in range(65)]
+        q = np.abs(vs[sub][:, None] - vs[sub][None, :])
+        dx = np.abs(xs[sub][:, None] - xs[sub][None, :]) ** a
+        best = max(best, float(np.max(q[dx > 0] / dx[dx > 0])))
+    return best
+
+
+def _hoelder_random_pairs(v, a, random_pairs=10_000, seed=0):
+    """Adjacent nodes plus random pairs: the estimate before the shared
+    seminorm helper."""
     best = 0.0
     rng = np.random.default_rng(seed)
     for e in range(v.system.m):
@@ -219,6 +268,9 @@ def test_norms_of_a_block_equal_the_column_norms(eig_b):
         v = GridFunction(sys, vals)
         assert semis[k] == hoelder_seminorm(v) == _hoelder_one_function(
             v, sys.alpha)
+        # at alpha = 1 a random pair's quotient is a mean of adjacent ones
+        assert sys.alpha == 1.0
+        assert _hoelder_random_pairs(v, 1.0) <= np.nextafter(semis[k], np.inf)
         assert norms[k] == norm_b(v, b)
         assert np.array_equal(images.values[..., k],
                               apply_L(eig_b, b, v, 3).values)

@@ -11,8 +11,8 @@ from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.system import (
     Branch, CapExceededError, NoConvergenceError, NotCoveringError,
     NotExpandingError, NotMarkovError, OutsideImageError, admissible_words,
-    branch_chain, cylinders, pullback, system_from_config, validate,
-    word_array,
+    branch_chain, cylinders, pullback, sampled_seminorm, system_from_config,
+    validate, word_array,
 )
 from gibbsflow.expr import parse
 
@@ -72,6 +72,41 @@ def test_system_constants_constant_roof():
     assert c.semi_r == 0.0 and c.sup_dr == 0.0 and c.semi_dr == 0.0
 
 
+def test_system_constants_seminorm_below_one_sees_long_pairs():
+    # r(0) = 1 and r(1/2) = 1/3 on one element of SYS-B, so at alpha = 1/2
+    # |r|_alpha >= (2/3) / sqrt(1/2); adjacent pairs alone give 0.033
+    cfg = make_preset("SYS-B").to_config()
+    cfg["alpha"] = 0.5
+    c = system_from_config(cfg).constants
+    assert c.semi_r >= (2 / 3) / math.sqrt(0.5)
+
+
+def _brute_force_seminorm(xs, vals, alpha):
+    i, j = np.triu_indices(len(xs), 1)
+    return float(np.max(np.abs(vals[j] - vals[i])
+                        / np.abs(xs[j] - xs[i]) ** alpha))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 65, 66, 130, 200])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_sampled_seminorm_against_all_pairs(n, kind):
+    rng = np.random.default_rng(n)
+    xs = np.sort(rng.uniform(0.0, 1.0, n))
+    vals = rng.normal(size=n)
+    if kind == "complex":
+        vals = vals + 1j * rng.normal(size=n)
+    # at alpha = 1 the adjacent pairs already give the maximum over all pairs
+    brute = _brute_force_seminorm(xs, vals, 1.0)
+    assert sampled_seminorm(xs, vals, 1.0) == pytest.approx(brute, rel=1e-12)
+    adjacent = float(np.max(np.abs(np.diff(vals)) / np.diff(xs) ** 0.5))
+    half = sampled_seminorm(xs, vals, 0.5)
+    assert adjacent <= half <= _brute_force_seminorm(xs, vals, 0.5)
+    # trailing columns: one seminorm per column, each with its own bits
+    block = np.stack([vals, 2 * vals, vals[::-1]], axis=-1)
+    want = [sampled_seminorm(xs, block[:, k], 0.5) for k in range(3)]
+    assert sampled_seminorm(xs, block, 0.5).tolist() == want
+
+
 def test_system_constants_are_cached():
     sys = make_preset("SYS-B")
     assert sys.constants is sys.constants
@@ -99,6 +134,16 @@ def test_not_expanding_rejected():
 def test_not_markov_rejected():
     with pytest.raises(NotMarkovError):
         validate(_bad_system("2*x+1/10", (0, 2)))
+
+
+def test_non_monotone_branch_reported():
+    sys = _bad_system("8*x*(1-2*x)", (0, 2))
+    with pytest.raises(NotExpandingError, match="branch 0 is not monotone"):
+        validate(sys)
+    rep = validate(sys, raise_on_fail=False)
+    assert not rep.ok
+    assert "branch 0 is not monotone" in rep.messages
+    assert math.isnan(rep.c2)
 
 
 def _bad_system(expr0, image0):
