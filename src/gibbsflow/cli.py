@@ -172,7 +172,8 @@ def _write_csv(path: Path, header, rows) -> None:
 def _run_validate(sys_, params, out, seed):
     rep = validate(sys_, raise_on_fail=False)
     summary = {
-        "lambda": rep.expansion, "rho": rep.rho, "C2": rep.c2, "C4": rep.c4,
+        "lambda": rep.expansion, "rho": rep.rho, "C4": rep.c4,
+        "C2": None if math.isnan(rep.c2) else rep.c2,  # NaN is not JSON
         "roof_inf": rep.roof_inf, "roof_sup": rep.roof_sup,
         "markov_residual": rep.markov_residual,
         "covering_power": rep.covering_power,

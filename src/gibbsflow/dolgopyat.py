@@ -129,7 +129,8 @@ def in_cone_b(pair: ConeBPair, grid: int = 2048, samples: int = 4096,
 
     All four are read at ``grid`` points per element; |log u|_alpha is their
     ``sampled_seminorm``, and the v-condition is checked on adjacent pairs plus
-    ``samples`` random pairs.
+    ``samples`` random pairs.  At alpha < 1 that seminorm can read low, and
+    the log-u margin high (see ``sampled_seminorm``).
     """
     sys = system if system is not None else pair.u.system
     a = sys.alpha

@@ -27,8 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import PchipInterpolator, PPoly
 
-from .system import (_SCAN, MarkovSystem, NoConvergenceError, pullback,
-                     sampled_seminorm, word_array)
+from .system import (MarkovSystem, NoConvergenceError, potential_seminorm,
+                     pullback, sampled_seminorm, word_array)
 
 __all__ = [
     "GridFunction", "EigenData", "NoConvergenceError",
@@ -284,7 +284,8 @@ def apply_L(eig: EigenData, b: float, v: GridFunction, n: int = 1) -> GridFuncti
 
 def hoelder_seminorm(v: GridFunction, alpha: float | None = None):
     """C^alpha seminorm within partition elements: the largest
-    ``sampled_seminorm`` of an element's node values.
+    ``sampled_seminorm`` of an element's node values, which at alpha < 1
+    can read low.
 
     For a block, the array of the column seminorms, each equal to the
     seminorm of that column alone.
@@ -307,16 +308,11 @@ def c6_bound(eig: EigenData, lam_expansion: float) -> float:
 
         exp(|phi - sigma r|_alpha / (1 - lam^-alpha)) * sup f * sup 1/f
 
-    with |phi - sigma r|_alpha the ``sampled_seminorm`` of phi - sigma r at
-    _SCAN equally spaced points per element.
+    with |phi - sigma r|_alpha the system's ``potential_seminorm``.
     """
     sys = eig.system
     a = sys.alpha
-    semi = 0.0
-    for e in range(sys.m):
-        xs = np.linspace(*sys.element_interval(e), _SCAN)
-        g = sys._phi[e](x=xs) - eig.sigma * sys._r[e](x=xs) + 0 * xs
-        semi = max(semi, sampled_seminorm(xs, g, a))
+    semi = potential_seminorm(sys, eig.sigma)
     diam = 1.0  # the interval J = [0, 1]
     fmax = float(eig.f.values.max())
     fmin = float(eig.f.values.min())

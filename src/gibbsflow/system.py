@@ -44,7 +44,7 @@ __all__ = [
     "NotCoveringError", "RoofBoundsError", "CapExceededError",
     "OutsideImageError", "NoConvergenceError", "system_from_config",
     "validate", "cylinders", "admissible_words", "word_array", "pullbacks",
-    "pullback", "branch_chain", "sampled_seminorm",
+    "pullback", "branch_chain", "sampled_seminorm", "potential_seminorm",
 ]
 
 
@@ -53,9 +53,8 @@ _INVERSE_NODES = 4097
 # equally spaced points per element of the scan behind MarkovSystem.constants
 _SCAN = 2048
 # evenly spaced sample indices, ends included, whose pairs sampled_seminorm
-# takes all of, and those pairs (i < j) as positions among the indices
+# takes all of
 _COARSE = 65
-_COARSE_PAIRS = np.triu_indices(_COARSE, 1)
 
 
 class NotMarkovError(ValueError):
@@ -387,23 +386,36 @@ def sampled_seminorm(xs, vals, alpha: float):
 
     At alpha = 1 the adjacent pairs give the exact seminorm of the samples,
     since a longer difference quotient is a weighted mean of adjacent ones;
-    at alpha < 1 the coarse pairs catch the long-range quotients.  vals may
-    carry trailing columns, and then the result is the array of the column
-    seminorms, each with the bits of that column alone.
+    at alpha < 1 the coarse pairs catch the long-range quotients, but a
+    worst pair between the adjacent scale and the coarse spacing is missed,
+    so there it can read below an estimate over many random pairs: 6 %
+    below on sin(32 pi x) at 2049 points of [0, 1/2] at alpha = 1/2.  vals
+    may carry trailing columns, and then the result is the array of the
+    column seminorms, each with the bits of that column alone.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray(vals)
     n = len(xs)
     k = min(n, _COARSE)
     sub = np.arange(k) * (n - 1) // (k - 1)
-    pairs = _COARSE_PAIRS if k == _COARSE else np.triu_indices(k, 1)
-    i, j = sub[pairs[0]], sub[pairs[1]]
+    i, j = (sub[p] for p in np.triu_indices(k, 1))
     col = (-1,) + (1,) * (vals.ndim - 1)  # spread over trailing columns
     dx = (np.abs(np.diff(xs)) ** alpha).reshape(col)
     adj = np.abs(np.diff(vals, axis=0)) / dx
     far = np.abs(vals[j] - vals[i]) / (np.abs(xs[j] - xs[i]) ** alpha).reshape(col)
     best = np.maximum(adj.max(axis=0), far.max(axis=0))
     return float(best) if vals.ndim == 1 else best
+
+
+def potential_seminorm(sys: MarkovSystem, sigma: float) -> float:
+    """|phi - sigma r|_alpha: the largest ``sampled_seminorm`` of
+    phi - sigma r over the elements, on the grid of the constants' scan."""
+    semi = 0.0
+    for i in range(sys.m):
+        xs = np.linspace(*sys.element_interval(i), _SCAN)
+        g = sys._phi[i](x=xs) - sigma * sys._r[i](x=xs) + 0.0 * xs
+        semi = max(semi, sampled_seminorm(xs, g, sys.alpha))
+    return semi
 
 
 def _scan_constants(sys: MarkovSystem) -> SystemConstants:

@@ -108,9 +108,15 @@ def test_validate_non_monotone_branch_exits_2(tmp_path):
                   {"system": cfg, "experiment": "validate"})
     out = tmp_path / "out"
     assert run(p, out_dir=str(out)) == 2
-    rep = json.loads((out / "validate.json").read_text())
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    rep = json.loads((out / "validate.json").read_text(),
+                     parse_constant=refuse)
     assert not rep["ok"]
     assert "branch 0 is not monotone" in rep["messages"]
+    assert rep["C2"] is None
 
 
 def test_preset_flag_overrides_config_system(tmp_path):
