@@ -51,15 +51,15 @@ class NoCancellationWitness(RuntimeError):
 # -- constants and gates -------------------------------------------------------
 
 
-def c0_constant(sys: MarkovSystem, eig0: EigenData, variant: str = "multiply",
-                floor: float = 0.1) -> dict:
+def c0_constant(sys: MarkovSystem, eig0: EigenData,
+                variant: str = "multiply") -> dict:
     """Cone-regularity constant
 
         C0 = 4 |1/f|_inf |f|_alpha + 2 (|phi|_alpha + |r|_alpha) * (1 - lam^-a)
 
     where |.|_alpha are Hoelder seminorms.  variant="divide" replaces the
     trailing factor by division (the two readings of the defining formula);
-    a positive floor keeps the cone nondegenerate when all seminorms vanish.
+    a floor of 0.1 keeps the cone nondegenerate when all seminorms vanish.
     """
     if variant not in ("multiply", "divide"):
         raise ValueError("variant must be 'multiply' or 'divide'")
@@ -71,33 +71,31 @@ def c0_constant(sys: MarkovSystem, eig0: EigenData, variant: str = "multiply",
     tail = (c.semi_phi + c.semi_r) * factor if variant == "multiply" \
         else (c.semi_phi + c.semi_r) / factor
     raw = 4.0 * (1.0 / fmin) * semi_f + 2.0 * tail
+    floor = 0.1
     floored = raw < floor
     return {"C0": max(raw, floor), "raw": raw, "variant": variant,
             "floored": floored, "floor": floor}
 
 
 def constraint_gates(sys: MarkovSystem, eig0: EigenData, delta: float,
-                     b_list=(), beta: float = 1.0, c0: float | None = None,
-                     c7: float | None = None) -> dict:
+                     b_list=(), c0: float | None = None) -> dict:
     """Admissibility inequalities for the cancellation construction; raises
     ConstraintViolationError when any fails:
 
         C0 delta^a < 1/6,  (2/3) e^{C0 delta^a} < eta0,  C7 delta < pi/6,
-        lam^{a floor(beta log|b|)/16} <= C0 |b|^a  for every swept b.
+        lam^{a floor(log|b|)/16} <= C0 |b|^a  for every swept b.
     """
     a = sys.alpha
-    lam = sys.constants.lam
+    lam, c7 = sys.constants.lam, sys.constants.c7
     if c0 is None:
         c0 = c0_constant(sys, eig0)["C0"]
-    if c7 is None:
-        c7 = sys.constants.c7
     checks = {
         "c0_delta": (c0 * delta ** a, 1.0 / 6.0),
         "eta_gap": ((2.0 / 3.0) * math.exp(c0 * delta ** a), ETA0),
         "c7_delta": (c7 * delta, math.pi / 6.0),
     }
     for b in b_list:
-        k = int(math.floor(beta * math.log(abs(b))))
+        k = int(math.floor(math.log(abs(b))))
         checks[f"beta_b_{b:g}"] = (lam ** (a * k / 16.0), c0 * abs(b) ** a)
     bad = {k: v for k, v in checks.items() if not v[0] < v[1] * (1 + 1e-12)}
     if bad:
@@ -120,22 +118,23 @@ class ConeBPair:
     C0: float
 
 
-def in_cone_b(pair: ConeBPair, grid: int = 2048, samples: int = 4096,
-              seed: int = 0, system: MarkovSystem | None = None) -> dict:
+def in_cone_b(pair: ConeBPair) -> dict:
     """Check cone membership; returns worst margins (>= 0 means satisfied):
 
         u > 0,  |v| <= u,  |log u|_alpha <= C0|b|^a,
         |v(x) - v(y)| <= C0|b|^a u(y) d(x,y)^a  on sampled pairs.
 
-    All four are read at ``grid`` points per element; |log u|_alpha is their
-    ``sampled_seminorm``, and the v-condition is checked on adjacent pairs plus
-    ``samples`` random pairs.  At alpha < 1 that seminorm can read low, and
-    the log-u margin high (see ``sampled_seminorm``).
+    All four are read at 2048 points per element of the system of ``pair.u``;
+    |log u|_alpha is their ``sampled_seminorm``, and the v-condition is
+    checked on adjacent pairs plus 4096 random pairs, drawn from seed 0.  At
+    alpha < 1 that seminorm can read low, and the log-u margin high (see
+    ``sampled_seminorm``).
     """
-    sys = system if system is not None else pair.u.system
+    sys = pair.u.system
     a = sys.alpha
     K = pair.C0 * abs(pair.b) ** a
-    rng = np.random.default_rng(seed)
+    grid, samples = 2048, 4096
+    rng = np.random.default_rng(0)
     m_pos = np.inf
     m_dom = np.inf
     m_logu = np.inf
@@ -205,22 +204,22 @@ class BumpFunction:
         return out
 
 
-def _default_depths(sys: MarkovSystem, b: float, delta: float,
-                    beta: float = 1.0) -> tuple[int, int]:
+def _default_depths(sys: MarkovSystem, b: float,
+                    delta: float) -> tuple[int, int]:
     n2 = int(math.floor(math.log(1.0 / delta) / math.log(sys.constants.rho)))
-    n1 = int(math.floor(beta * math.log(abs(b))))
+    n1 = int(math.floor(math.log(abs(b))))
     return n1, n2
 
 
 def build_bump(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
-               delta: float, Delta: float | None = None, n: int | None = None,
-               scan: int = 64, sub_grid: int = 32) -> tuple[BumpFunction, list]:
+               delta: float, Delta: float | None = None,
+               n: int | None = None) -> tuple[BumpFunction, list]:
     """Search each adapted-partition element for a cancellation witness and
     assemble the bump.
 
     For each Q_j: pick a transversal pair of depth-n2 tails at the center,
-    extend to depth-n words, and scan candidates x1 across Q_j until on the
-    32-point sub-grid of B(x1, delta/|b|) either (a) the phase difference
+    extend to depth-n words, and scan 64 candidates x1 across Q_j until on
+    the 32-point sub-grid of B(x1, delta/|b|) either (a) the phase difference
     b psi + arg v(h x) - arg v(hbar x) stays at distance >= pi/3 from 2 pi Z,
     or (b) |v| <= (3/4) u on one branch's preimages.  The winner's images of
     B(x1, delta/6|b|) and B(x1, delta/2|b|) become plateau and support.
@@ -230,7 +229,7 @@ def build_bump(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
     if c7 == 0.0:
         raise NoCancellationWitness(
             "constant roof: cone images are lines, no transversal pairs")
-    constraint_gates(sys, eig, delta, c0=pair.C0, c7=c7)
+    constraint_gates(sys, eig, delta, c0=pair.C0)
     if Delta is None:
         Delta = 4.0 * math.pi / (c7 * delta)
     n1, n2 = _default_depths(sys, b, delta)
@@ -240,12 +239,13 @@ def build_bump(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
     tails = word_array(sys, n2)
     ueval, veval = pair.u.eval, pair.v.eval
     rad = delta / abs(b)
+    scan, sub_grid = 64, 32
 
     plateaus, supports, balls, winners, cases = [], [], [], [], []
     for j, q in enumerate(part.elements):
         qlo, qhi = q.left, q.right
         x0 = 0.5 * (qlo + qhi)
-        found = transversal_pair(sys, tails, n1, x0, c7)
+        found = transversal_pair(sys, tails, n1, x0)
         if found is None:
             raise NoCancellationWitness(
                 f"Q_{j}: no transversal tail pair at depth {n2}", j)
@@ -302,21 +302,19 @@ def build_bump(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
     return bump, winners
 
 
-def _check_points(sys: MarkovSystem, bump: BumpFunction | None,
-                  base: int = 1024, per_ball: int = 64) -> np.ndarray:
-    xs = [np.linspace(1e-9, 1 - 1e-9, base)]
-    if bump is not None:
-        for lo, hi in bump.balls:
-            xs.append(np.linspace(max(lo, 0.0), min(hi, 1.0), per_ball))
+def _check_points(bump: BumpFunction) -> np.ndarray:
+    xs = [np.linspace(1e-9, 1 - 1e-9, 1024)]
+    for lo, hi in bump.balls:
+        xs.append(np.linspace(max(lo, 0.0), min(hi, 1.0), 64))
     return np.unique(np.concatenate(xs))
 
 
 def cancellation_check(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
-                       bump: BumpFunction, xs: np.ndarray | None = None) -> dict:
+                       bump: BumpFunction) -> dict:
     """Verify |L^n_s v| <= L^n_sigma(chi u) pointwise via exact depth-n
-    branch sums; check points are refined inside the forward-image balls."""
-    if xs is None:
-        xs = _check_points(sys, bump)
+    branch sums at 1024 points of [0, 1], refined by 64 points inside each
+    forward-image ball."""
+    xs = _check_points(bump)
     out = deep_apply(sys, eig, pair.b, bump.n, xs, [
         {"name": "Lv", "fn": pair.v.eval, "twist": True},
         {"name": "Lchiu", "fn": pair.u.eval, "chi": bump},
@@ -332,7 +330,7 @@ def cancellation_check(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
 # (from ``operator``): one PPoly over all elements' non-uniform nodes.
 
 
-def _node_sets(sys: MarkovSystem, base_n: int, windows, fine_n: int = 192):
+def _node_sets(sys: MarkovSystem, base_n: int, windows):
     sets = []
     for e in range(sys.m):
         lo, hi = sys.element_interval(e)
@@ -341,14 +339,14 @@ def _node_sets(sys: MarkovSystem, base_n: int, windows, fine_n: int = 192):
             a, b = max(wlo, lo), min(whi, hi)
             if b > a:
                 pad = 0.25 * (b - a)
-                pts.append(np.linspace(max(a - pad, lo), min(b + pad, hi), fine_n))
+                pts.append(np.linspace(max(a - pad, lo), min(b + pad, hi), 192))
         sets.append(np.unique(np.concatenate(pts)))
     return sets
 
 
-def _map_windows(sys: MarkovSystem, windows, width_cap: float = 0.05,
-                 max_windows: int = 256):
-    """Forward images under T of the refinement windows, merged and capped."""
+def _map_windows(sys: MarkovSystem, windows):
+    """Forward images under T of the refinement windows, merged and capped:
+    images 0.05 wide or wider are dropped, and at most 256 are kept."""
     out = []
     for wlo, whi in windows:
         cuts = np.unique(np.concatenate(
@@ -360,7 +358,7 @@ def _map_windows(sys: MarkovSystem, windows, width_cap: float = 0.05,
             ta = float(sys._T[e](x=a + (b - a) * 1e-12) + 0.0)
             tb = float(sys._T[e](x=b - (b - a) * 1e-12) + 0.0)
             lo, hi = (ta, tb) if ta <= tb else (tb, ta)
-            if hi - lo < width_cap:
+            if hi - lo < 0.05:
                 out.append((max(lo, 0.0), min(hi, 1.0)))
     out.sort()
     merged = []
@@ -369,7 +367,7 @@ def _map_windows(sys: MarkovSystem, windows, width_cap: float = 0.05,
             merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
         else:
             merged.append((lo, hi))
-    return merged[:max_windows]
+    return merged[:256]
 
 
 def _apply_once(sys: MarkovSystem, eig: EigenData, g_eval, xs_list, b: float = 0.0):
@@ -425,7 +423,6 @@ def _integrate_mu(fn_eval, node_sets, dens):
 
 def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
                    delta: float = 0.05, Delta: float | None = None,
-                   n: int | None = None, c0: float | None = None,
                    base_n: int = 4096, v_nodes_per_b: int = 64) -> dict:
     """Iterate u_{m+1} = L^n_sigma(chi_m u_m), v_{m+1} = L^n_s v_m from
     (u_0, v_0) = (1, 1), rebuilding the bump each step.
@@ -434,13 +431,11 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
     exactly, d_{m+1} = L^n(d_m + (1 - chi_m)(1 - d_m)) with the bump factor
     evaluated analytically, on node sets refined inside the forward images
     of the bump supports.  Records int u_m^2 dmu, the per-step ratio
-    tau_hat_m, and cone-membership margins.
+    tau_hat_m, and cone-membership margins.  C0 is ``c0_constant`` and n =
+    n1 + n2 the default depths of ``build_bump``.
     """
-    if c0 is None:
-        c0 = c0_constant(sys, eig)["C0"]
-    if n is None:
-        n1, n2 = _default_depths(sys, b, delta)
-        n = n1 + n2
+    c0 = c0_constant(sys, eig)["C0"]
+    n = sum(_default_depths(sys, b, delta))
     a = sys.alpha
     K = c0 * abs(b) ** a
     c7 = sys.constants.c7
@@ -529,22 +524,21 @@ class _Evalable:
 # -- L1 contraction sweep -----------------------------------------------------------
 
 
-def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list, beta: float = 1.0,
-                   freqs=(0, 1, 2, 3, 5, 8), c0: float | None = None) -> dict:
-    """For each b: k = floor(beta log |b|); over a family of Hoelder test
-    functions satisfying ||v||_(b) < lam^{a k/16} ||v||_inf, report
-    max ||L^k_s v||_{L1(mu)} / ||v||_inf, and fit the decay exponent xi_hat
-    from log-ratio against k log lam."""
+def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
+                   beta: float = 1.0) -> dict:
+    """For each b: k = floor(beta log |b|); over the test functions exp(2 pi
+    i q x), q in (0, 1, 2, 3, 5, 8), that satisfy ||v||_(b) < lam^{a k/16}
+    ||v||_inf, report max ||L^k_s v||_{L1(mu)} / ||v||_inf, and fit the decay
+    exponent xi_hat from log-ratio against k log lam."""
     a = sys.alpha
     lam = sys.constants.lam
-    if c0 is None:
-        c0 = c0_constant(sys, eig)["C0"]
+    c0 = c0_constant(sys, eig)["C0"]
     for b in b_list:
         k = int(math.floor(beta * math.log(abs(b))))
         if not lam ** (a * k / 16.0) <= c0 * abs(b) ** a * (1 + 1e-12):
             raise ConstraintViolationError(
                 f"beta gate fails at b={b}: lam^(a k/16) > C0 |b|^a")
-    c6 = c6_bound(eig, lam)
+    c6 = c6_bound(eig)
     xs = np.concatenate([eig.f.nodes[e] for e in range(sys.m)])
     wq = eig.mu.reshape(-1)
     rows = []
@@ -552,7 +546,7 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list, beta: float = 1.0,
         k = int(math.floor(beta * math.log(abs(b))))
         bound = lam ** (a * k / 16.0)
         worst = 0.0
-        for q in freqs:
+        for q in (0, 1, 2, 3, 5, 8):
             fn = lambda x, q=q: np.exp(2j * np.pi * q * np.asarray(x))
             semi = (2 * np.pi * q) ** a if q else 0.0
             if semi / (1.0 + abs(b) ** a) + 1.0 >= bound:
@@ -622,10 +616,10 @@ def _trial_ratios(eg: EigenData, b: float, ell: int,
 
 def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
                            B: float = 1.0, trials: int = 200,
-                           power_iters: int = 4, seed: int = 0) -> dict:
+                           seed: int = 0) -> dict:
     """Empirical lower-bound estimate of the operator norm of L^ell_s on the
     b-adapted norm, ell = ceil(B log |b|): randomized maximization over
-    Hoelder test functions plus power-iteration refinement; reports
+    Hoelder test functions plus four power-iteration steps; reports
     zeta_hat(b) = ratio^{1/ell}.
 
     Trial 0 is the constant 1; trial t > 0 is sum_{q < 12} c_q exp(2 pi i q
@@ -644,7 +638,6 @@ def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    lam = sys.constants.lam
     scale = 1.0 + np.arange(_MODES)
     results = []
     eg = None
@@ -664,14 +657,14 @@ def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
                 best, best_t = ratio, t
         w = GridFunction(sys, _trial_block(eg.f.nodes, coef, [best_t])[0],
                          eg.f.nodes)
-        for _ in range(power_iters):
+        for _ in range(4):
             prev = norm_b(w, b)
             w = apply_L(eg, b, w, ell)
             cur = norm_b(w, b)
             best = max(best, cur / prev)
             w = w.copy_with(w.values / cur)
-        envelope = (c6_bound(eg, lam)
-                    + lasota_yorke_audit(eg, b, lam, n_values=(ell,),
+        envelope = (c6_bound(eg)
+                    + lasota_yorke_audit(eg, b, n_values=(ell,),
                                          trials=4)["c8_hat"]) ** (1.0 / ell)
         results.append({"b": float(b), "ell": ell, "ratio": best,
                         "zeta_hat": best ** (1.0 / ell), "envelope": envelope})

@@ -16,9 +16,13 @@ from .gibbs import sample_mu
 from .operator import EigenData
 from .system import MarkovSystem
 
-__all__ = ["FlowPoint", "FlowSample", "CorrelationSeries",
+__all__ = ["BATCHES", "FlowPoint", "FlowSample", "CorrelationSeries",
            "InsufficientSignalError", "evolve", "evolve_many",
            "sample_flow_measure", "correlation"]
+
+
+# batch means behind the standard errors of ``correlation``
+BATCHES = 32
 
 
 class InsufficientSignalError(RuntimeError):
@@ -130,22 +134,25 @@ class CorrelationSeries:
 
 
 def correlation(sys: MarkovSystem, eig: EigenData, v_expr: str, w_expr: str,
-                t_grid, samples: int, seed: int,
-                batches: int = 32) -> CorrelationSeries:
+                t_grid, samples: int, seed: int) -> CorrelationSeries:
     """Monte-Carlo correlation C(t) = E[v (w o X_t)] - E[v] E[w] of two
-    observables in (x, u), with batch-means standard errors and a weighted
-    log-linear rate fit over the window where |C| > 3 SE."""
+    observables in (x, u), with standard errors from BATCHES batch means and
+    a weighted log-linear rate fit over the window where |C| > 3 SE.  Fewer
+    samples than batches are refused: a batch would be empty."""
+    if samples < BATCHES:
+        raise ValueError(
+            f"{samples} samples are fewer than the {BATCHES} batches")
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     vf = compile_expr(parse(v_expr, variables=("x", "u")))
     wf = compile_expr(parse(w_expr, variables=("x", "u")))
     sample = sample_flow_measure(sys, eig, samples, seed)
-    # sample j belongs to batch j mod batches; sorted by batch once (stably),
+    # sample j belongs to batch j mod BATCHES; sorted by batch once (stably),
     # each batch is a contiguous segment in the order of the sample
-    batch_of = np.arange(samples) % batches
+    batch_of = np.arange(samples) % BATCHES
     order = np.argsort(batch_of, kind="stable")
-    ends = np.cumsum(np.bincount(batch_of, minlength=batches))
+    ends = np.cumsum(np.bincount(batch_of, minlength=BATCHES))
     segments = [slice(a, b) for a, b in zip(np.r_[0, ends[:-1]], ends)]
     cx, cu = sample.xs[order], sample.us[order]
     v0 = vf(x=cx, u=cu) + 0.0 * cx
@@ -162,7 +169,7 @@ def correlation(sys: MarkovSystem, eig: EigenData, v_expr: str, w_expr: str,
             np.mean(vw[seg]) - vm * np.mean(wt[seg])
             for seg, vm in zip(segments, v0_means)])
         ests.append(float(np.mean(batch_est)))
-        ses.append(float(np.std(batch_est, ddof=1) / math.sqrt(batches)))
+        ses.append(float(np.std(batch_est, ddof=1) / math.sqrt(BATCHES)))
     ests = np.array(ests)
     ses = np.array(ses)
 

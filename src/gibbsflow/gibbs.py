@@ -71,8 +71,7 @@ def _jacobian_weight(sys: MarkovSystem, eig: EigenData, word, xs):
     return w, ch
 
 
-def _mass_tables(sys: MarkovSystem, eig: EigenData, max_depth: int,
-                 cap: int = 2_000_000):
+def _mass_tables(sys: MarkovSystem, eig: EigenData, max_depth: int):
     """Yield CylinderMeasureTable for every depth 1..max_depth.
 
     For each symbol s, one engine run pulls the nodes of the elements in the
@@ -86,14 +85,14 @@ def _mass_tables(sys: MarkovSystem, eig: EigenData, max_depth: int,
         # the engine builds the lower depths as suffixes of the deepest words
         raise NotCoveringError("some symbol has no predecessor")
     nodes = node_grid(sys, eig.N)
-    words = word_array(sys, max_depth, cap)
+    words = word_array(sys, max_depth)
     symbols = [s for s in range(sys.m) if np.any(words[:, -1] == s)]
     images = [slice(*sys.branches[s].image) for s in symbols]
     engines = [pullbacks(sys, words[words[:, -1] == s],
                          nodes[img].reshape(-1), ("J",), eig)
                for s, img in zip(symbols, images)]
     for n, levels in enumerate(zip(*engines), start=1):
-        cyls = cylinders(sys, n, cap=cap)
+        cyls = cylinders(sys, n)
         norm = np.zeros((sys.m, eig.N))
         for img, pb in zip(images, levels):
             norm[img] += pb.J.sum(axis=0).reshape(-1, eig.N)
@@ -105,17 +104,16 @@ def _mass_tables(sys: MarkovSystem, eig: EigenData, max_depth: int,
         yield CylinderMeasureTable(n, cyls, masses, eig.pressure)
 
 
-def cylinder_masses(sys: MarkovSystem, eig: EigenData, n: int,
-                    cap: int = 2_000_000) -> CylinderMeasureTable:
+def cylinder_masses(sys: MarkovSystem, eig: EigenData,
+                    n: int) -> CylinderMeasureTable:
     """mu_sigma-mass of every depth-n cylinder via branchwise quadrature of
     the inverse Jacobian against the node weights of mu."""
-    for table in _mass_tables(sys, eig, n, cap=cap):
+    for table in _mass_tables(sys, eig, n):
         if table.depth == n:
             return table
 
 
-def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int,
-                cap: int = 2_000_000) -> dict:
+def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
     """Two-sided empirical Gibbs constant: extremes over depth n <= max_depth
     of mass(omega) / exp(-P n + S_n(phi - sigma r)(x_omega)).
 
@@ -127,13 +125,13 @@ def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int,
     lo, hi = np.inf, 0.0
     per_depth = {}
     P = eig.pressure
-    words = word_array(sys, max_depth, cap)
+    words = word_array(sys, max_depth)
     engines = [pullbacks(sys, words[words[:, -1] == s],
                          [0.5 * sum(sys.image_interval(s))],
                          ("x", "Snr", "Snphi"))
                for s in range(sys.m)]
     del words  # each engine holds its own rows
-    for table, levels in zip(_mass_tables(sys, eig, max_depth, cap=cap),
+    for table, levels in zip(_mass_tables(sys, eig, max_depth),
                              zip(*engines)):
         n = table.depth
         x = np.concatenate([pb.x[:, 0] for pb in levels])
@@ -300,14 +298,13 @@ def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedParti
 
 
 def measure_of_interval(sys: MarkovSystem, eig: EigenData, lo: float, hi: float,
-                        max_depth: int = 40, rel_width: float = 0.125,
                         cache: dict | None = None) -> float:
     """mu_sigma[lo, hi] by descending the cylinder tree: cylinders fully
     inside are added outright, boundary cylinders are refined until smaller
-    than rel_width * (hi - lo), then counted proportionally to overlap."""
+    than (hi - lo) / 8 or 40 deep, then counted proportionally to overlap."""
     if hi <= lo:
         return 0.0
-    width_cut = max((hi - lo) * rel_width, 1e-14)
+    width_cut = max((hi - lo) * 0.125, 1e-14)
     total = 0.0
     nodes = node_grid(sys, eig.N)
     if cache is None:
@@ -334,7 +331,7 @@ def measure_of_interval(sys: MarkovSystem, eig: EigenData, lo: float, hi: float,
             continue
         if lo <= c.left and c.right <= hi:
             total += cyl_mass(c)
-        elif c.diam > width_cut and c.depth < max_depth:
+        elif c.diam > width_cut and c.depth < 40:
             stack.extend(_child_cylinders(sys, c))
         else:
             overlap = min(hi, c.right) - max(lo, c.left)
@@ -380,12 +377,11 @@ def federer_audit(sys: MarkovSystem, eig: EigenData, b: float, Delta: float,
 # -- flow-potential normalisation ------------------------------------------------
 
 
-def normalize_flow_potential(sys: MarkovSystem, N: int = 512,
-                             tol: float = 1e-10,
-                             bracket: tuple[float, float] = (-50.0, 50.0)
+def normalize_flow_potential(sys: MarkovSystem, N: int = 512
                              ) -> tuple[float, MarkovSystem]:
     """Find P* with leading eigenvalue of the operator for potential
-    phi - P* r equal to 1, by bisection; returns P* and the shifted system."""
+    phi - P* r equal to 1, by bisection to 1e-10 within [-50, 50]; returns
+    P* and the shifted system."""
 
     def shifted(P: float) -> MarkovSystem:
         pots = [Sub(sys.potential[e], Mul(Num(P), sys.roof[e]))
@@ -398,7 +394,7 @@ def normalize_flow_potential(sys: MarkovSystem, N: int = 512,
 
     # expand from 0 rather than starting at the bracket edges: extreme
     # potentials make the eigenproblem badly balanced for no benefit
-    lo_lim, hi_lim = bracket
+    lo_lim, hi_lim = -50.0, 50.0
     a, ga = 0.0, g(0.0)
     if ga == 0.0:
         return 0.0, shifted(0.0)
@@ -412,7 +408,7 @@ def normalize_flow_potential(sys: MarkovSystem, N: int = 512,
         gb = g(b)
     if a > b:
         a, b, ga, gb = b, a, gb, ga
-    while b - a > tol:
+    while b - a > 1e-10:
         mid = 0.5 * (a + b)
         gm = g(mid)
         if ga * gm <= 0:

@@ -232,26 +232,27 @@ class EigenData:
         return self._lmat_cache[key]
 
 
-def _power_iteration(M: sp.csr_matrix, tol: float, maxit: int):
+def _power_iteration(M: sp.csr_matrix):
     n = M.shape[0]
     v = np.ones(n)
+    maxit = 100_000
     for it in range(1, maxit + 1):
         w = M @ v
         lam = float(w @ v) / float(v @ v)
         resid = np.max(np.abs(w - lam * v))
         nrm = np.max(np.abs(w))
         v = w / nrm
-        if resid <= tol * abs(lam):
+        if resid <= 1e-12 * abs(lam):
             return lam, v, it
     raise NoConvergenceError(f"power iteration did not converge in {maxit} steps")
 
 
-def eigendata(sys: MarkovSystem, sigma: float, N: int = 1024,
-              tol: float = 1e-12, maxit: int = 100_000) -> EigenData:
-    """Leading eigendata of P_sigma by two-sided power iteration."""
+def eigendata(sys: MarkovSystem, sigma: float, N: int = 1024) -> EigenData:
+    """Leading eigendata of P_sigma by two-sided power iteration, each side
+    to a residual of 1e-12 |lam| within 100,000 steps."""
     M = transfer_matrix(sys, float(sigma), N)
-    lam, f, it1 = _power_iteration(M, tol, maxit)
-    _, nu, it2 = _power_iteration(M.T.tocsr(), tol, maxit)
+    lam, f, it1 = _power_iteration(M)
+    _, nu, it2 = _power_iteration(M.T.tocsr())
     f = np.abs(f)
     nu = np.abs(nu)
     nu = nu / nu.sum()
@@ -282,58 +283,59 @@ def apply_L(eig: EigenData, b: float, v: GridFunction, n: int = 1) -> GridFuncti
 # -- norms ---------------------------------------------------------------------
 
 
-def hoelder_seminorm(v: GridFunction, alpha: float | None = None):
-    """C^alpha seminorm within partition elements: the largest
-    ``sampled_seminorm`` of an element's node values, which at alpha < 1
-    can read low.
+def hoelder_seminorm(v: GridFunction):
+    """C^alpha seminorm within partition elements, alpha of the system: the
+    largest ``sampled_seminorm`` of an element's node values, which at
+    alpha < 1 can read low.
 
     For a block, the array of the column seminorms, each equal to the
     seminorm of that column alone.
     """
-    a = v.system.alpha if alpha is None else alpha
+    a = v.system.alpha
     best = np.max([sampled_seminorm(v.nodes[e], v.values[e], a)
                    for e in range(v.system.m)], axis=0)
     return float(best) if v.values.ndim == 2 else best
 
 
-def norm_b(v: GridFunction, b: float, alpha: float | None = None):
-    """Frequency-adapted norm: |v|_alpha / (1 + |b|^alpha) + sup |v|; for a
-    block, the array of the column norms."""
-    a = v.system.alpha if alpha is None else alpha
-    return hoelder_seminorm(v, a) / (1.0 + abs(b) ** a) + v.sup_norm()
+def norm_b(v: GridFunction, b: float):
+    """Frequency-adapted norm: |v|_alpha / (1 + |b|^alpha) + sup |v|, alpha
+    of the system; for a block, the array of the column norms."""
+    a = v.system.alpha
+    return hoelder_seminorm(v) / (1.0 + abs(b) ** a) + v.sup_norm()
 
 
-def c6_bound(eig: EigenData, lam_expansion: float) -> float:
+def c6_bound(eig: EigenData) -> float:
     """A priori bound on sup f / inf f products used by the Gibbs estimates:
 
         exp(|phi - sigma r|_alpha / (1 - lam^-alpha)) * sup f * sup 1/f
 
-    with |phi - sigma r|_alpha the system's ``potential_seminorm``.
+    with |phi - sigma r|_alpha the system's ``potential_seminorm`` and lam =
+    inf |T'| from its constants.
     """
     sys = eig.system
-    a = sys.alpha
+    a, lam = sys.alpha, sys.constants.lam
     semi = potential_seminorm(sys, eig.sigma)
     diam = 1.0  # the interval J = [0, 1]
     fmax = float(eig.f.values.max())
     fmin = float(eig.f.values.min())
-    return float(np.exp(semi * diam ** a / (1.0 - lam_expansion ** (-a))) * fmax / fmin)
+    return float(np.exp(semi * diam ** a / (1.0 - lam ** (-a))) * fmax / fmin)
 
 
 # -- Lasota-Yorke audit --------------------------------------------------------
 
 
-def lasota_yorke_audit(eig: EigenData, b: float, lam_expansion: float,
-                       n_values=(1, 2, 3, 4, 5, 6), trials: int = 20,
-                       seed: int = 0) -> dict:
+def lasota_yorke_audit(eig: EigenData, b: float, n_values=(1, 2, 3, 4, 5, 6),
+                       trials: int = 20, seed: int = 0) -> dict:
     """Empirical constant for the two-norm inequality
 
         ||L^n_s v||_(b) <= C8 lam^{-alpha n} ||v||_(b) + C8 ||v||_inf.
 
     Returns per-n worst quotients over a family of random smooth test
-    functions; the audit passes when the quotients stay bounded in n.
+    functions, with lam = inf |T'| from the system's constants; the audit
+    passes when the quotients stay bounded in n.
     """
     sys = eig.system
-    a = sys.alpha
+    a, lam = sys.alpha, sys.constants.lam
     rng = np.random.default_rng(seed)
     nodes = node_grid(sys, eig.N)
     quotients = {int(n): 0.0 for n in n_values}
@@ -347,15 +349,15 @@ def lasota_yorke_audit(eig: EigenData, b: float, lam_expansion: float,
             mode = np.exp(2j * np.pi * q * nodes)
             vals += c * mode
         v = GridFunction(sys, vals)
-        nv = norm_b(v, b, a)
+        nv = norm_b(v, b)
         sup = v.sup_norm()
         w = v
         prev_n = 0
         for n in sorted(quotients):
             w = apply_L(eig, b, w, n - prev_n)
             prev_n = n
-            lhs = norm_b(w, b, a)
-            quot = lhs / (lam_expansion ** (-a * n) * nv + sup)
+            lhs = norm_b(w, b)
+            quot = lhs / (lam ** (-a * n) * nv + sup)
             quotients[n] = max(quotients[n], float(quot))
     c8_hat = max(quotients.values())
     return {"b": float(b), "quotients": quotients, "c8_hat": float(c8_hat)}

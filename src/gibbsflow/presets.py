@@ -5,7 +5,8 @@ SYS-B  doubling map, roof (2 + cos(2 pi x))/3, zero potential.
 SYS-C  three-element Markov map that is not full-branch, roof 1.
 
 Variants used by experiments:
-SYS-A-BERNOULLI  doubling with branchwise-constant potential (log p, log(1-p)).
+SYS-A-BERNOULLI  doubling with branchwise-constant potential (log p, log(1-p)),
+                 p = 0.3.
 SYS-A-LINROOF    doubling with roof 1 - x/2, a coboundary plus constants.
 SYS-C-NLROOF     SYS-C with the nonlinear SYS-B roof.
 """
@@ -36,8 +37,8 @@ def _sys_b() -> MarkovSystem:
     return _doubling([r, r], ["0", "0"])
 
 
-def _sys_a_bernoulli(p: float = 0.3) -> MarkovSystem:
-    return _doubling(["1", "1"], [f"log({p!r})", f"log({1.0 - p!r})"])
+def _sys_a_bernoulli() -> MarkovSystem:
+    return _doubling(["1", "1"], ["log(0.3)", "log(0.7)"])
 
 
 def _sys_a_linroof() -> MarkovSystem:

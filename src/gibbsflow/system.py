@@ -534,10 +534,12 @@ def _count_words(sys: MarkovSystem, n: int) -> int:
     return int(counts.sum())
 
 
-def word_array(sys: MarkovSystem, n: int, cap: int = 2_000_000) -> np.ndarray:
-    """(K, n) array of all admissible depth-n words, in lexicographic order."""
+def word_array(sys: MarkovSystem, n: int) -> np.ndarray:
+    """(K, n) array of all admissible depth-n words, in lexicographic order;
+    more than 2,000,000 words raise CapExceededError."""
     if n < 1:
         raise ValueError("depth must be >= 1")
+    cap = 2_000_000
     total = _count_words(sys, n)
     if total > cap:
         raise CapExceededError(f"{total} depth-{n} cylinders exceed cap {cap}")
@@ -548,9 +550,8 @@ def word_array(sys: MarkovSystem, n: int, cap: int = 2_000_000) -> np.ndarray:
     return words
 
 
-def admissible_words(sys: MarkovSystem, n: int, cap: int = 2_000_000
-                     ) -> list[tuple[int, ...]]:
-    return [tuple(w) for w in word_array(sys, n, cap).tolist()]
+def admissible_words(sys: MarkovSystem, n: int) -> list[tuple[int, ...]]:
+    return [tuple(w) for w in word_array(sys, n).tolist()]
 
 
 FIELDS = ("x", "dTn", "Snr", "Snphi", "DSnr_h")
@@ -698,13 +699,13 @@ def branch_chain(sys: MarkovSystem, word: tuple[int, ...], y) -> dict:
     return {f: getattr(level, f)[0].reshape(y.shape) for f in FIELDS}
 
 
-def cylinders(sys: MarkovSystem, n: int, cap: int = 2_000_000) -> list[Cylinder]:
+def cylinders(sys: MarkovSystem, n: int) -> list[Cylinder]:
     """All depth-n cylinders, sorted by left endpoint.
 
     [w e] = h_w(element e): the engine pulls the endpoints of each element e
     back along all depth-(n-1) words that may precede it.
     """
-    words = word_array(sys, n, cap)
+    words = word_array(sys, n)
     if n == 1:
         return [Cylinder((i,), *sys.element_interval(i)) for i in range(sys.m)]
     out = []

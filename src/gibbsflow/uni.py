@@ -72,38 +72,36 @@ def psi(sys: MarkovSystem, w1: tuple[int, ...], w2: tuple[int, ...]) -> PsiFunct
     return PsiFunction(sys, tuple(w1), tuple(w2), (lo, hi))
 
 
-def cone_image(sys: MarkovSystem, word: tuple[int, ...], y: float,
-               c7: float | None = None) -> tuple[float, float]:
+def cone_image(sys: MarkovSystem, word: tuple[int, ...],
+               y: float) -> tuple[float, float]:
     """Slope interval of D^n(h_w(y)) applied to the base cone of half-slope
     C7, n = len(word): centre -D(S_n r o h_w)(y), half-width C7 / |DT^n|."""
-    if c7 is None:
-        c7 = sys.constants.c7
     ch = branch_chain(sys, word, y)
     centre = -float(ch["DSnr_h"][0])
-    half = c7 / abs(float(ch["dTn"][0]))
+    half = sys.constants.c7 / abs(float(ch["dTn"][0]))
     return (centre - half, centre + half)
 
 
 def transversal(sys: MarkovSystem, w1: tuple[int, ...], w2: tuple[int, ...],
-                y: float, c7: float | None = None) -> bool:
+                y: float) -> bool:
     """Closed slope intervals of the cone images at h_w1(y) and h_w2(y) are
     disjoint; y must lie in the domain of both inverse branches."""
-    i1 = cone_image(sys, w1, y, c7)
-    i2 = cone_image(sys, w2, y, c7)
+    i1 = cone_image(sys, w1, y)
+    i2 = cone_image(sys, w2, y)
     return i1[1] < i2[0] or i2[1] < i1[0]
 
 
-def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512,
-              pair_cap: int = 40_000) -> dict:
+def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
     """Full-branch and pointwise uniform-nonintegrability constants at depth n.
 
     D_full: max over pairs of depth-n branches with full image of the inf of
     |D psi| over the whole interval (0 when no full pair exists).
     D_point: min over grid y of the best pair through y of the inf of
-    |D psi| over B(y, R) intersected with the pair's domain.
+    |D psi| over B(y, R) intersected with the pair's domain.  More than
+    40,000 ordered pairs of depth-n words are refused.
     """
     warr = word_array(sys, n)
-    if len(warr) * len(warr) > pair_cap:
+    if len(warr) * len(warr) > 40_000:
         raise ValueError("too many branch pairs at this depth")
     xs = np.linspace(0.0, 1.0, grid)
     dsnr = np.full((len(warr), grid), np.nan)
@@ -151,7 +149,7 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512,
 
 
 def _preimage_tableau(sys: MarkovSystem, eig: EigenData, n: int,
-                      ys: np.ndarray, c7: float, cap: int = 2_000_000):
+                      ys: np.ndarray):
     """Interval and weight arrays over (word, y); NaN where inadmissible.
 
     Rows are the depth-n words in ``admissible_words`` order.  The words
@@ -161,7 +159,8 @@ def _preimage_tableau(sys: MarkovSystem, eig: EigenData, n: int,
     at the sigma of ``eig``, normalised per y so the weights sum to exactly 1
     over the admissible preimages.
     """
-    words = word_array(sys, n, cap)
+    words = word_array(sys, n)
+    c7 = sys.constants.c7
     k, g = len(words), len(ys)
     lo = np.full((k, g), np.nan)
     hi = np.full((k, g), np.nan)
@@ -191,16 +190,15 @@ def _y_grid(sys: MarkovSystem, n: int, grid: int) -> np.ndarray:
 
 
 def _sequence(sys: MarkovSystem, eig: EigenData, n_max: int, grid: int,
-              cap: int, name: str, statistic) -> list[float]:
+              name: str, statistic) -> list[float]:
     """max over y of statistic(lo, hi, w) on the tableau column of each y,
     over its admissible preimages, for n = 1..n_max; a value above 1 + 1e-8
     is an error, and the rest is capped at 1 + 1e-12."""
-    c7 = sys.constants.c7
     out = []
     for n in range(1, n_max + 1):
-        word_array(sys, n, cap)  # enforce the cap before building the grid
+        word_array(sys, n)  # enforce the cap before building the grid
         ys = _y_grid(sys, n, grid)
-        _, lo, hi, wgt = _preimage_tableau(sys, eig, n, ys, c7, cap)
+        _, lo, hi, wgt = _preimage_tableau(sys, eig, n, ys)
         worst = 0.0
         for col in range(lo.shape[1]):
             valid = ~np.isnan(wgt[:, col])
@@ -238,17 +236,17 @@ def _stabbing_weight(l, h, w) -> float:
 
 
 def a_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
-               grid: int = 512, cap: int = 2_000_000) -> list[float]:
+               grid: int = 512) -> list[float]:
     """a(n): worst total mu_sigma-Jacobian weight of preimages not
     transversal to some x0, at the sigma of ``eig``."""
-    return _sequence(sys, eig, n_max, grid, cap, "a", _non_transversal_weight)
+    return _sequence(sys, eig, n_max, grid, "a", _non_transversal_weight)
 
 
 def b_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
-               grid: int = 512, cap: int = 2_000_000) -> list[float]:
+               grid: int = 512) -> list[float]:
     """b(n): worst stabbing number of the slope intervals, weighted by the
     inverse Jacobians of mu_sigma at the sigma of ``eig``."""
-    return _sequence(sys, eig, n_max, grid, cap, "b", _stabbing_weight)
+    return _sequence(sys, eig, n_max, grid, "b", _stabbing_weight)
 
 
 # -- coboundary test ---------------------------------------------------------------
@@ -282,14 +280,15 @@ def _theta_eval(sys: MarkovSystem, chains: dict[int, list[int]], y0: float,
     return out
 
 
-def coboundary_test(sys: MarkovSystem, J_trunc: int = 40, tol: float = 1e-6,
-                    grid: int = 512) -> dict:
+def coboundary_test(sys: MarkovSystem, J_trunc: int = 40,
+                    tol: float = 1e-6) -> dict:
     """Test whether the roof is an automorphic coboundary: r = theta o T -
     theta + chi with chi constant on partition elements.
 
     theta is built by telescoping pullbacks along a fixed backward branch
     chain per element (greedy lowest admissible index); a second chain
-    (greedy highest) provides an independent witness.
+    (greedy highest) provides an independent witness.  The residual is
+    read at 512 points per element.
     """
     lam, c4 = sys.constants.lam, sys.constants.c4
     chains_lo = {e: _greedy_chain(sys, e, J_trunc, lowest=True)
@@ -304,7 +303,7 @@ def coboundary_test(sys: MarkovSystem, J_trunc: int = 40, tol: float = 1e-6,
     for e in range(sys.m):
         a, b = sys.element_interval(e)
         eps = (b - a) * 1e-9
-        xs = np.linspace(a + eps, b - eps, grid)
+        xs = np.linspace(a + eps, b - eps, 512)
         tx = sys.apply_T(xs)
         tx = np.clip(tx, 0.0, np.nextafter(1.0, 0.0))
         g = (sys._r[e](x=xs)
@@ -331,13 +330,13 @@ def coboundary_test(sys: MarkovSystem, J_trunc: int = 40, tol: float = 1e-6,
 
 
 def uni_from_transversality(sys: MarkovSystem, delta: float, b: float,
-                            beta: float = 1.0, n2_min: int = 1,
-                            y_points: int = 33, z_points: int = 32) -> dict:
+                            beta: float = 1.0) -> dict:
     """Verify the quantitative pointwise-UNI conclusion drawn from
     transversality: with n2 = floor(log(1/delta)/log rho), n1 = floor(beta
     log |b|), D = (C7/2) rho^{-n2} and Delta = 4 pi/(C7 delta), every y with
     a depth-n2 transversal tail pair satisfies |D psi(z)| >= D on
-    B(y, Delta/|b|) intersected with the pair's domain."""
+    B(y, Delta/|b|) intersected with the pair's domain.  It is checked at
+    33 points y and, around each, at 32 points z; n2 < 1 is refused."""
     if not (0 < delta < 1):
         raise ValueError("delta must be in (0,1)")
     c7, rho = sys.constants.c7, sys.constants.rho
@@ -345,8 +344,8 @@ def uni_from_transversality(sys: MarkovSystem, delta: float, b: float,
         return {"D": 0.0, "Delta": math.inf, "pass_rate": 0.0,
                 "no_pair_everywhere": True, "results": []}
     n2 = int(math.floor(math.log(1.0 / delta) / math.log(rho)))
-    if n2 < n2_min:
-        raise ValueError(f"n2 = {n2} below configured minimum {n2_min}")
+    if n2 < 1:
+        raise ValueError(f"n2 = {n2} below 1")
     n1 = int(math.floor(beta * math.log(abs(b))))
     n = n1 + n2
     D = 0.5 * c7 * rho ** (-n2)
@@ -357,8 +356,8 @@ def uni_from_transversality(sys: MarkovSystem, delta: float, b: float,
     results = []
     npass = 0
     nfail = 0
-    for y in np.linspace(1e-6, 1 - 1e-6, y_points):
-        pair = transversal_pair(sys, tails, n1, y, c7)
+    for y in np.linspace(1e-6, 1 - 1e-6, 33):
+        pair = transversal_pair(sys, tails, n1, y)
         if pair is None:
             results.append({"y": float(y), "status": "NoTransversalPair"})
             continue
@@ -366,7 +365,7 @@ def uni_from_transversality(sys: MarkovSystem, delta: float, b: float,
         p = psi(sys, w1, w2)
         zlo = max(p.domain[0], y - radius)
         zhi = min(p.domain[1], y + radius)
-        zs = np.linspace(zlo, zhi, z_points)
+        zs = np.linspace(zlo, zhi, 32)
         margin = float(np.min(np.abs(p.deriv(zs)))) - D
         ok = margin >= 0.0
         npass += ok
@@ -384,23 +383,11 @@ def uni_from_transversality(sys: MarkovSystem, delta: float, b: float,
     }
 
 
-def _greedy_prefix(sys: MarkovSystem, first_tail_symbol: int, n1: int
-                   ) -> tuple[int, ...]:
-    """Lowest-index admissible word of length n1 that may precede the tail."""
-    prefix: list[int] = []
-    nxt = first_tail_symbol
-    for _ in range(n1):
-        k = min(i for i in range(sys.m) if sys.transition[i, nxt])
-        prefix.insert(0, k)
-        nxt = k
-    return tuple(prefix)
-
-
-def transversal_pair(sys: MarkovSystem, tails: np.ndarray, n1: int, y: float,
-                     c7: float):
+def transversal_pair(sys: MarkovSystem, tails: np.ndarray, n1: int, y: float):
     """Depth-(n1 + n2) words (w1, w2) through y whose depth-n2 tails have the
     widest gap between their slope intervals at y, each tail extended by its
-    greedy prefix; None when no two tails through y are transversal.
+    greedy prefix, the lowest-index admissible word of length n1 that may
+    precede it; None when no two tails through y are transversal.
 
     ``tails`` is ``word_array(sys, n2)``; the tails whose domain holds y are
     pulled back in one engine call, and ties go to the first pair in
@@ -413,7 +400,7 @@ def transversal_pair(sys: MarkovSystem, tails: np.ndarray, n1: int, y: float,
         return None
     pb = pullback(sys, tails, np.array([y]), ("dTn", "DSnr_h"))
     centre = -pb.DSnr_h[:, 0]
-    hw = c7 / np.abs(pb.dTn[:, 0])
+    hw = sys.constants.c7 / np.abs(pb.dTn[:, 0])
     lo, hi = centre - hw, centre + hw
     gap = np.maximum(lo[None, :] - hi[:, None], lo[:, None] - hi[None, :])
     gap[np.tril_indices(len(tails))] = 0.0
@@ -421,5 +408,5 @@ def transversal_pair(sys: MarkovSystem, tails: np.ndarray, n1: int, y: float,
     if gap.flat[best] <= 0.0:
         return None
     t1, t2 = (tuple(tails[a].tolist()) for a in divmod(best, len(tails)))
-    return (_greedy_prefix(sys, t1[0], n1) + t1,
-            _greedy_prefix(sys, t2[0], n1) + t2)
+    return (tuple(reversed(_greedy_chain(sys, t1[0], n1))) + t1,
+            tuple(reversed(_greedy_chain(sys, t2[0], n1))) + t2)

@@ -133,11 +133,10 @@ def test_trichotomy_oscillating_side(sys_b):
         assert coboundary_test(sys)["residual"] > 1e-5
         eig = eigendata(sys, 0.0, N=256)
         assert any(v < 1.0 - 1e-9 for v in a_sequence(sys, eig, 10))
-        c7 = sys.constants.c7
         found = False
         for n in (2, 3, 4):
             for w1, w2 in sibling_pairs(sys, n):
-                if transversal(sys, w1, w2, 0.5, c7=c7):
+                if transversal(sys, w1, w2, 0.5):
                     found = True
                     break
             if found:
@@ -174,7 +173,7 @@ def test_sequence_and_cone_bounds(sys_b, sys_c, eig_b):
                 ys = np.linspace(dom[0] + 1e-9, dom[1] - 1e-9, 16)
                 ch = branch_chain(sys, cyl.word, ys)
                 assert np.max(np.abs(ch["DSnr_h"])) <= 0.5 * c7 + 1e-9
-                lo, hi = cone_image(sys, cyl.word, ys[0], c7=c7)
+                lo, hi = cone_image(sys, cyl.word, ys[0])
                 assert -c7 - 1e-9 <= lo and hi <= c7 + 1e-9
     assert cpu_now() - t0 < 120.0
 

@@ -62,6 +62,34 @@ def test_eigen_N_integral_float_accepted(tmp_path):
     assert load_config(p)["params"]["N"] == 2.0
 
 
+# (experiment, integer parameter, least accepted value)
+INT_PARAMS = [("gibbs-audit", "depth", 1), ("uni", "n", 1), ("uni", "n_max", 1),
+              ("uni", "grid", 1), ("cancellation", "m_max", 1),
+              ("correlate", "t_points", 4), ("correlate", "samples", 32),
+              ("cohomology", "J_trunc", 1)]
+
+
+@pytest.mark.parametrize("exp,name,low", INT_PARAMS)
+@pytest.mark.parametrize("shift", [-1, 0.5])
+def test_integer_param_below_floor_or_fractional_rejected(tmp_path, exp, name,
+                                                          low, shift):
+    # at low - 1 uni ran with empty a(n), cancellation passed on an empty
+    # trace and correlate failed with IndexError; depth 2.5 ran depth 2
+    def cfg(value):
+        return write_cfg(tmp_path / "c.json",
+                         {"preset": "SYS-B", "experiment": exp,
+                          "params": {name: value}})
+
+    assert load_config(cfg(float(low)))["params"][name] == low
+    p = cfg(low + shift)
+    with pytest.raises(ConfigError) as exc:
+        load_config(p)
+    assert exc.value.pointer == f"/params/{name}"
+    out = tmp_path / "o"
+    assert main([exp, "--config", p, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_malformed_json_is_config_error(tmp_path):
     p = tmp_path / "c.json"
     p.write_text("{not json", encoding="utf-8")

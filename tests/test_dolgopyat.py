@@ -237,7 +237,6 @@ def _sweep_one_trial_at_a_time(sys, eig, b_list, B=1.0, trials=200,
     from gibbsflow.operator import (GridFunction, apply_L, c6_bound,
                                     lasota_yorke_audit, norm_b)
     rng = np.random.default_rng(seed)
-    lam = sys.constants.lam
     results, all_ratios = [], []
     for b in b_list:
         ell = int(math.ceil(B * math.log(abs(b))))
@@ -270,8 +269,8 @@ def _sweep_one_trial_at_a_time(sys, eig, b_list, B=1.0, trials=200,
             cur = norm_b(w, b)
             best = max(best, cur / prev)
             w = w.copy_with(w.values / cur)
-        envelope = (c6_bound(eg, lam)
-                    + lasota_yorke_audit(eg, b, lam, n_values=(ell,),
+        envelope = (c6_bound(eg)
+                    + lasota_yorke_audit(eg, b, n_values=(ell,),
                                          trials=4)["c8_hat"]) ** (1.0 / ell)
         results.append({"b": float(b), "ell": ell, "ratio": best,
                         "zeta_hat": best ** (1.0 / ell), "envelope": envelope})

@@ -170,6 +170,15 @@ def test_constant_observable_has_no_signal(sys_b, eig_b):
                     np.linspace(0.0, 4.0, 9), 10_000, seed=8)
 
 
+def test_fewer_samples_than_batches_refused(sys_b, eig_b):
+    # with 10 samples 22 of the 32 batches are empty: their means are NaN,
+    # and the run used to end in InsufficientSignalError
+    with pytest.raises(ValueError, match="10 samples are fewer than the 32 "
+                                         "batches"):
+        correlation(sys_b, eig_b, "cos(2*pi*u)+x", "cos(2*pi*u)+x",
+                    np.linspace(0.0, 4.0, 9), 10, seed=8)
+
+
 def test_correlation_symmetric_at_time_zero(sys_b, eig_b):
     ts = np.linspace(0.0, 3.0, 7)
     a = correlation(sys_b, eig_b, "x", "cos(2*pi*u)+x", ts, 20_000, seed=9)

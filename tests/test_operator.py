@@ -98,27 +98,27 @@ def test_gridfunction_csv_roundtrip(eig_b):
 def test_hoelder_seminorm_linear(eig_a):
     nodes = node_grid(eig_a.system, 256)
     v = GridFunction(eig_a.system, 3.0 * nodes)
-    assert hoelder_seminorm(v, 1.0) == pytest.approx(3.0, rel=1e-10)
+    assert hoelder_seminorm(v) == pytest.approx(3.0, rel=1e-10)
     # norm_(b) deflates the seminorm by 1 + |b|^alpha
-    assert norm_b(v, 9.0, 1.0) == pytest.approx(3.0 / 10.0 + 3.0, rel=1e-9)
+    assert norm_b(v, 9.0) == pytest.approx(3.0 / 10.0 + 3.0, rel=1e-9)
 
 
 def test_indicator_like_seminorm_scaling(eig_a):
     # steep ramp: seminorm grows like slope, norm_(b) tames it
     nodes = node_grid(eig_a.system, 256)
     v = GridFunction(eig_a.system, np.tanh(200 * (nodes - 0.25)))
-    s1 = hoelder_seminorm(v, 1.0)
+    s1 = hoelder_seminorm(v)
     assert s1 > 100
-    assert norm_b(v, 1000.0, 1.0) < 1.5
+    assert norm_b(v, 1000.0) < 1.5
 
 
 def test_c6_bound_sys_a(eig_a):
-    assert c6_bound(eig_a, 2.0) == pytest.approx(1.0, rel=1e-8)
+    assert c6_bound(eig_a) == pytest.approx(1.0, rel=1e-8)
 
 
 def test_c6_bound_dominates(eig_b):
     eig1 = eigendata(make_preset("SYS-B"), 0.5, N=256)
-    c6 = c6_bound(eig1, 2.0)
+    c6 = c6_bound(eig1)
     ratio = float(eig1.f.values.max() / eig1.f.values.min())
     assert c6 >= ratio - 1e-12
     assert c6 < 50
@@ -154,12 +154,11 @@ def test_c6_bound_takes_the_seminorm_of_the_difference(nl_doubling, sigma):
         a)
     fmax, fmin = float(eig.f.values.max()), float(eig.f.values.min())
     want = float(np.exp(semi / (1.0 - lam ** (-a))) * fmax / fmin)
-    assert c6_bound(eig, lam) == want
+    assert c6_bound(eig) == want
 
 
 def test_lasota_yorke_audit_bounded(eig_b):
-    rep = lasota_yorke_audit(eig_b, b=16.0, lam_expansion=2.0,
-                             n_values=(1, 2, 3, 4), trials=8)
+    rep = lasota_yorke_audit(eig_b, b=16.0, n_values=(1, 2, 3, 4), trials=8)
     q = rep["quotients"]
     assert rep["c8_hat"] < 50
     # no blow-up in n
@@ -171,8 +170,7 @@ def test_lasota_yorke_audit_rounding_does_not_depend_on_grid_size():
     # multiply into unnamed temporaries in place
     eig = eigendata(make_preset("SYS-B"), 0.0, N=8192)
     b, n_values, trials = 64.0, (1, 2), 3
-    rep = lasota_yorke_audit(eig, b, 2.0, n_values=n_values, trials=trials,
-                             seed=4)
+    rep = lasota_yorke_audit(eig, b, n_values=n_values, trials=trials, seed=4)
     rng = np.random.default_rng(4)
     nodes = node_grid(eig.system, eig.N)
     worst = 0.0
@@ -184,12 +182,12 @@ def test_lasota_yorke_audit_rounding_does_not_depend_on_grid_size():
             mode = np.exp(2j * np.pi * q * nodes)
             vals += c * mode
         v = GridFunction(eig.system, vals)
-        nv, sup = norm_b(v, b, 1.0), v.sup_norm()
+        nv, sup = norm_b(v, b), v.sup_norm()
         w, prev = v, 0
         for n in n_values:
             w = apply_L(eig, b, w, n - prev)
             prev = n
-            worst = max(worst, float(norm_b(w, b, 1.0)
+            worst = max(worst, float(norm_b(w, b)
                                      / (2.0 ** (-n) * nv + sup)))
     assert rep["c8_hat"] == worst
 

@@ -1,0 +1,74 @@
+"""Every defaulted parameter of gibbsflow is set by some call.
+
+A parameter with a default that no call sets has one value in use, so it is
+a constant, not an option.  The check parses the package and every call in
+src/, tests/ and perfbench/, and matches calls to definitions by name:
+``f(...)`` and ``obj.f(...)`` call every function or method named f, and
+``Cls(...)`` calls ``Cls.__init__``.  A call sets a parameter when it passes
+it by keyword or by position, or passes ``*args`` or ``**kwargs``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _options() -> list[tuple[str, str, str, int | None]]:
+    """(module, callee name, parameter, position in a call or None for a
+    keyword-only one) of every defaulted parameter in the package."""
+    found = []
+    for path in sorted((ROOT / "src" / "gibbsflow").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {fn: cls for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(fn)
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = int(cls is not None and not static)  # self is not passed
+            name = cls.name if cls is not None and fn.name == "__init__" \
+                else fn.name
+            args = fn.args
+            pos = args.posonlyargs + args.args
+            for k in range(len(pos) - len(args.defaults), len(pos)):
+                found.append((path.name, name, pos[k].arg, k - skip))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.append((path.name, name, arg.arg, None))
+    return found
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in src/, tests/ and perfbench/, by the name it calls."""
+    calls: dict[str, list[ast.Call]] = {}
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = getattr(f, "id", None) or getattr(f, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_option_is_set_by_some_call():
+    options = _options()
+    # the scan sees the package: eigendata's N is an option the CLI sets
+    assert ("operator.py", "eigendata", "N", 2) in options
+    calls = _calls()
+    unset = [f"{module}: {name}({param})"
+             for module, name, param, position in options
+             if not any(_sets(c, param, position) for c in calls.get(name, []))]
+    assert not unset, ("defaulted parameters no call sets; make them "
+                       "constants:\n" + "\n".join(unset))

@@ -187,7 +187,7 @@ def test_cylinder_count_sys_a():
     sys = make_preset("SYS-A")
     assert len(cylinders(sys, 8)) == 256
     with pytest.raises(CapExceededError):
-        cylinders(sys, 25, cap=1000)
+        cylinders(sys, 25)
 
 
 def test_inverse_branch_residual():

@@ -162,7 +162,6 @@ def test_constant_roof_never_transversal(sys_a):
 
 
 def test_sys_b_has_a_transversal_sibling_pair(sys_b):
-    c7 = sys_b.constants.c7
     found = False
     for n in (3, 4, 5):
         ys = np.linspace(0.05, 0.95, 7)
@@ -170,7 +169,7 @@ def test_sys_b_has_a_transversal_sibling_pair(sys_b):
             words = admissible_words(sys_b, n)
             for i in range(len(words)):
                 for j in range(i + 1, len(words)):
-                    if transversal(sys_b, words[i], words[j], y, c7):
+                    if transversal(sys_b, words[i], words[j], y):
                         found = True
     assert found
 
@@ -298,8 +297,7 @@ def test_tableau_weights_are_mu_sigma_jacobians(sys_b):
     from gibbsflow.uni import _preimage_tableau
     eig = eigendata(sys_b, 0.5, N=256)
     ys = np.linspace(1e-9, 1 - 1e-9, 37)
-    words, _, _, wgt = _preimage_tableau(sys_b, eig, 4, ys,
-                                         sys_b.constants.c7)
+    words, _, _, wgt = _preimage_tableau(sys_b, eig, 4, ys)
     ref = np.full(wgt.shape, np.nan)
     for row, word in enumerate(words.tolist()):
         lo, hi = sys_b.image_interval(word[-1])
