@@ -30,9 +30,9 @@ from .flow import BATCHES, correlation
 from .gibbs import adapted_partition, gibbs_audit
 from .operator import eigendata
 from .presets import PRESETS, make_preset
-from .system import system_from_config, validate
-from .uni import (a_sequence, b_sequence, check_uni, coboundary_test,
-                  uni_from_transversality)
+from .system import count_words, system_from_config, validate
+from .uni import (MAX_PAIRS, a_sequence, b_sequence, check_uni,
+                  coboundary_test, uni_from_transversality)
 
 __all__ = ["ConfigError", "MissingManifestError", "run", "report_bundle",
            "main"]
@@ -241,6 +241,10 @@ def _run_uni(sys_, params, out, seed):
     R = float(params.get("R", 0.1))
     n_max = int(params.get("n_max", 6))
     grid = int(params.get("grid", 128))
+    pairs = count_words(sys_, n) ** 2
+    if pairs > MAX_PAIRS:
+        raise ConfigError(f"n = {n} gives {pairs} ordered word pairs, more "
+                          f"than check_uni's {MAX_PAIRS}", "/params/n")
     eig = eigendata(sys_, sigma, N=256)
     a = a_sequence(sys_, eig, n_max, grid=grid)
     bseq = b_sequence(sys_, eig, n_max, grid=grid)

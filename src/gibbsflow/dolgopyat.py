@@ -211,9 +211,15 @@ def _default_depths(sys: MarkovSystem, b: float,
     return n1, n2
 
 
+def _default_Delta(sys: MarkovSystem, delta: float) -> float:
+    """Delta = 4 pi / (C7 delta); infinite for a constant roof (C7 = 0)."""
+    c7 = sys.constants.c7
+    return 4.0 * math.pi / (c7 * delta) if c7 > 0 else math.inf
+
+
 def build_bump(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
-               delta: float, Delta: float | None = None,
-               n: int | None = None) -> tuple[BumpFunction, list]:
+               delta: float, Delta: float | None = None
+               ) -> tuple[BumpFunction, list]:
     """Search each adapted-partition element for a cancellation witness and
     assemble the bump.
 
@@ -231,10 +237,9 @@ def build_bump(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
             "constant roof: cone images are lines, no transversal pairs")
     constraint_gates(sys, eig, delta, c0=pair.C0)
     if Delta is None:
-        Delta = 4.0 * math.pi / (c7 * delta)
+        Delta = _default_Delta(sys, delta)
     n1, n2 = _default_depths(sys, b, delta)
-    if n is None:
-        n = n1 + n2
+    n = n1 + n2
     part = adapted_partition(sys, b, Delta)
     tails = word_array(sys, n2)
     ueval, veval = pair.u.eval, pair.v.eval
@@ -438,9 +443,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
     n = sum(_default_depths(sys, b, delta))
     a = sys.alpha
     K = c0 * abs(b) ** a
-    c7 = sys.constants.c7
-    Delta_used = Delta if Delta is not None else (
-        4.0 * math.pi / (c7 * delta) if c7 > 0 else math.inf)
+    Delta_used = Delta if Delta is not None else _default_Delta(sys, delta)
     dens = _mu_density(eig)
 
     # v lives on a uniform grid resolving the 1/b oscillation scale
@@ -458,7 +461,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
     int_u2 = 1.0
     for m in range(m_max):
         pair = ConeBPair(u=_Evalable(u_eval), v=v, b=b, C0=c0)
-        bump, winners = build_bump(sys, eig, pair, delta, Delta, n)
+        bump, winners = build_bump(sys, eig, pair, delta, Delta)
 
         # advance d through n exact depth-1 applications
         cur_eval = lambda x, de=d_eval, bp=bump: (

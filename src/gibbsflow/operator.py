@@ -207,6 +207,8 @@ class EigenData:
     iterations: int
     matrix: sp.csr_matrix = field(repr=False, default=None)
     _lmat_cache: dict = field(default_factory=dict, repr=False)
+    # the latest (sys, n_max, grid, a, b) of uni's a(n)/b(n) sweep
+    _ab_slot: tuple | None = field(default=None, repr=False)
 
     @property
     def pressure(self) -> float:

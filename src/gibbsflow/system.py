@@ -43,8 +43,9 @@ __all__ = [
     "ValidationReport", "Pullback", "NotMarkovError", "NotExpandingError",
     "NotCoveringError", "RoofBoundsError", "CapExceededError",
     "OutsideImageError", "NoConvergenceError", "system_from_config",
-    "validate", "cylinders", "admissible_words", "word_array", "pullbacks",
-    "pullback", "branch_chain", "sampled_seminorm", "potential_seminorm",
+    "validate", "cylinders", "admissible_words", "count_words", "word_array",
+    "pullbacks", "pullback", "branch_chain", "sampled_seminorm",
+    "potential_seminorm",
 ]
 
 
@@ -527,7 +528,8 @@ def validate(sys: MarkovSystem, raise_on_fail: bool = True) -> ValidationReport:
 # -- words, the pullback engine, cylinders ------------------------------------
 
 
-def _count_words(sys: MarkovSystem, n: int) -> int:
+def count_words(sys: MarkovSystem, n: int) -> int:
+    """Number of admissible depth-n words, counted without building them."""
     counts = np.ones(sys.m, dtype=np.int64)
     for _ in range(n - 1):
         counts = sys.transition.astype(np.int64) @ counts
@@ -540,7 +542,7 @@ def word_array(sys: MarkovSystem, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("depth must be >= 1")
     cap = 2_000_000
-    total = _count_words(sys, n)
+    total = count_words(sys, n)
     if total > cap:
         raise CapExceededError(f"{total} depth-{n} cylinders exceed cap {cap}")
     words = np.arange(sys.m, dtype=np.intp)[:, None]

@@ -13,6 +13,18 @@ at x = h_w(y), the preimage of y along a word w, is the slope interval with
 centre -D(S_n r o h_w)(y) and half-width C7 / |DT^n(x)|, both read off the
 pullback engine at y.  Transversality of two preimages h_w1(y), h_w2(y)
 means their slope intervals are disjoint as closed intervals.
+
+a(n) and b(n) come from one tableau per depth n: the slope intervals and
+mu_sigma-Jacobian weights of every depth-n preimage at every y of a grid.
+Its y columns are grouped by the set of symbols whose image holds y, so a
+group's block of columns is dense, and one endpoint sweep per column reads
+both statistics off it: a stable argsort of [lo | hi] puts every opening
+before any closing at an equal coordinate (closed intervals that touch
+meet), b(n) is the largest prefix sum of the signed weights, and a(n) the
+largest weight of intervals meeting one interval.  ``a_sequence`` and
+``b_sequence`` share the sweep: the latest result is kept in one slot on
+the EigenData, keyed by the system, n_max and grid, so the CLI's call of
+both builds each tableau once.
 """
 
 from __future__ import annotations
@@ -23,13 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import EigenData
-from .system import MarkovSystem, branch_chain, cylinders, pullback, word_array
+from .system import (MarkovSystem, branch_chain, count_words, cylinders,
+                     pullback, word_array)
 
 __all__ = [
-    "PsiFunction", "EmptyDomainError", "c9_constant", "psi", "check_uni",
-    "cone_image", "transversal", "a_sequence", "b_sequence",
+    "PsiFunction", "EmptyDomainError", "MAX_PAIRS", "c9_constant", "psi",
+    "check_uni", "cone_image", "transversal", "a_sequence", "b_sequence",
     "coboundary_test", "uni_from_transversality",
 ]
+
+
+# most ordered pairs of depth-n words check_uni compares
+MAX_PAIRS = 40_000
 
 
 class EmptyDomainError(ValueError):
@@ -98,11 +115,11 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
     |D psi| over the whole interval (0 when no full pair exists).
     D_point: min over grid y of the best pair through y of the inf of
     |D psi| over B(y, R) intersected with the pair's domain.  More than
-    40,000 ordered pairs of depth-n words are refused.
+    MAX_PAIRS ordered pairs of depth-n words are refused.
     """
-    warr = word_array(sys, n)
-    if len(warr) * len(warr) > 40_000:
+    if count_words(sys, n) ** 2 > MAX_PAIRS:
         raise ValueError("too many branch pairs at this depth")
+    warr = word_array(sys, n)
     xs = np.linspace(0.0, 1.0, grid)
     dsnr = np.full((len(warr), grid), np.nan)
     for s in range(sys.m):
@@ -189,64 +206,115 @@ def _y_grid(sys: MarkovSystem, n: int, grid: int) -> np.ndarray:
     return np.unique(np.asarray(ys))
 
 
-def _sequence(sys: MarkovSystem, eig: EigenData, n_max: int, grid: int,
-              name: str, statistic) -> list[float]:
-    """max over y of statistic(lo, hi, w) on the tableau column of each y,
-    over its admissible preimages, for n = 1..n_max; a value above 1 + 1e-8
-    is an error, and the rest is capped at 1 + 1e-12."""
-    out = []
+# (column, interval) pairs per block of the a(n)/b(n) sweep; bounds temporaries
+_SWEEP_BLOCK = 1 << 16
+
+
+def _sweep(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """Largest a- and b-statistic over the rows of (columns, k) blocks of
+    closed intervals [lo, hi] with weights w, one row per y column.
+
+    One stable argsort of [lo | hi] per row orders the endpoints so that
+    every opening fires before any closing at an equal coordinate.  b is the
+    largest prefix sum of the signed weights in that order (the heaviest
+    point).  a is, for each interval j, the opening weight up to hi_j minus
+    the closing weight before lo_j: the weight of the intervals meeting j.
+    """
+    c, k = lo.shape
+    order = np.argsort(np.concatenate([lo, hi], axis=1), axis=1, kind="stable")
+    # flat index, in the (c, 2k) block, of each endpoint in sweep order
+    flat = (order + np.arange(0, 2 * k * c, 2 * k)[:, None]).ravel()
+    zero = np.zeros_like(w)
+
+    def running(opens, closes):
+        swept = np.concatenate([opens, closes], axis=1).ravel()[flat]
+        return np.cumsum(swept.reshape(c, 2 * k), axis=1)
+
+    def unswept(x):
+        out = np.empty(2 * k * c)
+        out[flat] = x.ravel()
+        return out.reshape(c, 2 * k)
+
+    b = running(w, -w).max()
+    a = (unswept(running(w, zero))[:, k:]
+         - unswept(running(zero, w))[:, :k]).max()
+    return float(a), float(b)
+
+
+def _ab_depth(sys: MarkovSystem, eig: EigenData, n: int,
+              grid: int) -> tuple[float, float]:
+    """max over y of the a- and b-statistics of the depth-n tableau columns.
+
+    The columns are grouped by the set of symbols whose image holds y; in a
+    group every word ending in one of them is admissible, so each block of
+    columns is dense.  Columns with no admissible preimage are skipped.
+    """
+    word_array(sys, n)  # enforce the cap before building the grid
+    ys = _y_grid(sys, n, grid)
+    words, lo, hi, wgt = _preimage_tableau(sys, eig, n, ys)
+    holds = np.array([(ys >= a) & (ys <= b) for a, b in
+                      (sys.image_interval(s) for s in range(sys.m))])
+    keys, group = np.unique((1 << np.arange(sys.m)) @ holds,
+                            return_inverse=True)
+    worst_a = worst_b = 0.0
+    for g, key in enumerate(keys.tolist()):
+        rows = np.flatnonzero((key >> words[:, -1]) & 1)
+        cols = np.flatnonzero(group == g)
+        if not (len(rows) and len(cols)):
+            continue
+        step = max(1, _SWEEP_BLOCK // len(rows))
+        for c in range(0, len(cols), step):
+            cell = np.ix_(rows, cols[c:c + step])
+            a, b = _sweep(lo[cell].T, hi[cell].T, wgt[cell].T)
+            worst_a, worst_b = max(worst_a, a), max(worst_b, b)
+    return worst_a, worst_b
+
+
+def _ab_sequences(sys: MarkovSystem, eig: EigenData, n_max: int,
+                  grid: int) -> tuple[list[float], list[float]]:
+    """(a(1..n_max), b(1..n_max)) from one tableau per depth.
+
+    A value above 1 + 1e-8 is an error, and the rest is capped at
+    1 + 1e-12.  The latest result is kept in one slot on ``eig``, keyed by
+    ``sys`` (identity), ``n_max`` and ``grid``.
+    """
+    slot = eig._ab_slot
+    if slot is not None and slot[0] is sys and slot[1:3] == (n_max, grid):
+        return slot[3], slot[4]
+    seqs = ([], [])
     for n in range(1, n_max + 1):
-        word_array(sys, n)  # enforce the cap before building the grid
-        ys = _y_grid(sys, n, grid)
-        _, lo, hi, wgt = _preimage_tableau(sys, eig, n, ys)
-        worst = 0.0
-        for col in range(lo.shape[1]):
-            valid = ~np.isnan(wgt[:, col])
-            if np.any(valid):
-                worst = max(worst, statistic(lo[valid, col], hi[valid, col],
-                                             wgt[valid, col]))
-        if worst > 1.0 + 1e-8:
-            raise AssertionError(f"{name}({n}) = {worst} exceeds 1")
-        out.append(min(worst, 1.0 + 1e-12))
-    return out
-
-
-def _non_transversal_weight(l, h, w) -> float:
-    """Largest total weight of the intervals [l, h] meeting one of them."""
-    order_l = np.argsort(l)
-    order_h = np.argsort(h)
-    ls, ws_l = l[order_l], np.concatenate([[0.0], np.cumsum(w[order_l])])
-    hs, ws_h = h[order_h], np.concatenate([[0.0], np.cumsum(w[order_h])])
-    total = float(np.sum(w))
-    # for each candidate x0: drop intervals strictly left/right of its
-    # own interval; what remains intersects it (closed intervals)
-    left = ws_h[np.searchsorted(hs, l, side="left")]
-    right = total - ws_l[np.searchsorted(ls, h, side="right")]
-    return float(np.max(total - left - right))
-
-
-def _stabbing_weight(l, h, w) -> float:
-    """Largest total weight of the intervals [l, h] through one point."""
-    # sweep: all openings at a coordinate fire before any closing
-    coords = np.concatenate([l, h])
-    deltas = np.concatenate([w, -w])
-    kind = np.concatenate([np.zeros(len(l)), np.ones(len(h))])
-    order = np.lexsort((kind, coords))
-    return float(np.max(np.cumsum(deltas[order])))
+        for name, worst, out in zip("ab", _ab_depth(sys, eig, n, grid), seqs):
+            if worst > 1.0 + 1e-8:
+                raise AssertionError(f"{name}({n}) = {worst} exceeds 1")
+            out.append(min(worst, 1.0 + 1e-12))
+    eig._ab_slot = (sys, n_max, grid, *seqs)
+    return seqs
 
 
 def a_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
                grid: int = 512) -> list[float]:
-    """a(n): worst total mu_sigma-Jacobian weight of preimages not
-    transversal to some x0, at the sigma of ``eig``."""
-    return _sequence(sys, eig, n_max, grid, "a", _non_transversal_weight)
+    """a(n), n = 1..n_max: the worst total mu_sigma-Jacobian weight, at the
+    sigma of ``eig``, of the preimages whose closed slope intervals meet that
+    of one preimage x0 (touching intervals meet), over the y grid.
+
+    Read with b(n) off one endpoint sweep of each depth's tableau; the
+    result stays in one slot on ``eig``, so ``b_sequence`` with the same
+    system, n_max and grid builds nothing again.
+    """
+    return list(_ab_sequences(sys, eig, n_max, grid)[0])
 
 
 def b_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
                grid: int = 512) -> list[float]:
-    """b(n): worst stabbing number of the slope intervals, weighted by the
-    inverse Jacobians of mu_sigma at the sigma of ``eig``."""
-    return _sequence(sys, eig, n_max, grid, "b", _stabbing_weight)
+    """b(n), n = 1..n_max: the worst weighted stabbing number of the closed
+    slope intervals, each preimage weighted by its inverse Jacobian of
+    mu_sigma at the sigma of ``eig``, over the y grid.
+
+    The sweep fires every opening before any closing at an equal
+    coordinate and takes the largest prefix sum of the signed weights.  It
+    is shared with ``a_sequence`` through the one-slot memo on ``eig``.
+    """
+    return list(_ab_sequences(sys, eig, n_max, grid)[1])
 
 
 # -- coboundary test ---------------------------------------------------------------

@@ -232,6 +232,33 @@ def test_uni_report_and_exit(tmp_path):
     assert len(lines) == 5
 
 
+def test_uni_refuses_n_with_too_many_pairs_before_any_work(tmp_path,
+                                                          monkeypatch, capsys):
+    # SYS-B has 2^8 depth-8 words: 65,536 ordered pairs, above check_uni's cap
+    import gibbsflow.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("reached the a(n)/b(n) or eigendata work")
+
+    for name in ("eigendata", "a_sequence", "b_sequence", "check_uni"):
+        monkeypatch.setattr(cli, name, never)
+    p = write_cfg(tmp_path / "c.json",
+                  {"preset": "SYS-B", "experiment": "uni",
+                   "params": {"n": 8, "n_max": 1, "grid": 8}})
+    assert main(["uni", "--config", p, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "/params/n" in err and "65536" in err
+    with pytest.raises(ConfigError) as exc:
+        run(p, out_dir=str(tmp_path / "o"))
+    assert exc.value.pointer == "/params/n"
+
+
+def test_check_uni_keeps_its_own_pair_refusal():
+    from gibbsflow.uni import check_uni
+    with pytest.raises(ValueError, match="too many branch pairs"):
+        check_uni(make_preset("SYS-B"), 8, R=0.1, grid=8)
+
+
 def test_bundle_summarizes_trichotomy(tmp_path):
     for preset, exp, name in (("SYS-A", "cohomology", "r1"),
                               ("SYS-A", "contraction", "r2"),

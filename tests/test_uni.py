@@ -221,6 +221,166 @@ def test_b_submultiplicative(sys_b, eig_b):
             assert b[n + m - 1] <= b[n - 1] * b[m - 1] * (1 + 1e-6)
 
 
+# -- the a(n)/b(n) sweep --------------------------------------------------------
+
+
+def _brute_a(l, h, w):
+    """Largest weight of the closed intervals meeting one of them, O(k^2)."""
+    return max(sum(w[i] for i in range(len(l)) if l[i] <= h[j] and l[j] <= h[i])
+               for j in range(len(l)))
+
+
+def _brute_b(l, h, w):
+    """Largest weight of the closed intervals through one point, O(k^2): the
+    heaviest point is a left endpoint."""
+    return max(sum(w[i] for i in range(len(l)) if l[i] <= x <= h[i])
+               for x in l)
+
+
+# (lo, hi, weights); dyadic weights make every sum exact, so b compares by ==
+HAND_MADE = {
+    "one interval": ([0.0], [1.0], [0.375]),
+    "touching closed": ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0.25, 0.5, 0.125]),
+    "ties": ([0.0, 1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 2.0, 1.0, 3.0],
+             [0.125, 0.25, 0.0625, 0.5, 0.0625]),
+    "nested": ([0.0, 2.0, 4.0, 4.5], [10.0, 3.0, 5.0, 4.75],
+               [0.0625, 0.25, 0.125, 0.5]),
+    "unequal disjoint": ([0.0, 2.0, 2.5, 5.0], [1.0, 3.0, 4.0, 6.0],
+                         [0.5, 0.25, 0.125, 0.0625]),
+    "degenerate": ([-0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [0.5, 0.25, 0.25]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_MADE))
+def test_sweep_matches_brute_force_on_hand_made_intervals(case):
+    from gibbsflow.uni import _sweep
+    l, h, w = (np.array([v]) for v in HAND_MADE[case])
+    a, b = _sweep(l, h, w)
+    assert b == _brute_b(l[0], h[0], w[0])
+    assert abs(a - _brute_a(l[0], h[0], w[0])) <= 1e-15
+
+
+def test_sweep_takes_the_worst_row_of_a_block():
+    # rows are y columns: the block's statistics are the largest row's
+    from gibbsflow.uni import _sweep
+    rng = np.random.default_rng(7)
+    c, k = 40, 25
+    lo = rng.integers(0, 30, (c, k)) / 4.0
+    hi = lo + rng.integers(0, 12, (c, k)) / 4.0
+    w = rng.integers(1, 64, (c, k)) / 1024.0
+    a, b = _sweep(lo, hi, w)
+    assert b == max(_brute_b(*row) for row in zip(lo, hi, w))
+    assert abs(a - max(_brute_a(*row) for row in zip(lo, hi, w))) <= 1e-15
+
+
+def _non_transversal_weight(l, h, w) -> float:
+    """Largest total weight of the intervals [l, h] meeting one of them."""
+    order_l = np.argsort(l)
+    order_h = np.argsort(h)
+    ls, ws_l = l[order_l], np.concatenate([[0.0], np.cumsum(w[order_l])])
+    hs, ws_h = h[order_h], np.concatenate([[0.0], np.cumsum(w[order_h])])
+    total = float(np.sum(w))
+    left = ws_h[np.searchsorted(hs, l, side="left")]
+    right = total - ws_l[np.searchsorted(ls, h, side="right")]
+    return float(np.max(total - left - right))
+
+
+def _stabbing_weight(l, h, w) -> float:
+    """Largest total weight of the intervals [l, h] through one point."""
+    coords = np.concatenate([l, h])
+    deltas = np.concatenate([w, -w])
+    kind = np.concatenate([np.zeros(len(l)), np.ones(len(h))])
+    order = np.lexsort((kind, coords))
+    return float(np.max(np.cumsum(deltas[order])))
+
+
+def _column_loop_sequences(sys, eig, n_max, grid):
+    """a(n), b(n) one tableau column at a time over its admissible rows."""
+    from gibbsflow.uni import _preimage_tableau, _y_grid
+    seqs = ([], [])
+    for n in range(1, n_max + 1):
+        _, lo, hi, wgt = _preimage_tableau(sys, eig, n, _y_grid(sys, n, grid))
+        worst = [0.0, 0.0]
+        for col in range(lo.shape[1]):
+            valid = ~np.isnan(wgt[:, col])
+            if np.any(valid):
+                args = lo[valid, col], hi[valid, col], wgt[valid, col]
+                worst[0] = max(worst[0], _non_transversal_weight(*args))
+                worst[1] = max(worst[1], _stabbing_weight(*args))
+        for out, v in zip(seqs, worst):
+            out.append(min(v, 1.0 + 1e-12))
+    return seqs
+
+
+SWEEP_SYSTEMS = ["SYS-A", "SYS-B", "SYS-C", "SYS-A-BERNOULLI", "SYS-A-LINROOF",
+                 "SYS-C-NLROOF", "NL-DOUBLING"]
+
+
+def _system(name, nl_doubling):
+    return nl_doubling if name == "NL-DOUBLING" else make_preset(name)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("name", SWEEP_SYSTEMS)
+def test_sweep_matches_column_loop(name, sigma, nl_doubling):
+    # same tableau, same endpoint order: b keeps its bits; a sums the
+    # weights in another order, so it may move by an ulp or two
+    s = _system(name, nl_doubling)
+    eig = eigendata(s, sigma, N=256)
+    a_ref, b_ref = _column_loop_sequences(s, eig, 6, 64)
+    assert b_sequence(s, eig, 6, grid=64) == b_ref
+    a = a_sequence(s, eig, 6, grid=64)
+    assert max(abs(x - y) for x, y in zip(a, a_ref)) <= 4.5e-16
+
+
+def test_b_sequence_reuses_the_tableaux_of_a_sequence(sys_b, monkeypatch):
+    import gibbsflow.system as system_mod
+    import gibbsflow.uni as uni_mod
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(uni_mod, "pullback", counted(uni_mod.pullback))
+    monkeypatch.setattr(system_mod, "pullback", counted(system_mod.pullback))
+    monkeypatch.setattr(system_mod, "pullbacks", counted(system_mod.pullbacks))
+    eig = eigendata(sys_b, 0.0, N=64)
+    a = a_sequence(sys_b, eig, 4, grid=32)
+    assert calls
+    calls.clear()
+    b = b_sequence(sys_b, eig, 4, grid=32)
+    assert not calls
+    assert a_sequence(sys_b, eig, 4, grid=32) == a
+    assert not calls
+    # a different grid, or other eigendata, builds the tableaux again
+    assert len(b_sequence(sys_b, eig, 4, grid=33)) == 4
+    assert calls
+    calls.clear()
+    assert b_sequence(sys_b, eigendata(sys_b, 0.0, N=64), 4, grid=32) == b
+    assert calls
+
+
+def test_sequences_match_the_benchmark_reference(nl_doubling):
+    # the CLI sizes (n_max 8, grid 128, N = 256, sigma 0) of the uni steps
+    # in perfbench/workloads.py, against perfbench/reference.json at the
+    # 1e-12 tolerance of its correctness gate
+    import json
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    ref = json.loads(path.read_text(encoding="utf-8"))
+    for name in ("SYS-C-NLROOF", "NL-DOUBLING"):
+        s = _system(name, nl_doubling)
+        eig = eigendata(s, 0.0, N=256)
+        want = ref[f"uni:{name}:n_max=8"]
+        for got, exp in ((a_sequence(s, eig, 8, grid=128), want["a"]),
+                         (b_sequence(s, eig, 8, grid=128), want["b"])):
+            assert len(got) == len(exp)
+            assert max(abs(g - e) for g, e in zip(got, exp)) <= 1e-12
+
+
 # -- coboundary test -------------------------------------------------------------
 
 
