@@ -253,12 +253,6 @@ def test_uni_refuses_n_with_too_many_pairs_before_any_work(tmp_path,
     assert exc.value.pointer == "/params/n"
 
 
-def test_check_uni_keeps_its_own_pair_refusal():
-    from gibbsflow.uni import check_uni
-    with pytest.raises(ValueError, match="too many branch pairs"):
-        check_uni(make_preset("SYS-B"), 8, R=0.1, grid=8)
-
-
 def test_bundle_summarizes_trichotomy(tmp_path):
     for preset, exp, name in (("SYS-A", "cohomology", "r1"),
                               ("SYS-A", "contraction", "r2"),

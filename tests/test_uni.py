@@ -186,6 +186,12 @@ def test_check_uni_zero_for_constant_roof(sys_a):
     assert rep["D_point"] == 0.0
 
 
+def test_check_uni_refuses_too_many_pairs(sys_b):
+    # 2^8 depth-8 words: 65,536 ordered pairs
+    with pytest.raises(ValueError, match="too many branch pairs"):
+        check_uni(sys_b, 8, R=0.1, grid=8)
+
+
 # -- a(n) and b(n) -------------------------------------------------------------
 
 
