@@ -375,26 +375,44 @@ def _map_windows(sys: MarkovSystem, windows):
     return merged[:256]
 
 
-def _apply_once(sys: MarkovSystem, eig: EigenData, g_eval, xs_list, b: float = 0.0):
-    """One application of the normalised operator at the given node sets,
-    evaluated by exact branch sums (the twist uses the exact roof)."""
+def _branch_plan(sys: MarkovSystem, eig: EigenData, xs_list, b: float):
+    """What one application of the normalised operator at the node sets
+    ``xs_list`` needs besides the function it maps: per element, a list of
+    (hx, weight, phase) over the branches i that map into it, with hx the
+    preimages h_i(xs), weight exp(phi - sigma r) f at hx, and phase
+    exp(-i b r) at hx (None at b = 0; the twist uses the exact roof), and
+    the normaliser, the sum of the weights.  A node set that stays fixed
+    needs its plan only once, however often a function is mapped on it."""
     feval = eig.f.eval
-    out = []
+    plan = []
     for e in range(sys.m):
         xs = xs_list[e]
-        acc = np.zeros(xs.shape, dtype=complex)
+        branches = []
         norm = np.zeros(xs.shape)
         for i in range(sys.m):
             if not sys.transition[i, e]:
                 continue
             hx = sys.inverse_branch(i, xs)
             r = sys._r[i](x=hx) + 0.0 * hx
-            raw = np.exp((sys._phi[i](x=hx) + 0.0 * hx) - eig.sigma * r)
-            raw = raw * np.real(np.asarray(feval(hx)))
-            norm += raw
-            term = raw * np.asarray(g_eval(hx))
-            if b != 0.0:
-                term = term * np.exp(-1j * b * r)
+            weight = np.exp((sys._phi[i](x=hx) + 0.0 * hx) - eig.sigma * r)
+            weight = weight * np.real(np.asarray(feval(hx)))
+            norm += weight
+            phase = np.exp(-1j * b * r) if b != 0.0 else None
+            branches.append((hx, weight, phase))
+        plan.append((branches, norm))
+    return plan
+
+
+def _apply_plan(plan, g_eval):
+    """One application of the normalised operator to ``g_eval`` at the node
+    sets of ``plan`` (see ``_branch_plan``), by exact branch sums."""
+    out = []
+    for branches, norm in plan:
+        acc = np.zeros(norm.shape, dtype=complex)
+        for hx, weight, phase in branches:
+            term = weight * np.asarray(g_eval(hx))
+            if phase is not None:
+                term = term * phase
             acc += term
         out.append(acc / norm)
     return out
@@ -438,6 +456,11 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
     of the bump supports.  Records int u_m^2 dmu, the per-step ratio
     tau_hat_m, and cone-membership margins.  C0 is ``c0_constant`` and n =
     n1 + n2 the default depths of ``build_bump``.
+
+    Every application is one ``_branch_plan`` and one ``_apply_plan``.  v
+    lives on fixed nodes, so its plan (preimages, weights and twist phases)
+    is built once per run and serves all n m_max advances of v; d's node
+    sets move with the windows, so each of its advances builds its own.
     """
     c0 = c0_constant(sys, eig)["C0"]
     n = sum(_default_depths(sys, b, delta))
@@ -451,6 +474,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
     v_nodes = [np.linspace(*sys.element_interval(e), nv) for e in range(sys.m)]
     v = _ElementwisePchip(sys, v_nodes,
                           [np.ones(nv, dtype=complex) for _ in range(sys.m)])
+    v_plan = _branch_plan(sys, eig, v_nodes, b)
     d_eval = lambda x: np.zeros(np.asarray(x, dtype=float).shape)
     d_windows: list = []
 
@@ -471,8 +495,8 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
         for _ in range(n):
             windows = _map_windows(sys, windows)
             nodes = _node_sets(sys, base_n, windows)
-            vals = [np.real(arr) for arr in
-                    _apply_once(sys, eig, cur_eval, nodes, b=0.0)]
+            vals = [np.real(arr) for arr in _apply_plan(
+                _branch_plan(sys, eig, nodes, 0.0), cur_eval)]
             dfun = _ElementwisePchip(sys, nodes, vals)
             cur_eval = dfun.eval
         d_eval = cur_eval
@@ -481,8 +505,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
 
         # advance v
         for _ in range(n):
-            v_vals = _apply_once(sys, eig, v.eval, v_nodes, b=b)
-            v = _ElementwisePchip(sys, v_nodes, v_vals)
+            v = _ElementwisePchip(sys, v_nodes, _apply_plan(v_plan, v.eval))
 
         I_next = _integrate_mu(d_eval, d_nodes, dens)
         J_next = _integrate_mu(lambda x: np.real(np.asarray(d_eval(x))) ** 2,
@@ -532,31 +555,45 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
     """For each b: k = floor(beta log |b|); over the test functions exp(2 pi
     i q x), q in (0, 1, 2, 3, 5, 8), that satisfy ||v||_(b) < lam^{a k/16}
     ||v||_inf, report max ||L^k_s v||_{L1(mu)} / ||v||_inf, and fit the decay
-    exponent xi_hat from log-ratio against k log lam."""
+    exponent xi_hat from log-ratio against k log lam.
+
+    Per b, one ``deep_apply`` pulls the eigendata's nodes back along the
+    depth-k words once and carries every admissible test function as its own
+    term, so each ratio has the bits of a pullback made for it alone; the
+    ratios are checked against C6 in q order.  A b that fails the beta gate,
+    or that admits no test function (k <= 0, where the bound is at most
+    1), is refused with ConstraintViolationError before any pullback runs.
+    """
     a = sys.alpha
     lam = sys.constants.lam
     c0 = c0_constant(sys, eig)["C0"]
+    plans = []
     for b in b_list:
         k = int(math.floor(beta * math.log(abs(b))))
-        if not lam ** (a * k / 16.0) <= c0 * abs(b) ** a * (1 + 1e-12):
+        bound = lam ** (a * k / 16.0)
+        if not bound <= c0 * abs(b) ** a * (1 + 1e-12):
             raise ConstraintViolationError(
                 f"beta gate fails at b={b}: lam^(a k/16) > C0 |b|^a")
+        qs = [q for q in (0, 1, 2, 3, 5, 8)
+              if ((2 * np.pi * q) ** a if q else 0.0) / (1.0 + abs(b) ** a)
+              + 1.0 < bound]
+        if not qs:
+            raise ConstraintViolationError(
+                f"no admissible test function at b={b}: k = {k}, and every "
+                f"||v||_(b) is at least lam^(a k/16) = {bound:g} ||v||_inf")
+        plans.append((b, k, qs))
     c6 = c6_bound(eig)
     xs = np.concatenate([eig.f.nodes[e] for e in range(sys.m)])
     wq = eig.mu.reshape(-1)
     rows = []
-    for b in b_list:
-        k = int(math.floor(beta * math.log(abs(b))))
-        bound = lam ** (a * k / 16.0)
+    for b, k, qs in plans:
+        out = deep_apply(sys, eig, b, k, xs, [
+            {"name": q, "twist": True,
+             "fn": lambda x, q=q: np.exp(2j * np.pi * q * np.asarray(x))}
+            for q in qs])
         worst = 0.0
-        for q in (0, 1, 2, 3, 5, 8):
-            fn = lambda x, q=q: np.exp(2j * np.pi * q * np.asarray(x))
-            semi = (2 * np.pi * q) ** a if q else 0.0
-            if semi / (1.0 + abs(b) ** a) + 1.0 >= bound:
-                continue
-            out = deep_apply(sys, eig, b, k, xs, [
-                {"name": "Lv", "fn": fn, "twist": True}])
-            ratio = float(np.sum(wq * np.abs(out["Lv"])))
+        for q in qs:
+            ratio = float(np.sum(wq * np.abs(out[q])))
             if ratio > c6 * (1 + 1e-9):
                 raise AssertionError("ratio exceeds the a priori C6 bound")
             worst = max(worst, ratio)
@@ -568,48 +605,64 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
     return {"beta": beta, "rows": rows, "xi_hat": xi_hat, "C6": c6}
 
 
-# complex trial values per block of the norm sweep, 2^18 x 16 bytes = 4 MiB:
-# 4 trials at m N = 65536 nodes, so a block adds less memory than the
-# eigendata the sweep already holds at that N
-_TRIAL_BUDGET = 1 << 18
+# complex trial values per block of the norm sweep, 2^16 x 16 bytes = 1 MiB:
+# one trial at m N = 65536 nodes.  The budget counts the mode table held
+# beside the blocks, 11 m N values (11.5 MB at m N = 65536): on SYS-B at
+# b = 2048 the traced peak of the trials is 24 MB with table and 1-trial
+# blocks, against 22 MB with 4-trial blocks and no table
+_TRIAL_BUDGET = 1 << 16
 _MODES = 12
 
 
-def _trial_block(nodes: np.ndarray, coef: np.ndarray, ts) -> np.ndarray:
-    """(len(ts), m, N) values of the trial functions ``ts`` on ``nodes``.
+def _mode_table(nodes: np.ndarray) -> list[np.ndarray]:
+    """Values of exp(2 pi i q x), q = 1.._MODES - 1, on ``nodes``: the modes
+    every trial of one b is built from.
+
+    One (m, N) array per mode, not one (_MODES - 1, m, N) array: at m N =
+    65536 a single 11.5 MB block needs memory the allocator does not have
+    free after the eigen steps, while 1 MiB pieces reuse freed space.  On
+    wide-grid (glibc) the peak RSS of the contraction step is 113 MB with
+    pieces, as before the table existed, and 117-124 MB with one block.
+    """
+    return [np.exp(2j * np.pi * q * nodes) for q in range(1, _MODES)]
+
+
+def _trial_block(modes: list[np.ndarray], coef: np.ndarray,
+                 ts) -> np.ndarray:
+    """(len(ts), m, N) values of the trial functions ``ts`` on the nodes of
+    the ``_mode_table`` ``modes``.
 
     Trial 0 is the constant 1 and can only come first; trial t > 0 is
-    sum_q coef[t - 1, q] exp(2 pi i q x).  Each mode is computed once and
-    added to every trial in q order, the order of the one-trial sum.  The
-    q = 0 mode is exactly 1, so its term is the coefficient itself.
+    sum_q coef[t - 1, q] exp(2 pi i q x).  Each mode is added to every trial
+    in q order, the order of the one-trial sum.  The q = 0 mode is exactly
+    1, so its term is the coefficient itself.
     """
-    vals = np.empty((len(ts),) + nodes.shape, dtype=complex)
+    vals = np.empty((len(ts),) + modes[0].shape, dtype=complex)
     rand = [(k, t - 1) for k, t in enumerate(ts) if t > 0]
     if len(rand) < len(ts):
         vals[0] = 1.0
     for k, r in rand:
         vals[k] = coef[r, 0]
-    mode = np.empty(nodes.shape, dtype=complex)
-    term = np.empty_like(mode)
+    term = np.empty(modes[0].shape, dtype=complex)
     for q in range(1, _MODES if rand else 1):
-        np.exp(2j * np.pi * q * nodes, out=mode)
         for k, r in rand:
             # coefficient first: numpy's product rounds by operand order
-            np.multiply(coef[r, q], mode, out=term)
+            np.multiply(coef[r, q], modes[q - 1], out=term)
             vals[k] += term
     return vals
 
 
 def _trial_ratios(eg: EigenData, b: float, ell: int,
-                  coef: np.ndarray) -> list[float]:
+                  modes: list[np.ndarray], coef: np.ndarray) -> list[float]:
     """||L^ell v||_(b) / ||v||_(b) for the trials 0..len(coef) on the grid of
-    ``eg``, in blocks of at most _TRIAL_BUDGET complex node values."""
+    ``eg``, built from ``modes``, in blocks of at most _TRIAL_BUDGET complex
+    node values."""
     nodes = eg.f.nodes
     trials = len(coef) + 1
     block = max(1, _TRIAL_BUDGET // nodes.size)
     ratios: list[float] = []
     for t0 in range(0, trials, block):
-        vals = _trial_block(nodes, coef, range(t0, min(t0 + block, trials)))
+        vals = _trial_block(modes, coef, range(t0, min(t0 + block, trials)))
         v = GridFunction(eg.system, np.moveaxis(vals, 0, -1).copy(), nodes)
         del vals
         ratios += (norm_b(apply_L(eg, b, v, ell), b) / norm_b(v, b)).tolist()
@@ -629,14 +682,15 @@ def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
     x) with c_q = (g + i g') / (1 + q) and g, g' standard normals, drawn
     per b in trial, then q order.  The trial of largest ratio ||L^ell v||_(b)
     / ||v||_(b) (strict >, so the first maximum wins) starts the power
-    iterations.  Trials run in blocks of at most 2^18 complex node values,
-    a fixed memory budget (4 trials at m N = 65536): each Fourier mode is
-    computed once per block, L^ell takes one sparse product per step for
-    the whole block, and the norms of all its columns are taken at once.
-    Every ratio has the same bits as the trial built, mapped and normed on
-    its own.  The
-    eigendata lives on N = 16 |b| nodes per element, clipped to [2048,
-    32768]; consecutive b with the same N share it.
+    iterations.  The 11 Fourier modes exp(2 pi i q x), q > 0, are computed
+    once per b on the eigendata's nodes and dropped before the power steps.
+    Trials run in blocks of at most 2^16 complex node values, a fixed memory
+    budget that counts the mode table (one trial at m N = 65536): L^ell
+    takes one sparse product per step for the whole block, and the norms of
+    all its columns are taken at once.  Every ratio has the same bits as the
+    trial built, mapped and normed on its own.  The eigendata lives on N =
+    16 |b| nodes per element, clipped to [2048, 32768]; consecutive b with
+    the same N share it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -654,12 +708,14 @@ def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
         # divided componentwise, as Python's complex / float does
         g = rng.normal(size=(trials - 1, _MODES, 2)) / scale[:, None]
         coef = g[..., 0] + 1j * g[..., 1]
+        modes = _mode_table(eg.f.nodes)
         best, best_t = 0.0, None
-        for t, ratio in enumerate(_trial_ratios(eg, b, ell, coef)):
+        for t, ratio in enumerate(_trial_ratios(eg, b, ell, modes, coef)):
             if ratio > best:
                 best, best_t = ratio, t
-        w = GridFunction(sys, _trial_block(eg.f.nodes, coef, [best_t])[0],
+        w = GridFunction(sys, _trial_block(modes, coef, [best_t])[0],
                          eg.f.nodes)
+        del modes  # freed before the power steps
         for _ in range(4):
             prev = norm_b(w, b)
             w = apply_L(eg, b, w, ell)

@@ -209,6 +209,18 @@ def test_contraction_constant_roof_short_circuits(tmp_path):
     assert rep["no_contraction"] == "constant_roof_detected"
 
 
+def test_contraction_refuses_b_without_test_functions(tmp_path, capsys):
+    # k = floor(log 2) = 0 admits no test function: refused, not reported
+    # as ratio 0 and xi_b Infinity, which is not valid JSON
+    p = write_cfg(tmp_path / "c.json",
+                  {"preset": "SYS-B", "experiment": "contraction",
+                   "params": {"b_list": [2.0]}})
+    out = tmp_path / "out"
+    assert main(["contraction", "--config", p, "--out", str(out)]) == 1
+    assert "ConstraintViolationError" in capsys.readouterr().err
+    assert not (out / "contraction.json").exists()
+
+
 def test_cancellation_constant_roof_short_circuits(tmp_path):
     p = write_cfg(tmp_path / "c.json",
                   {"preset": "SYS-A-LINROOF", "experiment": "cancellation"})

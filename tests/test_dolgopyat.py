@@ -180,6 +180,61 @@ def test_cone_iteration_contracts(sys_b, eig_b, b):
     assert all(s["I"] > 0 for s in rep["steps"])
 
 
+def _apply_once(sys, eig, g_eval, xs_list, b=0.0):
+    """One application of the normalised operator at the node sets, by exact
+    branch sums, with every preimage, weight and phase computed afresh.
+
+    The phase is bound to a name before the product.  Written as ``term *
+    np.exp(...)``, numpy reuses the unnamed temporary for the product once
+    it reaches 256 KiB (16,384 complex nodes) and computes phase * term,
+    which rounds differently in the last bit from the written order.
+    """
+    feval = eig.f.eval
+    out = []
+    for e in range(sys.m):
+        xs = xs_list[e]
+        acc = np.zeros(xs.shape, dtype=complex)
+        norm = np.zeros(xs.shape)
+        for i in range(sys.m):
+            if not sys.transition[i, e]:
+                continue
+            hx = sys.inverse_branch(i, xs)
+            r = sys._r[i](x=hx) + 0.0 * hx
+            raw = np.exp((sys._phi[i](x=hx) + 0.0 * hx) - eig.sigma * r)
+            raw = raw * np.real(np.asarray(feval(hx)))
+            norm += raw
+            term = raw * np.asarray(g_eval(hx))
+            if b != 0.0:
+                phase = np.exp(-1j * b * r)
+                term = term * phase
+            acc += term
+        out.append(acc / norm)
+    return out
+
+
+def test_cone_iteration_plans_match_fresh_applications(sys_b, eig_b,
+                                                       monkeypatch):
+    # the plan of v's fixed nodes is built once and reused; every applied
+    # value, and so every figure of the report, must keep the bits of an
+    # application that recomputes it all.  The report alone would not do:
+    # v's last bits barely reach the dominates_v margin.
+    import gibbsflow.dolgopyat as dg
+    planned, fresh = [], []
+    apply_plan = dg._apply_plan
+    monkeypatch.setattr(dg, "_apply_plan", lambda plan, g_eval: planned.append(
+        apply_plan(plan, g_eval)) or planned[-1])
+    rep = cone_iteration(sys_b, eig_b, 256.0, m_max=2, base_n=2048)
+    monkeypatch.setattr(dg, "_branch_plan",
+                        lambda sys, eig, xs_list, b: (sys, eig, xs_list, b))
+    monkeypatch.setattr(dg, "_apply_plan", lambda plan, g_eval: fresh.append(
+        _apply_once(plan[0], plan[1], g_eval, plan[2], plan[3])) or fresh[-1])
+    want = cone_iteration(sys_b, eig_b, 256.0, m_max=2, base_n=2048)
+    assert len(planned) == len(fresh) == 2 * 2 * rep["n"]
+    for got, exp in zip(planned, fresh):
+        assert all(np.array_equal(g, e) for g, e in zip(got, exp))
+    assert rep == want  # tau_hats, and each step's I, J and margins
+
+
 def test_cone_iteration_aborts_on_constant_roof(sys_a, eig_a):
     with pytest.raises(NoCancellationWitness):
         cone_iteration(sys_a, eig_a, 256.0, m_max=2, Delta=30.0)
@@ -206,6 +261,72 @@ def test_l1_contraction_constant_roof_control(sys_a, eig_a):
 def test_l1_beta_gate_refuses(sys_a, eig_a):
     with pytest.raises(ConstraintViolationError):
         l1_contraction(sys_a, eig_a, [2.0])
+
+
+def test_l1_refuses_b_without_test_functions(sys_b, eig_b, monkeypatch):
+    # b = 2 on SYS-B passes the beta gate at k = floor(log 2) = 0, where the
+    # bound lam^0 = 1 admits no test function: no ratio, so no xi_b
+    import gibbsflow.dolgopyat as dg
+    calls = []
+    monkeypatch.setattr(dg, "deep_apply",
+                        lambda *args: calls.append(args) or {})
+    with pytest.raises(ConstraintViolationError, match="b=2"):
+        l1_contraction(sys_b, eig_b, [256.0, 2.0])
+    assert not calls
+
+
+def _l1_one_pullback_per_q(sys, eig, b_list, beta=1.0):
+    """l1_contraction's rows with one deep_apply per test function, and the
+    number of test functions each b admits."""
+    from gibbsflow.operator import deep_apply
+    a, lam = sys.alpha, sys.constants.lam
+    xs = np.concatenate([eig.f.nodes[e] for e in range(sys.m)])
+    wq = eig.mu.reshape(-1)
+    rows, admitted = [], []
+    for b in b_list:
+        k = int(math.floor(beta * math.log(abs(b))))
+        bound = lam ** (a * k / 16.0)
+        worst, count = 0.0, 0
+        for q in (0, 1, 2, 3, 5, 8):
+            fn = lambda x, q=q: np.exp(2j * np.pi * q * np.asarray(x))
+            semi = (2 * np.pi * q) ** a if q else 0.0
+            if semi / (1.0 + abs(b) ** a) + 1.0 >= bound:
+                continue
+            out = deep_apply(sys, eig, b, k, xs, [
+                {"name": "Lv", "fn": fn, "twist": True}])
+            worst = max(worst, float(np.sum(wq * np.abs(out["Lv"]))))
+            count += 1
+        rows.append({"b": float(b), "k": k, "ratio": worst,
+                     "xi_b": -math.log(worst) / (k * math.log(lam))})
+        admitted.append(count)
+    return rows, admitted
+
+
+@pytest.mark.parametrize("name", ["SYS-B", "NL-DOUBLING"])
+def test_l1_one_pullback_per_b_matches_one_per_q(name, sys_b, eig_b,
+                                                 nl_doubling):
+    s, eig = ((sys_b, eig_b) if name == "SYS-B"
+              else (nl_doubling, eigendata(nl_doubling, 0.0, N=256)))
+    b_list = [2.0 ** 6, 2.0 ** 8, 2.0 ** 10]
+    rows, admitted = _l1_one_pullback_per_q(s, eig, b_list)
+    # b = 64 skips some test functions (SYS-B admits q = 0, 1, NL-DOUBLING
+    # only q = 0), and b = 1024 admits all six
+    assert min(admitted) < 6 and max(admitted) > 1
+    assert l1_contraction(s, eig, b_list)["rows"] == rows
+
+
+def test_l1_matches_the_benchmark_reference(sys_b):
+    # the CLI size (N = 512, b = 2^8..2^12, beta 1) of the contraction step
+    # in perfbench/workloads.py, against perfbench/reference.json at the
+    # 1e-12 tolerance of its correctness gate
+    import json
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    want = json.loads(path.read_text(encoding="utf-8"))["contraction:SYS-B:"]
+    rep = l1_contraction(sys_b, eigendata(sys_b, 0.0, N=512),
+                         [2.0 ** q for q in range(8, 13)])
+    assert [r["k"] for r in rep["rows"]] == want["k"]
+    assert abs(rep["xi_hat"] - want["xi_hat"]) <= 1e-12
 
 
 # -- operator norm sweep ------------------------------------------------------------
@@ -280,23 +401,26 @@ def _sweep_one_trial_at_a_time(sys, eig, b_list, B=1.0, trials=200,
 @pytest.mark.parametrize("budget", [None, 3 * 8192])
 def test_norm_sweep_blocks_match_one_trial_at_a_time(sys_b, eig_b, budget,
                                                      monkeypatch):
-    # budget None: all 11 trials in one block; 3 * 8192: blocks of 3, 3, 3, 2
-    # at b = 256 (m N = 8192) and of one trial at b = 512.  The constant
-    # trial wins here, so the rows alone would not see the random trials:
-    # every trial's ratio is compared too.
+    # budget None (2^16): blocks of 8, 3 at b = 256 (m N = 8192), of 4, 4, 3
+    # at b = 512, and of 11 at b = 64 and 128 (m N = 4096, one eigendata
+    # for both); 3 * 8192: blocks of 3, 3, 3, 2 at b = 256, of one trial at
+    # b = 512, and of 6, 5 at b = 64 and 128.  The constant trial wins
+    # here, so the rows alone would not see the random trials: every
+    # trial's ratio is compared too.
     import gibbsflow.dolgopyat as dg
     if budget is not None:
         monkeypatch.setattr(dg, "_TRIAL_BUDGET", budget)
-    seen = []
     blocked = dg._trial_ratios
-    monkeypatch.setattr(dg, "_trial_ratios",
-                        lambda *args: seen.append(blocked(*args)) or seen[-1])
-    b_list = [256.0, 512.0]
-    rep = norm_contraction_sweep(sys_b, eig_b, b_list, trials=11, seed=3)
-    rows, ratios = _sweep_one_trial_at_a_time(sys_b, eig_b, b_list,
-                                              trials=11, seed=3)
-    assert rep["rows"] == rows
-    assert seen == ratios
+    for b_list in ([256.0, 512.0], [64.0, 128.0]):
+        seen = []
+        monkeypatch.setattr(
+            dg, "_trial_ratios",
+            lambda *args: seen.append(blocked(*args)) or seen[-1])
+        rep = norm_contraction_sweep(sys_b, eig_b, b_list, trials=11, seed=3)
+        rows, ratios = _sweep_one_trial_at_a_time(sys_b, eig_b, b_list,
+                                                  trials=11, seed=3)
+        assert rep["rows"] == rows
+        assert seen == ratios
 
 
 def test_norm_sweep_refuses_no_trials(sys_b, eig_b):
