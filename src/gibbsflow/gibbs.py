@@ -154,19 +154,33 @@ def _backward_step(sys: MarkovSystem, eig: EigenData, x: np.ndarray):
     Returns ``(ys, weights)``, both (m, len(x)): ys[i] = h_i(x) and
     weights[i] proportional to exp((phi - sigma r)(ys[i])) f(ys[i]) where
     branch i is admissible at x, zeros elsewhere; each column of weights
-    sums to 1.  f is evaluated once, on every preimage stacked.
+    sums to 1.  Each branch is solved on the indices of its admissible
+    points alone.
+
+    f is evaluated once, on every preimage stacked, with the columns taken
+    in the order of x.  Each h_i is monotone and the x where branch i is
+    admissible form one interval, so each row is then one monotone run
+    between runs of the zeros that stand for inadmissible points.  scipy's
+    PPoly starts each point's interval search at the previous point's
+    interval, so it mostly finds the point in the interval it already
+    holds instead of bisecting all the breakpoints.  A point's value does
+    not depend on the order, so the weights keep their bits, and the
+    zeros of the weights stay zeros.
     """
-    admissible = sys.transition[:, sys.element_of(x)]
-    ys = np.zeros(admissible.shape)
-    weights = np.zeros(admissible.shape)
+    elem = sys.element_of(x)
+    ys = np.zeros((sys.m, len(x)))
+    weights = np.zeros((sys.m, len(x)))
     for i in range(sys.m):
-        mask = admissible[i]
-        if not np.any(mask):
+        k = np.flatnonzero(sys.transition[i, elem])
+        if not k.size:
             continue
-        y = sys.inverse_branch(i, x[mask])
-        ys[i, mask] = y
-        weights[i, mask] = np.exp(sys._phi[i](x=y) - eig.sigma * sys._r[i](x=y))
-    weights[admissible] *= eig.f.eval(ys[admissible]).real
+        y = sys.inverse_branch(i, x[k])
+        ys[i, k] = y
+        weights[i, k] = np.exp(sys._phi[i](x=y) - eig.sigma * sys._r[i](x=y))
+    order = np.argsort(x)
+    f_sorted = eig.f.eval(ys.take(order, axis=1)).real
+    for w, fy in zip(weights, f_sorted):
+        w[order] *= fy
     weights /= weights.sum(axis=0)
     return ys, weights
 

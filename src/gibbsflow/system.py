@@ -191,6 +191,13 @@ class MarkovSystem:
         self._r = [compile_expr(e) for e in self.roof]
         self._dr = [compile_expr(differentiate(e)) for e in self.roof]
         self._phi = [compile_expr(e) for e in self.potential]
+        # per family, the one compiled expression that every element shares,
+        # or None; _piecewise evaluates a shared one without element lookup
+        self._T_shared, self._r_shared, self._phi_shared = (
+            fns[0] if all(e == exprs[0] for e in exprs) else None
+            for exprs, fns in (([b.expr for b in self.branches], self._T),
+                               (self.roof, self._r),
+                               (self.potential, self._phi)))
 
         # transition[i, j]: symbol j may follow symbol i
         self.transition = np.zeros((self.m, self.m), dtype=bool)
@@ -218,9 +225,17 @@ class MarkovSystem:
     # -- pointwise structure ------------------------------------------------
 
     def element_of(self, x):
-        """Index of the partition element containing x (left-closed)."""
-        idx = np.searchsorted(self.partition, x, side="right") - 1
-        return np.clip(idx, 0, self.m - 1)
+        """Index of the partition element containing x (left-closed), shaped
+        like x: (m - 1) minus the number of interior breakpoints above x.
+
+        x < 0 gives 0, and x >= 1 and NaN, which is below no breakpoint,
+        give m - 1.  A scalar x gives a numpy integer.
+        """
+        x = np.asarray(x)
+        idx = np.full(x.shape, self.m - 1, dtype=np.intp)
+        for p in self.partition[1:-1]:
+            idx -= x < p
+        return idx[()]
 
     def element_interval(self, i: int) -> tuple[float, float]:
         return float(self.partition[i]), float(self.partition[i + 1])
@@ -229,24 +244,37 @@ class MarkovSystem:
         lo, hi = self.branches[i].image
         return float(self.partition[lo]), float(self.partition[hi])
 
-    def _piecewise(self, fns, x):
+    def _piecewise(self, fns, shared, x):
+        """fns[element_of(x)] at x, a new array shaped like x.
+
+        An expression ``shared`` by every element is evaluated once on all
+        of x.  Otherwise each element's expression runs on the points of
+        that element, gathered by integer index.  A ufunc gives a value the
+        same bits wherever it sits in its array, so both ways give the bits
+        of a per-point evaluation.
+        """
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        idx = self.element_of(x)
+        if shared is not None:
+            out = np.empty_like(x)
+            out[...] = shared(x=x)  # a constant expression gives a scalar
+            return out
+        flat = x.reshape(-1)
+        out = np.empty(flat.shape)
+        idx = self.element_of(flat)
         for i in range(self.m):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = fns[i](x=x[mask])
-        return out
+            k = np.flatnonzero(idx == i)
+            if k.size:
+                out[k] = fns[i](x=flat[k])
+        return out.reshape(x.shape)
 
     def apply_T(self, x):
-        return self._piecewise(self._T, x)
+        return self._piecewise(self._T, self._T_shared, x)
 
     def roof_at(self, x):
-        return self._piecewise(self._r, x)
+        return self._piecewise(self._r, self._r_shared, x)
 
     def potential_at(self, x):
-        return self._piecewise(self._phi, x)
+        return self._piecewise(self._phi, self._phi_shared, x)
 
     # -- inverse branches ---------------------------------------------------
 

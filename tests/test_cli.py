@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import NL_DOUBLING
 import gibbsflow
 from gibbsflow.cli import (ConfigError, MissingManifestError, load_config,
                            main, report_bundle, run)
@@ -263,6 +264,42 @@ def test_uni_refuses_n_with_too_many_pairs_before_any_work(tmp_path,
     with pytest.raises(ConfigError) as exc:
         run(p, out_dir=str(tmp_path / "o"))
     assert exc.value.pointer == "/params/n"
+
+
+@pytest.mark.parametrize("system,t_max,refused", [
+    ("SYS-B", float("inf"), True),   # not finite
+    ("SYS-B", float("nan"), True),
+    ("SYS-B", 0.0, True),            # not > 0
+    ("SYS-B", -1.0, True),
+    ("SYS-B", 1e7, True),            # past the bit bound 53 / 3 = 17.67
+    ("SYS-B", 17.7, True),
+    ("SYS-B", 17.6, False),
+    ("NL-DOUBLING", 12.2, True),     # past 53 / (3 log2(2 + 0.24 pi)) = 12.09
+    ("NL-DOUBLING", 12.0, False),
+])
+def test_correlate_refuses_t_max_before_any_work(tmp_path, monkeypatch,
+                                                 capsys, system, t_max,
+                                                 refused):
+    import gibbsflow.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("reached the eigendata or correlation work")
+
+    for name in ("eigendata", "correlation"):
+        monkeypatch.setattr(cli, name, never)
+    cfg = {"experiment": "correlate", "params": {"t_max": t_max}}
+    cfg.update({"system": NL_DOUBLING} if system == "NL-DOUBLING"
+               else {"preset": system})
+    p = write_cfg(tmp_path / "c.json", cfg)
+    if not refused:
+        with pytest.raises(AssertionError, match="reached"):
+            run(p, out_dir=str(tmp_path / "o"))
+        return
+    assert main(["correlate", "--config", p, "--out", str(tmp_path / "o")]) == 1
+    assert "/params/t_max" in capsys.readouterr().err
+    with pytest.raises(ConfigError) as exc:
+        run(p, out_dir=str(tmp_path / "o"))
+    assert exc.value.pointer == "/params/t_max"
 
 
 def test_bundle_summarizes_trichotomy(tmp_path):

@@ -12,7 +12,7 @@ from gibbsflow.gibbs import (
 )
 from gibbsflow.operator import eigendata
 from gibbsflow.presets import make_preset
-from gibbsflow.system import branch_chain
+from gibbsflow.system import branch_chain, system_from_config
 
 N = 512
 
@@ -181,10 +181,22 @@ def test_burn_in_certifies_double_precision(nl_doubling):
     assert _burn_in(nl_doubling) == 168
 
 
+# the tent map: a decreasing branch, so a row of preimages taken in the
+# order of x runs downwards
+TENT = {"partition": [0.0, 0.5, 1.0],
+        "branches": [{"expr": "2*x", "image": [0, 2]},
+                     {"expr": "2-2*x", "image": [0, 2]}],
+        "roof": ["(2+cos(2*pi*x))/3"] * 2,
+        "potential": ["0.3*sin(2*pi*x)"] * 2}
+
+
 @pytest.mark.parametrize("count", [40, 3000])
 def test_sampler_equals_per_branch_steps(eig_c, nl_doubling, count):
-    eig_nl = eigendata(nl_doubling, 0.0, N=256)
-    for eig in (eig_c, eig_nl):
+    # SYS-B: full-branch with constant f; SYS-C: not full-branch
+    eigs = [eigendata(sys, 0.0, N=256)
+            for sys in (make_preset("SYS-B"), nl_doubling,
+                        system_from_config(TENT))]
+    for eig in [eig_c] + eigs:
         got = sample_mu(eig.system, eig, count, seed=7)
         want = _per_branch_sampler(eig.system, eig, count, seed=7)
         assert np.array_equal(got, want)

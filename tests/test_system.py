@@ -310,6 +310,79 @@ def test_pullback_engine_matches_per_word_chains(name, nl_doubling):
                     _close(getattr(pb, field)[a], value)
 
 
+def _element_of_oracle(sys, x):
+    """element_of as searchsorted over all breakpoints, clipped."""
+    idx = np.searchsorted(sys.partition, x, side="right") - 1
+    return np.clip(idx, 0, sys.m - 1)
+
+
+def _piecewise_oracle(sys, fns, x):
+    """fns[element_of(x)] at x, one boolean mask and scatter per element."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    idx = _element_of_oracle(sys, x)
+    for i in range(sys.m):
+        mask = idx == i
+        if np.any(mask):
+            out[mask] = fns[i](x=x[mask])
+    return out
+
+
+def _edge_points(sys):
+    """The breakpoints, their neighbouring doubles and out-of-range points."""
+    p = sys.partition
+    return np.concatenate([p, np.nextafter(p, -np.inf),
+                           np.nextafter(p, np.inf),
+                           [-0.5, 1.5, np.inf, -np.inf, np.nan, -0.0]])
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_element_of_matches_searchsorted(name, nl_doubling):
+    sys = _system(name, nl_doubling)
+    edges = _edge_points(sys)
+    got = sys.element_of(edges)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, _element_of_oracle(sys, edges))
+    for v in edges:
+        want = _element_of_oracle(sys, v)
+        for x in (v, float(v), np.array(v)):
+            got = sys.element_of(x)
+            assert got == want and int(got) == want and np.ndim(got) == 0
+    block = np.random.default_rng(0).uniform(-0.25, 1.25, (16, 64))
+    block[0, :len(edges)] = edges
+    assert np.array_equal(sys.element_of(block), _element_of_oracle(sys, block))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_piecewise_matches_boolean_masks(name, nl_doubling):
+    # both ways of evaluating a family, shared expression or split by
+    # element, give each point the bits of the per-element mask loop
+    sys = _system(name, nl_doubling)
+    edges = _edge_points(sys)
+    x = np.random.default_rng(1).random(100_000)
+    x[:len(edges)] = edges
+    block = x[-4096:].reshape(64, 64)
+    with np.errstate(invalid="ignore"):
+        for method, fns in (("apply_T", sys._T), ("roof_at", sys._r),
+                            ("potential_at", sys._phi)):
+            for pts in (x, block, block.T):
+                got = getattr(sys, method)(pts)
+                assert got.shape == pts.shape
+                assert np.array_equal(got, _piecewise_oracle(sys, fns, pts),
+                                      equal_nan=True)
+
+
+def test_piecewise_shares_a_common_expression(nl_doubling):
+    # a family whose elements all carry one expression evaluates it once
+    for sys, shared in ((make_preset("SYS-B"), ("r", "phi")),
+                        (make_preset("SYS-C-NLROOF"), ("r", "phi")),
+                        (make_preset("SYS-A-BERNOULLI"), ("r",)),
+                        (nl_doubling, ("r", "phi"))):
+        for family in ("T", "r", "phi"):
+            one = getattr(sys, f"_{family}_shared")
+            assert (one is not None) == (family in shared)
+
+
 def test_pullback_engine_rejects_unsorted_words():
     sys = make_preset("SYS-B")
     with pytest.raises(ValueError):
