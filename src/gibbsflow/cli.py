@@ -352,15 +352,18 @@ def _run_correlate(sys_, params, out, seed):
     samples = int(params.get("samples", 100_000))
     if not 0 < t_max < math.inf:
         raise ConfigError("t_max must be finite and > 0", "/params/t_max")
-    # evolve_many applies T in doubles, losing about log2 sup|T'| bits per
-    # roof crossing, and a time t makes at most t / inf r crossings
+    # evolve_many applies T in doubles, losing up to log2 sup|T'| bits per
+    # roof crossing, and a time t makes at most t / inf r crossings; past
+    # this worst case an orbit can have lost all 53 bits (a typical one
+    # crosses fewer roofs and loses fewer bits)
     c = sys_.constants
     bits = math.log2(c.rho)
     t_cap = 53 * c.roof_inf / bits if bits > 0 else math.inf
     if t_max > t_cap:
         raise ConfigError(
             f"t_max = {t_max} is past {t_cap:.4g}, where forward orbits in "
-            "doubles have lost all 53 bits (t_max log2 sup|T'| / inf r > 53)",
+            "doubles can have lost all 53 bits (worst case: "
+            "t_max log2 sup|T'| / inf r > 53)",
             "/params/t_max")
     eig = eigendata(sys_, sigma, N=256)
     series = correlation(sys_, eig, v, w, np.linspace(0.0, t_max, t_points),

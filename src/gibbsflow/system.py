@@ -191,13 +191,6 @@ class MarkovSystem:
         self._r = [compile_expr(e) for e in self.roof]
         self._dr = [compile_expr(differentiate(e)) for e in self.roof]
         self._phi = [compile_expr(e) for e in self.potential]
-        # per family, the one compiled expression that every element shares,
-        # or None; _piecewise evaluates a shared one without element lookup
-        self._T_shared, self._r_shared, self._phi_shared = (
-            fns[0] if all(e == exprs[0] for e in exprs) else None
-            for exprs, fns in (([b.expr for b in self.branches], self._T),
-                               (self.roof, self._r),
-                               (self.potential, self._phi)))
 
         # transition[i, j]: symbol j may follow symbol i
         self.transition = np.zeros((self.m, self.m), dtype=bool)
@@ -230,6 +223,10 @@ class MarkovSystem:
 
         x < 0 gives 0, and x >= 1 and NaN, which is below no breakpoint,
         give m - 1.  A scalar x gives a numpy integer.
+
+        One comparison pass over x per interior breakpoint makes the cost
+        linear in m (O(m n), against O(n log m) for a binary search); it is
+        the cheaper way for the few elements of the presets.
         """
         x = np.asarray(x)
         idx = np.full(x.shape, self.m - 1, dtype=np.intp)
@@ -244,20 +241,15 @@ class MarkovSystem:
         lo, hi = self.branches[i].image
         return float(self.partition[lo]), float(self.partition[hi])
 
-    def _piecewise(self, fns, shared, x):
+    def _piecewise(self, fns, x):
         """fns[element_of(x)] at x, a new array shaped like x.
 
-        An expression ``shared`` by every element is evaluated once on all
-        of x.  Otherwise each element's expression runs on the points of
-        that element, gathered by integer index.  A ufunc gives a value the
-        same bits wherever it sits in its array, so both ways give the bits
-        of a per-point evaluation.
+        Each element's expression runs on the points of that element,
+        gathered by integer index.  A ufunc gives a value the same bits
+        wherever it sits in its array, so this gives the bits of a
+        per-point evaluation.
         """
         x = np.asarray(x, dtype=float)
-        if shared is not None:
-            out = np.empty_like(x)
-            out[...] = shared(x=x)  # a constant expression gives a scalar
-            return out
         flat = x.reshape(-1)
         out = np.empty(flat.shape)
         idx = self.element_of(flat)
@@ -268,13 +260,13 @@ class MarkovSystem:
         return out.reshape(x.shape)
 
     def apply_T(self, x):
-        return self._piecewise(self._T, self._T_shared, x)
+        return self._piecewise(self._T, x)
 
     def roof_at(self, x):
-        return self._piecewise(self._r, self._r_shared, x)
+        return self._piecewise(self._r, x)
 
     def potential_at(self, x):
-        return self._piecewise(self._phi, self._phi_shared, x)
+        return self._piecewise(self._phi, x)
 
     # -- inverse branches ---------------------------------------------------
 

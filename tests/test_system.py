@@ -355,8 +355,8 @@ def test_element_of_matches_searchsorted(name, nl_doubling):
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_piecewise_matches_boolean_masks(name, nl_doubling):
-    # both ways of evaluating a family, shared expression or split by
-    # element, give each point the bits of the per-element mask loop
+    # the split by element index gives each point the bits of the
+    # per-element mask loop
     sys = _system(name, nl_doubling)
     edges = _edge_points(sys)
     x = np.random.default_rng(1).random(100_000)
@@ -370,17 +370,6 @@ def test_piecewise_matches_boolean_masks(name, nl_doubling):
                 assert got.shape == pts.shape
                 assert np.array_equal(got, _piecewise_oracle(sys, fns, pts),
                                       equal_nan=True)
-
-
-def test_piecewise_shares_a_common_expression(nl_doubling):
-    # a family whose elements all carry one expression evaluates it once
-    for sys, shared in ((make_preset("SYS-B"), ("r", "phi")),
-                        (make_preset("SYS-C-NLROOF"), ("r", "phi")),
-                        (make_preset("SYS-A-BERNOULLI"), ("r",)),
-                        (nl_doubling, ("r", "phi"))):
-        for family in ("T", "r", "phi"):
-            one = getattr(sys, f"_{family}_shared")
-            assert (one is not None) == (family in shared)
 
 
 def test_pullback_engine_rejects_unsorted_words():
