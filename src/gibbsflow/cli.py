@@ -77,6 +77,9 @@ _INT_FLOORS = {"N": 2, "depth": 1, "n": 1, "n_max": 1, "grid": 1, "m_max": 1,
 def _check_range(name: str, value, low=None, high=None, pointer=""):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be numeric", pointer)
+    # JSON admits NaN and +-Infinity, and NaN passes every bound below
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite", pointer)
     if low is not None and value < low:
         raise ConfigError(f"{name} must be >= {low}", pointer)
     if high is not None and value > high:
@@ -121,6 +124,10 @@ def load_config(path: str) -> dict:
         _check_range("depth", params["depth"], high=30, pointer=p + "depth")
     if "delta" in params:
         _check_range("delta", params["delta"], 1e-9, 1 - 1e-9, p + "delta")
+    if "Delta" in params:
+        _check_range("Delta", params["Delta"], pointer=p + "Delta")
+        if not params["Delta"] > 0:
+            raise ConfigError("Delta must be > 0", p + "Delta")
     if "b_list" in params:
         if not isinstance(params["b_list"], list) or not params["b_list"]:
             raise ConfigError("b_list must be a nonempty list", p + "b_list")

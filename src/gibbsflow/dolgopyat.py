@@ -51,42 +51,37 @@ class NoCancellationWitness(RuntimeError):
 # -- constants and gates -------------------------------------------------------
 
 
-def c0_constant(sys: MarkovSystem, eig0: EigenData,
-                variant: str = "multiply") -> dict:
+def c0_constant(sys: MarkovSystem, eig0: EigenData) -> dict:
     """Cone-regularity constant
 
         C0 = 4 |1/f|_inf |f|_alpha + 2 (|phi|_alpha + |r|_alpha) * (1 - lam^-a)
 
-    where |.|_alpha are Hoelder seminorms.  variant="divide" replaces the
-    trailing factor by division (the two readings of the defining formula);
-    a floor of 0.1 keeps the cone nondegenerate when all seminorms vanish.
+    where |.|_alpha are Hoelder seminorms; a floor of 0.1 keeps the cone
+    nondegenerate when all seminorms vanish.
     """
-    if variant not in ("multiply", "divide"):
-        raise ValueError("variant must be 'multiply' or 'divide'")
     a = sys.alpha
     c = sys.constants
     fmin = float(eig0.f.values.real.min())
     semi_f = hoelder_seminorm(eig0.f)
-    factor = 1.0 - c.lam ** (-a)
-    tail = (c.semi_phi + c.semi_r) * factor if variant == "multiply" \
-        else (c.semi_phi + c.semi_r) / factor
+    tail = (c.semi_phi + c.semi_r) * (1.0 - c.lam ** (-a))
     raw = 4.0 * (1.0 / fmin) * semi_f + 2.0 * tail
     floor = 0.1
     floored = raw < floor
-    return {"C0": max(raw, floor), "raw": raw, "variant": variant,
-            "floored": floored, "floor": floor}
+    return {"C0": max(raw, floor), "raw": raw, "floored": floored,
+            "floor": floor}
 
 
 def constraint_gates(sys: MarkovSystem, eig0: EigenData, delta: float,
-                     b_list=(), c0: float | None = None) -> dict:
+                     c0: float | None = None) -> dict:
     """Admissibility inequalities for the cancellation construction; raises
     ConstraintViolationError when any fails:
 
-        C0 delta^a < 1/6,  (2/3) e^{C0 delta^a} < eta0,  C7 delta < pi/6,
-        lam^{a floor(log|b|)/16} <= C0 |b|^a  for every swept b.
+        C0 delta^a < 1/6,  (2/3) e^{C0 delta^a} < eta0,  C7 delta < pi/6.
+
+    The beta gate of a swept b is ``l1_contraction``'s.
     """
     a = sys.alpha
-    lam, c7 = sys.constants.lam, sys.constants.c7
+    c7 = sys.constants.c7
     if c0 is None:
         c0 = c0_constant(sys, eig0)["C0"]
     checks = {
@@ -94,9 +89,6 @@ def constraint_gates(sys: MarkovSystem, eig0: EigenData, delta: float,
         "eta_gap": ((2.0 / 3.0) * math.exp(c0 * delta ** a), ETA0),
         "c7_delta": (c7 * delta, math.pi / 6.0),
     }
-    for b in b_list:
-        k = int(math.floor(math.log(abs(b))))
-        checks[f"beta_b_{b:g}"] = (lam ** (a * k / 16.0), c0 * abs(b) ** a)
     bad = {k: v for k, v in checks.items() if not v[0] < v[1] * (1 + 1e-12)}
     if bad:
         raise ConstraintViolationError(f"constraint gate failed: {bad}")

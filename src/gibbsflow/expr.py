@@ -24,7 +24,7 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Pi", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Neg",
     "Call", "ParseError", "UnknownIdentifierError", "DomainError",
-    "parse", "to_str", "evaluate", "differentiate", "compile_expr",
+    "parse", "to_str", "differentiate", "compile_expr",
 ]
 
 
@@ -359,13 +359,6 @@ def compile_expr(e: Expr):
     namespace.update((f"_c{k}", v) for k, v in enumerate(consts))
     exec(f"def compiled(**env):\n    {body}\n", namespace)
     return namespace["compiled"]
-
-
-def evaluate(e: Expr, x=None, **env):
-    """Evaluate at a point or numpy array; ``x`` is shorthand for env['x']."""
-    if x is not None:
-        env = dict(env, x=x)
-    return compile_expr(e)(**env)
 
 
 def _is_zero(e: Expr) -> bool:

@@ -16,9 +16,9 @@ from .gibbs import sample_mu
 from .operator import EigenData
 from .system import MarkovSystem
 
-__all__ = ["BATCHES", "FlowPoint", "FlowSample", "CorrelationSeries",
-           "InsufficientSignalError", "evolve", "evolve_many",
-           "sample_flow_measure", "correlation"]
+__all__ = ["BATCHES", "FlowSample", "CorrelationSeries",
+           "InsufficientSignalError", "evolve_many", "sample_flow_measure",
+           "correlation"]
 
 
 # batch means behind the standard errors of ``correlation``
@@ -27,12 +27,6 @@ BATCHES = 32
 
 class InsufficientSignalError(RuntimeError):
     """Fewer than four correlation points rise above the noise floor."""
-
-
-@dataclass
-class FlowPoint:
-    x: float
-    u: float
 
 
 def evolve_many(sys: MarkovSystem, xs, us, t):
@@ -52,11 +46,6 @@ def evolve_many(sys: MarkovSystem, xs, us, t):
         s_flat[active] -= r[crossing]
         x_flat[active] = sys.apply_T(x_flat[active])
     return xs, np.maximum(s, 0.0)
-
-
-def evolve(sys: MarkovSystem, p: FlowPoint, t: float) -> FlowPoint:
-    x, u = evolve_many(sys, [p.x], [p.u], t)
-    return FlowPoint(float(x[0]), float(u[0]))
 
 
 @dataclass

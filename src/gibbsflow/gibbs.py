@@ -1,5 +1,5 @@
-"""Gibbs measures on the base map: cylinder masses, Gibbs-property audits,
-sampling, adapted partitions and the measure-comparison (Federer-type) audit.
+"""Gibbs measures on the base map: cylinder masses, the Gibbs-property
+audit, sampling and adapted partitions.
 """
 
 from __future__ import annotations
@@ -9,25 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Mul, Num, Sub
-from .operator import EigenData, eigendata, node_grid
+from .operator import EigenData, node_grid
 from .system import (Cylinder, MarkovSystem, NotCoveringError,
-                     NotExpandingError, branch_chain, cylinders, pullbacks,
-                     word_array)
+                     NotExpandingError, cylinders, pullbacks, word_array)
 
 __all__ = [
-    "CylinderMeasureTable", "AdaptedPartition",
-    "FrequencyTooSmallError", "BracketFailureError",
-    "cylinder_masses", "gibbs_audit", "sample_mu", "measure_of_interval",
-    "adapted_partition", "federer_audit", "normalize_flow_potential",
+    "CylinderMeasureTable", "AdaptedPartition", "FrequencyTooSmallError",
+    "gibbs_audit", "sample_mu", "adapted_partition",
 ]
 
 
 class FrequencyTooSmallError(ValueError):
-    pass
-
-
-class BracketFailureError(RuntimeError):
     pass
 
 
@@ -36,11 +28,6 @@ class CylinderMeasureTable:
     depth: int
     cylinders: list[Cylinder]
     masses: np.ndarray
-    pressure: float
-
-    @property
-    def total(self) -> float:
-        return float(self.masses.sum())
 
 
 @dataclass
@@ -55,24 +42,9 @@ class AdaptedPartition:
         return len(self.elements)
 
 
-def _jacobian_weight(sys: MarkovSystem, eig: EigenData, word, xs):
-    """1/J_{mu}T^n along the inverse branch h_word, evaluated at base points xs:
-
-        lam^{-n} exp(S_n(phi - sigma r)(h x)) f(h x) / f(x)
-
-    These weights over all admissible words sum to (L_sigma^n 1)(x) = 1.
-    """
-    n = len(word)
-    ch = branch_chain(sys, word, xs)
-    f = eig.f.eval
-    w = (eig.lam ** (-n)
-         * np.exp(ch["Snphi"] - eig.sigma * ch["Snr"])
-         * f(ch["x"]).real / f(xs).real)
-    return w, ch
-
-
-def _mass_tables(sys: MarkovSystem, eig: EigenData, max_depth: int):
-    """Yield CylinderMeasureTable for every depth 1..max_depth.
+def _mass_tables(sys: MarkovSystem, eig: EigenData, words: np.ndarray):
+    """Yield CylinderMeasureTable for every depth 1..n, from ``words``, the
+    (K, n) ``word_array`` of all admissible depth-n words.
 
     For each symbol s, one engine run pulls the nodes of the elements in the
     image of s back along the admissible words ending in s, depth by depth,
@@ -85,12 +57,12 @@ def _mass_tables(sys: MarkovSystem, eig: EigenData, max_depth: int):
         # the engine builds the lower depths as suffixes of the deepest words
         raise NotCoveringError("some symbol has no predecessor")
     nodes = node_grid(sys, eig.N)
-    words = word_array(sys, max_depth)
     symbols = [s for s in range(sys.m) if np.any(words[:, -1] == s)]
     images = [slice(*sys.branches[s].image) for s in symbols]
     engines = [pullbacks(sys, words[words[:, -1] == s],
                          nodes[img].reshape(-1), ("J",), eig)
                for s, img in zip(symbols, images)]
+    del words  # each engine holds its own rows
     for n, levels in enumerate(zip(*engines), start=1):
         cyls = cylinders(sys, n)
         norm = np.zeros((sys.m, eig.N))
@@ -101,16 +73,7 @@ def _mass_tables(sys: MarkovSystem, eig: EigenData, max_depth: int):
         for img, pb in zip(images, levels):
             per_word = pb.J @ (eig.mu[img] / norm[img]).reshape(-1)
             masses[[row[tuple(w)] for w in pb.words.tolist()]] = per_word
-        yield CylinderMeasureTable(n, cyls, masses, eig.pressure)
-
-
-def cylinder_masses(sys: MarkovSystem, eig: EigenData,
-                    n: int) -> CylinderMeasureTable:
-    """mu_sigma-mass of every depth-n cylinder via branchwise quadrature of
-    the inverse Jacobian against the node weights of mu."""
-    for table in _mass_tables(sys, eig, n):
-        if table.depth == n:
-            return table
+        yield CylinderMeasureTable(n, cyls, masses)
 
 
 def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
@@ -130,9 +93,11 @@ def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
                          [0.5 * sum(sys.image_interval(s))],
                          ("x", "Snr", "Snphi"))
                for s in range(sys.m)]
-    del words  # each engine holds its own rows
-    for table, levels in zip(_mass_tables(sys, eig, max_depth),
-                             zip(*engines)):
+    tables = _mass_tables(sys, eig, words)
+    # each engine holds its own rows, and _mass_tables drops the array once
+    # its own engines hold theirs
+    del words
+    for table, levels in zip(tables, zip(*engines)):
         n = table.depth
         x = np.concatenate([pb.x[:, 0] for pb in levels])
         sn = np.concatenate([(pb.Snphi - eig.sigma * pb.Snr)[:, 0]
@@ -245,25 +210,7 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
     return out.reshape(-1)[:count]
 
 
-def transition_weights(sys: MarkovSystem, eig: EigenData, x: float) -> dict:
-    """Normalised backward transition probabilities at a single point, one
-    per admissible branch."""
-    _, weights = _backward_step(sys, eig, np.array([float(x)]))
-    return {i: float(weights[i, 0]) for i in sys.admissible_branches(x)}
-
-
 # -- adapted partitions --------------------------------------------------------
-
-
-def _child_cylinders(sys: MarkovSystem, cyl: Cylinder) -> list[Cylinder]:
-    out = []
-    for j in range(sys.m):
-        if not sys.transition[cyl.word[-1], j]:
-            continue
-        w = cyl.word + (j,)
-        ends = branch_chain(sys, w, np.array(sys.image_interval(j)))["x"]
-        out.append(Cylinder(w, float(min(ends)), float(max(ends))))
-    return out
 
 
 def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedPartition:
@@ -306,128 +253,3 @@ def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedParti
                 elements.extend(small)
     elements.sort(key=lambda c: c.left)
     return AdaptedPartition(float(b), float(Delta), elements, mixed)
-
-
-# -- measure of intervals and the Federer-type audit ----------------------------
-
-
-def measure_of_interval(sys: MarkovSystem, eig: EigenData, lo: float, hi: float,
-                        cache: dict | None = None) -> float:
-    """mu_sigma[lo, hi] by descending the cylinder tree: cylinders fully
-    inside are added outright, boundary cylinders are refined until smaller
-    than (hi - lo) / 8 or 40 deep, then counted proportionally to overlap."""
-    if hi <= lo:
-        return 0.0
-    width_cut = max((hi - lo) * 0.125, 1e-14)
-    total = 0.0
-    nodes = node_grid(sys, eig.N)
-    if cache is None:
-        cache = {}
-
-    def cyl_mass(c: Cylinder) -> float:
-        if c.word in cache:
-            return cache[c.word]
-        dlo, dhi = sys.image_interval(c.word[-1])
-        s = 0.0
-        for e in range(sys.m):
-            a, bnd = sys.element_interval(e)
-            if a < dlo - 1e-12 or bnd > dhi + 1e-12:
-                continue
-            w, _ = _jacobian_weight(sys, eig, c.word, nodes[e])
-            s += float(np.dot(eig.mu[e], w))
-        cache[c.word] = s
-        return s
-
-    stack = list(cylinders(sys, 1))
-    while stack:
-        c = stack.pop()
-        if c.right <= lo or c.left >= hi:
-            continue
-        if lo <= c.left and c.right <= hi:
-            total += cyl_mass(c)
-        elif c.diam > width_cut and c.depth < 40:
-            stack.extend(_child_cylinders(sys, c))
-        else:
-            overlap = min(hi, c.right) - max(lo, c.left)
-            total += cyl_mass(c) * overlap / c.diam
-    return total
-
-
-def federer_audit(sys: MarkovSystem, eig: EigenData, b: float, Delta: float,
-                  delta: float, K: float | None = None) -> dict:
-    """Worst ratio mu(J_i)/mu(Q_i) over the adapted partition, with J_i the
-    centered subinterval of length 2 delta/|b|, plus the derived constant
-    delta' = gamma * exp(-K') with K' = K (2 Delta rho)^alpha."""
-    if not (0 < delta < Delta):
-        raise ValueError("need 0 < delta < Delta")
-    part = adapted_partition(sys, b, Delta)
-    rho = sys.constants.rho
-    half = delta / abs(b)
-    gammas, gammas_left = [], []
-    cache: dict = {}
-    for q in part.elements:
-        mid = q.midpoint
-        jlo, jhi = max(q.left, mid - half), min(q.right, mid + half)
-        mq = measure_of_interval(sys, eig, q.left, q.right, cache=cache)
-        mj = measure_of_interval(sys, eig, jlo, jhi, cache=cache)
-        gammas.append(mj / mq)
-        mjl = measure_of_interval(sys, eig, q.left, min(q.right, q.left + 2 * half),
-                                  cache=cache)
-        gammas_left.append(mjl / mq)
-    gamma = float(min(gammas))
-    if K is None:
-        from .dolgopyat import c0_constant
-        K = c0_constant(sys, eig)["C0"]
-    kprime = K * (2 * Delta * rho) ** sys.alpha
-    return {
-        "gamma": gamma,
-        "gamma_left": float(min(gammas_left)),
-        "delta_prime": float(gamma * math.exp(-kprime)),
-        "K": float(K), "K_prime": float(kprime),
-        "partition_size": part.count,
-    }
-
-
-# -- flow-potential normalisation ------------------------------------------------
-
-
-def normalize_flow_potential(sys: MarkovSystem, N: int = 512
-                             ) -> tuple[float, MarkovSystem]:
-    """Find P* with leading eigenvalue of the operator for potential
-    phi - P* r equal to 1, by bisection to 1e-10 within [-50, 50]; returns
-    P* and the shifted system."""
-
-    def shifted(P: float) -> MarkovSystem:
-        pots = [Sub(sys.potential[e], Mul(Num(P), sys.roof[e]))
-                for e in range(sys.m)]
-        return MarkovSystem(sys.partition, sys.branches, sys.roof, pots,
-                            alpha=sys.alpha)
-
-    def g(P: float) -> float:
-        return math.log(eigendata(shifted(P), 0.0, N=N).lam)
-
-    # expand from 0 rather than starting at the bracket edges: extreme
-    # potentials make the eigenproblem badly balanced for no benefit
-    lo_lim, hi_lim = -50.0, 50.0
-    a, ga = 0.0, g(0.0)
-    if ga == 0.0:
-        return 0.0, shifted(0.0)
-    step = 1.0 if ga > 0 else -1.0
-    b, gb = a, ga
-    while ga * gb > 0:
-        a, ga = b, gb
-        b += step
-        if not (lo_lim <= b <= hi_lim):
-            raise BracketFailureError(f"no sign change on [{lo_lim}, {hi_lim}]")
-        gb = g(b)
-    if a > b:
-        a, b, ga, gb = b, a, gb, ga
-    while b - a > 1e-10:
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        if ga * gm <= 0:
-            b, gb = mid, gm
-        else:
-            a, ga = mid, gm
-    p_star = 0.5 * (a + b)
-    return p_star, shifted(p_star)

@@ -17,7 +17,7 @@ Expressions use the variable x (see ``expr``); ``image`` is the half-open
 range of element indices that the branch maps onto.
 
 The constants every estimate runs on (lam = inf|T'|, rho = sup|T'|, C4,
-C7, the roof range and the Hoelder seminorms of phi, r and r') come from
+C7, the roof range and the Hoelder seminorms of phi and r) come from
 one scan of the system, cached as ``MarkovSystem.constants``; no other
 module scans the expressions for them.  Every Hoelder seminorm of sampled
 values, there and in the other modules, is one ``sampled_seminorm``.
@@ -43,7 +43,7 @@ __all__ = [
     "ValidationReport", "Pullback", "NotMarkovError", "NotExpandingError",
     "NotCoveringError", "RoofBoundsError", "CapExceededError",
     "OutsideImageError", "NoConvergenceError", "system_from_config",
-    "validate", "cylinders", "admissible_words", "count_words", "word_array",
+    "validate", "cylinders", "count_words", "word_array",
     "pullbacks", "pullback", "branch_chain", "sampled_seminorm",
     "potential_seminorm",
 ]
@@ -123,7 +123,6 @@ class SystemConstants:
         roof_inf, roof_sup  inf r and sup r
         semi_phi, semi_r    alpha-Hoelder seminorms of phi and r within
                             an element (``sampled_seminorm``)
-        sup_dr, semi_dr     sup |r'| and the alpha-Hoelder seminorm of r'
         monotone            per branch: T' never takes both signs
     """
     lam: float
@@ -133,8 +132,6 @@ class SystemConstants:
     roof_sup: float
     semi_phi: float
     semi_r: float
-    sup_dr: float
-    semi_dr: float
     monotone: tuple[bool, ...]
 
     @property
@@ -265,9 +262,6 @@ class MarkovSystem:
     def roof_at(self, x):
         return self._piecewise(self._r, x)
 
-    def potential_at(self, x):
-        return self._piecewise(self._phi, x)
-
     # -- inverse branches ---------------------------------------------------
 
     def inverse_branch(self, i: int, y):
@@ -358,25 +352,6 @@ class MarkovSystem:
             f"inverse of branch {i}: Newton residual {float(np.max(np.abs(f)))!r}"
             " after 200 steps")
 
-    def admissible_branches(self, x):
-        """Branch indices i with element_of(x) in the image range of branch i."""
-        e = int(self.element_of(float(x)))
-        return [i for i in range(self.m) if self.transition[i, e]]
-
-    # -- serialization ------------------------------------------------------
-
-    def to_config(self) -> dict:
-        return {
-            "partition": [float(a) for a in self.partition],
-            "branches": [
-                {"expr": str(b.expr), "image": [b.image[0], b.image[1]]}
-                for b in self.branches
-            ],
-            "roof": [str(e) for e in self.roof],
-            "potential": [str(e) for e in self.potential],
-            "alpha": self.alpha,
-        }
-
 
 def system_from_config(cfg: dict) -> MarkovSystem:
     """Build a system from the JSON config layout in the module docstring."""
@@ -443,7 +418,7 @@ def _scan_constants(sys: MarkovSystem) -> SystemConstants:
     """The one scan behind ``MarkovSystem.constants``."""
     lam, rho, c4 = np.inf, 0.0, 0.0
     r_inf, r_sup = np.inf, -np.inf
-    semi_phi = semi_r = sup_dr = semi_dr = 0.0
+    semi_phi = semi_r = 0.0
     monotone = []
     for i in range(sys.m):
         xs = np.linspace(*sys.element_interval(i), _SCAN)
@@ -459,11 +434,8 @@ def _scan_constants(sys: MarkovSystem) -> SystemConstants:
         r_sup = max(r_sup, float(r.max()))
         semi_phi = max(semi_phi, sampled_seminorm(xs, phi, sys.alpha))
         semi_r = max(semi_r, sampled_seminorm(xs, r, sys.alpha))
-        sup_dr = max(sup_dr, float(np.max(np.abs(dr))))
-        semi_dr = max(semi_dr, sampled_seminorm(xs, dr, sys.alpha))
     return SystemConstants(lam=lam, rho=rho, c4=c4, roof_inf=r_inf,
                            roof_sup=r_sup, semi_phi=semi_phi, semi_r=semi_r,
-                           sup_dr=sup_dr, semi_dr=semi_dr,
                            monotone=tuple(monotone))
 
 
@@ -570,10 +542,6 @@ def word_array(sys: MarkovSystem, n: int) -> np.ndarray:
         rows, nxt = np.nonzero(sys.transition[words[:, -1]])
         words = np.column_stack([words[rows], nxt])
     return words
-
-
-def admissible_words(sys: MarkovSystem, n: int) -> list[tuple[int, ...]]:
-    return [tuple(w) for w in word_array(sys, n).tolist()]
 
 
 FIELDS = ("x", "dTn", "Snr", "Snphi", "DSnr_h")

@@ -1,8 +1,7 @@
 """Displacement functions, transversality of cone images, the a(n)/b(n)
 sequences and the coboundary trichotomy test.
 
-The constants (lam, rho, C4, C7, the Hoelder data of r') are read from
-``MarkovSystem.constants``.
+The constants (lam, rho, C4, C7) are read from ``MarkovSystem.constants``.
 
 Projective convention: a 2d cone {(a, c) : |c| <= C7 |a|} is stored as the
 slope interval [-C7, C7]; its image under the cocycle matrix
@@ -39,8 +38,8 @@ from .system import (MarkovSystem, branch_chain, count_words, cylinders,
                      pullback, word_array)
 
 __all__ = [
-    "PsiFunction", "EmptyDomainError", "MAX_PAIRS", "c9_constant", "psi",
-    "check_uni", "cone_image", "transversal", "a_sequence", "b_sequence",
+    "PsiFunction", "EmptyDomainError", "MAX_PAIRS", "psi", "check_uni",
+    "a_sequence", "b_sequence",
     "coboundary_test", "uni_from_transversality",
 ]
 
@@ -51,12 +50,6 @@ MAX_PAIRS = 40_000
 
 class EmptyDomainError(ValueError):
     pass
-
-
-def c9_constant(sys: MarkovSystem, c2: float) -> float:
-    """Hoelder bound for D psi: 2 max{C2, 1} ||Dr||_{C^alpha} / (1 - 1/lam)."""
-    c = sys.constants
-    return 2.0 * max(c2, 1.0) * (c.sup_dr + c.semi_dr) / (1.0 - 1.0 / c.lam)
 
 
 @dataclass
@@ -87,25 +80,6 @@ def psi(sys: MarkovSystem, w1: tuple[int, ...], w2: tuple[int, ...]) -> PsiFunct
     if hi <= lo:
         raise EmptyDomainError(f"T^n images of {w1} and {w2} do not intersect")
     return PsiFunction(sys, tuple(w1), tuple(w2), (lo, hi))
-
-
-def cone_image(sys: MarkovSystem, word: tuple[int, ...],
-               y: float) -> tuple[float, float]:
-    """Slope interval of D^n(h_w(y)) applied to the base cone of half-slope
-    C7, n = len(word): centre -D(S_n r o h_w)(y), half-width C7 / |DT^n|."""
-    ch = branch_chain(sys, word, y)
-    centre = -float(ch["DSnr_h"][0])
-    half = sys.constants.c7 / abs(float(ch["dTn"][0]))
-    return (centre - half, centre + half)
-
-
-def transversal(sys: MarkovSystem, w1: tuple[int, ...], w2: tuple[int, ...],
-                y: float) -> bool:
-    """Closed slope intervals of the cone images at h_w1(y) and h_w2(y) are
-    disjoint; y must lie in the domain of both inverse branches."""
-    i1 = cone_image(sys, w1, y)
-    i2 = cone_image(sys, w2, y)
-    return i1[1] < i2[0] or i2[1] < i1[0]
 
 
 def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
@@ -169,7 +143,7 @@ def _preimage_tableau(sys: MarkovSystem, eig: EigenData, n: int,
                       ys: np.ndarray):
     """Interval and weight arrays over (word, y); NaN where inadmissible.
 
-    Rows are the depth-n words in ``admissible_words`` order.  The words
+    Rows are the depth-n words in ``word_array`` order.  The words
     ending in each symbol s are pulled back in one engine call at the ys in
     the image of s; a row holds the slope interval -D(S_n r o h)(y) +- C7 /
     |DT^n| and the weight J_w(y), the inverse Jacobian of mu_sigma along h_w

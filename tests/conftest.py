@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gibbsflow.system import system_from_config
+from gibbsflow.gibbs import _mass_tables
+from gibbsflow.system import branch_chain, system_from_config, word_array
 
 # T(x) = 2x + 0.12 sin(2 pi x) mod 1: Markov on {0, 1/2, 1} with nonlinear
 # branches, roof (2 + cos 2 pi x)/3 and potential -log T', so J_w depends on x
@@ -29,3 +30,56 @@ def itineraries(sys, x, n: int) -> np.ndarray:
             z = sys.apply_T(z)
             z = np.where(z >= 1.0, np.nextafter(1.0, 0.0), np.maximum(z, 0.0))
     return out
+
+
+def to_config(sys) -> dict:
+    """The JSON config layout of ``system_from_config`` for a system."""
+    return {
+        "partition": [float(a) for a in sys.partition],
+        "branches": [{"expr": str(b.expr), "image": [b.image[0], b.image[1]]}
+                     for b in sys.branches],
+        "roof": [str(e) for e in sys.roof],
+        "potential": [str(e) for e in sys.potential],
+        "alpha": sys.alpha,
+    }
+
+
+def jacobian_weight(sys, eig, word, xs):
+    """1/J_mu T^n along the inverse branch h_word, one word at a time, at the
+    base points xs, with the branch chain it comes from:
+
+        lam^{-n} exp(S_n(phi - sigma r)(h x)) f(h x) / f(x)
+
+    These weights over all admissible words sum to (L_sigma^n 1)(x) = 1.
+    """
+    ch = branch_chain(sys, word, xs)
+    f = eig.f.eval
+    w = (eig.lam ** (-len(word))
+         * np.exp(ch["Snphi"] - eig.sigma * ch["Snr"])
+         * f(ch["x"]).real / f(xs).real)
+    return w, ch
+
+
+def cylinder_masses(sys, eig, n: int):
+    """The mu_sigma masses of the depth-n cylinders, as the Gibbs audit
+    computes them (a CylinderMeasureTable)."""
+    for table in _mass_tables(sys, eig, word_array(sys, n)):
+        if table.depth == n:
+            return table
+
+
+def cone_image(sys, word, y: float) -> tuple[float, float]:
+    """Slope interval of D^n(h_w(y)) applied to the base cone of half-slope
+    C7, n = len(word): centre -D(S_n r o h_w)(y), half-width C7 / |DT^n|."""
+    ch = branch_chain(sys, word, y)
+    centre = -float(ch["DSnr_h"][0])
+    half = sys.constants.c7 / abs(float(ch["dTn"][0]))
+    return (centre - half, centre + half)
+
+
+def transversal(sys, w1, w2, y: float) -> bool:
+    """The closed slope intervals of the cone images at h_w1(y) and h_w2(y)
+    are disjoint; y must lie in the domain of both inverse branches."""
+    i1 = cone_image(sys, w1, y)
+    i2 = cone_image(sys, w2, y)
+    return i1[1] < i2[0] or i2[1] < i1[0]

@@ -8,16 +8,16 @@ import time
 import numpy as np
 import pytest
 
+from conftest import cone_image, cylinder_masses, transversal
 from gibbsflow.cli import run
 from gibbsflow.dolgopyat import (ConeBPair, build_bump, cancellation_check,
                                  cone_iteration, l1_contraction)
 from gibbsflow.flow import correlation, sample_flow_measure
-from gibbsflow.gibbs import adapted_partition, cylinder_masses, gibbs_audit, sample_mu
+from gibbsflow.gibbs import adapted_partition, gibbs_audit, sample_mu
 from gibbsflow.operator import GridFunction, apply_L, eigendata
 from gibbsflow.presets import make_preset, preset_names
-from gibbsflow.system import admissible_words, branch_chain, cylinders, validate
-from gibbsflow.uni import (a_sequence, b_sequence, coboundary_test, cone_image,
-                           psi, transversal)
+from gibbsflow.system import branch_chain, cylinders, validate, word_array
+from gibbsflow.uni import a_sequence, b_sequence, coboundary_test, psi
 
 # runtime budgets are on CPU time: the sandboxed runner throttles wall clock
 # by large, unpredictable factors
@@ -53,7 +53,7 @@ def sibling_pairs(sys, n, y=0.5):
     """Pairs (w1, w2) of distinct depth-n words whose inverse branches are
     defined at y: h_w1(y) and h_w2(y) are distinct depth-n preimages of y."""
     ws = []
-    for w in admissible_words(sys, n):
+    for w in map(tuple, word_array(sys, n).tolist()):
         lo, hi = sys.image_interval(w[-1])
         if lo <= y <= hi:
             ws.append(w)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import NL_DOUBLING
+from conftest import NL_DOUBLING, to_config
 import gibbsflow
 from gibbsflow.cli import (ConfigError, MissingManifestError, load_config,
                            main, report_bundle, run)
@@ -91,6 +91,58 @@ def test_integer_param_below_floor_or_fractional_rejected(tmp_path, exp, name,
     assert not out.exists()
 
 
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _refused_before_any_work(tmp_path, monkeypatch, capsys, exp, params,
+                             pointer, work):
+    """Run ``exp`` with ``params`` on SYS-B: it must exit 1 naming
+    ``pointer``, before any of the cli names ``work`` is called."""
+    import gibbsflow.cli as cli
+
+    called = []
+    for name in work:
+        monkeypatch.setattr(cli, name,
+                            lambda *a, name=name, **k: called.append(name))
+    p = write_cfg(tmp_path / "c.json",
+                  {"preset": "SYS-B", "experiment": exp, "params": params})
+    out = tmp_path / "o"
+    assert main([exp, "--config", p, "--out", str(out)]) == 1
+    assert pointer in capsys.readouterr().err
+    assert called == []
+    assert not out.exists()
+    with pytest.raises(ConfigError) as exc:
+        load_config(p)
+    assert exc.value.pointer == pointer
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize("exp,name", [("eigen", "sigma"),
+                                      ("cancellation", "b"),
+                                      ("cancellation", "delta"),
+                                      ("contraction", "b_list")])
+def test_non_finite_param_refused_before_any_work(tmp_path, monkeypatch,
+                                                  capsys, exp, name, value):
+    # every comparison with NaN is false, so NaN passed every range check:
+    # sigma NaN ran 100,000 power steps before NoConvergenceError
+    params = {name: [256.0, value] if name == "b_list" else value}
+    _refused_before_any_work(tmp_path, monkeypatch, capsys, exp, params,
+                             f"/params/{name}", ("eigendata",))
+
+
+@pytest.mark.parametrize("Delta", [-1.0, 0.0] + NONFINITE)
+@pytest.mark.parametrize("exp", ["partition", "cancellation"])
+def test_Delta_not_finite_and_positive_refused(tmp_path, monkeypatch, capsys,
+                                               exp, Delta):
+    # at Delta = -1 the partition refined every cylinder down to the word
+    # cap (depth 21 on SYS-B, 1.3 GB); at NaN it wrote "Delta": NaN, which
+    # is not JSON, into partition.json
+    _refused_before_any_work(tmp_path, monkeypatch, capsys, exp,
+                             {"b": 1024.0, "Delta": Delta}, "/params/Delta",
+                             ("eigendata", "adapted_partition",
+                              "cone_iteration"))
+
+
 def test_malformed_json_is_config_error(tmp_path):
     p = tmp_path / "c.json"
     p.write_text("{not json", encoding="utf-8")
@@ -119,7 +171,7 @@ def test_validate_success_writes_manifest(tmp_path):
 
 
 def test_validate_audit_failure_exits_2(tmp_path):
-    cfg = make_preset("SYS-A").to_config()
+    cfg = to_config(make_preset("SYS-A"))
     cfg["roof"] = ["3/2", "3/2"]  # violates sup r <= 1
     p = write_cfg(tmp_path / "c.json",
                   {"system": cfg, "experiment": "validate"})
@@ -131,7 +183,7 @@ def test_validate_audit_failure_exits_2(tmp_path):
 
 
 def test_validate_non_monotone_branch_exits_2(tmp_path):
-    cfg = make_preset("SYS-A").to_config()
+    cfg = to_config(make_preset("SYS-A"))
     cfg["branches"][0]["expr"] = "8*x*(1-2*x)"
     p = write_cfg(tmp_path / "c.json",
                   {"system": cfg, "experiment": "validate"})
@@ -149,7 +201,7 @@ def test_validate_non_monotone_branch_exits_2(tmp_path):
 
 
 def test_preset_flag_overrides_config_system(tmp_path):
-    cfg = make_preset("SYS-B").to_config()
+    cfg = to_config(make_preset("SYS-B"))
     p = write_cfg(tmp_path / "c.json",
                   {"system": cfg, "experiment": "validate"})
     out = tmp_path / "out"

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from conftest import itineraries
-from gibbsflow.gibbs import (
-    BracketFailureError, FrequencyTooSmallError, _burn_in, adapted_partition,
-    cylinder_masses, federer_audit, gibbs_audit, measure_of_interval,
-    normalize_flow_potential, sample_mu, transition_weights,
-)
+from conftest import cylinder_masses, itineraries
+from gibbsflow.gibbs import (FrequencyTooSmallError, _backward_step, _burn_in,
+                             adapted_partition, gibbs_audit, sample_mu)
 from gibbsflow.operator import eigendata
 from gibbsflow.presets import make_preset
 from gibbsflow.system import branch_chain, system_from_config
@@ -31,7 +28,7 @@ def test_sys_a_dyadic_masses(eig_a):
     table = cylinder_masses(eig_a.system, eig_a, 3)
     assert len(table.cylinders) == 8
     assert np.max(np.abs(table.masses - 0.125)) < 1e-8
-    assert table.total == pytest.approx(1.0, abs=1e-9)
+    assert table.masses.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bernoulli_masses():
@@ -47,7 +44,7 @@ def test_bernoulli_masses():
 def test_mass_additivity(eig_c):
     t1 = cylinder_masses(eig_c.system, eig_c, 1)
     t2 = cylinder_masses(eig_c.system, eig_c, 2)
-    assert t2.total == pytest.approx(1.0, abs=1e-10)
+    assert t2.masses.sum() == pytest.approx(1.0, abs=1e-10)
     for c1, m1 in zip(t1.cylinders, t1.masses):
         children = sum(m for c, m in zip(t2.cylinders, t2.masses)
                        if c.word[0] == c1.word[0])
@@ -83,7 +80,7 @@ def test_gibbs_audit_reference_point(nl_doubling):
             z = branch_chain(sys, c.word, y)["x"]
             s = 0.0
             for _ in range(n):
-                s += float(sys.potential_at(z)[0]
+                s += float(sys._piecewise(sys._phi, z)[0]
                            - eig.sigma * sys.roof_at(z)[0])
                 z = sys.apply_T(z)
             ratios.append(mass / math.exp(-eig.pressure * n + s))
@@ -106,8 +103,8 @@ def test_gibbs_audit_bounded_sys_c(eig_c):
 
 def test_transition_weights_normalized(eig_c):
     for x in (0.1, 0.37, 0.62, 0.9):
-        w = transition_weights(eig_c.system, eig_c, x)
-        assert sum(w.values()) == pytest.approx(1.0, abs=1e-10)
+        _, w = _backward_step(eig_c.system, eig_c, np.array([x]))
+        assert w[:, 0].sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_sampler_lebesgue(eig_a):
@@ -207,15 +204,17 @@ def test_transition_weights_values():
     eig = eigendata(make_preset("SYS-C-NLROOF"), 1.0, N=N)
     sys = eig.system
     for x in (0.1, 0.37, 0.62, 0.9):
-        w = transition_weights(sys, eig, x)
-        assert sorted(w) == sys.admissible_branches(x)
+        _, w = _backward_step(sys, eig, np.array([x]))
+        # nonzero exactly on the branches admissible at x
+        admissible = np.flatnonzero(sys.transition[:, sys.element_of(x)])
+        assert np.flatnonzero(w[:, 0]).tolist() == admissible.tolist()
         raw = {}
-        for i in w:
+        for i in admissible:
             y = sys.inverse_branch(i, np.array([x]))
             raw[i] = float((np.exp(-sys._r[i](x=y)) * eig.f.eval(y).real)[0])
         total = sum(raw.values())
-        for i in w:
-            assert w[i] == pytest.approx(raw[i] / total, rel=1e-14)
+        for i in admissible:
+            assert w[i, 0] == pytest.approx(raw[i] / total, rel=1e-14)
 
 
 @pytest.mark.parametrize("name,sigma", [("NL-DOUBLING", 0.0),
@@ -266,40 +265,3 @@ def test_adapted_partition_bounds_sys_c():
 def test_adapted_partition_precondition():
     with pytest.raises(FrequencyTooSmallError):
         adapted_partition(make_preset("SYS-A"), 1.0, 1.0)
-
-
-def test_measure_of_interval_lebesgue(eig_a):
-    for lo, hi in ((0.0, 0.25), (0.1, 0.35), (0.7, 0.93)):
-        assert measure_of_interval(eig_a.system, eig_a, lo, hi) == pytest.approx(
-            hi - lo, abs=2e-3 * (hi - lo) + 1e-6)
-
-
-def test_federer_audit_sys_a(eig_a):
-    b, Delta, delta = 64.0, 1.0, 0.5
-    rep = federer_audit(eig_a.system, eig_a, b, Delta, delta, K=1.0)
-    # Lebesgue: gamma is the worst length ratio (2 delta/b) / diam(Q)
-    part = adapted_partition(eig_a.system, b, Delta)
-    expect = min((2 * delta / b) / q.diam for q in part.elements)
-    assert rep["gamma"] == pytest.approx(expect, rel=0.02)
-    assert rep["gamma"] >= delta / (Delta * 2.0) * 0.98  # >= delta/(Delta rho)
-    assert rep["gamma"] <= 1.0
-    assert rep["delta_prime"] == pytest.approx(
-        rep["gamma"] * math.exp(-1.0 * (2 * Delta * 2.0)), rel=1e-12)
-
-
-def test_federer_positive_sys_c(eig_c):
-    rep = federer_audit(eig_c.system, eig_c, 256.0, 1.0, 0.5, K=1.0)
-    assert 0 < rep["gamma"] <= 1.0
-    assert 0 < rep["gamma_left"] <= 1.0
-
-
-def test_normalize_flow_potential_sys_a():
-    p_star, norm = normalize_flow_potential(make_preset("SYS-A"), N=128)
-    assert p_star == pytest.approx(math.log(2.0), abs=1e-9)
-    assert eigendata(norm, 0.0, N=128).lam == pytest.approx(1.0, abs=1e-9)
-
-
-def test_normalize_flow_potential_sys_b_bracket():
-    p_star, norm = normalize_flow_potential(make_preset("SYS-B"), N=128)
-    assert math.log(2.0) < p_star < 3 * math.log(2.0)
-    assert eigendata(norm, 0.0, N=128).lam == pytest.approx(1.0, abs=1e-8)

@@ -1,18 +1,19 @@
 import importlib
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gibbsflow.gibbs import _jacobian_weight, cylinder_masses
+from conftest import cylinder_masses, jacobian_weight, to_config
 from gibbsflow.operator import deep_apply, eigendata, node_grid
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.system import (
     Branch, CapExceededError, NoConvergenceError, NotCoveringError,
-    NotExpandingError, NotMarkovError, OutsideImageError, admissible_words,
-    branch_chain, cylinders, pullback, sampled_seminorm, system_from_config,
-    validate, word_array,
+    NotExpandingError, NotMarkovError, OutsideImageError, branch_chain,
+    cylinders, pullback, sampled_seminorm, system_from_config, validate,
+    word_array,
 )
 from gibbsflow.expr import parse
 
@@ -69,13 +70,13 @@ def test_system_constants_nl_doubling_closed_forms(nl_doubling):
 def test_system_constants_constant_roof():
     c = make_preset("SYS-A").constants
     assert c.c4 == 0.0 and c.c7 == 0.0
-    assert c.semi_r == 0.0 and c.sup_dr == 0.0 and c.semi_dr == 0.0
+    assert c.semi_r == 0.0
 
 
 def test_system_constants_seminorm_below_one_sees_long_pairs():
     # r(0) = 1 and r(1/2) = 1/3 on one element of SYS-B, so at alpha = 1/2
     # |r|_alpha >= (2/3) / sqrt(1/2); adjacent pairs alone give 0.033
-    cfg = make_preset("SYS-B").to_config()
+    cfg = to_config(make_preset("SYS-B"))
     cfg["alpha"] = 0.5
     c = system_from_config(cfg).constants
     assert c.semi_r >= (2 / 3) / math.sqrt(0.5)
@@ -158,14 +159,14 @@ def _bad_system(expr0, image0):
 
 def test_config_roundtrip():
     sys = make_preset("SYS-B")
-    sys2 = system_from_config(json.loads(json.dumps(sys.to_config())))
+    sys2 = system_from_config(json.loads(json.dumps(to_config(sys))))
     xs = np.linspace(0, 0.999, 101)
     assert np.allclose(sys.apply_T(xs), sys2.apply_T(xs))
     assert np.allclose(sys.roof_at(xs), sys2.roof_at(xs))
 
 
 def test_unknown_config_key_rejected():
-    cfg = make_preset("SYS-A").to_config()
+    cfg = to_config(make_preset("SYS-A"))
     cfg["extra"] = 1
     with pytest.raises(NotMarkovError):
         system_from_config(cfg)
@@ -299,7 +300,10 @@ def test_pullback_engine_matches_per_word_chains(name, nl_doubling):
     sys = _system(name, nl_doubling)
     for n in range(1, 7):
         words = word_array(sys, n)
-        assert [tuple(w) for w in words.tolist()] == admissible_words(sys, n)
+        # every admissible word once, in lexicographic order
+        want = [w for w in itertools.product(range(sys.m), repeat=n)
+                if all(sys.transition[a, b] for a, b in zip(w, w[1:]))]
+        assert [tuple(w) for w in words.tolist()] == want
         for s in range(sys.m):
             ws = words[words[:, -1] == s]
             ys = np.linspace(*sys.image_interval(s), 7)
@@ -363,10 +367,10 @@ def test_piecewise_matches_boolean_masks(name, nl_doubling):
     x[:len(edges)] = edges
     block = x[-4096:].reshape(64, 64)
     with np.errstate(invalid="ignore"):
-        for method, fns in (("apply_T", sys._T), ("roof_at", sys._r),
-                            ("potential_at", sys._phi)):
+        for method, fns in ((sys.apply_T, sys._T), (sys.roof_at, sys._r),
+                            (lambda p: sys._piecewise(sys._phi, p), sys._phi)):
             for pts in (x, block, block.T):
-                got = getattr(sys, method)(pts)
+                got = method(pts)
                 assert got.shape == pts.shape
                 assert np.array_equal(got, _piecewise_oracle(sys, fns, pts),
                                       equal_nan=True)
@@ -390,7 +394,7 @@ def test_cylinder_masses_match_per_word_jacobians(name, sigma, nl_doubling):
     norm = np.zeros((sys.m, eig.N))
     for c in table.cylinders:
         lo, hi = sys.branches[c.word[-1]].image
-        raw[c.word] = {e: _jacobian_weight(sys, eig, c.word, nodes[e])[0]
+        raw[c.word] = {e: jacobian_weight(sys, eig, c.word, nodes[e])[0]
                        for e in range(lo, hi)}
         for e, u in raw[c.word].items():
             norm[e] += u
@@ -398,7 +402,7 @@ def test_cylinder_masses_match_per_word_jacobians(name, sigma, nl_doubling):
                          for e, u in raw[c.word].items())
                      for c in table.cylinders])
     _close(table.masses, want)
-    assert table.total == pytest.approx(1.0, abs=1e-12)
+    assert table.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cylinder_masses_refuse_symbol_without_predecessor():
@@ -429,10 +433,10 @@ def test_deep_apply_matches_per_word_jacobians(name, sigma, b, nl_doubling):
     idx = sys.element_of(xs)
     for k, x in enumerate(xs):
         total, norm = 0.0, 0.0
-        for w in admissible_words(sys, n):
+        for w in word_array(sys, n).tolist():
             if not sys.transition[w[-1], idx[k]]:
                 continue
-            u, ch = _jacobian_weight(sys, eig, w, np.array([x]))
+            u, ch = jacobian_weight(sys, eig, w, np.array([x]))
             total += u[0] * np.exp(-1j * b * ch["Snr"][0]) * fn(ch["x"][0])
             norm += u[0]
         _close(out["Lv"][k], total / norm, rel=1e-12)

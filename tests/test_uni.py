@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import cone_image, jacobian_weight, transversal
 from gibbsflow.operator import eigendata
 from gibbsflow.presets import make_preset
-from gibbsflow.system import OutsideImageError, admissible_words, branch_chain
+from gibbsflow.system import OutsideImageError, branch_chain, word_array
 from gibbsflow.uni import (EmptyDomainError, a_sequence, b_sequence,
-                           c9_constant, check_uni, coboundary_test, cone_image,
-                           psi, transversal, uni_from_transversality)
+                           check_uni, coboundary_test, psi,
+                           uni_from_transversality)
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +65,16 @@ def test_sys_b_c7_closed_form(sys_b):
 
 
 def test_c9_dominates_observed_holder_ratio(sys_b):
+    # C9 = 2 max{C2, 1} ||Dr||_{C^alpha} / (1 - 1/lam), the Hoelder bound
+    # for D psi; r' = -(2 pi / 3) sin(2 pi x) has sup 2 pi / 3 and, at
+    # alpha = 1, seminorm sup |r''| = 4 pi^2 / 3
     from gibbsflow.system import validate
     rep = validate(sys_b)
-    c9 = c9_constant(sys_b, rep.c2)
+    dr_norm = 2 * np.pi / 3 + 4 * np.pi ** 2 / 3
+    c9 = 2.0 * max(rep.c2, 1.0) * dr_norm / (1.0 - 1.0 / sys_b.constants.lam)
     xs = np.linspace(0.0, 1.0, 400)
     for n in (1, 2, 3):
-        for w1 in admissible_words(sys_b, n):
+        for w1 in word_array(sys_b, n).tolist():
             d = branch_chain(sys_b, w1, xs)["DSnr_h"]
             ratio = np.abs(np.diff(d)) / np.diff(xs) ** sys_b.alpha
             assert np.max(ratio) <= 0.5 * c9 * (1 + 1e-9)
@@ -122,7 +127,7 @@ def test_psi_derivative_bounded_by_c7(sys_b):
     c7 = sys_b.constants.c7
     ys = np.linspace(0.0, 1.0, 200)
     for n in (1, 2, 3, 4):
-        words = admissible_words(sys_b, n)
+        words = [tuple(w) for w in word_array(sys_b, n).tolist()]
         for i in range(len(words)):
             for j in range(i + 1, len(words)):
                 p = psi(sys_b, words[i], words[j])
@@ -166,7 +171,7 @@ def test_sys_b_has_a_transversal_sibling_pair(sys_b):
     for n in (3, 4, 5):
         ys = np.linspace(0.05, 0.95, 7)
         for y in ys:
-            words = admissible_words(sys_b, n)
+            words = word_array(sys_b, n).tolist()
             for i in range(len(words)):
                 for j in range(i + 1, len(words)):
                     if transversal(sys_b, words[i], words[j], y):
@@ -458,8 +463,7 @@ def test_uni_from_transversality_degenerate(sys_a):
 
 def test_tableau_weights_are_mu_sigma_jacobians(sys_b):
     # at sigma != 0 the weights carry exp(-sigma S_n r): they are the inverse
-    # Jacobians of mu_sigma, as gibbs._jacobian_weight computes them per word
-    from gibbsflow.gibbs import _jacobian_weight
+    # Jacobians of mu_sigma, as jacobian_weight computes them per word
     from gibbsflow.uni import _preimage_tableau
     eig = eigendata(sys_b, 0.5, N=256)
     ys = np.linspace(1e-9, 1 - 1e-9, 37)
@@ -468,7 +472,7 @@ def test_tableau_weights_are_mu_sigma_jacobians(sys_b):
     for row, word in enumerate(words.tolist()):
         lo, hi = sys_b.image_interval(word[-1])
         cols = (ys >= lo) & (ys <= hi)
-        ref[row, cols] = _jacobian_weight(sys_b, eig, tuple(word), ys[cols])[0]
+        ref[row, cols] = jacobian_weight(sys_b, eig, tuple(word), ys[cols])[0]
     ref /= np.nansum(ref, axis=0)[None, :]
     assert np.array_equal(np.isnan(wgt), np.isnan(ref))
     assert np.nanmax(np.abs(wgt - ref)) < 1e-13
