@@ -334,8 +334,7 @@ def _run_contraction(sys_, params, out, seed):
         return 0, summary
     eig = eigendata(sys_, sigma, N=512)
     l1 = l1_contraction(sys_, eig, b_list, beta=beta)
-    sweep = norm_contraction_sweep(sys_, eig, b_list, B=B, trials=60,
-                                   seed=seed)
+    sweep = norm_contraction_sweep(sys_, eig, b_list, B=B)
     rows = []
     for r1, r2 in zip(l1["rows"], sweep["rows"]):
         rows.append((r1["b"], r1["k"], r1["ratio"], r2["zeta_hat"],

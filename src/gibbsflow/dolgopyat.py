@@ -4,7 +4,9 @@ The chain audited here: a frequency-adapted cone of pairs (u, v), bump
 functions chi built from transversal branch pairs, the cancellation
 inequality |L^n_s v| <= L^n_sigma(chi u), its preservation under iteration
 with contraction of int u^2 dmu, L^1 contraction over a b-sweep, and an
-empirical operator-norm contraction estimate in the b-adapted norm.
+empirical operator-norm rate in the b-adapted norm: zeta_hat(b), the ell-th
+root of the largest ratio ||L^ell w||_(b) / ||w||_(b) over four power steps
+from w = 1, a lower bound on ||L^ell_s||^{1/ell}.
 
 Numerical strategy: the bump supports have width ~ delta/(|b| rho^n), far
 below any fixed grid.  All quantities that live on those scales are tracked
@@ -71,19 +73,17 @@ def c0_constant(sys: MarkovSystem, eig0: EigenData) -> dict:
             "floor": floor}
 
 
-def constraint_gates(sys: MarkovSystem, eig0: EigenData, delta: float,
-                     c0: float | None = None) -> dict:
+def constraint_gates(sys: MarkovSystem, delta: float, c0: float) -> dict:
     """Admissibility inequalities for the cancellation construction; raises
     ConstraintViolationError when any fails:
 
         C0 delta^a < 1/6,  (2/3) e^{C0 delta^a} < eta0,  C7 delta < pi/6.
 
-    The beta gate of a swept b is ``l1_contraction``'s.
+    ``c0`` is ``c0_constant``'s C0.  The beta gate of a swept b is
+    ``l1_contraction``'s.
     """
     a = sys.alpha
     c7 = sys.constants.c7
-    if c0 is None:
-        c0 = c0_constant(sys, eig0)["C0"]
     checks = {
         "c0_delta": (c0 * delta ** a, 1.0 / 6.0),
         "eta_gap": ((2.0 / 3.0) * math.exp(c0 * delta ** a), ETA0),
@@ -227,7 +227,7 @@ def build_bump(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
     if c7 == 0.0:
         raise NoCancellationWitness(
             "constant roof: cone images are lines, no transversal pairs")
-    constraint_gates(sys, eig, delta, c0=pair.C0)
+    constraint_gates(sys, delta, pair.C0)
     if Delta is None:
         Delta = _default_Delta(sys, delta)
     n1, n2 = _default_depths(sys, b, delta)
@@ -597,97 +597,19 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
     return {"beta": beta, "rows": rows, "xi_hat": xi_hat, "C6": c6}
 
 
-# complex trial values per block of the norm sweep, 2^16 x 16 bytes = 1 MiB:
-# one trial at m N = 65536 nodes.  The budget counts the mode table held
-# beside the blocks, 11 m N values (11.5 MB at m N = 65536): on SYS-B at
-# b = 2048 the traced peak of the trials is 24 MB with table and 1-trial
-# blocks, against 22 MB with 4-trial blocks and no table
-_TRIAL_BUDGET = 1 << 16
-_MODES = 12
-
-
-def _mode_table(nodes: np.ndarray) -> list[np.ndarray]:
-    """Values of exp(2 pi i q x), q = 1.._MODES - 1, on ``nodes``: the modes
-    every trial of one b is built from.
-
-    One (m, N) array per mode, not one (_MODES - 1, m, N) array: at m N =
-    65536 a single 11.5 MB block needs memory the allocator does not have
-    free after the eigen steps, while 1 MiB pieces reuse freed space.  On
-    wide-grid (glibc) the peak RSS of the contraction step is 113 MB with
-    pieces, as before the table existed, and 117-124 MB with one block.
-    """
-    return [np.exp(2j * np.pi * q * nodes) for q in range(1, _MODES)]
-
-
-def _trial_block(modes: list[np.ndarray], coef: np.ndarray,
-                 ts) -> np.ndarray:
-    """(len(ts), m, N) values of the trial functions ``ts`` on the nodes of
-    the ``_mode_table`` ``modes``.
-
-    Trial 0 is the constant 1 and can only come first; trial t > 0 is
-    sum_q coef[t - 1, q] exp(2 pi i q x).  Each mode is added to every trial
-    in q order, the order of the one-trial sum.  The q = 0 mode is exactly
-    1, so its term is the coefficient itself.
-    """
-    vals = np.empty((len(ts),) + modes[0].shape, dtype=complex)
-    rand = [(k, t - 1) for k, t in enumerate(ts) if t > 0]
-    if len(rand) < len(ts):
-        vals[0] = 1.0
-    for k, r in rand:
-        vals[k] = coef[r, 0]
-    term = np.empty(modes[0].shape, dtype=complex)
-    for q in range(1, _MODES if rand else 1):
-        for k, r in rand:
-            # coefficient first: numpy's product rounds by operand order
-            np.multiply(coef[r, q], modes[q - 1], out=term)
-            vals[k] += term
-    return vals
-
-
-def _trial_ratios(eg: EigenData, b: float, ell: int,
-                  modes: list[np.ndarray], coef: np.ndarray) -> list[float]:
-    """||L^ell v||_(b) / ||v||_(b) for the trials 0..len(coef) on the grid of
-    ``eg``, built from ``modes``, in blocks of at most _TRIAL_BUDGET complex
-    node values."""
-    nodes = eg.f.nodes
-    trials = len(coef) + 1
-    block = max(1, _TRIAL_BUDGET // nodes.size)
-    ratios: list[float] = []
-    for t0 in range(0, trials, block):
-        vals = _trial_block(modes, coef, range(t0, min(t0 + block, trials)))
-        v = GridFunction(eg.system, np.moveaxis(vals, 0, -1).copy(), nodes)
-        del vals
-        ratios += (norm_b(apply_L(eg, b, v, ell), b) / norm_b(v, b)).tolist()
-        del v  # freed before the next block is built
-    return ratios
-
-
 def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
-                           B: float = 1.0, trials: int = 200,
-                           seed: int = 0) -> dict:
+                           B: float = 1.0) -> dict:
     """Empirical lower-bound estimate of the operator norm of L^ell_s on the
-    b-adapted norm, ell = ceil(B log |b|): randomized maximization over
-    Hoelder test functions plus four power-iteration steps; reports
-    zeta_hat(b) = ratio^{1/ell}.
+    b-adapted norm, ell = ceil(B log |b|).
 
-    Trial 0 is the constant 1; trial t > 0 is sum_{q < 12} c_q exp(2 pi i q
-    x) with c_q = (g + i g') / (1 + q) and g, g' standard normals, drawn
-    per b in trial, then q order.  The trial of largest ratio ||L^ell v||_(b)
-    / ||v||_(b) (strict >, so the first maximum wins) starts the power
-    iterations.  The 11 Fourier modes exp(2 pi i q x), q > 0, are computed
-    once per b on the eigendata's nodes and dropped before the power steps.
-    Trials run in blocks of at most 2^16 complex node values, a fixed memory
-    budget that counts the mode table (one trial at m N = 65536): L^ell
-    takes one sparse product per step for the whole block, and the norms of
-    all its columns are taken at once.  Every ratio has the same bits as the
-    trial built, mapped and normed on its own.  The eigendata lives on N =
-    16 |b| nodes per element, clipped to [2048, 32768]; consecutive b with
-    the same N share it.
+    Four power steps of L^ell run from w = 1 on the eigendata's nodes, each
+    renormalised; zeta_hat(b) is the ell-th root of the largest step ratio
+    ||L^ell w||_(b) / ||w||_(b).  That ratio is a lower bound on ||L^ell||, so
+    zeta_hat(b) is a lower bound on ||L^ell||^{1/ell}.  Each row also reports
+    the Lasota-Yorke envelope (C6 + C8_hat)^{1/ell}.  The eigendata lives on
+    N = 16 |b| nodes per element, clipped to [2048, 32768]; consecutive b
+    with the same N share it.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    scale = 1.0 + np.arange(_MODES)
     results = []
     eg = None
     for b in b_list:
@@ -696,18 +618,9 @@ def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
         if eg is None or eg.N != N:
             eg = None  # released before the next one is built
             eg = eigendata(sys, eig.sigma, N=N)
-        eg.L_matrix(b)  # assembled before any block exists: a lower peak
-        # divided componentwise, as Python's complex / float does
-        g = rng.normal(size=(trials - 1, _MODES, 2)) / scale[:, None]
-        coef = g[..., 0] + 1j * g[..., 1]
-        modes = _mode_table(eg.f.nodes)
-        best, best_t = 0.0, None
-        for t, ratio in enumerate(_trial_ratios(eg, b, ell, modes, coef)):
-            if ratio > best:
-                best, best_t = ratio, t
-        w = GridFunction(sys, _trial_block(modes, coef, [best_t])[0],
+        w = GridFunction(sys, np.ones(eg.f.nodes.shape, dtype=complex),
                          eg.f.nodes)
-        del modes  # freed before the power steps
+        best = 0.0
         for _ in range(4):
             prev = norm_b(w, b)
             w = apply_L(eg, b, w, ell)

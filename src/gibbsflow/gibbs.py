@@ -11,7 +11,8 @@ import numpy as np
 
 from .operator import EigenData, node_grid
 from .system import (Cylinder, MarkovSystem, NotCoveringError,
-                     NotExpandingError, cylinders, pullbacks, word_array)
+                     NotExpandingError, check_word_cap, cylinders, pullbacks,
+                     word_array)
 
 __all__ = [
     "CylinderMeasureTable", "AdaptedPartition", "FrequencyTooSmallError",
@@ -35,7 +36,6 @@ class AdaptedPartition:
     b: float
     Delta: float
     elements: list[Cylinder]
-    mixed_refinement: bool  # True if siblings straddled the diameter cutoff
 
     @property
     def count(self) -> int:
@@ -215,15 +215,22 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
 
 def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedPartition:
     """Partition into cylinders Q = P^(l(x,b))(x) where l(x,b) is the largest
-    depth whose cylinder still has diameter >= 2 Delta / |b|."""
+    depth whose cylinder still has diameter >= 2 Delta / |b|.
+
+    A depth-d cylinder is at least min_diam rho^-(d-1) long, so every
+    cylinder of depth d <= 1 + log(min_diam / t) / log rho is refined and
+    every cylinder one level deeper is built.  When that level has more
+    words than ``word_array``'s cap, CapExceededError is raised before any
+    cylinder is built.
+    """
     rho = sys.constants.rho
     min_diam = float(np.min(np.diff(sys.partition)))
     if abs(b) <= 2 * Delta * rho / min_diam:
         raise FrequencyTooSmallError(
             f"|b|={abs(b)} <= 2*Delta*rho/min_diam={2 * Delta * rho / min_diam}")
     t = 2.0 * Delta / abs(b)
+    check_word_cap(sys, 2 + math.floor(math.log(min_diam / t) / math.log(rho)))
     elements: list[Cylinder] = []
-    mixed = False
 
     tol = t * 1e-9  # endpoints come out of a root solve; compare with slack
     levels: dict[int, dict] = {}
@@ -245,11 +252,8 @@ def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedParti
             elements.append(q)
         else:
             stack.extend(big)
-            small = [k for k in kids if k.diam < t - tol]
-            if small:
-                # siblings straddle the cutoff; keep the small children as
-                # their own elements so the family stays disjoint
-                mixed = True
-                elements.extend(small)
+            # siblings that straddle the cutoff: the small children are
+            # their own elements, so the family stays disjoint
+            elements.extend(k for k in kids if k.diam < t - tol)
     elements.sort(key=lambda c: c.left)
-    return AdaptedPartition(float(b), float(Delta), elements, mixed)
+    return AdaptedPartition(float(b), float(Delta), elements)

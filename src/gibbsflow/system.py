@@ -43,7 +43,7 @@ __all__ = [
     "ValidationReport", "Pullback", "NotMarkovError", "NotExpandingError",
     "NotCoveringError", "RoofBoundsError", "CapExceededError",
     "OutsideImageError", "NoConvergenceError", "system_from_config",
-    "validate", "cylinders", "count_words", "word_array",
+    "validate", "cylinders", "count_words", "check_word_cap", "word_array",
     "pullbacks", "pullback", "branch_chain", "sampled_seminorm",
     "potential_seminorm",
 ]
@@ -528,15 +528,21 @@ def count_words(sys: MarkovSystem, n: int) -> int:
     return int(counts.sum())
 
 
+def check_word_cap(sys: MarkovSystem, n: int) -> None:
+    """Raise CapExceededError when there are more than 2,000,000 admissible
+    depth-n words, the most ``word_array`` builds."""
+    cap = 2_000_000
+    total = count_words(sys, n)
+    if total > cap:
+        raise CapExceededError(f"{total} depth-{n} cylinders exceed cap {cap}")
+
+
 def word_array(sys: MarkovSystem, n: int) -> np.ndarray:
     """(K, n) array of all admissible depth-n words, in lexicographic order;
     more than 2,000,000 words raise CapExceededError."""
     if n < 1:
         raise ValueError("depth must be >= 1")
-    cap = 2_000_000
-    total = count_words(sys, n)
-    if total > cap:
-        raise CapExceededError(f"{total} depth-{n} cylinders exceed cap {cap}")
+    check_word_cap(sys, n)
     words = np.arange(sys.m, dtype=np.intp)[:, None]
     for _ in range(n - 1):
         rows, nxt = np.nonzero(sys.transition[words[:, -1]])

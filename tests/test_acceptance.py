@@ -10,8 +10,9 @@ import pytest
 
 from conftest import cone_image, cylinder_masses, transversal
 from gibbsflow.cli import run
-from gibbsflow.dolgopyat import (ConeBPair, build_bump, cancellation_check,
-                                 cone_iteration, l1_contraction)
+from gibbsflow.dolgopyat import (ConeBPair, build_bump, c0_constant,
+                                 cancellation_check, cone_iteration,
+                                 l1_contraction)
 from gibbsflow.flow import correlation, sample_flow_measure
 from gibbsflow.gibbs import adapted_partition, gibbs_audit, sample_mu
 from gibbsflow.operator import GridFunction, apply_L, eigendata
@@ -191,7 +192,7 @@ def test_cancellation_and_cone_iteration(sys_b, eig_b, b):
             self.eval = fn
 
     pair = ConeBPair(u=Const(ones), v=Const(lambda x: ones(x).astype(complex)),
-                     b=b, C0=None)
+                     b=b, C0=c0_constant(sys_b, eig_b)["C0"])
     bump, winners = build_bump(sys_b, eig_b, pair, delta=0.05)
     part = adapted_partition(sys_b, b, bump.Delta)
     assert len(bump.cases) == part.count  # a witness in every element

@@ -6,7 +6,7 @@ either test-only code, which belongs in tests/, or dead.  The check parses
 src/gibbsflow and walks the name graph from ``cli.main``.  Names are matched
 as in test_options.py: a reached definition reaches every function, class,
 method or module-level assignment whose name it mentions, as ``f`` or as
-``obj.f``.  A reached class reaches its bases, decorators, class-level
+``obj.f``, unless it binds ``f`` itself as a local.  A reached class reaches its bases, decorators, class-level
 statements and dunder methods; its other methods are reached by name.
 """
 
@@ -24,23 +24,27 @@ ALLOWED = {"in_cone_b", "cancellation_check"}
 
 
 def _mentions(*nodes) -> set[str]:
-    """Every name and attribute mentioned in ``nodes``."""
+    """Every name and attribute mentioned in ``nodes``, less the simple names
+    each node binds: a function's arguments, and every assignment, loop,
+    ``with`` or comprehension target.  A local ``total`` does not reach a
+    function ``total``; ``obj.total`` still reaches a method."""
     out = set()
     for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
+        walk = list(ast.walk(node))
+        bound = {sub.id for sub in walk if isinstance(sub, ast.Name)
+                 and isinstance(sub.ctx, ast.Store)}
+        bound |= {sub.arg for sub in walk if isinstance(sub, ast.arg)}
+        out |= {sub.id for sub in walk if isinstance(sub, ast.Name)} - bound
+        out |= {sub.attr for sub in walk if isinstance(sub, ast.Attribute)}
     return out
 
 
-def _definitions():
+def _definitions(package=ROOT / "src" / "gibbsflow"):
     """(qualified name, simple name, public, mentions) of every function,
     class, method and module-level assignment in the package, and the
     ``__all__`` entries as (module, name)."""
     defs, exported = [], []
-    for path in sorted((ROOT / "src" / "gibbsflow").glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         module = path.stem
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -109,3 +113,23 @@ def test_every_public_name_has_a_caller():
     assert not unreached, ("public names that cli.main does not reach; "
                            "delete them or move them into tests/:\n"
                            + "\n".join(unreached))
+
+
+def test_a_local_of_the_same_spelling_reaches_nothing(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "def main(scale):\n"
+        "    total = 0\n"
+        "    for step in range(3):\n"
+        "        total += scale\n"
+        "    return [size for size in (total,)], Table().width()\n"
+        "class Table:\n"
+        "    def width(self):\n"
+        "        return 1\n"
+        "def total():\n    pass\n"
+        "def scale():\n    pass\n"
+        "def step():\n    pass\n"
+        "def size():\n    pass\n"
+        "def width():\n    pass\n", encoding="utf-8")
+    reached = _reached(_definitions(tmp_path)[0])
+    assert {"main", "Table", "width"} <= reached
+    assert not {"total", "scale", "step", "size"} & reached

@@ -244,6 +244,25 @@ def test_partition_csv_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_partition_refuses_a_depth_past_the_word_cap_up_front(
+        tmp_path, monkeypatch, capsys):
+    # every depth-22 cylinder of SYS-B is refined, so the walk builds all
+    # 2^23 depth-23 words; it used to build levels 1-20 first (13 s, 1.3 GB)
+    import gibbsflow.gibbs as gibbs
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a level of cylinders")
+
+    monkeypatch.setattr(gibbs, "cylinders", never)
+    p = write_cfg(tmp_path / "c.json",
+                  {"preset": "SYS-B", "experiment": "partition",
+                   "params": {"b": 1024.0, "Delta": 1e-4}})
+    assert main(["partition", "--config", p, "--out",
+                 str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "CapExceededError" in err and "depth-23" in err
+
+
 def test_cohomology_report(tmp_path):
     p = write_cfg(tmp_path / "c.json",
                   {"preset": "SYS-A", "experiment": "cohomology"})
@@ -260,6 +279,20 @@ def test_contraction_constant_roof_short_circuits(tmp_path):
     assert run(p, out_dir=str(out)) == 0
     rep = json.loads((out / "contraction.json").read_text())
     assert rep["no_contraction"] == "constant_roof_detected"
+
+
+def test_contraction_does_not_depend_on_the_seed(tmp_path, monkeypatch):
+    p = write_cfg(tmp_path / "c.json",
+                  {"preset": "SYS-B", "experiment": "contraction",
+                   "params": {"b_list": [64.0, 128.0]}})
+    reports = []
+    for seed in ("0", "7"):
+        monkeypatch.setenv("GIBBSFLOW_SEED", seed)
+        out = tmp_path / seed
+        assert run(p, out_dir=str(out)) == 0
+        reports.append([(out / name).read_bytes()
+                        for name in ("contraction.json", "contraction.csv")])
+    assert reports[0] == reports[1]
 
 
 def test_contraction_refuses_b_without_test_functions(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import NL_DOUBLING
 from gibbsflow.dolgopyat import (ETA0, BumpFunction, ConeBPair,
                                  ConstraintViolationError,
                                  NoCancellationWitness, build_bump,
@@ -12,7 +13,7 @@ from gibbsflow.dolgopyat import (ETA0, BumpFunction, ConeBPair,
 from gibbsflow.expr import parse
 from gibbsflow.operator import GridFunction, eigendata, node_grid
 from gibbsflow.presets import make_preset
-from gibbsflow.system import Branch, MarkovSystem
+from gibbsflow.system import Branch, MarkovSystem, system_from_config
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +78,11 @@ def test_c0_monotone_in_roof_amplitude(eig_b):
 
 
 def test_gates_pass_and_refuse(sys_b, eig_b):
-    rep = constraint_gates(sys_b, eig_b, 0.05)
+    c0 = c0_constant(sys_b, eig_b)["C0"]
+    rep = constraint_gates(sys_b, 0.05, c0)
     assert all(v["value"] < v["bound"] for v in rep.values())
     with pytest.raises(ConstraintViolationError):
-        constraint_gates(sys_b, eig_b, 0.3)
+        constraint_gates(sys_b, 0.3, c0)
 
 
 # -- cone membership --------------------------------------------------------------
@@ -332,22 +334,24 @@ def test_l1_matches_the_benchmark_reference(sys_b):
 
 
 def test_norm_sweep_sys_b(sys_b, eig_b):
-    rep = norm_contraction_sweep(sys_b, eig_b, [2.0 ** 8, 2.0 ** 10, 2.0 ** 12],
-                                 trials=30)
+    rep = norm_contraction_sweep(sys_b, eig_b, [2.0 ** 8, 2.0 ** 10, 2.0 ** 12])
     assert rep["zeta_max"] < 1.0
     for row in rep["rows"]:
         assert row["zeta_hat"] <= row["envelope"] * (1 + 1e-9)
 
 
 def test_norm_sweep_constant_roof_no_contraction(sys_a, eig_a):
-    rep = norm_contraction_sweep(sys_a, eig_a, [2 * math.pi], trials=10)
+    rep = norm_contraction_sweep(sys_a, eig_a, [2 * math.pi])
     assert rep["rows"][0]["zeta_hat"] == pytest.approx(1.0, abs=1e-6)
 
 
 def _sweep_one_trial_at_a_time(sys, eig, b_list, B=1.0, trials=200,
                                power_iters=4, seed=0):
-    """The sweep by its definition: each trial built, mapped and normed alone.
-    Returns the rows and, per b, the ratio of every trial.
+    """The sweep's earlier definition, a random search before the power
+    steps: trial 0 is the constant 1, trial t > 0 is sum_{q < 12} c_q exp(2
+    pi i q x) with c_q = (g + i g') / (1 + q), and the power steps start
+    from the trial of largest ratio.  Each trial is built, mapped and normed
+    alone.  Returns the rows and, per b, the ratio of every trial.
 
     Each mode is bound to a name before it is scaled.  Written as
     ``c * np.exp(...)``, numpy reuses the unnamed temporary for the product
@@ -397,31 +401,17 @@ def _sweep_one_trial_at_a_time(sys, eig, b_list, B=1.0, trials=200,
     return results, all_ratios
 
 
-@pytest.mark.parametrize("budget", [None, 3 * 8192])
-def test_norm_sweep_blocks_match_one_trial_at_a_time(sys_b, eig_b, budget,
-                                                     monkeypatch):
-    # budget None (2^16): blocks of 8, 3 at b = 256 (m N = 8192), of 4, 4, 3
-    # at b = 512, and of 11 at b = 64 and 128 (m N = 4096, one eigendata
-    # for both); 3 * 8192: blocks of 3, 3, 3, 2 at b = 256, of one trial at
-    # b = 512, and of 6, 5 at b = 64 and 128.  The constant trial wins
-    # here, so the rows alone would not see the random trials: every
-    # trial's ratio is compared too.
-    import gibbsflow.dolgopyat as dg
-    if budget is not None:
-        monkeypatch.setattr(dg, "_TRIAL_BUDGET", budget)
-    blocked = dg._trial_ratios
-    for b_list in ([256.0, 512.0], [64.0, 128.0]):
-        seen = []
-        monkeypatch.setattr(
-            dg, "_trial_ratios",
-            lambda *args: seen.append(blocked(*args)) or seen[-1])
-        rep = norm_contraction_sweep(sys_b, eig_b, b_list, trials=11, seed=3)
-        rows, ratios = _sweep_one_trial_at_a_time(sys_b, eig_b, b_list,
-                                                  trials=11, seed=3)
-        assert rep["rows"] == rows
-        assert seen == ratios
-
-
-def test_norm_sweep_refuses_no_trials(sys_b, eig_b):
-    with pytest.raises(ValueError):
-        norm_contraction_sweep(sys_b, eig_b, [256.0], trials=0)
+@pytest.mark.parametrize("name", ["SYS-B", "SYS-C-NLROOF", "NL-DOUBLING"])
+def test_norm_sweep_from_one_matches_sixty_random_trials(name):
+    # the old definition searched 59 random Fourier trials and the constant
+    # 1 for the largest ratio before the power steps; the constant wins at
+    # every b, so the power steps from 1 alone give the same rows
+    sys = (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
+           else make_preset(name))
+    eig = eigendata(sys, 0.0, N=256)
+    b_list = [64.0, 128.0, 256.0]
+    rep = norm_contraction_sweep(sys, eig, b_list)
+    rows, ratios = _sweep_one_trial_at_a_time(sys, eig, b_list, trials=60)
+    assert rep["rows"] == rows
+    for per_b in ratios:
+        assert per_b[0] == max(per_b)
