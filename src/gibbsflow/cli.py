@@ -86,6 +86,13 @@ def _check_range(name: str, value, low=None, high=None, pointer=""):
         raise ConfigError(f"{name} must be <= {high}", pointer)
 
 
+def _check_int(name: str, value, low, pointer):
+    """An integer >= low, written as an integral float or not."""
+    _check_range(name, value, low, pointer=pointer)
+    if not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer", pointer)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -110,6 +117,8 @@ def load_config(path: str) -> dict:
         if key not in _PARAM_SCHEMA[exp]:
             raise ConfigError(f"unknown parameter {key!r} for {exp}",
                               f"/params/{key}")
+    if "seed" in cfg:
+        _check_int("seed", cfg["seed"], 0, "/seed")
     p = "/params/"
     if "sigma" in params:
         _check_range("sigma", params["sigma"], -50, 50, p + "sigma")
@@ -117,9 +126,7 @@ def load_config(path: str) -> dict:
         _check_range("b", params["b"], low=1e-9, pointer=p + "b")
     for name, low in _INT_FLOORS.items():
         if name in params:
-            _check_range(name, params[name], low, pointer=p + name)
-            if not float(params[name]).is_integer():
-                raise ConfigError(f"{name} must be an integer", p + name)
+            _check_int(name, params[name], low, p + name)
     if "depth" in params:
         _check_range("depth", params["depth"], high=30, pointer=p + "depth")
     if "delta" in params:
@@ -151,10 +158,21 @@ def _resolve_system(cfg: dict, preset: str | None):
 
 
 def _seed(cfg: dict) -> int:
+    """GIBBSFLOW_SEED when it is set, else the config's seed (0 when absent);
+    each must be an integer >= 0, written as an integral float or not."""
     env = os.environ.get("GIBBSFLOW_SEED")
-    if env is not None:
-        return int(env)
-    return int(cfg.get("seed", 0))
+    if env is None:
+        return int(cfg.get("seed", 0))
+    try:
+        value = int(env)
+    except ValueError:
+        try:
+            value = float(env)
+        except ValueError:
+            raise ConfigError(f"GIBBSFLOW_SEED must be numeric, not {env!r}",
+                              "/seed") from None
+    _check_int("GIBBSFLOW_SEED", value, 0, "/seed")
+    return int(value)
 
 
 # -- report helpers ----------------------------------------------------------------

@@ -1,5 +1,11 @@
 """Gibbs measures on the base map: cylinder masses, the Gibbs-property
 audit, sampling and adapted partitions.
+
+The audit reads everything off the pullback engine, one run per last
+symbol for the masses and one for the orbit sums at the reference points.
+Both runs are built on the same words, so at every depth their rows are
+the same words in the same order, and the audit divides them row by row
+as the engine lays them out.
 """
 
 from __future__ import annotations
@@ -15,20 +21,13 @@ from .system import (Cylinder, MarkovSystem, NotCoveringError,
                      word_array)
 
 __all__ = [
-    "CylinderMeasureTable", "AdaptedPartition", "FrequencyTooSmallError",
+    "AdaptedPartition", "FrequencyTooSmallError",
     "gibbs_audit", "sample_mu", "adapted_partition",
 ]
 
 
 class FrequencyTooSmallError(ValueError):
     pass
-
-
-@dataclass
-class CylinderMeasureTable:
-    depth: int
-    cylinders: list[Cylinder]
-    masses: np.ndarray
 
 
 @dataclass
@@ -43,7 +42,7 @@ class AdaptedPartition:
 
 
 def _mass_tables(sys: MarkovSystem, eig: EigenData, words: np.ndarray):
-    """Yield CylinderMeasureTable for every depth 1..n, from ``words``, the
+    """Yield (words, masses) for every depth 1..n, from ``words``, the
     (K, n) ``word_array`` of all admissible depth-n words.
 
     For each symbol s, one engine run pulls the nodes of the elements in the
@@ -51,29 +50,26 @@ def _mass_tables(sys: MarkovSystem, eig: EigenData, words: np.ndarray):
     and carries only the inverse Jacobians J_w (see ``Pullback``).  Their
     sum over all words is L_sigma^n 1 = 1 only up to interpolation error in
     f, so J is normalised pointwise before the quadrature against the node
-    weights of mu gives the mass of each cylinder.
+    weights of mu gives the mass of each cylinder.  The rows at a depth are
+    the engines' rows, symbol after symbol: for s = 0..m-1, the words
+    ending in s, in lexicographic order.
     """
     if not np.all(sys.transition.any(axis=0)):
         # the engine builds the lower depths as suffixes of the deepest words
         raise NotCoveringError("some symbol has no predecessor")
     nodes = node_grid(sys, eig.N)
-    symbols = [s for s in range(sys.m) if np.any(words[:, -1] == s)]
-    images = [slice(*sys.branches[s].image) for s in symbols]
+    images = [slice(*b.image) for b in sys.branches]
     engines = [pullbacks(sys, words[words[:, -1] == s],
                          nodes[img].reshape(-1), ("J",), eig)
-               for s, img in zip(symbols, images)]
+               for s, img in enumerate(images)]
     del words  # each engine holds its own rows
-    for n, levels in enumerate(zip(*engines), start=1):
-        cyls = cylinders(sys, n)
+    for levels in zip(*engines):
         norm = np.zeros((sys.m, eig.N))
         for img, pb in zip(images, levels):
             norm[img] += pb.J.sum(axis=0).reshape(-1, eig.N)
-        row = {c.word: k for k, c in enumerate(cyls)}
-        masses = np.zeros(len(cyls))
-        for img, pb in zip(images, levels):
-            per_word = pb.J @ (eig.mu[img] / norm[img]).reshape(-1)
-            masses[[row[tuple(w)] for w in pb.words.tolist()]] = per_word
-        yield CylinderMeasureTable(n, cyls, masses)
+        yield (np.concatenate([pb.words for pb in levels]),
+               np.concatenate([pb.J @ (eig.mu[img] / norm[img]).reshape(-1)
+                               for img, pb in zip(images, levels)]))
 
 
 def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
@@ -83,28 +79,26 @@ def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
     The reference point of a cylinder omega is x_omega = h_omega(y), y the
     midpoint of the domain of h_omega (the image of omega's last symbol); on
     affine branches it is the cylinder's midpoint.  The orbit sums come from
-    one engine run per last symbol, at that one y.
+    one engine run per last symbol, at that one y, on the words of the
+    mass engines of ``_mass_tables``, so row k of the sums and row k of the
+    masses are the same cylinder.
     """
     lo, hi = np.inf, 0.0
     per_depth = {}
     P = eig.pressure
     words = word_array(sys, max_depth)
     engines = [pullbacks(sys, words[words[:, -1] == s],
-                         [0.5 * sum(sys.image_interval(s))],
-                         ("x", "Snr", "Snphi"))
+                         [0.5 * sum(sys.image_interval(s))], ("Snr", "Snphi"))
                for s in range(sys.m)]
     tables = _mass_tables(sys, eig, words)
     # each engine holds its own rows, and _mass_tables drops the array once
     # its own engines hold theirs
     del words
-    for table, levels in zip(tables, zip(*engines)):
-        n = table.depth
-        x = np.concatenate([pb.x[:, 0] for pb in levels])
+    for n, ((_, masses), levels) in enumerate(zip(tables, zip(*engines)),
+                                              start=1):
         sn = np.concatenate([(pb.Snphi - eig.sigma * pb.Snr)[:, 0]
                              for pb in levels])
-        # x_omega lies inside omega, and the depth-n cylinders are disjoint:
-        # sorted by x_omega, the sums are in the order of table.cylinders
-        ratios = table.masses / np.exp(-P * n + sn[np.argsort(x)])
+        ratios = masses / np.exp(-P * n + sn)
         per_depth[n] = (float(ratios.min()), float(ratios.max()))
         lo = min(lo, per_depth[n][0])
         hi = max(hi, per_depth[n][1])

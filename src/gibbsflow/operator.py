@@ -93,18 +93,13 @@ class GridFunction:
     range of either real part.  It is one ``_ElementwisePchip``, built on
     the first evaluation: one clip and one PPoly call, with real and
     imaginary parts as one trailing axis.
-
-    Values of shape (m, N, k) hold a block of k functions on the same nodes,
-    one per trailing column.  A block goes through ``apply_L``,
-    ``hoelder_seminorm``, ``norm_b`` and ``sup_norm``, which then return
-    one result per column; it is not evaluated or written out.
     """
 
     def __init__(self, sys: MarkovSystem, values: np.ndarray, nodes=None):
         self.system = sys
         self.values = np.asarray(values)
         self.nodes = node_grid(sys, self.values.shape[1]) if nodes is None else nodes
-        if self.values.shape[:2] != self.nodes.shape:
+        if self.values.shape != self.nodes.shape:
             raise ValueError("values and nodes shapes differ")
         self._pchip = None
 
@@ -117,10 +112,8 @@ class GridFunction:
             self._pchip = _ElementwisePchip(self.system, self.nodes, self.values)
         return self._pchip.eval(np.atleast_1d(x))
 
-    def sup_norm(self):
-        """sup |v|; for a block, the array of the column sups."""
-        sup = np.max(np.abs(self.values), axis=(0, 1))
-        return float(sup) if self.values.ndim == 2 else sup
+    def sup_norm(self) -> float:
+        return float(np.max(np.abs(self.values)))
 
     def copy_with(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.system, values, self.nodes)
@@ -246,40 +239,30 @@ def eigendata(sys: MarkovSystem, sigma: float, N: int = 1024) -> EigenData:
 
 
 def apply_L(eig: EigenData, b: float, v: GridFunction, n: int = 1) -> GridFunction:
-    """n-fold application of the normalised twisted operator L_{sigma+ib}.
-
-    A block of functions takes one sparse product per step for all its
-    columns; each column comes out with the same bits as alone.
-    """
+    """n-fold application of the normalised twisted operator L_{sigma+ib}."""
     M = eig.L_matrix(b)
-    shape = v.values.shape
-    w = v.values.reshape((-1,) + shape[2:]).astype(
-        complex if b != 0 else v.values.dtype, copy=False)
+    w = v.values.reshape(-1).astype(complex if b != 0 else v.values.dtype,
+                                    copy=False)
     for _ in range(n):
         w = M @ w
-    return v.copy_with(w.reshape(shape))
+    return v.copy_with(w.reshape(v.values.shape))
 
 
 # -- norms ---------------------------------------------------------------------
 
 
-def hoelder_seminorm(v: GridFunction):
+def hoelder_seminorm(v: GridFunction) -> float:
     """C^alpha seminorm within partition elements, alpha of the system: the
     largest ``sampled_seminorm`` of an element's node values, which at
-    alpha < 1 can read low.
-
-    For a block, the array of the column seminorms, each equal to the
-    seminorm of that column alone.
-    """
+    alpha < 1 can read low."""
     a = v.system.alpha
-    best = np.max([sampled_seminorm(v.nodes[e], v.values[e], a)
-                   for e in range(v.system.m)], axis=0)
-    return float(best) if v.values.ndim == 2 else best
+    return float(np.max([sampled_seminorm(v.nodes[e], v.values[e], a)
+                         for e in range(v.system.m)]))
 
 
-def norm_b(v: GridFunction, b: float):
+def norm_b(v: GridFunction, b: float) -> float:
     """Frequency-adapted norm: |v|_alpha / (1 + |b|^alpha) + sup |v|, alpha
-    of the system; for a block, the array of the column norms."""
+    of the system."""
     a = v.system.alpha
     return hoelder_seminorm(v) / (1.0 + abs(b) ** a) + v.sup_norm()
 

@@ -385,9 +385,7 @@ def sampled_seminorm(xs, vals, alpha: float):
     at alpha < 1 the coarse pairs catch the long-range quotients, but a
     worst pair between the adjacent scale and the coarse spacing is missed,
     so there it can read below an estimate over many random pairs: 6 %
-    below on sin(32 pi x) at 2049 points of [0, 1/2] at alpha = 1/2.  vals
-    may carry trailing columns, and then the result is the array of the
-    column seminorms, each with the bits of that column alone.
+    below on sin(32 pi x) at 2049 points of [0, 1/2] at alpha = 1/2.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray(vals)
@@ -395,12 +393,9 @@ def sampled_seminorm(xs, vals, alpha: float):
     k = min(n, _COARSE)
     sub = np.arange(k) * (n - 1) // (k - 1)
     i, j = (sub[p] for p in np.triu_indices(k, 1))
-    col = (-1,) + (1,) * (vals.ndim - 1)  # spread over trailing columns
-    dx = (np.abs(np.diff(xs)) ** alpha).reshape(col)
-    adj = np.abs(np.diff(vals, axis=0)) / dx
-    far = np.abs(vals[j] - vals[i]) / (np.abs(xs[j] - xs[i]) ** alpha).reshape(col)
-    best = np.maximum(adj.max(axis=0), far.max(axis=0))
-    return float(best) if vals.ndim == 1 else best
+    adj = np.abs(np.diff(vals)) / np.abs(np.diff(xs)) ** alpha
+    far = np.abs(vals[j] - vals[i]) / np.abs(xs[j] - xs[i]) ** alpha
+    return float(np.maximum(adj.max(), far.max()))
 
 
 def potential_seminorm(sys: MarkovSystem, sigma: float) -> float:
@@ -498,10 +493,10 @@ def validate(sys: MarkovSystem, raise_on_fail: bool = True) -> ValidationReport:
     # branch is not monotone, since its inverse is undefined
     c2 = 0.0 if monotone else np.nan
     for depth in (1, 2, 3) if monotone else ():
-        for cyl in cylinders(sys, depth):
-            dom = sys.image_interval(cyl.word[-1])  # the domain of h_word
+        for word in word_array(sys, depth).tolist():
+            dom = sys.image_interval(word[-1])  # the domain of h_word
             ys = np.linspace(dom[0], dom[1], 64)
-            ch = branch_chain(sys, cyl.word, ys)
+            ch = branch_chain(sys, tuple(word), ys)
             dh = 1.0 / ch["dTn"]
             d = np.abs(dh[:, None] - dh[None, :])
             scale = np.abs(dh)[:, None] * np.abs(ys[:, None] - ys[None, :]) ** sys.alpha

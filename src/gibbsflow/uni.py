@@ -13,17 +13,18 @@ centre -D(S_n r o h_w)(y) and half-width C7 / |DT^n(x)|, both read off the
 pullback engine at y.  Transversality of two preimages h_w1(y), h_w2(y)
 means their slope intervals are disjoint as closed intervals.
 
-a(n) and b(n) come from one tableau per depth n: the slope intervals and
-mu_sigma-Jacobian weights of every depth-n preimage at every y of a grid.
-Its y columns are grouped by the set of symbols whose image holds y, so a
-group's block of columns is dense, and one endpoint sweep per column reads
-both statistics off it: a stable argsort of [lo | hi] puts every opening
-before any closing at an equal coordinate (closed intervals that touch
-meet), b(n) is the largest prefix sum of the signed weights, and a(n) the
-largest weight of intervals meeting one interval.  ``a_sequence`` and
-``b_sequence`` share the sweep: the latest result is kept in one slot on
-the EigenData, keyed by the system, n_max and grid, so the CLI's call of
-both builds each tableau once.
+a(n) and b(n) come from the slope intervals and mu_sigma-Jacobian weights
+of every depth-n preimage at every y of a grid.  The ys are grouped by the
+set of symbols whose image holds y; every word ending in one of those
+symbols is admissible at each y of the group, so the group is one dense
+(words x ys) block, filled by one engine call per last symbol.  One
+endpoint sweep per y reads both statistics off a block: a stable argsort
+of [lo | hi] puts every opening before any closing at an equal coordinate
+(closed intervals that touch meet), b(n) is the largest prefix sum of the
+signed weights, and a(n) the largest weight of intervals meeting one
+interval.  ``a_sequence`` and ``b_sequence`` share the sweep: the latest
+result is kept in one slot on the EigenData, keyed by the system, n_max
+and grid, so the CLI's call of both builds each block once.
 """
 
 from __future__ import annotations
@@ -95,23 +96,31 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
         raise ValueError("too many branch pairs at this depth")
     warr = word_array(sys, n)
     xs = np.linspace(0.0, 1.0, grid)
-    dsnr = np.full((len(warr), grid), np.nan)
+    # per symbol, the grid points in its image, where its words have rows
+    inside = []
+    rows = {}
     for s in range(sys.m):
-        ends = np.flatnonzero(warr[:, -1] == s)
         lo, hi = sys.image_interval(s)
-        cols = np.flatnonzero((xs >= lo) & (xs <= hi))
+        inside.append((xs >= lo) & (xs <= hi))
+        ends = warr[warr[:, -1] == s]
         if len(ends):
-            dsnr[np.ix_(ends, cols)] = pullback(
-                sys, warr[ends], xs[cols], ("DSnr_h",)).DSnr_h
+            dsnr = pullback(sys, ends, xs[inside[s]], ("DSnr_h",)).DSnr_h
+            rows.update(zip(map(tuple, ends.tolist()), dsnr))
     words = [tuple(w) for w in warr.tolist()]
-    rows = dict(zip(words, dsnr))
     doms = {w: sys.image_interval(w[-1]) for w in words}
+
+    def gaps(w1, w2, where):
+        """|D psi| of a pair at the grid points in ``where`` (a mask, or
+        True for all) that lie in the domain of both."""
+        both = where & inside[w1[-1]] & inside[w2[-1]]
+        return np.abs(rows[w1][both[inside[w1[-1]]]]
+                      - rows[w2][both[inside[w2[-1]]]])
 
     d_full = 0.0
     full = [w for w in words if doms[w][0] <= 1e-12 and doms[w][1] >= 1 - 1e-12]
     for i, w1 in enumerate(full):
         for w2 in full[i + 1:]:
-            d_full = max(d_full, float(np.min(np.abs(rows[w1] - rows[w2]))))
+            d_full = max(d_full, float(np.min(gaps(w1, w2, True))))
 
     d_point = np.inf
     witness = []
@@ -122,8 +131,7 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
         through = [w for w in words if doms[w][0] <= y <= doms[w][1]]
         for i, w1 in enumerate(through):
             for w2 in through[i + 1:]:
-                vals = np.abs(rows[w1] - rows[w2])[win]
-                vals = vals[~np.isnan(vals)]
+                vals = gaps(w1, w2, win)
                 if len(vals) == 0:
                     continue
                 v = float(np.min(vals))
@@ -139,39 +147,44 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
 # -- a(n) and b(n) ---------------------------------------------------------------
 
 
-def _preimage_tableau(sys: MarkovSystem, eig: EigenData, n: int,
-                      ys: np.ndarray):
-    """Interval and weight arrays over (word, y); NaN where inadmissible.
+def _preimage_blocks(sys: MarkovSystem, eig: EigenData, words: np.ndarray,
+                     ys: np.ndarray):
+    """Yield (rows, cols, lo, hi, w) for each group of the ys that lie in
+    the images of the same symbols; rows index ``words``, the
+    ``word_array(sys, n)``, and cols index ``ys``.
 
-    Rows are the depth-n words in ``word_array`` order.  The words
-    ending in each symbol s are pulled back in one engine call at the ys in
-    the image of s; a row holds the slope interval -D(S_n r o h)(y) +- C7 /
-    |DT^n| and the weight J_w(y), the inverse Jacobian of mu_sigma along h_w
-    at the sigma of ``eig``, normalised per y so the weights sum to exactly 1
-    over the admissible preimages.
+    A group's rows are the words ending in one of its symbols, in
+    ``word_array`` order, each pulled back at the group's ys by one engine
+    call per last symbol into dense (rows, cols) arrays: the slope interval
+    [lo, hi] = -D(S_n r o h)(y) +- C7 / |DT^n| and the weight w = J_w(y),
+    the inverse Jacobian of mu_sigma along h_w at the sigma of ``eig``,
+    normalised to sum to 1 over the rows at each y.
     """
-    words = word_array(sys, n)
     c7 = sys.constants.c7
-    k, g = len(words), len(ys)
-    lo = np.full((k, g), np.nan)
-    hi = np.full((k, g), np.nan)
-    wgt = np.full((k, g), np.nan)
-    for s in range(sys.m):
-        rows = np.flatnonzero(words[:, -1] == s)
-        dlo, dhi = sys.image_interval(s)
-        cols = np.flatnonzero((ys >= dlo) & (ys <= dhi))
-        if not (len(rows) and len(cols)):
+    last = words[:, -1]
+    holds = np.array([(ys >= a) & (ys <= b) for a, b in
+                      (sys.image_interval(s) for s in range(sys.m))])
+    keys, group = np.unique((1 << np.arange(sys.m)) @ holds,
+                            return_inverse=True)
+    for g, key in enumerate(keys.tolist()):
+        rows = np.flatnonzero((key >> last) & 1)
+        if not len(rows):
             continue
-        pb = pullback(sys, words[rows], ys[cols], ("dTn", "DSnr_h", "J"), eig)
-        centre = -pb.DSnr_h
-        half = c7 / np.abs(pb.dTn)
-        cell = np.ix_(rows, cols)
-        lo[cell] = centre - half
-        hi[cell] = centre + half
-        wgt[cell] = pb.J
-    totals = np.nansum(wgt, axis=0)
-    wgt = wgt / totals[None, :]
-    return words, lo, hi, wgt
+        cols = np.flatnonzero(group == g)
+        lo, hi, w = (np.empty((len(rows), len(cols))) for _ in range(3))
+        for s in range(sys.m):
+            at = np.flatnonzero(last[rows] == s)
+            if not len(at):
+                continue
+            pb = pullback(sys, words[rows[at]], ys[cols],
+                          ("dTn", "DSnr_h", "J"), eig)
+            centre = -pb.DSnr_h
+            half = c7 / np.abs(pb.dTn)
+            lo[at] = centre - half
+            hi[at] = centre + half
+            w[at] = pb.J
+        w /= w.sum(axis=0)
+        yield rows, cols, lo, hi, w
 
 
 def _y_grid(sys: MarkovSystem, n: int, grid: int) -> np.ndarray:
@@ -217,36 +230,27 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> tuple[float, float]
 
 def _ab_depth(sys: MarkovSystem, eig: EigenData, n: int,
               grid: int) -> tuple[float, float]:
-    """max over y of the a- and b-statistics of the depth-n tableau columns.
+    """max over the ys of the grid of the a- and b-statistics at depth n.
 
-    The columns are grouped by the set of symbols whose image holds y; in a
-    group every word ending in one of them is admissible, so each block of
-    columns is dense.  Columns with no admissible preimage are skipped.
+    Each block of ``_preimage_blocks`` is swept in runs of its ys of at most
+    _SWEEP_BLOCK (y, word) pairs; a y with no admissible preimage is in no
+    block.
     """
-    word_array(sys, n)  # enforce the cap before building the grid
-    ys = _y_grid(sys, n, grid)
-    words, lo, hi, wgt = _preimage_tableau(sys, eig, n, ys)
-    holds = np.array([(ys >= a) & (ys <= b) for a, b in
-                      (sys.image_interval(s) for s in range(sys.m))])
-    keys, group = np.unique((1 << np.arange(sys.m)) @ holds,
-                            return_inverse=True)
+    words = word_array(sys, n)  # enforces the cap before the grid is built
     worst_a = worst_b = 0.0
-    for g, key in enumerate(keys.tolist()):
-        rows = np.flatnonzero((key >> words[:, -1]) & 1)
-        cols = np.flatnonzero(group == g)
-        if not (len(rows) and len(cols)):
-            continue
-        step = max(1, _SWEEP_BLOCK // len(rows))
-        for c in range(0, len(cols), step):
-            cell = np.ix_(rows, cols[c:c + step])
-            a, b = _sweep(lo[cell].T, hi[cell].T, wgt[cell].T)
+    for _, _, lo, hi, w in _preimage_blocks(sys, eig, words,
+                                            _y_grid(sys, n, grid)):
+        step = max(1, _SWEEP_BLOCK // len(lo))
+        for c in range(0, lo.shape[1], step):
+            run = slice(c, c + step)
+            a, b = _sweep(lo[:, run].T, hi[:, run].T, w[:, run].T)
             worst_a, worst_b = max(worst_a, a), max(worst_b, b)
     return worst_a, worst_b
 
 
 def _ab_sequences(sys: MarkovSystem, eig: EigenData, n_max: int,
                   grid: int) -> tuple[list[float], list[float]]:
-    """(a(1..n_max), b(1..n_max)) from one tableau per depth.
+    """(a(1..n_max), b(1..n_max)) from one sweep of the blocks per depth.
 
     A value above 1 + 1e-8 is an error, and the rest is capped at
     1 + 1e-12.  The latest result is kept in one slot on ``eig``, keyed by
@@ -271,7 +275,7 @@ def a_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
     sigma of ``eig``, of the preimages whose closed slope intervals meet that
     of one preimage x0 (touching intervals meet), over the y grid.
 
-    Read with b(n) off one endpoint sweep of each depth's tableau; the
+    Read with b(n) off one endpoint sweep of each depth's blocks; the
     result stays in one slot on ``eig``, so ``b_sequence`` with the same
     system, n_max and grid builds nothing again.
     """
@@ -348,13 +352,13 @@ def coboundary_test(sys: MarkovSystem, J_trunc: int = 40,
         xs = np.linspace(a + eps, b - eps, 512)
         tx = sys.apply_T(xs)
         tx = np.clip(tx, 0.0, np.nextafter(1.0, 0.0))
+        theta = _theta_eval(sys, chains_lo, y0, xs, J_trunc)
         g = (sys._r[e](x=xs)
              - _theta_eval(sys, chains_lo, y0, tx, J_trunc)
-             + _theta_eval(sys, chains_lo, y0, xs, J_trunc))
+             + theta)
         residual = max(residual, float(g.max() - g.min()))
         chi.append(float(np.mean(g)))
-        d = (_theta_eval(sys, chains_lo, y0, xs, J_trunc)
-             - _theta_eval(sys, chains_hi, y0, xs, J_trunc))
+        d = theta - _theta_eval(sys, chains_hi, y0, xs, J_trunc)
         chain_dev = max(chain_dev, float(d.max() - d.min()))
     tail = c4 * lam ** (-float(J_trunc)) / (1.0 - 1.0 / lam)
     return {

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from gibbsflow.gibbs import _mass_tables
-from gibbsflow.system import branch_chain, system_from_config, word_array
+from gibbsflow.system import (branch_chain, cylinders, system_from_config,
+                              word_array)
 
 # T(x) = 2x + 0.12 sin(2 pi x) mod 1: Markov on {0, 1/2, 1} with nonlinear
 # branches, roof (2 + cos 2 pi x)/3 and potential -log T', so J_w depends on x
@@ -62,10 +65,14 @@ def jacobian_weight(sys, eig, word, xs):
 
 def cylinder_masses(sys, eig, n: int):
     """The mu_sigma masses of the depth-n cylinders, as the Gibbs audit
-    computes them (a CylinderMeasureTable)."""
-    for table in _mass_tables(sys, eig, word_array(sys, n)):
-        if table.depth == n:
-            return table
+    computes them, with ``cylinders`` = ``cylinders(sys, n)`` and
+    ``masses`` their masses in that order."""
+    for words, masses in _mass_tables(sys, eig, word_array(sys, n)):
+        pass
+    cyls = cylinders(sys, n)
+    row = {tuple(w): k for k, w in enumerate(words.tolist())}
+    return SimpleNamespace(cylinders=cyls,
+                           masses=masses[[row[c.word] for c in cyls]])
 
 
 def cone_image(sys, word, y: float) -> tuple[float, float]:

@@ -220,6 +220,47 @@ def test_env_seed_overrides_config_seed(tmp_path, monkeypatch):
     assert man["seed"] == 99
 
 
+@pytest.mark.parametrize("seed", [2.7, True, -1, "5", None, 1e400])
+def test_seed_not_an_integer_at_least_zero_rejected(tmp_path, seed):
+    # 2.7 ran correlate with seed 2 and true with seed 1; -1 passed
+    # validate and failed correlate with a bare ValueError
+    p = tmp_path / "c.json"
+    p.write_text('{"preset": "SYS-A", "experiment": "validate", "seed": %s}'
+                 % json.dumps(seed), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(p))
+    assert exc.value.pointer == "/seed"
+    assert main(["validate", "--config", str(p),
+                 "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("env", ["abc", "2.7", "-1", "true", "nan", ""])
+def test_env_seed_not_an_integer_at_least_zero_rejected(tmp_path, monkeypatch,
+                                                        capsys, env):
+    # abc exited 1 with "ValueError: invalid literal"
+    p = write_cfg(tmp_path / "c.json",
+                  {"preset": "SYS-A", "experiment": "validate"})
+    monkeypatch.setenv("GIBBSFLOW_SEED", env)
+    with pytest.raises(ConfigError) as exc:
+        run(p, out_dir=str(tmp_path / "o"))
+    assert exc.value.pointer == "/seed"
+    assert main(["validate", "--config", p, "--out", str(tmp_path / "o")]) == 1
+    assert "error: GIBBSFLOW_SEED must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["config", "env"])
+def test_integral_float_seed_accepted(tmp_path, monkeypatch, where):
+    cfg = {"preset": "SYS-A", "experiment": "validate"}
+    if where == "config":
+        cfg["seed"] = 5.0
+    else:
+        monkeypatch.setenv("GIBBSFLOW_SEED", "5.0")
+    out = tmp_path / "out"
+    assert run(write_cfg(tmp_path / "c.json", cfg), out_dir=str(out)) == 0
+    man = json.loads((out / "run_manifest.json").read_text())
+    assert man["seed"] == 5 and isinstance(man["seed"], int)
+
+
 def test_eigen_report(tmp_path):
     p = write_cfg(tmp_path / "c.json",
                   {"preset": "SYS-A", "experiment": "eigen",

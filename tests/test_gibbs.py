@@ -7,9 +7,10 @@ from scipy.stats import chi2
 from conftest import cylinder_masses, itineraries
 from gibbsflow.gibbs import (FrequencyTooSmallError, _backward_step, _burn_in,
                              adapted_partition, gibbs_audit, sample_mu)
-from gibbsflow.operator import eigendata
-from gibbsflow.presets import make_preset
-from gibbsflow.system import branch_chain, system_from_config
+from gibbsflow.operator import eigendata, node_grid
+from gibbsflow.presets import PRESETS, make_preset
+from gibbsflow.system import (branch_chain, cylinders, pullbacks,
+                              system_from_config, word_array)
 
 N = 512
 
@@ -99,6 +100,66 @@ def test_gibbs_audit_bounded_sys_c(eig_c):
         band = max(band, hi, 1 / lo)
         assert band >= prev - 1e-12
         prev = band
+
+
+def _audit_by_sorted_x(sys, eig, max_depth):
+    """The Gibbs audit laid out by cylinders: at every depth the masses are
+    written into the rows of ``cylinders(sys, n)`` through a word -> row
+    dict, and the orbit sums are lined up with them by sorting the
+    reference points x_omega, which lie one in each cylinder."""
+    nodes = node_grid(sys, eig.N)
+    words = word_array(sys, max_depth)
+    images = [slice(*b.image) for b in sys.branches]
+    mass_engines = [pullbacks(sys, words[words[:, -1] == s],
+                              nodes[img].reshape(-1), ("J",), eig)
+                    for s, img in enumerate(images)]
+    point_engines = [pullbacks(sys, words[words[:, -1] == s],
+                               [0.5 * sum(sys.image_interval(s))],
+                               ("x", "Snr", "Snphi"))
+                     for s in range(sys.m)]
+    lo, hi, per_depth = np.inf, 0.0, {}
+    for n, (levels, points) in enumerate(zip(zip(*mass_engines),
+                                             zip(*point_engines)), start=1):
+        cyls = cylinders(sys, n)
+        norm = np.zeros((sys.m, eig.N))
+        for img, pb in zip(images, levels):
+            norm[img] += pb.J.sum(axis=0).reshape(-1, eig.N)
+        row = {c.word: k for k, c in enumerate(cyls)}
+        masses = np.zeros(len(cyls))
+        for img, pb in zip(images, levels):
+            per_word = pb.J @ (eig.mu[img] / norm[img]).reshape(-1)
+            masses[[row[tuple(w)] for w in pb.words.tolist()]] = per_word
+        x = np.concatenate([pb.x[:, 0] for pb in points])
+        sn = np.concatenate([(pb.Snphi - eig.sigma * pb.Snr)[:, 0]
+                             for pb in points])
+        ratios = masses / np.exp(-eig.pressure * n + sn[np.argsort(x)])
+        per_depth[n] = (float(ratios.min()), float(ratios.max()))
+        lo, hi = min(lo, per_depth[n][0]), max(hi, per_depth[n][1])
+    return {"C5_lower": lo, "C5_upper": hi, "C5": float(max(hi, 1.0 / lo)),
+            "per_depth": per_depth}
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["NL-DOUBLING"])
+def test_gibbs_audit_equals_the_audit_by_sorted_x(name, sigma, nl_doubling):
+    sys = nl_doubling if name == "NL-DOUBLING" else make_preset(name)
+    eig = eigendata(sys, sigma, N=128)
+    assert gibbs_audit(sys, eig, 6) == _audit_by_sorted_x(sys, eig, 6)
+
+
+def test_gibbs_audit_builds_no_cylinders(eig_c, monkeypatch):
+    import gibbsflow.gibbs as gibbs_mod
+    import gibbsflow.system as system_mod
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cylinders(*args)
+
+    monkeypatch.setattr(gibbs_mod, "cylinders", counted)
+    monkeypatch.setattr(system_mod, "cylinders", counted)
+    gibbs_audit(eig_c.system, eig_c, 4)
+    assert not calls
 
 
 def test_transition_weights_normalized(eig_c):

@@ -4,10 +4,11 @@ import pytest
 from conftest import cone_image, jacobian_weight, transversal
 from gibbsflow.operator import eigendata
 from gibbsflow.presets import make_preset
-from gibbsflow.system import OutsideImageError, branch_chain, word_array
-from gibbsflow.uni import (EmptyDomainError, a_sequence, b_sequence,
-                           check_uni, coboundary_test, psi,
-                           uni_from_transversality)
+from gibbsflow.system import (OutsideImageError, branch_chain, pullback,
+                              word_array)
+from gibbsflow.uni import (EmptyDomainError, _preimage_blocks, _y_grid,
+                           a_sequence, b_sequence, check_uni, coboundary_test,
+                           psi, uni_from_transversality)
 
 
 @pytest.fixture(scope="module")
@@ -306,21 +307,48 @@ def _stabbing_weight(l, h, w) -> float:
 
 
 def _column_loop_sequences(sys, eig, n_max, grid):
-    """a(n), b(n) one tableau column at a time over its admissible rows."""
-    from gibbsflow.uni import _preimage_tableau, _y_grid
+    """a(n), b(n) one y at a time over the rows of its block."""
     seqs = ([], [])
     for n in range(1, n_max + 1):
-        _, lo, hi, wgt = _preimage_tableau(sys, eig, n, _y_grid(sys, n, grid))
+        blocks = _preimage_blocks(sys, eig, word_array(sys, n),
+                                  _y_grid(sys, n, grid))
         worst = [0.0, 0.0]
-        for col in range(lo.shape[1]):
-            valid = ~np.isnan(wgt[:, col])
-            if np.any(valid):
-                args = lo[valid, col], hi[valid, col], wgt[valid, col]
+        for _, _, lo, hi, wgt in blocks:
+            for col in range(lo.shape[1]):
+                args = lo[:, col], hi[:, col], wgt[:, col]
                 worst[0] = max(worst[0], _non_transversal_weight(*args))
                 worst[1] = max(worst[1], _stabbing_weight(*args))
         for out, v in zip(seqs, worst):
             out.append(min(v, 1.0 + 1e-12))
     return seqs
+
+
+def _preimage_tableau(sys, eig, n, ys):
+    """Interval and weight arrays over (word, y), NaN where inadmissible:
+    rows are the depth-n words in ``word_array`` order, and each symbol's
+    words are pulled back in one engine call at all the ys of its image."""
+    words = word_array(sys, n)
+    c7 = sys.constants.c7
+    k, g = len(words), len(ys)
+    lo = np.full((k, g), np.nan)
+    hi = np.full((k, g), np.nan)
+    wgt = np.full((k, g), np.nan)
+    for s in range(sys.m):
+        rows = np.flatnonzero(words[:, -1] == s)
+        dlo, dhi = sys.image_interval(s)
+        cols = np.flatnonzero((ys >= dlo) & (ys <= dhi))
+        if not (len(rows) and len(cols)):
+            continue
+        pb = pullback(sys, words[rows], ys[cols], ("dTn", "DSnr_h", "J"), eig)
+        centre = -pb.DSnr_h
+        half = c7 / np.abs(pb.dTn)
+        cell = np.ix_(rows, cols)
+        lo[cell] = centre - half
+        hi[cell] = centre + half
+        wgt[cell] = pb.J
+    totals = np.nansum(wgt, axis=0)
+    wgt = wgt / totals[None, :]
+    return words, lo, hi, wgt
 
 
 SWEEP_SYSTEMS = ["SYS-A", "SYS-B", "SYS-C", "SYS-A-BERNOULLI", "SYS-A-LINROOF",
@@ -342,6 +370,26 @@ def test_sweep_matches_column_loop(name, sigma, nl_doubling):
     assert b_sequence(s, eig, 6, grid=64) == b_ref
     a = a_sequence(s, eig, 6, grid=64)
     assert max(abs(x - y) for x, y in zip(a, a_ref)) <= 4.5e-16
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("name", SWEEP_SYSTEMS)
+def test_blocks_are_slices_of_the_nan_tableau(name, sigma, nl_doubling):
+    s = _system(name, nl_doubling)
+    eig = eigendata(s, sigma, N=256)
+    for n in (1, 3, 6):
+        ys = _y_grid(s, n, 64)
+        words, *tableau = _preimage_tableau(s, eig, n, ys)
+        covered = np.zeros(len(ys), dtype=bool)
+        for rows, cols, *block in _preimage_blocks(s, eig, words, ys):
+            assert not covered[cols].any()
+            covered[cols] = True
+            for got, full in zip(block, tableau):
+                assert np.array_equal(got, full[np.ix_(rows, cols)])
+                # the rows left out are the inadmissible ones
+                assert np.isnan(np.delete(full[:, cols], rows, axis=0)).all()
+        # every y with an admissible preimage is in one block
+        assert np.array_equal(covered, ~np.isnan(tableau[2]).all(axis=0))
 
 
 def test_b_sequence_reuses_the_tableaux_of_a_sequence(sys_b, monkeypatch):
@@ -464,15 +512,20 @@ def test_uni_from_transversality_degenerate(sys_a):
 def test_tableau_weights_are_mu_sigma_jacobians(sys_b):
     # at sigma != 0 the weights carry exp(-sigma S_n r): they are the inverse
     # Jacobians of mu_sigma, as jacobian_weight computes them per word
-    from gibbsflow.uni import _preimage_tableau
     eig = eigendata(sys_b, 0.5, N=256)
     ys = np.linspace(1e-9, 1 - 1e-9, 37)
-    words, _, _, wgt = _preimage_tableau(sys_b, eig, 4, ys)
-    ref = np.full(wgt.shape, np.nan)
-    for row, word in enumerate(words.tolist()):
-        lo, hi = sys_b.image_interval(word[-1])
-        cols = (ys >= lo) & (ys <= hi)
-        ref[row, cols] = jacobian_weight(sys_b, eig, tuple(word), ys[cols])[0]
-    ref /= np.nansum(ref, axis=0)[None, :]
-    assert np.array_equal(np.isnan(wgt), np.isnan(ref))
-    assert np.nanmax(np.abs(wgt - ref)) < 1e-13
+    words = word_array(sys_b, 4)
+    domains = np.array([sys_b.image_interval(s) for s in words[:, -1]])
+    covered = np.zeros(len(ys), dtype=bool)
+    for rows, cols, _, _, wgt in _preimage_blocks(sys_b, eig, words, ys):
+        covered[cols] = True
+        # the rows are exactly the words admissible at the block's ys
+        admissible = ((domains[:, :1] <= ys[cols])
+                      & (ys[cols] <= domains[:, 1:]))
+        assert admissible[rows].all()
+        assert not np.delete(admissible, rows, axis=0).any()
+        ref = np.array([jacobian_weight(sys_b, eig, tuple(words[r]),
+                                        ys[cols])[0] for r in rows])
+        ref /= ref.sum(axis=0)
+        assert np.max(np.abs(wgt - ref)) < 1e-13
+    assert covered.all()
