@@ -307,11 +307,11 @@ def _run_cohomology(sys_, params, out, seed):
 
 def _constant_roof(sys_, out, name):
     """The summary, also written to ``name``, of a run stopped by a roof
-    cohomologous to a constant; None when the roof is not."""
+    cohomologous to a locally constant one; None when the roof is not."""
     coh = coboundary_test(sys_)
     if not coh["cohomologous"]:
         return None
-    summary = {"no_contraction": "constant_roof_detected",
+    summary = {"no_contraction": "roof_cohomologous_to_locally_constant",
                "residual": coh["residual"]}
     _write_json(out / name, summary)
     return summary

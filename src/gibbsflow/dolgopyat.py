@@ -10,10 +10,13 @@ from w = 1, a lower bound on ||L^ell_s||^{1/ell}.
 
 Numerical strategy: the bump supports have width ~ delta/(|b| rho^n), far
 below any fixed grid.  All quantities that live on those scales are tracked
-through the deviation d = 1 - u with exact depth-1 branch sums evaluated on
-node sets refined inside a moving family of windows (the forward images of
-the bump supports), so the contraction signal, of order 1e-11 per step, is
-resolved as a small positive number with only relative quadrature error.
+through the deviation d = 1 - u, on node sets refined inside a moving family
+of windows (the forward images of the bump supports), so the contraction
+signal, of order 1e-11 per step, is resolved as a small positive number with
+only relative quadrature error.  Every application of the operator, on those
+node sets and in the cancellation check, is an exact branch sum of the
+pullback engine through ``operator.BranchPlan``, and one test of the four
+cone conditions (``_cone_test``) decides cone membership.
 """
 
 from __future__ import annotations
@@ -24,16 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gibbs import adapted_partition
-from .operator import (EigenData, GridFunction, _ElementwisePchip, apply_L,
-                       c6_bound, deep_apply, eigendata, hoelder_seminorm,
-                       lasota_yorke_audit, norm_b)
+from .operator import (BranchPlan, EigenData, GridFunction, _ElementwisePchip,
+                       apply_L, c6_bound, deep_apply, eigendata,
+                       hoelder_seminorm, lasota_yorke_audit, norm_b)
 from .system import MarkovSystem, branch_chain, sampled_seminorm, word_array
 from .uni import transversal_pair
 
 __all__ = [
     "ConeBPair", "BumpFunction", "ConstraintViolationError",
     "NoCancellationWitness", "ETA0", "c0_constant", "constraint_gates",
-    "in_cone_b", "build_bump", "cancellation_check", "cone_iteration",
+    "build_bump", "cancellation_check", "cone_iteration",
     "l1_contraction", "norm_contraction_sweep",
 ]
 
@@ -102,7 +105,7 @@ def constraint_gates(sys: MarkovSystem, delta: float, c0: float) -> dict:
 class ConeBPair:
     """Pair (u, v) tested against the frequency-adapted cone at parameter b.
 
-    u and v only need an eval(x) method (GridFunction or any interpolant).
+    u and v are callables on arrays of points: u real, v complex.
     """
     u: object
     v: object
@@ -110,49 +113,34 @@ class ConeBPair:
     C0: float
 
 
-def in_cone_b(pair: ConeBPair) -> dict:
-    """Check cone membership; returns worst margins (>= 0 means satisfied):
+def _cone_test(sys: MarkovSystem, pair: ConeBPair, node_sets) -> dict:
+    """Cone membership of ``pair`` read at ``node_sets``, one array of
+    points per element; returns the worst margin of each condition (>= 0
+    means satisfied) and whether all four hold to 1e-8:
 
-        u > 0,  |v| <= u,  |log u|_alpha <= C0|b|^a,
-        |v(x) - v(y)| <= C0|b|^a u(y) d(x,y)^a  on sampled pairs.
+        u > 0,  |v| <= u,  |log u|_alpha <= K,
+        |v(x) - v(y)| <= K u(y) d(x, y)^alpha,   K = C0 |b|^alpha.
 
-    All four are read at 2048 points per element of the system of ``pair.u``;
-    |log u|_alpha is their ``sampled_seminorm``, and the v-condition is
-    checked on adjacent pairs plus 4096 random pairs, drawn from seed 0.  At
-    alpha < 1 that seminorm can read low, and the log-u margin high (see
-    ``sampled_seminorm``).
+    Both seminorms are ``sampled_seminorm`` of an element's samples, which
+    at alpha < 1 can read low.  The last condition is read through
+    |v|_alpha <= K inf u, which implies it.
     """
-    sys = pair.u.system
     a = sys.alpha
     K = pair.C0 * abs(pair.b) ** a
-    grid, samples = 2048, 4096
-    rng = np.random.default_rng(0)
-    m_pos = np.inf
-    m_dom = np.inf
-    m_logu = np.inf
-    m_vh = np.inf
-    for e in range(sys.m):
-        lo, hi = sys.element_interval(e)
-        xs = np.linspace(lo, hi - (hi - lo) * 1e-12, grid)
-        u = np.real(np.asarray(pair.u.eval(xs)))
-        v = np.asarray(pair.v.eval(xs))
-        m_pos = min(m_pos, float(u.min()))
-        m_dom = min(m_dom, float(np.min(u - np.abs(v))))
-        if u.min() > 0:
-            m_logu = min(m_logu, K - sampled_seminorm(xs, np.log(u), a))
-            i = rng.integers(0, grid, samples)
-            j = rng.integers(0, grid, samples)
-            keep = i != j
-            i, j = i[keep], j[keep]
-            gap = K * u[j] * np.abs(xs[i] - xs[j]) ** a - np.abs(v[i] - v[j])
-            adj = K * u[1:] * np.diff(xs) ** a - np.abs(np.diff(v))
-            m_vh = min(m_vh, float(gap.min()), float(adj.min()))
-        else:
-            m_logu = -np.inf
-    margins = {"positivity": m_pos, "dominates_v": m_dom,
-               "log_u_hoelder": m_logu, "v_hoelder": m_vh}
-    ok = all(m >= -1e-9 for m in margins.values())
-    return {"ok": bool(ok), "margins": margins}
+    margins = dict.fromkeys(
+        ("positivity", "dominates_v", "log_u_hoelder", "v_hoelder"), np.inf)
+    for xs in node_sets:
+        u = np.real(np.asarray(pair.u(xs)))
+        v = np.asarray(pair.v(xs))
+        u_min = float(u.min())
+        here = {"positivity": u_min,
+                "dominates_v": float(np.min(u - np.abs(v))),
+                "log_u_hoelder": (K - sampled_seminorm(xs, np.log(u), a)
+                                  if u_min > 0 else -np.inf),
+                "v_hoelder": K * u_min - sampled_seminorm(xs, v, a)}
+        margins = {k: min(margins[k], here[k]) for k in margins}
+    return {"ok": all(m >= -1e-8 for m in margins.values()),
+            "margins": margins}
 
 
 # -- bump functions --------------------------------------------------------------
@@ -234,7 +222,7 @@ def build_bump(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
     n = n1 + n2
     part = adapted_partition(sys, b, Delta)
     tails = word_array(sys, n2)
-    ueval, veval = pair.u.eval, pair.v.eval
+    ueval, veval = pair.u, pair.v
     rad = delta / abs(b)
     scan, sub_grid = 64, 32
 
@@ -313,8 +301,8 @@ def cancellation_check(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
     forward-image ball."""
     xs = _check_points(bump)
     out = deep_apply(sys, eig, pair.b, bump.n, xs, [
-        {"name": "Lv", "fn": pair.v.eval, "twist": True},
-        {"name": "Lchiu", "fn": pair.u.eval, "chi": bump},
+        {"name": "Lv", "fn": pair.v, "twist": True},
+        {"name": "Lchiu", "fn": pair.u, "chi": bump},
     ])
     margin = np.real(out["Lchiu"]) - np.abs(out["Lv"])
     worst = float(margin.min())
@@ -327,17 +315,19 @@ def cancellation_check(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
 # (from ``operator``): one PPoly over all elements' non-uniform nodes.
 
 
-def _node_sets(sys: MarkovSystem, base_n: int, windows):
+def _window_nodes(sys: MarkovSystem, base, windows):
+    """Per element, the refinement nodes of ``windows`` not in ``base``: 192
+    over each window's part in the element, padded by a quarter of it."""
     sets = []
     for e in range(sys.m):
         lo, hi = sys.element_interval(e)
-        pts = [np.linspace(lo, hi, base_n)]
+        pts = [np.empty(0)]
         for wlo, whi in windows:
             a, b = max(wlo, lo), min(whi, hi)
             if b > a:
                 pad = 0.25 * (b - a)
                 pts.append(np.linspace(max(a - pad, lo), min(b + pad, hi), 192))
-        sets.append(np.unique(np.concatenate(pts)))
+        sets.append(np.setdiff1d(np.concatenate(pts), base[e]))
     return sets
 
 
@@ -367,47 +357,31 @@ def _map_windows(sys: MarkovSystem, windows):
     return merged[:256]
 
 
-def _branch_plan(sys: MarkovSystem, eig: EigenData, xs_list, b: float):
-    """What one application of the normalised operator at the node sets
-    ``xs_list`` needs besides the function it maps: per element, a list of
-    (hx, weight, phase) over the branches i that map into it, with hx the
-    preimages h_i(xs), weight exp(phi - sigma r) f at hx, and phase
-    exp(-i b r) at hx (None at b = 0; the twist uses the exact roof), and
-    the normaliser, the sum of the weights.  A node set that stays fixed
-    needs its plan only once, however often a function is mapped on it."""
-    feval = eig.f.eval
-    plan = []
-    for e in range(sys.m):
-        xs = xs_list[e]
-        branches = []
-        norm = np.zeros(xs.shape)
-        for i in range(sys.m):
-            if not sys.transition[i, e]:
-                continue
-            hx = sys.inverse_branch(i, xs)
-            r = sys._r[i](x=hx) + 0.0 * hx
-            weight = np.exp((sys._phi[i](x=hx) + 0.0 * hx) - eig.sigma * r)
-            weight = weight * np.real(np.asarray(feval(hx)))
-            norm += weight
-            phase = np.exp(-1j * b * r) if b != 0.0 else None
-            branches.append((hx, weight, phase))
-        plan.append((branches, norm))
-    return plan
+def _plan(sys: MarkovSystem, eig: EigenData, b: float, node_sets):
+    """Depth-1 ``BranchPlan`` at per-element node sets, every node in the
+    element of its set, its right end included."""
+    return BranchPlan(sys, eig, b, 1, np.concatenate(node_sets), np.repeat(
+        np.arange(sys.m), [len(x) for x in node_sets]))
 
 
-def _apply_plan(plan, g_eval):
-    """One application of the normalised operator to ``g_eval`` at the node
-    sets of ``plan`` (see ``_branch_plan``), by exact branch sums."""
-    out = []
-    for branches, norm in plan:
-        acc = np.zeros(norm.shape, dtype=complex)
-        for hx, weight, phase in branches:
-            term = weight * np.asarray(g_eval(hx))
-            if phase is not None:
-                term = term * phase
-            acc += term
-        out.append(acc / norm)
-    return out
+def _union(sys: MarkovSystem, plans):
+    """Per element, the union of the points of ``plans`` (from ``_plan``,
+    disjoint) in increasing order, and the layout (order, cuts) that takes
+    the plans' concatenated points there and splits them by element."""
+    xs = np.concatenate([p.xs for p in plans])
+    elements = np.concatenate([p.elements for p in plans])
+    order = np.lexsort((xs, elements))
+    cuts = np.searchsorted(elements[order], np.arange(1, sys.m))
+    return np.split(xs[order], cuts), (order, cuts)
+
+
+def _apply_on(plans, layout, g_eval, twist: bool):
+    """One application of the normalised operator to ``g_eval``: per
+    element, the complex values at the nodes ``_union`` gives with
+    ``layout``."""
+    order, cuts = layout
+    vals = np.concatenate([plan.apply(g_eval, twist) for plan in plans])
+    return np.split(vals[order], cuts)
 
 
 def _mu_density(eig: EigenData):
@@ -425,12 +399,15 @@ def _mu_density(eig: EigenData):
     return _ElementwisePchip(sys, nodes, dens)
 
 
-def _integrate_mu(fn_eval, node_sets, dens):
-    total = 0.0
+def _integrate_mu(d_eval, node_sets, dens):
+    """(int d dmu, int d^2 dmu) by the trapezoid rule on each node set."""
+    I = J = 0.0
     for xs in node_sets:
-        vals = np.real(np.asarray(fn_eval(xs))) * np.real(dens.eval(xs))
-        total += float(np.trapezoid(vals, xs))
-    return total
+        d = np.real(np.asarray(d_eval(xs)))
+        rho = np.real(dens.eval(xs))
+        I += float(np.trapezoid(d * rho, xs))
+        J += float(np.trapezoid(d ** 2 * rho, xs))
+    return I, J
 
 
 # -- cone iteration ---------------------------------------------------------------
@@ -446,18 +423,18 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
     exactly, d_{m+1} = L^n(d_m + (1 - chi_m)(1 - d_m)) with the bump factor
     evaluated analytically, on node sets refined inside the forward images
     of the bump supports.  Records int u_m^2 dmu, the per-step ratio
-    tau_hat_m, and cone-membership margins.  C0 is ``c0_constant`` and n =
-    n1 + n2 the default depths of ``build_bump``.
+    tau_hat_m, and the margins of the four cone conditions (``_cone_test``)
+    on v's nodes joined with d's.  C0 is ``c0_constant`` and n = n1 + n2 the
+    default depths of ``build_bump``.
 
-    Every application is one ``_branch_plan`` and one ``_apply_plan``.  v
-    lives on fixed nodes, so its plan (preimages, weights and twist phases)
-    is built once per run and serves all n m_max advances of v; d's node
-    sets move with the windows, so each of its advances builds its own.
+    Every application is exact depth-1 branch sums of ``BranchPlan``s whose
+    nodes carry their element, the node sets being closed at both ends.  The
+    plans of v's fixed nodes and of d's base_n fixed nodes per element are
+    built once per run; each of d's n m_max advances pulls back only the
+    window nodes it joins to the base nodes.
     """
     c0 = c0_constant(sys, eig)["C0"]
     n = sum(_default_depths(sys, b, delta))
-    a = sys.alpha
-    K = c0 * abs(b) ** a
     Delta_used = Delta if Delta is not None else _default_Delta(sys, delta)
     dens = _mu_density(eig)
 
@@ -466,64 +443,54 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
     v_nodes = [np.linspace(*sys.element_interval(e), nv) for e in range(sys.m)]
     v = _ElementwisePchip(sys, v_nodes,
                           [np.ones(nv, dtype=complex) for _ in range(sys.m)])
-    v_plan = _branch_plan(sys, eig, v_nodes, b)
+    v_plans = [_plan(sys, eig, b, v_nodes)]
+    v_layout = _union(sys, v_plans)[1]
+    base = [np.linspace(*sys.element_interval(e), base_n)
+            for e in range(sys.m)]
+    base_plan = _plan(sys, eig, 0.0, base)
     d_eval = lambda x: np.zeros(np.asarray(x, dtype=float).shape)
-    d_windows: list = []
-
-    def u_eval(x):
-        return 1.0 - np.real(np.asarray(d_eval(x)))
-
+    u_eval = lambda x: 1.0 - np.real(np.asarray(d_eval(x)))
+    windows: list = []
     trace = []
     int_u2 = 1.0
     for m in range(m_max):
-        pair = ConeBPair(u=_Evalable(u_eval), v=v, b=b, C0=c0)
-        bump, winners = build_bump(sys, eig, pair, delta, Delta)
+        bump, _ = build_bump(sys, eig, ConeBPair(u_eval, v.eval, b, c0),
+                             delta, Delta)
 
-        # advance d through n exact depth-1 applications
-        cur_eval = lambda x, de=d_eval, bp=bump: (
-            np.real(np.asarray(de(x)))
-            + (1.0 - bp(x)) * (1.0 - np.real(np.asarray(de(x)))))
-        windows = sorted(set(d_windows) | set(bump.supports))
+        # advance d through n exact depth-1 applications; the first maps
+        # the bump factor, called only before d_eval and bump move on
+        def cur_eval(x):
+            d = np.real(np.asarray(d_eval(x)))
+            return d + (1.0 - bump(x)) * (1.0 - d)
+
+        windows = sorted(set(windows) | set(bump.supports))
         for _ in range(n):
             windows = _map_windows(sys, windows)
-            nodes = _node_sets(sys, base_n, windows)
-            vals = [np.real(arr) for arr in _apply_plan(
-                _branch_plan(sys, eig, nodes, 0.0), cur_eval)]
-            dfun = _ElementwisePchip(sys, nodes, vals)
-            cur_eval = dfun.eval
+            plans = [base_plan, _plan(sys, eig, 0.0,
+                                      _window_nodes(sys, base, windows))]
+            nodes, layout = _union(sys, plans)
+            vals = _apply_on(plans, layout, cur_eval, False)
+            cur_eval = _ElementwisePchip(sys, nodes,
+                                         [np.real(y) for y in vals]).eval
         d_eval = cur_eval
-        d_windows = windows
-        d_nodes = nodes
 
         # advance v
         for _ in range(n):
-            v = _ElementwisePchip(sys, v_nodes, _apply_plan(v_plan, v.eval))
+            v = _ElementwisePchip(sys, v_nodes,
+                                  _apply_on(v_plans, v_layout, v.eval, True))
 
-        I_next = _integrate_mu(d_eval, d_nodes, dens)
-        J_next = _integrate_mu(lambda x: np.real(np.asarray(d_eval(x))) ** 2,
-                               d_nodes, dens)
+        I_next, J_next = _integrate_mu(d_eval, nodes, dens)
         int_u2_next = 1.0 - 2.0 * I_next + J_next
         tau_hat = int_u2_next / int_u2
 
-        # cone margins on the v-grid augmented by the refinement windows
-        margins = {"dominates_v": np.inf, "positivity": np.inf,
-                   "log_u_hoelder": np.inf}
-        for e in range(sys.m):
-            xs = np.unique(np.concatenate([v_nodes[e], d_nodes[e]]))
-            uu = u_eval(xs)
-            vv = np.abs(np.asarray(v.eval(xs)))
-            margins["positivity"] = min(margins["positivity"], float(uu.min()))
-            margins["dominates_v"] = min(margins["dominates_v"],
-                                         float(np.min(uu - vv)))
-            margins["log_u_hoelder"] = min(
-                margins["log_u_hoelder"],
-                K - sampled_seminorm(xs, np.log(uu), a))
+        cone = _cone_test(sys, ConeBPair(u_eval, v.eval, b, c0), [
+            np.unique(np.concatenate([v_nodes[e], nodes[e]]))
+            for e in range(sys.m)])
         trace.append({
             "m": m, "int_u2": int_u2_next, "tau_hat": tau_hat,
-            "I": I_next, "J": J_next, "margins": margins,
-            "cone_ok": bool(all(v_ >= -1e-8 for v_ in margins.values())),
-            "cases": list(bump.cases), "eta": bump.eta,
-            "partition_size": len(bump.supports),
+            "I": I_next, "J": J_next, "margins": cone["margins"],
+            "cone_ok": cone["ok"], "cases": list(bump.cases),
+            "eta": bump.eta, "partition_size": len(bump.supports),
         })
         int_u2 = int_u2_next
 
@@ -532,11 +499,6 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
             "tau_hats": [t["tau_hat"] for t in trace],
             "all_contracting": bool(all(t["tau_hat"] < 1.0 for t in trace)),
             "all_in_cone": bool(all(t["cone_ok"] for t in trace))}
-
-
-class _Evalable:
-    def __init__(self, fn):
-        self.eval = fn
 
 
 # -- L1 contraction sweep -----------------------------------------------------------

@@ -32,7 +32,7 @@ __all__ = [
     "GridFunction", "EigenData", "NoConvergenceError",
     "node_grid", "transfer_matrix",
     "eigendata", "apply_L", "hoelder_seminorm", "norm_b",
-    "c6_bound", "lasota_yorke_audit", "deep_apply",
+    "c6_bound", "lasota_yorke_audit", "BranchPlan", "deep_apply",
 ]
 
 
@@ -177,9 +177,9 @@ class EigenData:
     mu: np.ndarray          # (m, N) nonnegative, sums to 1
     iterations: int
     matrix: sp.csr_matrix = field(repr=False, default=None)
-    _lmat_cache: dict = field(default_factory=dict, repr=False)
+    _lmat_cache: dict = field(init=False, default_factory=dict, repr=False)
     # the latest (sys, n_max, grid, a, b) of uni's a(n)/b(n) sweep
-    _ab_slot: tuple | None = field(default=None, repr=False)
+    _ab_slot: tuple | None = field(init=False, default=None, repr=False)
 
     @property
     def pressure(self) -> float:
@@ -329,16 +329,67 @@ def lasota_yorke_audit(eig: EigenData, b: float, n_values=(1, 2, 3, 4, 5, 6),
 # -- exact depth-n application -------------------------------------------------
 
 
+class BranchPlan:
+    """The depth-n inverse branches of the normalised operator at points xs,
+    kept to apply to any number of functions (``apply``).
+
+    ``elements[k]`` is the element of xs[k], given explicitly: a node set
+    closed at both ends puts an element's right end into that element,
+    where ``element_of`` puts it into the next one, whose branches differ.
+    One engine call per symbol s pulls the points in its image back along
+    every admissible depth-n word ending in s; the plan keeps each call's
+    (columns, h_w(x), J_w, J_w exp(-i b S_n r)) and the normaliser sum J_w.
+    xs is a 1-D float array, and ``elements`` an integer array like it.
+    """
+
+    def __init__(self, sys: MarkovSystem, eig: EigenData, b: float, n: int,
+                 xs: np.ndarray, elements: np.ndarray):
+        self.xs, self.elements = xs, elements
+        words = word_array(sys, n)
+        self.blocks = []
+        self.norm = np.zeros(xs.shape)
+        for s in range(sys.m):
+            lo, hi = sys.branches[s].image
+            cols = np.flatnonzero((elements >= lo) & (elements < hi))
+            ends = words[:, -1] == s
+            if not (len(cols) and np.any(ends)):
+                continue
+            pb = pullback(sys, words[ends], xs[cols], ("x", "Snr", "J"), eig)
+            self.norm[cols] += pb.J.sum(axis=0)
+            J = pb.J.astype(complex)
+            twisted = J
+            if b != 0.0:
+                # named: numpy may compute J * temporary as temporary * J,
+                # in place, which rounds differently
+                phase = np.exp(-1j * b * pb.Snr)
+                twisted = J * phase
+            self.blocks.append((cols, pb.x.reshape(-1), J, twisted))
+
+    def apply(self, fn, twist: bool, chi=None) -> np.ndarray:
+        """sum_w J_w [exp(-i b S_n r) if ``twist``] [chi] fn at h_w(x) over
+        the normaliser, a complex array over the points; fn and chi are
+        callables on the preimages, fn None standing for 1."""
+        acc = np.zeros(self.norm.shape, dtype=complex)
+        for cols, hx, J, twisted in self.blocks:
+            val = twisted if twist else J
+            if chi is not None:
+                val = val * np.reshape(chi(hx), val.shape)
+            if fn is not None:
+                val = val * np.reshape(fn(hx), val.shape)
+            acc[cols] += val.sum(axis=0)
+        return acc / self.norm
+
+
 def deep_apply(sys: MarkovSystem, eig: EigenData, b: float, n: int,
                xs: np.ndarray, terms: list[dict]) -> dict:
     """Depth-n branch-sum application of the normalised operator at points xs.
 
-    For each symbol s, one engine call pulls the xs in the image of s back
-    along every admissible depth-n word ending in s, so twisting phases
-    exp(-i b S_n r) are exact and no intermediate iterate is ever
-    interpolated.  Each branch h_w enters with its inverse Jacobian J_w (see
-    ``Pullback``); the sums are divided per point by the sum of the J_w, so
-    the untwisted operator maps 1 to exactly 1.
+    One ``BranchPlan`` at the xs, each in its ``element_of`` element, then
+    one application per term.  Twisting phases exp(-i b S_n r) are exact and
+    no intermediate iterate is ever interpolated.  Each branch h_w enters
+    with its inverse Jacobian J_w (see ``Pullback``); the sums are divided
+    per point by the sum of the J_w, so the untwisted operator maps 1 to
+    exactly 1.
 
     Each term is a dict with keys:
         name   output key
@@ -351,29 +402,9 @@ def deep_apply(sys: MarkovSystem, eig: EigenData, b: float, n: int,
     """
     xs = np.asarray(xs, dtype=float)
     flat = xs.reshape(-1)
-    idx = sys.element_of(flat)
-    words = word_array(sys, n)
-    sums = {t["name"]: np.zeros(flat.shape, dtype=complex) for t in terms}
-    norm = np.zeros(flat.shape)
-    for s in range(sys.m):
-        lo, hi = sys.branches[s].image
-        cols = np.flatnonzero((idx >= lo) & (idx < hi))
-        ends = words[:, -1] == s
-        if not (len(cols) and np.any(ends)):
-            continue
-        pb = pullback(sys, words[ends], flat[cols], ("x", "Snr", "J"), eig)
-        hx = pb.x.reshape(-1)
-        norm[cols] += pb.J.sum(axis=0)
-        phase = np.exp(-1j * b * pb.Snr) if b != 0.0 else 1.0
-        for t in terms:
-            val = pb.J.astype(complex)
-            if t.get("twist"):
-                val = val * phase
-            if t.get("chi") is not None:
-                val = val * np.reshape(t["chi"](hx), val.shape)
-            if t.get("fn") is not None:
-                val = val * np.reshape(t["fn"](hx), val.shape)
-            sums[t["name"]][cols] += val.sum(axis=0)
-    out = {name: (acc / norm).reshape(xs.shape) for name, acc in sums.items()}
-    out["weight_sum"] = norm.reshape(xs.shape)
+    plan = BranchPlan(sys, eig, b, n, flat, sys.element_of(flat))
+    out = {t["name"]: plan.apply(t.get("fn"), t.get("twist"),
+                                 t.get("chi")).reshape(xs.shape)
+           for t in terms}
+    out["weight_sum"] = plan.norm.reshape(xs.shape)
     return out

@@ -153,9 +153,10 @@ def _preimage_blocks(sys: MarkovSystem, eig: EigenData, words: np.ndarray,
     the images of the same symbols; rows index ``words``, the
     ``word_array(sys, n)``, and cols index ``ys``.
 
-    A group's rows are the words ending in one of its symbols, in
-    ``word_array`` order, each pulled back at the group's ys by one engine
-    call per last symbol into dense (rows, cols) arrays: the slope interval
+    One engine call per symbol s pulls the words ending in s back at all
+    the ys in the image of s.  A group's rows are the words ending in one of
+    its symbols, in ``word_array`` order, and its dense (rows, cols) arrays
+    are taken out of those calls: the slope interval
     [lo, hi] = -D(S_n r o h)(y) +- C7 / |DT^n| and the weight w = J_w(y),
     the inverse Jacobian of mu_sigma along h_w at the sigma of ``eig``,
     normalised to sum to 1 over the rows at each y.
@@ -164,6 +165,15 @@ def _preimage_blocks(sys: MarkovSystem, eig: EigenData, words: np.ndarray,
     last = words[:, -1]
     holds = np.array([(ys >= a) & (ys <= b) for a, b in
                       (sys.image_interval(s) for s in range(sys.m))])
+    pulled = {}
+    for s in range(sys.m):
+        at = np.flatnonzero(holds[s])
+        if len(at) and np.any(last == s):
+            pb = pullback(sys, words[last == s], ys[at],
+                          ("dTn", "DSnr_h", "J"), eig)
+            centre = -pb.DSnr_h
+            half = c7 / np.abs(pb.dTn)
+            pulled[s] = (at, centre - half, centre + half, pb.J)
     keys, group = np.unique((1 << np.arange(sys.m)) @ holds,
                             return_inverse=True)
     for g, key in enumerate(keys.tolist()):
@@ -172,17 +182,12 @@ def _preimage_blocks(sys: MarkovSystem, eig: EigenData, words: np.ndarray,
             continue
         cols = np.flatnonzero(group == g)
         lo, hi, w = (np.empty((len(rows), len(cols))) for _ in range(3))
-        for s in range(sys.m):
-            at = np.flatnonzero(last[rows] == s)
-            if not len(at):
-                continue
-            pb = pullback(sys, words[rows[at]], ys[cols],
-                          ("dTn", "DSnr_h", "J"), eig)
-            centre = -pb.DSnr_h
-            half = c7 / np.abs(pb.dTn)
-            lo[at] = centre - half
-            hi[at] = centre + half
-            w[at] = pb.J
+        for s in np.unique(last[rows]).tolist():
+            here = np.flatnonzero(last[rows] == s)
+            at, *arrays = pulled[s]
+            pick = np.searchsorted(at, cols)
+            for block, arr in zip((lo, hi, w), arrays):
+                block[here] = arr[:, pick]
         w /= w.sum(axis=0)
         yield rows, cols, lo, hi, w
 

@@ -186,12 +186,7 @@ def test_sequence_and_cone_bounds(sys_b, sys_c, eig_b):
 def test_cancellation_and_cone_iteration(sys_b, eig_b, b):
     t0 = cpu_now()
     ones = lambda x: np.ones(np.asarray(x, dtype=float).shape)
-
-    class Const:
-        def __init__(self, fn):
-            self.eval = fn
-
-    pair = ConeBPair(u=Const(ones), v=Const(lambda x: ones(x).astype(complex)),
+    pair = ConeBPair(u=ones, v=lambda x: ones(x).astype(complex),
                      b=b, C0=c0_constant(sys_b, eig_b)["C0"])
     bump, winners = build_bump(sys_b, eig_b, pair, delta=0.05)
     part = adapted_partition(sys_b, b, bump.Delta)

@@ -17,10 +17,10 @@ ROOT = Path(__file__).resolve().parents[1]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # Library entry points that no CLI experiment calls yet, with the reason:
-# the full four-condition cone test and the cancellation inequality
-# |L^n_s v| <= L^n_sigma(chi u).  The open ROADMAP item that audits the
-# whole Dolgopyat step makes ``cone_iteration`` call both at every step.
-ALLOWED = {"in_cone_b", "cancellation_check"}
+# the cancellation inequality |L^n_s v| <= L^n_sigma(chi u).  The open
+# ROADMAP item that audits the whole Dolgopyat step makes ``cone_iteration``
+# call it at every step.
+ALLOWED = {"cancellation_check"}
 
 
 def _mentions(*nodes) -> set[str]:
@@ -100,7 +100,7 @@ def test_walk_sees_the_package():
     reached = _reached(defs)
     # the handlers are reached through the _HANDLERS table
     assert {"_run_correlate", "correlation", "evolve_many"} <= reached
-    assert ("dolgopyat", "in_cone_b") in exported
+    assert ("dolgopyat", "cancellation_check") in exported
 
 
 def test_every_public_name_has_a_caller():

@@ -319,7 +319,7 @@ def test_contraction_constant_roof_short_circuits(tmp_path):
     out = tmp_path / "out"
     assert run(p, out_dir=str(out)) == 0
     rep = json.loads((out / "contraction.json").read_text())
-    assert rep["no_contraction"] == "constant_roof_detected"
+    assert rep["no_contraction"] == "roof_cohomologous_to_locally_constant"
 
 
 def test_contraction_does_not_depend_on_the_seed(tmp_path, monkeypatch):
@@ -354,7 +354,7 @@ def test_cancellation_constant_roof_short_circuits(tmp_path):
     out = tmp_path / "out"
     assert run(p, out_dir=str(out)) == 0
     rep = json.loads((out / "cancellation.json").read_text())
-    assert rep["no_contraction"] == "constant_roof_detected"
+    assert rep["no_contraction"] == "roof_cohomologous_to_locally_constant"
 
 
 def test_uni_report_and_exit(tmp_path):
@@ -441,7 +441,7 @@ def test_bundle_summarizes_trichotomy(tmp_path):
                            out_dir=str(tmp_path / "bundle"))
     table = bundle["table"]
     assert table["cohomologous"] is True
-    assert table["no_contraction"] == "constant_roof_detected"
+    assert table["no_contraction"] == "roof_cohomologous_to_locally_constant"
     assert table["a_trend"] in ("constant_one", "decreasing")
     assert (tmp_path / "bundle" / "bundle.json").exists()
 

@@ -6,12 +6,12 @@ import pytest
 from conftest import NL_DOUBLING
 from gibbsflow.dolgopyat import (ETA0, BumpFunction, ConeBPair,
                                  ConstraintViolationError,
-                                 NoCancellationWitness, build_bump,
-                                 c0_constant, cancellation_check,
-                                 cone_iteration, constraint_gates, in_cone_b,
+                                 NoCancellationWitness, _cone_test,
+                                 build_bump, c0_constant, cancellation_check,
+                                 cone_iteration, constraint_gates,
                                  l1_contraction, norm_contraction_sweep)
 from gibbsflow.expr import parse
-from gibbsflow.operator import GridFunction, eigendata, node_grid
+from gibbsflow.operator import BranchPlan, GridFunction, eigendata, node_grid
 from gibbsflow.presets import make_preset
 from gibbsflow.system import Branch, MarkovSystem, system_from_config
 
@@ -39,7 +39,7 @@ def eig_b(sys_b):
 def _ones_pair(sys, b, c0):
     u = GridFunction(sys, np.ones((sys.m, 256)))
     v = GridFunction(sys, np.ones((sys.m, 256), dtype=complex))
-    return ConeBPair(u=u, v=v, b=b, C0=c0)
+    return ConeBPair(u=u.eval, v=v.eval, b=b, C0=c0)
 
 
 # -- C0 and the gates --------------------------------------------------------------
@@ -88,13 +88,19 @@ def test_gates_pass_and_refuse(sys_b, eig_b):
 # -- cone membership --------------------------------------------------------------
 
 
+def _element_grids(sys, n=2048):
+    """n equally spaced points per element, both ends included."""
+    return [np.linspace(*sys.element_interval(e), n) for e in range(sys.m)]
+
+
 def test_in_cone_constant_pairs(sys_a, eig_a):
     c0 = c0_constant(sys_a, eig_a)["C0"]
     u = GridFunction(sys_a, np.ones((sys_a.m, 128)))
     v0 = GridFunction(sys_a, np.zeros((sys_a.m, 128), dtype=complex))
     v1 = GridFunction(sys_a, np.ones((sys_a.m, 128), dtype=complex))
-    assert in_cone_b(ConeBPair(u, v0, 64.0, c0))["ok"]
-    assert in_cone_b(ConeBPair(u, v1, 64.0, c0))["ok"]
+    grids = _element_grids(sys_a)
+    assert _cone_test(sys_a, ConeBPair(u.eval, v0.eval, 64.0, c0), grids)["ok"]
+    assert _cone_test(sys_a, ConeBPair(u.eval, v1.eval, 64.0, c0), grids)["ok"]
 
 
 def test_in_cone_rejects_dominating_v(sys_a, eig_a):
@@ -102,9 +108,26 @@ def test_in_cone_rejects_dominating_v(sys_a, eig_a):
     nodes = node_grid(sys_a, 128)
     u = GridFunction(sys_a, np.ones_like(nodes), nodes)
     v = GridFunction(sys_a, 2.0 * nodes + 0j, nodes)
-    rep = in_cone_b(ConeBPair(u, v, 64.0, c0))
+    rep = _cone_test(sys_a, ConeBPair(u.eval, v.eval, 64.0, c0),
+                     _element_grids(sys_a))
     assert not rep["ok"]
     assert rep["margins"]["dominates_v"] < -0.5
+
+
+@pytest.mark.parametrize("scale", [0.5, 4.0])
+def test_cone_test_reads_v_hoelder(sys_b, eig_b, scale):
+    # u = 1 and v = sin(M x)/2 with |v|_1 = M/2 = scale K: |v| <= u and
+    # |log u| = 0 hold whatever M, so the v-Hoelder condition alone decides
+    c0 = c0_constant(sys_b, eig_b)["C0"]
+    K = c0 * 64.0 ** sys_b.alpha
+    M = 2.0 * scale * K
+    pair = ConeBPair(u=lambda x: np.ones(np.shape(x)),
+                     v=lambda x: 0.5 * np.sin(M * np.asarray(x)) + 0j,
+                     b=64.0, C0=c0)
+    rep = _cone_test(sys_b, pair, _element_grids(sys_b))
+    failed = [k for k, m in rep["margins"].items() if m < -1e-8]
+    assert rep["ok"] == (scale < 1.0)
+    assert failed == ([] if scale < 1.0 else ["v_hoelder"])
 
 
 # -- bump construction -------------------------------------------------------------
@@ -213,27 +236,86 @@ def _apply_once(sys, eig, g_eval, xs_list, b=0.0):
     return out
 
 
+def _assert_close(got, want, tol=1e-13):
+    """|got - want| <= tol max |want| at every point."""
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
 def test_cone_iteration_plans_match_fresh_applications(sys_b, eig_b,
                                                        monkeypatch):
-    # the plan of v's fixed nodes is built once and reused; every applied
-    # value, and so every figure of the report, must keep the bits of an
-    # application that recomputes it all.  The report alone would not do:
-    # v's last bits barely reach the dominates_v margin.
+    # v's plan and d's base-node plan are built once per run, and every d
+    # advance adds a plan of its window nodes alone; each advance must keep
+    # the bits of one plan made afresh over its whole node set with the same
+    # explicit elements, and agree with the per-branch sums.  The report
+    # alone would not do: v's last bits barely reach the dominates_v margin.
+    # The applied function is read at the call: the bump factor's closure
+    # moves on with the iteration.
     import gibbsflow.dolgopyat as dg
-    planned, fresh = [], []
-    apply_plan = dg._apply_plan
-    monkeypatch.setattr(dg, "_apply_plan", lambda plan, g_eval: planned.append(
-        apply_plan(plan, g_eval)) or planned[-1])
+    apply_on = dg._apply_on
+    seen = []
+
+    def checked(plans, layout, g_eval, twist):
+        vals = apply_on(plans, layout, g_eval, twist)
+        nodes = dg._union(sys_b, plans)[0]
+        b = 256.0 if twist else 0.0
+        xs = np.concatenate(nodes)
+        elements = np.repeat(np.arange(sys_b.m), [len(x) for x in nodes])
+        fresh = BranchPlan(sys_b, eig_b, b, 1, xs, elements).apply(g_eval,
+                                                                   twist)
+        assert np.array_equal(np.concatenate(vals), fresh)
+        _assert_close(fresh, np.concatenate(
+            _apply_once(sys_b, eig_b, g_eval, nodes, b)))
+        seen.append((twist, len(plans)))
+        return vals
+
+    monkeypatch.setattr(dg, "_apply_on", checked)
     rep = cone_iteration(sys_b, eig_b, 256.0, m_max=2, base_n=2048)
-    monkeypatch.setattr(dg, "_branch_plan",
-                        lambda sys, eig, xs_list, b: (sys, eig, xs_list, b))
-    monkeypatch.setattr(dg, "_apply_plan", lambda plan, g_eval: fresh.append(
-        _apply_once(plan[0], plan[1], g_eval, plan[2], plan[3])) or fresh[-1])
-    want = cone_iteration(sys_b, eig_b, 256.0, m_max=2, base_n=2048)
-    assert len(planned) == len(fresh) == 2 * 2 * rep["n"]
-    for got, exp in zip(planned, fresh):
-        assert all(np.array_equal(g, e) for g, e in zip(got, exp))
-    assert rep == want  # tau_hats, and each step's I, J and margins
+    n = rep["n"]
+    assert seen == 2 * ([(False, 2)] * n + [(True, 1)] * n)
+
+
+def test_cone_iteration_pulls_the_base_nodes_back_once(sys_b, eig_b,
+                                                       monkeypatch):
+    # every interior base node lies in the image of both SYS-B branches, so
+    # its engine columns over a whole run are one per symbol: the base plan
+    # is built once, and no window node repeats a base node
+    import gibbsflow.operator as op
+    pullback = op.pullback
+    columns = []
+    monkeypatch.setattr(op, "pullback", lambda sys, words, ys, *rest: (
+        columns.append(np.array(ys)) or pullback(sys, words, ys, *rest)))
+    base_n = 2048
+    rep = cone_iteration(sys_b, eig_b, 256.0, m_max=2, base_n=base_n,
+                         v_nodes_per_b=32)
+    base = np.concatenate([np.linspace(*sys_b.element_interval(e),
+                                       base_n)[1:-1] for e in range(sys_b.m)])
+    values, counts = np.unique(np.concatenate(columns), return_counts=True)
+    at = np.searchsorted(values, base)
+    assert np.array_equal(values[at], base)
+    assert np.all(counts[at] == sys_b.m)
+    # one call per symbol for v's plan, the base plan and each of the
+    # 2 n advances' window plans, and no more
+    assert len(columns) <= sys_b.m * (2 + 2 * rep["n"])
+
+
+@pytest.mark.parametrize("name", ["SYS-C", "SYS-C-NLROOF"])
+@pytest.mark.parametrize("b", [0.0, 300.0])
+def test_plan_with_explicit_elements_matches_per_branch_sums(name, b):
+    # node sets closed at both ends hold 1/3 and 2/3 twice: as the right
+    # end of the element below and as the left end of the one above, and
+    # different branches map into the two
+    sys = make_preset(name)
+    eig = eigendata(sys, 0.0, N=256)
+    nodes = _element_grids(sys, 5000)
+    elements = np.repeat(np.arange(sys.m), 5000)
+    g = lambda x: 2.0 + np.sin(7.0 * np.asarray(x)) + 0.5j * np.asarray(x)
+    got = BranchPlan(sys, eig, b, 1, np.concatenate(nodes), elements).apply(
+        g, True)
+    want = np.concatenate(_apply_once(sys, eig, g, nodes, b))
+    _assert_close(got, want)
+    # the two copies of each interior breakpoint take different sums
+    for k in (5000, 10000):
+        assert abs(want[k - 1] - want[k]) > 1e-3
 
 
 def test_cone_iteration_aborts_on_constant_roof(sys_a, eig_a):

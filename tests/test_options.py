@@ -6,7 +6,9 @@ src/ and perfbench/: a parameter that only tests set has one value wherever
 the program runs.  The check parses the package and every call in those trees,
 and matches calls to definitions by name: ``f(...)`` and ``obj.f(...)``
 call every function or method named f, and ``Cls(...)`` calls
-``Cls.__init__``.  A call sets a parameter when it passes it by keyword or
+``Cls.__init__``; the ``__init__`` of a dataclass takes its fields, so a
+field with a default that ``__init__`` takes is a defaulted parameter too.
+A call sets a parameter when it passes it by keyword or
 by position, or passes ``*args`` or ``**kwargs``.
 """
 
@@ -51,7 +53,44 @@ def _options() -> list[tuple[str, str, str, int | None]]:
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
                     found.append((path.name, name, arg.arg, None))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                found += [(path.name, cls.name, field, k)
+                          for field, k in _dataclass_defaults(cls)]
     return found
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None)
+               == "dataclass" for d in cls.decorator_list)
+
+
+def _dataclass_defaults(cls: ast.ClassDef) -> list[tuple[str, int]]:
+    """(field, position in a call) of every field with a default that the
+    dataclass's ``__init__`` takes: ``x: T = v``, or ``field(default=...)``
+    or ``field(default_factory=...)``.  A ``field(init=False, ...)`` is
+    state, not a parameter.  (The package has no ClassVar, InitVar or
+    kw_only field.)"""
+    out, position = [], 0
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id",
+                                                   None) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = "default" in keywords or "default_factory" in keywords
+        else:
+            defaulted = value is not None
+        if defaulted:
+            out.append((item.target.id, position))
+        position += 1
+    return out
 
 
 def _calls() -> dict[str, list[ast.Call]]:
@@ -77,8 +116,12 @@ def _sets(call: ast.Call, param: str, position: int | None) -> bool:
 
 def test_every_option_is_set_by_some_call():
     options = _options()
-    # the scan sees the package: eigendata's N is an option the CLI sets
+    # the scan sees the package: eigendata's N is an option the CLI sets,
+    # and so is EigenData's matrix, a dataclass field with a default
     assert ("operator.py", "eigendata", "N", 2) in options
+    assert ("operator.py", "EigenData", "matrix", 8) in options
+    # a field(init=False) is state that no call can set
+    assert not any(o[1:3] == ("EigenData", "_lmat_cache") for o in options)
     calls = _calls()
     unset = [f"{module}: {name}({param})"
              for module, name, param, position in options

@@ -8,7 +8,7 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from conftest import NL_DOUBLING
-from gibbsflow.dolgopyat import _node_sets
+from gibbsflow.dolgopyat import _window_nodes
 from gibbsflow.operator import GridFunction, _ElementwisePchip, node_grid
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.system import system_from_config
@@ -87,7 +87,9 @@ def test_windowed_node_sets_match_per_element_oracle(name):
     # one window straddles the first interior partition point
     p1 = sys.partition[1]
     windows = [(0.05, 0.07), (p1 - 0.01, p1 + 0.02)]
-    nodes = _node_sets(sys, 64, windows)
+    base = [np.linspace(*sys.element_interval(e), 64) for e in range(sys.m)]
+    nodes = [np.union1d(b, w)
+             for b, w in zip(base, _window_nodes(sys, base, windows))]
     assert len({len(xs) for xs in nodes}) > 1
     values = [_values(xs, rng, True) for xs in nodes]
     f = _ElementwisePchip(sys, nodes, values)

@@ -392,6 +392,21 @@ def test_blocks_are_slices_of_the_nan_tableau(name, sigma, nl_doubling):
         assert np.array_equal(covered, ~np.isnan(tableau[2]).all(axis=0))
 
 
+def test_blocks_pull_each_symbol_back_once(sys_c, monkeypatch):
+    # SYS-C's ys fall into three groups holding two, three and two of its
+    # symbols; the engine runs once per symbol, not once per group holding it
+    import gibbsflow.uni as uni_mod
+    calls = []
+    monkeypatch.setattr(uni_mod, "pullback", lambda *args: (
+        calls.append(args[1]) or pullback(*args)))
+    eig = eigendata(sys_c, 0.0, N=256)
+    words = word_array(sys_c, 8)
+    blocks = list(_preimage_blocks(sys_c, eig, words, _y_grid(sys_c, 8, 128)))
+    assert [len(rows) < len(words) for rows, *_ in blocks].count(True) == 2
+    assert len(blocks) == 3 and len(calls) == sys_c.m
+    assert sum(len(w) for w in calls) == len(words)
+
+
 def test_b_sequence_reuses_the_tableaux_of_a_sequence(sys_b, monkeypatch):
     import gibbsflow.system as system_mod
     import gibbsflow.uni as uni_mod
