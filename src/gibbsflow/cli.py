@@ -246,14 +246,14 @@ def _run_partition(sys_, params, out, seed):
     b = float(params.get("b", 2.0 ** 10))
     Delta = float(params.get("Delta", 1.0))
     part = adapted_partition(sys_, b, Delta)
+    diams = (part.right - part.left).tolist()
     _write_csv(out / "partition.csv", ["left", "right", "diam"],
-               [(q.left, q.right, q.diam) for q in part.elements])
+               zip(part.left.tolist(), part.right.tolist(), diams))
     lo_bound = 2 * Delta / abs(b)
     hi_bound = 2 * Delta * sys_.constants.rho / abs(b)
-    diams = [q.diam for q in part.elements]
     ok = (all(lo_bound <= d <= hi_bound * (1 + 1e-12) for d in diams)
-          and part.count <= abs(b) / (2 * Delta))
-    summary = {"b": b, "Delta": Delta, "count": part.count,
+          and len(diams) <= abs(b) / (2 * Delta))
+    summary = {"b": b, "Delta": Delta, "count": len(diams),
                "diam_min": min(diams), "diam_max": max(diams),
                "bounds_ok": ok}
     _write_json(out / "partition.json", summary)

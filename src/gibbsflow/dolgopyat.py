@@ -17,6 +17,11 @@ only relative quadrature error.  Every application of the operator, on those
 node sets and in the cancellation check, is an exact branch sum of the
 pullback engine through ``operator.BranchPlan``, and one test of the four
 cone conditions (``_cone_test``) decides cone membership.
+
+The bumps of one run share their geometry: the adapted partition, each
+element's transversal pair and the candidate balls pulled back along it
+depend on (system, b, delta, Delta) alone, so ``bump_geometry`` builds them
+once, and each step's ``build_bump`` only reads u and v there.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ from .system import MarkovSystem, branch_chain, sampled_seminorm, word_array
 from .uni import transversal_pair
 
 __all__ = [
-    "ConeBPair", "BumpFunction", "ConstraintViolationError",
+    "ConeBPair", "BumpFunction", "BumpGeometry", "ConstraintViolationError",
     "NoCancellationWitness", "ETA0", "c0_constant", "constraint_gates",
-    "build_bump", "cancellation_check", "cone_iteration",
+    "bump_geometry", "build_bump", "cancellation_check", "cone_iteration",
     "l1_contraction", "norm_contraction_sweep",
 ]
 
@@ -155,17 +160,12 @@ def _smoothstep(t):
 class BumpFunction:
     """C^1 cutoff equal to 1 off the supports and eta on the plateaus, with
     cubic ramps; |chi'| <= |b| is enforced through the choice of eta."""
-    b: float
     eta: float
     plateaus: list
     supports: list
     balls: list                     # forward-image balls B(x_j, delta/2|b|)
-    winners: list
     cases: list
     n: int
-    delta: float
-    Delta: float
-    slope_max: float = 0.0
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -184,107 +184,116 @@ class BumpFunction:
         return out
 
 
-def _default_depths(sys: MarkovSystem, b: float,
-                    delta: float) -> tuple[int, int]:
-    n2 = int(math.floor(math.log(1.0 / delta) / math.log(sys.constants.rho)))
-    n1 = int(math.floor(math.log(abs(b))))
-    return n1, n2
+@dataclass
+class BumpGeometry:
+    """What the bumps of a run depend on besides u and v (``bump_geometry``):
+    per adapted-partition element, transversal word h (w, then wbar),
+    candidate centre x1 and point z of its sub-grid of B(x1, delta/|b|),
+    ``x`` = h(z), ``ends`` = the sorted ends of h(B(x1, delta/6|b|)) and
+    h(B(x1, delta/2|b|)), ``bpsi`` = b (S_n r(h_w z) - S_n r(h_wbar z)) and
+    ``balls`` = the ends of B(x1, delta/2|b|)."""
+    n: int
+    Delta: float
+    x: np.ndarray           # (elements, 2, candidates, sub-grid)
+    ends: np.ndarray        # (elements, 2, candidates, 2, 2)
+    bpsi: np.ndarray        # (elements, candidates, sub-grid)
+    balls: np.ndarray       # (elements, candidates, 2)
 
 
-def _default_Delta(sys: MarkovSystem, delta: float) -> float:
-    """Delta = 4 pi / (C7 delta); infinite for a constant roof (C7 = 0)."""
-    c7 = sys.constants.c7
-    return 4.0 * math.pi / (c7 * delta) if c7 > 0 else math.inf
+def bump_geometry(sys: MarkovSystem, b: float, delta: float, c0: float,
+                  Delta: float | None) -> BumpGeometry:
+    """The geometry of every bump of one cancellation run.
 
-
-def build_bump(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
-               delta: float, Delta: float | None = None
-               ) -> tuple[BumpFunction, list]:
-    """Search each adapted-partition element for a cancellation witness and
-    assemble the bump.
-
-    For each Q_j: pick a transversal pair of depth-n2 tails at the center,
-    extend to depth-n words, and scan 64 candidates x1 across Q_j until on
-    the 32-point sub-grid of B(x1, delta/|b|) either (a) the phase difference
-    b psi + arg v(h x) - arg v(hbar x) stays at distance >= pi/3 from 2 pi Z,
-    or (b) |v| <= (3/4) u on one branch's preimages.  The winner's images of
-    B(x1, delta/6|b|) and B(x1, delta/2|b|) become plateau and support.
+    Checks the gates (``constraint_gates``) and takes Delta = 4 pi / (C7
+    delta) when None, n2 = floor(log(1/delta) / log rho), n1 = floor(log
+    |b|) and n = n1 + n2.  For each adapted-partition element Q_j: pick a
+    transversal pair of depth-n2 tails at the centre, extended to depth-n
+    words (``transversal_pair``), and place 64 candidates x1 across Q_j in
+    the words' common domain, each with a 32-point sub-grid of B(x1,
+    delta/|b|).  One ``branch_chain`` per word pulls back every sub-grid
+    point and every candidate's plateau and support ends.
     """
-    b = pair.b
     c7 = sys.constants.c7
     if c7 == 0.0:
         raise NoCancellationWitness(
             "constant roof: cone images are lines, no transversal pairs")
-    constraint_gates(sys, delta, pair.C0)
+    constraint_gates(sys, delta, c0)
     if Delta is None:
-        Delta = _default_Delta(sys, delta)
-    n1, n2 = _default_depths(sys, b, delta)
-    n = n1 + n2
+        Delta = 4.0 * math.pi / (c7 * delta)
+    n2 = int(math.floor(math.log(1.0 / delta) / math.log(sys.constants.rho)))
+    n1 = int(math.floor(math.log(abs(b))))
     part = adapted_partition(sys, b, Delta)
     tails = word_array(sys, n2)
-    ueval, veval = pair.u, pair.v
     rad = delta / abs(b)
     scan, sub_grid = 64, 32
-
-    plateaus, supports, balls, winners, cases = [], [], [], [], []
-    for j, q in enumerate(part.elements):
-        qlo, qhi = q.left, q.right
-        x0 = 0.5 * (qlo + qhi)
-        found = transversal_pair(sys, tails, n1, x0)
+    offsets = np.linspace(-rad, rad, sub_grid)
+    xs, ends, bpsi, balls = [], [], [], []
+    for j, (qlo, qhi) in enumerate(zip(part.left.tolist(),
+                                       part.right.tolist())):
+        found = transversal_pair(sys, tails, n1, 0.5 * (qlo + qhi))
         if found is None:
             raise NoCancellationWitness(
                 f"Q_{j}: no transversal tail pair at depth {n2}", j)
-        w, wbar = found
-        dlo = max(sys.image_interval(w[-1])[0], sys.image_interval(wbar[-1])[0])
-        dhi = min(sys.image_interval(w[-1])[1], sys.image_interval(wbar[-1])[1])
-
+        dlo = max(sys.image_interval(w[-1])[0] for w in found)
+        dhi = min(sys.image_interval(w[-1])[1] for w in found)
         x1s = np.linspace(max(qlo, dlo) + rad, min(qhi, dhi) - rad, scan)
-        zs = x1s[:, None] + np.linspace(-rad, rad, sub_grid)[None, :]
-        zs = np.clip(zs, max(dlo, 0.0), min(dhi, 1.0))
-        flat = zs.reshape(-1)
-        ch1 = branch_chain(sys, w, flat)
-        ch2 = branch_chain(sys, wbar, flat)
-        v1 = np.asarray(veval(ch1["x"]))
-        v2 = np.asarray(veval(ch2["x"]))
-        u1 = np.real(np.asarray(ueval(ch1["x"])))
-        u2 = np.real(np.asarray(ueval(ch2["x"])))
-        phase = (b * (ch1["Snr"] - ch2["Snr"])
-                 + np.angle(v1 + 1e-300) - np.angle(v2 + 1e-300))
-        dist = np.abs(np.mod(phase + np.pi, 2 * np.pi) - np.pi)
-        case_a = np.all(dist.reshape(scan, sub_grid) >= np.pi / 3.0, axis=1)
-        with np.errstate(invalid="ignore"):
-            rb1 = np.all((np.abs(v1) <= 0.75 * u1).reshape(scan, sub_grid), axis=1)
-            rb2 = np.all((np.abs(v2) <= 0.75 * u2).reshape(scan, sub_grid), axis=1)
-        if np.any(case_a):
-            k = int(np.argmax(case_a))
-            case, winner = "a", w
-        elif np.any(rb1):
-            k = int(np.argmax(rb1))
-            case, winner = "b", w
-        elif np.any(rb2):
-            k = int(np.argmax(rb2))
-            case, winner = "b", wbar
-        else:
-            raise NoCancellationWitness(f"Q_{j}: no cancellation case holds", j)
-        x1 = float(x1s[k])
-        ball = (x1 - rad / 2.0, x1 + rad / 2.0)
-        pl = branch_chain(sys, winner, np.array([x1 - rad / 6, x1 + rad / 6]))["x"]
-        sp = branch_chain(sys, winner, np.array(ball))["x"]
-        plateaus.append((float(min(pl)), float(max(pl))))
-        supports.append((float(min(sp)), float(max(sp))))
+        zs = np.clip(x1s[:, None] + offsets[None, :],
+                     max(dlo, 0.0), min(dhi, 1.0))
+        ball = np.stack([x1s - rad / 2.0, x1s + rad / 2.0], axis=1)
+        ys = np.concatenate([zs.reshape(-1), x1s - rad / 6, x1s + rad / 6,
+                             ball[:, 0], ball[:, 1]])
+        chains = [branch_chain(sys, w, ys) for w in found]
+        grid = zs.size
+        xs.append([ch["x"][:grid].reshape(zs.shape) for ch in chains])
+        ends.append([np.sort(ch["x"][grid:].reshape(2, 2, scan).transpose(
+            2, 0, 1), axis=2) for ch in chains])
+        bpsi.append((b * (chains[0]["Snr"][:grid] - chains[1]["Snr"][:grid])
+                     ).reshape(zs.shape))
         balls.append(ball)
-        winners.append(winner)
-        cases.append(case)
+    return BumpGeometry(n=n1 + n2, Delta=Delta, x=np.array(xs),
+                        ends=np.array(ends), bpsi=np.array(bpsi),
+                        balls=np.array(balls))
 
-    gaps = [p[0] - s[0] for p, s in zip(plateaus, supports)]
-    gaps += [s[1] - p[1] for p, s in zip(plateaus, supports)]
-    w_min = min(gaps)
-    eta = max(ETA0, 1.0 - abs(b) * w_min / 1.5)
-    bump = BumpFunction(b=b, eta=eta, plateaus=plateaus, supports=supports,
-                        balls=balls, winners=winners, cases=cases, n=n,
-                        delta=delta, Delta=Delta,
-                        slope_max=1.5 * (1.0 - eta) / w_min)
-    return bump, winners
+
+def build_bump(geom: BumpGeometry, pair: ConeBPair) -> BumpFunction:
+    """Pick each element's cancellation witness for the pair (u, v) on the
+    run's geometry and assemble the bump.
+
+    In each Q_j the first candidate x1 is taken whose sub-grid of B(x1,
+    delta/|b|) either (a) keeps the phase difference b psi + arg v(h x) -
+    arg v(hbar x) at distance >= pi/3 from 2 pi Z, or (b) has |v| <= (3/4)
+    u at one branch's preimages; (a) on any candidate goes first, then (b)
+    on w, then (b) on wbar.  The winner's images of B(x1, delta/6|b|) and
+    B(x1, delta/2|b|) become plateau and support.
+    """
+    flat = geom.x.reshape(-1)
+    u = np.real(np.asarray(pair.u(flat))).reshape(geom.x.shape)
+    v = np.asarray(pair.v(flat)).reshape(geom.x.shape)
+    phase = (geom.bpsi + np.angle(v[:, 0] + 1e-300)
+             - np.angle(v[:, 1] + 1e-300))
+    dist = np.abs(np.mod(phase + np.pi, 2 * np.pi) - np.pi)
+    with np.errstate(invalid="ignore"):
+        case_b = np.all(np.abs(v) <= 0.75 * u, axis=3)
+    # per element and candidate: (a), (b) on w, (b) on wbar
+    holds = np.concatenate(
+        [np.all(dist >= np.pi / 3.0, axis=2)[:, None], case_b], axis=1)
+    held = holds.any(axis=2)
+    if not held.any(axis=1).all():
+        j = int(np.argmin(held.any(axis=1)))
+        raise NoCancellationWitness(f"Q_{j}: no cancellation case holds", j)
+    first = np.argmax(held, axis=1)
+    rows = np.arange(len(first))
+    k = np.argmax(holds[rows, first], axis=1)
+    plateaus, supports = geom.ends[rows, (first == 2).astype(int), k
+                                   ].transpose(1, 0, 2)
+    w_min = float(min((plateaus[:, 0] - supports[:, 0]).min(),
+                      (supports[:, 1] - plateaus[:, 1]).min()))
+    return BumpFunction(
+        eta=max(ETA0, 1.0 - abs(pair.b) * w_min / 1.5),
+        plateaus=list(map(tuple, plateaus.tolist())),
+        supports=list(map(tuple, supports.tolist())),
+        balls=list(map(tuple, geom.balls[rows, k].tolist())),
+        cases=["a" if f == 0 else "b" for f in first.tolist()], n=geom.n)
 
 
 def _check_points(bump: BumpFunction) -> np.ndarray:
@@ -417,15 +426,16 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
                    delta: float = 0.05, Delta: float | None = None,
                    base_n: int = 4096, v_nodes_per_b: int = 64) -> dict:
     """Iterate u_{m+1} = L^n_sigma(chi_m u_m), v_{m+1} = L^n_s v_m from
-    (u_0, v_0) = (1, 1), rebuilding the bump each step.
+    (u_0, v_0) = (1, 1), picking the bump chi_m from u_m and v_m each step
+    (``build_bump``) on one ``bump_geometry`` built before the first.
 
     u is tracked through d = 1 - u: since the normalised operator fixes 1
     exactly, d_{m+1} = L^n(d_m + (1 - chi_m)(1 - d_m)) with the bump factor
     evaluated analytically, on node sets refined inside the forward images
     of the bump supports.  Records int u_m^2 dmu, the per-step ratio
     tau_hat_m, and the margins of the four cone conditions (``_cone_test``)
-    on v's nodes joined with d's.  C0 is ``c0_constant`` and n = n1 + n2 the
-    default depths of ``build_bump``.
+    on v's nodes joined with d's.  C0 is ``c0_constant``; n and Delta are
+    the geometry's.
 
     Every application is exact depth-1 branch sums of ``BranchPlan``s whose
     nodes carry their element, the node sets being closed at both ends.  The
@@ -434,8 +444,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
     window nodes it joins to the base nodes.
     """
     c0 = c0_constant(sys, eig)["C0"]
-    n = sum(_default_depths(sys, b, delta))
-    Delta_used = Delta if Delta is not None else _default_Delta(sys, delta)
+    geom = bump_geometry(sys, b, delta, c0, Delta)
     dens = _mu_density(eig)
 
     # v lives on a uniform grid resolving the 1/b oscillation scale
@@ -454,8 +463,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
     trace = []
     int_u2 = 1.0
     for m in range(m_max):
-        bump, _ = build_bump(sys, eig, ConeBPair(u_eval, v.eval, b, c0),
-                             delta, Delta)
+        bump = build_bump(geom, ConeBPair(u_eval, v.eval, b, c0))
 
         # advance d through n exact depth-1 applications; the first maps
         # the bump factor, called only before d_eval and bump move on
@@ -464,7 +472,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
             return d + (1.0 - bump(x)) * (1.0 - d)
 
         windows = sorted(set(windows) | set(bump.supports))
-        for _ in range(n):
+        for _ in range(geom.n):
             windows = _map_windows(sys, windows)
             plans = [base_plan, _plan(sys, eig, 0.0,
                                       _window_nodes(sys, base, windows))]
@@ -475,7 +483,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
         d_eval = cur_eval
 
         # advance v
-        for _ in range(n):
+        for _ in range(geom.n):
             v = _ElementwisePchip(sys, v_nodes,
                                   _apply_on(v_plans, v_layout, v.eval, True))
 
@@ -494,8 +502,8 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
         })
         int_u2 = int_u2_next
 
-    return {"b": b, "n": n, "delta": delta, "C0": c0,
-            "Delta": Delta_used, "steps": trace,
+    return {"b": b, "n": geom.n, "delta": delta, "C0": c0,
+            "Delta": geom.Delta, "steps": trace,
             "tau_hats": [t["tau_hat"] for t in trace],
             "all_contracting": bool(all(t["tau_hat"] < 1.0 for t in trace)),
             "all_in_cone": bool(all(t["cone_ok"] for t in trace))}

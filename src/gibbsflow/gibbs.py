@@ -6,6 +6,9 @@ symbol for the masses and one for the orbit sums at the reference points.
 Both runs are built on the same words, so at every depth their rows are
 the same words in the same order, and the audit divides them row by row
 as the engine lays them out.
+
+The adapted partition is walked on arrays of words and cylinder ends, one
+level at a time, through the children of the cylinders still too long.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import EigenData, node_grid
-from .system import (Cylinder, MarkovSystem, NotCoveringError,
-                     NotExpandingError, check_word_cap, cylinders, pullbacks,
+from .system import (MarkovSystem, NotCoveringError, NotExpandingError,
+                     _cylinder_ends, check_word_cap, count_words, pullbacks,
                      word_array)
 
 __all__ = [
@@ -32,13 +35,11 @@ class FrequencyTooSmallError(ValueError):
 
 @dataclass
 class AdaptedPartition:
-    b: float
-    Delta: float
-    elements: list[Cylinder]
-
-    @property
-    def count(self) -> int:
-        return len(self.elements)
+    """The elements of an adapted partition, as arrays sorted by ``left``:
+    each element's cylinder ends and its depth."""
+    left: np.ndarray
+    right: np.ndarray
+    depth: np.ndarray
 
 
 def _mass_tables(sys: MarkovSystem, eig: EigenData, words: np.ndarray):
@@ -209,13 +210,19 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
 
 def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedPartition:
     """Partition into cylinders Q = P^(l(x,b))(x) where l(x,b) is the largest
-    depth whose cylinder still has diameter >= 2 Delta / |b|.
+    depth whose cylinder still has diameter >= t = 2 Delta / |b|.
+
+    Level by level, the open cylinders (all of depth 1, then those >= t)
+    have their children's ends pulled back (``_cylinder_ends``).  An open
+    cylinder with no child >= t is an element; otherwise its children >= t
+    are open and the shorter ones are elements, so the family stays
+    disjoint where siblings straddle the cutoff.
 
     A depth-d cylinder is at least min_diam rho^-(d-1) long, so every
     cylinder of depth d <= 1 + log(min_diam / t) / log rho is refined and
     every cylinder one level deeper is built.  When that level has more
     words than ``word_array``'s cap, CapExceededError is raised before any
-    cylinder is built.
+    cylinder is built; so it is for any later level of children past the cap.
     """
     rho = sys.constants.rho
     min_diam = float(np.min(np.diff(sys.partition)))
@@ -223,31 +230,27 @@ def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedParti
         raise FrequencyTooSmallError(
             f"|b|={abs(b)} <= 2*Delta*rho/min_diam={2 * Delta * rho / min_diam}")
     t = 2.0 * Delta / abs(b)
-    check_word_cap(sys, 2 + math.floor(math.log(min_diam / t) / math.log(rho)))
-    elements: list[Cylinder] = []
-
+    full = 2 + math.floor(math.log(min_diam / t) / math.log(rho))
+    check_word_cap(count_words(sys, full), full)
     tol = t * 1e-9  # endpoints come out of a root solve; compare with slack
-    levels: dict[int, dict] = {}
 
-    def children(q):
-        d = q.depth + 1
-        if d not in levels:
-            levels[d] = {c.word: c for c in cylinders(sys, d)}
-        lv = levels[d]
-        return [lv[q.word + (j,)] for j in range(sys.m)
-                if sys.transition[q.word[-1], j]]
-
-    stack = [c for c in cylinders(sys, 1)]
-    while stack:
-        q = stack.pop()
-        kids = children(q)
-        big = [k for k in kids if k.diam >= t - tol]
-        if not big:
-            elements.append(q)
-        else:
-            stack.extend(big)
-            # siblings that straddle the cutoff: the small children are
-            # their own elements, so the family stays disjoint
-            elements.extend(k for k in kids if k.diam < t - tol)
-    elements.sort(key=lambda c: c.left)
-    return AdaptedPartition(float(b), float(Delta), elements)
+    words = np.arange(sys.m)[:, None]
+    left, right = sys.partition[:-1], sys.partition[1:]
+    found = []  # (left, right, depth) of the elements found at each level
+    while len(words):
+        depth = words.shape[1]
+        parent, nxt = np.nonzero(sys.transition[words[:, -1]])
+        check_word_cap(len(parent), depth + 1)
+        kids = np.column_stack([words[parent], nxt])
+        kid_left, kid_right = _cylinder_ends(sys, kids)
+        big = kid_right - kid_left >= t - tol
+        refined = np.zeros(len(words), dtype=bool)
+        refined[parent[big]] = True
+        small = ~big & refined[parent]
+        found += [(left[~refined], right[~refined], depth),
+                  (kid_left[small], kid_right[small], depth + 1)]
+        words, left, right = kids[big], kid_left[big], kid_right[big]
+    left, right, depth = (np.concatenate(column) for column in zip(*[
+        (lo, hi, np.full(len(lo), d)) for lo, hi, d in found]))
+    order = np.argsort(left, kind="stable")
+    return AdaptedPartition(left[order], right[order], depth[order])

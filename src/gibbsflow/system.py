@@ -25,7 +25,9 @@ values, there and in the other modules, is one ``sampled_seminorm``.
 Inverse branches of every depth are computed by one engine, ``pullbacks``:
 words are built by prepending symbols, h_{iw} = h_i o h_w, and each depth
 carries (words x points) arrays of the pulled-back points and the orbit
-sums along them.
+sums along them.  Cylinders are arrays too: a words array and the ends of
+each word's cylinder, pulled back by that engine (``cylinders``); no
+module builds an object per word.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from .expr import Expr, Num, compile_expr, differentiate, parse
 
 __all__ = [
-    "Branch", "MarkovSystem", "Cylinder", "SystemConstants",
+    "Branch", "MarkovSystem", "SystemConstants",
     "ValidationReport", "Pullback", "NotMarkovError", "NotExpandingError",
     "NotCoveringError", "RoofBoundsError", "CapExceededError",
     "OutsideImageError", "NoConvergenceError", "system_from_config",
@@ -90,26 +92,6 @@ class NoConvergenceError(RuntimeError):
 class Branch:
     expr: Expr
     image: tuple[int, int]  # half-open range of partition element indices
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    """Depth-n cylinder: the set of x whose first n symbols match ``word``."""
-    word: tuple[int, ...]
-    left: float
-    right: float
-
-    @property
-    def depth(self) -> int:
-        return len(self.word)
-
-    @property
-    def diam(self) -> float:
-        return self.right - self.left
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.left + self.right)
 
 
 @dataclass(frozen=True)
@@ -523,11 +505,10 @@ def count_words(sys: MarkovSystem, n: int) -> int:
     return int(counts.sum())
 
 
-def check_word_cap(sys: MarkovSystem, n: int) -> None:
-    """Raise CapExceededError when there are more than 2,000,000 admissible
-    depth-n words, the most ``word_array`` builds."""
+def check_word_cap(total: int, n: int) -> None:
+    """Raise CapExceededError when ``total`` depth-n words exceed 2,000,000,
+    the most one array of words holds."""
     cap = 2_000_000
-    total = count_words(sys, n)
     if total > cap:
         raise CapExceededError(f"{total} depth-{n} cylinders exceed cap {cap}")
 
@@ -537,7 +518,7 @@ def word_array(sys: MarkovSystem, n: int) -> np.ndarray:
     more than 2,000,000 words raise CapExceededError."""
     if n < 1:
         raise ValueError("depth must be >= 1")
-    check_word_cap(sys, n)
+    check_word_cap(count_words(sys, n), n)
     words = np.arange(sys.m, dtype=np.intp)[:, None]
     for _ in range(n - 1):
         rows, nxt = np.nonzero(sys.transition[words[:, -1]])
@@ -690,24 +671,30 @@ def branch_chain(sys: MarkovSystem, word: tuple[int, ...], y) -> dict:
     return {f: getattr(level, f)[0].reshape(y.shape) for f in FIELDS}
 
 
-def cylinders(sys: MarkovSystem, n: int) -> list[Cylinder]:
-    """All depth-n cylinders, sorted by left endpoint.
+def _cylinder_ends(sys: MarkovSystem, words: np.ndarray):
+    """(left, right) arrays of the cylinders of the (K, n) ``words``, rows
+    distinct and in lexicographic order.
 
-    [w e] = h_w(element e): the engine pulls the endpoints of each element e
-    back along all depth-(n-1) words that may precede it.
+    [w e] = h_w(element e): for each last symbol e, one engine run pulls the
+    ends of element e back along the heads w of the words ending in e.
     """
-    words = word_array(sys, n)
-    if n == 1:
-        return [Cylinder((i,), *sys.element_interval(i)) for i in range(sys.m)]
-    out = []
+    last = words[:, -1]
+    if words.shape[1] == 1:
+        return sys.partition[last], sys.partition[last + 1]
+    left, right = np.empty(len(words)), np.empty(len(words))
     for e in range(sys.m):
-        heads = words[words[:, -1] == e, :-1]
-        if not len(heads):
-            continue
-        x = pullback(sys, heads, np.array(sys.element_interval(e)), ("x",)).x
-        lo = np.minimum(x[:, 0], x[:, 1]).tolist()
-        hi = np.maximum(x[:, 0], x[:, 1]).tolist()
-        out += [Cylinder(tuple(w) + (e,), l, h)
-                for w, l, h in zip(heads.tolist(), lo, hi)]
-    out.sort(key=lambda c: (c.left, c.word))
-    return out
+        k = np.flatnonzero(last == e)
+        if k.size:
+            x = pullback(sys, words[k, :-1], np.array(sys.element_interval(e)),
+                         ("x",)).x
+            left[k] = np.minimum(x[:, 0], x[:, 1])
+            right[k] = np.maximum(x[:, 0], x[:, 1])
+    return left, right
+
+
+def cylinders(sys: MarkovSystem, n: int):
+    """All depth-n cylinders as arrays (words, left, right): the (K, n)
+    ``word_array`` and each word's cylinder ends, in word (lexicographic)
+    order; more than 2,000,000 words raise CapExceededError."""
+    words = word_array(sys, n)
+    return (words, *_cylinder_ends(sys, words))

@@ -193,9 +193,9 @@ def _preimage_blocks(sys: MarkovSystem, eig: EigenData, words: np.ndarray,
 
 
 def _y_grid(sys: MarkovSystem, n: int, grid: int) -> np.ndarray:
-    ys = list(np.linspace(1e-9, 1 - 1e-9, grid))
-    ys += [c.midpoint for c in cylinders(sys, n)]
-    return np.unique(np.asarray(ys))
+    _, left, right = cylinders(sys, n)
+    return np.unique(np.concatenate(
+        [np.linspace(1e-9, 1 - 1e-9, grid), 0.5 * (left + right)]))
 
 
 # (column, interval) pairs per block of the a(n)/b(n) sweep; bounds temporaries

@@ -1,10 +1,11 @@
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gibbsflow.gibbs import _mass_tables
-from gibbsflow.system import (branch_chain, cylinders, system_from_config,
+from gibbsflow.system import (branch_chain, pullback, system_from_config,
                               word_array)
 
 # T(x) = 2x + 0.12 sin(2 pi x) mod 1: Markov on {0, 1/2, 1} with nonlinear
@@ -63,13 +64,83 @@ def jacobian_weight(sys, eig, word, xs):
     return w, ch
 
 
+@dataclass(frozen=True)
+class Cylinder:
+    """Depth-n cylinder: the set of x whose first n symbols match ``word``."""
+    word: tuple[int, ...]
+    left: float
+    right: float
+
+    @property
+    def depth(self) -> int:
+        return len(self.word)
+
+    @property
+    def diam(self) -> float:
+        return self.right - self.left
+
+
+def cylinder_list(sys, n: int) -> list[Cylinder]:
+    """All depth-n cylinders as objects sorted by left end, one engine run
+    per last symbol e pulling the ends of element e back along every
+    depth-(n-1) word that may precede it: the oracle of
+    ``system.cylinders``."""
+    words = word_array(sys, n)
+    if n == 1:
+        return [Cylinder((i,), *sys.element_interval(i)) for i in range(sys.m)]
+    out = []
+    for e in range(sys.m):
+        heads = words[words[:, -1] == e, :-1]
+        if not len(heads):
+            continue
+        x = pullback(sys, heads, np.array(sys.element_interval(e)), ("x",)).x
+        lo = np.minimum(x[:, 0], x[:, 1]).tolist()
+        hi = np.maximum(x[:, 0], x[:, 1]).tolist()
+        out += [Cylinder(tuple(w) + (e,), l, h)
+                for w, l, h in zip(heads.tolist(), lo, hi)]
+    out.sort(key=lambda c: (c.left, c.word))
+    return out
+
+
+def partition_walk(sys, b: float, Delta: float) -> list[Cylinder]:
+    """The adapted partition by a depth-first walk over whole levels of
+    ``cylinder_list``, sorted by left end: the oracle of
+    ``gibbs.adapted_partition`` (no precondition or cap checks).  A popped
+    cylinder with no child of length >= t - tol is an element; otherwise
+    its long children are walked and its short ones are elements."""
+    t = 2.0 * Delta / abs(b)
+    tol = t * 1e-9
+    levels = {}
+
+    def children(q):
+        d = q.depth + 1
+        if d not in levels:
+            levels[d] = {c.word: c for c in cylinder_list(sys, d)}
+        return [levels[d][q.word + (j,)] for j in range(sys.m)
+                if sys.transition[q.word[-1], j]]
+
+    elements = []
+    stack = cylinder_list(sys, 1)
+    while stack:
+        q = stack.pop()
+        kids = children(q)
+        big = [k for k in kids if k.diam >= t - tol]
+        if not big:
+            elements.append(q)
+        else:
+            stack.extend(big)
+            elements.extend(k for k in kids if k.diam < t - tol)
+    elements.sort(key=lambda c: c.left)
+    return elements
+
+
 def cylinder_masses(sys, eig, n: int):
     """The mu_sigma masses of the depth-n cylinders, as the Gibbs audit
-    computes them, with ``cylinders`` = ``cylinders(sys, n)`` and
+    computes them, with ``cylinders`` = ``cylinder_list(sys, n)`` and
     ``masses`` their masses in that order."""
     for words, masses in _mass_tables(sys, eig, word_array(sys, n)):
         pass
-    cyls = cylinders(sys, n)
+    cyls = cylinder_list(sys, n)
     row = {tuple(w): k for k, w in enumerate(words.tolist())}
     return SimpleNamespace(cylinders=cyls,
                            masses=masses[[row[c.word] for c in cyls]])

@@ -10,14 +10,14 @@ import pytest
 
 from conftest import cone_image, cylinder_masses, transversal
 from gibbsflow.cli import run
-from gibbsflow.dolgopyat import (ConeBPair, build_bump, c0_constant,
-                                 cancellation_check, cone_iteration,
-                                 l1_contraction)
+from gibbsflow.dolgopyat import (ConeBPair, build_bump, bump_geometry,
+                                 c0_constant, cancellation_check,
+                                 cone_iteration, l1_contraction)
 from gibbsflow.flow import correlation, sample_flow_measure
 from gibbsflow.gibbs import adapted_partition, gibbs_audit, sample_mu
 from gibbsflow.operator import GridFunction, apply_L, eigendata
 from gibbsflow.presets import make_preset, preset_names
-from gibbsflow.system import branch_chain, cylinders, validate, word_array
+from gibbsflow.system import branch_chain, validate, word_array
 from gibbsflow.uni import a_sequence, b_sequence, coboundary_test, psi
 
 # runtime budgets are on CPU time: the sandboxed runner throttles wall clock
@@ -107,9 +107,10 @@ def test_adapted_partition_bounds(sys_a, sys_b, sys_c):
         rho = validate(sys).rho
         for b in [2.0 ** q for q in range(7, 13)]:
             part = adapted_partition(sys, b, Delta)
-            for q in part.elements:
-                assert 2 * Delta / b <= q.diam <= 2 * Delta * rho / b * (1 + 1e-12)
-            assert part.count <= b / (2 * Delta)
+            diam = part.right - part.left
+            assert np.all(2 * Delta / b <= diam)
+            assert np.all(diam <= 2 * Delta * rho / b * (1 + 1e-12))
+            assert len(diam) <= b / (2 * Delta)
     assert cpu_now() - t0 < 10.0
 
 
@@ -169,12 +170,12 @@ def test_sequence_and_cone_bounds(sys_b, sys_c, eig_b):
                 assert np.max(np.abs(ps.deriv(ys))) <= c7 + 1e-9
 
         for n in range(1, 9):
-            for cyl in cylinders(sys, n):
-                dom = sys.image_interval(cyl.word[-1])
+            for word in map(tuple, word_array(sys, n).tolist()):
+                dom = sys.image_interval(word[-1])
                 ys = np.linspace(dom[0] + 1e-9, dom[1] - 1e-9, 16)
-                ch = branch_chain(sys, cyl.word, ys)
+                ch = branch_chain(sys, word, ys)
                 assert np.max(np.abs(ch["DSnr_h"])) <= 0.5 * c7 + 1e-9
-                lo, hi = cone_image(sys, cyl.word, ys[0])
+                lo, hi = cone_image(sys, word, ys[0])
                 assert -c7 - 1e-9 <= lo and hi <= c7 + 1e-9
     assert cpu_now() - t0 < 120.0
 
@@ -188,9 +189,10 @@ def test_cancellation_and_cone_iteration(sys_b, eig_b, b):
     ones = lambda x: np.ones(np.asarray(x, dtype=float).shape)
     pair = ConeBPair(u=ones, v=lambda x: ones(x).astype(complex),
                      b=b, C0=c0_constant(sys_b, eig_b)["C0"])
-    bump, winners = build_bump(sys_b, eig_b, pair, delta=0.05)
-    part = adapted_partition(sys_b, b, bump.Delta)
-    assert len(bump.cases) == part.count  # a witness in every element
+    geom = bump_geometry(sys_b, b, 0.05, pair.C0, None)
+    bump = build_bump(geom, pair)
+    part = adapted_partition(sys_b, b, geom.Delta)
+    assert len(bump.cases) == len(part.left)  # a witness in every element
     assert all(c in ("a", "b") for c in bump.cases)
 
     chk = cancellation_check(sys_b, eig_b, pair, bump)

@@ -288,13 +288,14 @@ def test_partition_csv_deterministic(tmp_path):
 def test_partition_refuses_a_depth_past_the_word_cap_up_front(
         tmp_path, monkeypatch, capsys):
     # every depth-22 cylinder of SYS-B is refined, so the walk builds all
-    # 2^23 depth-23 words; it used to build levels 1-20 first (13 s, 1.3 GB)
+    # 2^23 depth-23 words; it used to build levels 1-20 first (13 s, 1.3 GB).
+    # Every level of the walk pulls its cylinder ends back in one call.
     import gibbsflow.gibbs as gibbs
 
     def never(*args, **kwargs):
         raise AssertionError("built a level of cylinders")
 
-    monkeypatch.setattr(gibbs, "cylinders", never)
+    monkeypatch.setattr(gibbs, "_cylinder_ends", never)
     p = write_cfg(tmp_path / "c.json",
                   {"preset": "SYS-B", "experiment": "partition",
                    "params": {"b": 1024.0, "Delta": 1e-4}})

@@ -7,13 +7,18 @@ from conftest import NL_DOUBLING
 from gibbsflow.dolgopyat import (ETA0, BumpFunction, ConeBPair,
                                  ConstraintViolationError,
                                  NoCancellationWitness, _cone_test,
-                                 build_bump, c0_constant, cancellation_check,
+                                 build_bump, bump_geometry, c0_constant,
+                                 cancellation_check,
                                  cone_iteration, constraint_gates,
                                  l1_contraction, norm_contraction_sweep)
+import gibbsflow.dolgopyat as dg
 from gibbsflow.expr import parse
+from gibbsflow.gibbs import adapted_partition
 from gibbsflow.operator import BranchPlan, GridFunction, eigendata, node_grid
 from gibbsflow.presets import make_preset
-from gibbsflow.system import Branch, MarkovSystem, system_from_config
+from gibbsflow.system import (Branch, MarkovSystem, branch_chain,
+                              system_from_config, word_array)
+from gibbsflow.uni import transversal_pair
 
 
 @pytest.fixture(scope="module")
@@ -135,9 +140,11 @@ def test_cone_test_reads_v_hoelder(sys_b, eig_b, scale):
 
 def test_build_bump_sys_b(sys_b, eig_b):
     c0 = c0_constant(sys_b, eig_b)["C0"]
-    pair = _ones_pair(sys_b, 2.0 ** 10, c0)
-    bump, winners = build_bump(sys_b, eig_b, pair, delta=0.05)
-    assert len(winners) == len(bump.supports) > 0
+    b = 2.0 ** 10
+    pair = _ones_pair(sys_b, b, c0)
+    geom = bump_geometry(sys_b, b, 0.05, c0, None)
+    bump = build_bump(geom, pair)
+    assert len(bump.supports) == len(geom.x) > 0
     assert ETA0 <= bump.eta < 1.0
     assert all(c in ("a", "b") for c in bump.cases)
     xs = np.linspace(0.0, 1.0, 8192)
@@ -152,13 +159,111 @@ def test_build_bump_sys_b(sys_b, eig_b):
     for slo, shi in bump.supports:
         zs = np.linspace(slo - 1e-9, shi + 1e-9, 8192)
         sl = np.abs(np.diff(bump(zs))) / np.diff(zs)
-        assert sl.max() <= abs(bump.b) * (1 + 1e-6)
+        assert sl.max() <= b * (1 + 1e-6)
 
 
-def test_build_bump_constant_roof_fails(sys_a, eig_a):
-    pair = _ones_pair(sys_a, 256.0, 0.1)
+def test_build_bump_constant_roof_fails(sys_a):
+    # a constant roof has no transversal pairs: no bump geometry exists
     with pytest.raises(NoCancellationWitness):
-        build_bump(sys_a, eig_a, pair, delta=0.05, Delta=30.0)
+        bump_geometry(sys_a, 256.0, 0.05, 0.1, 30.0)
+
+
+def _bump_by_element(sys, pair, delta, Delta):
+    """The bump by a scan of each element on its own: the element's
+    transversal pair, its 64 x 32 candidate sub-grid pulled back along both
+    words, and the winner's plateau and support pulled back afresh."""
+    b = pair.b
+    n1 = int(math.floor(math.log(abs(b))))
+    n2 = int(math.floor(math.log(1.0 / delta) / math.log(sys.constants.rho)))
+    part = adapted_partition(sys, b, Delta)
+    tails = word_array(sys, n2)
+    rad = delta / abs(b)
+    plateaus, supports, balls, cases = [], [], [], []
+    for qlo, qhi in zip(part.left.tolist(), part.right.tolist()):
+        w, wbar = transversal_pair(sys, tails, n1, 0.5 * (qlo + qhi))
+        dlo = max(sys.image_interval(w[-1])[0],
+                  sys.image_interval(wbar[-1])[0])
+        dhi = min(sys.image_interval(w[-1])[1],
+                  sys.image_interval(wbar[-1])[1])
+        x1s = np.linspace(max(qlo, dlo) + rad, min(qhi, dhi) - rad, 64)
+        zs = np.clip(x1s[:, None] + np.linspace(-rad, rad, 32)[None, :],
+                     max(dlo, 0.0), min(dhi, 1.0)).reshape(-1)
+        ch1, ch2 = branch_chain(sys, w, zs), branch_chain(sys, wbar, zs)
+        v1, v2 = pair.v(ch1["x"]), pair.v(ch2["x"])
+        u1, u2 = np.real(pair.u(ch1["x"])), np.real(pair.u(ch2["x"]))
+        phase = (b * (ch1["Snr"] - ch2["Snr"])
+                 + np.angle(v1 + 1e-300) - np.angle(v2 + 1e-300))
+        dist = np.abs(np.mod(phase + np.pi, 2 * np.pi) - np.pi)
+        scans = [
+            (np.all(dist.reshape(64, 32) >= np.pi / 3.0, axis=1), "a", w),
+            (np.all((np.abs(v1) <= 0.75 * u1).reshape(64, 32), axis=1),
+             "b", w),
+            (np.all((np.abs(v2) <= 0.75 * u2).reshape(64, 32), axis=1),
+             "b", wbar)]
+        held = [scan for scan in scans if np.any(scan[0])]
+        if not held:
+            raise NoCancellationWitness("no cancellation case holds",
+                                        len(cases))
+        ok, case, winner = held[0]
+        x1 = float(x1s[int(np.argmax(ok))])
+        ball = (x1 - rad / 2.0, x1 + rad / 2.0)
+        pl = branch_chain(sys, winner, np.array([x1 - rad / 6,
+                                                 x1 + rad / 6]))["x"]
+        sp = branch_chain(sys, winner, np.array(ball))["x"]
+        plateaus.append((float(min(pl)), float(max(pl))))
+        supports.append((float(min(sp)), float(max(sp))))
+        balls.append(ball)
+        cases.append(case)
+    gaps = [p[0] - q[0] for p, q in zip(plateaus, supports)]
+    gaps += [q[1] - p[1] for p, q in zip(plateaus, supports)]
+    eta = max(ETA0, 1.0 - abs(b) * min(gaps) / 1.5)
+    return BumpFunction(eta=eta, plateaus=plateaus, supports=supports,
+                        balls=balls, cases=cases, n=n1 + n2)
+
+
+def _scrambled(modulus):
+    """v = modulus(x) exp(10 i sin(1e9 x)): from one pulled-back sub-grid
+    point to the next, 1e9 x moves by tens of radians, so the phase
+    difference of two branches is scattered and no candidate keeps case
+    (a)."""
+    return lambda x: (modulus(np.asarray(x))
+                      * np.exp(10j * np.sin(1e9 * np.asarray(x))))
+
+
+def _odd_digit(k):
+    """0.5 where the k-th binary digit of x is 1, else 0.9."""
+    return lambda x: np.where(np.floor(2.0 ** k * x) % 2 == 1, 0.5, 0.9)
+
+
+@pytest.mark.parametrize("b", [2.0 ** 8, 2.0 ** 10])
+@pytest.mark.parametrize("v", ["one", "small", "digit7", "digit8", "none"])
+def test_build_bump_equals_the_scan_of_each_element(sys_b, eig_b, b, v):
+    # the geometry pulls every candidate of every element back once per
+    # run; the bump picked from it must be the bump of a scan of each
+    # element with its own pullbacks, to the bit, whichever case wins:
+    # (a) for v = 1, (b) on w for |v| = 1/2, (b) on wbar in some elements
+    # for digit7, and no case in one element for digit8 and |v| = 0.9
+    c0 = c0_constant(sys_b, eig_b)["C0"]
+    vs = {"one": lambda x: np.ones(np.shape(x), dtype=complex),
+          "small": _scrambled(lambda x: np.full(x.shape, 0.5)),
+          "digit7": _scrambled(_odd_digit(7)),
+          "digit8": _scrambled(_odd_digit(8)),
+          "none": _scrambled(lambda x: np.full(x.shape, 0.9))}
+    pair = ConeBPair(u=lambda x: np.ones(np.shape(x)), v=vs[v], b=b, C0=c0)
+    geom = bump_geometry(sys_b, b, 0.05, c0, None)
+    Delta = 4.0 * math.pi / (sys_b.constants.c7 * 0.05)
+    if v in ("digit8", "none"):
+        with pytest.raises(NoCancellationWitness) as got:
+            build_bump(geom, pair)
+        with pytest.raises(NoCancellationWitness) as want:
+            _bump_by_element(sys_b, pair, 0.05, Delta)
+        assert got.value.q_index == want.value.q_index
+        return
+    bump = build_bump(geom, pair)
+    assert bump == _bump_by_element(sys_b, pair, 0.05, Delta)
+    wbar = [list(s) in geom.ends[j, 1, :, 1].tolist()
+            for j, s in enumerate(bump.supports)]
+    assert any(wbar) == (v == "digit7")
 
 
 # -- cancellation ------------------------------------------------------------------
@@ -167,7 +272,7 @@ def test_build_bump_constant_roof_fails(sys_a, eig_a):
 def test_cancellation_holds_sys_b(sys_b, eig_b):
     c0 = c0_constant(sys_b, eig_b)["C0"]
     pair = _ones_pair(sys_b, 2.0 ** 10, c0)
-    bump, _ = build_bump(sys_b, eig_b, pair, delta=0.05)
+    bump = build_bump(bump_geometry(sys_b, 2.0 ** 10, 0.05, c0, None), pair)
     rep = cancellation_check(sys_b, eig_b, pair, bump)
     assert rep["ok"]
     assert rep["margin"] >= -1e-9
@@ -178,10 +283,9 @@ def test_cancellation_checker_sign(sys_b, eig_b):
     # synthetic bump dips, so the margin must come back negative
     c0 = c0_constant(sys_b, eig_b)["C0"]
     pair = _ones_pair(sys_b, 0.0, c0)
-    bump = BumpFunction(b=0.0, eta=0.9, plateaus=[(0.45, 0.55)],
+    bump = BumpFunction(eta=0.9, plateaus=[(0.45, 0.55)],
                         supports=[(0.40, 0.60)], balls=[(0.40, 0.60)],
-                        winners=[(0, 0)], cases=["b"], n=2, delta=0.05,
-                        Delta=30.0)
+                        cases=["b"], n=2)
     rep = cancellation_check(sys_b, eig_b, pair, bump)
     assert not rep["ok"]
     assert rep["margin"] < -1e-3
@@ -202,6 +306,36 @@ def test_cone_iteration_contracts(sys_b, eig_b, b):
     u2 = [s["int_u2"] for s in rep["steps"]]
     assert all(later < earlier for earlier, later in zip(u2, u2[1:]))
     assert all(s["I"] > 0 for s in rep["steps"])
+
+
+def test_cone_iteration_builds_the_bump_geometry_once(sys_b, eig_b,
+                                                      monkeypatch):
+    # the partition, the transversal pairs and the candidate pullbacks are
+    # built once per run, one branch_chain per transversal word; each
+    # step's build_bump only reads u and v at them
+    calls = {name: 0 for name in ("bump_geometry", "adapted_partition",
+                                  "transversal_pair", "branch_chain")}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(dg, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(dg, name, counted)
+    build = dg.build_bump
+    bumps = []
+
+    def build_counted(geom, pair):
+        before = dict(calls)
+        bumps.append(build(geom, pair))
+        assert calls == before
+        return bumps[-1]
+
+    monkeypatch.setattr(dg, "build_bump", build_counted)
+    cone_iteration(sys_b, eig_b, 256.0, m_max=3, base_n=2048,
+                   v_nodes_per_b=32)
+    assert len(bumps) == 3
+    J = len(bumps[0].supports)
+    assert calls == {"bump_geometry": 1, "adapted_partition": 1,
+                     "transversal_pair": J, "branch_chain": 2 * J}
 
 
 def _apply_once(sys, eig, g_eval, xs_list, b=0.0):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from conftest import cylinder_masses, itineraries
+from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
+                      itineraries, partition_walk)
 from gibbsflow.gibbs import (FrequencyTooSmallError, _backward_step, _burn_in,
                              adapted_partition, gibbs_audit, sample_mu)
 from gibbsflow.operator import eigendata, node_grid
 from gibbsflow.presets import PRESETS, make_preset
-from gibbsflow.system import (branch_chain, cylinders, pullbacks,
-                              system_from_config, word_array)
+from gibbsflow.system import (branch_chain, pullbacks, system_from_config,
+                              word_array)
 
 N = 512
 
@@ -104,7 +105,7 @@ def test_gibbs_audit_bounded_sys_c(eig_c):
 
 def _audit_by_sorted_x(sys, eig, max_depth):
     """The Gibbs audit laid out by cylinders: at every depth the masses are
-    written into the rows of ``cylinders(sys, n)`` through a word -> row
+    written into the rows of ``cylinder_list(sys, n)`` through a word -> row
     dict, and the orbit sums are lined up with them by sorting the
     reference points x_omega, which lie one in each cylinder."""
     nodes = node_grid(sys, eig.N)
@@ -120,7 +121,7 @@ def _audit_by_sorted_x(sys, eig, max_depth):
     lo, hi, per_depth = np.inf, 0.0, {}
     for n, (levels, points) in enumerate(zip(zip(*mass_engines),
                                              zip(*point_engines)), start=1):
-        cyls = cylinders(sys, n)
+        cyls = cylinder_list(sys, n)
         norm = np.zeros((sys.m, eig.N))
         for img, pb in zip(images, levels):
             norm[img] += pb.J.sum(axis=0).reshape(-1, eig.N)
@@ -148,16 +149,23 @@ def test_gibbs_audit_equals_the_audit_by_sorted_x(name, sigma, nl_doubling):
 
 
 def test_gibbs_audit_builds_no_cylinders(eig_c, monkeypatch):
+    # every cylinder end, of ``cylinders`` and of the partition walk alike,
+    # comes from system._cylinder_ends
     import gibbsflow.gibbs as gibbs_mod
     import gibbsflow.system as system_mod
+    ends = system_mod._cylinder_ends
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return cylinders(*args)
+        return ends(*args)
 
-    monkeypatch.setattr(gibbs_mod, "cylinders", counted)
-    monkeypatch.setattr(system_mod, "cylinders", counted)
+    monkeypatch.setattr(gibbs_mod, "_cylinder_ends", counted)
+    monkeypatch.setattr(system_mod, "_cylinder_ends", counted)
+    system_mod.cylinders(eig_c.system, 2)
+    adapted_partition(eig_c.system, 64.0, 1.0)
+    assert len(calls) > 1
+    calls.clear()
     gibbs_audit(eig_c.system, eig_c, 4)
     assert not calls
 
@@ -301,13 +309,9 @@ def test_sampler_depth6_frequencies_chi_square(nl_doubling, name, sigma):
 def test_adapted_partition_sys_a_b64():
     sys = make_preset("SYS-A")
     part = adapted_partition(sys, 64.0, 1.0)
-    assert all(c.depth == 5 for c in part.elements)
-    assert part.count == 32
-    for q in part.elements:
-        assert 2 / 64 - 1e-12 <= q.diam <= 2 * 2 / 64 + 1e-12
-    # deterministic
-    part2 = adapted_partition(sys, 64.0, 1.0)
-    assert [c.word for c in part2.elements] == [c.word for c in part.elements]
+    assert np.array_equal(part.depth, np.full(32, 5))
+    assert np.array_equal(part.left, np.arange(32) / 32)
+    assert np.array_equal(part.right, np.arange(1, 33) / 32)
 
 
 def test_adapted_partition_bounds_sys_c():
@@ -315,14 +319,44 @@ def test_adapted_partition_bounds_sys_c():
     rho = 3.0
     for b in (128.0, 512.0):
         part = adapted_partition(sys, b, 1.0)
-        covered = 0.0
-        for q in part.elements:
-            assert 2 / b - 1e-12 <= q.diam <= 2 * rho / b + 1e-12
-            covered += q.diam
-        assert covered == pytest.approx(1.0, abs=1e-9)
-        assert part.count <= b / 2 + 1
+        diam = part.right - part.left
+        assert np.all(2 / b - 1e-12 <= diam)
+        assert np.all(diam <= 2 * rho / b + 1e-12)
+        assert diam.sum() == pytest.approx(1.0, abs=1e-9)
+        assert len(diam) <= b / 2 + 1
 
 
 def test_adapted_partition_precondition():
     with pytest.raises(FrequencyTooSmallError):
         adapted_partition(make_preset("SYS-A"), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("b,Delta", [(256.0, 1.0), (1024.0, 1.0),
+                                     (1024.0, 0.05)])
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["NL-DOUBLING"])
+def test_adapted_partition_equals_the_walk_over_whole_levels(name, b, Delta):
+    # the level walk pulls back only the children of cylinders still too
+    # long; its ends and depths keep the bits of the walk over every
+    # cylinder of every level it visits
+    sys = (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
+           else make_preset(name))
+    part = adapted_partition(sys, b, Delta)
+    want = partition_walk(sys, b, Delta)
+    assert np.array_equal(part.left, [q.left for q in want])
+    assert np.array_equal(part.right, [q.right for q in want])
+    assert np.array_equal(part.depth, [q.depth for q in want])
+
+
+def test_adapted_partition_past_a_full_level_cap():
+    # all 3,015,168 depth-18 words of SYS-C exceed the word cap, but the
+    # cylinders still >= t at depth 17 have few children: the walk over
+    # whole levels raised CapExceededError here after 13 s and 1.3 GB
+    b, Delta = 4096.0, 0.01
+    t = 2 * Delta / b
+    part = adapted_partition(make_preset("SYS-C-NLROOF"), b, Delta)
+    diam = part.right - part.left
+    assert diam.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(diam >= t - t * 1e-9)
+    # consecutive elements tile [0, 1] up to rounding
+    assert np.max(np.abs(part.left[1:] - part.right[:-1])) <= 1e-15
+    assert part.depth.max() == 17

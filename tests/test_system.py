@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cylinder_masses, jacobian_weight, to_config
+from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
+                      jacobian_weight, to_config)
 from gibbsflow.operator import deep_apply, eigendata, node_grid
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.system import (
@@ -44,8 +45,8 @@ def test_sys_c_structure():
     assert rep.expansion == pytest.approx(2.0, abs=1e-12)
     assert rep.rho == pytest.approx(3.0, abs=1e-12)
     # depth-2 words: 11,12,13 from symbol 0; 22,23 from symbol 1; 31,32 from 2
-    words = sorted(c.word for c in cylinders(sys, 2))
-    assert words == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)]
+    words = cylinders(sys, 2)[0].tolist()
+    assert words == [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 0], [2, 1]]
 
 
 def test_system_constants_sys_b_closed_forms():
@@ -172,19 +173,34 @@ def test_cylinders_partition_unit_interval():
     for name in ("SYS-A", "SYS-C"):
         sys = make_preset(name)
         for n in (1, 2, 3, 5):
-            cs = cylinders(sys, n)
+            _, left, right = cylinders(sys, n)
+            order = np.argsort(left)
+            left, right = left[order], right[order]
             # consecutive cylinders tile [0,1]
-            assert cs[0].left == pytest.approx(0.0, abs=1e-12)
-            assert cs[-1].right == pytest.approx(1.0, abs=1e-12)
-            for a, b in zip(cs, cs[1:]):
-                assert a.right == pytest.approx(b.left, abs=1e-12)
+            assert left[0] == pytest.approx(0.0, abs=1e-12)
+            assert right[-1] == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose(right[:-1], left[1:], rtol=0, atol=1e-12)
 
 
 def test_cylinder_count_sys_a():
     sys = make_preset("SYS-A")
-    assert len(cylinders(sys, 8)) == 256
+    words, left, right = cylinders(sys, 8)
+    assert words.shape == (256, 8) and left.shape == right.shape == (256,)
     with pytest.raises(CapExceededError):
         cylinders(sys, 25)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("name", preset_names() + ["NL-DOUBLING"])
+def test_cylinders_equal_the_cylinder_objects(name, n):
+    # the arrays in word order hold the bits of one object per cylinder
+    sys = (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
+           else make_preset(name))
+    words, left, right = cylinders(sys, n)
+    want = sorted(cylinder_list(sys, n), key=lambda c: c.word)
+    assert words.tolist() == [list(c.word) for c in want]
+    assert np.array_equal(left, [c.left for c in want])
+    assert np.array_equal(right, [c.right for c in want])
 
 
 def test_inverse_branch_residual():
