@@ -1,9 +1,24 @@
 """Command-line front end: configuration ingestion, experiment orchestration,
 and report emission.
 
-    gibbsflow <experiment> --config <path> [--out DIR]
+    gibbsflow <experiment> [--config <path>] [--out DIR]
               [--preset SYS-A|SYS-B|SYS-C|SYS-A-BERNOULLI|SYS-A-LINROOF|
                         SYS-C-NLROOF]
+
+Without ``--config``, ``--preset`` runs the config ``{"experiment":
+<experiment>}``: every parameter at its default.
+
+Each experiment's parameters are declared once, in ``_PARAMS``: name, kind
+(integer, float, list of floats or expression string), default and bounds.
+``load_config`` checks a config against that table and the handlers read
+their typed values from it.  A config is refused with ``ConfigError``
+(exit 1), naming the JSON pointer of the offending value, before a system
+is built or any work starts, when it has an unknown key or parameter, an
+experiment other than the one on the command line, a number that is not
+finite, outside its bounds or (for an integer) fractional, or a seed that
+is not an integer >= 0.  A bound that depends on the system (``uni``'s
+word pairs, ``correlate``'s 53-bit ``t_max`` cap) is checked by the handler
+before its eigendata.  Every report CSV is written by ``_write_csv``.
 
 Exit codes: 0 success, 1 operational error, 2 a numerically audited
 inequality failed beyond tolerance.  GIBBSFLOW_SEED overrides the seed.
@@ -12,14 +27,13 @@ inequality failed beyond tolerance.  GIBBSFLOW_SEED overrides the seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import os
 import sys as _sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,46 +68,102 @@ class MissingManifestError(FileNotFoundError):
 
 _TOP_KEYS = {"system", "preset", "experiment", "params", "seed"}
 
-_PARAM_SCHEMA = {
-    "validate": set(),
-    "eigen": {"sigma", "N"},
-    "gibbs-audit": {"sigma", "depth"},
-    "partition": {"b", "Delta"},
-    "uni": {"n", "R", "n_max", "grid", "sigma"},
-    "transversality": {"delta", "b", "beta"},
-    "cohomology": {"J_trunc", "tol"},
-    "cancellation": {"b", "delta", "Delta", "m_max", "sigma"},
-    "contraction": {"b_list", "beta", "B", "sigma"},
-    "correlate": {"v", "w", "t_max", "t_points", "samples", "sigma"},
+
+@dataclass(frozen=True)
+class _Param:
+    """One experiment parameter: its kind, its default and the bounds a
+    value must lie in.  Kinds: "int" (an integer, written as an integral
+    float or not), "float", "floats" (a nonempty list of floats, each in the
+    bounds) and "expr" (an expression string).  Every number must be finite.
+    A default of None leaves the value to the experiment."""
+    kind: str
+    default: object
+    low: float = -math.inf
+    high: float = math.inf
+    above_low: bool = False   # low itself is refused: the value is > low
+
+    def value(self, name: str, raw, pointer: str):
+        """``raw`` as this kind, or ConfigError at ``pointer``."""
+        if self.kind == "expr":
+            if not isinstance(raw, str):
+                raise ConfigError(f"{name} must be an expression string",
+                                  pointer)
+            return raw
+        if self.kind == "floats":
+            if not isinstance(raw, list) or not raw:
+                raise ConfigError(f"{name} must be a nonempty list", pointer)
+            return [self._number(f"{name} entry", r, pointer) for r in raw]
+        return self._number(name, raw, pointer)
+
+    def _number(self, name, raw, pointer):
+        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+            raise ConfigError(f"{name} must be numeric", pointer)
+        try:
+            x = float(raw)
+        except OverflowError:   # an integer past the largest double
+            x = math.inf
+        # JSON admits NaN and +-Infinity, and NaN passes every bound below
+        if not math.isfinite(x):
+            raise ConfigError(f"{name} must be finite", pointer)
+        if self.above_low and not x > self.low:
+            raise ConfigError(f"{name} must be > {self.low}", pointer)
+        if x < self.low:
+            raise ConfigError(f"{name} must be >= {self.low}", pointer)
+        if x > self.high:
+            raise ConfigError(f"{name} must be <= {self.high}", pointer)
+        if self.kind == "float":
+            return x
+        if not x.is_integer():
+            raise ConfigError(f"{name} must be an integer", pointer)
+        return int(raw)
+
+
+def _positive(default):
+    return _Param("float", default, 0, above_low=True)
+
+
+_SIGMA = _Param("float", 0.0, -50, 50)
+
+# The parameters of each experiment.  The least value of an integer is the
+# least the experiment can run on: eigendata needs two nodes per element,
+# the fit of correlate four points above the noise, and each of its
+# batches at least one sample.
+_PARAMS = {
+    "validate": {},
+    "eigen": {"sigma": _SIGMA, "N": _Param("int", 1024, 2)},
+    "gibbs-audit": {"sigma": _SIGMA, "depth": _Param("int", 8, 1, 30)},
+    "partition": {"b": _Param("float", 2.0 ** 10, 1e-9),
+                  "Delta": _positive(1.0)},
+    "uni": {"n": _Param("int", 2, 1), "R": _positive(0.1),
+            "n_max": _Param("int", 6, 1), "grid": _Param("int", 128, 1),
+            "sigma": _SIGMA},
+    "transversality": {"delta": _Param("float", 0.05, 1e-9, 1 - 1e-9),
+                       "b": _Param("float", 2.0 ** 10, 1e-9),
+                       "beta": _positive(1.0)},
+    "cohomology": {"J_trunc": _Param("int", 40, 1), "tol": _positive(1e-6)},
+    # Delta None: cone_iteration derives it from the system
+    "cancellation": {"b": _Param("float", 2.0 ** 8, 1e-9),
+                     "delta": _Param("float", 0.05, 1e-9, 1 - 1e-9),
+                     "Delta": _positive(None), "m_max": _Param("int", 10, 1),
+                     "sigma": _SIGMA},
+    "contraction": {"b_list": _Param("floats",
+                                     [2.0 ** q for q in range(8, 13)], 1e-9),
+                    "beta": _positive(1.0), "B": _positive(1.0),
+                    "sigma": _SIGMA},
+    # w None: w is v
+    "correlate": {"v": _Param("expr", "cos(2*pi*u)+x"),
+                  "w": _Param("expr", None), "t_max": _positive(10.0),
+                  "t_points": _Param("int", 21, 4),
+                  "samples": _Param("int", 100_000, BATCHES),
+                  "sigma": _SIGMA},
 }
 
-
-# least value of each integer parameter: the fit of correlate needs four
-# points above the noise, and each of its batches at least one sample
-_INT_FLOORS = {"N": 2, "depth": 1, "n": 1, "n_max": 1, "grid": 1, "m_max": 1,
-               "t_points": 4, "samples": BATCHES, "J_trunc": 1}
-
-
-def _check_range(name: str, value, low=None, high=None, pointer=""):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be numeric", pointer)
-    # JSON admits NaN and +-Infinity, and NaN passes every bound below
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite", pointer)
-    if low is not None and value < low:
-        raise ConfigError(f"{name} must be >= {low}", pointer)
-    if high is not None and value > high:
-        raise ConfigError(f"{name} must be <= {high}", pointer)
-
-
-def _check_int(name: str, value, low, pointer):
-    """An integer >= low, written as an integral float or not."""
-    _check_range(name, value, low, pointer=pointer)
-    if not float(value).is_integer():
-        raise ConfigError(f"{name} must be an integer", pointer)
+_SEED = _Param("int", 0, 0)
 
 
 def load_config(path: str) -> dict:
+    """The config in the JSON file ``path``, as written, once the parameter
+    table admits it."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -103,58 +173,47 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"malformed JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    _parameters(cfg)
+    return cfg
+
+
+def _parameters(cfg: dict) -> dict:
+    """Every parameter of the config's experiment, typed: the value the
+    config gives, checked against _PARAMS, or the default.  Refuses with
+    ConfigError a config that the table and the top-level keys do not
+    admit."""
     for key in cfg:
         if key not in _TOP_KEYS:
             raise ConfigError(f"unknown key {key!r}", f"/{key}")
     exp = cfg.get("experiment")
-    if exp not in _PARAM_SCHEMA:
+    if exp not in _PARAMS:
         raise ConfigError(
-            f"experiment must be one of {sorted(_PARAM_SCHEMA)}", "/experiment")
+            f"experiment must be one of {sorted(_PARAMS)}", "/experiment")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object", "/params")
+    table = _PARAMS[exp]
     for key in params:
-        if key not in _PARAM_SCHEMA[exp]:
+        if key not in table:
             raise ConfigError(f"unknown parameter {key!r} for {exp}",
                               f"/params/{key}")
     if "seed" in cfg:
-        _check_int("seed", cfg["seed"], 0, "/seed")
-    p = "/params/"
-    if "sigma" in params:
-        _check_range("sigma", params["sigma"], -50, 50, p + "sigma")
-    if "b" in params:
-        _check_range("b", params["b"], low=1e-9, pointer=p + "b")
-    for name, low in _INT_FLOORS.items():
-        if name in params:
-            _check_int(name, params[name], low, p + name)
-    if "depth" in params:
-        _check_range("depth", params["depth"], high=30, pointer=p + "depth")
-    if "delta" in params:
-        _check_range("delta", params["delta"], 1e-9, 1 - 1e-9, p + "delta")
-    if "Delta" in params:
-        _check_range("Delta", params["Delta"], pointer=p + "Delta")
-        if not params["Delta"] > 0:
-            raise ConfigError("Delta must be > 0", p + "Delta")
-    if "b_list" in params:
-        if not isinstance(params["b_list"], list) or not params["b_list"]:
-            raise ConfigError("b_list must be a nonempty list", p + "b_list")
-        for b in params["b_list"]:
-            _check_range("b_list entry", b, low=1e-9, pointer=p + "b_list")
-    return cfg
+        _SEED.value("seed", cfg["seed"], "/seed")
+    return {name: (spec.value(name, params[name], f"/params/{name}")
+                   if name in params else spec.default)
+            for name, spec in table.items()}
 
 
 def _resolve_system(cfg: dict, preset: str | None):
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}", "/preset")
-        return make_preset(preset), preset
-    if "preset" in cfg:
-        if cfg["preset"] not in PRESETS:
-            raise ConfigError(f"unknown preset {cfg['preset']!r}", "/preset")
-        return make_preset(cfg["preset"]), cfg["preset"]
-    if "system" in cfg:
+    name = preset if preset is not None else cfg.get("preset")
+    if name is None:
+        if "system" not in cfg:
+            raise ConfigError("either a system or a preset is required",
+                              "/system")
         return system_from_config(cfg["system"]), "custom"
-    raise ConfigError("either a system or a preset is required", "/system")
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}", "/preset")
+    return make_preset(name), name
 
 
 def _seed(cfg: dict) -> int:
@@ -162,7 +221,7 @@ def _seed(cfg: dict) -> int:
     each must be an integer >= 0, written as an integral float or not."""
     env = os.environ.get("GIBBSFLOW_SEED")
     if env is None:
-        return int(cfg.get("seed", 0))
+        return int(cfg.get("seed", _SEED.default))
     try:
         value = int(env)
     except ValueError:
@@ -171,8 +230,7 @@ def _seed(cfg: dict) -> int:
         except ValueError:
             raise ConfigError(f"GIBBSFLOW_SEED must be numeric, not {env!r}",
                               "/seed") from None
-    _check_int("GIBBSFLOW_SEED", value, 0, "/seed")
-    return int(value)
+    return _SEED.value("GIBBSFLOW_SEED", value, "/seed")
 
 
 # -- report helpers ----------------------------------------------------------------
@@ -183,21 +241,24 @@ def _write_json(path: Path, obj) -> None:
                     + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(float(c)) if isinstance(c, float) else c
-                    for c in row])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+def _write_csv(path: Path, header, columns) -> None:
+    """One row per index of the equal-length numeric ``columns`` (a table
+    of rows ``rows`` is ``zip(*rows)``), each value written as its repr, so
+    a float is written to the bit.  Rows are formatted and written 4096 at
+    a time, so few row strings are alive at once."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for a in range(0, len(columns[0]), 4096):
+            cells = [map(repr, c[a:a + 4096].tolist()) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 # -- experiment handlers -------------------------------------------------------------
-# each returns (exit_code, summary-dict)
+# each takes the typed parameters of _PARAMS and returns (exit_code, summary)
 
 
-def _run_validate(sys_, params, out, seed):
+def _run_validate(sys_, p, out, seed):
     rep = validate(sys_, raise_on_fail=False)
     summary = {
         "lambda": rep.expansion, "rho": rep.rho, "C4": rep.c4,
@@ -211,30 +272,28 @@ def _run_validate(sys_, params, out, seed):
     return (0 if rep.ok else AUDIT_FAILED), summary
 
 
-def _run_eigen(sys_, params, out, seed):
-    sigma = float(params.get("sigma", 0.0))
-    N = int(params.get("N", 1024))
-    eig = eigendata(sys_, sigma, N=N)
+def _run_eigen(sys_, p, out, seed):
+    eig = eigendata(sys_, p["sigma"], N=p["N"])
     f = eig.f.values.reshape(-1)
     residual = float(np.max(np.abs(eig.matrix @ f - eig.lam * f))
                      / eig.f.sup_norm())
-    (out / "f.csv").write_text(eig.f.to_csv(), encoding="utf-8")
-    summary = {"sigma": sigma, "N": N, "lambda": eig.lam,
+    vals = eig.f.values.astype(complex).reshape(-1)
+    _write_csv(out / "f.csv", ["element_index", "node_x", "re", "im"],
+               [np.repeat(np.arange(sys_.m), eig.f.N),
+                eig.f.nodes.reshape(-1), vals.real, vals.imag])
+    summary = {"sigma": p["sigma"], "N": p["N"], "lambda": eig.lam,
                "pressure": eig.pressure, "residual": residual}
     _write_json(out / "eigen.json", summary)
     return (0 if residual <= 1e-8 else AUDIT_FAILED), summary
 
 
-def _run_gibbs_audit(sys_, params, out, seed):
-    sigma = float(params.get("sigma", 0.0))
-    depth = int(params.get("depth", 8))
-    eig = eigendata(sys_, sigma, N=512)
-    rep = gibbs_audit(sys_, eig, depth)
-    _write_csv(out / "gibbs_audit.csv",
-               ["depth", "C5_lower", "C5_upper"],
-               [(n, lo, hi) for n, (lo, hi)
-                in sorted(rep["per_depth"].items())])
-    summary = {"sigma": sigma, "depth": depth, "C5": rep["C5"],
+def _run_gibbs_audit(sys_, p, out, seed):
+    eig = eigendata(sys_, p["sigma"], N=512)
+    rep = gibbs_audit(sys_, eig, p["depth"])
+    _write_csv(out / "gibbs_audit.csv", ["depth", "C5_lower", "C5_upper"],
+               zip(*[(n, lo, hi) for n, (lo, hi)
+                     in sorted(rep["per_depth"].items())]))
+    summary = {"sigma": p["sigma"], "depth": p["depth"], "C5": rep["C5"],
                "C5_lower": rep["C5_lower"], "C5_upper": rep["C5_upper"]}
     _write_json(out / "gibbs_audit.json", summary)
     ok = rep["C5_lower"] <= 1.0 + 1e-9 <= rep["C5_upper"] * (1 + 1e-9) \
@@ -242,52 +301,45 @@ def _run_gibbs_audit(sys_, params, out, seed):
     return (0 if ok else AUDIT_FAILED), summary
 
 
-def _run_partition(sys_, params, out, seed):
-    b = float(params.get("b", 2.0 ** 10))
-    Delta = float(params.get("Delta", 1.0))
+def _run_partition(sys_, p, out, seed):
+    b, Delta = p["b"], p["Delta"]
     part = adapted_partition(sys_, b, Delta)
-    diams = (part.right - part.left).tolist()
+    diams = part.right - part.left
     _write_csv(out / "partition.csv", ["left", "right", "diam"],
-               zip(part.left.tolist(), part.right.tolist(), diams))
+               [part.left, part.right, diams])
     lo_bound = 2 * Delta / abs(b)
     hi_bound = 2 * Delta * sys_.constants.rho / abs(b)
-    ok = (all(lo_bound <= d <= hi_bound * (1 + 1e-12) for d in diams)
-          and len(diams) <= abs(b) / (2 * Delta))
+    ok = bool(np.all(diams >= lo_bound)
+              and np.all(diams <= hi_bound * (1 + 1e-12))
+              and len(diams) <= abs(b) / (2 * Delta))
     summary = {"b": b, "Delta": Delta, "count": len(diams),
-               "diam_min": min(diams), "diam_max": max(diams),
-               "bounds_ok": ok}
+               "diam_min": float(diams.min()),
+               "diam_max": float(diams.max()), "bounds_ok": ok}
     _write_json(out / "partition.json", summary)
     return (0 if ok else AUDIT_FAILED), summary
 
 
-def _run_uni(sys_, params, out, seed):
-    sigma = float(params.get("sigma", 0.0))
-    n = int(params.get("n", 2))
-    R = float(params.get("R", 0.1))
-    n_max = int(params.get("n_max", 6))
-    grid = int(params.get("grid", 128))
+def _run_uni(sys_, p, out, seed):
+    n, n_max = p["n"], p["n_max"]
     pairs = count_words(sys_, n) ** 2
     if pairs > MAX_PAIRS:
         raise ConfigError(f"n = {n} gives {pairs} ordered word pairs, more "
                           f"than check_uni's {MAX_PAIRS}", "/params/n")
-    eig = eigendata(sys_, sigma, N=256)
-    a = a_sequence(sys_, eig, n_max, grid=grid)
-    bseq = b_sequence(sys_, eig, n_max, grid=grid)
-    cu = check_uni(sys_, n, R)
+    eig = eigendata(sys_, p["sigma"], N=256)
+    a = a_sequence(sys_, eig, n_max, grid=p["grid"])
+    bseq = b_sequence(sys_, eig, n_max, grid=p["grid"])
+    cu = check_uni(sys_, n, p["R"])
     _write_csv(out / "ab_sequences.csv", ["n", "a", "b"],
-               list(zip(range(1, n_max + 1), a, bseq)))
+               [range(1, n_max + 1), a, bseq])
     summary = {"a": a, "b": bseq, "D_full": cu["D_full"],
-               "D_point": cu["D_point"], "n": n, "R": R}
+               "D_point": cu["D_point"], "n": n, "R": p["R"]}
     _write_json(out / "uni.json", summary)
     ok = all(v <= 1 + 1e-8 for v in a + bseq)
     return (0 if ok else AUDIT_FAILED), summary
 
 
-def _run_transversality(sys_, params, out, seed):
-    delta = float(params.get("delta", 0.05))
-    b = float(params.get("b", 2.0 ** 10))
-    beta = float(params.get("beta", 1.0))
-    rep = uni_from_transversality(sys_, delta, b, beta=beta)
+def _run_transversality(sys_, p, out, seed):
+    rep = uni_from_transversality(sys_, p["delta"], p["b"], beta=p["beta"])
     summary = {k: rep[k] for k in rep if k != "results"}
     summary["statuses"] = [r["status"] for r in rep["results"]]
     _write_json(out / "transversality.json", summary)
@@ -297,10 +349,8 @@ def _run_transversality(sys_, params, out, seed):
     return (0 if ok else AUDIT_FAILED), summary
 
 
-def _run_cohomology(sys_, params, out, seed):
-    J = int(params.get("J_trunc", 40))
-    tol = float(params.get("tol", 1e-6))
-    rep = coboundary_test(sys_, J_trunc=J, tol=tol)
+def _run_cohomology(sys_, p, out, seed):
+    rep = coboundary_test(sys_, J_trunc=p["J_trunc"], tol=p["tol"])
     _write_json(out / "cohomology.json", rep)
     return 0, rep
 
@@ -317,22 +367,17 @@ def _constant_roof(sys_, out, name):
     return summary
 
 
-def _run_cancellation(sys_, params, out, seed):
-    sigma = float(params.get("sigma", 0.0))
-    b = float(params.get("b", 2.0 ** 8))
-    delta = float(params.get("delta", 0.05))
-    Delta = params.get("Delta")
-    m_max = int(params.get("m_max", 10))
+def _run_cancellation(sys_, p, out, seed):
     summary = _constant_roof(sys_, out, "cancellation.json")
     if summary is not None:
         return 0, summary
-    eig = eigendata(sys_, sigma, N=512)
-    rep = cone_iteration(sys_, eig, b, m_max=m_max, delta=delta,
-                         Delta=None if Delta is None else float(Delta))
+    eig = eigendata(sys_, p["sigma"], N=512)
+    rep = cone_iteration(sys_, eig, p["b"], m_max=p["m_max"],
+                         delta=p["delta"], Delta=p["Delta"])
     _write_csv(out / "cancellation_trace.csv",
                ["m", "int_u2", "tau_hat", "cone_ok"],
-               [(s["m"], s["int_u2"], s["tau_hat"], int(s["cone_ok"]))
-                for s in rep["steps"]])
+               zip(*[(s["m"], s["int_u2"], s["tau_hat"], int(s["cone_ok"]))
+                     for s in rep["steps"]]))
     summary = {k: rep[k] for k in
                ("b", "n", "delta", "C0", "Delta", "tau_hats",
                 "all_contracting", "all_in_cone")}
@@ -341,24 +386,18 @@ def _run_cancellation(sys_, params, out, seed):
     return (0 if ok else AUDIT_FAILED), summary
 
 
-def _run_contraction(sys_, params, out, seed):
-    sigma = float(params.get("sigma", 0.0))
-    b_list = [float(b) for b in params.get("b_list",
-                                           [2.0 ** q for q in range(8, 13)])]
-    beta = float(params.get("beta", 1.0))
-    B = float(params.get("B", 1.0))
+def _run_contraction(sys_, p, out, seed):
     summary = _constant_roof(sys_, out, "contraction.json")
     if summary is not None:
         return 0, summary
-    eig = eigendata(sys_, sigma, N=512)
-    l1 = l1_contraction(sys_, eig, b_list, beta=beta)
-    sweep = norm_contraction_sweep(sys_, eig, b_list, B=B)
-    rows = []
-    for r1, r2 in zip(l1["rows"], sweep["rows"]):
-        rows.append((r1["b"], r1["k"], r1["ratio"], r2["zeta_hat"],
-                     l1["xi_hat"]))
+    eig = eigendata(sys_, p["sigma"], N=512)
+    l1 = l1_contraction(sys_, eig, p["b_list"], beta=p["beta"])
+    sweep = norm_contraction_sweep(sys_, eig, p["b_list"], B=p["B"])
     _write_csv(out / "contraction.csv",
-               ["b", "k_or_ell", "ratio", "zeta_hat", "xi_hat"], rows)
+               ["b", "k_or_ell", "ratio", "zeta_hat", "xi_hat"],
+               zip(*[(r1["b"], r1["k"], r1["ratio"], r2["zeta_hat"],
+                      l1["xi_hat"])
+                     for r1, r2 in zip(l1["rows"], sweep["rows"])]))
     summary = {"xi_hat": l1["xi_hat"], "zeta_max": sweep["zeta_max"],
                "l1_rows": l1["rows"], "sweep_rows": sweep["rows"]}
     _write_json(out / "contraction.json", summary)
@@ -367,15 +406,9 @@ def _run_contraction(sys_, params, out, seed):
     return (0 if ok else AUDIT_FAILED), summary
 
 
-def _run_correlate(sys_, params, out, seed):
-    sigma = float(params.get("sigma", 0.0))
-    v = str(params.get("v", "cos(2*pi*u)+x"))
-    w = str(params.get("w", v))
-    t_max = float(params.get("t_max", 10.0))
-    t_points = int(params.get("t_points", 21))
-    samples = int(params.get("samples", 100_000))
-    if not 0 < t_max < math.inf:
-        raise ConfigError("t_max must be finite and > 0", "/params/t_max")
+def _run_correlate(sys_, p, out, seed):
+    v, t_max = p["v"], p["t_max"]
+    w = v if p["w"] is None else p["w"]
     # evolve_many applies T in doubles, losing up to log2 sup|T'| bits per
     # roof crossing, and a time t makes at most t / inf r crossings; past
     # this worst case an orbit can have lost all 53 bits (a typical one
@@ -389,13 +422,16 @@ def _run_correlate(sys_, params, out, seed):
             "doubles can have lost all 53 bits (worst case: "
             "t_max log2 sup|T'| / inf r > 53)",
             "/params/t_max")
-    eig = eigendata(sys_, sigma, N=256)
-    series = correlation(sys_, eig, v, w, np.linspace(0.0, t_max, t_points),
-                         samples, seed=seed)
-    (out / "correlate.csv").write_text(series.to_csv(), encoding="utf-8")
+    eig = eigendata(sys_, p["sigma"], N=256)
+    series = correlation(sys_, eig, v, w,
+                         np.linspace(0.0, t_max, p["t_points"]),
+                         p["samples"], seed=seed)
+    _write_csv(out / "correlate.csv", ["t", "C_hat", "stderr", "used_in_fit"],
+               [series.times, series.estimates, series.stderrs,
+                series.used_in_fit.astype(int)])
     summary = {"rate": series.rate, "prefactor": series.prefactor,
                "t_star": series.t_star, "window": list(series.window),
-               "samples": samples, "v": v, "w": w}
+               "samples": p["samples"], "v": v, "w": w}
     _write_json(out / "correlate_fit.json", summary)
     return 0, summary
 
@@ -417,18 +453,21 @@ _HANDLERS = {
 # -- orchestration -----------------------------------------------------------------
 
 
-def run(config_path: str, out_dir: str | None = None,
+def run(config_path: str | dict, out_dir: str | None = None,
         preset: str | None = None) -> int:
     """Execute one experiment; returns the exit code and writes reports plus
-    a run manifest into the output directory."""
+    a run manifest into the output directory.  ``config_path`` is a JSON
+    config file, or a config already read (a dict), as ``main`` passes it."""
     t0 = time.time()
-    cfg = load_config(config_path)
+    cfg = (config_path if isinstance(config_path, dict)
+           else load_config(config_path))
+    params = _parameters(cfg)
     sys_, system_name = _resolve_system(cfg, preset)
     seed = _seed(cfg)
     exp = cfg["experiment"]
     out = Path(out_dir) if out_dir else Path("gibbsflow-out") / exp
     out.mkdir(parents=True, exist_ok=True)
-    code, summary = _HANDLERS[exp](sys_, cfg.get("params", {}), out, seed)
+    code, summary = _HANDLERS[exp](sys_, params, out, seed)
     blob = json.dumps(cfg, sort_keys=True).encode()
     manifest = {
         "experiment": exp,
@@ -519,19 +558,17 @@ def main(argv=None) -> int:
         if args.experiment == "bundle":
             report_bundle(args.runs, out_dir=args.out)
             return 0
-        if args.config is None:
-            if args.preset is None:
-                raise ConfigError("--config is required")
-            import tempfile
-            with tempfile.NamedTemporaryFile(
-                    "w", suffix=".json", delete=False) as fh:
-                json.dump({"experiment": args.experiment}, fh)
-                path = fh.name
-            try:
-                return run(path, out_dir=args.out, preset=args.preset)
-            finally:
-                os.unlink(path)
-        return run(args.config, out_dir=args.out, preset=args.preset)
+        if args.config is not None:
+            cfg = load_config(args.config)
+        elif args.preset is not None:
+            cfg = {"experiment": args.experiment}
+        else:
+            raise ConfigError("--config is required")
+        if cfg["experiment"] != args.experiment:
+            raise ConfigError(
+                f"the config's experiment {cfg['experiment']!r} is not "
+                f"{args.experiment!r}", "/experiment")
+        return run(cfg, out_dir=args.out, preset=args.preset)
     except (ConfigError, MissingManifestError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 1

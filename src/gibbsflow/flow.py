@@ -4,8 +4,6 @@ estimates with an exponential-rate fit."""
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -110,16 +108,6 @@ class CorrelationSeries:
     prefactor: float
     t_star: float
     window: tuple = field(default=(0.0, 0.0))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "C_hat", "stderr", "used_in_fit"])
-        for t, c, s, u in zip(self.times, self.estimates, self.stderrs,
-                              self.used_in_fit):
-            w.writerow([repr(float(t)), repr(float(c)), repr(float(s)),
-                        int(u)])
-        return buf.getvalue()
 
 
 def correlation(sys: MarkovSystem, eig: EigenData, v_expr: str, w_expr: str,

@@ -118,21 +118,6 @@ class GridFunction:
     def copy_with(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.system, values, self.nodes)
 
-    # CSV rows: element_index,node_x,re,im
-    def to_csv(self) -> str:
-        vals = self.values.astype(complex)
-        chunks = ["element_index,node_x,re,im\n"]
-        # rows are formatted 4096 at a time, so few row strings are alive
-        for e in range(self.system.m):
-            for a in range(0, self.N, 4096):
-                part = slice(a, a + 4096)
-                chunks.append("".join([
-                    f"{e},{x!r},{re!r},{im!r}\n" for x, re, im in zip(
-                        self.nodes[e, part].tolist(),
-                        vals[e, part].real.tolist(),
-                        vals[e, part].imag.tolist())]))
-        return "".join(chunks)
-
 
 # -- operator matrix ----------------------------------------------------------
 

@@ -1,4 +1,6 @@
-"""Built-in test systems.
+"""Built-in test systems.  Each preset is a config block in the layout of
+``system_from_config`` (see ``system``), the same block a config file may
+give as its ``system``; ``make_preset`` builds it.
 
 SYS-A  doubling map, constant roof 1, zero potential.
 SYS-B  doubling map, roof (2 + cos(2 pi x))/3, zero potential.
@@ -13,76 +15,36 @@ SYS-C-NLROOF     SYS-C with the nonlinear SYS-B roof.
 
 from __future__ import annotations
 
-from .expr import parse
-from .system import Branch, MarkovSystem
+from .system import MarkovSystem, system_from_config
 
 __all__ = ["PRESETS", "make_preset", "preset_names"]
 
+_DOUBLING = {
+    "partition": [0.0, 0.5, 1.0],
+    "branches": [{"expr": "2*x", "image": [0, 2]},
+                 {"expr": "2*x-1", "image": [0, 2]}],
+}
 
-def _doubling(roof: list[str], potential: list[str]) -> MarkovSystem:
-    return MarkovSystem(
-        [0.0, 0.5, 1.0],
-        [Branch(parse("2*x"), (0, 2)), Branch(parse("2*x-1"), (0, 2))],
-        [parse(r) for r in roof],
-        [parse(p) for p in potential],
-    )
+_SYS_C = {
+    "partition": [0.0, 1 / 3, 2 / 3, 1.0],
+    "branches": [{"expr": "3*x", "image": [0, 3]},       # [0,1/3)   -> [0,1)
+                 {"expr": "2*x-1/3", "image": [1, 3]},   # [1/3,2/3) -> [1/3,1)
+                 {"expr": "2*x-4/3", "image": [0, 2]}],  # [2/3,1)   -> [0,2/3)
+}
 
-
-def _sys_a() -> MarkovSystem:
-    return _doubling(["1", "1"], ["0", "0"])
-
-
-def _sys_b() -> MarkovSystem:
-    r = "(2+cos(2*pi*x))/3"
-    return _doubling([r, r], ["0", "0"])
-
-
-def _sys_a_bernoulli() -> MarkovSystem:
-    return _doubling(["1", "1"], ["log(0.3)", "log(0.7)"])
-
-
-def _sys_a_linroof() -> MarkovSystem:
-    # roof 1 - x/2 = theta o T - theta + chi with theta = -x/2,
-    # chi = 1 on the first element and 1/2 on the second
-    return _doubling(["1-x/2", "1-x/2"], ["0", "0"])
-
-
-def _sys_c_branches() -> list[Branch]:
-    return [
-        Branch(parse("3*x"), (0, 3)),        # [0,1/3)   -> [0,1)
-        Branch(parse("2*x-1/3"), (1, 3)),    # [1/3,2/3) -> [1/3,1)
-        Branch(parse("2*x-4/3"), (0, 2)),    # [2/3,1)   -> [0,2/3)
-    ]
-
-
-def _sys_c() -> MarkovSystem:
-    third = 1.0 / 3.0
-    return MarkovSystem(
-        [0.0, third, 2 * third, 1.0],
-        _sys_c_branches(),
-        [parse("1")] * 3,
-        [parse("0")] * 3,
-    )
-
-
-def _sys_c_nlroof() -> MarkovSystem:
-    third = 1.0 / 3.0
-    r = parse("(2+cos(2*pi*x))/3")
-    return MarkovSystem(
-        [0.0, third, 2 * third, 1.0],
-        _sys_c_branches(),
-        [r] * 3,
-        [parse("0")] * 3,
-    )
-
+_NLROOF = "(2+cos(2*pi*x))/3"
 
 PRESETS = {
-    "SYS-A": _sys_a,
-    "SYS-B": _sys_b,
-    "SYS-C": _sys_c,
-    "SYS-A-BERNOULLI": _sys_a_bernoulli,
-    "SYS-A-LINROOF": _sys_a_linroof,
-    "SYS-C-NLROOF": _sys_c_nlroof,
+    "SYS-A": {**_DOUBLING, "roof": ["1"] * 2, "potential": ["0"] * 2},
+    "SYS-B": {**_DOUBLING, "roof": [_NLROOF] * 2, "potential": ["0"] * 2},
+    "SYS-C": {**_SYS_C, "roof": ["1"] * 3, "potential": ["0"] * 3},
+    "SYS-A-BERNOULLI": {**_DOUBLING, "roof": ["1"] * 2,
+                        "potential": ["log(0.3)", "log(0.7)"]},
+    # roof 1 - x/2 = theta o T - theta + chi with theta = -x/2,
+    # chi = 1 on the first element and 1/2 on the second
+    "SYS-A-LINROOF": {**_DOUBLING, "roof": ["1-x/2"] * 2,
+                      "potential": ["0"] * 2},
+    "SYS-C-NLROOF": {**_SYS_C, "roof": [_NLROOF] * 3, "potential": ["0"] * 3},
 }
 
 
@@ -92,6 +54,7 @@ def preset_names() -> list[str]:
 
 def make_preset(name: str) -> MarkovSystem:
     try:
-        return PRESETS[name]()
+        block = PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown preset {name!r}; known: {preset_names()}") from None
+    return system_from_config(block)

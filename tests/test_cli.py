@@ -10,6 +10,7 @@ import pytest
 
 from conftest import NL_DOUBLING, to_config
 import gibbsflow
+import gibbsflow.cli as cli
 from gibbsflow.cli import (ConfigError, MissingManifestError, load_config,
                            main, report_bundle, run)
 from gibbsflow.presets import make_preset
@@ -93,13 +94,23 @@ def test_integer_param_below_floor_or_fractional_rejected(tmp_path, exp, name,
 
 NONFINITE = [float("nan"), float("inf"), float("-inf")]
 
+# every call of cli that builds a system or computes: a config refused by
+# the parameter table reaches none of them
+WORK = ("make_preset", "system_from_config", "validate", "eigendata",
+        "gibbs_audit", "adapted_partition", "count_words", "a_sequence",
+        "b_sequence", "check_uni", "uni_from_transversality",
+        "coboundary_test", "cone_iteration", "l1_contraction",
+        "norm_contraction_sweep", "correlation")
+
+# (experiment, parameter) of every numeric parameter in the table
+NUMERIC = [(exp, name) for exp, table in cli._PARAMS.items()
+           for name, spec in table.items() if spec.kind != "expr"]
+
 
 def _refused_before_any_work(tmp_path, monkeypatch, capsys, exp, params,
                              pointer, work):
     """Run ``exp`` with ``params`` on SYS-B: it must exit 1 naming
     ``pointer``, before any of the cli names ``work`` is called."""
-    import gibbsflow.cli as cli
-
     called = []
     for name in work:
         monkeypatch.setattr(cli, name,
@@ -117,17 +128,44 @@ def _refused_before_any_work(tmp_path, monkeypatch, capsys, exp, params,
 
 
 @pytest.mark.parametrize("value", NONFINITE)
-@pytest.mark.parametrize("exp,name", [("eigen", "sigma"),
-                                      ("cancellation", "b"),
-                                      ("cancellation", "delta"),
-                                      ("contraction", "b_list")])
+@pytest.mark.parametrize("exp,name", NUMERIC)
 def test_non_finite_param_refused_before_any_work(tmp_path, monkeypatch,
                                                   capsys, exp, name, value):
     # every comparison with NaN is false, so NaN passed every range check:
-    # sigma NaN ran 100,000 power steps before NoConvergenceError
-    params = {name: [256.0, value] if name == "b_list" else value}
+    # sigma NaN ran 100,000 power steps before NoConvergenceError, and
+    # cohomology's tol NaN reported SYS-A-LINROOF not cohomologous
+    kind = cli._PARAMS[exp][name].kind
+    params = {name: [256.0, value] if kind == "floats" else value}
     _refused_before_any_work(tmp_path, monkeypatch, capsys, exp, params,
-                             f"/params/{name}", ("eigendata",))
+                             f"/params/{name}", WORK)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("exp,name", [("uni", "R"), ("cohomology", "tol"),
+                                      ("transversality", "beta"),
+                                      ("contraction", "beta"),
+                                      ("contraction", "B")])
+def test_positive_param_refused_at_zero_and_below(tmp_path, monkeypatch,
+                                                  capsys, exp, name, value):
+    # R = -1 wrote D_point 0.0 and exited 0; B = 0 ended in
+    # ZeroDivisionError
+    _refused_before_any_work(tmp_path, monkeypatch, capsys, exp,
+                             {name: value}, f"/params/{name}", WORK)
+
+
+@pytest.mark.parametrize("name", ["v", "w"])
+def test_expression_param_must_be_a_string(tmp_path, monkeypatch, capsys,
+                                           name):
+    _refused_before_any_work(tmp_path, monkeypatch, capsys, "correlate",
+                             {name: 1}, f"/params/{name}", WORK)
+
+
+def test_every_default_lies_in_its_bounds():
+    for exp, table in cli._PARAMS.items():
+        for name, spec in table.items():
+            if spec.default is not None:
+                assert spec.value(name, spec.default, "") == spec.default, \
+                    (exp, name)
 
 
 @pytest.mark.parametrize("Delta", [-1.0, 0.0] + NONFINITE)
@@ -141,6 +179,70 @@ def test_Delta_not_finite_and_positive_refused(tmp_path, monkeypatch, capsys,
                              {"b": 1024.0, "Delta": Delta}, "/params/Delta",
                              ("eigendata", "adapted_partition",
                               "cone_iteration"))
+
+
+def test_experiment_contradicting_the_config_refused(tmp_path, monkeypatch,
+                                                   capsys):
+    # `gibbsflow validate --config c.json` ran the config's eigen
+    p = write_cfg(tmp_path / "c.json",
+                  {"preset": "SYS-A", "experiment": "eigen"})
+    called = []
+    for name in WORK:
+        monkeypatch.setattr(cli, name,
+                            lambda *a, name=name, **k: called.append(name))
+    out = tmp_path / "o"
+    assert main(["validate", "--config", p, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "/experiment" in err and "'eigen'" in err
+    assert called == []
+    assert not out.exists()
+
+
+# paths opened for writing, recorded by an audit hook while "paths" is a
+# list; the hook is added once, since an audit hook cannot be removed.
+# Bytecode caches that an import writes are not the program's files.
+_WRITES = {"hooked": False, "paths": None}
+
+
+def _audit_writes(event, args):
+    paths = _WRITES["paths"]
+    if paths is not None and event == "open" \
+            and isinstance(args[0], (str, bytes)) \
+            and args[2] & (os.O_WRONLY | os.O_RDWR | os.O_CREAT):
+        path = Path(os.path.abspath(os.fsdecode(args[0])))
+        if path.parent.name != "__pycache__":
+            paths.append(path)
+
+
+@pytest.fixture
+def writes():
+    """The paths the test opens for writing, as it runs."""
+    if not _WRITES["hooked"]:
+        sys.addaudithook(_audit_writes)
+        _WRITES["hooked"] = True
+    _WRITES["paths"] = []
+    yield _WRITES["paths"]
+    _WRITES["paths"] = None
+
+
+@pytest.mark.parametrize("exp", ["validate", "cohomology"])
+def test_preset_without_config_writes_only_its_reports(tmp_path, monkeypatch,
+                                                       writes, exp):
+    # the run used to write its config {"experiment": exp} to a temporary
+    # file; it writes nothing outside --out and hashes the same config
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "bare"
+    assert main([exp, "--preset", "SYS-B", "--out", str(out)]) == 0
+    assert writes and all(w.parent == out for w in writes), writes
+    p = write_cfg(tmp_path / "c.json", {"experiment": exp})
+    assert main([exp, "--config", p, "--preset", "SYS-B",
+                 "--out", str(tmp_path / "file")]) == 0
+    manifests = [json.loads((tmp_path / d / "run_manifest.json").read_text())
+                 for d in ("bare", "file")]
+    for m in manifests:
+        del m["wall_time_s"]
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["system"] == "SYS-B"
 
 
 def test_malformed_json_is_config_error(tmp_path):
@@ -375,8 +477,6 @@ def test_uni_report_and_exit(tmp_path):
 def test_uni_refuses_n_with_too_many_pairs_before_any_work(tmp_path,
                                                           monkeypatch, capsys):
     # SYS-B has 2^8 depth-8 words: 65,536 ordered pairs, above check_uni's cap
-    import gibbsflow.cli as cli
-
     def never(*args, **kwargs):
         raise AssertionError("reached the a(n)/b(n) or eigendata work")
 
@@ -407,8 +507,6 @@ def test_uni_refuses_n_with_too_many_pairs_before_any_work(tmp_path,
 def test_correlate_refuses_t_max_before_any_work(tmp_path, monkeypatch,
                                                  capsys, system, t_max,
                                                  refused):
-    import gibbsflow.cli as cli
-
     def never(*args, **kwargs):
         raise AssertionError("reached the eigendata or correlation work")
 

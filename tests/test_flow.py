@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gibbsflow.cli import run
 from gibbsflow.expr import compile_expr, parse
 from gibbsflow.flow import (CorrelationSeries, InsufficientSignalError,
                             correlation, evolve_many, sample_flow_measure)
@@ -216,10 +217,22 @@ def test_sys_b_correlations_decay(sys_b, eig_b):
     assert abs(cs.estimates[-1]) < abs(cs.estimates[0]) / 5
 
 
-def test_correlation_csv_round_shape(sys_b, eig_b):
-    ts = np.linspace(0.0, 2.0, 5)
-    cs = correlation(sys_b, eig_b, "x", "x", ts, 20_000, seed=14)
-    text = cs.to_csv()
-    lines = text.strip().split("\n")
+def test_correlation_csv_round_shape(sys_b, eig_b, tmp_path, monkeypatch):
+    # correlate.csv writes the series of the run (eigendata N = 256, the N
+    # of eig_b) back to the bit, one row per time
+    monkeypatch.setenv("GIBBSFLOW_SEED", "14")
+    out = tmp_path / "out"
+    assert run({"experiment": "correlate", "preset": "SYS-B",
+                "params": {"v": "x", "t_max": 2.0, "t_points": 5,
+                           "samples": 20_000}}, out_dir=str(out)) == 0
+    lines = (out / "correlate.csv").read_text().strip().split("\n")
     assert lines[0] == "t,C_hat,stderr,used_in_fit"
     assert len(lines) == 6
+    cs = correlation(sys_b, eig_b, "x", "x", np.linspace(0.0, 2.0, 5),
+                     20_000, seed=14)
+    t, c, s, u = (np.array(col, dtype=float)
+                  for col in zip(*(ln.split(",") for ln in lines[1:])))
+    assert np.array_equal(t, cs.times)
+    assert np.array_equal(c, cs.estimates)
+    assert np.array_equal(s, cs.stderrs)
+    assert np.array_equal(u, cs.used_in_fit)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gibbsflow.cli import _write_csv, run
 from gibbsflow.operator import (
     GridFunction, apply_L, c6_bound, deep_apply, eigendata, hoelder_seminorm,
     lasota_yorke_audit, node_grid, norm_b,
@@ -88,16 +89,22 @@ def test_gridfunction_interp_reproduces_nodes(eig_b):
     assert np.max(np.abs(v.eval(nodes.ravel()) - v.values.ravel())) < 1e-14
 
 
-def test_gridfunction_csv_roundtrip(eig_b):
-    nodes = node_grid(eig_b.system, 16)
-    v = GridFunction(eig_b.system, np.exp(1j * nodes))
-    rows = list(csv.reader(io.StringIO(v.to_csv())))
+def _f_csv(tmp_path) -> str:
+    """f.csv of the eigen experiment on the system and N of eig_b."""
+    out = tmp_path / "eigen"
+    assert run({"experiment": "eigen", "preset": "SYS-B",
+                "params": {"N": N}}, out_dir=str(out)) == 0
+    return (out / "f.csv").read_text(encoding="utf-8")
+
+
+def test_gridfunction_csv_roundtrip(eig_b, tmp_path):
+    rows = list(csv.reader(io.StringIO(_f_csv(tmp_path))))
     assert rows[0] == ["element_index", "node_x", "re", "im"]
     elem, x, re, im = (np.array(col, dtype=float) for col in zip(*rows[1:]))
     # element by element, each node's x and value written back to the bit
-    assert np.array_equal(elem, np.repeat(np.arange(eig_b.system.m), 16))
-    assert np.array_equal(x, nodes.reshape(-1))
-    assert np.array_equal(re + 1j * im, v.values.reshape(-1))
+    assert np.array_equal(elem, np.repeat(np.arange(eig_b.system.m), N))
+    assert np.array_equal(x, eig_b.f.nodes.reshape(-1))
+    assert np.array_equal(re + 1j * im, eig_b.f.values.reshape(-1))
 
 
 def test_hoelder_seminorm_linear(eig_a):
@@ -272,16 +279,22 @@ def test_hoelder_seminorm_matches_the_element_loop(eig_b):
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-def test_gridfunction_csv_bytes_match_csv_writer(eig_b, kind):
-    import csv
-    import io
+def test_gridfunction_csv_bytes_match_csv_writer(eig_b, tmp_path, kind):
+    # the real f is the eigen report's f.csv; the complex values, with
+    # imaginary parts -0.0, go through the report writer directly
     if kind == "real":
         v = eig_b.f
+        text = _f_csv(tmp_path)
     else:
         nodes = node_grid(eig_b.system, 33)
         vals = np.exp(2j * np.pi * nodes)
         vals.imag[:, ::3] = -0.0
         v = GridFunction(eig_b.system, vals)
+        _write_csv(tmp_path / "v.csv", ["element_index", "node_x", "re", "im"],
+                   [np.repeat(np.arange(v.system.m), v.N),
+                    v.nodes.reshape(-1), vals.real.reshape(-1),
+                    vals.imag.reshape(-1)])
+        text = (tmp_path / "v.csv").read_text(encoding="utf-8")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["element_index", "node_x", "re", "im"])
@@ -291,7 +304,7 @@ def test_gridfunction_csv_bytes_match_csv_writer(eig_b, kind):
             w.writerow([e, repr(float(v.nodes[e, k])),
                         repr(float(vals[e, k].real)),
                         repr(float(vals[e, k].imag))])
-    assert v.to_csv() == buf.getvalue()
+    assert text == buf.getvalue()
     if kind == "complex":
         assert ",-0.0\n" in buf.getvalue()
 
