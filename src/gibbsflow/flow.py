@@ -65,7 +65,8 @@ def sample_flow_measure(sys: MarkovSystem, eig: EigenData, count: int,
                         seed: int) -> FlowSample:
     """Draw from the invariant measure of the semiflow: base points from the
     Gibbs measure accepted with probability r(x)/sup r (density proportional
-    to the roof), then a uniform height below the roof."""
+    to the roof), then a uniform height below the roof, scaled by the roof
+    values the acceptance test read."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -82,7 +83,7 @@ def sample_flow_measure(sys: MarkovSystem, eig: EigenData, count: int,
         r = sys.roof_at(base)
         keep = rng.random(batch) < r / sup_r
         xs = base[keep]
-        us = rng.random(xs.shape) * sys.roof_at(xs)
+        us = rng.random(xs.shape) * r[keep]
         xs_out.append(xs)
         us_out.append(us)
         have += len(xs)

@@ -114,8 +114,12 @@ def _backward_step(sys: MarkovSystem, eig: EigenData, x: np.ndarray):
     Returns ``(ys, weights)``, both (m, len(x)): ys[i] = h_i(x) and
     weights[i] proportional to exp((phi - sigma r)(ys[i])) f(ys[i]) where
     branch i is admissible at x, zeros elsewhere; each column of weights
-    sums to 1.  Each branch is solved on the indices of its admissible
-    points alone.
+    sums to 1.
+
+    A branch whose image is the whole interval is admissible at every
+    point: it is solved on x itself and writes its rows whole.  Any other
+    branch is solved on the indices of its admissible points alone.  At
+    sigma = 0 the roof is not evaluated, since phi - 0 r is phi to the bit.
 
     f is evaluated once, on every preimage stacked, with the columns taken
     in the order of x.  Each h_i is monotone and the x where branch i is
@@ -127,16 +131,24 @@ def _backward_step(sys: MarkovSystem, eig: EigenData, x: np.ndarray):
     not depend on the order, so the weights keep their bits, and the
     zeros of the weights stay zeros.
     """
-    elem = sys.element_of(x)
     ys = np.zeros((sys.m, len(x)))
     weights = np.zeros((sys.m, len(x)))
+    elem = None
     for i in range(sys.m):
-        k = np.flatnonzero(sys.transition[i, elem])
-        if not k.size:
-            continue
+        if sys.transition[i].all():
+            k = slice(None)
+        else:
+            if elem is None:
+                elem = sys.element_of(x)
+            k = np.flatnonzero(sys.transition[i, elem])
+            if not k.size:
+                continue
         y = sys.inverse_branch(i, x[k])
         ys[i, k] = y
-        weights[i, k] = np.exp(sys._phi[i](x=y) - eig.sigma * sys._r[i](x=y))
+        g = sys._phi[i](x=y)
+        if eig.sigma != 0.0:
+            g = g - eig.sigma * sys._r[i](x=y)
+        weights[i, k] = np.exp(g)
     order = np.argsort(x)
     f_sorted = eig.f.eval(ys.take(order, axis=1)).real
     for w, fy in zip(weights, f_sorted):
@@ -175,6 +187,13 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
     depth-k word of x_k has law J_w(x0) instead, which differs from mu[w]
     whenever J_w depends on x: no number of steps certifies that start.
 
+    A step draws one uniform u per chain and moves to the preimage of the
+    first branch whose running sum of weights, over the m rows of
+    ``_backward_step`` in branch order, reaches u; to the last branch's
+    when none does (rounding can leave the total just below u).  The
+    weights are >= 0, so the running sums never decrease and that branch
+    is the one a cumulative sum of the weights picks.
+
     After burn-in every 10th state is emitted; ``count`` samples run on
     min(max(1, count // 64), 4096) independent chains in parallel, all from
     one seed stream (the start, then one uniform per chain per step).
@@ -187,13 +206,16 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
     burn_in = _burn_in(sys)
     rng = np.random.default_rng(seed)
     x = rng.choice(eig.f.nodes.reshape(-1), size=chains, p=eig.mu.reshape(-1))
-    cols = np.arange(chains)
 
     def step(x):
         ys, weights = _backward_step(sys, eig, x)
         u = rng.random(chains)
-        choice = (np.cumsum(weights, axis=0) < u[None, :]).sum(axis=0)
-        return ys[np.minimum(choice, sys.m - 1), cols]
+        # the first row whose running sum of weights reaches u, else the last
+        y, c = ys[0], weights[0]
+        for row, w in zip(ys[1:], weights[1:]):
+            y = np.where(c < u, row, y)
+            c = c + w
+        return y
 
     for _ in range(burn_in):
         x = step(x)

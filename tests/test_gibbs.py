@@ -258,14 +258,42 @@ TENT = {"partition": [0.0, 0.5, 1.0],
 
 @pytest.mark.parametrize("count", [40, 3000])
 def test_sampler_equals_per_branch_steps(eig_c, nl_doubling, count):
-    # SYS-B: full-branch with constant f; SYS-C: not full-branch
-    eigs = [eigendata(sys, 0.0, N=256)
-            for sys in (make_preset("SYS-B"), nl_doubling,
-                        system_from_config(TENT))]
+    # SYS-B: full-branch with constant f; SYS-C: not full-branch; at
+    # sigma != 0 the roof enters the weights, on SYS-C-NLROOF not
+    # full-branch either
+    eigs = [eigendata(sys, sigma, N=256)
+            for sys, sigma in ((make_preset("SYS-B"), 0.0), (nl_doubling, 0.0),
+                               (system_from_config(TENT), 0.0),
+                               (make_preset("SYS-C-NLROOF"), 1.0),
+                               (system_from_config(TENT), 0.5))]
     for eig in [eig_c] + eigs:
         got = sample_mu(eig.system, eig, count, seed=7)
         want = _per_branch_sampler(eig.system, eig, count, seed=7)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["SYS-B", "SYS-C-NLROOF"])
+def test_backward_step_reads_the_roof_only_at_nonzero_sigma(name):
+    sys = make_preset(name)
+    x = np.linspace(0.0, 1.0, 101, endpoint=False)
+    calls = []
+    roofs = list(sys._r)
+
+    def counted(r):
+        def roof(**env):
+            calls.append(1)
+            return r(**env)
+        return roof
+
+    for sigma, expected in ((0.0, 0), (1.0, sys.m)):
+        eig = eigendata(sys, sigma, N=64)
+        sys._r[:] = [counted(r) for r in roofs]
+        try:
+            calls.clear()
+            _backward_step(sys, eig, x)
+        finally:
+            sys._r[:] = roofs
+        assert len(calls) == expected
 
 
 def test_transition_weights_values():
