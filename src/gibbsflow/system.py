@@ -52,7 +52,7 @@ __all__ = [
 
 
 # nodes of the tabulated inverse that starts Newton in inverse_branch
-_INVERSE_NODES = 4097
+_INVERSE_NODES = 8193
 # equally spaced points per element of the scan behind MarkovSystem.constants
 _SCAN = 2048
 # evenly spaced sample indices, ends included, whose pairs sampled_seminorm
@@ -185,9 +185,10 @@ class MarkovSystem:
             (float(self._T[i](x=mids[i])), d.value)
             if isinstance(d, Num) and d.value != 0 else None
             for i, d in enumerate(slopes)]
-        # per nonlinear branch, h_i at _INVERSE_NODES points of its image;
-        # built by the branch's first inverse_branch call
-        self._inverse_tables: list[np.ndarray | None] = [None] * self.m
+        # per nonlinear branch, the cubic Hermite table of h_i on
+        # _INVERSE_NODES points of its image (``_tabulated_inverse``); built
+        # by the branch's first inverse_branch call
+        self._inverse_tables: list[tuple | None] = [None] * self.m
 
     @cached_property
     def constants(self) -> SystemConstants:
@@ -259,15 +260,15 @@ class MarkovSystem:
         residual tests that Newton applies to it, and Newton runs from the
         midpoint otherwise.
 
-        A nonlinear branch starts Newton from a tabulated inverse.  Its first
-        solve tabulates h_i at _INVERSE_NODES equally spaced points of its
-        image (Newton from the midpoint, then one more step to reach
-        rounding level).  Every solve then starts from the table's
-        piecewise-linear interpolant at y, with y clipped to the table's
-        ends, so the start lies in the element.  On a C^2 branch the start
-        is within O(node spacing^2) of the root, about 1e-8 on NL-DOUBLING,
-        and one Newton step meets the tolerance.  The table interval comes
-        from arithmetic on the uniform grid, not from a search.
+        A nonlinear branch starts Newton from a tabulated inverse
+        (``_tabulated_inverse``): a cubic Hermite interpolant of h_i on
+        _INVERSE_NODES equally spaced points of its image, clipped to the
+        element.  On a branch whose inverse has four bounded derivatives
+        the start is within spacing^4 sup |h_i^(4)| / 384 of the root, below
+        rounding on NL-DOUBLING, so the first residual test passes and a
+        solve costs one evaluation of T_i.  Where the start misses the
+        tolerance (a branch that is only C^{1+alpha}, say), Newton runs on
+        from it.
         """
         a, b = self.element_interval(i)
         y = np.asarray(y, dtype=float)
@@ -296,28 +297,48 @@ class MarkovSystem:
         return self._newton(i, y, self._tabulated_inverse(i, y))
 
     def _tabulated_inverse(self, i: int, y):
-        """Piecewise-linear interpolant at y of h_i on _INVERSE_NODES equally
-        spaced points of the image, tabulated on the first call."""
+        """Cubic Hermite interpolant at y of h_i on _INVERSE_NODES equally
+        spaced points y_k of the image, with y clipped to the table's ends
+        and the result clipped to the element.
+
+        The table, built on the first call, is (values, slopes, c2, c3):
+        z_k = h_i(y_k) (Newton from the midpoint, then one more step to
+        reach rounding level), the slopes m_k = H / T_i'(z_k) = H h_i'(y_k),
+        H the node spacing, so they are in the unit of the table's index,
+        and per interval k the coefficients c2 = 3 d - 2 m_k - m_{k+1} and
+        c3 = m_k + m_{k+1} - 2 d, d = z_{k+1} - z_k, of the cubic
+        z_k + s (m_k + s (c2 + s c3)) in s = index - k.  The table interval
+        of y comes from arithmetic on the uniform grid, not from a search.
+        """
         lo_img, hi_img = self.image_interval(i)
-        table = self._inverse_tables[i]
-        if table is None:
-            a, b = self.element_interval(i)
+        a, b = self.element_interval(i)
+        last = _INVERSE_NODES - 1
+        if self._inverse_tables[i] is None:
             nodes = np.linspace(lo_img, hi_img, _INVERSE_NODES)
             z = self._newton(i, nodes, np.full(nodes.shape, 0.5 * (a + b)))
             # one more step takes the nodes from the tolerance to rounding
-            table = np.clip(z - (self._T[i](x=z) - nodes) / self._dT[i](x=z),
-                            a, b)
-            self._inverse_tables[i] = table
-        last = _INVERSE_NODES - 1
+            z = np.clip(z - (self._T[i](x=z) - nodes) / self._dT[i](x=z),
+                        a, b)
+            m = ((hi_img - lo_img) / last) / (self._dT[i](x=z) + 0.0 * z)
+            d = np.diff(z)
+            self._inverse_tables[i] = (z, m, 3.0 * d - 2.0 * m[:-1] - m[1:],
+                                       m[:-1] + m[1:] - 2.0 * d)
+        values, slopes, c2, c3 = self._inverse_tables[i]
         t = np.clip((y - lo_img) * (last / (hi_img - lo_img)), 0.0, last)
         j = np.minimum(t.astype(np.intp), last - 1)
-        return table[j] + (t - j) * (table[j + 1] - table[j])
+        s = t - j
+        z = c3[j]
+        for c in (c2, slopes, values):
+            z *= s
+            z += c[j]
+        return np.clip(z, a, b)
 
     def _newton(self, i: int, y, z):
-        """Safeguarded Newton for T_i = y on element i, started at z."""
+        """Safeguarded Newton for T_i = y on element i, started at z; a start
+        that meets the tolerance costs one evaluation of T_i and nothing
+        else."""
         a, b = self.element_interval(i)
-        lo = np.full(y.shape, a)
-        hi = np.full(y.shape, b)
+        lo, hi = a, b  # the bracket; the first step makes it arrays
         T, dT = self._T[i], self._dT[i]
         sign = 1.0 if self.increasing[i] else -1.0
         for _ in range(200):

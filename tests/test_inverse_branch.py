@@ -64,12 +64,16 @@ def test_seeded_solve_matches_midpoint_newton(cfg, i):
     # outside the image there is no root to agree on, only the tolerance
     inside = y[:-2]
     assert np.max(np.abs(z[:-2] - _midpoint_newton(sys, i, inside))) <= 1e-15
-    # the table is the midpoint-start Newton at its nodes, one step further
-    table = sys._inverse_tables[i]
-    nodes = np.linspace(*sys.image_interval(i), len(table))
+    # the table's values are the midpoint-start Newton at its nodes, one
+    # step further, and its slopes H / T' there, H the node spacing
+    values, slopes = sys._inverse_tables[i][:2]
+    lo, hi = sys.image_interval(i)
+    nodes = np.linspace(lo, hi, len(values))
     start = _midpoint_newton(sys, i, nodes)
     step = (sys._T[i](x=start) - nodes) / sys._dT[i](x=start)
-    assert np.array_equal(table, np.clip(start - step, a, b))
+    assert np.array_equal(values, np.clip(start - step, a, b))
+    H = (hi - lo) / (len(values) - 1)
+    assert np.array_equal(slopes, H / sys._dT[i](x=values))
 
 
 @pytest.mark.parametrize("cfg,i", NONLINEAR)
@@ -77,6 +81,8 @@ def test_seeded_solve_takes_one_newton_step(cfg, i):
     sys = system_from_config(cfg)
     y = _test_points(sys, i)
     sys.inverse_branch(i, y[:1])  # builds the table
+    # the Hermite start meets the tolerance, so a solve is one evaluation
+    # of T: the residual test
     T = sys._T[i]
     calls = []
 
@@ -89,7 +95,7 @@ def test_seeded_solve_takes_one_newton_step(cfg, i):
         for chunk in (y, y[:1], y[5000:], float(y[7])):
             calls.clear()
             z = sys.inverse_branch(i, chunk)
-            assert len(calls) <= 3
+            assert len(calls) == 1
             assert np.max(np.abs(T(x=z) - chunk)) < 1e-13
     finally:
         sys._T[i] = T
