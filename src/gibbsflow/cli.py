@@ -15,10 +15,12 @@ their typed values from it.  A config is refused with ``ConfigError``
 (exit 1), naming the JSON pointer of the offending value, before a system
 is built or any work starts, when it has an unknown key or parameter, an
 experiment other than the one on the command line, a number that is not
-finite, outside its bounds or (for an integer) fractional, or a seed that
-is not an integer >= 0.  A bound that depends on the system (``uni``'s
-word pairs, ``correlate``'s 53-bit ``t_max`` cap) is checked by the handler
-before its eigendata.  Every report CSV is written by ``_write_csv``.
+finite, outside its bounds or (for an integer) fractional, a seed that is
+not an integer >= 0, or a ``system`` block with a key missing or unknown,
+a value of the wrong type or a per-element list of the wrong length.  A
+bound that depends on the system (``uni``'s word pairs, ``correlate``'s
+53-bit ``t_max`` cap) is checked by the handler before its eigendata.
+Every report CSV is written by ``_write_csv``.
 
 Exit codes: 0 success, 1 operational error, 2 a numerically audited
 inequality failed beyond tolerance.  GIBBSFLOW_SEED overrides the seed.
@@ -160,6 +162,58 @@ _PARAMS = {
 
 _SEED = _Param("int", 0, 0)
 
+# the values of a system block (see ``system.system_from_config``)
+_NUMBER = _Param("float", None)
+_INDEX = _Param("int", None)
+_EXPR = _Param("expr", None)
+_ALPHA = _Param("float", 1.0, 0, 1, above_low=True)
+_SYSTEM_KEYS = ("partition", "branches", "roof", "potential")
+
+
+def _check_system(block) -> None:
+    """Refuse with ConfigError, at /system/<key>, a system block that is not
+    in the layout of ``system_from_config``: a key missing or unknown, a
+    value of the wrong type, or a per-element list whose length is not the
+    number of elements.  What the layout admits but the map does not
+    (breakpoints out of order, an image out of range) is refused when the
+    system is built."""
+    if not isinstance(block, dict):
+        raise ConfigError("system must be an object", "/system")
+    for key in block:
+        if key not in _SYSTEM_KEYS + ("alpha",):
+            raise ConfigError(f"unknown system key {key!r}", f"/system/{key}")
+    for key in _SYSTEM_KEYS:
+        if key not in block:
+            raise ConfigError(f"system needs {key!r}", f"/system/{key}")
+    partition = block["partition"]
+    if not isinstance(partition, list) or len(partition) < 2:
+        raise ConfigError("partition must be a list of at least two numbers",
+                          "/system/partition")
+    for k, a in enumerate(partition):
+        _NUMBER.value("breakpoint", a, f"/system/partition/{k}")
+    m = len(partition) - 1
+    for key in _SYSTEM_KEYS[1:]:
+        if not isinstance(block[key], list) or len(block[key]) != m:
+            raise ConfigError(f"{key} must be a list of {m}, one per element",
+                              f"/system/{key}")
+    for k, branch in enumerate(block["branches"]):
+        pointer = f"/system/branches/{k}"
+        if not isinstance(branch, dict) or set(branch) != {"expr", "image"}:
+            raise ConfigError('a branch must be an object with keys "expr" '
+                              'and "image"', pointer)
+        _EXPR.value("expr", branch["expr"], pointer + "/expr")
+        image = branch["image"]
+        if not isinstance(image, list) or len(image) != 2:
+            raise ConfigError("image must be a list of two element indices",
+                              pointer + "/image")
+        for j, e in enumerate(image):
+            _INDEX.value("image entry", e, f"{pointer}/image/{j}")
+    for key in ("roof", "potential"):
+        for k, e in enumerate(block[key]):
+            _EXPR.value(f"{key} entry", e, f"/system/{key}/{k}")
+    if "alpha" in block:
+        _ALPHA.value("alpha", block["alpha"], "/system/alpha")
+
 
 def load_config(path: str) -> dict:
     """The config in the JSON file ``path``, as written, once the parameter
@@ -199,6 +253,8 @@ def _parameters(cfg: dict) -> dict:
                               f"/params/{key}")
     if "seed" in cfg:
         _SEED.value("seed", cfg["seed"], "/seed")
+    if "system" in cfg:
+        _check_system(cfg["system"])
     return {name: (spec.value(name, params[name], f"/params/{name}")
                    if name in params else spec.default)
             for name, spec in table.items()}

@@ -312,6 +312,84 @@ def test_preset_flag_overrides_config_system(tmp_path):
     assert man["system"] == "SYS-A"
 
 
+def _malformed(edit):
+    """SYS-B's system block with ``edit`` applied to it."""
+    block = to_config(make_preset("SYS-B"))
+    edit(block)
+    return block
+
+
+# (system block, the pointer its refusal names)
+MALFORMED_SYSTEMS = {
+    "not an object": (["partition"], "/system"),
+    "missing branches": ({"partition": [0, 1]}, "/system/branches"),
+    "missing roof": (_malformed(lambda b: b.pop("roof")), "/system/roof"),
+    "unknown key": (_malformed(lambda b: b.update(maps=[])), "/system/maps"),
+    "branches a string": (_malformed(lambda b: b.update(branches="2*x")),
+                          "/system/branches"),
+    "partition a string": (_malformed(lambda b: b.update(partition="0,1")),
+                           "/system/partition"),
+    "breakpoint a string": (
+        _malformed(lambda b: b["partition"].__setitem__(1, "1/2")),
+        "/system/partition/1"),
+    "expr a number": (
+        _malformed(lambda b: b["branches"][1].update(expr=2)),
+        "/system/branches/1/expr"),
+    "branch without image": (
+        _malformed(lambda b: b["branches"][0].pop("image")),
+        "/system/branches/0"),
+    "image index fractional": (
+        _malformed(lambda b: b["branches"][0].update(image=[0, 1.5])),
+        "/system/branches/0/image/1"),
+    "image of three": (
+        _malformed(lambda b: b["branches"][0].update(image=[0, 1, 2])),
+        "/system/branches/0/image"),
+    "roof entry a number": (
+        _malformed(lambda b: b["roof"].__setitem__(0, 1)), "/system/roof/0"),
+    "alpha NaN": (_malformed(lambda b: b.update(alpha=float("nan"))),
+                  "/system/alpha"),
+    "alpha zero": (_malformed(lambda b: b.update(alpha=0)), "/system/alpha"),
+    "roof of three": (_malformed(lambda b: b["roof"].append("1")),
+                      "/system/roof"),
+    "potential of one": (_malformed(lambda b: b["potential"].pop()),
+                         "/system/potential"),
+    "branches of three": (
+        _malformed(lambda b: b["branches"].append(b["branches"][0])),
+        "/system/branches"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SYSTEMS))
+def test_malformed_system_block_refused_before_any_work(tmp_path, monkeypatch,
+                                                        capsys, case):
+    block, pointer = MALFORMED_SYSTEMS[case]
+    called = []
+    for name in WORK:
+        monkeypatch.setattr(cli, name,
+                            lambda *a, name=name, **k: called.append(name))
+    p = write_cfg(tmp_path / "c.json",
+                  {"system": block, "experiment": "validate"})
+    out = tmp_path / "o"
+    assert main(["validate", "--config", p, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(at {pointer})" in err
+    assert "Error:" not in err   # a ConfigError, not a bare exception
+    assert called == []
+    assert not out.exists()
+    with pytest.raises(ConfigError) as exc:
+        load_config(p)
+    assert exc.value.pointer == pointer
+
+
+def test_well_formed_system_blocks_admitted(tmp_path):
+    # every preset's block and NL-DOUBLING's, written out, run validate
+    blocks = [to_config(make_preset(name)) for name in cli.PRESETS]
+    for k, block in enumerate(blocks + [NL_DOUBLING]):
+        p = write_cfg(tmp_path / f"c{k}.json",
+                      {"system": block, "experiment": "validate"})
+        assert run(p, out_dir=str(tmp_path / f"o{k}")) == 0
+
+
 def test_env_seed_overrides_config_seed(tmp_path, monkeypatch):
     p = write_cfg(tmp_path / "c.json",
                   {"preset": "SYS-A", "experiment": "validate", "seed": 3})
