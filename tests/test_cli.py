@@ -108,15 +108,17 @@ NUMERIC = [(exp, name) for exp, table in cli._PARAMS.items()
 
 
 def _refused_before_any_work(tmp_path, monkeypatch, capsys, exp, params,
-                             pointer, work):
-    """Run ``exp`` with ``params`` on SYS-B: it must exit 1 naming
-    ``pointer``, before any of the cli names ``work`` is called."""
+                             pointer, work, system=None):
+    """Run ``exp`` with ``params`` on SYS-B, or on the system block
+    ``system``: it must exit 1 naming ``pointer``, before any of the cli
+    names ``work`` is called."""
     called = []
     for name in work:
         monkeypatch.setattr(cli, name,
                             lambda *a, name=name, **k: called.append(name))
+    where = {"preset": "SYS-B"} if system is None else {"system": system}
     p = write_cfg(tmp_path / "c.json",
-                  {"preset": "SYS-B", "experiment": exp, "params": params})
+                  {**where, "experiment": exp, "params": params})
     out = tmp_path / "o"
     assert main([exp, "--config", p, "--out", str(out)]) == 1
     assert pointer in capsys.readouterr().err
@@ -363,22 +365,8 @@ MALFORMED_SYSTEMS = {
 def test_malformed_system_block_refused_before_any_work(tmp_path, monkeypatch,
                                                         capsys, case):
     block, pointer = MALFORMED_SYSTEMS[case]
-    called = []
-    for name in WORK:
-        monkeypatch.setattr(cli, name,
-                            lambda *a, name=name, **k: called.append(name))
-    p = write_cfg(tmp_path / "c.json",
-                  {"system": block, "experiment": "validate"})
-    out = tmp_path / "o"
-    assert main(["validate", "--config", p, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"(at {pointer})" in err
-    assert "Error:" not in err   # a ConfigError, not a bare exception
-    assert called == []
-    assert not out.exists()
-    with pytest.raises(ConfigError) as exc:
-        load_config(p)
-    assert exc.value.pointer == pointer
+    _refused_before_any_work(tmp_path, monkeypatch, capsys, "validate", {},
+                             pointer, WORK, system=block)
 
 
 def test_well_formed_system_blocks_admitted(tmp_path):
