@@ -1,11 +1,11 @@
 """Gibbs measures on the base map: cylinder masses, the Gibbs-property
 audit, sampling and adapted partitions.
 
-The audit reads everything off the pullback engine, one run per last
-symbol for the masses and one for the orbit sums at the reference points.
-Both runs are built on the same words, so at every depth their rows are
-the same words in the same order, and the audit divides them row by row
-as the engine lays them out.
+The audit reads everything off ``symbol_pullbacks``: the inverse
+Jacobians and their normaliser at the nodes for the masses, and the orbit
+sums at the reference points.  Both are built on the same words, so at
+every depth their rows are the same words in the same order, and the
+audit divides them row by row as the engine lays them out.
 
 The adapted partition is walked on arrays of words and cylinder ends, one
 level at a time, through the children of the cylinders still too long.
@@ -20,8 +20,8 @@ import numpy as np
 
 from .operator import EigenData, node_grid
 from .system import (MarkovSystem, NotCoveringError, NotExpandingError,
-                     _cylinder_ends, check_word_cap, count_words, pullbacks,
-                     word_array)
+                     _cylinder_ends, check_word_cap, count_words,
+                     symbol_pullbacks, word_array)
 
 __all__ = [
     "AdaptedPartition", "FrequencyTooSmallError",
@@ -46,31 +46,28 @@ def _mass_tables(sys: MarkovSystem, eig: EigenData, words: np.ndarray):
     """Yield (words, masses) for every depth 1..n, from ``words``, the
     (K, n) ``word_array`` of all admissible depth-n words.
 
-    For each symbol s, one engine run pulls the nodes of the elements in the
-    image of s back along the admissible words ending in s, depth by depth,
-    and carries only the inverse Jacobians J_w (see ``Pullback``).  Their
-    sum over all words is L_sigma^n 1 = 1 only up to interpolation error in
-    f, so J is normalised pointwise before the quadrature against the node
-    weights of mu gives the mass of each cylinder.  The rows at a depth are
-    the engines' rows, symbol after symbol: for s = 0..m-1, the words
-    ending in s, in lexicographic order.
+    ``symbol_pullbacks`` pulls the nodes of the elements in the image of
+    each symbol s back along the admissible words ending in s, depth by
+    depth, carrying only the inverse Jacobians J_w (see ``Pullback``).
+    Their sum over all words, the normaliser, is L_sigma^n 1 = 1 only up to
+    interpolation error in f, so J is normalised pointwise before the
+    quadrature against the node weights of mu gives the mass of each
+    cylinder.  The rows at a depth are the runs' rows, symbol after symbol:
+    for s = 0..m-1, the words ending in s, in lexicographic order.
     """
     if not np.all(sys.transition.any(axis=0)):
         # the engine builds the lower depths as suffixes of the deepest words
         raise NotCoveringError("some symbol has no predecessor")
-    nodes = node_grid(sys, eig.N)
-    images = [slice(*b.image) for b in sys.branches]
-    engines = [pullbacks(sys, words[words[:, -1] == s],
-                         nodes[img].reshape(-1), ("J",), eig)
-               for s, img in enumerate(images)]
-    del words  # each engine holds its own rows
-    for levels in zip(*engines):
-        norm = np.zeros((sys.m, eig.N))
-        for img, pb in zip(images, levels):
-            norm[img] += pb.J.sum(axis=0).reshape(-1, eig.N)
-        yield (np.concatenate([pb.words for pb in levels]),
-               np.concatenate([pb.J @ (eig.mu[img] / norm[img]).reshape(-1)
-                               for img, pb in zip(images, levels)]))
+    elements = np.repeat(np.arange(sys.m), eig.N)
+    runs = symbol_pullbacks(sys, words, node_grid(sys, eig.N).reshape(-1),
+                            sys.transition[:, elements], ("J",), eig,
+                            every_depth=True)
+    del words  # the runs drop it too once each holds its own rows
+    mu = eig.mu.reshape(-1)
+    for blocks, norm in runs:
+        yield (np.concatenate([pb.words for _, _, pb in blocks]),
+               np.concatenate([pb.J @ (mu[cols] / norm[cols])
+                               for _, cols, pb in blocks]))
 
 
 def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
@@ -80,25 +77,23 @@ def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
     The reference point of a cylinder omega is x_omega = h_omega(y), y the
     midpoint of the domain of h_omega (the image of omega's last symbol); on
     affine branches it is the cylinder's midpoint.  The orbit sums come from
-    one engine run per last symbol, at that one y, on the words of the
-    mass engines of ``_mass_tables``, so row k of the sums and row k of the
-    masses are the same cylinder.
+    ``symbol_pullbacks`` with symbol s holding the midpoint of its image
+    alone, on the words of ``_mass_tables``, so row k of the sums and row k
+    of the masses are the same cylinder.
     """
     lo, hi = np.inf, 0.0
     per_depth = {}
     P = eig.pressure
     words = word_array(sys, max_depth)
-    engines = [pullbacks(sys, words[words[:, -1] == s],
-                         [0.5 * sum(sys.image_interval(s))], ("Snr", "Snphi"))
-               for s in range(sys.m)]
+    mids = np.array([0.5 * sum(sys.image_interval(s)) for s in range(sys.m)])
+    points = symbol_pullbacks(sys, words, mids, np.eye(sys.m, dtype=bool),
+                              ("Snr", "Snphi"), every_depth=True)
     tables = _mass_tables(sys, eig, words)
-    # each engine holds its own rows, and _mass_tables drops the array once
-    # its own engines hold theirs
-    del words
-    for n, ((_, masses), levels) in enumerate(zip(tables, zip(*engines)),
-                                              start=1):
+    del words  # the runs drop it too once each holds its own rows
+    for n, ((_, masses), (blocks, _)) in enumerate(zip(tables, points),
+                                                   start=1):
         sn = np.concatenate([(pb.Snphi - eig.sigma * pb.Snr)[:, 0]
-                             for pb in levels])
+                             for _, _, pb in blocks])
         ratios = masses / np.exp(-P * n + sn)
         per_depth[n] = (float(ratios.min()), float(ratios.max()))
         lo = min(lo, per_depth[n][0])

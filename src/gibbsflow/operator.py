@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.interpolate import PchipInterpolator, PPoly
 
 from .system import (MarkovSystem, NoConvergenceError, potential_seminorm,
-                     pullback, sampled_seminorm, word_array)
+                     sampled_seminorm, symbol_pullbacks, word_array)
 
 __all__ = [
     "GridFunction", "EigenData", "NoConvergenceError",
@@ -321,26 +321,21 @@ class BranchPlan:
     ``elements[k]`` is the element of xs[k], given explicitly: a node set
     closed at both ends puts an element's right end into that element,
     where ``element_of`` puts it into the next one, whose branches differ.
-    One engine call per symbol s pulls the points in its image back along
-    every admissible depth-n word ending in s; the plan keeps each call's
-    (columns, h_w(x), J_w, J_w exp(-i b S_n r)) and the normaliser sum J_w.
-    xs is a 1-D float array, and ``elements`` an integer array like it.
+    ``symbol_pullbacks`` pulls the points whose element is in the image of
+    a symbol s back along every admissible depth-n word ending in s; the
+    plan keeps each run's (columns, h_w(x), J_w, J_w exp(-i b S_n r)) and
+    the normaliser, the sum of J_w at each point.  xs is a 1-D float array,
+    and ``elements`` an integer array like it.
     """
 
     def __init__(self, sys: MarkovSystem, eig: EigenData, b: float, n: int,
                  xs: np.ndarray, elements: np.ndarray):
         self.xs, self.elements = xs, elements
-        words = word_array(sys, n)
+        [(runs, self.norm)] = symbol_pullbacks(
+            sys, word_array(sys, n), xs, sys.transition[:, elements],
+            ("x", "Snr", "J"), eig)
         self.blocks = []
-        self.norm = np.zeros(xs.shape)
-        for s in range(sys.m):
-            lo, hi = sys.branches[s].image
-            cols = np.flatnonzero((elements >= lo) & (elements < hi))
-            ends = words[:, -1] == s
-            if not (len(cols) and np.any(ends)):
-                continue
-            pb = pullback(sys, words[ends], xs[cols], ("x", "Snr", "J"), eig)
-            self.norm[cols] += pb.J.sum(axis=0)
+        for _, cols, pb in runs:
             J = pb.J.astype(complex)
             twisted = J
             if b != 0.0:

@@ -25,14 +25,15 @@ values, there and in the other modules, is one ``sampled_seminorm``.
 Inverse branches of every depth are computed by one engine, ``pullbacks``:
 words are built by prepending symbols, h_{iw} = h_i o h_w, and each depth
 carries (words x points) arrays of the pulled-back points and the orbit
-sums along them.  Cylinders are arrays too: a words array and the ends of
-each word's cylinder, pulled back by that engine (``cylinders``); no
-module builds an object per word.
+sums along them.  Other modules reach it through ``pullback`` (the last
+depth) and ``symbol_pullbacks`` (one run per last symbol, and the one
+normaliser sum of J_w).  Cylinders are arrays too: a words array and the
+ends of each word's cylinder, pulled back by that engine (``cylinders``);
+no module builds an object per word.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,8 +47,8 @@ __all__ = [
     "NotCoveringError", "RoofBoundsError", "CapExceededError",
     "OutsideImageError", "NoConvergenceError", "system_from_config",
     "validate", "cylinders", "count_words", "check_word_cap", "word_array",
-    "pullbacks", "pullback", "branch_chain", "sampled_seminorm",
-    "potential_seminorm",
+    "pullbacks", "pullback", "symbol_pullbacks", "branch_chain",
+    "sampled_seminorm", "potential_seminorm",
 ]
 
 
@@ -358,8 +359,6 @@ class MarkovSystem:
 
 def system_from_config(cfg: dict) -> MarkovSystem:
     """Build a system from the JSON config layout in the module docstring."""
-    if isinstance(cfg, str):
-        cfg = json.loads(cfg)
     known = {"partition", "branches", "roof", "potential", "alpha"}
     extra = set(cfg) - known
     if extra:
@@ -674,11 +673,42 @@ def pullbacks(sys: MarkovSystem, words, ys, fields=FIELDS, eig=None,
                            **{f: state[f] for f in want})
 
 
-def pullback(sys: MarkovSystem, words, ys, fields=FIELDS, eig=None) -> Pullback:
+def pullback(sys: MarkovSystem, words, ys, fields=FIELDS) -> Pullback:
     """The last depth of ``pullbacks``: one row per word of ``words``."""
-    for level in pullbacks(sys, words, ys, fields, eig, every_depth=False):
+    for level in pullbacks(sys, words, ys, fields, every_depth=False):
         pass
     return level
+
+
+def symbol_pullbacks(sys: MarkovSystem, words, ys, holds, fields, eig=None,
+                     every_depth: bool = False):
+    """One ``pullbacks`` run per last symbol s, of the words ending in s at
+    the ys that the boolean row holds[s] marks, zipped depth by depth.
+
+    Yields (blocks, norm) per depth, at the depths ``pullbacks`` yields:
+    one (s, cols, Pullback) block per symbol that ends some word and holds
+    some y, in symbol order, cols indexing ys; and the sum of J_w over all
+    rows at each y, added symbol after symbol, when "J" is in ``fields``,
+    else None.  The full ``words`` array is dropped once each run holds its
+    rows.
+    """
+    depths = words.shape[1] if every_depth else 1
+    runs = []
+    for s in range(sys.m):
+        cols = np.flatnonzero(holds[s])
+        ends = words[:, -1] == s
+        if len(cols) and ends.any():
+            runs.append((s, cols, pullbacks(sys, words[ends], ys[cols], fields,
+                                             eig, every_depth)))
+    del words  # each run holds its own rows
+    for _ in range(depths):
+        blocks = [(s, cols, next(run)) for s, cols, run in runs]
+        norm = None
+        if "J" in fields:
+            norm = np.zeros(len(ys))
+            for _, cols, pb in blocks:
+                norm[cols] += pb.J.sum(axis=0)
+        yield blocks, norm
 
 
 def branch_chain(sys: MarkovSystem, word: tuple[int, ...], y) -> dict:

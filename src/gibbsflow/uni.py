@@ -1,5 +1,5 @@
-"""Displacement functions, transversality of cone images, the a(n)/b(n)
-sequences and the coboundary trichotomy test.
+"""The displacement derivative D psi, transversality of cone images, the
+a(n)/b(n) sequences and the coboundary trichotomy test.
 
 The constants (lam, rho, C4, C7) are read from ``MarkovSystem.constants``.
 
@@ -11,13 +11,15 @@ slope interval [-C7, C7]; its image under the cocycle matrix
 at x = h_w(y), the preimage of y along a word w, is the slope interval with
 centre -D(S_n r o h_w)(y) and half-width C7 / |DT^n(x)|, both read off the
 pullback engine at y.  Transversality of two preimages h_w1(y), h_w2(y)
-means their slope intervals are disjoint as closed intervals.
+means their slope intervals are disjoint as closed intervals.  The
+displacement psi = S_n r o h_w1 - S_n r o h_w2 enters through D psi alone,
+a difference of two engine rows; ``check_uni`` indexes them by word row.
 
 a(n) and b(n) come from the slope intervals and mu_sigma-Jacobian weights
 of every depth-n preimage at every y of a grid.  The ys are grouped by the
 set of symbols whose image holds y; every word ending in one of those
 symbols is admissible at each y of the group, so the group is one dense
-(words x ys) block, filled by one engine call per last symbol.  One
+(words x ys) block, filled from the runs of ``symbol_pullbacks``.  One
 endpoint sweep per y reads both statistics off a block: a stable argsort
 of [lo | hi] puts every opening before any closing at an equal coordinate
 (closed intervals that touch meet), b(n) is the largest prefix sum of the
@@ -30,17 +32,15 @@ and grid, so the CLI's call of both builds each block once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .operator import EigenData
 from .system import (MarkovSystem, branch_chain, count_words, cylinders,
-                     pullback, word_array)
+                     pullback, symbol_pullbacks, word_array)
 
 __all__ = [
-    "PsiFunction", "EmptyDomainError", "MAX_PAIRS", "psi", "check_uni",
-    "a_sequence", "b_sequence",
+    "MAX_PAIRS", "check_uni", "a_sequence", "b_sequence",
     "coboundary_test", "uni_from_transversality",
 ]
 
@@ -49,38 +49,11 @@ __all__ = [
 MAX_PAIRS = 40_000
 
 
-class EmptyDomainError(ValueError):
-    pass
-
-
-@dataclass
-class PsiFunction:
-    """psi(x) = S_n r(h_w1 x) - S_n r(h_w2 x) on the common image domain."""
-    system: MarkovSystem
-    w1: tuple[int, ...]
-    w2: tuple[int, ...]
-    domain: tuple[float, float]
-
-    def __call__(self, y):
-        c1 = branch_chain(self.system, self.w1, y)
-        c2 = branch_chain(self.system, self.w2, y)
-        return c1["Snr"] - c2["Snr"]
-
-    def deriv(self, y):
-        c1 = branch_chain(self.system, self.w1, y)
-        c2 = branch_chain(self.system, self.w2, y)
-        return c1["DSnr_h"] - c2["DSnr_h"]
-
-
-def psi(sys: MarkovSystem, w1: tuple[int, ...], w2: tuple[int, ...]) -> PsiFunction:
-    if len(w1) != len(w2):
-        raise ValueError("cylinder depths differ")
-    a1, b1 = sys.image_interval(w1[-1])
-    a2, b2 = sys.image_interval(w2[-1])
-    lo, hi = max(a1, a2), min(b1, b2)
-    if hi <= lo:
-        raise EmptyDomainError(f"T^n images of {w1} and {w2} do not intersect")
-    return PsiFunction(sys, tuple(w1), tuple(w2), (lo, hi))
+def _closed_images(sys: MarkovSystem, ys: np.ndarray) -> np.ndarray:
+    """(m, len(ys)) mask: ys[c] lies in the closed image of symbol s, the
+    domain of every h_w with w ending in s."""
+    return np.array([(ys >= a) & (ys <= b) for a, b in
+                     (sys.image_interval(s) for s in range(sys.m))])
 
 
 def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
@@ -89,56 +62,53 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
     D_full: max over pairs of depth-n branches with full image of the inf of
     |D psi| over the whole interval (0 when no full pair exists).
     D_point: min over grid y of the best pair through y of the inf of
-    |D psi| over B(y, R) intersected with the pair's domain.  More than
+    |D psi| over B(y, R) intersected with the pair's domain; each y's
+    witness is its best pair, the first in word order on a tie.  More than
     MAX_PAIRS ordered pairs of depth-n words are refused.
     """
     if count_words(sys, n) ** 2 > MAX_PAIRS:
         raise ValueError("too many branch pairs at this depth")
-    warr = word_array(sys, n)
+    words = word_array(sys, n)
+    last = words[:, -1]
     xs = np.linspace(0.0, 1.0, grid)
-    # per symbol, the grid points in its image, where its words have rows
-    inside = []
-    rows = {}
-    for s in range(sys.m):
-        lo, hi = sys.image_interval(s)
-        inside.append((xs >= lo) & (xs <= hi))
-        ends = warr[warr[:, -1] == s]
-        if len(ends):
-            dsnr = pullback(sys, ends, xs[inside[s]], ("DSnr_h",)).DSnr_h
-            rows.update(zip(map(tuple, ends.tolist()), dsnr))
-    words = [tuple(w) for w in warr.tolist()]
-    doms = {w: sys.image_interval(w[-1]) for w in words}
+    holds = _closed_images(sys, xs)
+    inside = holds[last]
+    # row a: D(S_n r o h_w)(x) of the word words[a] where its domain holds x
+    d = np.zeros(inside.shape)
+    [(blocks, _)] = symbol_pullbacks(sys, words, xs, holds, ("DSnr_h",))
+    for s, cols, pb in blocks:
+        d[np.ix_(last == s, cols)] = pb.DSnr_h
+    dom = np.array([sys.image_interval(s) for s in range(sys.m)])[last]
 
-    def gaps(w1, w2, where):
-        """|D psi| of a pair at the grid points in ``where`` (a mask, or
-        True for all) that lie in the domain of both."""
-        both = where & inside[w1[-1]] & inside[w2[-1]]
-        return np.abs(rows[w1][both[inside[w1[-1]]]]
-                      - rows[w2][both[inside[w2[-1]]]])
+    def best_pair(rows, where):
+        """The largest over pairs of ``rows`` of the least |D psi| over the
+        grid points in the mask ``where`` that both domains hold, and the
+        first pair in word order that reaches it; (0.0, None) when no pair
+        is positive.  One (rows x where) block is held."""
+        dw, iw = d[np.ix_(rows, where)], inside[np.ix_(rows, where)]
+        best, pair = 0.0, None
+        for a in range(len(rows) - 1):
+            both = iw[a + 1:] & iw[a]
+            least = np.abs(dw[a + 1:] - dw[a]).min(axis=1, where=both,
+                                                   initial=np.inf)
+            least[~both.any(axis=1)] = 0.0
+            k = int(np.argmax(least))
+            if least[k] > best:
+                best, pair = float(least[k]), (rows[a], rows[a + 1 + k])
+        return best, pair
 
-    d_full = 0.0
-    full = [w for w in words if doms[w][0] <= 1e-12 and doms[w][1] >= 1 - 1e-12]
-    for i, w1 in enumerate(full):
-        for w2 in full[i + 1:]:
-            d_full = max(d_full, float(np.min(gaps(w1, w2, True))))
+    full = np.flatnonzero((dom[:, 0] <= 1e-12) & (dom[:, 1] >= 1 - 1e-12))
+    d_full = best_pair(full, np.ones(grid, dtype=bool))[0]
 
     d_point = np.inf
     witness = []
     for y in np.linspace(0.0, 1.0, 65):
-        best = 0.0
-        best_pair = None
-        win = (xs >= y - R) & (xs <= y + R)
-        through = [w for w in words if doms[w][0] <= y <= doms[w][1]]
-        for i, w1 in enumerate(through):
-            for w2 in through[i + 1:]:
-                vals = gaps(w1, w2, win)
-                if len(vals) == 0:
-                    continue
-                v = float(np.min(vals))
-                if v > best:
-                    best, best_pair = v, (w1, w2)
+        through = np.flatnonzero((dom[:, 0] <= y) & (y <= dom[:, 1]))
+        best, pair = best_pair(through, (xs >= y - R) & (xs <= y + R))
+        if pair is not None:
+            pair = tuple(tuple(words[a].tolist()) for a in pair)
         d_point = min(d_point, best)
-        witness.append({"y": float(y), "D": best, "pair": best_pair})
+        witness.append({"y": float(y), "D": best, "pair": pair})
     return {"n": n, "R": R, "D_full": d_full,
             "D_point": float(d_point if np.isfinite(d_point) else 0.0),
             "witnesses": witness}
@@ -153,27 +123,24 @@ def _preimage_blocks(sys: MarkovSystem, eig: EigenData, words: np.ndarray,
     the images of the same symbols; rows index ``words``, the
     ``word_array(sys, n)``, and cols index ``ys``.
 
-    One engine call per symbol s pulls the words ending in s back at all
-    the ys in the image of s.  A group's rows are the words ending in one of
-    its symbols, in ``word_array`` order, and its dense (rows, cols) arrays
-    are taken out of those calls: the slope interval
+    ``symbol_pullbacks`` pulls the words ending in each symbol s back at
+    all the ys in the closed image of s.  A group's rows are the words
+    ending in one of its symbols, in ``word_array`` order, and its dense
+    (rows, cols) arrays are taken out of those runs: the slope interval
     [lo, hi] = -D(S_n r o h)(y) +- C7 / |DT^n| and the weight w = J_w(y),
     the inverse Jacobian of mu_sigma along h_w at the sigma of ``eig``,
     normalised to sum to 1 over the rows at each y.
     """
     c7 = sys.constants.c7
     last = words[:, -1]
-    holds = np.array([(ys >= a) & (ys <= b) for a, b in
-                      (sys.image_interval(s) for s in range(sys.m))])
+    holds = _closed_images(sys, ys)
+    [(blocks, _)] = symbol_pullbacks(sys, words, ys, holds,
+                                     ("dTn", "DSnr_h", "J"), eig)
     pulled = {}
-    for s in range(sys.m):
-        at = np.flatnonzero(holds[s])
-        if len(at) and np.any(last == s):
-            pb = pullback(sys, words[last == s], ys[at],
-                          ("dTn", "DSnr_h", "J"), eig)
-            centre = -pb.DSnr_h
-            half = c7 / np.abs(pb.dTn)
-            pulled[s] = (at, centre - half, centre + half, pb.J)
+    for s, at, pb in blocks:
+        centre = -pb.DSnr_h
+        half = c7 / np.abs(pb.dTn)
+        pulled[s] = (at, centre - half, centre + half, pb.J)
     keys, group = np.unique((1 << np.arange(sys.m)) @ holds,
                             return_inverse=True)
     for g, key in enumerate(keys.tolist()):
@@ -188,6 +155,9 @@ def _preimage_blocks(sys: MarkovSystem, eig: EigenData, words: np.ndarray,
             pick = np.searchsorted(at, cols)
             for block, arr in zip((lo, hi, w), arrays):
                 block[here] = arr[:, pick]
+        # the group's own sum, not the normaliser of symbol_pullbacks: both
+        # add the J_w of the same words, but in another order, and dividing
+        # by the normaliser moves a(n) and b(n) by up to 8.9e-16
         w /= w.sum(axis=0)
         yield rows, cols, lo, hi, w
 
@@ -412,17 +382,18 @@ def uni_from_transversality(sys: MarkovSystem, delta: float, b: float,
         if pair is None:
             results.append({"y": float(y), "status": "NoTransversalPair"})
             continue
-        w1, w2 = pair
-        p = psi(sys, w1, w2)
-        zlo = max(p.domain[0], y - radius)
-        zhi = min(p.domain[1], y + radius)
-        zs = np.linspace(zlo, zhi, 32)
-        margin = float(np.min(np.abs(p.deriv(zs)))) - D
+        # the pair's domain, where both inverse branches are defined
+        (lo1, hi1), (lo2, hi2) = (sys.image_interval(w[-1]) for w in pair)
+        zs = np.linspace(max(lo1, lo2, y - radius), min(hi1, hi2, y + radius),
+                         32)
+        # |D psi| = |D(S_n r o h_w1) - D(S_n r o h_w2)|
+        dsnr = pullback(sys, sorted(pair), zs, ("DSnr_h",)).DSnr_h
+        margin = float(np.min(np.abs(dsnr[0] - dsnr[1]))) - D
         ok = margin >= 0.0
         npass += ok
         nfail += not ok
         results.append({"y": float(y), "status": "ok" if ok else "fail",
-                        "margin": margin, "pair": (w1, w2)})
+                        "margin": margin, "pair": pair})
     tested = npass + nfail
     return {
         "n1": n1, "n2": n2, "n": n, "D": D, "Delta": Delta,

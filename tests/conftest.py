@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from gibbsflow.gibbs import _mass_tables
-from gibbsflow.system import (branch_chain, pullback, system_from_config,
-                              word_array)
+from gibbsflow.operator import node_grid
+from gibbsflow.system import (branch_chain, pullback, pullbacks,
+                              system_from_config, word_array)
 
 # T(x) = 2x + 0.12 sin(2 pi x) mod 1: Markov on {0, 1/2, 1} with nonlinear
 # branches, roof (2 + cos 2 pi x)/3 and potential -log T', so J_w depends on x
@@ -161,3 +162,167 @@ def transversal(sys, w1, w2, y: float) -> bool:
     i1 = cone_image(sys, w1, y)
     i2 = cone_image(sys, w2, y)
     return i1[1] < i2[0] or i2[1] < i1[0]
+
+
+@dataclass
+class PsiFunction:
+    """psi(x) = S_n r(h_w1 x) - S_n r(h_w2 x) on the common image domain."""
+    system: object
+    w1: tuple[int, ...]
+    w2: tuple[int, ...]
+    domain: tuple[float, float]
+
+    def __call__(self, y):
+        c1 = branch_chain(self.system, self.w1, y)
+        c2 = branch_chain(self.system, self.w2, y)
+        return c1["Snr"] - c2["Snr"]
+
+    def deriv(self, y):
+        c1 = branch_chain(self.system, self.w1, y)
+        c2 = branch_chain(self.system, self.w2, y)
+        return c1["DSnr_h"] - c2["DSnr_h"]
+
+
+def psi(sys, w1, w2) -> PsiFunction:
+    """The displacement function of two depth-n words, one branch chain per
+    word: the oracle of the D psi that ``uni`` reads off engine rows."""
+    if len(w1) != len(w2):
+        raise ValueError("cylinder depths differ")
+    a1, b1 = sys.image_interval(w1[-1])
+    a2, b2 = sys.image_interval(w2[-1])
+    return PsiFunction(sys, tuple(w1), tuple(w2), (max(a1, a2), min(b1, b2)))
+
+
+# -- the per-symbol engine loops, as each caller kept its own -----------------
+
+
+def last_depth(sys, words, ys, fields, eig):
+    """The last depth of the engine with the EigenData ``eig``."""
+    for level in pullbacks(sys, words, ys, fields, eig, every_depth=False):
+        pass
+    return level
+
+
+def branch_plan_loop(sys, eig, b, n, xs, elements):
+    """(blocks, norm) of ``operator.BranchPlan`` by its own loop: one engine
+    call per symbol s at the xs whose element is in the image of s, and the
+    normaliser summed symbol after symbol."""
+    words = word_array(sys, n)
+    blocks = []
+    norm = np.zeros(xs.shape)
+    for s in range(sys.m):
+        lo, hi = sys.branches[s].image
+        cols = np.flatnonzero((elements >= lo) & (elements < hi))
+        ends = words[:, -1] == s
+        if not (len(cols) and np.any(ends)):
+            continue
+        pb = last_depth(sys, words[ends], xs[cols], ("x", "Snr", "J"), eig)
+        norm[cols] += pb.J.sum(axis=0)
+        J = pb.J.astype(complex)
+        twisted = J
+        if b != 0.0:
+            phase = np.exp(-1j * b * pb.Snr)
+            twisted = J * phase
+        blocks.append((cols, pb.x.reshape(-1), J, twisted))
+    return blocks, norm
+
+
+def mass_tables_loop(sys, eig, words):
+    """(words, masses, norm) per depth of ``gibbs._mass_tables`` by its own
+    loop: one engine per symbol on the nodes of its image, zipped by depth,
+    and the normaliser, an (m, N) array, summed symbol after symbol."""
+    nodes = node_grid(sys, eig.N)
+    images = [slice(*b.image) for b in sys.branches]
+    engines = [pullbacks(sys, words[words[:, -1] == s],
+                         nodes[img].reshape(-1), ("J",), eig)
+               for s, img in enumerate(images)]
+    for levels in zip(*engines):
+        norm = np.zeros((sys.m, eig.N))
+        for img, pb in zip(images, levels):
+            norm[img] += pb.J.sum(axis=0).reshape(-1, eig.N)
+        yield (np.concatenate([pb.words for pb in levels]),
+               np.concatenate([pb.J @ (eig.mu[img] / norm[img]).reshape(-1)
+                               for img, pb in zip(images, levels)]),
+               norm)
+
+
+def preimage_blocks_loop(sys, eig, words, ys):
+    """The (rows, cols, lo, hi, w) groups of ``uni._preimage_blocks`` by its
+    own loop: one engine call per symbol at the ys of its closed image."""
+    c7 = sys.constants.c7
+    last = words[:, -1]
+    holds = np.array([(ys >= a) & (ys <= b) for a, b in
+                      (sys.image_interval(s) for s in range(sys.m))])
+    pulled = {}
+    for s in range(sys.m):
+        at = np.flatnonzero(holds[s])
+        if len(at) and np.any(last == s):
+            pb = last_depth(sys, words[last == s], ys[at],
+                            ("dTn", "DSnr_h", "J"), eig)
+            centre = -pb.DSnr_h
+            half = c7 / np.abs(pb.dTn)
+            pulled[s] = (at, centre - half, centre + half, pb.J)
+    keys, group = np.unique((1 << np.arange(sys.m)) @ holds,
+                            return_inverse=True)
+    for g, key in enumerate(keys.tolist()):
+        rows = np.flatnonzero((key >> last) & 1)
+        if not len(rows):
+            continue
+        cols = np.flatnonzero(group == g)
+        lo, hi, w = (np.empty((len(rows), len(cols))) for _ in range(3))
+        for s in np.unique(last[rows]).tolist():
+            here = np.flatnonzero(last[rows] == s)
+            at, *arrays = pulled[s]
+            pick = np.searchsorted(at, cols)
+            for block, arr in zip((lo, hi, w), arrays):
+                block[here] = arr[:, pick]
+        w /= w.sum(axis=0)
+        yield rows, cols, lo, hi, w
+
+
+def check_uni_loop(sys, n, R, grid):
+    """``uni.check_uni`` by a loop over word-tuple pairs, one engine call per
+    symbol and a dict from word to its row of D(S_n r o h_w)."""
+    warr = word_array(sys, n)
+    xs = np.linspace(0.0, 1.0, grid)
+    inside = []
+    rows = {}
+    for s in range(sys.m):
+        lo, hi = sys.image_interval(s)
+        inside.append((xs >= lo) & (xs <= hi))
+        ends = warr[warr[:, -1] == s]
+        if len(ends):
+            dsnr = pullback(sys, ends, xs[inside[s]], ("DSnr_h",)).DSnr_h
+            rows.update(zip(map(tuple, ends.tolist()), dsnr))
+    words = [tuple(w) for w in warr.tolist()]
+    doms = {w: sys.image_interval(w[-1]) for w in words}
+
+    def gaps(w1, w2, where):
+        both = where & inside[w1[-1]] & inside[w2[-1]]
+        return np.abs(rows[w1][both[inside[w1[-1]]]]
+                      - rows[w2][both[inside[w2[-1]]]])
+
+    d_full = 0.0
+    full = [w for w in words if doms[w][0] <= 1e-12 and doms[w][1] >= 1 - 1e-12]
+    for i, w1 in enumerate(full):
+        for w2 in full[i + 1:]:
+            d_full = max(d_full, float(np.min(gaps(w1, w2, True))))
+    d_point = np.inf
+    witness = []
+    for y in np.linspace(0.0, 1.0, 65):
+        best, best_pair = 0.0, None
+        win = (xs >= y - R) & (xs <= y + R)
+        through = [w for w in words if doms[w][0] <= y <= doms[w][1]]
+        for i, w1 in enumerate(through):
+            for w2 in through[i + 1:]:
+                vals = gaps(w1, w2, win)
+                if len(vals) == 0:
+                    continue
+                v = float(np.min(vals))
+                if v > best:
+                    best, best_pair = v, (w1, w2)
+        d_point = min(d_point, best)
+        witness.append({"y": float(y), "D": best, "pair": best_pair})
+    return {"n": n, "R": R, "D_full": d_full,
+            "D_point": float(d_point if np.isfinite(d_point) else 0.0),
+            "witnesses": witness}

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cone_image, cylinder_masses, transversal
+from conftest import cone_image, cylinder_masses, psi, transversal
 from gibbsflow.cli import run
 from gibbsflow.dolgopyat import (ConeBPair, build_bump, bump_geometry,
                                  c0_constant, cancellation_check,
@@ -18,7 +18,7 @@ from gibbsflow.gibbs import adapted_partition, gibbs_audit, sample_mu
 from gibbsflow.operator import GridFunction, apply_L, eigendata
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.system import branch_chain, validate, word_array
-from gibbsflow.uni import a_sequence, b_sequence, coboundary_test, psi
+from gibbsflow.uni import a_sequence, b_sequence, coboundary_test
 
 # runtime budgets are on CPU time: the sandboxed runner throttles wall clock
 # by large, unpredictable factors

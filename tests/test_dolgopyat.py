@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import NL_DOUBLING
+from conftest import NL_DOUBLING, branch_plan_loop
 from gibbsflow.dolgopyat import (ETA0, BumpFunction, ConeBPair,
                                  ConstraintViolationError,
                                  NoCancellationWitness, _cone_test,
@@ -413,11 +413,18 @@ def test_cone_iteration_pulls_the_base_nodes_back_once(sys_b, eig_b,
     # every interior base node lies in the image of both SYS-B branches, so
     # its engine columns over a whole run are one per symbol: the base plan
     # is built once, and no window node repeats a base node
-    import gibbsflow.operator as op
-    pullback = op.pullback
+    import gibbsflow.system as system_mod
+    pullbacks = system_mod.pullbacks
     columns = []
-    monkeypatch.setattr(op, "pullback", lambda sys, words, ys, *rest: (
-        columns.append(np.array(ys)) or pullback(sys, words, ys, *rest)))
+
+    def counted(sys, words, ys, fields, *rest, **kwargs):
+        # the plans' runs carry J; the cylinder ends of the bump geometry
+        # and the transversal pairs do not
+        if "J" in fields:
+            columns.append(np.array(ys))
+        return pullbacks(sys, words, ys, fields, *rest, **kwargs)
+
+    monkeypatch.setattr(system_mod, "pullbacks", counted)
     base_n = 2048
     rep = cone_iteration(sys_b, eig_b, 256.0, m_max=2, base_n=base_n,
                          v_nodes_per_b=32)
@@ -450,6 +457,28 @@ def test_plan_with_explicit_elements_matches_per_branch_sums(name, b):
     # the two copies of each interior breakpoint take different sums
     for k in (5000, 10000):
         assert abs(want[k - 1] - want[k]) > 1e-3
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("name", ["SYS-B", "SYS-C", "SYS-C-NLROOF",
+                                  "NL-DOUBLING"])
+def test_plan_equals_the_per_symbol_loop(name, sigma):
+    # symbol_pullbacks gives the plan of one engine call per symbol, with its
+    # normaliser, bit for bit
+    sys = (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
+           else make_preset(name))
+    eig = eigendata(sys, sigma, N=128)
+    nodes = _element_grids(sys, 129)
+    xs = np.concatenate(nodes)
+    elements = np.repeat(np.arange(sys.m), 129)
+    for b in (0.0, 256.0):
+        for n in (1, 3):
+            plan = BranchPlan(sys, eig, b, n, xs, elements)
+            blocks, norm = branch_plan_loop(sys, eig, b, n, xs, elements)
+            assert np.array_equal(plan.norm, norm)
+            assert len(plan.blocks) == len(blocks)
+            for got, want in zip(plan.blocks, blocks):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_cone_iteration_aborts_on_constant_roof(sys_a, eig_a):

@@ -5,13 +5,14 @@ import pytest
 from scipy.stats import chi2
 
 from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
-                      itineraries, partition_walk)
+                      itineraries, mass_tables_loop, partition_walk)
 from gibbsflow.gibbs import (FrequencyTooSmallError, _backward_step, _burn_in,
-                             adapted_partition, gibbs_audit, sample_mu)
+                             _mass_tables, adapted_partition, gibbs_audit,
+                             sample_mu)
 from gibbsflow.operator import eigendata, node_grid
 from gibbsflow.presets import PRESETS, make_preset
-from gibbsflow.system import (branch_chain, pullbacks, system_from_config,
-                              word_array)
+from gibbsflow.system import (branch_chain, pullbacks, symbol_pullbacks,
+                              system_from_config, word_array)
 
 N = 512
 
@@ -146,6 +147,46 @@ def test_gibbs_audit_equals_the_audit_by_sorted_x(name, sigma, nl_doubling):
     sys = nl_doubling if name == "NL-DOUBLING" else make_preset(name)
     eig = eigendata(sys, sigma, N=128)
     assert gibbs_audit(sys, eig, 6) == _audit_by_sorted_x(sys, eig, 6)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("name", ["SYS-B", "SYS-C", "SYS-C-NLROOF",
+                                  "NL-DOUBLING"])
+def test_mass_tables_equal_the_per_symbol_loop(name, sigma, nl_doubling):
+    # symbol_pullbacks gives the words, the normaliser and the masses of one
+    # engine per symbol zipped by depth, bit for bit
+    sys = nl_doubling if name == "NL-DOUBLING" else make_preset(name)
+    eig = eigendata(sys, sigma, N=128)
+    words = word_array(sys, 6)
+    elements = np.repeat(np.arange(sys.m), eig.N)
+    norms = symbol_pullbacks(sys, words, node_grid(sys, eig.N).reshape(-1),
+                             sys.transition[:, elements], ("J",), eig,
+                             every_depth=True)
+    depths = 0
+    for (got_words, masses), (_, norm), (want_words, want, want_norm) in zip(
+            _mass_tables(sys, eig, words), norms,
+            mass_tables_loop(sys, eig, words)):
+        assert np.array_equal(got_words, want_words)
+        assert np.array_equal(norm, want_norm.reshape(-1))
+        assert np.array_equal(masses, want)
+        depths += 1
+    assert depths == 6
+
+
+def test_gibbs_audit_matches_the_benchmark_reference():
+    # the CLI sizes (depth 11, N = 512, sigma 0) of the gibbs-audit steps in
+    # perfbench/workloads.py, against perfbench/reference.json at the 1e-12
+    # tolerance of its correctness gate
+    import json
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    ref = json.loads(path.read_text(encoding="utf-8"))
+    for name in ("SYS-A", "SYS-C-NLROOF"):
+        sys = make_preset(name)
+        rep = gibbs_audit(sys, eigendata(sys, 0.0, N=512), 11)
+        want = ref[f"gibbs-audit:{name}:depth=11"]
+        for key in ("C5", "C5_lower", "C5_upper"):
+            assert abs(rep[key] - want[key]) <= 1e-12
 
 
 def test_gibbs_audit_builds_no_cylinders(eig_c, monkeypatch):

@@ -13,8 +13,8 @@ from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.system import (
     Branch, CapExceededError, NoConvergenceError, NotCoveringError,
     NotExpandingError, NotMarkovError, OutsideImageError, branch_chain,
-    cylinders, pullback, sampled_seminorm, system_from_config, validate,
-    word_array,
+    cylinders, pullback, sampled_seminorm, symbol_pullbacks,
+    system_from_config, validate, word_array,
 )
 from gibbsflow.expr import parse
 
@@ -386,6 +386,40 @@ def test_piecewise_matches_boolean_masks(name, nl_doubling):
                 assert got.shape == pts.shape
                 assert np.array_equal(got, _piecewise_oracle(sys, fns, pts),
                                       equal_nan=True)
+
+
+def test_symbol_pullbacks_contract(nl_doubling):
+    import weakref
+    sys = make_preset("SYS-C")
+    eig = eigendata(sys, 0.5, N=32)
+    words = word_array(sys, 3)
+    words = words[words[:, -1] != 1]  # symbol 1 ends no word
+    ys = np.linspace(0.0, 1.0, 13)
+    holds = np.array([ys < 0.5, ys >= 0.0, np.zeros(13, dtype=bool)])
+    ref = weakref.ref(words)
+    runs = symbol_pullbacks(sys, words, ys, holds, ("x", "J"), eig,
+                            every_depth=True)
+    del words
+    for k, (blocks, norm) in enumerate(runs, start=1):
+        # symbol 1 ends no word and symbol 2 holds no point: one block
+        assert ref() is None  # each run holds its own rows
+        [(s, cols, pb)] = blocks
+        assert s == 0 and np.array_equal(cols, np.flatnonzero(ys < 0.5))
+        assert pb.words.shape[1] == k
+        want = pullback(sys, pb.words, ys[cols], ("x",))
+        assert np.array_equal(pb.x, want.x)
+        total = np.zeros(len(ys))
+        total[cols] = pb.J.sum(axis=0)
+        assert np.array_equal(norm, total)
+    assert k == 3
+    # without "J" no normaliser; the last depth alone by default
+    [(blocks, norm)] = symbol_pullbacks(nl_doubling, word_array(nl_doubling, 2),
+                                        ys, np.ones((2, 13), dtype=bool),
+                                        ("x",))
+    assert norm is None
+    assert [s for s, _, _ in blocks] == [0, 1]
+    assert all(pb.J is None and pb.words.shape == (2, 2)
+               for _, _, pb in blocks)
 
 
 def test_pullback_engine_rejects_unsorted_words():

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import cone_image, jacobian_weight, transversal
+from conftest import (check_uni_loop, cone_image, jacobian_weight,
+                      last_depth, preimage_blocks_loop, psi, transversal)
 from gibbsflow.operator import eigendata
 from gibbsflow.presets import make_preset
-from gibbsflow.system import (OutsideImageError, branch_chain, pullback,
-                              word_array)
-from gibbsflow.uni import (EmptyDomainError, _preimage_blocks, _y_grid,
-                           a_sequence, b_sequence, check_uni, coboundary_test,
-                           psi, uni_from_transversality)
+from gibbsflow.system import OutsideImageError, branch_chain, word_array
+from gibbsflow.uni import (_preimage_blocks, _y_grid, a_sequence, b_sequence,
+                           check_uni, coboundary_test, uni_from_transversality)
 
 
 @pytest.fixture(scope="module")
@@ -106,22 +105,6 @@ def test_psi_antisymmetry(sys_b):
     p21 = psi(sys_b, (1, 1), (0, 0))
     assert np.max(np.abs(p12(ys) + p21(ys))) < 1e-12
     assert np.max(np.abs(p12.deriv(ys) + p21.deriv(ys))) < 1e-12
-
-
-def test_psi_empty_domain_rejected():
-    # branches 0 and 1 have images [0,1/2) and [1/2,1) meeting only at 1/2
-    from gibbsflow.expr import parse
-    from gibbsflow.system import Branch, MarkovSystem
-    s = MarkovSystem(
-        [0.0, 0.2, 0.5, 1.0],
-        [Branch(parse("2.5*x"), (0, 2)),
-         Branch(parse("(5/3)*(x-0.2)+0.5"), (2, 3)),
-         Branch(parse("2*x-1"), (0, 3))],
-        [parse("1")] * 3,
-        [parse("0")] * 3,
-    )
-    with pytest.raises(EmptyDomainError):
-        psi(s, (0,), (1,))
 
 
 def test_psi_derivative_bounded_by_c7(sys_b):
@@ -339,7 +322,8 @@ def _preimage_tableau(sys, eig, n, ys):
         cols = np.flatnonzero((ys >= dlo) & (ys <= dhi))
         if not (len(rows) and len(cols)):
             continue
-        pb = pullback(sys, words[rows], ys[cols], ("dTn", "DSnr_h", "J"), eig)
+        pb = last_depth(sys, words[rows], ys[cols], ("dTn", "DSnr_h", "J"),
+                        eig)
         centre = -pb.DSnr_h
         half = c7 / np.abs(pb.dTn)
         cell = np.ix_(rows, cols)
@@ -395,16 +379,47 @@ def test_blocks_are_slices_of_the_nan_tableau(name, sigma, nl_doubling):
 def test_blocks_pull_each_symbol_back_once(sys_c, monkeypatch):
     # SYS-C's ys fall into three groups holding two, three and two of its
     # symbols; the engine runs once per symbol, not once per group holding it
-    import gibbsflow.uni as uni_mod
-    calls = []
-    monkeypatch.setattr(uni_mod, "pullback", lambda *args: (
-        calls.append(args[1]) or pullback(*args)))
+    import gibbsflow.system as system_mod
     eig = eigendata(sys_c, 0.0, N=256)
     words = word_array(sys_c, 8)
-    blocks = list(_preimage_blocks(sys_c, eig, words, _y_grid(sys_c, 8, 128)))
+    ys = _y_grid(sys_c, 8, 128)
+    pullbacks = system_mod.pullbacks
+    calls = []
+    monkeypatch.setattr(system_mod, "pullbacks", lambda *args: (
+        calls.append(args[1]) or pullbacks(*args)))
+    blocks = list(_preimage_blocks(sys_c, eig, words, ys))
     assert [len(rows) < len(words) for rows, *_ in blocks].count(True) == 2
     assert len(blocks) == 3 and len(calls) == sys_c.m
     assert sum(len(w) for w in calls) == len(words)
+
+
+ORACLE_SYSTEMS = ["SYS-B", "SYS-C", "SYS-C-NLROOF", "NL-DOUBLING"]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_blocks_equal_the_per_symbol_loop(name, sigma, nl_doubling):
+    # symbol_pullbacks gives the blocks of one engine call per symbol, bit
+    # for bit, with the in-group normalisation
+    s = _system(name, nl_doubling)
+    eig = eigendata(s, sigma, N=256)
+    for n in (1, 4, 7):
+        ys = _y_grid(s, n, 64)
+        words = word_array(s, n)
+        got = list(_preimage_blocks(s, eig, words, ys))
+        want = list(preimage_blocks_loop(s, eig, words, ys))
+        assert len(got) == len(want)
+        for block, ref in zip(got, want):
+            assert all(np.array_equal(a, b) for a, b in zip(block, ref))
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS + ["SYS-A"])
+def test_check_uni_equals_the_pair_loop(name, nl_doubling):
+    # D_full, D_point and every witness, the first pair in word order on a
+    # tie, as the loop over word-tuple pairs finds them
+    s = _system(name, nl_doubling)
+    for n, R in ((1, 0.1), (2, 0.1), (3, 0.02), (4, 0.5)):
+        assert check_uni(s, n, R, grid=96) == check_uni_loop(s, n, R, 96)
 
 
 def test_b_sequence_reuses_the_tableaux_of_a_sequence(sys_b, monkeypatch):
