@@ -46,7 +46,7 @@ from .flow import BATCHES, correlation
 from .gibbs import adapted_partition, gibbs_audit
 from .operator import eigendata
 from .presets import PRESETS, make_preset
-from .system import count_words, system_from_config, validate
+from .system import SYSTEM_KEYS, count_words, system_from_config, validate
 from .uni import (MAX_PAIRS, a_sequence, b_sequence, check_uni,
                   coboundary_test, uni_from_transversality)
 
@@ -167,7 +167,6 @@ _NUMBER = _Param("float", None)
 _INDEX = _Param("int", None)
 _EXPR = _Param("expr", None)
 _ALPHA = _Param("float", 1.0, 0, 1, above_low=True)
-_SYSTEM_KEYS = ("partition", "branches", "roof", "potential")
 
 
 def _check_system(block) -> None:
@@ -180,9 +179,9 @@ def _check_system(block) -> None:
     if not isinstance(block, dict):
         raise ConfigError("system must be an object", "/system")
     for key in block:
-        if key not in _SYSTEM_KEYS + ("alpha",):
+        if key not in SYSTEM_KEYS:
             raise ConfigError(f"unknown system key {key!r}", f"/system/{key}")
-    for key in _SYSTEM_KEYS:
+    for key in SYSTEM_KEYS[:-1]:   # all but "alpha" are required
         if key not in block:
             raise ConfigError(f"system needs {key!r}", f"/system/{key}")
     partition = block["partition"]
@@ -192,7 +191,7 @@ def _check_system(block) -> None:
     for k, a in enumerate(partition):
         _NUMBER.value("breakpoint", a, f"/system/partition/{k}")
     m = len(partition) - 1
-    for key in _SYSTEM_KEYS[1:]:
+    for key in SYSTEM_KEYS[1:-1]:   # one entry per element
         if not isinstance(block[key], list) or len(block[key]) != m:
             raise ConfigError(f"{key} must be a list of {m}, one per element",
                               f"/system/{key}")

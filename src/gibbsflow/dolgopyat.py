@@ -351,8 +351,8 @@ def _map_windows(sys: MarkovSystem, windows):
         for a, b in zip(cuts[:-1], cuts[1:]):
             mid = 0.5 * (a + b)
             e = int(sys.element_of(mid))
-            ta = float(sys._T[e](x=a + (b - a) * 1e-12) + 0.0)
-            tb = float(sys._T[e](x=b - (b - a) * 1e-12) + 0.0)
+            ta = float(sys.T[e].value(x=a + (b - a) * 1e-12))
+            tb = float(sys.T[e].value(x=b - (b - a) * 1e-12))
             lo, hi = (ta, tb) if ta <= tb else (tb, ta)
             if hi - lo < 0.05:
                 out.append((max(lo, 0.0), min(hi, 1.0)))

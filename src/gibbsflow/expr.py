@@ -24,7 +24,7 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Pi", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Neg",
     "Call", "ParseError", "UnknownIdentifierError", "DomainError",
-    "parse", "to_str", "differentiate", "compile_expr",
+    "parse", "to_str", "differentiate", "compile_expr", "is_constant",
 ]
 
 
@@ -359,6 +359,12 @@ def compile_expr(e: Expr):
     namespace.update((f"_c{k}", v) for k, v in enumerate(consts))
     exec(f"def compiled(**env):\n    {body}\n", namespace)
     return namespace["compiled"]
+
+
+def is_constant(e: Expr) -> bool:
+    """Whether e names no variable, so its compiled function gives one number."""
+    return not isinstance(e, Var) and all(
+        is_constant(v) for v in vars(e).values() if isinstance(v, Expr))
 
 
 def _is_zero(e: Expr) -> bool:

@@ -133,7 +133,7 @@ def correlation(sys: MarkovSystem, eig: EigenData, v_expr: str, w_expr: str,
     ends = np.cumsum(np.bincount(batch_of, minlength=BATCHES))
     segments = [slice(a, b) for a, b in zip(np.r_[0, ends[:-1]], ends)]
     cx, cu = sample.xs[order], sample.us[order]
-    v0 = vf(x=cx, u=cu) + 0.0 * cx
+    v0 = np.broadcast_to(vf(x=cx, u=cu), cx.shape)
     v0_means = [np.mean(v0[seg]) for seg in segments]
 
     ests, ses = [], []
@@ -141,7 +141,7 @@ def correlation(sys: MarkovSystem, eig: EigenData, v_expr: str, w_expr: str,
     for t in t_grid:
         cx, cu = evolve_many(sys, cx, cu, t - prev_t)
         prev_t = t
-        wt = wf(x=cx, u=cu) + 0.0 * cx
+        wt = np.broadcast_to(wf(x=cx, u=cu), cx.shape)
         vw = v0 * wt
         batch_est = np.array([
             np.mean(vw[seg]) - vm * np.mean(wt[seg])

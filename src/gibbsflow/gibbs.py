@@ -113,8 +113,8 @@ def _backward_step(sys: MarkovSystem, eig: EigenData, x: np.ndarray):
 
     A branch whose image is the whole interval is admissible at every
     point: it is solved on x itself and writes its rows whole.  Any other
-    branch is solved on the indices of its admissible points alone.  At
-    sigma = 0 the roof is not evaluated, since phi - 0 r is phi to the bit.
+    branch is solved on the indices of its admissible points alone.  The
+    exponent is ``MarkovSystem.log_weight``'s, which skips r at sigma = 0.
 
     f is evaluated once, on every preimage stacked, with the columns taken
     in the order of x.  Each h_i is monotone and the x where branch i is
@@ -140,9 +140,7 @@ def _backward_step(sys: MarkovSystem, eig: EigenData, x: np.ndarray):
                 continue
         y = sys.inverse_branch(i, x[k])
         ys[i, k] = y
-        g = sys._phi[i](x=y)
-        if eig.sigma != 0.0:
-            g = g - eig.sigma * sys._r[i](x=y)
+        g, _ = sys.log_weight(i, eig.sigma, y)
         weights[i, k] = np.exp(g)
     order = np.argsort(x)
     f_sorted = eig.f.eval(ys.take(order, axis=1)).real

@@ -125,7 +125,6 @@ class GridFunction:
 def transfer_matrix(sys: MarkovSystem, s: complex, N: int) -> sp.csr_matrix:
     """Collocation matrix of P_s on the node grid (linear interpolation)."""
     nodes = node_grid(sys, N)
-    dtype = complex if (isinstance(s, complex) and s.imag != 0) else float
     rows, cols, vals = [], [], []
     for e in range(sys.m):
         xs = nodes[e]
@@ -138,7 +137,8 @@ def transfer_matrix(sys: MarkovSystem, s: complex, N: int) -> sp.csr_matrix:
             t = (y - a) / h
             j = np.clip(np.floor(t).astype(int), 0, N - 2)
             frac = t - j
-            wgt = np.exp(sys._phi[i](x=y) - s * sys._r[i](x=y)) + np.zeros(len(xs), dtype=dtype)
+            g, _ = sys.log_weight(i, s, y)
+            wgt = np.exp(g)
             base = e * N + np.arange(N)
             rows.extend([base, base])
             cols.extend([i * N + j, i * N + j + 1])

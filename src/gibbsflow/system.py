@@ -14,7 +14,14 @@ Config layout (JSON), as read by ``system_from_config``:
      "alpha": 1.0}                                             # optional
 
 Expressions use the variable x (see ``expr``); ``image`` is the half-open
-range of element indices that the branch maps onto.
+range of element indices that the branch maps onto (keys: ``SYSTEM_KEYS``).
+
+Each element's branch, roof and potential is compiled once into a ``Piece``
+(``MarkovSystem.T``, ``.r``, ``.phi``) whose value and derivative return
+arrays shaped like x; an affine piece carries its slope.  phi - s r is
+formed only by ``MarkovSystem.log_weight``, which skips the roof at s = 0.
+No other module reads a private name of ``MarkovSystem``: ``_T`` and ``_r``
+exist only for the benchmark harness in perfbench/.
 
 The constants every estimate runs on (lam = inf|T'|, rho = sup|T'|, C4,
 C7, the roof range and the Hoelder seminorms of phi and r) come from
@@ -39,10 +46,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, Num, compile_expr, differentiate, parse
+from .expr import Expr, compile_expr, differentiate, is_constant, parse
 
 __all__ = [
-    "Branch", "MarkovSystem", "SystemConstants",
+    "Branch", "Piece", "MarkovSystem", "SystemConstants", "SYSTEM_KEYS",
     "ValidationReport", "Pullback", "NotMarkovError", "NotExpandingError",
     "NotCoveringError", "RoofBoundsError", "CapExceededError",
     "OutsideImageError", "NoConvergenceError", "system_from_config",
@@ -59,6 +66,8 @@ _SCAN = 2048
 # evenly spaced sample indices, ends included, whose pairs sampled_seminorm
 # takes all of
 _COARSE = 65
+# the keys of a system config block; each but the last, "alpha", is required
+SYSTEM_KEYS = ("partition", "branches", "roof", "potential", "alpha")
 
 
 class NotMarkovError(ValueError):
@@ -93,6 +102,34 @@ class NoConvergenceError(RuntimeError):
 class Branch:
     expr: Expr
     image: tuple[int, int]  # half-open range of partition element indices
+
+
+class Piece:
+    """One element's branch, roof or potential, compiled from its Expr:
+    ``value(x=...)`` and ``deriv(x=...)`` return arrays shaped like x, a
+    constant as an ``np.broadcast_to`` view of its one number, and
+    ``slope`` is the derivative of an affine piece (0.0 for a constant
+    one), else None.  The derivative is compiled on first use."""
+
+    def __init__(self, expr: Expr):
+        self.expr, self._dexpr = expr, differentiate(expr)
+        self.value = _shaped(expr)
+
+    @cached_property
+    def deriv(self):
+        return _shaped(self._dexpr)
+
+    @cached_property
+    def slope(self) -> float | None:
+        return float(self.deriv(x=0.0)) if is_constant(self._dexpr) else None
+
+
+def _shaped(e: Expr):
+    """e compiled, its one number broadcast to x's shape if e is constant."""
+    fn = compile_expr(e)
+    if not is_constant(e):
+        return fn
+    return lambda x: np.broadcast_to(fn(x=x), np.shape(x))
 
 
 @dataclass(frozen=True)
@@ -139,7 +176,8 @@ class ValidationReport:
 
 
 class MarkovSystem:
-    """Markov map with roof and potential; all pieces given as expressions."""
+    """Markov map with roof and potential, given as expressions and held as
+    one compiled ``Piece`` each: ``T[i]``, ``r[i]`` and ``phi[i]``."""
 
     def __init__(self, partition, branches, roof, potential, alpha=1.0):
         self.partition = np.asarray(partition, dtype=float)
@@ -164,13 +202,9 @@ class MarkovSystem:
             if not (0 <= lo < hi <= self.m):
                 raise NotMarkovError(f"branch image range {b.image} out of bounds")
 
-        # compiled branch maps and derivatives
-        slopes = [differentiate(b.expr) for b in self.branches]
-        self._T = [compile_expr(b.expr) for b in self.branches]
-        self._dT = [compile_expr(d) for d in slopes]
-        self._r = [compile_expr(e) for e in self.roof]
-        self._dr = [compile_expr(differentiate(e)) for e in self.roof]
-        self._phi = [compile_expr(e) for e in self.potential]
+        self.T = [Piece(b.expr) for b in self.branches]
+        self.r = [Piece(e) for e in self.roof]
+        self.phi = [Piece(e) for e in self.potential]
 
         # transition[i, j]: symbol j may follow symbol i
         self.transition = np.zeros((self.m, self.m), dtype=bool)
@@ -180,21 +214,32 @@ class MarkovSystem:
         # orientation of each branch, from the derivative at the midpoint
         mids = 0.5 * (self.partition[:-1] + self.partition[1:])
         self.increasing = np.array(
-            [float(self._dT[i](x=mids[i])) > 0 for i in range(self.m)])
-        # affine branches: (T(midpoint), slope), for a one-step inverse
-        self._affine = [
-            (float(self._T[i](x=mids[i])), d.value)
-            if isinstance(d, Num) and d.value != 0 else None
-            for i, d in enumerate(slopes)]
-        # per nonlinear branch, the cubic Hermite table of h_i on
-        # _INVERSE_NODES points of its image (``_tabulated_inverse``); built
-        # by the branch's first inverse_branch call
-        self._inverse_tables: list[tuple | None] = [None] * self.m
+            [float(self.T[i].deriv(x=mids[i])) > 0 for i in range(self.m)])
+        # per branch, what starts its inverse: T_i at the midpoint if it is
+        # affine; else the cubic Hermite table of h_i on _INVERSE_NODES points
+        # of its image (``_tabulated_inverse``), built by its first call
+        self._inverse_starts: list[float | tuple | None] = [
+            float(T.value(x=mid)) if T.slope else None
+            for T, mid in zip(self.T, mids)]
 
     @cached_property
     def constants(self) -> SystemConstants:
         """The system's constants, scanned on first use (SystemConstants)."""
         return _scan_constants(self)
+
+    # the compiled T_i and r_i, for perfbench/ alone (tracer and probes)
+    _T = property(lambda self: [p.value for p in self.T])
+    _r = property(lambda self: [p.value for p in self.r])
+
+    def log_weight(self, i: int, s, y):
+        """((phi_i - s r_i)(y), r_i(y)) at points y of element i: the log of
+        branch i's weight in P_s, and the roof values read for it; None at
+        s = 0, where the roof is not read, as phi - 0 r is phi to the bit."""
+        phi = self.phi[i].value(x=y)
+        if s == 0:
+            return phi, None
+        r = self.r[i].value(x=y)
+        return phi - s * r, r
 
     # -- pointwise structure ------------------------------------------------
 
@@ -222,8 +267,8 @@ class MarkovSystem:
         lo, hi = self.branches[i].image
         return float(self.partition[lo]), float(self.partition[hi])
 
-    def _piecewise(self, fns, x):
-        """fns[element_of(x)] at x, a new array shaped like x.
+    def _piecewise(self, pieces, x):
+        """pieces[element_of(x)].value at x, a new array shaped like x.
 
         Each element's expression runs on the points of that element,
         gathered by integer index.  A ufunc gives a value the same bits
@@ -237,14 +282,14 @@ class MarkovSystem:
         for i in range(self.m):
             k = np.flatnonzero(idx == i)
             if k.size:
-                out[k] = fns[i](x=flat[k])
+                out[k] = pieces[i].value(x=flat[k])
         return out.reshape(x.shape)
 
     def apply_T(self, x):
-        return self._piecewise(self._T, x)
+        return self._piecewise(self.T, x)
 
     def roof_at(self, x):
-        return self._piecewise(self._r, x)
+        return self._piecewise(self.r, x)
 
     # -- inverse branches ---------------------------------------------------
 
@@ -256,10 +301,10 @@ class MarkovSystem:
         and NoConvergenceError when Newton has not converged after 200 steps.
         A y within that slack outside the image is clamped to the image, so
         it returns the element end.
-        For an affine branch the first Newton step from the midpoint is the
-        root up to rounding; it is kept when it passes the bracket and
-        residual tests that Newton applies to it, and Newton runs from the
-        midpoint otherwise.
+        For an affine branch (``Piece.slope``) the first Newton step from
+        the midpoint is the root up to rounding; it is kept when it passes
+        the bracket and residual tests that Newton applies to it, and Newton
+        runs from the midpoint otherwise.
 
         A nonlinear branch starts Newton from a tabulated inverse
         (``_tabulated_inverse``): a cubic Hermite interpolant of h_i on
@@ -285,13 +330,13 @@ class MarkovSystem:
                 # no z in the element may meet the residual test out there
                 y = np.clip(y, lo_img, hi_img)
         mid = 0.5 * (a + b)
-        T = self._T[i]
-        if self._affine[i] is not None:
-            t_mid, slope = self._affine[i]
-            z = mid - (t_mid - y) / slope
+        T = self.T[i]
+        if T.slope:
+            z = mid - (self._inverse_starts[i] - y) / T.slope
             # the step lands on the side of mid that holds the root, so
             # Newton's bracket test reduces to staying inside the element
-            if np.all((z >= a) & (z <= b)) and np.all(np.abs(T(x=z) - y) < 1e-13):
+            if (np.all((z >= a) & (z <= b))
+                    and np.all(np.abs(T.value(x=z) - y) < 1e-13)):
                 return z
             del z  # Newton's arrays need not sit beside the rejected step
             return self._newton(i, y, np.full(y.shape, mid))
@@ -314,17 +359,17 @@ class MarkovSystem:
         lo_img, hi_img = self.image_interval(i)
         a, b = self.element_interval(i)
         last = _INVERSE_NODES - 1
-        if self._inverse_tables[i] is None:
+        if self._inverse_starts[i] is None:
+            T = self.T[i]
             nodes = np.linspace(lo_img, hi_img, _INVERSE_NODES)
             z = self._newton(i, nodes, np.full(nodes.shape, 0.5 * (a + b)))
             # one more step takes the nodes from the tolerance to rounding
-            z = np.clip(z - (self._T[i](x=z) - nodes) / self._dT[i](x=z),
-                        a, b)
-            m = ((hi_img - lo_img) / last) / (self._dT[i](x=z) + 0.0 * z)
+            z = np.clip(z - (T.value(x=z) - nodes) / T.deriv(x=z), a, b)
+            m = ((hi_img - lo_img) / last) / T.deriv(x=z)
             d = np.diff(z)
-            self._inverse_tables[i] = (z, m, 3.0 * d - 2.0 * m[:-1] - m[1:],
+            self._inverse_starts[i] = (z, m, 3.0 * d - 2.0 * m[:-1] - m[1:],
                                        m[:-1] + m[1:] - 2.0 * d)
-        values, slopes, c2, c3 = self._inverse_tables[i]
+        values, slopes, c2, c3 = self._inverse_starts[i]
         t = np.clip((y - lo_img) * (last / (hi_img - lo_img)), 0.0, last)
         j = np.minimum(t.astype(np.intp), last - 1)
         s = t - j
@@ -340,16 +385,16 @@ class MarkovSystem:
         else."""
         a, b = self.element_interval(i)
         lo, hi = a, b  # the bracket; the first step makes it arrays
-        T, dT = self._T[i], self._dT[i]
+        T = self.T[i]
         sign = 1.0 if self.increasing[i] else -1.0
         for _ in range(200):
-            f = T(x=z) - y
+            f = T.value(x=z) - y
             if np.all(np.abs(f) < 1e-13):
                 return np.clip(z, a, b)
             fs = f * sign
             lo = np.where(fs <= 0, z, lo)
             hi = np.where(fs > 0, z, hi)
-            zn = z - f / (dT(x=z) + 0.0 * z)
+            zn = z - f / T.deriv(x=z)
             zn = np.where((zn < lo) | (zn > hi), 0.5 * (lo + hi), zn)
             z = zn
         raise NoConvergenceError(
@@ -359,8 +404,7 @@ class MarkovSystem:
 
 def system_from_config(cfg: dict) -> MarkovSystem:
     """Build a system from the JSON config layout in the module docstring."""
-    known = {"partition", "branches", "roof", "potential", "alpha"}
-    extra = set(cfg) - known
+    extra = set(cfg) - set(SYSTEM_KEYS)
     if extra:
         raise NotMarkovError(f"unknown system config keys: {sorted(extra)}")
     branches = [
@@ -402,11 +446,12 @@ def sampled_seminorm(xs, vals, alpha: float):
 
 def potential_seminorm(sys: MarkovSystem, sigma: float) -> float:
     """|phi - sigma r|_alpha: the largest ``sampled_seminorm`` of
-    phi - sigma r over the elements, on the grid of the constants' scan."""
+    phi - sigma r (``MarkovSystem.log_weight``) over the elements, on the
+    grid of the constants' scan."""
     semi = 0.0
     for i in range(sys.m):
         xs = np.linspace(*sys.element_interval(i), _SCAN)
-        g = sys._phi[i](x=xs) - sigma * sys._r[i](x=xs) + 0.0 * xs
+        g, _ = sys.log_weight(i, sigma, xs)
         semi = max(semi, sampled_seminorm(xs, g, sys.alpha))
     return semi
 
@@ -415,12 +460,11 @@ def _scan_constants(sys: MarkovSystem) -> SystemConstants:
     """The one scan behind ``MarkovSystem.constants``."""
     lam, rho, c4 = np.inf, 0.0, 0.0
     r_inf, r_sup = np.inf, -np.inf
-    semi_phi = semi_r = 0.0
+    semi_r = 0.0
     monotone = []
     for i in range(sys.m):
         xs = np.linspace(*sys.element_interval(i), _SCAN)
-        dT, dr, r, phi = (f[i](x=xs) + 0.0 * xs
-                          for f in (sys._dT, sys._dr, sys._r, sys._phi))
+        dT, dr, r = sys.T[i].deriv(x=xs), sys.r[i].deriv(x=xs), sys.r[i].value(x=xs)
         monotone.append(not (np.any(dT > 0) and np.any(dT < 0)))
         absdT = np.abs(dT)
         lam = min(lam, float(absdT.min()))
@@ -429,10 +473,10 @@ def _scan_constants(sys: MarkovSystem) -> SystemConstants:
             c4 = max(c4, float(np.max(np.abs(dr) / absdT)))
         r_inf = min(r_inf, float(r.min()))
         r_sup = max(r_sup, float(r.max()))
-        semi_phi = max(semi_phi, sampled_seminorm(xs, phi, sys.alpha))
         semi_r = max(semi_r, sampled_seminorm(xs, r, sys.alpha))
     return SystemConstants(lam=lam, rho=rho, c4=c4, roof_inf=r_inf,
-                           roof_sup=r_sup, semi_phi=semi_phi, semi_r=semi_r,
+                           roof_sup=r_sup, semi_r=semi_r,
+                           semi_phi=potential_seminorm(sys, 0.0),
                            monotone=tuple(monotone))
 
 
@@ -456,7 +500,7 @@ def validate(sys: MarkovSystem, raise_on_fail: bool = True) -> ValidationReport:
         # declared image interval
         a, b = sys.element_interval(i)
         lo, hi = sys.image_interval(i)
-        ta, tb = float(sys._T[i](x=a)), float(sys._T[i](x=b))
+        ta, tb = float(sys.T[i].value(x=a)), float(sys.T[i].value(x=b))
         t0, t1 = min(ta, tb), max(ta, tb)
         markov_res = max(markov_res, abs(t0 - lo), abs(t1 - hi))
 
@@ -599,20 +643,17 @@ def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, need: set, k: int,
     z = sys.inverse_branch(i, prev["x"][rows])
     out = {"x": z}
     if "dTn" in need:
-        out["dTn"] = sys._dT[i](x=z) * prev["dTn"][rows]
+        out["dTn"] = sys.T[i].deriv(x=z) * prev["dTn"][rows]
     if "DSnr_h" in need:
-        out["DSnr_h"] = sys._dr[i](x=z) / out["dTn"] + prev["DSnr_h"][rows]
-    if "Snr" in need or ("lw" in need and eig.sigma != 0.0):
-        r = sys._r[i](x=z)
-    if "Snr" in need:
-        out["Snr"] = r + prev["Snr"][rows]
-    if "Snphi" in need or "lw" in need:
-        phi = sys._phi[i](x=z)
-    if "Snphi" in need:
-        out["Snphi"] = phi + prev["Snphi"][rows]
+        out["DSnr_h"] = sys.r[i].deriv(x=z) / out["dTn"] + prev["DSnr_h"][rows]
+    r = None
     if "lw" in need:
-        g = phi if eig.sigma == 0.0 else phi - eig.sigma * r
+        g, r = sys.log_weight(i, eig.sigma, z)
         out["lw"] = g + prev["lw"][rows]
+    if "Snr" in need:
+        out["Snr"] = (sys.r[i].value(x=z) if r is None else r) + prev["Snr"][rows]
+    if "Snphi" in need:
+        out["Snphi"] = sys.phi[i].value(x=z) + prev["Snphi"][rows]
     if "J" in need:
         out["J"] = (eig.lam ** (-k) * np.exp(out["lw"])
                     * eig.f.eval(z).real / fy)

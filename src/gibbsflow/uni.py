@@ -328,7 +328,7 @@ def coboundary_test(sys: MarkovSystem, J_trunc: int = 40,
         tx = sys.apply_T(xs)
         tx = np.clip(tx, 0.0, np.nextafter(1.0, 0.0))
         theta = _theta_eval(sys, chains_lo, y0, xs, J_trunc)
-        g = (sys._r[e](x=xs)
+        g = (sys.r[e].value(x=xs)
              - _theta_eval(sys, chains_lo, y0, tx, J_trunc)
              + theta)
         residual = max(residual, float(g.max() - g.min()))

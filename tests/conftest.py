@@ -25,6 +25,41 @@ def nl_doubling():
     return system_from_config(NL_DOUBLING)
 
 
+class ExprCalls:
+    """Calls of compiled expressions, counted per Expr object."""
+
+    def __init__(self, compile_expr):
+        self._compile = compile_expr
+        self._calls: dict[int, int] = {}
+
+    def compile(self, e):
+        fn = self._compile(e)
+
+        def counted(**env):
+            self._calls[id(e)] = self._calls.get(id(e), 0) + 1
+            return fn(**env)
+
+        return counted
+
+    def of(self, exprs) -> int:
+        """Calls of the expressions compiled from the objects ``exprs``."""
+        return sum(self._calls.get(k, 0) for k in {id(e) for e in exprs})
+
+    def clear(self) -> None:
+        self._calls.clear()
+
+
+@pytest.fixture
+def expr_calls(monkeypatch):
+    """Counts the calls of every expression ``system.compile_expr`` compiles
+    while the test runs, the hook the benchmark's tracer wraps: request it
+    before building the systems whose reads are counted."""
+    import gibbsflow.system as system
+    calls = ExprCalls(system.compile_expr)
+    monkeypatch.setattr(system, "compile_expr", calls.compile)
+    return calls
+
+
 def itineraries(sys, x, n: int) -> np.ndarray:
     """(len(x), n) array of symbol sequences along forward orbits."""
     z = np.atleast_1d(np.asarray(x, dtype=float)).copy()

@@ -357,8 +357,8 @@ def _apply_once(sys, eig, g_eval, xs_list, b=0.0):
             if not sys.transition[i, e]:
                 continue
             hx = sys.inverse_branch(i, xs)
-            r = sys._r[i](x=hx) + 0.0 * hx
-            raw = np.exp((sys._phi[i](x=hx) + 0.0 * hx) - eig.sigma * r)
+            r = sys.r[i].value(x=hx)
+            raw = np.exp(sys.phi[i].value(x=hx) - eig.sigma * r)
             raw = raw * np.real(np.asarray(feval(hx)))
             norm += raw
             term = raw * np.asarray(g_eval(hx))

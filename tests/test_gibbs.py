@@ -83,7 +83,7 @@ def test_gibbs_audit_reference_point(nl_doubling):
             z = branch_chain(sys, c.word, y)["x"]
             s = 0.0
             for _ in range(n):
-                s += float(sys._piecewise(sys._phi, z)[0]
+                s += float(sys._piecewise(sys.phi, z)[0]
                            - eig.sigma * sys.roof_at(z)[0])
                 z = sys.apply_T(z)
             ratios.append(mass / math.exp(-eig.pressure * n + s))
@@ -263,7 +263,7 @@ def _per_branch_sampler(sys, eig, count, seed):
             y = sys.inverse_branch(i, x[mask])
             ys[i, mask] = y
             weights[i, mask] = (
-                np.exp(sys._phi[i](x=y) - eig.sigma * sys._r[i](x=y))
+                np.exp(sys.phi[i].value(x=y) - eig.sigma * sys.r[i].value(x=y))
                 * f(y).real)
         weights /= weights.sum(axis=0)
         u = rng.random(len(x))
@@ -314,27 +314,14 @@ def test_sampler_equals_per_branch_steps(eig_c, nl_doubling, count):
 
 
 @pytest.mark.parametrize("name", ["SYS-B", "SYS-C-NLROOF"])
-def test_backward_step_reads_the_roof_only_at_nonzero_sigma(name):
+def test_backward_step_reads_the_roof_only_at_nonzero_sigma(name, expr_calls):
     sys = make_preset(name)
     x = np.linspace(0.0, 1.0, 101, endpoint=False)
-    calls = []
-    roofs = list(sys._r)
-
-    def counted(r):
-        def roof(**env):
-            calls.append(1)
-            return r(**env)
-        return roof
-
     for sigma, expected in ((0.0, 0), (1.0, sys.m)):
         eig = eigendata(sys, sigma, N=64)
-        sys._r[:] = [counted(r) for r in roofs]
-        try:
-            calls.clear()
-            _backward_step(sys, eig, x)
-        finally:
-            sys._r[:] = roofs
-        assert len(calls) == expected
+        expr_calls.clear()
+        _backward_step(sys, eig, x)
+        assert expr_calls.of(sys.roof) == expected
 
 
 def test_transition_weights_values():
@@ -349,7 +336,7 @@ def test_transition_weights_values():
         raw = {}
         for i in admissible:
             y = sys.inverse_branch(i, np.array([x]))
-            raw[i] = float((np.exp(-sys._r[i](x=y)) * eig.f.eval(y).real)[0])
+            raw[i] = float((np.exp(-sys.r[i].value(x=y)) * eig.f.eval(y).real)[0])
         total = sum(raw.values())
         for i in admissible:
             assert w[i, 0] == pytest.approx(raw[i] / total, rel=1e-14)

@@ -26,7 +26,7 @@ NONLINEAR = [(NL_DOUBLING, 0), (NL_DOUBLING, 1), (DECREASING, 0)]
 def _midpoint_newton(sys, i, y):
     """The safeguarded Newton of inverse_branch, started at the midpoint."""
     a, b = sys.element_interval(i)
-    T, dT = sys._T[i], sys._dT[i]
+    T, dT = sys.T[i].value, sys.T[i].deriv
     sign = 1.0 if sys.increasing[i] else -1.0
     lo, hi = np.full(y.shape, a), np.full(y.shape, b)
     z = np.full(y.shape, 0.5 * (a + b))
@@ -36,7 +36,7 @@ def _midpoint_newton(sys, i, y):
             return np.clip(z, a, b)
         lo = np.where(f * sign <= 0, z, lo)
         hi = np.where(f * sign > 0, z, hi)
-        zn = z - f / (dT(x=z) + 0.0 * z)
+        zn = z - f / dT(x=z)
         z = np.where((zn < lo) | (zn > hi), 0.5 * (lo + hi), zn)
     raise AssertionError("reference Newton did not converge")
 
@@ -57,48 +57,38 @@ def test_seeded_solve_matches_midpoint_newton(cfg, i):
     sys = system_from_config(cfg)
     y = _test_points(sys, i)
     z = sys.inverse_branch(i, y)
-    assert sys._inverse_tables[i] is not None
+    assert sys._inverse_starts[i] is not None
     a, b = sys.element_interval(i)
     assert np.all((z >= a) & (z <= b))
-    assert np.max(np.abs(sys._T[i](x=z) - y)) < 1e-13
+    assert np.max(np.abs(sys.T[i].value(x=z) - y)) < 1e-13
     # outside the image there is no root to agree on, only the tolerance
     inside = y[:-2]
     assert np.max(np.abs(z[:-2] - _midpoint_newton(sys, i, inside))) <= 1e-15
     # the table's values are the midpoint-start Newton at its nodes, one
     # step further, and its slopes H / T' there, H the node spacing
-    values, slopes = sys._inverse_tables[i][:2]
+    values, slopes = sys._inverse_starts[i][:2]
     lo, hi = sys.image_interval(i)
     nodes = np.linspace(lo, hi, len(values))
     start = _midpoint_newton(sys, i, nodes)
-    step = (sys._T[i](x=start) - nodes) / sys._dT[i](x=start)
+    T = sys.T[i]
+    step = (T.value(x=start) - nodes) / T.deriv(x=start)
     assert np.array_equal(values, np.clip(start - step, a, b))
     H = (hi - lo) / (len(values) - 1)
-    assert np.array_equal(slopes, H / sys._dT[i](x=values))
+    assert np.array_equal(slopes, H / T.deriv(x=values))
 
 
 @pytest.mark.parametrize("cfg,i", NONLINEAR)
-def test_seeded_solve_takes_one_newton_step(cfg, i):
+def test_seeded_solve_takes_one_newton_step(cfg, i, expr_calls):
     sys = system_from_config(cfg)
     y = _test_points(sys, i)
     sys.inverse_branch(i, y[:1])  # builds the table
     # the Hermite start meets the tolerance, so a solve is one evaluation
     # of T: the residual test
-    T = sys._T[i]
-    calls = []
-
-    def counted(**env):
-        calls.append(1)
-        return T(**env)
-
-    sys._T[i] = counted
-    try:
-        for chunk in (y, y[:1], y[5000:], float(y[7])):
-            calls.clear()
-            z = sys.inverse_branch(i, chunk)
-            assert len(calls) == 1
-            assert np.max(np.abs(T(x=z) - chunk)) < 1e-13
-    finally:
-        sys._T[i] = T
+    for chunk in (y, y[:1], y[5000:], float(y[7])):
+        expr_calls.clear()
+        z = sys.inverse_branch(i, chunk)
+        assert expr_calls.of([sys.branches[i].expr]) == 1
+        assert np.max(np.abs(sys.T[i].value(x=z) - chunk)) < 1e-13
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -109,16 +99,20 @@ def test_affine_presets_keep_the_one_step_inverse(name):
         a, b = sys.element_interval(i)
         lo, hi = sys.image_interval(i)
         y = lo + (hi - lo) * rng.random(4096)
-        t_mid, slope = sys._affine[i]
-        expect = 0.5 * (a + b) - (t_mid - y) / slope
+        T = sys.T[i]
+        t_mid = float(T.value(x=0.5 * (a + b)))
+        expect = 0.5 * (a + b) - (t_mid - y) / T.slope
         assert np.array_equal(sys.inverse_branch(i, y), expect)
         # at an image end the step may round out of the element (SYS-C,
         # branch 1, at 1/3); Newton from the midpoint then takes over
         ends = np.array([lo, hi])
         z = sys.inverse_branch(i, ends)
         assert np.all((z >= a) & (z <= b))
-        assert np.max(np.abs(sys._T[i](x=z) - ends)) < 1e-13
-    assert sys._inverse_tables == [None] * sys.m
+        assert np.max(np.abs(T.value(x=z) - ends)) < 1e-13
+    # the start kept is T at the midpoint: no Hermite table is built
+    assert sys._inverse_starts == [
+        float(T.value(x=0.5 * sum(sys.element_interval(i))))
+        for i, T in enumerate(sys.T)]
 
 
 @pytest.mark.parametrize("cfg", [to_config(make_preset("SYS-B")), NL_DOUBLING])
@@ -178,7 +172,7 @@ def _bisect(sys, y, steps=80):
     sign = 1.0 if sys.increasing[0] else -1.0
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        below = (sys._T[0](x=mid) - y) * sign < 0
+        below = (sys.T[0].value(x=mid) - y) * sign < 0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
@@ -193,10 +187,10 @@ def test_seeded_solve_agrees_with_bisection(s, k, frac, sign, increasing,
     # inf |T'| = s - 2 pi k |eps| >= 1 + 0.05 (s - 1.05) > 1
     eps = sign * frac * (s - 1.05) / (2 * np.pi * k)
     sys = _random_branch_system(s, k, eps, increasing)
-    assert sys._affine[0] is None and bool(sys.increasing[0]) == increasing
+    assert sys.T[0].slope is None and bool(sys.increasing[0]) == increasing
     y = np.concatenate([np.random.default_rng(seed).random(2000), [0.0, 1.0]])
     z = sys.inverse_branch(0, y)
-    assert np.max(np.abs(sys._T[0](x=z) - y)) < 1e-13
+    assert np.max(np.abs(sys.T[0].value(x=z) - y)) < 1e-13
     # the residual test admits |z - root| up to 1e-13 / inf |T'|
     lam = s - 2 * np.pi * k * abs(eps)
     assert np.max(np.abs(z - _bisect(sys, y))) <= 1e-13 / lam

@@ -162,7 +162,7 @@ def test_c6_bound_takes_the_seminorm_of_the_difference(nl_doubling, sigma):
     eig = eigendata(sys, sigma, N=256)
     lam, a = sys.constants.lam, sys.alpha
     semi = _old_piecewise_seminorm(
-        sys, lambda e, xs: sys._phi[e](x=xs) - sigma * sys._r[e](x=xs) + 0 * xs,
+        sys, lambda e, xs: sys.phi[e].value(x=xs) - sigma * sys.r[e].value(x=xs),
         a)
     fmax, fmin = float(eig.f.values.max()), float(eig.f.values.min())
     want = float(np.exp(semi / (1.0 - lam ** (-a))) * fmax / fmin)

@@ -209,7 +209,7 @@ def test_inverse_branch_residual():
         lo, hi = sys.image_interval(i)
         ys = np.linspace(lo, hi, 57)
         zs = sys.inverse_branch(i, ys)
-        assert np.max(np.abs(sys._T[i](x=zs) - ys)) < 1e-12
+        assert np.max(np.abs(sys.T[i].value(x=zs) - ys)) < 1e-12
         a, b = sys.element_interval(i)
         assert np.all(zs >= a - 1e-12) and np.all(zs <= b + 1e-12)
 
@@ -287,10 +287,10 @@ def _chain_oracle(sys, word, y):
     zero = np.zeros_like(y)
     dTj, snr, snphi, dsnr = zero + 1.0, zero, zero, zero
     for j, i in enumerate(word):
-        dsnr = dsnr + (sys._dr[i](x=z[j]) + zero) * dTj
-        snr = snr + sys._r[i](x=z[j])
-        snphi = snphi + sys._phi[i](x=z[j])
-        dTj = dTj * (sys._dT[i](x=z[j]) + zero)
+        dsnr = dsnr + sys.r[i].deriv(x=z[j]) * dTj
+        snr = snr + sys.r[i].value(x=z[j])
+        snphi = snphi + sys.phi[i].value(x=z[j])
+        dTj = dTj * sys.T[i].deriv(x=z[j])
     return {"x": z[0], "dTn": dTj, "Snr": snr, "Snphi": snphi,
             "DSnr_h": dsnr / dTj}
 
@@ -332,15 +332,16 @@ def _element_of_oracle(sys, x):
     return np.clip(idx, 0, sys.m - 1)
 
 
-def _piecewise_oracle(sys, fns, x):
-    """fns[element_of(x)] at x, one boolean mask and scatter per element."""
+def _piecewise_oracle(sys, pieces, x):
+    """pieces[element_of(x)].value at x, one boolean mask and scatter per
+    element."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     idx = _element_of_oracle(sys, x)
     for i in range(sys.m):
         mask = idx == i
         if np.any(mask):
-            out[mask] = fns[i](x=x[mask])
+            out[mask] = pieces[i].value(x=x[mask])
     return out
 
 
@@ -379,12 +380,12 @@ def test_piecewise_matches_boolean_masks(name, nl_doubling):
     x[:len(edges)] = edges
     block = x[-4096:].reshape(64, 64)
     with np.errstate(invalid="ignore"):
-        for method, fns in ((sys.apply_T, sys._T), (sys.roof_at, sys._r),
-                            (lambda p: sys._piecewise(sys._phi, p), sys._phi)):
+        for method, pieces in ((sys.apply_T, sys.T), (sys.roof_at, sys.r),
+                               (lambda p: sys._piecewise(sys.phi, p), sys.phi)):
             for pts in (x, block, block.T):
                 got = method(pts)
                 assert got.shape == pts.shape
-                assert np.array_equal(got, _piecewise_oracle(sys, fns, pts),
+                assert np.array_equal(got, _piecewise_oracle(sys, pieces, pts),
                                       equal_nan=True)
 
 
