@@ -314,7 +314,7 @@ def _write_csv(path: Path, header, columns) -> None:
 
 
 def _run_validate(sys_, p, out, seed):
-    rep = validate(sys_, raise_on_fail=False)
+    rep = validate(sys_)
     summary = {
         "lambda": rep.expansion, "rho": rep.rho, "C4": rep.c4,
         "C2": None if math.isnan(rep.c2) else rep.c2,  # NaN is not JSON
@@ -412,8 +412,10 @@ def _run_cohomology(sys_, p, out, seed):
 
 def _constant_roof(sys_, out, name):
     """The summary, also written to ``name``, of a run stopped by a roof
-    cohomologous to a locally constant one; None when the roof is not."""
-    coh = coboundary_test(sys_)
+    cohomologous to a locally constant one, by the test of the cohomology
+    experiment at its defaults; None when the roof is not."""
+    p = _parameters({"experiment": "cohomology"})
+    coh = coboundary_test(sys_, J_trunc=p["J_trunc"], tol=p["tol"])
     if not coh["cohomologous"]:
         return None
     summary = {"no_contraction": "roof_cohomologous_to_locally_constant",
@@ -539,7 +541,7 @@ def run(config_path: str | dict, out_dir: str | None = None,
     return code
 
 
-def report_bundle(run_dirs, out_dir: str | None = None) -> dict:
+def report_bundle(run_dirs, out_dir: str | None) -> dict:
     """Merge completed runs into a cross-experiment summary (the trichotomy
     table): cohomologous? / a(n) trend / xi_hat / c_hat."""
     if not run_dirs:

@@ -35,8 +35,8 @@ from .gibbs import adapted_partition
 from .operator import (BranchPlan, EigenData, GridFunction, _ElementwisePchip,
                        apply_L, c6_bound, deep_apply, eigendata,
                        hoelder_seminorm, lasota_yorke_audit, norm_b)
-from .system import MarkovSystem, branch_chain, sampled_seminorm, word_array
-from .uni import transversal_pair
+from .system import MarkovSystem, branch_chain, sampled_seminorm
+from .uni import transversal_pair, transversal_scales
 
 __all__ = [
     "ConeBPair", "BumpFunction", "BumpGeometry", "ConstraintViolationError",
@@ -204,26 +204,24 @@ def bump_geometry(sys: MarkovSystem, b: float, delta: float, c0: float,
                   Delta: float | None) -> BumpGeometry:
     """The geometry of every bump of one cancellation run.
 
-    Checks the gates (``constraint_gates``) and takes Delta = 4 pi / (C7
-    delta) when None, n2 = floor(log(1/delta) / log rho), n1 = floor(log
-    |b|) and n = n1 + n2.  For each adapted-partition element Q_j: pick a
-    transversal pair of depth-n2 tails at the centre, extended to depth-n
-    words (``transversal_pair``), and place 64 candidates x1 across Q_j in
-    the words' common domain, each with a 32-point sub-grid of B(x1,
-    delta/|b|).  One ``branch_chain`` per word pulls back every sub-grid
-    point and every candidate's plateau and support ends.
+    Checks the gates (``constraint_gates``) and takes n2, the depth-n2
+    tails and, when Delta is None, Delta from ``transversal_scales``, n1 =
+    floor(log |b|) and n = n1 + n2.  For each adapted-partition element
+    Q_j: pick a transversal pair of depth-n2 tails at the centre, extended
+    to depth-n words, with their common domain (``transversal_pair``), and
+    place 64 candidates x1 across Q_j in that domain, each with a 32-point
+    sub-grid of B(x1, delta/|b|).  One ``branch_chain`` per word pulls back
+    every sub-grid point and every candidate's plateau and support ends.
     """
-    c7 = sys.constants.c7
-    if c7 == 0.0:
+    if sys.constants.c7 == 0.0:
         raise NoCancellationWitness(
             "constant roof: cone images are lines, no transversal pairs")
     constraint_gates(sys, delta, c0)
+    n2, Delta_scale, tails = transversal_scales(sys, delta)
     if Delta is None:
-        Delta = 4.0 * math.pi / (c7 * delta)
-    n2 = int(math.floor(math.log(1.0 / delta) / math.log(sys.constants.rho)))
+        Delta = Delta_scale
     n1 = int(math.floor(math.log(abs(b))))
     part = adapted_partition(sys, b, Delta)
-    tails = word_array(sys, n2)
     rad = delta / abs(b)
     scan, sub_grid = 64, 32
     offsets = np.linspace(-rad, rad, sub_grid)
@@ -234,15 +232,14 @@ def bump_geometry(sys: MarkovSystem, b: float, delta: float, c0: float,
         if found is None:
             raise NoCancellationWitness(
                 f"Q_{j}: no transversal tail pair at depth {n2}", j)
-        dlo = max(sys.image_interval(w[-1])[0] for w in found)
-        dhi = min(sys.image_interval(w[-1])[1] for w in found)
+        words, (dlo, dhi) = found
         x1s = np.linspace(max(qlo, dlo) + rad, min(qhi, dhi) - rad, scan)
         zs = np.clip(x1s[:, None] + offsets[None, :],
                      max(dlo, 0.0), min(dhi, 1.0))
         ball = np.stack([x1s - rad / 2.0, x1s + rad / 2.0], axis=1)
         ys = np.concatenate([zs.reshape(-1), x1s - rad / 6, x1s + rad / 6,
                              ball[:, 0], ball[:, 1]])
-        chains = [branch_chain(sys, w, ys) for w in found]
+        chains = [branch_chain(sys, w, ys) for w in words]
         grid = zs.size
         xs.append([ch["x"][:grid].reshape(zs.shape) for ch in chains])
         ends.append([np.sort(ch["x"][grid:].reshape(2, 2, scan).transpose(
@@ -309,7 +306,7 @@ def cancellation_check(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
     branch sums at 1024 points of [0, 1], refined by 64 points inside each
     forward-image ball."""
     xs = _check_points(bump)
-    out = deep_apply(sys, eig, pair.b, bump.n, xs, [
+    out = deep_apply(sys, eig, pair.b, bump.n, xs, sys.element_of(xs), [
         {"name": "Lv", "fn": pair.v, "twist": True},
         {"name": "Lchiu", "fn": pair.u, "chi": bump},
     ])
@@ -422,9 +419,9 @@ def _integrate_mu(d_eval, node_sets, dens):
 # -- cone iteration ---------------------------------------------------------------
 
 
-def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
-                   delta: float = 0.05, Delta: float | None = None,
-                   base_n: int = 4096, v_nodes_per_b: int = 64) -> dict:
+def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
+                   delta: float, Delta: float | None, base_n: int = 4096,
+                   v_nodes_per_b: int = 64) -> dict:
     """Iterate u_{m+1} = L^n_sigma(chi_m u_m), v_{m+1} = L^n_s v_m from
     (u_0, v_0) = (1, 1), picking the bump chi_m from u_m and v_m each step
     (``build_bump``) on one ``bump_geometry`` built before the first.
@@ -513,13 +510,14 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int = 10,
 
 
 def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
-                   beta: float = 1.0) -> dict:
+                   beta: float) -> dict:
     """For each b: k = floor(beta log |b|); over the test functions exp(2 pi
     i q x), q in (0, 1, 2, 3, 5, 8), that satisfy ||v||_(b) < lam^{a k/16}
     ||v||_inf, report max ||L^k_s v||_{L1(mu)} / ||v||_inf, and fit the decay
     exponent xi_hat from log-ratio against k log lam.
 
-    Per b, one ``deep_apply`` pulls the eigendata's nodes back along the
+    Per b, one ``deep_apply`` pulls the eigendata's nodes, each in the
+    element of its row (an element's right end included), back along the
     depth-k words once and carries every admissible test function as its own
     term, so each ratio has the bits of a pullback made for it alone; the
     ratios are checked against C6 in q order.  A b that fails the beta gate,
@@ -545,11 +543,12 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
                 f"||v||_(b) is at least lam^(a k/16) = {bound:g} ||v||_inf")
         plans.append((b, k, qs))
     c6 = c6_bound(eig)
-    xs = np.concatenate([eig.f.nodes[e] for e in range(sys.m)])
+    xs = eig.f.nodes.reshape(-1)
+    elements = np.repeat(np.arange(sys.m), eig.N)
     wq = eig.mu.reshape(-1)
     rows = []
     for b, k, qs in plans:
-        out = deep_apply(sys, eig, b, k, xs, [
+        out = deep_apply(sys, eig, b, k, xs, elements, [
             {"name": q, "twist": True,
              "fn": lambda x, q=q: np.exp(2j * np.pi * q * np.asarray(x))}
             for q in qs])
@@ -568,7 +567,7 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
 
 
 def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
-                           B: float = 1.0) -> dict:
+                           B: float) -> dict:
     """Empirical lower-bound estimate of the operator norm of L^ell_s on the
     b-adapted norm, ell = ceil(B log |b|).
 
@@ -598,8 +597,7 @@ def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
             best = max(best, cur / prev)
             w = w.copy_with(w.values / cur)
         envelope = (c6_bound(eg)
-                    + lasota_yorke_audit(eg, b, n_values=(ell,),
-                                         trials=4)["c8_hat"]) ** (1.0 / ell)
+                    + lasota_yorke_audit(eg, b, ell)) ** (1.0 / ell)
         results.append({"b": float(b), "ell": ell, "ratio": best,
                         "zeta_hat": best ** (1.0 / ell), "envelope": envelope})
     return {"B": B, "rows": results,

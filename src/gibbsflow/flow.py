@@ -5,7 +5,7 @@ estimates with an exponential-rate fit."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,8 +71,11 @@ def sample_flow_measure(sys: MarkovSystem, eig: EigenData, count: int,
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     sup_r = sys.constants.roof_sup * 1.001
-    r_nodes = sys.roof_at(eig.f.nodes.reshape(-1))
-    rbar = float(np.sum(eig.mu.reshape(-1) * r_nodes))  # int r dmu, by mu_N
+    # int r dmu, by mu_N: each node row read with its own element's roof, as
+    # a row's right end is that element's, not the next one's
+    r_nodes = np.concatenate([sys.r[e].value(x=eig.f.nodes[e])
+                              for e in range(sys.m)])
+    rbar = float(np.sum(eig.mu.reshape(-1) * r_nodes))
     accept_est = rbar / sup_r
     xs_out, us_out = [], []
     have = 0
@@ -108,7 +111,7 @@ class CorrelationSeries:
     rate: float
     prefactor: float
     t_star: float
-    window: tuple = field(default=(0.0, 0.0))
+    window: tuple
 
 
 def correlation(sys: MarkovSystem, eig: EigenData, v_expr: str, w_expr: str,

@@ -16,12 +16,17 @@ Config layout (JSON), as read by ``system_from_config``:
 Expressions use the variable x (see ``expr``); ``image`` is the half-open
 range of element indices that the branch maps onto (keys: ``SYSTEM_KEYS``).
 
-Each element's branch, roof and potential is compiled once into a ``Piece``
-(``MarkovSystem.T``, ``.r``, ``.phi``) whose value and derivative return
-arrays shaped like x; an affine piece carries its slope.  phi - s r is
-formed only by ``MarkovSystem.log_weight``, which skips the roof at s = 0.
-No other module reads a private name of ``MarkovSystem``: ``_T`` and ``_r``
-exist only for the benchmark harness in perfbench/.
+A ``MarkovSystem`` is built from the partition, the image ranges and one
+``Piece`` per element for the branch, the roof and the potential
+(``MarkovSystem.T``, ``.r``, ``.phi``); it never sees an expression.  A
+piece's value and derivative return arrays shaped like x, and an affine
+piece carries its slope.  ``system_from_config`` compiles each expression
+of the config into its piece, whose ``expr`` is the one copy of it kept;
+another source of pieces, a tabulated or reduced roof say, needs no change
+to ``MarkovSystem``.  phi - s r is formed only by
+``MarkovSystem.log_weight``, which skips the roof at s = 0.  No other module
+reads a private name of ``MarkovSystem``: ``_T`` and ``_r`` exist only for
+the benchmark harness in perfbench/.
 
 The constants every estimate runs on (lam = inf|T'|, rho = sup|T'|, C4,
 C7, the roof range and the Hoelder seminorms of phi and r) come from
@@ -41,7 +46,7 @@ no module builds an object per word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -49,9 +54,9 @@ import numpy as np
 from .expr import Expr, compile_expr, differentiate, is_constant, parse
 
 __all__ = [
-    "Branch", "Piece", "MarkovSystem", "SystemConstants", "SYSTEM_KEYS",
+    "Piece", "MarkovSystem", "SystemConstants", "SYSTEM_KEYS",
     "ValidationReport", "Pullback", "NotMarkovError", "NotExpandingError",
-    "NotCoveringError", "RoofBoundsError", "CapExceededError",
+    "NotCoveringError", "CapExceededError",
     "OutsideImageError", "NoConvergenceError", "system_from_config",
     "validate", "cylinders", "count_words", "check_word_cap", "word_array",
     "pullbacks", "pullback", "symbol_pullbacks", "branch_chain",
@@ -82,10 +87,6 @@ class NotCoveringError(ValueError):
     pass
 
 
-class RoofBoundsError(ValueError):
-    pass
-
-
 class CapExceededError(RuntimeError):
     pass
 
@@ -96,12 +97,6 @@ class OutsideImageError(ValueError):
 
 class NoConvergenceError(RuntimeError):
     """An iterative solve stopped without meeting its tolerance."""
-
-
-@dataclass(frozen=True)
-class Branch:
-    expr: Expr
-    image: tuple[int, int]  # half-open range of partition element indices
 
 
 class Piece:
@@ -171,15 +166,16 @@ class ValidationReport:
     roof_sup: float
     markov_residual: float    # worst endpoint mismatch of branch images
     covering_power: int       # least k with all-positive transition matrix power
-    ok: bool = True
-    messages: list[str] = field(default_factory=list)
+    ok: bool
+    messages: list[str]       # one per failed check
 
 
 class MarkovSystem:
-    """Markov map with roof and potential, given as expressions and held as
-    one compiled ``Piece`` each: ``T[i]``, ``r[i]`` and ``phi[i]``."""
+    """Markov map with roof and potential, held as one ``Piece`` per element
+    each: ``T[i]``, ``r[i]`` and ``phi[i]``; ``images[i]`` is the half-open
+    range of element indices that branch i maps onto."""
 
-    def __init__(self, partition, branches, roof, potential, alpha=1.0):
+    def __init__(self, partition, images, T, r, phi, alpha):
         self.partition = np.asarray(partition, dtype=float)
         if self.partition.ndim != 1 or len(self.partition) < 2:
             raise NotMarkovError("partition needs at least two breakpoints")
@@ -188,28 +184,20 @@ class MarkovSystem:
         if np.any(np.diff(self.partition) <= 0):
             raise NotMarkovError("partition breakpoints must be strictly increasing")
         self.m = len(self.partition) - 1
-        if len(branches) != self.m or len(roof) != self.m or len(potential) != self.m:
+        if not len(images) == len(T) == len(r) == len(phi) == self.m:
             raise NotMarkovError("need one branch, roof and potential per element")
-        self.branches = list(branches)
-        self.roof = list(roof)
-        self.potential = list(potential)
+        self.images = [(int(lo), int(hi)) for lo, hi in images]
+        self.T, self.r, self.phi = list(T), list(r), list(phi)
         self.alpha = float(alpha)
         if not (0 < self.alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
 
-        for b in self.branches:
-            lo, hi = b.image
-            if not (0 <= lo < hi <= self.m):
-                raise NotMarkovError(f"branch image range {b.image} out of bounds")
-
-        self.T = [Piece(b.expr) for b in self.branches]
-        self.r = [Piece(e) for e in self.roof]
-        self.phi = [Piece(e) for e in self.potential]
-
         # transition[i, j]: symbol j may follow symbol i
         self.transition = np.zeros((self.m, self.m), dtype=bool)
-        for i, b in enumerate(self.branches):
-            self.transition[i, b.image[0]:b.image[1]] = True
+        for i, (lo, hi) in enumerate(self.images):
+            if not (0 <= lo < hi <= self.m):
+                raise NotMarkovError(f"branch image range {(lo, hi)} out of bounds")
+            self.transition[i, lo:hi] = True
 
         # orientation of each branch, from the derivative at the midpoint
         mids = 0.5 * (self.partition[:-1] + self.partition[1:])
@@ -264,7 +252,7 @@ class MarkovSystem:
         return float(self.partition[i]), float(self.partition[i + 1])
 
     def image_interval(self, i: int) -> tuple[float, float]:
-        lo, hi = self.branches[i].image
+        lo, hi = self.images[i]
         return float(self.partition[lo]), float(self.partition[hi])
 
     def _piecewise(self, pieces, x):
@@ -403,18 +391,20 @@ class MarkovSystem:
 
 
 def system_from_config(cfg: dict) -> MarkovSystem:
-    """Build a system from the JSON config layout in the module docstring."""
+    """Build a system from the JSON config layout in the module docstring,
+    each expression compiled into its ``Piece``."""
     extra = set(cfg) - set(SYSTEM_KEYS)
     if extra:
         raise NotMarkovError(f"unknown system config keys: {sorted(extra)}")
-    branches = [
-        Branch(parse(b["expr"]), (int(b["image"][0]), int(b["image"][1])))
-        for b in cfg["branches"]
-    ]
-    roof = [parse(s) for s in cfg["roof"]]
-    potential = [parse(s) for s in cfg["potential"]]
-    return MarkovSystem(cfg["partition"], branches, roof, potential,
-                        alpha=cfg.get("alpha", 1.0))
+
+    def pieces(texts):
+        return [Piece(parse(t)) for t in texts]
+
+    branches = cfg["branches"]
+    return MarkovSystem(cfg["partition"], [b["image"] for b in branches],
+                        pieces(b["expr"] for b in branches),
+                        pieces(cfg["roof"]), pieces(cfg["potential"]),
+                        cfg.get("alpha", 1.0))
 
 
 # -- constants and validation -------------------------------------------------
@@ -480,17 +470,18 @@ def _scan_constants(sys: MarkovSystem) -> SystemConstants:
                            monotone=tuple(monotone))
 
 
-def validate(sys: MarkovSystem, raise_on_fail: bool = True) -> ValidationReport:
+def validate(sys: MarkovSystem) -> ValidationReport:
     """Check the standing hypotheses.
 
     Verifies: expansion inf|T'| > 1, branch monotonicity, Markov property
     (branch endpoints land on breakpoints of the declared image), covering
     (some power of the transition matrix is strictly positive), roof bounds
     0 < inf r <= sup r <= 1, and estimates the distortion constant C2 of
-    inverse-branch derivatives (NaN when some branch is not monotone).
-    lam, rho, C4 and the roof range are read from ``sys.constants``.  A
-    failed check raises its named error, or with ``raise_on_fail`` False
-    is reported in ``messages``.
+    inverse-branch derivatives (NaN when some branch is not monotone or
+    misses its declared breakpoints, so that its inverse is not defined on
+    the image).
+    lam, rho, C4 and the roof range are read from ``sys.constants``.  Each
+    failed check is reported in ``messages``, and ``ok`` is False.
     """
     c = sys.constants
     msgs: list[str] = []
@@ -504,23 +495,16 @@ def validate(sys: MarkovSystem, raise_on_fail: bool = True) -> ValidationReport:
         t0, t1 = min(ta, tb), max(ta, tb)
         markov_res = max(markov_res, abs(t0 - lo), abs(t1 - hi))
 
-    def fail(exc, msg):
-        if raise_on_fail:
-            raise exc(msg)
-        msgs.append(msg)
-
     monotone = all(c.monotone)
     if not monotone:
-        fail(NotExpandingError,
-             f"branch {c.monotone.index(False)} is not monotone")
+        msgs.append(f"branch {c.monotone.index(False)} is not monotone")
     if c.lam <= 1.0:
-        fail(NotExpandingError, f"inf |T'| = {c.lam} <= 1")
+        msgs.append(f"inf |T'| = {c.lam} <= 1")
     if markov_res > 1e-9:
-        fail(NotMarkovError,
-             f"branch images miss declared breakpoints by {markov_res:.3e}")
+        msgs.append(
+            f"branch images miss declared breakpoints by {markov_res:.3e}")
     if not (c.roof_inf > 0 and c.roof_sup <= 1.0 + 1e-12):
-        fail(RoofBoundsError,
-             f"roof range [{c.roof_inf}, {c.roof_sup}] outside (0, 1]")
+        msgs.append(f"roof range [{c.roof_inf}, {c.roof_sup}] outside (0, 1]")
 
     # covering: some power of the transition matrix is strictly positive
     power = 0
@@ -531,14 +515,14 @@ def validate(sys: MarkovSystem, raise_on_fail: bool = True) -> ValidationReport:
             power = k
             break
     if power == 0:
-        fail(NotCoveringError,
-             "transition matrix has no strictly positive power")
+        msgs.append("transition matrix has no strictly positive power")
 
     # distortion of inverse-branch derivatives at small depths:
-    # sup |Dh_n(x) - Dh_n(y)| / (|Dh_n(x)| d(x,y)^alpha); NaN when some
-    # branch is not monotone, since its inverse is undefined
-    c2 = 0.0 if monotone else np.nan
-    for depth in (1, 2, 3) if monotone else ():
+    # sup |Dh_n(x) - Dh_n(y)| / (|Dh_n(x)| d(x,y)^alpha); NaN where some
+    # inverse branch is undefined
+    inverts = monotone and markov_res <= 1e-9
+    c2 = 0.0 if inverts else np.nan
+    for depth in (1, 2, 3) if inverts else ():
         for word in word_array(sys, depth).tolist():
             dom = sys.image_interval(word[-1])  # the domain of h_word
             ys = np.linspace(dom[0], dom[1], 64)
@@ -660,8 +644,7 @@ def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, need: set, k: int,
     return out
 
 
-def pullbacks(sys: MarkovSystem, words, ys, fields=FIELDS, eig=None,
-              every_depth: bool = True):
+def pullbacks(sys: MarkovSystem, words, ys, fields, eig, every_depth: bool):
     """Pull the points ys back along every suffix of ``words``, depth by depth.
 
     ``words`` is a (K, n) array of distinct words in lexicographic order;
@@ -670,7 +653,8 @@ def pullbacks(sys: MarkovSystem, words, ys, fields=FIELDS, eig=None,
     one batched ``inverse_branch`` per symbol over row blocks of at most
     2^16 (word, point) pairs.  Yields one Pullback per depth k = 1..n, with
     rows the distinct length-k suffixes in lexicographic order (at depth n,
-    ``words`` itself), carrying ``fields``; "J" needs the EigenData ``eig``.
+    ``words`` itself), carrying ``fields``; "J" needs the EigenData ``eig``,
+    and no other field reads it (None will do).
     Only the previous depth is held while the next is built, and the last
     depth keeps nothing but ``fields``.  With ``every_depth`` False only
     depth n is yielded, and J, which no deeper depth needs, is computed
@@ -716,7 +700,7 @@ def pullbacks(sys: MarkovSystem, words, ys, fields=FIELDS, eig=None,
 
 def pullback(sys: MarkovSystem, words, ys, fields=FIELDS) -> Pullback:
     """The last depth of ``pullbacks``: one row per word of ``words``."""
-    for level in pullbacks(sys, words, ys, fields, every_depth=False):
+    for level in pullbacks(sys, words, ys, fields, None, False):
         pass
     return level
 

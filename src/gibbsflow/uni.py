@@ -41,7 +41,7 @@ from .system import (MarkovSystem, branch_chain, count_words, cylinders,
 
 __all__ = [
     "MAX_PAIRS", "check_uni", "a_sequence", "b_sequence",
-    "coboundary_test", "uni_from_transversality",
+    "coboundary_test", "transversal_scales", "uni_from_transversality",
 ]
 
 
@@ -245,7 +245,7 @@ def _ab_sequences(sys: MarkovSystem, eig: EigenData, n_max: int,
 
 
 def a_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
-               grid: int = 512) -> list[float]:
+               grid: int) -> list[float]:
     """a(n), n = 1..n_max: the worst total mu_sigma-Jacobian weight, at the
     sigma of ``eig``, of the preimages whose closed slope intervals meet that
     of one preimage x0 (touching intervals meet), over the y grid.
@@ -258,7 +258,7 @@ def a_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
 
 
 def b_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
-               grid: int = 512) -> list[float]:
+               grid: int) -> list[float]:
     """b(n), n = 1..n_max: the worst weighted stabbing number of the closed
     slope intervals, each preimage weighted by its inverse Jacobian of
     mu_sigma at the sigma of ``eig``, over the y grid.
@@ -301,8 +301,7 @@ def _theta_eval(sys: MarkovSystem, chains: dict[int, list[int]], y0: float,
     return out
 
 
-def coboundary_test(sys: MarkovSystem, J_trunc: int = 40,
-                    tol: float = 1e-6) -> dict:
+def coboundary_test(sys: MarkovSystem, J_trunc: int, tol: float) -> dict:
     """Test whether the roof is an automorphic coboundary: r = theta o T -
     theta + chi with chi constant on partition elements.
 
@@ -350,42 +349,48 @@ def coboundary_test(sys: MarkovSystem, J_trunc: int = 40,
 # -- transversality implies pointwise UNI -------------------------------------------
 
 
+def transversal_scales(sys: MarkovSystem, delta: float):
+    """(n2, Delta, tails) of the transversality construction at delta:
+    n2 = floor(log(1/delta) / log rho), Delta = 4 pi / (C7 delta) and
+    tails = ``word_array(sys, n2)``, the depth-n2 words ``transversal_pair``
+    picks from.  n2 < 1 is refused; C7 must be positive."""
+    c = sys.constants
+    n2 = int(math.floor(math.log(1.0 / delta) / math.log(c.rho)))
+    if n2 < 1:
+        raise ValueError(f"n2 = {n2} below 1")
+    return n2, 4.0 * math.pi / (c.c7 * delta), word_array(sys, n2)
+
+
 def uni_from_transversality(sys: MarkovSystem, delta: float, b: float,
-                            beta: float = 1.0) -> dict:
+                            beta: float) -> dict:
     """Verify the quantitative pointwise-UNI conclusion drawn from
-    transversality: with n2 = floor(log(1/delta)/log rho), n1 = floor(beta
-    log |b|), D = (C7/2) rho^{-n2} and Delta = 4 pi/(C7 delta), every y with
-    a depth-n2 transversal tail pair satisfies |D psi(z)| >= D on
-    B(y, Delta/|b|) intersected with the pair's domain.  It is checked at
-    33 points y and, around each, at 32 points z; n2 < 1 is refused."""
+    transversality: with n2 and Delta from ``transversal_scales``, n1 =
+    floor(beta log |b|) and D = (C7/2) rho^{-n2}, every y with a depth-n2
+    transversal tail pair satisfies |D psi(z)| >= D on B(y, Delta/|b|)
+    intersected with the pair's domain.  It is checked at 33 points y and,
+    around each, at 32 points z."""
     if not (0 < delta < 1):
         raise ValueError("delta must be in (0,1)")
     c7, rho = sys.constants.c7, sys.constants.rho
     if c7 == 0.0:
         return {"D": 0.0, "Delta": math.inf, "pass_rate": 0.0,
                 "no_pair_everywhere": True, "results": []}
-    n2 = int(math.floor(math.log(1.0 / delta) / math.log(rho)))
-    if n2 < 1:
-        raise ValueError(f"n2 = {n2} below 1")
+    n2, Delta, tails = transversal_scales(sys, delta)
     n1 = int(math.floor(beta * math.log(abs(b))))
     n = n1 + n2
     D = 0.5 * c7 * rho ** (-n2)
-    Delta = 4.0 * math.pi / (c7 * delta)
     radius = Delta / abs(b)
 
-    tails = word_array(sys, n2)
     results = []
     npass = 0
     nfail = 0
     for y in np.linspace(1e-6, 1 - 1e-6, 33):
-        pair = transversal_pair(sys, tails, n1, y)
-        if pair is None:
+        found = transversal_pair(sys, tails, n1, y)
+        if found is None:
             results.append({"y": float(y), "status": "NoTransversalPair"})
             continue
-        # the pair's domain, where both inverse branches are defined
-        (lo1, hi1), (lo2, hi2) = (sys.image_interval(w[-1]) for w in pair)
-        zs = np.linspace(max(lo1, lo2, y - radius), min(hi1, hi2, y + radius),
-                         32)
+        pair, (lo, hi) = found
+        zs = np.linspace(max(lo, y - radius), min(hi, y + radius), 32)
         # |D psi| = |D(S_n r o h_w1) - D(S_n r o h_w2)|
         dsnr = pullback(sys, sorted(pair), zs, ("DSnr_h",)).DSnr_h
         margin = float(np.min(np.abs(dsnr[0] - dsnr[1]))) - D
@@ -406,10 +411,11 @@ def uni_from_transversality(sys: MarkovSystem, delta: float, b: float,
 
 
 def transversal_pair(sys: MarkovSystem, tails: np.ndarray, n1: int, y: float):
-    """Depth-(n1 + n2) words (w1, w2) through y whose depth-n2 tails have the
-    widest gap between their slope intervals at y, each tail extended by its
-    greedy prefix, the lowest-index admissible word of length n1 that may
-    precede it; None when no two tails through y are transversal.
+    """((w1, w2), (lo, hi)): depth-(n1 + n2) words through y whose depth-n2
+    tails have the widest gap between their slope intervals at y, each tail
+    extended by its greedy prefix, the lowest-index admissible word of
+    length n1 that may precede it, and the pair's domain, where both inverse
+    branches are defined; None when no two tails through y are transversal.
 
     ``tails`` is ``word_array(sys, n2)``; the tails whose domain holds y are
     pulled back in one engine call, and ties go to the first pair in
@@ -430,5 +436,7 @@ def transversal_pair(sys: MarkovSystem, tails: np.ndarray, n1: int, y: float):
     if gap.flat[best] <= 0.0:
         return None
     t1, t2 = (tuple(tails[a].tolist()) for a in divmod(best, len(tails)))
-    return (tuple(reversed(_greedy_chain(sys, t1[0], n1))) + t1,
-            tuple(reversed(_greedy_chain(sys, t2[0], n1))) + t2)
+    (lo1, hi1), (lo2, hi2) = (sys.image_interval(t[-1]) for t in (t1, t2))
+    return ((tuple(reversed(_greedy_chain(sys, t1[0], n1))) + t1,
+             tuple(reversed(_greedy_chain(sys, t2[0], n1))) + t2),
+            (max(lo1, lo2), min(hi1, hi2)))

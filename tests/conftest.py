@@ -76,10 +76,10 @@ def to_config(sys) -> dict:
     """The JSON config layout of ``system_from_config`` for a system."""
     return {
         "partition": [float(a) for a in sys.partition],
-        "branches": [{"expr": str(b.expr), "image": [b.image[0], b.image[1]]}
-                     for b in sys.branches],
-        "roof": [str(e) for e in sys.roof],
-        "potential": [str(e) for e in sys.potential],
+        "branches": [{"expr": str(T.expr), "image": list(image)}
+                     for T, image in zip(sys.T, sys.images)],
+        "roof": [str(p.expr) for p in sys.r],
+        "potential": [str(p.expr) for p in sys.phi],
         "alpha": sys.alpha,
     }
 
@@ -246,7 +246,7 @@ def branch_plan_loop(sys, eig, b, n, xs, elements):
     blocks = []
     norm = np.zeros(xs.shape)
     for s in range(sys.m):
-        lo, hi = sys.branches[s].image
+        lo, hi = sys.images[s]
         cols = np.flatnonzero((elements >= lo) & (elements < hi))
         ends = words[:, -1] == s
         if not (len(cols) and np.any(ends)):
@@ -267,9 +267,9 @@ def mass_tables_loop(sys, eig, words):
     loop: one engine per symbol on the nodes of its image, zipped by depth,
     and the normaliser, an (m, N) array, summed symbol after symbol."""
     nodes = node_grid(sys, eig.N)
-    images = [slice(*b.image) for b in sys.branches]
+    images = [slice(*image) for image in sys.images]
     engines = [pullbacks(sys, words[words[:, -1] == s],
-                         nodes[img].reshape(-1), ("J",), eig)
+                         nodes[img].reshape(-1), ("J",), eig, True)
                for s, img in enumerate(images)]
     for levels in zip(*engines):
         norm = np.zeros((sys.m, eig.N))

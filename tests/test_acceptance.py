@@ -72,7 +72,7 @@ def test_rpf_exactness_full_shift(sys_a):
     f = eig.f.values.real
     assert np.max(np.abs(f - 1.0)) < 1e-8
     ones = GridFunction(sys_a, np.ones((sys_a.m, 1024)))
-    out = apply_L(eig, 0.0, ones)
+    out = apply_L(eig, 0.0, ones, 1)
     assert np.max(np.abs(out.values - 1.0)) < 1e-8
     assert cpu_now() - t0 < 5.0
 
@@ -121,9 +121,10 @@ def test_trichotomy_rigid_side(sys_a):
     t0 = cpu_now()
     lin = make_preset("SYS-A-LINROOF")
     for sys in (sys_a, lin):
-        assert coboundary_test(sys)["residual"] < 1e-6
+        assert coboundary_test(sys, J_trunc=40, tol=1e-6)["residual"] < 1e-6
         eig = eigendata(sys, 0.0, N=256)
-        for v in a_sequence(sys, eig, 8) + b_sequence(sys, eig, 8):
+        for v in (a_sequence(sys, eig, 8, grid=512)
+                  + b_sequence(sys, eig, 8, grid=512)):
             assert abs(v - 1.0) < 1e-6
     assert cpu_now() - t0 < 180.0
 
@@ -132,9 +133,9 @@ def test_trichotomy_oscillating_side(sys_b):
     t0 = cpu_now()
     nl = make_preset("SYS-C-NLROOF")
     for sys in (sys_b, nl):
-        assert coboundary_test(sys)["residual"] > 1e-5
+        assert coboundary_test(sys, J_trunc=40, tol=1e-6)["residual"] > 1e-5
         eig = eigendata(sys, 0.0, N=256)
-        assert any(v < 1.0 - 1e-9 for v in a_sequence(sys, eig, 10))
+        assert any(v < 1.0 - 1e-9 for v in a_sequence(sys, eig, 10, grid=512))
         found = False
         for n in (2, 3, 4):
             for w1, w2 in sibling_pairs(sys, n):
@@ -155,8 +156,8 @@ def test_sequence_and_cone_bounds(sys_b, sys_c, eig_b):
     eig_c = eigendata(sys_c, 0.0, N=256)
     for sys, eig in ((sys_b, eig_b), (sys_c, eig_c)):
         c7 = sys.constants.c7
-        a = a_sequence(sys, eig, 8)
-        b = b_sequence(sys, eig, 8)
+        a = a_sequence(sys, eig, 8, grid=512)
+        b = b_sequence(sys, eig, 8, grid=512)
         assert all(v <= 1 + 1e-9 for v in a + b)
         for m in range(1, 5):
             for n in range(1, 9 - m):
@@ -198,7 +199,7 @@ def test_cancellation_and_cone_iteration(sys_b, eig_b, b):
     chk = cancellation_check(sys_b, eig_b, pair, bump)
     assert chk["margin"] >= -1e-9
 
-    rep = cone_iteration(sys_b, eig_b, b, m_max=10, delta=0.05,
+    rep = cone_iteration(sys_b, eig_b, b, m_max=10, delta=0.05, Delta=None,
                          base_n=2048, v_nodes_per_b=32)
     assert rep["all_in_cone"]
     assert all(t < 1.0 for t in rep["tau_hats"])
@@ -210,7 +211,8 @@ def test_cancellation_and_cone_iteration(sys_b, eig_b, b):
 
 def test_l1_contraction_sweep_and_control(sys_b, eig_b, sys_a):
     t0 = cpu_now()
-    rep = l1_contraction(sys_b, eig_b, [2.0 ** q for q in range(8, 13)])
+    rep = l1_contraction(sys_b, eig_b, [2.0 ** q for q in range(8, 13)],
+                         beta=1.0)
     for row in rep["rows"]:
         assert row["k"] == math.floor(math.log(row["b"]))
         assert row["ratio"] < 1.0

@@ -614,9 +614,9 @@ def test_bundle_summarizes_trichotomy(tmp_path):
 def test_bundle_missing_manifest(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(MissingManifestError):
-        report_bundle([str(tmp_path / "empty")])
+        report_bundle([str(tmp_path / "empty")], None)
     with pytest.raises(MissingManifestError):
-        report_bundle([])
+        report_bundle([], None)
 
 
 def test_console_script_entry_point(tmp_path):

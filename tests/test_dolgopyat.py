@@ -16,7 +16,7 @@ from gibbsflow.expr import parse
 from gibbsflow.gibbs import adapted_partition
 from gibbsflow.operator import BranchPlan, GridFunction, eigendata, node_grid
 from gibbsflow.presets import make_preset
-from gibbsflow.system import (Branch, MarkovSystem, branch_chain,
+from gibbsflow.system import (MarkovSystem, Piece, branch_chain,
                               system_from_config, word_array)
 from gibbsflow.uni import transversal_pair
 
@@ -70,11 +70,10 @@ def test_c0_sys_b_closed_form(sys_b, eig_b):
 
 def test_c0_monotone_in_roof_amplitude(eig_b):
     big = MarkovSystem(
-        [0.0, 0.5, 1.0],
-        [Branch(parse("2*x"), (0, 2)), Branch(parse("2*x-1"), (0, 2))],
-        [parse("(2+2*cos(2*pi*x))/4")] * 2,
-        [parse("0")] * 2,
-    )
+        [0.0, 0.5, 1.0], [(0, 2), (0, 2)],
+        [Piece(parse("2*x")), Piece(parse("2*x-1"))],
+        [Piece(parse("(2+2*cos(2*pi*x))/4"))] * 2,
+        [Piece(parse("0"))] * 2, 1.0)
     eig = eigendata(big, 0.0, N=128)
     small = make_preset("SYS-B")
     eig_s = eigendata(small, 0.0, N=128)
@@ -180,7 +179,7 @@ def _bump_by_element(sys, pair, delta, Delta):
     rad = delta / abs(b)
     plateaus, supports, balls, cases = [], [], [], []
     for qlo, qhi in zip(part.left.tolist(), part.right.tolist()):
-        w, wbar = transversal_pair(sys, tails, n1, 0.5 * (qlo + qhi))
+        (w, wbar), _ = transversal_pair(sys, tails, n1, 0.5 * (qlo + qhi))
         dlo = max(sys.image_interval(w[-1])[0],
                   sys.image_interval(wbar[-1])[0])
         dhi = min(sys.image_interval(w[-1])[1],
@@ -296,8 +295,8 @@ def test_cancellation_checker_sign(sys_b, eig_b):
 
 @pytest.mark.parametrize("b", [2.0 ** 8, 2.0 ** 10])
 def test_cone_iteration_contracts(sys_b, eig_b, b):
-    rep = cone_iteration(sys_b, eig_b, b, m_max=10, base_n=2048,
-                         v_nodes_per_b=32)
+    rep = cone_iteration(sys_b, eig_b, b, m_max=10, delta=0.05, Delta=None,
+                         base_n=2048, v_nodes_per_b=32)
     assert rep["all_in_cone"]
     assert rep["all_contracting"]
     taus = rep["tau_hats"]
@@ -306,6 +305,37 @@ def test_cone_iteration_contracts(sys_b, eig_b, b):
     u2 = [s["int_u2"] for s in rep["steps"]]
     assert all(later < earlier for earlier, later in zip(u2, u2[1:]))
     assert all(s["I"] > 0 for s in rep["steps"])
+
+
+def test_bump_geometry_and_uni_read_the_same_scales(sys_b, monkeypatch):
+    # n2, Delta and each transversal pair's common domain come from the
+    # helpers of uni, for the cancellation run and the UNI check alike
+    import gibbsflow.uni as uni
+    seen = {"scales": [], "domains": []}
+
+    def scales(*args, _fn=uni.transversal_scales):
+        out = _fn(*args)
+        seen["scales"].append(out[:2])
+        return out
+
+    def pair(*args, _fn=uni.transversal_pair):
+        found = _fn(*args)
+        seen["domains"].append(found[1])
+        return found
+
+    for mod in (dg, uni):
+        monkeypatch.setattr(mod, "transversal_scales", scales)
+        monkeypatch.setattr(mod, "transversal_pair", pair)
+    b, delta = 256.0, 0.05
+    c0 = c0_constant(sys_b, eigendata(sys_b, 0.0, N=128))["C0"]
+    geom = bump_geometry(sys_b, b, delta, c0, None)
+    rep = uni.uni_from_transversality(sys_b, delta, b, 1.0)
+    n1 = int(math.floor(math.log(b)))
+    assert seen["scales"] == [(geom.n - n1, geom.Delta)] * 2
+    assert (rep["n2"], rep["Delta"]) == (geom.n - n1, geom.Delta)
+    # both SYS-B branches are full, so every pair is defined on [0, 1]
+    assert len(seen["domains"]) > 33
+    assert set(seen["domains"]) == {(0.0, 1.0)}
 
 
 def test_cone_iteration_builds_the_bump_geometry_once(sys_b, eig_b,
@@ -330,8 +360,8 @@ def test_cone_iteration_builds_the_bump_geometry_once(sys_b, eig_b,
         return bumps[-1]
 
     monkeypatch.setattr(dg, "build_bump", build_counted)
-    cone_iteration(sys_b, eig_b, 256.0, m_max=3, base_n=2048,
-                   v_nodes_per_b=32)
+    cone_iteration(sys_b, eig_b, 256.0, m_max=3, delta=0.05, Delta=None,
+                   base_n=2048, v_nodes_per_b=32)
     assert len(bumps) == 3
     J = len(bumps[0].supports)
     assert calls == {"bump_geometry": 1, "adapted_partition": 1,
@@ -403,7 +433,8 @@ def test_cone_iteration_plans_match_fresh_applications(sys_b, eig_b,
         return vals
 
     monkeypatch.setattr(dg, "_apply_on", checked)
-    rep = cone_iteration(sys_b, eig_b, 256.0, m_max=2, base_n=2048)
+    rep = cone_iteration(sys_b, eig_b, 256.0, m_max=2, delta=0.05,
+                         Delta=None, base_n=2048)
     n = rep["n"]
     assert seen == 2 * ([(False, 2)] * n + [(True, 1)] * n)
 
@@ -426,8 +457,8 @@ def test_cone_iteration_pulls_the_base_nodes_back_once(sys_b, eig_b,
 
     monkeypatch.setattr(system_mod, "pullbacks", counted)
     base_n = 2048
-    rep = cone_iteration(sys_b, eig_b, 256.0, m_max=2, base_n=base_n,
-                         v_nodes_per_b=32)
+    rep = cone_iteration(sys_b, eig_b, 256.0, m_max=2, delta=0.05,
+                         Delta=None, base_n=base_n, v_nodes_per_b=32)
     base = np.concatenate([np.linspace(*sys_b.element_interval(e),
                                        base_n)[1:-1] for e in range(sys_b.m)])
     values, counts = np.unique(np.concatenate(columns), return_counts=True)
@@ -483,14 +514,14 @@ def test_plan_equals_the_per_symbol_loop(name, sigma):
 
 def test_cone_iteration_aborts_on_constant_roof(sys_a, eig_a):
     with pytest.raises(NoCancellationWitness):
-        cone_iteration(sys_a, eig_a, 256.0, m_max=2, Delta=30.0)
+        cone_iteration(sys_a, eig_a, 256.0, m_max=2, delta=0.05, Delta=30.0)
 
 
 # -- L1 contraction ---------------------------------------------------------------
 
 
 def test_l1_contraction_sys_b(sys_b, eig_b):
-    rep = l1_contraction(sys_b, eig_b, [2.0 ** 8, 2.0 ** 10, 2.0 ** 12])
+    rep = l1_contraction(sys_b, eig_b, [2.0 ** 8, 2.0 ** 10, 2.0 ** 12], 1.0)
     for row in rep["rows"]:
         assert row["ratio"] < 1.0
         assert row["ratio"] <= rep["C6"] * (1 + 1e-9)
@@ -500,13 +531,13 @@ def test_l1_contraction_sys_b(sys_b, eig_b):
 def test_l1_contraction_constant_roof_control(sys_a, eig_a):
     # at b = 2 pi q the twist of the unit roof is exp(-2 pi i q) = 1, so the
     # constant test function is fixed and the best ratio is exactly 1
-    rep = l1_contraction(sys_a, eig_a, [2 * math.pi * 100])
+    rep = l1_contraction(sys_a, eig_a, [2 * math.pi * 100], 1.0)
     assert rep["rows"][0]["ratio"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_l1_beta_gate_refuses(sys_a, eig_a):
     with pytest.raises(ConstraintViolationError):
-        l1_contraction(sys_a, eig_a, [2.0])
+        l1_contraction(sys_a, eig_a, [2.0], 1.0)
 
 
 def test_l1_refuses_b_without_test_functions(sys_b, eig_b, monkeypatch):
@@ -517,7 +548,7 @@ def test_l1_refuses_b_without_test_functions(sys_b, eig_b, monkeypatch):
     monkeypatch.setattr(dg, "deep_apply",
                         lambda *args: calls.append(args) or {})
     with pytest.raises(ConstraintViolationError, match="b=2"):
-        l1_contraction(sys_b, eig_b, [256.0, 2.0])
+        l1_contraction(sys_b, eig_b, [256.0, 2.0], 1.0)
     assert not calls
 
 
@@ -527,6 +558,7 @@ def _l1_one_pullback_per_q(sys, eig, b_list, beta=1.0):
     from gibbsflow.operator import deep_apply
     a, lam = sys.alpha, sys.constants.lam
     xs = np.concatenate([eig.f.nodes[e] for e in range(sys.m)])
+    elements = np.repeat(np.arange(sys.m), eig.N)
     wq = eig.mu.reshape(-1)
     rows, admitted = [], []
     for b in b_list:
@@ -538,7 +570,7 @@ def _l1_one_pullback_per_q(sys, eig, b_list, beta=1.0):
             semi = (2 * np.pi * q) ** a if q else 0.0
             if semi / (1.0 + abs(b) ** a) + 1.0 >= bound:
                 continue
-            out = deep_apply(sys, eig, b, k, xs, [
+            out = deep_apply(sys, eig, b, k, xs, elements, [
                 {"name": "Lv", "fn": fn, "twist": True}])
             worst = max(worst, float(np.sum(wq * np.abs(out["Lv"]))))
             count += 1
@@ -558,7 +590,27 @@ def test_l1_one_pullback_per_b_matches_one_per_q(name, sys_b, eig_b,
     # b = 64 skips some test functions (SYS-B admits q = 0, 1, NL-DOUBLING
     # only q = 0), and b = 1024 admits all six
     assert min(admitted) < 6 and max(admitted) > 1
-    assert l1_contraction(s, eig, b_list)["rows"] == rows
+    assert l1_contraction(s, eig, b_list, 1.0)["rows"] == rows
+
+
+def test_l1_reads_each_node_in_the_element_of_its_row():
+    # the nodes 1/3 and 2/3 end rows 0 and 1 of SYS-C-NLROOF, and
+    # element_of puts each into the next element, whose branch set differs
+    sys = make_preset("SYS-C-NLROOF")
+    eig = eigendata(sys, 0.0, N=64)
+    xs = eig.f.nodes.reshape(-1)
+    rows = np.repeat(np.arange(sys.m), eig.N)
+
+    def worst(elements):
+        plan = BranchPlan(sys, eig, 256.0, 5, xs, elements)
+        return max(float(np.sum(eig.mu.reshape(-1) * np.abs(plan.apply(
+            lambda x, q=q: np.exp(2j * np.pi * q * np.asarray(x)), True))))
+            for q in (0, 1, 2, 3, 5, 8))
+
+    [row] = l1_contraction(sys, eig, [256.0], 1.0)["rows"]
+    assert row["k"] == 5   # and b = 256 admits all six test functions
+    assert row["ratio"] == worst(rows)
+    assert worst(sys.element_of(xs)) != row["ratio"]
 
 
 def test_l1_matches_the_benchmark_reference(sys_b):
@@ -570,7 +622,7 @@ def test_l1_matches_the_benchmark_reference(sys_b):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
     want = json.loads(path.read_text(encoding="utf-8"))["contraction:SYS-B:"]
     rep = l1_contraction(sys_b, eigendata(sys_b, 0.0, N=512),
-                         [2.0 ** q for q in range(8, 13)])
+                         [2.0 ** q for q in range(8, 13)], 1.0)
     assert [r["k"] for r in rep["rows"]] == want["k"]
     assert abs(rep["xi_hat"] - want["xi_hat"]) <= 1e-12
 
@@ -579,14 +631,15 @@ def test_l1_matches_the_benchmark_reference(sys_b):
 
 
 def test_norm_sweep_sys_b(sys_b, eig_b):
-    rep = norm_contraction_sweep(sys_b, eig_b, [2.0 ** 8, 2.0 ** 10, 2.0 ** 12])
+    rep = norm_contraction_sweep(sys_b, eig_b, [2.0 ** 8, 2.0 ** 10, 2.0 ** 12],
+                                 1.0)
     assert rep["zeta_max"] < 1.0
     for row in rep["rows"]:
         assert row["zeta_hat"] <= row["envelope"] * (1 + 1e-9)
 
 
 def test_norm_sweep_constant_roof_no_contraction(sys_a, eig_a):
-    rep = norm_contraction_sweep(sys_a, eig_a, [2 * math.pi])
+    rep = norm_contraction_sweep(sys_a, eig_a, [2 * math.pi], 1.0)
     assert rep["rows"][0]["zeta_hat"] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -639,8 +692,7 @@ def _sweep_one_trial_at_a_time(sys, eig, b_list, B=1.0, trials=200,
             best = max(best, cur / prev)
             w = w.copy_with(w.values / cur)
         envelope = (c6_bound(eg)
-                    + lasota_yorke_audit(eg, b, n_values=(ell,),
-                                         trials=4)["c8_hat"]) ** (1.0 / ell)
+                    + lasota_yorke_audit(eg, b, ell)) ** (1.0 / ell)
         results.append({"b": float(b), "ell": ell, "ratio": best,
                         "zeta_hat": best ** (1.0 / ell), "envelope": envelope})
     return results, all_ratios
@@ -655,7 +707,7 @@ def test_norm_sweep_from_one_matches_sixty_random_trials(name):
            else make_preset(name))
     eig = eigendata(sys, 0.0, N=256)
     b_list = [64.0, 128.0, 256.0]
-    rep = norm_contraction_sweep(sys, eig, b_list)
+    rep = norm_contraction_sweep(sys, eig, b_list, 1.0)
     rows, ratios = _sweep_one_trial_at_a_time(sys, eig, b_list, trials=60)
     assert rep["rows"] == rows
     for per_b in ratios:

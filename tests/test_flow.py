@@ -7,6 +7,7 @@ from gibbsflow.flow import (CorrelationSeries, InsufficientSignalError,
                             correlation, evolve_many, sample_flow_measure)
 from gibbsflow.operator import eigendata
 from gibbsflow.presets import make_preset
+from gibbsflow.system import system_from_config
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +152,30 @@ def test_base_marginal_proportional_to_roof(sys_b, eig_b, sample_b):
     got = float(np.mean(s.xs < 0.5))
     se = np.sqrt(expected * (1 - expected) / len(s))
     assert abs(got - expected) < 3 * se
+
+
+def test_mean_roof_reads_each_node_row_with_its_own_roof():
+    # roof 1/2 on [0, 1/2) and 1 on [1/2, 1), mu_0 Lebesgue: int r dmu is
+    # 3/4; reading the right end of row 0, the node 1/2, with the roof of
+    # element 1 gave 0.75198 at N = 64
+    sys_ = system_from_config({
+        "partition": [0.0, 0.5, 1.0],
+        "branches": [{"expr": "2*x", "image": [0, 2]},
+                     {"expr": "2*x-1", "image": [0, 2]}],
+        "roof": ["0.5", "1"], "potential": ["0", "0"]})
+    eig = eigendata(sys_, 0.0, N=64)
+    s = sample_flow_measure(sys_, eig, 10, seed=0)
+    assert s.mean_roof == pytest.approx(0.75, abs=1e-14)
+
+
+def test_mean_roof_rows_equal_the_piecewise_read_on_one_roof(sys_b, eig_b):
+    # SYS-B has one roof expression on both elements, so the element that
+    # reads a row's right end does not move a bit
+    rows = np.concatenate([sys_b.r[e].value(x=eig_b.f.nodes[e])
+                           for e in range(sys_b.m)])
+    assert np.array_equal(rows, sys_b.roof_at(eig_b.f.nodes.reshape(-1)))
+    s = sample_flow_measure(sys_b, eig_b, 10, seed=0)
+    assert s.mean_roof == float(np.sum(eig_b.mu.reshape(-1) * rows))
 
 
 def test_sampler_deterministic_under_seed(sys_b, eig_b):

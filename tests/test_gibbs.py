@@ -111,13 +111,13 @@ def _audit_by_sorted_x(sys, eig, max_depth):
     reference points x_omega, which lie one in each cylinder."""
     nodes = node_grid(sys, eig.N)
     words = word_array(sys, max_depth)
-    images = [slice(*b.image) for b in sys.branches]
+    images = [slice(*image) for image in sys.images]
     mass_engines = [pullbacks(sys, words[words[:, -1] == s],
-                              nodes[img].reshape(-1), ("J",), eig)
+                              nodes[img].reshape(-1), ("J",), eig, True)
                     for s, img in enumerate(images)]
     point_engines = [pullbacks(sys, words[words[:, -1] == s],
                                [0.5 * sum(sys.image_interval(s))],
-                               ("x", "Snr", "Snphi"))
+                               ("x", "Snr", "Snphi"), None, True)
                      for s in range(sys.m)]
     lo, hi, per_depth = np.inf, 0.0, {}
     for n, (levels, points) in enumerate(zip(zip(*mass_engines),
@@ -321,7 +321,7 @@ def test_backward_step_reads_the_roof_only_at_nonzero_sigma(name, expr_calls):
         eig = eigendata(sys, sigma, N=64)
         expr_calls.clear()
         _backward_step(sys, eig, x)
-        assert expr_calls.of(sys.roof) == expected
+        assert expr_calls.of([p.expr for p in sys.r]) == expected
 
 
 def test_transition_weights_values():

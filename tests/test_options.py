@@ -1,15 +1,24 @@
-"""Every defaulted parameter of gibbsflow is set by some call of the program.
+"""Every parameter of gibbsflow takes more than one value in the program.
 
-A parameter with a default that no call sets has one value in use, so it is
-a constant, not an option.  Only the program's own calls count, those in
-src/ and perfbench/: a parameter that only tests set has one value wherever
-the program runs.  The check parses the package and every call in those trees,
-and matches calls to definitions by name: ``f(...)`` and ``obj.f(...)``
-call every function or method named f, and ``Cls(...)`` calls
-``Cls.__init__``; the ``__init__`` of a dataclass takes its fields, so a
-field with a default that ``__init__`` takes is a defaulted parameter too.
-A call sets a parameter when it passes it by keyword or
-by position, or passes ``*args`` or ``**kwargs``.
+A parameter that takes one value wherever the program runs is a constant,
+not an option.  Three checks say so:
+
+- every defaulted parameter is set by some call, else its default is the
+  one value;
+- every default is used by some call, else the default states a second
+  value that nothing reads (the callers' own copy is the one in use);
+- no parameter is set to the same constant by every call.
+
+Only the program's own calls count, those in src/, perfbench/ and tools/:
+a parameter that only tests set has one value wherever the program runs.
+The checks parse the package and every call in those trees, and match
+calls to definitions by name: ``f(...)`` and ``obj.f(...)`` call every
+function or method named f, and ``Cls(...)`` calls ``Cls.__init__``; the
+``__init__`` of a dataclass takes its fields, so a field that ``__init__``
+takes is a parameter, and one with a default a defaulted parameter.  A
+call may set a parameter when it passes it by keyword or by position, or
+passes ``*args`` or ``**kwargs``; it surely sets it only in the first two
+ways.
 """
 
 import ast
@@ -29,9 +38,11 @@ TEST_ONLY = {("cli.py", "main", "argv"),
               ("uni.py", "check_uni", "grid")}
 
 
-def _options() -> list[tuple[str, str, str, int | None]]:
+def _signatures():
     """(module, callee name, parameter, position in a call or None for a
-    keyword-only one) of every defaulted parameter in the package."""
+    keyword-only one, default node or None) of every parameter of every
+    function, method and dataclass in the package; ``self`` and ``cls``,
+    ``*args`` and ``**kwargs`` are not parameters a call names."""
     found = []
     for path in sorted((ROOT / "src" / "gibbsflow").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -48,16 +59,24 @@ def _options() -> list[tuple[str, str, str, int | None]]:
                 else fn.name
             args = fn.args
             pos = args.posonlyargs + args.args
-            for k in range(len(pos) - len(args.defaults), len(pos)):
-                found.append((path.name, name, pos[k].arg, k - skip))
-            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                if default is not None:
-                    found.append((path.name, name, arg.arg, None))
+            defaults = [None] * (len(pos) - len(args.defaults)) + args.defaults
+            found += [(path.name, name, arg.arg, k - skip, default)
+                      for k, (arg, default) in enumerate(zip(pos, defaults))
+                      if k >= skip]
+            found += [(path.name, name, arg.arg, None, default)
+                      for arg, default in zip(args.kwonlyargs,
+                                              args.kw_defaults)]
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
-                found += [(path.name, cls.name, field, k)
-                          for field, k in _dataclass_defaults(cls)]
+                found += [(path.name, cls.name, field, k, default)
+                          for field, k, default in _dataclass_fields(cls)]
     return found
+
+
+def _options() -> list[tuple[str, str, str, int | None]]:
+    """(module, callee name, parameter, position in a call or None for a
+    keyword-only one) of every defaulted parameter in the package."""
+    return [sig[:4] for sig in _signatures() if sig[4] is not None]
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -66,12 +85,12 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
                == "dataclass" for d in cls.decorator_list)
 
 
-def _dataclass_defaults(cls: ast.ClassDef) -> list[tuple[str, int]]:
-    """(field, position in a call) of every field with a default that the
-    dataclass's ``__init__`` takes: ``x: T = v``, or ``field(default=...)``
-    or ``field(default_factory=...)``.  A ``field(init=False, ...)`` is
-    state, not a parameter.  (The package has no ClassVar, InitVar or
-    kw_only field.)"""
+def _dataclass_fields(cls: ast.ClassDef) -> list[tuple[str, int, object]]:
+    """(field, position in a call, default node or None) of every field that
+    the dataclass's ``__init__`` takes.  A field has a default when it is
+    ``x: T = v``, or ``field(default=...)`` or ``field(default_factory=...)``.
+    A ``field(init=False, ...)`` is state, not a parameter.  (The package
+    has no ClassVar, InitVar or kw_only field.)"""
     out, position = [], 0
     for item in cls.body:
         if not (isinstance(item, ast.AnnAssign)
@@ -84,19 +103,16 @@ def _dataclass_defaults(cls: ast.ClassDef) -> list[tuple[str, int]]:
             init = keywords.get("init")
             if isinstance(init, ast.Constant) and init.value is False:
                 continue
-            defaulted = "default" in keywords or "default_factory" in keywords
-        else:
-            defaulted = value is not None
-        if defaulted:
-            out.append((item.target.id, position))
+            value = keywords.get("default", keywords.get("default_factory"))
+        out.append((item.target.id, position, value))
         position += 1
     return out
 
 
 def _calls() -> dict[str, list[ast.Call]]:
-    """Every call in src/ and perfbench/, by the name it calls."""
+    """Every call in src/, perfbench/ and tools/, by the name it calls."""
     calls: dict[str, list[ast.Call]] = {}
-    for top in ("src", "perfbench"):
+    for top in ("src", "perfbench", "tools"):
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Call):
@@ -107,19 +123,43 @@ def _calls() -> dict[str, list[ast.Call]]:
 
 
 def _sets(call: ast.Call, param: str, position: int | None) -> bool:
+    """The call may set the parameter."""
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
-    if any(k.arg in (param, None) for k in call.keywords):
+    if any(k.arg is None for k in call.keywords):
         return True
-    return position is not None and len(call.args) > position
+    return _passed(call, param, position) is not None
+
+
+def _passed(call: ast.Call, param: str, position: int | None):
+    """The node the call surely passes for the parameter, else None."""
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    if position is None:
+        return None
+    leading = 0   # the positional arguments before any *args
+    for a in call.args:
+        if isinstance(a, ast.Starred):
+            break
+        leading += 1
+    return call.args[position] if position < leading else None
+
+
+def _constant(node):
+    """(True, value) when the node is a literal, else (False, None)."""
+    try:
+        return True, ast.literal_eval(node)
+    except ValueError:
+        return False, None
 
 
 def test_every_option_is_set_by_some_call():
     options = _options()
-    # the scan sees the package: eigendata's N is an option the CLI sets,
-    # and so is EigenData's matrix, a dataclass field with a default
-    assert ("operator.py", "eigendata", "N", 2) in options
-    assert ("operator.py", "EigenData", "matrix", 8) in options
+    # the scan sees the package: pullback's fields is an option some calls
+    # set, and so is _Param's low, a dataclass field with a default
+    assert ("system.py", "pullback", "fields", 3) in options
+    assert ("cli.py", "_Param", "low", 2) in options
     # a field(init=False) is state that no call can set
     assert not any(o[1:3] == ("EigenData", "_lmat_cache") for o in options)
     calls = _calls()
@@ -130,3 +170,65 @@ def test_every_option_is_set_by_some_call():
                          for c in calls.get(name, []))]
     assert not unset, ("defaulted parameters no call sets; make them "
                        "constants:\n" + "\n".join(unset))
+
+
+def _unused_defaults(signatures, calls) -> list[str]:
+    """Defaulted parameters that every program call surely sets."""
+    return [f"{module}: {name}({param})"
+            for module, name, param, position, default in signatures
+            if default is not None
+            and all(_passed(c, param, position) is not None
+                    for c in calls.get(name, []))]
+
+
+def _one_constant(signatures, calls) -> list[str]:
+    """Parameters that every program call, of at least one, sets to the same
+    literal."""
+    found = []
+    for module, name, param, position, _ in signatures:
+        passed = [_passed(c, param, position) for c in calls.get(name, [])]
+        if not passed or any(node is None for node in passed):
+            continue
+        values = [_constant(node) for node in passed]
+        if all(ok for ok, _ in values) and len(
+                {repr(v) for _, v in values}) == 1:
+            found.append(f"{module}: {name}({param}={values[0][1]!r})")
+    return found
+
+
+def test_every_default_is_used_by_some_call():
+    signatures = _signatures()
+    calls = _calls()
+    unused = _unused_defaults(signatures, calls)
+    assert not unused, ("defaults no call uses; delete them, the callers' "
+                        "values are the ones in use:\n" + "\n".join(unused))
+
+
+def test_no_parameter_is_one_constant_in_every_call():
+    signatures = _signatures()
+    calls = _calls()
+    constant = _one_constant(signatures, calls)
+    assert not constant, ("parameters every call sets to one value; make "
+                          "them that behaviour:\n" + "\n".join(constant))
+
+
+def test_the_checks_see_each_form():
+    src = ("def f(a, b=1, *, c=2):\n    pass\n"
+           "def g(x, flag=False):\n    pass\n"
+           "f(0, b=3)\nf(1, 4)\nf(*args)\ng(5, True)\ng(6, flag=True)\n")
+    tree = ast.parse(src)
+    signatures = [("m.py", fn.name, a.arg, k, d)
+                  for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  for k, (a, d) in enumerate(zip(
+                      fn.args.args, [None] * (len(fn.args.args)
+                                              - len(fn.args.defaults))
+                      + fn.args.defaults))]
+    signatures.append(("m.py", "f", "c", None, tree.body[0].args.kw_defaults[0]))
+    calls: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            calls.setdefault(node.func.id, []).append(node)
+    # f's b is passed by keyword, by position and maybe through *args; c is
+    # never passed; g's flag is passed in every call, as True each time
+    assert _unused_defaults(signatures, calls) == ["m.py: g(flag)"]
+    assert _one_constant(signatures, calls) == ["m.py: g(flag=True)"]

@@ -70,7 +70,7 @@ def test_sigma_zero_reads_no_roof(cfg, expr_calls):
         outputs.append([transfer_matrix(s, 0.0, 64).toarray(),
                         potential_seminorm(s, 0.0), *_backward_step(s, eig, x),
                         norm, *[pb.J for _, _, pb in blocks]])
-    assert expr_calls.of(sys.roof) == 0
+    assert expr_calls.of([p.expr for p in sys.r]) == 0
     for got, want in zip(*outputs):
         assert _bits(got) == _bits(want)
 
@@ -79,7 +79,7 @@ def test_log_weight_reads_the_roof_once(expr_calls):
     sys = system_from_config(NL_DOUBLING)
     y = np.linspace(0.0, 0.5, 33)
     g, r = sys.log_weight(0, 0.5 + 2j, y)
-    assert expr_calls.of([sys.roof[0]]) == 1
+    assert expr_calls.of([sys.r[0].expr]) == 1
     assert _bits(r) == _bits(sys.r[0].value(x=y))
     assert _bits(g) == _bits(sys.phi[0].value(x=y) - (0.5 + 2j) * r)
     g0, r0 = sys.log_weight(0, 0.0, y)
@@ -100,6 +100,6 @@ def test_the_engine_reads_each_piece_once_per_block(expr_calls):
     # then (0 s) and (1 s), then (0 . s) and (1 . s); each block is one
     # seeded solve, so one evaluation of T
     blocks = sys.m * (1 + 2 + 2)
-    assert expr_calls.of(sys.roof) == blocks
-    assert expr_calls.of(sys.potential) == blocks
-    assert expr_calls.of([b.expr for b in sys.branches]) == blocks
+    assert expr_calls.of([p.expr for p in sys.r]) == blocks
+    assert expr_calls.of([p.expr for p in sys.phi]) == blocks
+    assert expr_calls.of([p.expr for p in sys.T]) == blocks

@@ -11,8 +11,8 @@ from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
 from gibbsflow.operator import deep_apply, eigendata, node_grid
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.system import (
-    Branch, CapExceededError, NoConvergenceError, NotCoveringError,
-    NotExpandingError, NotMarkovError, OutsideImageError, branch_chain,
+    CapExceededError, NoConvergenceError, NotCoveringError,
+    NotMarkovError, OutsideImageError, branch_chain,
     cylinders, pullback, sampled_seminorm, symbol_pullbacks,
     system_from_config, validate, word_array,
 )
@@ -125,20 +125,21 @@ def test_every_export_resolves(name):
 
 
 def test_not_expanding_rejected():
-    with pytest.raises(NotExpandingError):
-        validate(_bad_system("x/2+1/4", (0, 2)))
+    rep = validate(_bad_system("x/2+1/4", (0, 2)))
+    assert not rep.ok
+    assert "inf |T'| = 0.5 <= 1" in rep.messages
 
 
 def test_not_markov_rejected():
-    with pytest.raises(NotMarkovError):
-        validate(_bad_system("2*x+1/10", (0, 2)))
+    rep = validate(_bad_system("2*x+1/10", (0, 2)))
+    assert not rep.ok
+    assert rep.messages == [
+        "branch images miss declared breakpoints by 1.000e-01"]
+    assert math.isnan(rep.c2)  # h_0 is not defined on the declared image
 
 
 def test_non_monotone_branch_reported():
-    sys = _bad_system("8*x*(1-2*x)", (0, 2))
-    with pytest.raises(NotExpandingError, match="branch 0 is not monotone"):
-        validate(sys)
-    rep = validate(sys, raise_on_fail=False)
+    rep = validate(_bad_system("8*x*(1-2*x)", (0, 2)))
     assert not rep.ok
     assert "branch 0 is not monotone" in rep.messages
     assert math.isnan(rep.c2)
@@ -440,7 +441,7 @@ def test_cylinder_masses_match_per_word_jacobians(name, sigma, nl_doubling):
     raw = {}
     norm = np.zeros((sys.m, eig.N))
     for c in table.cylinders:
-        lo, hi = sys.branches[c.word[-1]].image
+        lo, hi = sys.images[c.word[-1]]
         raw[c.word] = {e: jacobian_weight(sys, eig, c.word, nodes[e])[0]
                        for e in range(lo, hi)}
         for e, u in raw[c.word].items():
@@ -474,10 +475,10 @@ def test_deep_apply_matches_per_word_jacobians(name, sigma, b, nl_doubling):
     n = 5
     xs = np.linspace(0.0, 1.0, 41)
     fn = lambda z: np.cos(3 * z) + 1j * z
-    out = deep_apply(sys, eig, b, n, xs, [
+    idx = sys.element_of(xs)
+    out = deep_apply(sys, eig, b, n, xs, idx, [
         {"name": "Lv", "fn": fn, "twist": True},
         {"name": "one", "fn": None}])
-    idx = sys.element_of(xs)
     for k, x in enumerate(xs):
         total, norm = 0.0, 0.0
         for w in word_array(sys, n).tolist():

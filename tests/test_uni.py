@@ -474,7 +474,7 @@ def test_sequences_match_the_benchmark_reference(nl_doubling):
 
 
 def test_constant_roof_is_coboundary(sys_a):
-    rep = coboundary_test(sys_a)
+    rep = coboundary_test(sys_a, J_trunc=40, tol=1e-6)
     assert rep["cohomologous"]
     assert rep["residual"] < 1e-9
     assert rep["chi"][0] == pytest.approx(1.0, abs=1e-9)
@@ -484,7 +484,7 @@ def test_constant_roof_is_coboundary(sys_a):
 def test_linear_roof_coboundary_closed_form(sys_lin):
     # r = 1 - x/2 = theta o T - theta + chi with theta = -x/2,
     # chi = 1 on [0, 1/2) and 1/2 on [1/2, 1)
-    rep = coboundary_test(sys_lin)
+    rep = coboundary_test(sys_lin, J_trunc=40, tol=1e-6)
     assert rep["cohomologous"]
     assert rep["residual"] < 1e-8
     assert rep["chi"][0] == pytest.approx(1.0, abs=1e-8)
@@ -492,19 +492,19 @@ def test_linear_roof_coboundary_closed_form(sys_lin):
 
 
 def test_sys_b_is_not_coboundary(sys_b):
-    rep = coboundary_test(sys_b)
+    rep = coboundary_test(sys_b, J_trunc=40, tol=1e-6)
     assert not rep["cohomologous"]
     assert rep["residual"] > 10 * rep["tol"]
 
 
 def test_coboundary_residual_stable_under_truncation(sys_b):
-    r20 = coboundary_test(sys_b, J_trunc=20)["residual"]
-    r40 = coboundary_test(sys_b, J_trunc=40)["residual"]
+    r20 = coboundary_test(sys_b, J_trunc=20, tol=1e-6)["residual"]
+    r40 = coboundary_test(sys_b, J_trunc=40, tol=1e-6)["residual"]
     assert r40 == pytest.approx(r20, rel=1e-4)
 
 
 def test_tail_bound_formula(sys_b):
-    rep = coboundary_test(sys_b, J_trunc=20)
+    rep = coboundary_test(sys_b, J_trunc=20, tol=1e-6)
     lam = 2.0
     c4 = np.pi / 3
     assert rep["tail_bound"] == pytest.approx(
@@ -514,7 +514,7 @@ def test_tail_bound_formula(sys_b):
 def test_trichotomy_consistency(sys_a, sys_b, sys_lin, eig_a, eig_b, eig_lin):
     for s, e, cob in ((sys_a, eig_a, True), (sys_lin, eig_lin, True),
                       (sys_b, eig_b, False)):
-        rep = coboundary_test(s)
+        rep = coboundary_test(s, J_trunc=40, tol=1e-6)
         a = a_sequence(s, e, 6, grid=64)
         b = b_sequence(s, e, 6, grid=64)
         a_one = np.allclose(a, 1.0, atol=1e-6)
@@ -526,7 +526,7 @@ def test_trichotomy_consistency(sys_a, sys_b, sys_lin, eig_a, eig_b, eig_lin):
 
 
 def test_uni_from_transversality_sys_b(sys_b):
-    rep = uni_from_transversality(sys_b, delta=0.05, b=1000.0)
+    rep = uni_from_transversality(sys_b, delta=0.05, b=1000.0, beta=1.0)
     assert rep["n2"] == 4
     assert rep["n1"] == 6
     assert not rep["no_pair_everywhere"]
@@ -535,7 +535,7 @@ def test_uni_from_transversality_sys_b(sys_b):
 
 
 def test_uni_from_transversality_degenerate(sys_a):
-    rep = uni_from_transversality(sys_a, delta=0.05, b=1000.0)
+    rep = uni_from_transversality(sys_a, delta=0.05, b=1000.0, beta=1.0)
     assert rep["no_pair_everywhere"]
 
 
