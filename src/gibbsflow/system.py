@@ -479,9 +479,9 @@ def validate(sys: MarkovSystem) -> ValidationReport:
     0 < inf r <= sup r <= 1, and estimates the distortion constant C2 of
     inverse-branch derivatives (NaN when some branch is not monotone or
     misses its declared breakpoints, so that its inverse is not defined on
-    the image).
-    lam, rho, C4 and the roof range are read from ``sys.constants``.  Each
-    failed check is reported in ``messages``, and ``ok`` is False.
+    the image).  lam, rho, C4 and the roof range are read from
+    ``sys.constants``.  Each failed check is reported in ``messages``, and
+    ``ok`` is False.
     """
     c = sys.constants
     msgs: list[str] = []
@@ -654,11 +654,10 @@ def pullbacks(sys: MarkovSystem, words, ys, fields, eig, every_depth: bool):
     2^16 (word, point) pairs.  Yields one Pullback per depth k = 1..n, with
     rows the distinct length-k suffixes in lexicographic order (at depth n,
     ``words`` itself), carrying ``fields``; "J" needs the EigenData ``eig``,
-    and no other field reads it (None will do).
-    Only the previous depth is held while the next is built, and the last
-    depth keeps nothing but ``fields``.  With ``every_depth`` False only
-    depth n is yielded, and J, which no deeper depth needs, is computed
-    there alone.
+    and no other field reads it (None will do).  Only the previous depth is
+    held while the next is built, and the last depth keeps nothing but
+    ``fields``.  With ``every_depth`` False only depth n is yielded, and J,
+    which no deeper depth needs, is computed there alone.
     """
     words = np.asarray(words, dtype=np.intp)
     ys = np.asarray(ys, dtype=float)

@@ -38,13 +38,13 @@ TEST_ONLY = {("cli.py", "main", "argv"),
               ("uni.py", "check_uni", "grid")}
 
 
-def _signatures():
+def _signatures(package: Path = ROOT / "src" / "gibbsflow"):
     """(module, callee name, parameter, position in a call or None for a
     keyword-only one, default node or None) of every parameter of every
-    function, method and dataclass in the package; ``self`` and ``cls``,
+    function, method and dataclass in ``package``; ``self`` and ``cls``,
     ``*args`` and ``**kwargs`` are not parameters a call names."""
     found = []
-    for path in sorted((ROOT / "src" / "gibbsflow").glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {fn: cls for cls in ast.walk(tree)
                  if isinstance(cls, ast.ClassDef) for fn in cls.body}
@@ -109,11 +109,12 @@ def _dataclass_fields(cls: ast.ClassDef) -> list[tuple[str, int, object]]:
     return out
 
 
-def _calls() -> dict[str, list[ast.Call]]:
-    """Every call in src/, perfbench/ and tools/, by the name it calls."""
+def _calls(tops=(ROOT / "src", ROOT / "perfbench", ROOT / "tools")
+           ) -> dict[str, list[ast.Call]]:
+    """Every call in the trees ``tops``, by the name it calls."""
     calls: dict[str, list[ast.Call]] = {}
-    for top in ("src", "perfbench", "tools"):
-        for path in sorted((ROOT / top).rglob("*.py")):
+    for top in tops:
+        for path in sorted(top.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Call):
                     f = node.func
@@ -212,22 +213,13 @@ def test_no_parameter_is_one_constant_in_every_call():
                           "them that behaviour:\n" + "\n".join(constant))
 
 
-def test_the_checks_see_each_form():
-    src = ("def f(a, b=1, *, c=2):\n    pass\n"
-           "def g(x, flag=False):\n    pass\n"
-           "f(0, b=3)\nf(1, 4)\nf(*args)\ng(5, True)\ng(6, flag=True)\n")
-    tree = ast.parse(src)
-    signatures = [("m.py", fn.name, a.arg, k, d)
-                  for fn in tree.body if isinstance(fn, ast.FunctionDef)
-                  for k, (a, d) in enumerate(zip(
-                      fn.args.args, [None] * (len(fn.args.args)
-                                              - len(fn.args.defaults))
-                      + fn.args.defaults))]
-    signatures.append(("m.py", "f", "c", None, tree.body[0].args.kw_defaults[0]))
-    calls: dict = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            calls.setdefault(node.func.id, []).append(node)
+def test_the_checks_see_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(a, b=1, *, c=2):\n    pass\n"
+        "def g(x, flag=False):\n    pass\n"
+        "f(0, b=3)\nf(1, 4)\nf(*args)\ng(5, True)\ng(6, flag=True)\n",
+        encoding="utf-8")
+    signatures, calls = _signatures(tmp_path), _calls([tmp_path])
     # f's b is passed by keyword, by position and maybe through *args; c is
     # never passed; g's flag is passed in every call, as True each time
     assert _unused_defaults(signatures, calls) == ["m.py: g(flag)"]
