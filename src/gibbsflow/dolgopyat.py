@@ -34,7 +34,8 @@ import numpy as np
 from .gibbs import adapted_partition
 from .operator import (BranchPlan, EigenData, GridFunction, _ElementwisePchip,
                        apply_L, c6_bound, deep_apply, eigendata,
-                       hoelder_seminorm, lasota_yorke_audit, norm_b)
+                       hoelder_seminorm, lasota_yorke_audit, node_grid,
+                       norm_b)
 from .system import MarkovSystem, branch_chain, sampled_seminorm
 from .uni import transversal_pair, transversal_scales
 
@@ -393,16 +394,10 @@ def _apply_on(plans, layout, g_eval, twist: bool):
 def _mu_density(eig: EigenData):
     """Density of mu with respect to Lebesgue, interpolated from the
     eigenvector quadrature weights."""
-    sys = eig.system
-    nodes, dens = [], []
-    for e in range(sys.m):
-        xs = eig.f.nodes[e]
-        h = xs[1] - xs[0]
-        w = np.full(xs.shape, h)
-        w[0] = w[-1] = h / 2.0
-        nodes.append(xs)
-        dens.append(eig.mu[e] / w)
-    return _ElementwisePchip(sys, nodes, dens)
+    h = np.diff(eig.f.nodes[:, :2])
+    w = np.repeat(h, eig.N, axis=1)
+    w[:, [0, -1]] = h / 2.0
+    return GridFunction(eig.system, eig.mu / w)
 
 
 def _integrate_mu(d_eval, node_sets, dens):
@@ -446,13 +441,10 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
 
     # v lives on a uniform grid resolving the 1/b oscillation scale
     nv = int(max(base_n, v_nodes_per_b * abs(b)))
-    v_nodes = [np.linspace(*sys.element_interval(e), nv) for e in range(sys.m)]
-    v = _ElementwisePchip(sys, v_nodes,
-                          [np.ones(nv, dtype=complex) for _ in range(sys.m)])
-    v_plans = [_plan(sys, eig, b, v_nodes)]
+    v = GridFunction(sys, np.ones((sys.m, nv), dtype=complex))
+    v_plans = [_plan(sys, eig, b, v.nodes)]
     v_layout = _union(sys, v_plans)[1]
-    base = [np.linspace(*sys.element_interval(e), base_n)
-            for e in range(sys.m)]
+    base = node_grid(sys, base_n)
     base_plan = _plan(sys, eig, 0.0, base)
     d_eval = lambda x: np.zeros(np.asarray(x, dtype=float).shape)
     u_eval = lambda x: 1.0 - np.real(np.asarray(d_eval(x)))
@@ -481,15 +473,15 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
 
         # advance v
         for _ in range(geom.n):
-            v = _ElementwisePchip(sys, v_nodes,
-                                  _apply_on(v_plans, v_layout, v.eval, True))
+            v = v.copy_with(np.stack(_apply_on(v_plans, v_layout, v.eval,
+                                               True)))
 
         I_next, J_next = _integrate_mu(d_eval, nodes, dens)
         int_u2_next = 1.0 - 2.0 * I_next + J_next
         tau_hat = int_u2_next / int_u2
 
         cone = _cone_test(sys, ConeBPair(u_eval, v.eval, b, c0), [
-            np.unique(np.concatenate([v_nodes[e], nodes[e]]))
+            np.unique(np.concatenate([v.nodes[e], nodes[e]]))
             for e in range(sys.m)])
         trace.append({
             "m": m, "int_u2": int_u2_next, "tau_hat": tau_hat,
@@ -587,8 +579,7 @@ def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
         if eg is None or eg.N != N:
             eg = None  # released before the next one is built
             eg = eigendata(sys, eig.sigma, N=N)
-        w = GridFunction(sys, np.ones(eg.f.nodes.shape, dtype=complex),
-                         eg.f.nodes)
+        w = GridFunction(sys, np.ones(eg.f.nodes.shape, dtype=complex))
         best = 0.0
         for _ in range(4):
             prev = norm_b(w, b)

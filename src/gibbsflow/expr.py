@@ -4,8 +4,8 @@ Grammar (precedence climbing):
 
     expr   := term (("+" | "-") term)*
     term   := factor (("*" | "/") factor)*
-    factor := atom ("^" INT)?
-    atom   := NUMBER | VAR | "pi" | FUNC "(" expr ")" | "(" expr ")" | "-" atom
+    factor := "-" factor | atom ("^" INT)?
+    atom   := NUMBER | VAR | "pi" | FUNC "(" expr ")" | "(" expr ")"
     FUNC   := "sin" | "cos" | "exp" | "log"
 
 Expressions are immutable trees with structural equality, an exact
@@ -166,6 +166,9 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
+        if self.peek() == "-":
+            self.pos += 1
+            return Neg(self.factor())
         e = self.atom()
         if self.peek() == "^":
             self.pos += 1
@@ -188,9 +191,6 @@ class _Parser:
         c = self.peek()
         if c == "":
             raise self.error("expected expression")
-        if c == "-":
-            self.pos += 1
-            return Neg(self.atom())
         if c == "(":
             self.pos += 1
             e = self.expr()
@@ -401,27 +401,27 @@ def _mul(a: Expr, b: Expr) -> Expr:
     return Mul(a, b)
 
 
-def differentiate(e: Expr, var: str = "x") -> Expr:
-    """Exact symbolic derivative with respect to ``var``."""
+def differentiate(e: Expr) -> Expr:
+    """Exact symbolic derivative with respect to x."""
     if isinstance(e, (Num, Pi)):
         return Num(0.0)
     if isinstance(e, Var):
-        return Num(1.0) if e.name == var else Num(0.0)
+        return Num(1.0) if e.name == "x" else Num(0.0)
     if isinstance(e, Add):
-        return _add(differentiate(e.left, var), differentiate(e.right, var))
+        return _add(differentiate(e.left), differentiate(e.right))
     if isinstance(e, Sub):
-        return _sub(differentiate(e.left, var), differentiate(e.right, var))
+        return _sub(differentiate(e.left), differentiate(e.right))
     if isinstance(e, Mul):
-        return _add(_mul(differentiate(e.left, var), e.right),
-                    _mul(e.left, differentiate(e.right, var)))
+        return _add(_mul(differentiate(e.left), e.right),
+                    _mul(e.left, differentiate(e.right)))
     if isinstance(e, Div):
-        num = _sub(_mul(differentiate(e.left, var), e.right),
-                   _mul(e.left, differentiate(e.right, var)))
+        num = _sub(_mul(differentiate(e.left), e.right),
+                   _mul(e.left, differentiate(e.right)))
         if _is_zero(num):
             return Num(0.0)
         return Div(num, Pow(e.right, 2))
     if isinstance(e, Pow):
-        db = differentiate(e.base, var)
+        db = differentiate(e.base)
         if e.exponent == 0 or _is_zero(db):
             return Num(0.0)
         if e.exponent == 1:
@@ -431,10 +431,10 @@ def differentiate(e: Expr, var: str = "x") -> Expr:
         # a negative literal has no printed form that parses back to itself
         return d if e.exponent > 0 else Neg(d)
     if isinstance(e, Neg):
-        d = differentiate(e.operand, var)
+        d = differentiate(e.operand)
         return Num(0.0) if _is_zero(d) else Neg(d)
     if isinstance(e, Call):
-        d = differentiate(e.arg, var)
+        d = differentiate(e.arg)
         if _is_zero(d):
             return Num(0.0)
         if e.func == "sin":

@@ -86,7 +86,8 @@ class _ElementwisePchip:
 
 
 class GridFunction:
-    """Function sampled on the element node grid; complex values allowed.
+    """Function sampled on the element node grid ``node_grid(sys, N)``, N
+    values per element; complex values allowed.
 
     Evaluation between nodes uses monotone cubic interpolation per element,
     which reproduces node values exactly and does not overshoot the data
@@ -95,12 +96,12 @@ class GridFunction:
     imaginary parts as one trailing axis.
     """
 
-    def __init__(self, sys: MarkovSystem, values: np.ndarray, nodes=None):
+    def __init__(self, sys: MarkovSystem, values: np.ndarray):
         self.system = sys
         self.values = np.asarray(values)
-        self.nodes = node_grid(sys, self.values.shape[1]) if nodes is None else nodes
+        self.nodes = node_grid(sys, self.values.shape[1])
         if self.values.shape != self.nodes.shape:
-            raise ValueError("values and nodes shapes differ")
+            raise ValueError("values are not one row per element")
         self._pchip = None
 
     @property
@@ -116,7 +117,7 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
     def copy_with(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.system, values, self.nodes)
+        return GridFunction(self.system, values)
 
 
 # -- operator matrix ----------------------------------------------------------

@@ -16,17 +16,18 @@ displacement psi = S_n r o h_w1 - S_n r o h_w2 enters through D psi alone,
 a difference of two engine rows; ``check_uni`` indexes them by word row.
 
 a(n) and b(n) come from the slope intervals and mu_sigma-Jacobian weights
-of every depth-n preimage at every y of a grid.  The ys are grouped by the
-set of symbols whose image holds y; every word ending in one of those
-symbols is admissible at each y of the group, so the group is one dense
-(words x ys) block, filled from the runs of ``symbol_pullbacks``.  One
-endpoint sweep per y reads both statistics off a block: a stable argsort
-of [lo | hi] puts every opening before any closing at an equal coordinate
-(closed intervals that touch meet), b(n) is the largest prefix sum of the
-signed weights, and a(n) the largest weight of intervals meeting one
-interval.  ``a_sequence`` and ``b_sequence`` share the sweep: the latest
-result is kept in one slot on the EigenData, keyed by the system, n_max
-and grid, so the CLI's call of both builds each block once.
+of every depth-n preimage at every y of a grid: one (words x ys) tableau,
+rows in ``word_array`` order, swept in runs of consecutive ys.  A run is
+filled from the per-symbol blocks of one ``symbol_pullbacks`` call; a word
+whose domain misses y has the interval [+inf, +inf] and weight 0, which
+move neither statistic.  One endpoint sweep per y reads both statistics
+off a run: a stable argsort of [lo | hi] puts every opening before any
+closing at an equal coordinate (closed intervals that touch meet), b(n) is
+the largest prefix sum of the signed weights, and a(n) the largest weight
+of intervals meeting one interval.  ``a_sequence`` and ``b_sequence``
+share the sweep: the latest result is kept in one slot on the EigenData,
+keyed by the system, n_max and grid, so the CLI's call of both builds each
+tableau once.
 """
 
 from __future__ import annotations
@@ -56,6 +57,15 @@ def _closed_images(sys: MarkovSystem, ys: np.ndarray) -> np.ndarray:
                      (sys.image_interval(s) for s in range(sys.m))])
 
 
+def _slope_interval(c7: float, dsnr_h: np.ndarray, dtn: np.ndarray):
+    """(lo, hi): the slope interval of the cone image at y, with centre
+    -D(S_n r o h_w)(y) and half-width C7 / |DT^n(h_w y)|, from the engine's
+    DSnr_h and dTn."""
+    centre = -dsnr_h
+    half = c7 / np.abs(dtn)
+    return centre - half, centre + half
+
+
 def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
     """Full-branch and pointwise uniform-nonintegrability constants at depth n.
 
@@ -78,7 +88,6 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
     [(blocks, _)] = symbol_pullbacks(sys, words, xs, holds, ("DSnr_h",))
     for s, cols, pb in blocks:
         d[np.ix_(last == s, cols)] = pb.DSnr_h
-    dom = np.array([sys.image_interval(s) for s in range(sys.m)])[last]
 
     def best_pair(rows, where):
         """The largest over pairs of ``rows`` of the least |D psi| over the
@@ -97,14 +106,16 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
                 best, pair = float(least[k]), (rows[a], rows[a + 1 + k])
         return best, pair
 
-    full = np.flatnonzero((dom[:, 0] <= 1e-12) & (dom[:, 1] >= 1 - 1e-12))
+    ends = np.array([1e-12, 1 - 1e-12])
+    full = np.flatnonzero(_closed_images(sys, ends)[last].all(axis=1))
     d_full = best_pair(full, np.ones(grid, dtype=bool))[0]
 
     d_point = np.inf
     witness = []
-    for y in np.linspace(0.0, 1.0, 65):
-        through = np.flatnonzero((dom[:, 0] <= y) & (y <= dom[:, 1]))
-        best, pair = best_pair(through, (xs >= y - R) & (xs <= y + R))
+    ys = np.linspace(0.0, 1.0, 65)
+    for y, through in zip(ys, _closed_images(sys, ys)[last].T):
+        best, pair = best_pair(np.flatnonzero(through),
+                               (xs >= y - R) & (xs <= y + R))
         if pair is not None:
             pair = tuple(tuple(words[a].tolist()) for a in pair)
         d_point = min(d_point, best)
@@ -117,58 +128,13 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
 # -- a(n) and b(n) ---------------------------------------------------------------
 
 
-def _preimage_blocks(sys: MarkovSystem, eig: EigenData, words: np.ndarray,
-                     ys: np.ndarray):
-    """Yield (rows, cols, lo, hi, w) for each group of the ys that lie in
-    the images of the same symbols; rows index ``words``, the
-    ``word_array(sys, n)``, and cols index ``ys``.
-
-    ``symbol_pullbacks`` pulls the words ending in each symbol s back at
-    all the ys in the closed image of s.  A group's rows are the words
-    ending in one of its symbols, in ``word_array`` order, and its dense
-    (rows, cols) arrays are taken out of those runs: the slope interval
-    [lo, hi] = -D(S_n r o h)(y) +- C7 / |DT^n| and the weight w = J_w(y),
-    the inverse Jacobian of mu_sigma along h_w at the sigma of ``eig``,
-    normalised to sum to 1 over the rows at each y.
-    """
-    c7 = sys.constants.c7
-    last = words[:, -1]
-    holds = _closed_images(sys, ys)
-    [(blocks, _)] = symbol_pullbacks(sys, words, ys, holds,
-                                     ("dTn", "DSnr_h", "J"), eig)
-    pulled = {}
-    for s, at, pb in blocks:
-        centre = -pb.DSnr_h
-        half = c7 / np.abs(pb.dTn)
-        pulled[s] = (at, centre - half, centre + half, pb.J)
-    keys, group = np.unique((1 << np.arange(sys.m)) @ holds,
-                            return_inverse=True)
-    for g, key in enumerate(keys.tolist()):
-        rows = np.flatnonzero((key >> last) & 1)
-        if not len(rows):
-            continue
-        cols = np.flatnonzero(group == g)
-        lo, hi, w = (np.empty((len(rows), len(cols))) for _ in range(3))
-        for s in np.unique(last[rows]).tolist():
-            here = np.flatnonzero(last[rows] == s)
-            at, *arrays = pulled[s]
-            pick = np.searchsorted(at, cols)
-            for block, arr in zip((lo, hi, w), arrays):
-                block[here] = arr[:, pick]
-        # the group's own sum, not the normaliser of symbol_pullbacks: both
-        # add the J_w of the same words, but in another order, and dividing
-        # by the normaliser moves a(n) and b(n) by up to 8.9e-16
-        w /= w.sum(axis=0)
-        yield rows, cols, lo, hi, w
-
-
 def _y_grid(sys: MarkovSystem, n: int, grid: int) -> np.ndarray:
     _, left, right = cylinders(sys, n)
     return np.unique(np.concatenate(
         [np.linspace(1e-9, 1 - 1e-9, grid), 0.5 * (left + right)]))
 
 
-# (column, interval) pairs per block of the a(n)/b(n) sweep; bounds temporaries
+# (word, y) cells per run of the a(n)/b(n) sweep; bounds temporaries
 _SWEEP_BLOCK = 1 << 16
 
 
@@ -203,29 +169,65 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> tuple[float, float]
     return float(a), float(b)
 
 
+def _tableau_runs(sys: MarkovSystem, eig: EigenData, words: np.ndarray,
+                  ys: np.ndarray):
+    """Yield (c, rows, lo, hi, w) for runs of at most
+    _SWEEP_BLOCK // len(words) columns c, c + 1, ... of the (words x ys)
+    tableau, ys sorted.
+
+    Row a is ``words[a]``: the slope interval [lo, hi] of its cone image at
+    y and the weight w = J_w(y), the inverse Jacobian of mu_sigma along h_w
+    at the sigma of ``eig``, normalised over each column; lo = hi = +inf and
+    w = 0 where the word's domain misses y.  A run keeps the ``rows`` of the
+    words ending in a symbol whose image holds one of its ys, in word order,
+    each filled from its symbol's block; a run with none is left out.
+    """
+    c7 = sys.constants.c7
+    last = words[:, -1]
+    [(blocks, _)] = symbol_pullbacks(sys, words, ys, _closed_images(sys, ys),
+                                     ("dTn", "DSnr_h", "J"), eig)
+    blocks = [(np.flatnonzero(last == s), cols, pb) for s, cols, pb in blocks]
+    step = max(1, _SWEEP_BLOCK // len(words))
+    for c in range(0, len(ys), step):
+        width = min(step, len(ys) - c)
+        spans = [(at, cols[i:j] - c, pb, slice(i, j))
+                 for at, cols, pb in blocks
+                 for i, j in [np.searchsorted(cols, [c, c + width])] if i < j]
+        if not spans:
+            continue
+        rows = np.sort(np.concatenate([span[0] for span in spans]))
+        lo, hi = np.full((2, len(rows), width), np.inf)
+        w = np.zeros((len(rows), width))
+        for at, cols, pb, part in spans:
+            cell = np.ix_(np.searchsorted(rows, at), cols)
+            lo[cell], hi[cell] = _slope_interval(c7, pb.DSnr_h[:, part],
+                                                 pb.dTn[:, part])
+            w[cell] = pb.J[:, part]
+        # each column's own sum, row after row (cumsum, as sum adds a lone
+        # column pairwise); symbol_pullbacks' normaliser adds symbol after
+        # symbol and would move a(n) and b(n) by up to 8.9e-16
+        total = np.cumsum(w, axis=0)[-1]
+        w /= np.where(total > 0, total, 1.0)
+        yield c, rows, lo, hi, w
+
+
 def _ab_depth(sys: MarkovSystem, eig: EigenData, n: int,
               grid: int) -> tuple[float, float]:
-    """max over the ys of the grid of the a- and b-statistics at depth n.
-
-    Each block of ``_preimage_blocks`` is swept in runs of its ys of at most
-    _SWEEP_BLOCK (y, word) pairs; a y with no admissible preimage is in no
-    block.
-    """
+    """max over the ys of the grid of the a- and b-statistics at depth n,
+    swept over the runs of ``_tableau_runs``; a y with no admissible
+    preimage reads 0."""
     words = word_array(sys, n)  # enforces the cap before the grid is built
     worst_a = worst_b = 0.0
-    for _, _, lo, hi, w in _preimage_blocks(sys, eig, words,
-                                            _y_grid(sys, n, grid)):
-        step = max(1, _SWEEP_BLOCK // len(lo))
-        for c in range(0, lo.shape[1], step):
-            run = slice(c, c + step)
-            a, b = _sweep(lo[:, run].T, hi[:, run].T, w[:, run].T)
-            worst_a, worst_b = max(worst_a, a), max(worst_b, b)
+    for *_, lo, hi, w in _tableau_runs(sys, eig, words,
+                                       _y_grid(sys, n, grid)):
+        a, b = _sweep(lo.T, hi.T, w.T)
+        worst_a, worst_b = max(worst_a, a), max(worst_b, b)
     return worst_a, worst_b
 
 
 def _ab_sequences(sys: MarkovSystem, eig: EigenData, n_max: int,
                   grid: int) -> tuple[list[float], list[float]]:
-    """(a(1..n_max), b(1..n_max)) from one sweep of the blocks per depth.
+    """(a(1..n_max), b(1..n_max)) from one sweep of the tableau per depth.
 
     A value above 1 + 1e-8 is an error, and the rest is capped at
     1 + 1e-12.  The latest result is kept in one slot on ``eig``, keyed by
@@ -250,7 +252,7 @@ def a_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
     sigma of ``eig``, of the preimages whose closed slope intervals meet that
     of one preimage x0 (touching intervals meet), over the y grid.
 
-    Read with b(n) off one endpoint sweep of each depth's blocks; the
+    Read with b(n) off one endpoint sweep of each depth's tableau; the
     result stays in one slot on ``eig``, so ``b_sequence`` with the same
     system, n_max and grid builds nothing again.
     """
@@ -421,15 +423,11 @@ def transversal_pair(sys: MarkovSystem, tails: np.ndarray, n1: int, y: float):
     pulled back in one engine call, and ties go to the first pair in
     lexicographic order.
     """
-    through = [s for s in range(sys.m)
-               if sys.image_interval(s)[0] <= y <= sys.image_interval(s)[1]]
-    tails = tails[np.isin(tails[:, -1], through)]
+    tails = tails[_closed_images(sys, np.array([y]))[tails[:, -1], 0]]
     if len(tails) < 2:
         return None
     pb = pullback(sys, tails, np.array([y]), ("dTn", "DSnr_h"))
-    centre = -pb.DSnr_h[:, 0]
-    hw = sys.constants.c7 / np.abs(pb.dTn[:, 0])
-    lo, hi = centre - hw, centre + hw
+    lo, hi = _slope_interval(sys.constants.c7, pb.DSnr_h[:, 0], pb.dTn[:, 0])
     gap = np.maximum(lo[None, :] - hi[:, None], lo[:, None] - hi[None, :])
     gap[np.tril_indices(len(tails))] = 0.0
     best = int(np.argmax(gap))

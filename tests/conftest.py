@@ -281,40 +281,6 @@ def mass_tables_loop(sys, eig, words):
                norm)
 
 
-def preimage_blocks_loop(sys, eig, words, ys):
-    """The (rows, cols, lo, hi, w) groups of ``uni._preimage_blocks`` by its
-    own loop: one engine call per symbol at the ys of its closed image."""
-    c7 = sys.constants.c7
-    last = words[:, -1]
-    holds = np.array([(ys >= a) & (ys <= b) for a, b in
-                      (sys.image_interval(s) for s in range(sys.m))])
-    pulled = {}
-    for s in range(sys.m):
-        at = np.flatnonzero(holds[s])
-        if len(at) and np.any(last == s):
-            pb = last_depth(sys, words[last == s], ys[at],
-                            ("dTn", "DSnr_h", "J"), eig)
-            centre = -pb.DSnr_h
-            half = c7 / np.abs(pb.dTn)
-            pulled[s] = (at, centre - half, centre + half, pb.J)
-    keys, group = np.unique((1 << np.arange(sys.m)) @ holds,
-                            return_inverse=True)
-    for g, key in enumerate(keys.tolist()):
-        rows = np.flatnonzero((key >> last) & 1)
-        if not len(rows):
-            continue
-        cols = np.flatnonzero(group == g)
-        lo, hi, w = (np.empty((len(rows), len(cols))) for _ in range(3))
-        for s in np.unique(last[rows]).tolist():
-            here = np.flatnonzero(last[rows] == s)
-            at, *arrays = pulled[s]
-            pick = np.searchsorted(at, cols)
-            for block, arr in zip((lo, hi, w), arrays):
-                block[here] = arr[:, pick]
-        w /= w.sum(axis=0)
-        yield rows, cols, lo, hi, w
-
-
 def check_uni_loop(sys, n, R, grid):
     """``uni.check_uni`` by a loop over word-tuple pairs, one engine call per
     symbol and a dict from word to its row of D(S_n r o h_w)."""

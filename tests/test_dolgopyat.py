@@ -110,8 +110,8 @@ def test_in_cone_constant_pairs(sys_a, eig_a):
 def test_in_cone_rejects_dominating_v(sys_a, eig_a):
     c0 = c0_constant(sys_a, eig_a)["C0"]
     nodes = node_grid(sys_a, 128)
-    u = GridFunction(sys_a, np.ones_like(nodes), nodes)
-    v = GridFunction(sys_a, 2.0 * nodes + 0j, nodes)
+    u = GridFunction(sys_a, np.ones_like(nodes))
+    v = GridFunction(sys_a, 2.0 * nodes + 0j)
     rep = _cone_test(sys_a, ConeBPair(u.eval, v.eval, 64.0, c0),
                      _element_grids(sys_a))
     assert not rep["ok"]

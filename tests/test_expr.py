@@ -28,6 +28,17 @@ def test_precedence():
     assert parse("1+2*x^3") == Add(Num(1.0), Mul(Num(2.0), Pow(Var("x"), 3)))
 
 
+def test_unary_minus_binds_looser_than_power():
+    assert parse("-x^2") == Neg(Pow(Var("x"), 2))
+    assert compile_expr(parse("exp(-x^2)"))(x=1.0) == pytest.approx(
+        math.exp(-1.0), rel=1e-15)
+    # the other places a minus may stand keep their trees
+    assert parse("(-x)^2") == Pow(Neg(Var("x")), 2)
+    assert parse("-2*x") == Mul(Neg(Num(2.0)), Var("x"))
+    assert parse("2*-x") == Mul(Num(2.0), Neg(Var("x")))
+    assert parse("x^-1") == Pow(Var("x"), -1)
+
+
 def test_evaluate_matches_reference():
     e = parse("(2+cos(2*pi*x))/3")
     for x in (0.0, 0.25, 0.7, 1.0):

@@ -210,7 +210,7 @@ def test_deep_apply_matches_matrix(eig_b):
     ])
     assert np.max(np.abs(out["one"] - 1.0)) < 1e-14
     nodes = node_grid(sys, N)
-    v = GridFunction(sys, vfun(nodes), nodes)
+    v = GridFunction(sys, vfun(nodes))
     ref = apply_L(eig_b, 0.0, v, n)
     assert np.max(np.abs(out["v"] - ref.eval(xs))) < 1e-5
 

@@ -13,7 +13,9 @@ Only the program's own calls count, those in src/, perfbench/ and tools/:
 a parameter that only tests set has one value wherever the program runs.
 The checks parse the package and every call in those trees, and match
 calls to definitions by name: ``f(...)`` and ``obj.f(...)`` call every
-function or method named f, and ``Cls(...)`` calls ``Cls.__init__``; the
+function or method named f, and ``Cls(...)`` calls ``Cls.__init__``.  A
+call inside a function of the name it calls is recursion, which passes a
+parameter on rather than sets it, so it does not count.  The
 ``__init__`` of a dataclass takes its fields, so a field that ``__init__``
 takes is a parameter, and one with a default a defaulted parameter.  A
 call may set a parameter when it passes it by keyword or by position, or
@@ -109,17 +111,27 @@ def _dataclass_fields(cls: ast.ClassDef) -> list[tuple[str, int, object]]:
     return out
 
 
+def _callee(call: ast.Call) -> str | None:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
 def _calls(tops=(ROOT / "src", ROOT / "perfbench", ROOT / "tools")
            ) -> dict[str, list[ast.Call]]:
-    """Every call in the trees ``tops``, by the name it calls."""
+    """Every call in the trees ``tops``, by the name it calls, but for the
+    calls inside a function of that name."""
     calls: dict[str, list[ast.Call]] = {}
     for top in tops:
         for path in sorted(top.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Call):
-                    f = node.func
-                    name = getattr(f, "id", None) or getattr(f, "attr", None)
-                    calls.setdefault(name, []).append(node)
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            recursive = {id(node) for fn in ast.walk(tree)
+                         if isinstance(fn, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                         for node in ast.walk(fn)
+                         if isinstance(node, ast.Call)
+                         and _callee(node) == fn.name}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and id(node) not in recursive:
+                    calls.setdefault(_callee(node), []).append(node)
     return calls
 
 
@@ -163,14 +175,18 @@ def test_every_option_is_set_by_some_call():
     assert ("cli.py", "_Param", "low", 2) in options
     # a field(init=False) is state that no call can set
     assert not any(o[1:3] == ("EigenData", "_lmat_cache") for o in options)
-    calls = _calls()
-    unset = [f"{module}: {name}({param})"
-             for module, name, param, position in options
-             if (module, name, param) not in TEST_ONLY
-             and not any(_sets(c, param, position)
-                         for c in calls.get(name, []))]
+    unset = _unset(_signatures(), _calls())
     assert not unset, ("defaulted parameters no call sets; make them "
                        "constants:\n" + "\n".join(unset))
+
+
+def _unset(signatures, calls) -> list[str]:
+    """Defaulted parameters, bar TEST_ONLY, that no program call may set."""
+    return [f"{module}: {name}({param})"
+            for module, name, param, position, default in signatures
+            if default is not None and (module, name, param) not in TEST_ONLY
+            and not any(_sets(c, param, position)
+                        for c in calls.get(name, []))]
 
 
 def _unused_defaults(signatures, calls) -> list[str]:
@@ -217,10 +233,13 @@ def test_the_checks_see_each_form(tmp_path):
     (tmp_path / "m.py").write_text(
         "def f(a, b=1, *, c=2):\n    pass\n"
         "def g(x, flag=False):\n    pass\n"
-        "f(0, b=3)\nf(1, 4)\nf(*args)\ng(5, True)\ng(6, flag=True)\n",
+        "def h(e, var=0):\n    return h(e, var + 1)\n"
+        "f(0, b=3)\nf(1, 4)\nf(*args)\ng(5, True)\ng(6, flag=True)\nh(e)\n",
         encoding="utf-8")
     signatures, calls = _signatures(tmp_path), _calls([tmp_path])
-    # f's b is passed by keyword, by position and maybe through *args; c is
-    # never passed; g's flag is passed in every call, as True each time
+    # f's b is passed by keyword, by position and maybe through *args; c
+    # only maybe, through *args; g's flag is passed in every call, as True
+    # each time; h's var is passed only by h's call of itself
+    assert _unset(signatures, calls) == ["m.py: h(var)"]
     assert _unused_defaults(signatures, calls) == ["m.py: g(flag)"]
     assert _one_constant(signatures, calls) == ["m.py: g(flag=True)"]

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import (check_uni_loop, cone_image, jacobian_weight,
-                      last_depth, preimage_blocks_loop, psi, transversal)
+                      last_depth, psi, transversal)
 from gibbsflow.operator import eigendata
 from gibbsflow.presets import make_preset
 from gibbsflow.system import OutsideImageError, branch_chain, word_array
-from gibbsflow.uni import (_preimage_blocks, _y_grid, a_sequence, b_sequence,
-                           check_uni, coboundary_test, uni_from_transversality)
+from gibbsflow.uni import (_sweep, _tableau_runs, _y_grid, a_sequence,
+                           b_sequence, check_uni, coboundary_test,
+                           uni_from_transversality)
 
 
 @pytest.fixture(scope="module")
@@ -290,15 +291,16 @@ def _stabbing_weight(l, h, w) -> float:
 
 
 def _column_loop_sequences(sys, eig, n_max, grid):
-    """a(n), b(n) one y at a time over the rows of its block."""
+    """a(n), b(n) one y at a time over the admissible rows of its run."""
     seqs = ([], [])
     for n in range(1, n_max + 1):
-        blocks = _preimage_blocks(sys, eig, word_array(sys, n),
-                                  _y_grid(sys, n, grid))
+        runs = _tableau_runs(sys, eig, word_array(sys, n),
+                             _y_grid(sys, n, grid))
         worst = [0.0, 0.0]
-        for _, _, lo, hi, wgt in blocks:
+        for _, _, lo, hi, wgt in runs:
             for col in range(lo.shape[1]):
-                args = lo[:, col], hi[:, col], wgt[:, col]
+                keep = np.isfinite(lo[:, col])
+                args = lo[keep, col], hi[keep, col], wgt[keep, col]
                 worst[0] = max(worst[0], _non_transversal_weight(*args))
                 worst[1] = max(worst[1], _stabbing_weight(*args))
         for out, v in zip(seqs, worst):
@@ -358,27 +360,40 @@ def test_sweep_matches_column_loop(name, sigma, nl_doubling):
 
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
 @pytest.mark.parametrize("name", SWEEP_SYSTEMS)
-def test_blocks_are_slices_of_the_nan_tableau(name, sigma, nl_doubling):
+def test_blocks_are_slices_of_the_nan_tableau(name, sigma, nl_doubling,
+                                              monkeypatch):
+    # an inadmissible cell is +inf/+inf/0 where the tableau has NaN; at 97
+    # cells a run, depth-6 runs are one column wide
+    import gibbsflow.uni as uni_mod
     s = _system(name, nl_doubling)
     eig = eigendata(s, sigma, N=256)
-    for n in (1, 3, 6):
-        ys = _y_grid(s, n, 64)
-        words, *tableau = _preimage_tableau(s, eig, n, ys)
-        covered = np.zeros(len(ys), dtype=bool)
-        for rows, cols, *block in _preimage_blocks(s, eig, words, ys):
-            assert not covered[cols].any()
-            covered[cols] = True
-            for got, full in zip(block, tableau):
-                assert np.array_equal(got, full[np.ix_(rows, cols)])
-                # the rows left out are the inadmissible ones
-                assert np.isnan(np.delete(full[:, cols], rows, axis=0)).all()
-        # every y with an admissible preimage is in one block
-        assert np.array_equal(covered, ~np.isnan(tableau[2]).all(axis=0))
+    for block in (uni_mod._SWEEP_BLOCK, 97):
+        monkeypatch.setattr(uni_mod, "_SWEEP_BLOCK", block)
+        for n in (1, 3, 6):
+            ys = _y_grid(s, n, 64)
+            words, *tableau = _preimage_tableau(s, eig, n, ys)
+            inadmissible = np.isnan(tableau[2])
+            want = [np.where(inadmissible, np.inf, tableau[0]),
+                    np.where(inadmissible, np.inf, tableau[1]),
+                    np.where(inadmissible, 0.0, tableau[2])]
+            start = 0
+            for c, rows, *run in _tableau_runs(s, eig, words, ys):
+                width = run[0].shape[1]
+                assert len(words) * width <= block or width == 1
+                # a run left out is inadmissible at all its ys; a run holds
+                # the words admissible at one of its ys at least
+                assert inadmissible[:, start:c].all()
+                cols = slice(c, c + width)
+                held = ~inadmissible[:, cols].all(axis=1)
+                assert np.array_equal(rows, np.flatnonzero(held))
+                for got, full in zip(run, want):
+                    assert np.array_equal(got, full[rows, cols])
+                start = c + width
+            assert inadmissible[:, start:].all()
 
 
 def test_blocks_pull_each_symbol_back_once(sys_c, monkeypatch):
-    # SYS-C's ys fall into three groups holding two, three and two of its
-    # symbols; the engine runs once per symbol, not once per group holding it
+    # the engine runs once per symbol, not once per run
     import gibbsflow.system as system_mod
     eig = eigendata(sys_c, 0.0, N=256)
     words = word_array(sys_c, 8)
@@ -387,30 +402,29 @@ def test_blocks_pull_each_symbol_back_once(sys_c, monkeypatch):
     calls = []
     monkeypatch.setattr(system_mod, "pullbacks", lambda *args: (
         calls.append(args[1]) or pullbacks(*args)))
-    blocks = list(_preimage_blocks(sys_c, eig, words, ys))
-    assert [len(rows) < len(words) for rows, *_ in blocks].count(True) == 2
-    assert len(blocks) == 3 and len(calls) == sys_c.m
+    runs = list(_tableau_runs(sys_c, eig, words, ys))
+    assert len(runs) > 1 and len(calls) == sys_c.m
     assert sum(len(w) for w in calls) == len(words)
 
 
+def test_a_run_across_symbol_sets_sweeps_as_its_columns(sys_c):
+    # SYS-C's ys fall into three regions holding two, three and two of its
+    # symbols; one run spans them, and its +inf rows move neither statistic
+    eig = eigendata(sys_c, 0.5, N=256)
+    words = word_array(sys_c, 3)
+    [(_, rows, lo, hi, w)] = _tableau_runs(sys_c, eig, words,
+                                           _y_grid(sys_c, 3, 64))
+    assert np.array_equal(rows, np.arange(len(words)))
+    admissible = np.isfinite(lo)
+    assert len(np.unique(admissible, axis=1).T) == 3
+    assert np.array_equal(admissible, np.isfinite(hi))
+    assert np.array_equal(admissible, w > 0)
+    columns = [_sweep(lo[keep, j][None], hi[keep, j][None], w[keep, j][None])
+               for j, keep in enumerate(admissible.T)]
+    assert _sweep(lo.T, hi.T, w.T) == tuple(map(max, zip(*columns)))
+
+
 ORACLE_SYSTEMS = ["SYS-B", "SYS-C", "SYS-C-NLROOF", "NL-DOUBLING"]
-
-
-@pytest.mark.parametrize("sigma", [0.0, 0.5])
-@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
-def test_blocks_equal_the_per_symbol_loop(name, sigma, nl_doubling):
-    # symbol_pullbacks gives the blocks of one engine call per symbol, bit
-    # for bit, with the in-group normalisation
-    s = _system(name, nl_doubling)
-    eig = eigendata(s, sigma, N=256)
-    for n in (1, 4, 7):
-        ys = _y_grid(s, n, 64)
-        words = word_array(s, n)
-        got = list(_preimage_blocks(s, eig, words, ys))
-        want = list(preimage_blocks_loop(s, eig, words, ys))
-        assert len(got) == len(want)
-        for block, ref in zip(got, want):
-            assert all(np.array_equal(a, b) for a, b in zip(block, ref))
 
 
 @pytest.mark.parametrize("name", ORACLE_SYSTEMS + ["SYS-A"])
@@ -545,17 +559,9 @@ def test_tableau_weights_are_mu_sigma_jacobians(sys_b):
     eig = eigendata(sys_b, 0.5, N=256)
     ys = np.linspace(1e-9, 1 - 1e-9, 37)
     words = word_array(sys_b, 4)
-    domains = np.array([sys_b.image_interval(s) for s in words[:, -1]])
-    covered = np.zeros(len(ys), dtype=bool)
-    for rows, cols, _, _, wgt in _preimage_blocks(sys_b, eig, words, ys):
-        covered[cols] = True
-        # the rows are exactly the words admissible at the block's ys
-        admissible = ((domains[:, :1] <= ys[cols])
-                      & (ys[cols] <= domains[:, 1:]))
-        assert admissible[rows].all()
-        assert not np.delete(admissible, rows, axis=0).any()
-        ref = np.array([jacobian_weight(sys_b, eig, tuple(words[r]),
-                                        ys[cols])[0] for r in rows])
-        ref /= ref.sum(axis=0)
-        assert np.max(np.abs(wgt - ref)) < 1e-13
-    assert covered.all()
+    [(_, _, lo, _, wgt)] = _tableau_runs(sys_b, eig, words, ys)
+    # SYS-B's branches are full: every word is admissible at every y
+    assert np.isfinite(lo).all()
+    ref = np.array([jacobian_weight(sys_b, eig, tuple(w), ys)[0]
+                    for w in words])
+    assert np.max(np.abs(wgt - ref / ref.sum(axis=0))) < 1e-13
