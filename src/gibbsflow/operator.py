@@ -8,7 +8,9 @@ discretised by collocation on N equally spaced nodes per partition
 element.  Off-grid preimages are filled in by interpolation: linear
 inside operator matrices (so the discrete eigenproblem is exactly
 linear), monotone cubic in GridFunction.eval for function evaluation.
-Every monotone cubic is one ``_ElementwisePchip``: a single scipy PPoly
+Every monotone cubic is one ``_ElementwisePchip``: Fritsch-Carlson
+coefficients for all elements built in one numpy pass, bit for bit those
+of scipy's per-element ``PchipInterpolator``, held by a single scipy PPoly
 over all elements' nodes, so an evaluation is one clip and one interval
 search.
 
@@ -19,11 +21,12 @@ The normalised operator at the leading real eigendata (lam, f) is
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import PchipInterpolator, PPoly
+from scipy.interpolate import PPoly
 
 from .system import (MarkovSystem, NoConvergenceError, potential_seminorm,
                      sampled_seminorm, symbol_pullbacks, word_array)
@@ -43,41 +46,127 @@ def node_grid(sys: MarkovSystem, N: int) -> np.ndarray:
     ])
 
 
+def _edge_slopes(h0, h1, m0, m1):
+    """``PchipInterpolator._edge_case``: the one-sided three-point slope at
+    an element end, set to 0 where its sign differs from the end chord's
+    and to 3 m0 where the chords change sign and it exceeds 3 |m0|."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    mask = np.sign(d) != np.sign(m0)
+    mask2 = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3. * np.abs(m0))
+    return np.where(mask, 0., np.where(~mask & mask2, 3. * m0, d))
+
+
+def _pchip_part(h, w, y, firsts, lasts, pair, out):
+    """Write into ``out`` (4, K) the PCHIP coefficients of one real part y
+    on the concatenated element nodes x, h = diff(x).
+
+    Element e's nodes run from index firsts[e] to lasts[e]; ``pair`` marks
+    the 2-node elements.  Each operation is the one scipy's
+    ``PchipInterpolator`` and ``CubicHermiteSpline`` apply to one element's
+    data, so a step inside an element gets their bits.  The zero-width
+    steps between elements give non-finite slopes, at those steps and at
+    the nodes beside them; the end slopes overwrite the latter, and the
+    former are not written to ``out``.  w holds the inner slopes' weights
+    2 h[1:] + h[:-1], h[1:] + 2 h[:-1] and their sum, shared by all parts.
+    """
+    w1, w2, w12 = w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.diff(y)
+        m /= h
+        buf = np.sign(m)  # one scratch array, reused below
+        flat = buf[1:] != buf[:-1]
+        flat |= m[1:] == 0
+        flat |= m[:-1] == 0
+        d = np.empty(len(y))
+        inner = np.divide(w1, m[:-1], out=d[1:-1])
+        inner += np.divide(w2, m[1:], out=buf[1:])
+        inner /= w12
+        np.divide(1.0, inner, out=inner)
+        inner[flat] = 0.
+        first, last = firsts[~pair], lasts[~pair]
+        d[first] = _edge_slopes(h[first], h[first + 1],
+                                m[first], m[first + 1])
+        d[last] = _edge_slopes(h[last - 1], h[last - 2],
+                               m[last - 1], m[last - 2])
+        first = firsts[pair]
+        d[first] = d[first + 1] = m[first]
+        t = d[:-1] + d[1:]
+        t -= np.multiply(2, m, out=buf)
+        t /= h
+        dm = np.subtract(m, d[:-1], out=buf)
+        dm /= h
+    # element e's steps, shifted left past the e steps between elements
+    for e, (i, j) in enumerate(zip(firsts, lasts)):
+        k = slice(i - e, j - e)
+        np.divide(t[i:j], h[i:j], out=out[0, k])
+        np.subtract(dm[i:j], t[i:j], out=out[1, k])
+        out[2, k] = d[i:j]
+        out[3, k] = y[i:j]
+
+
 class _ElementwisePchip:
     """Monotone cubic (PCHIP, Fritsch-Carlson) interpolant on per-element
     nodes, evaluated as one scipy ``PPoly`` over all elements.
 
-    Element e's nodes must start at partition[e] and end at partition[e+1];
-    they may be non-uniform and differ in number between elements.  The
-    coefficients are each element's ``PchipInterpolator`` coefficients side
-    by side, and the breakpoints are all elements' nodes, concatenated, with
-    the partition point that adjacent elements share taken once.  So a point
-    runs the same polynomial on the same interval as under a per-element
-    interpolator, to the bit, and PPoly's search x[i] <= x < x[i+1] sends a
-    point on an interior breakpoint to the right-hand element (the
-    left-closed element convention).  Real and imaginary parts are a
-    trailing axis of the coefficients, evaluated by one call and read in
-    place as complex values: the bits of re + 1j * im wherever im is
-    finite.  Points outside [0, 1] are clamped to the end nodes; NaN stays
-    NaN.
+    Element e's nodes must start at partition[e] and end at partition[e+1],
+    strictly increasing and at least 2 of them; they may be non-uniform
+    and differ in number between elements.  Nodes and values must be
+    finite, one value per node; anything else is refused with ValueError,
+    as scipy's ``PchipInterpolator`` refuses it.
+
+    The coefficients of all elements are built in one numpy pass per real
+    part (``_pchip_part``), to the bit those of one ``PchipInterpolator``
+    per element and part, side by side in one C-contiguous array.  The
+    breakpoints are all elements' nodes, concatenated, with the partition
+    point that adjacent elements share taken once.  So a point runs the
+    same polynomial on the same interval as under a per-element
+    interpolator, and PPoly's search x[i] <= x < x[i+1] sends a point on an
+    interior breakpoint to the right-hand element (the left-closed element
+    convention).  Real and imaginary parts are a trailing axis of the
+    coefficients, evaluated by one call and read in place as complex
+    values: the bits of re + 1j * im wherever im is finite.  Points outside
+    [0, 1] are clamped to the end nodes; NaN stays NaN.
     """
 
     def __init__(self, sys: MarkovSystem, node_list, value_list):
-        if len(node_list) != sys.m:
-            raise ValueError(f"{len(node_list)} node sets for {sys.m} elements")
+        if not len(node_list) == len(value_list) == sys.m:
+            raise ValueError(f"{len(node_list)} node sets and "
+                             f"{len(value_list)} value sets for {sys.m} "
+                             f"elements")
         self._complex = any(np.iscomplexobj(v) for v in value_list)
-        coefs = []
         for e, (xs, vs) in enumerate(zip(node_list, value_list)):
             lo, hi = sys.element_interval(e)
+            if np.ndim(xs) != 1 or len(xs) < 2 or np.shape(vs) != np.shape(xs):
+                raise ValueError(f"element {e} needs at least 2 nodes in a "
+                                 f"1-D array and one value per node")
             if xs[0] != lo or xs[-1] != hi:
                 # the shared breakpoint is taken once: across a gap or an
                 # overlap a point would run the wrong element's cubic
                 raise ValueError(f"nodes of element {e} do not run from "
                                  f"{lo!r} to {hi!r}")
-            ys = np.stack([vs.real, vs.imag], axis=-1) if self._complex else vs
-            coefs.append(PchipInterpolator(xs, ys).c)
-        breaks = np.concatenate([node_list[0]] + [xs[1:] for xs in node_list[1:]])
-        self._pp = PPoly(np.concatenate(coefs, axis=1), breaks)
+        x = np.concatenate(node_list).astype(float, copy=False)
+        vals = np.concatenate(value_list)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(vals))):
+            raise ValueError("nodes and values must be finite")
+        sizes = np.array([len(xs) for xs in node_list])
+        lasts = np.cumsum(sizes) - 1
+        firsts = lasts - (sizes - 1)
+        h = np.diff(x)
+        wide = h > 0
+        wide[lasts[:-1]] = True  # the zero-width steps between elements
+        if not np.all(wide):
+            raise ValueError("nodes of an element must strictly increase")
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        w = (w1, w2, w1 + w2)
+        parts = [vals.real, vals.imag] if self._complex else [vals]
+        c = np.empty((4, len(h) + 1 - sys.m, len(parts)))
+        for p, y in enumerate(parts):
+            _pchip_part(h, w, y.astype(float, copy=False), firsts, lasts,
+                        sizes == 2, c[..., p])
+        breaks = np.delete(x, firsts[1:])
+        self._pp = PPoly.construct_fast(c if self._complex else c[..., 0],
+                                        breaks)
         self._lo, self._hi = breaks[0], breaks[-1]
 
     def eval(self, x):
@@ -93,13 +182,15 @@ class GridFunction:
     which reproduces node values exactly and does not overshoot the data
     range of either real part.  It is one ``_ElementwisePchip``, built on
     the first evaluation: one clip and one PPoly call, with real and
-    imaginary parts as one trailing axis.
+    imaginary parts as one trailing axis.  The node grid is read-only, and
+    ``copy_with`` shares it.
     """
 
     def __init__(self, sys: MarkovSystem, values: np.ndarray):
         self.system = sys
         self.values = np.asarray(values)
         self.nodes = node_grid(sys, self.values.shape[1])
+        self.nodes.flags.writeable = False
         if self.values.shape != self.nodes.shape:
             raise ValueError("values are not one row per element")
         self._pchip = None
@@ -117,7 +208,12 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
     def copy_with(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.system, values)
+        """The function with these node values, on this one's grid."""
+        out = copy.copy(self)
+        out.values, out._pchip = np.asarray(values), None
+        if out.values.shape != self.values.shape:
+            raise ValueError("values are not one row per element")
+        return out
 
 
 # -- operator matrix ----------------------------------------------------------

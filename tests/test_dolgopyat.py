@@ -470,6 +470,29 @@ def test_cone_iteration_pulls_the_base_nodes_back_once(sys_b, eig_b,
     assert len(columns) <= sys_b.m * (2 + 2 * rep["n"])
 
 
+@pytest.mark.parametrize("m_max", [1, 2])
+def test_cone_iteration_builds_one_interpolant_per_advance(sys_b, eig_b,
+                                                           m_max,
+                                                           monkeypatch):
+    # a monotone cubic is built once per function, never per evaluation:
+    # v_0 and the result of each of v's n m_max advances, the result of
+    # each of d's n m_max advances, and mu's density
+    import gibbsflow.operator as op
+    eig_b.f.eval(0.5)  # f's interpolant, built once per eigendata
+    init = op._ElementwisePchip.__init__
+    builds = [0]
+
+    def counted(self, *args):
+        builds[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(op._ElementwisePchip, "__init__", counted)
+    rep = cone_iteration(sys_b, eig_b, 256.0, m_max=m_max, delta=0.05,
+                         Delta=None, base_n=2048, v_nodes_per_b=32)
+    n = rep["n"]
+    assert builds[0] == (1 + n * m_max) + n * m_max + 1
+
+
 @pytest.mark.parametrize("name", ["SYS-C", "SYS-C-NLROOF"])
 @pytest.mark.parametrize("b", [0.0, 300.0])
 def test_plan_with_explicit_elements_matches_per_branch_sums(name, b):

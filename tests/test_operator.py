@@ -89,6 +89,46 @@ def test_gridfunction_interp_reproduces_nodes(eig_b):
     assert np.max(np.abs(v.eval(nodes.ravel()) - v.values.ravel())) < 1e-14
 
 
+def test_copies_share_one_read_only_node_grid(eig_b):
+    m = eig_b.system.m
+    v = GridFunction(eig_b.system, np.ones((m, N), dtype=complex))
+    assert not v.nodes.flags.writeable
+    with pytest.raises(ValueError):
+        v.nodes[0, 1] = 0.5
+    assert np.array_equal(v.nodes, node_grid(eig_b.system, N))
+    assert v.copy_with(2.0 * v.values).nodes is v.nodes
+    assert apply_L(eig_b, 256.0, v, 2).nodes is v.nodes
+    with pytest.raises(ValueError):
+        v.copy_with(np.ones((m, N + 1)))
+
+
+@pytest.mark.parametrize("experiment,calls", [
+    # 5 eigendata at N = 512, 4096, 8192, 16384 and 32768 (f and the
+    # transfer matrix each), per b of 2^8..2^12 one L matrix, the sweep's
+    # start w and the Lasota-Yorke audit's grid and 4 test functions
+    ("contraction", 5 * 2 + 5 * (1 + 1 + 1 + 4)),
+    # eigendata at N = 512, v's start, d's base nodes and mu's density
+    ("cancellation", 2 + 1 + 1 + 1)])
+def test_runs_build_a_node_grid_per_grid_function_not_per_copy(
+        experiment, calls, monkeypatch, tmp_path):
+    # apply_L, each v advance and each sweep step copy a GridFunction, and
+    # a copy builds no grid (SYS-B at the CLI defaults)
+    import gibbsflow.dolgopyat as dg
+    import gibbsflow.gibbs as gb
+    import gibbsflow.operator as op
+    count = [0]
+
+    def counted(*args, _fn=op.node_grid):
+        count[0] += 1
+        return _fn(*args)
+
+    for mod in (op, dg, gb):
+        monkeypatch.setattr(mod, "node_grid", counted)
+    assert run({"experiment": experiment, "preset": "SYS-B"},
+               out_dir=str(tmp_path / experiment)) == 0
+    assert count[0] == calls
+
+
 def _f_csv(tmp_path) -> str:
     """f.csv of the eigen experiment on the system and N of eig_b."""
     out = tmp_path / "eigen"

@@ -5,6 +5,8 @@ by the per-element mask loop it replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from conftest import NL_DOUBLING
@@ -111,3 +113,98 @@ def test_node_sets_that_miss_their_element_are_refused():
     for bad in (short, late, nodes[:-1]):
         with pytest.raises(ValueError):
             _ElementwisePchip(sys, bad, values[: len(bad)])
+    # what scipy's PchipInterpolator refuses, the one-pass builder refuses
+    def changed(arrays, e, fn):
+        out = [a.copy() for a in arrays]
+        out[e] = fn(out[e])
+        return out
+
+    def put(k, v):
+        def fn(a):
+            a[k] = v
+            return a
+        return fn
+
+    cplx = [v + 1j for v in values]
+    refused = [
+        (changed(nodes, 1, put(4, np.nan)), values),
+        (changed(nodes, 0, put(4, np.inf)), values),
+        (nodes, changed(values, 2, put(3, np.nan))),
+        (nodes, changed(values, 0, put(0, -np.inf))),
+        (nodes, changed(cplx, 1, put(5, 1 + 1j * np.inf))),
+        (nodes, changed(cplx, 1, put(5, complex(np.nan, 0.0)))),
+        (changed(nodes, 1, put(4, nodes[1][3])), values),        # repeated
+        (changed(nodes, 2, put(4, nodes[2][6])), values),        # decreasing
+        (changed(nodes, 0, lambda a: a[[0]]), changed(values, 0,
+                                                      lambda a: a[:1])),
+        (changed(nodes, 0, lambda a: a[:0]), changed(values, 0,
+                                                     lambda a: a[:0])),
+        (nodes, changed(values, 1, lambda a: a[:-1])),          # one short
+        (nodes, changed(values, 1, lambda a: np.append(a, 1.0))),
+        (nodes, values[:-1]),
+    ]
+    for bad_nodes, bad_values in refused:
+        with pytest.raises(ValueError):
+            _ElementwisePchip(sys, bad_nodes, bad_values)
+
+
+def _ragged_part(rng, n):
+    """n values with every branch of the slope rule in reach: a random
+    walk or small integers (exact ties), a flat run, exact-zero steps and
+    alternating signs."""
+    if rng.random() < 0.5:
+        y = rng.normal(size=n).cumsum()
+    else:
+        y = rng.integers(-2, 3, size=n).astype(float)
+    i, j = np.sort(rng.integers(0, n, size=2))
+    y[i:j + 1] = y[i]
+    k = rng.integers(0, n - 1, size=n // 4)
+    y[k + 1] = y[k]
+    if rng.random() < 0.3:
+        y[::2] *= -1.0
+    return y
+
+
+def _ragged_imag(rng, n):
+    """An imaginary part: ragged, all -0.0, or ragged with -0.0 and 0.0
+    put in."""
+    kind = rng.integers(0, 3)
+    if kind == 1:
+        return np.full(n, -0.0)
+    y = _ragged_part(rng, n)
+    if kind == 2:
+        y[rng.random(n) < 0.3] = -0.0
+        y[rng.random(n) < 0.1] = 0.0
+    return y
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(SYSTEMS), cplx=st.booleans(), data=st.data())
+def test_coefficients_are_scipy_pchip_coefficients_side_by_side(name, cplx,
+                                                                data):
+    # ragged non-uniform node sets of 2-40 nodes per element; each element
+    # and part must have the bytes of its own PchipInterpolator
+    sys = _system(name)
+    sizes = data.draw(st.lists(st.integers(2, 40), min_size=sys.m,
+                               max_size=sys.m), label="sizes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                          label="seed"))
+    nodes, values = [], []
+    for e, n in enumerate(sizes):
+        lo, hi = sys.element_interval(e)
+        # clustered towards lo or spread; a repeat or an end is dropped
+        inner = lo + (hi - lo) * rng.random(n - 2) ** rng.choice([1.0, 4.0])
+        inner = np.unique(inner[(inner > lo) & (inner < hi)])
+        xs = np.concatenate([[lo], inner, [hi]])
+        re = _ragged_part(rng, len(xs))
+        nodes.append(xs)
+        values.append(re + 1j * _ragged_imag(rng, len(xs)) if cplx else re)
+    c = _ElementwisePchip(sys, nodes, values)._pp.c
+    parts = [np.real, np.imag] if cplx else [np.real]
+    want = np.stack([
+        np.concatenate([PchipInterpolator(xs, part(vs)).c
+                        for xs, vs in zip(nodes, values)], axis=1)
+        for part in parts], axis=-1)
+    want = want if cplx else want[..., 0]
+    assert c.flags.c_contiguous and c.dtype == np.float64
+    assert c.shape == want.shape and c.tobytes() == want.tobytes()
