@@ -300,13 +300,26 @@ def _write_csv(path: Path, header, columns) -> None:
     """One row per index of the equal-length numeric ``columns`` (a table
     of rows ``rows`` is ``zip(*rows)``), each value written as its repr, so
     a float is written to the bit.  Rows are formatted and written 4096 at
-    a time, so few row strings are alive at once."""
+    a time, so few row strings are alive at once, and each distinct value
+    of a chunk is formatted once."""
     columns = [np.asarray(c) for c in columns]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for a in range(0, len(columns[0]), 4096):
-            cells = [map(repr, c[a:a + 4096].tolist()) for c in columns]
+            cells = [_reprs(c[a:a + 4096]) for c in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _reprs(c: np.ndarray) -> list:
+    """repr of each value of the 1-d array c.  A column of 8-byte numbers is
+    grouped by bit pattern, so 0.0 and -0.0 stay apart and every NaN is
+    formatted as itself."""
+    if c.dtype.kind not in "fiu" or c.dtype.itemsize != 8:
+        return list(map(repr, c.tolist()))
+    _, first, inverse = np.unique(c.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    return np.array(list(map(repr, c[first].tolist())),
+                    dtype=object)[inverse].tolist()
 
 
 # -- experiment handlers -------------------------------------------------------------

@@ -579,7 +579,7 @@ def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
         if eg is None or eg.N != N:
             eg = None  # released before the next one is built
             eg = eigendata(sys, eig.sigma, N=N)
-        w = GridFunction(sys, np.ones(eg.f.nodes.shape, dtype=complex))
+        w = eg.f.copy_with(np.ones(eg.f.nodes.shape, dtype=complex))
         best = 0.0
         for _ in range(4):
             prev = norm_b(w, b)

@@ -27,31 +27,38 @@ class InsufficientSignalError(RuntimeError):
     """Fewer than four correlation points rise above the noise floor."""
 
 
-def evolve_many(sys: MarkovSystem, xs, us, t):
-    """Flow (x, u) for time t >= 0: advance through the base map whenever the
-    accumulated height crosses the roof (Birkhoff-sum bracketing)."""
+def evolve_many(sys: MarkovSystem, xs, us, rs, t):
+    """Flow the state (x, u, r(x)) for time t >= 0: advance through the base
+    map whenever the accumulated height crosses the roof (Birkhoff-sum
+    bracketing).  ``rs`` holds the roof values at xs; the roof is read only
+    at the points where an orbit lands, and the returned ``rs`` are the
+    roof values at the returned xs, so calls compose as
+    ``evolve_many(sys, *evolve_many(sys, xs, us, rs, t1), t2)``."""
     xs = np.array(xs, dtype=float, copy=True)
     s = np.array(us, dtype=float, copy=True) + np.asarray(t, dtype=float)
+    rs = np.array(rs, dtype=float, copy=True)
     if np.any(s < 0):
         raise ValueError("flow time must be nonnegative")
-    x_flat, s_flat = xs.reshape(-1), s.reshape(-1)
-    # only the points still crossing a roof are evaluated and moved
-    active = np.arange(x_flat.size)
+    x_flat, s_flat, r_flat = xs.reshape(-1), s.reshape(-1), rs.reshape(-1)
+    # only the points still crossing a roof are moved and read again
+    active = np.flatnonzero(s_flat >= r_flat)
     while active.size:
-        r = sys.roof_at(x_flat[active])
-        crossing = s_flat[active] >= r
-        active = active[crossing]
-        s_flat[active] -= r[crossing]
-        x_flat[active] = sys.apply_T(x_flat[active])
-    return xs, np.maximum(s, 0.0)
+        s_flat[active] -= r_flat[active]
+        landed = sys.apply_T(x_flat[active])
+        r = sys.roof_at(landed)
+        x_flat[active], r_flat[active] = landed, r
+        active = active[s_flat[active] >= r]
+    return xs, np.maximum(s, 0.0), rs
 
 
 @dataclass
 class FlowSample:
-    """Sample of the lifted measure: base points and heights, plus the
+    """Sample of the lifted measure: base points, heights and the roof at
+    each base point (the state ``evolve_many`` carries), plus the
     stationarity diagnostic for the slab {u < inf r / 2}."""
     xs: np.ndarray
     us: np.ndarray
+    rs: np.ndarray
     mean_roof: float
     slab_mass: float
     slab_expected: float
@@ -66,7 +73,8 @@ def sample_flow_measure(sys: MarkovSystem, eig: EigenData, count: int,
     """Draw from the invariant measure of the semiflow: base points from the
     Gibbs measure accepted with probability r(x)/sup r (density proportional
     to the roof), then a uniform height below the roof, scaled by the roof
-    values the acceptance test read."""
+    values the acceptance test read.  Those values are kept as the
+    sample's ``rs``, so the flow does not read the roof there again."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -77,7 +85,7 @@ def sample_flow_measure(sys: MarkovSystem, eig: EigenData, count: int,
                               for e in range(sys.m)])
     rbar = float(np.sum(eig.mu.reshape(-1) * r_nodes))
     accept_est = rbar / sup_r
-    xs_out, us_out = [], []
+    xs_out, us_out, rs_out = [], [], []
     have = 0
     attempt = 0
     while have < count:
@@ -86,19 +94,22 @@ def sample_flow_measure(sys: MarkovSystem, eig: EigenData, count: int,
         r = sys.roof_at(base)
         keep = rng.random(batch) < r / sup_r
         xs = base[keep]
-        us = rng.random(xs.shape) * r[keep]
+        rs = r[keep]
+        us = rng.random(xs.shape) * rs
         xs_out.append(xs)
         us_out.append(us)
+        rs_out.append(rs)
         have += len(xs)
         attempt += 1
     xs = np.concatenate(xs_out)[:count]
     us = np.concatenate(us_out)[:count]
+    rs = np.concatenate(rs_out)[:count]
 
     inf_r = sys.constants.roof_inf
     slab = float(np.mean(us < inf_r / 2))
     expected = (inf_r / 2) / rbar
     se = math.sqrt(max(expected * (1 - expected), 1e-12) / count)
-    return FlowSample(xs=xs, us=us, mean_roof=rbar, slab_mass=slab,
+    return FlowSample(xs=xs, us=us, rs=rs, mean_roof=rbar, slab_mass=slab,
                       slab_expected=expected, slab_se=se)
 
 
@@ -119,7 +130,9 @@ def correlation(sys: MarkovSystem, eig: EigenData, v_expr: str, w_expr: str,
     """Monte-Carlo correlation C(t) = E[v (w o X_t)] - E[v] E[w] of two
     observables in (x, u), with standard errors from BATCHES batch means and
     a weighted log-linear rate fit over the window where |C| > 3 SE.  Fewer
-    samples than batches are refused: a batch would be empty."""
+    samples than batches are refused: a batch would be empty.  The sample
+    is flowed from one t to the next with its roof values carried along,
+    so each step reads the roof only where an orbit lands."""
     if samples < BATCHES:
         raise ValueError(
             f"{samples} samples are fewer than the {BATCHES} batches")
@@ -135,14 +148,14 @@ def correlation(sys: MarkovSystem, eig: EigenData, v_expr: str, w_expr: str,
     order = np.argsort(batch_of, kind="stable")
     ends = np.cumsum(np.bincount(batch_of, minlength=BATCHES))
     segments = [slice(a, b) for a, b in zip(np.r_[0, ends[:-1]], ends)]
-    cx, cu = sample.xs[order], sample.us[order]
+    cx, cu, cr = sample.xs[order], sample.us[order], sample.rs[order]
     v0 = np.broadcast_to(vf(x=cx, u=cu), cx.shape)
     v0_means = [np.mean(v0[seg]) for seg in segments]
 
     ests, ses = [], []
     prev_t = 0.0
     for t in t_grid:
-        cx, cu = evolve_many(sys, cx, cu, t - prev_t)
+        cx, cu, cr = evolve_many(sys, cx, cu, cr, t - prev_t)
         prev_t = t
         wt = np.broadcast_to(wf(x=cx, u=cu), cx.shape)
         vw = v0 * wt

@@ -381,7 +381,7 @@ def lasota_yorke_audit(eig: EigenData, b: float, n: int) -> float:
     sys = eig.system
     a, lam = sys.alpha, sys.constants.lam
     rng = np.random.default_rng(0)
-    nodes = node_grid(sys, eig.N)
+    nodes = eig.f.nodes
     c8_hat = 0.0
     for _ in range(4):
         deg = int(rng.integers(1, 7))
@@ -392,7 +392,7 @@ def lasota_yorke_audit(eig: EigenData, b: float, n: int) -> float:
             # place, array first: the product rounds by operand order
             mode = np.exp(2j * np.pi * q * nodes)
             vals += c * mode
-        v = GridFunction(sys, vals)
+        v = eig.f.copy_with(vals)
         lhs = norm_b(apply_L(eig, b, v, n), b)
         quot = lhs / (lam ** (-a * n) * norm_b(v, b) + v.sup_norm())
         c8_hat = max(c8_hat, float(quot))

@@ -34,20 +34,20 @@ def eig_b(sys_b):
 
 
 def test_evolve_zero_time_is_identity(sys_b):
-    x, u = evolve_many(sys_b, [0.37], [0.21], 0.0)
+    x, u, _ = evolve_many(sys_b, [0.37], [0.21], sys_b.roof_at([0.37]), 0.0)
     assert (x[0], u[0]) == (0.37, 0.21)
 
 
 def test_unit_roof_time_one_is_base_map(sys_a):
     for x0 in (0.1, 0.3, 0.7):
-        x, u = evolve_many(sys_a, [x0], [0.0], 1.0)
+        x, u, _ = evolve_many(sys_a, [x0], [0.0], sys_a.roof_at([x0]), 1.0)
         assert x[0] == pytest.approx((2 * x0) % 1.0, abs=1e-12)
         assert u[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_negative_time_rejected(sys_a):
     with pytest.raises(ValueError):
-        evolve_many(sys_a, [0.2], [0.1], -1.0)
+        evolve_many(sys_a, [0.2], [0.1], sys_a.roof_at([0.2]), -1.0)
 
 
 def test_height_stays_below_roof(sys_b):
@@ -55,7 +55,7 @@ def test_height_stays_below_roof(sys_b):
     xs = rng.random(2000)
     us = rng.random(2000) * sys_b.roof_at(xs)
     ts = rng.random(2000) * 10
-    ys, vs = evolve_many(sys_b, xs, us, ts)
+    ys, vs, _ = evolve_many(sys_b, xs, us, sys_b.roof_at(xs), ts)
     assert np.all(vs >= 0)
     assert np.all(vs < sys_b.roof_at(ys))
 
@@ -63,13 +63,18 @@ def test_height_stays_below_roof(sys_b):
 def test_semigroup_property(sys_b):
     rng = np.random.default_rng(1)
     xs = rng.random(1000)
-    us = rng.random(1000) * sys_b.roof_at(xs)
+    rs = sys_b.roof_at(xs)
+    us = rng.random(1000) * rs
     t1 = rng.random(1000) * 10
     t2 = rng.random(1000) * 10
-    x_two, u_two = evolve_many(sys_b, *evolve_many(sys_b, xs, us, t1), t2)
-    x_one, u_one = evolve_many(sys_b, xs, us, t1 + t2)
+    x_two, u_two, r_two = evolve_many(
+        sys_b, *evolve_many(sys_b, xs, us, rs, t1), t2)
+    x_one, u_one, r_one = evolve_many(sys_b, xs, us, rs, t1 + t2)
     assert np.max(np.abs(x_two - x_one)) < 1e-9
     assert np.max(np.abs(u_two - u_one)) < 1e-9
+    # the carried roof values are the roof at the returned points, each way
+    assert np.array_equal(r_two, sys_b.roof_at(x_two))
+    assert np.array_equal(r_one, sys_b.roof_at(x_one))
 
 
 def _evolve_every_point(sys, xs, us, t):
@@ -92,12 +97,14 @@ def test_evolve_many_equals_every_point_loop(nl_doubling, name):
     rng = np.random.default_rng(2)
     xs = rng.random(5000)
     us = rng.random(5000) * sys.roof_at(xs)
-    got, want = (xs, us), (xs, us)
+    got, want = (xs, us, sys.roof_at(xs)), (xs, us)
     for dt in (0.0, 0.4, 1.7, 5.0, rng.random(5000) * 8):
         got = evolve_many(sys, *got, dt)
         want = _evolve_every_point(sys, *want, dt)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+        # the carried roof values stay the roof at the current points
+        assert np.array_equal(got[2], sys.roof_at(got[0]))
 
 
 @pytest.mark.parametrize("samples", [20_000, 30_001])
@@ -107,12 +114,12 @@ def test_batch_means_equal_boolean_masks(sys_b, eig_b, samples):
     got = correlation(sys_b, eig_b, expr, expr, ts, samples, seed=15)
     f = compile_expr(parse(expr, variables=("x", "u")))
     sample = sample_flow_measure(sys_b, eig_b, samples, 15)
-    cx, cu = sample.xs, sample.us
+    cx, cu, cr = sample.xs, sample.us, sys_b.roof_at(sample.xs)
     v0 = f(x=cx, u=cu) + 0.0 * cx
     idx = np.arange(samples) % 32
     prev = 0.0
     for t, est, se in zip(ts, got.estimates, got.stderrs):
-        cx, cu = evolve_many(sys_b, cx, cu, t - prev)
+        cx, cu, cr = evolve_many(sys_b, cx, cu, cr, t - prev)
         prev = t
         wt = f(x=cx, u=cu) + 0.0 * cx
         batch_est = np.array([
@@ -121,6 +128,32 @@ def test_batch_means_equal_boolean_masks(sys_b, eig_b, samples):
             for k in range(32)])
         assert est == float(np.mean(batch_est))
         assert se == float(np.std(batch_est, ddof=1) / np.sqrt(32))
+
+
+def test_each_landing_reads_the_roof_once(sys_b, eig_b, monkeypatch):
+    # the roof is read at each base point the sampler draws and at each
+    # point the flow lands on, and nowhere else: no t-step reads it again
+    # at the points that have not moved
+    import gibbsflow.flow as fl
+    from gibbsflow.system import MarkovSystem
+    points = {"sample_mu": 0, "apply_T": 0, "roof_at": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            points[name] += np.size(out)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(fl, "sample_mu", counted("sample_mu", fl.sample_mu))
+    for name in ("apply_T", "roof_at"):
+        monkeypatch.setattr(MarkovSystem, name,
+                            counted(name, getattr(MarkovSystem, name)))
+    correlation(sys_b, eig_b, "cos(2*pi*u)+x", "cos(2*pi*u)+x",
+                np.linspace(0.0, 3.0, 4), 20_000, seed=15)
+    assert points["sample_mu"] >= 20_000
+    assert points["apply_T"] > 0
+    assert points["roof_at"] == points["sample_mu"] + points["apply_T"]
 
 
 # -- invariant measure sampling -----------------------------------------------------
@@ -176,6 +209,13 @@ def test_mean_roof_rows_equal_the_piecewise_read_on_one_roof(sys_b, eig_b):
     assert np.array_equal(rows, sys_b.roof_at(eig_b.f.nodes.reshape(-1)))
     s = sample_flow_measure(sys_b, eig_b, 10, seed=0)
     assert s.mean_roof == float(np.sum(eig_b.mu.reshape(-1) * rows))
+
+
+def test_sample_carries_the_roof_at_its_base_points(sys_b, eig_b):
+    s = sample_flow_measure(sys_b, eig_b, 2000, seed=11)
+    assert len(s.rs) == len(s.xs) == 2000
+    assert np.array_equal(s.rs, sys_b.roof_at(s.xs))
+    assert np.all(s.us < s.rs)
 
 
 def test_sampler_deterministic_under_seed(sys_b, eig_b):

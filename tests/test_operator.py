@@ -104,9 +104,10 @@ def test_copies_share_one_read_only_node_grid(eig_b):
 
 @pytest.mark.parametrize("experiment,calls", [
     # 5 eigendata at N = 512, 4096, 8192, 16384 and 32768 (f and the
-    # transfer matrix each), per b of 2^8..2^12 one L matrix, the sweep's
-    # start w and the Lasota-Yorke audit's grid and 4 test functions
-    ("contraction", 5 * 2 + 5 * (1 + 1 + 1 + 4)),
+    # transfer matrix each) and per b of 2^8..2^12 one L matrix; the
+    # sweep's start w and the Lasota-Yorke audit's test functions are
+    # copies of the eigendata's f
+    ("contraction", 5 * 2 + 5 * 1),
     # eigendata at N = 512, v's start, d's base nodes and mu's density
     ("cancellation", 2 + 1 + 1 + 1)])
 def test_runs_build_a_node_grid_per_grid_function_not_per_copy(
@@ -127,6 +128,21 @@ def test_runs_build_a_node_grid_per_grid_function_not_per_copy(
     assert run({"experiment": experiment, "preset": "SYS-B"},
                out_dir=str(tmp_path / experiment)) == 0
     assert count[0] == calls
+
+
+def test_contraction_reports_do_not_depend_on_shared_grids(monkeypatch,
+                                                           tmp_path):
+    # the same SYS-B contraction run with every GridFunction copy given a
+    # grid of its own, as node_grid builds it, writes the same bytes
+    import gibbsflow.operator as op
+    cfg = {"experiment": "contraction", "preset": "SYS-B"}
+    assert run(cfg, out_dir=str(tmp_path / "shared")) == 0
+    monkeypatch.setattr(op.GridFunction, "copy_with",
+                        lambda self, values: GridFunction(self.system, values))
+    assert run(cfg, out_dir=str(tmp_path / "own")) == 0
+    for name in ("contraction.json", "contraction.csv"):
+        assert ((tmp_path / "shared" / name).read_bytes()
+                == (tmp_path / "own" / name).read_bytes())
 
 
 def _f_csv(tmp_path) -> str:
@@ -342,6 +358,29 @@ def test_gridfunction_csv_bytes_match_csv_writer(eig_b, tmp_path, kind):
     assert text == buf.getvalue()
     if kind == "complex":
         assert ",-0.0\n" in buf.getvalue()
+
+
+def test_csv_bytes_match_csv_writer_on_repeated_and_special_values(tmp_path):
+    # each distinct value of a chunk is formatted once; 0.0 and -0.0, NaNs
+    # of other bit patterns and both infinities keep their own text, over
+    # more rows than one 4096-row chunk
+    rng = np.random.default_rng(3)
+    n = 10_000
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                    dtype=np.uint64).view(float)
+    special = np.array([0.0, -0.0, np.nan, *nans, np.inf, -np.inf, 0.1, 1.5])
+    floats = special[rng.integers(0, special.size, n)]
+    floats[::5] = rng.normal(size=len(floats[::5]))
+    columns = [np.arange(n) % 3, floats, np.repeat([0.25, -0.0], n // 2),
+               rng.integers(-4, 5, n), rng.normal(size=n), np.full(n, np.nan)]
+    _write_csv(tmp_path / "t.csv", list("abcdef"), columns)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(list("abcdef"))
+    w.writerows(zip(*(c.tolist() for c in columns)))
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == buf.getvalue()
+    assert ",-0.0," in buf.getvalue() and ",nan," in buf.getvalue()
+    assert ",-inf," in buf.getvalue()
 
 
 def test_l_matrix_cache_holds_the_latest_b():
