@@ -6,7 +6,8 @@ and report emission.
                         SYS-C-NLROOF]
 
 Without ``--config``, ``--preset`` runs the config ``{"experiment":
-<experiment>}``: every parameter at its default.
+<experiment>}``: every parameter at its default.  Without ``--out`` the
+reports go to ``gibbsflow-out/<experiment>``, ``bundle``'s too.
 
 Each experiment's parameters are declared once, in ``_PARAMS``: name, kind
 (integer, float, list of floats or expression string), default and bounds.
@@ -129,7 +130,8 @@ _SIGMA = _Param("float", 0.0, -50, 50)
 # The parameters of each experiment.  The least value of an integer is the
 # least the experiment can run on: eigendata needs two nodes per element,
 # the fit of correlate four points above the noise, and each of its
-# batches at least one sample.
+# batches at least one sample.  The least b of transversality and
+# cancellation is 1: below it the prefix length floor(beta log b) is < 0.
 _PARAMS = {
     "validate": {},
     "eigen": {"sigma": _SIGMA, "N": _Param("int", 1024, 2)},
@@ -140,11 +142,11 @@ _PARAMS = {
             "n_max": _Param("int", 6, 1), "grid": _Param("int", 128, 1),
             "sigma": _SIGMA},
     "transversality": {"delta": _Param("float", 0.05, 1e-9, 1 - 1e-9),
-                       "b": _Param("float", 2.0 ** 10, 1e-9),
+                       "b": _Param("float", 2.0 ** 10, 1),
                        "beta": _positive(1.0)},
     "cohomology": {"J_trunc": _Param("int", 40, 1), "tol": _positive(1e-6)},
     # Delta None: cone_iteration derives it from the system
-    "cancellation": {"b": _Param("float", 2.0 ** 8, 1e-9),
+    "cancellation": {"b": _Param("float", 2.0 ** 8, 1),
                      "delta": _Param("float", 0.05, 1e-9, 1 - 1e-9),
                      "Delta": _positive(None), "m_max": _Param("int", 10, 1),
                      "sigma": _SIGMA},
@@ -224,6 +226,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON: {e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file is not UTF-8: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _parameters(cfg)
@@ -327,11 +331,11 @@ def _reprs(c: np.ndarray) -> list:
 
 
 def _run_validate(sys_, p, out, seed):
-    rep = validate(sys_)
+    rep, c = validate(sys_), sys_.constants
     summary = {
-        "lambda": rep.expansion, "rho": rep.rho, "C4": rep.c4,
+        "lambda": c.lam, "rho": c.rho, "C4": c.c4,
         "C2": None if math.isnan(rep.c2) else rep.c2,  # NaN is not JSON
-        "roof_inf": rep.roof_inf, "roof_sup": rep.roof_sup,
+        "roof_inf": c.roof_inf, "roof_sup": c.roof_sup,
         "markov_residual": rep.markov_residual,
         "covering_power": rep.covering_power,
         "ok": rep.ok, "messages": rep.messages,
@@ -554,9 +558,10 @@ def run(config_path: str | dict, out_dir: str | None = None,
     return code
 
 
-def report_bundle(run_dirs, out_dir: str | None) -> dict:
+def report_bundle(run_dirs, out_dir) -> dict:
     """Merge completed runs into a cross-experiment summary (the trichotomy
-    table): cohomologous? / a(n) trend / xi_hat / c_hat."""
+    table): cohomologous? / a(n) trend / xi_hat / c_hat, written into the
+    directory ``out_dir``."""
     if not run_dirs:
         raise MissingManifestError("no run directories given")
     row = {"cohomologous": None, "a_trend": None, "xi_hat": None,
@@ -597,16 +602,14 @@ def report_bundle(run_dirs, out_dir: str | None) -> dict:
         elif exp == "correlate":
             row["c_hat"] = rep.get("rate")
     bundle = {"runs": [m["experiment"] for m in runs], "table": row}
-    if out_dir is not None:
-        outp = Path(out_dir)
-        outp.mkdir(parents=True, exist_ok=True)
-        _write_json(outp / "bundle.json", bundle)
-        lines = ["# experiment value"]
-        for key in ("xi_hat", "c_hat"):
-            if row[key] is not None:
-                lines.append(f"{key} {row[key]!r}")
-        (outp / "bundle.dat").write_text("\n".join(lines) + "\n",
-                                         encoding="utf-8")
+    outp = Path(out_dir)
+    outp.mkdir(parents=True, exist_ok=True)
+    _write_json(outp / "bundle.json", bundle)
+    lines = ["# experiment value"]
+    for key in ("xi_hat", "c_hat"):
+        if row[key] is not None:
+            lines.append(f"{key} {row[key]!r}")
+    (outp / "bundle.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return bundle
 
 
@@ -626,7 +629,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.experiment == "bundle":
-            report_bundle(args.runs, out_dir=args.out)
+            report_bundle(args.runs,
+                          args.out or Path("gibbsflow-out") / "bundle")
             return 0
         if args.config is not None:
             cfg = load_config(args.config)

@@ -62,7 +62,7 @@ class NoCancellationWitness(RuntimeError):
 # -- constants and gates -------------------------------------------------------
 
 
-def c0_constant(sys: MarkovSystem, eig0: EigenData) -> dict:
+def c0_constant(sys: MarkovSystem, eig0: EigenData) -> float:
     """Cone-regularity constant
 
         C0 = 4 |1/f|_inf |f|_alpha + 2 (|phi|_alpha + |r|_alpha) * (1 - lam^-a)
@@ -75,11 +75,7 @@ def c0_constant(sys: MarkovSystem, eig0: EigenData) -> dict:
     fmin = float(eig0.f.values.real.min())
     semi_f = hoelder_seminorm(eig0.f)
     tail = (c.semi_phi + c.semi_r) * (1.0 - c.lam ** (-a))
-    raw = 4.0 * (1.0 / fmin) * semi_f + 2.0 * tail
-    floor = 0.1
-    floored = raw < floor
-    return {"C0": max(raw, floor), "raw": raw, "floored": floored,
-            "floor": floor}
+    return max(4.0 * (1.0 / fmin) * semi_f + 2.0 * tail, 0.1)
 
 
 def constraint_gates(sys: MarkovSystem, delta: float, c0: float) -> dict:
@@ -211,7 +207,9 @@ def bump_geometry(sys: MarkovSystem, b: float, delta: float, c0: float,
     Q_j: pick a transversal pair of depth-n2 tails at the centre, extended
     to depth-n words, with their common domain (``transversal_pair``), and
     place 64 candidates x1 across Q_j in that domain, each with a 32-point
-    sub-grid of B(x1, delta/|b|).  One ``branch_chain`` per word pulls back
+    sub-grid of B(x1, delta/|b|); a Q_j whose part in the domain is
+    shorter than 2 delta/|b| holds no candidate and is refused with
+    ConstraintViolationError.  One ``branch_chain`` per word pulls back
     every sub-grid point and every candidate's plateau and support ends.
     """
     if sys.constants.c7 == 0.0:
@@ -234,7 +232,12 @@ def bump_geometry(sys: MarkovSystem, b: float, delta: float, c0: float,
             raise NoCancellationWitness(
                 f"Q_{j}: no transversal tail pair at depth {n2}", j)
         words, (dlo, dhi) = found
-        x1s = np.linspace(max(qlo, dlo) + rad, min(qhi, dhi) - rad, scan)
+        lo, hi = max(qlo, dlo), min(qhi, dhi)
+        if lo + rad > hi - rad:
+            raise ConstraintViolationError(
+                f"Q_{j} has width {hi - lo:.6g} in its pair's domain, below "
+                f"2 delta/|b| = {2 * rad:.6g}: no candidate ball fits")
+        x1s = np.linspace(lo + rad, hi - rad, scan)
         zs = np.clip(x1s[:, None] + offsets[None, :],
                      max(dlo, 0.0), min(dhi, 1.0))
         ball = np.stack([x1s - rad / 2.0, x1s + rad / 2.0], axis=1)
@@ -435,7 +438,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
     built once per run; each of d's n m_max advances pulls back only the
     window nodes it joins to the base nodes.
     """
-    c0 = c0_constant(sys, eig)["C0"]
+    c0 = c0_constant(sys, eig)
     geom = bump_geometry(sys, b, delta, c0, Delta)
     dens = _mu_density(eig)
 
@@ -518,7 +521,7 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
     """
     a = sys.alpha
     lam = sys.constants.lam
-    c0 = c0_constant(sys, eig)["C0"]
+    c0 = c0_constant(sys, eig)
     plans = []
     for b in b_list:
         k = int(math.floor(beta * math.log(abs(b))))
@@ -555,7 +558,7 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
     ks = np.array([r["k"] for r in rows], dtype=float) * math.log(lam)
     ys = -np.log(np.array([max(r["ratio"], 1e-300) for r in rows]))
     xi_hat = float(ks @ ys / (ks @ ks)) if np.any(ks) else 0.0
-    return {"beta": beta, "rows": rows, "xi_hat": xi_hat, "C6": c6}
+    return {"rows": rows, "xi_hat": xi_hat, "C6": c6}
 
 
 def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
@@ -591,5 +594,4 @@ def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
                     + lasota_yorke_audit(eg, b, ell)) ** (1.0 / ell)
         results.append({"b": float(b), "ell": ell, "ratio": best,
                         "zeta_hat": best ** (1.0 / ell), "envelope": envelope})
-    return {"B": B, "rows": results,
-            "zeta_max": max(r["zeta_hat"] for r in results)}
+    return {"rows": results, "zeta_max": max(r["zeta_hat"] for r in results)}

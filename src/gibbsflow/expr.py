@@ -24,7 +24,7 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Pi", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Neg",
     "Call", "ParseError", "UnknownIdentifierError", "DomainError",
-    "parse", "to_str", "differentiate", "compile_expr", "is_constant",
+    "parse", "differentiate", "compile_expr", "is_constant",
 ]
 
 
@@ -46,8 +46,7 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class Expr:
-    def __str__(self) -> str:
-        return to_str(self)
+    """An expression node."""
 
 
 @dataclass(frozen=True)
@@ -254,58 +253,6 @@ def parse(src: str, variables: tuple[str, ...] = ("x",)) -> Expr:
     return _Parser(src, variables).parse()
 
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
-_ATOMIC = (Num, Pi, Var, Call)
-
-
-def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def to_str(e: Expr) -> str:
-    """Print an expression; ``parse(to_str(e)) == e`` structurally."""
-
-    def wrap(child: Expr, prec: int, right_side: bool = False) -> str:
-        s = to_str(child)
-        cp = 5 if isinstance(child, _ATOMIC) else _PREC[type(child)]
-        if cp < prec or (cp == prec and right_side):
-            return f"({s})"
-        return s
-
-    if isinstance(e, Num):
-        if e.value < 0:
-            # a raw negative literal parses as Neg(Num); keep trees printable
-            return f"(0-{_fmt_num(-e.value)})"
-        return _fmt_num(e.value)
-    if isinstance(e, Pi):
-        return "pi"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Add):
-        return f"{wrap(e.left, 1)}+{wrap(e.right, 1, True)}"
-    if isinstance(e, Sub):
-        return f"{wrap(e.left, 1)}-{wrap(e.right, 1, True)}"
-    if isinstance(e, Mul):
-        return f"{wrap(e.left, 2)}*{wrap(e.right, 2, True)}"
-    if isinstance(e, Div):
-        return f"{wrap(e.left, 2)}/{wrap(e.right, 2, True)}"
-    if isinstance(e, Pow):
-        base = to_str(e.base)
-        if not isinstance(e.base, _ATOMIC) or (isinstance(e.base, Num) and e.base.value < 0):
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, Neg):
-        inner = to_str(e.operand)
-        if not isinstance(e.operand, _ATOMIC):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Call):
-        return f"{e.func}({to_str(e.arg)})"
-    raise TypeError(f"not an Expr: {e!r}")
-
-
 def _emit(e: Expr, consts: list) -> str:
     """Python source for ``e``; operands are emitted in the evaluation order
     of the expression tree, so values match a node-by-node evaluation."""
@@ -427,9 +374,7 @@ def differentiate(e: Expr) -> Expr:
         if e.exponent == 1:
             return db
         inner = e.base if e.exponent == 2 else Pow(e.base, e.exponent - 1)
-        d = _mul(Num(float(abs(e.exponent))), _mul(inner, db))
-        # a negative literal has no printed form that parses back to itself
-        return d if e.exponent > 0 else Neg(d)
+        return _mul(Num(float(e.exponent)), _mul(inner, db))
     if isinstance(e, Neg):
         d = differentiate(e.operand)
         return Num(0.0) if _is_zero(d) else Neg(d)

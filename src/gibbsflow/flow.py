@@ -64,9 +64,6 @@ class FlowSample:
     slab_expected: float
     slab_se: float
 
-    def __len__(self):
-        return len(self.xs)
-
 
 def sample_flow_measure(sys: MarkovSystem, eig: EigenData, count: int,
                         seed: int) -> FlowSample:

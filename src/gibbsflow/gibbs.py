@@ -36,10 +36,9 @@ class FrequencyTooSmallError(ValueError):
 @dataclass
 class AdaptedPartition:
     """The elements of an adapted partition, as arrays sorted by ``left``:
-    each element's cylinder ends and its depth."""
+    each element's cylinder ends."""
     left: np.ndarray
     right: np.ndarray
-    depth: np.ndarray
 
 
 def _mass_tables(sys: MarkovSystem, eig: EigenData, words: np.ndarray):
@@ -251,21 +250,19 @@ def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedParti
 
     words = np.arange(sys.m)[:, None]
     left, right = sys.partition[:-1], sys.partition[1:]
-    found = []  # (left, right, depth) of the elements found at each level
+    found = []  # (left, right) of the elements found at each level
     while len(words):
-        depth = words.shape[1]
         parent, nxt = np.nonzero(sys.transition[words[:, -1]])
-        check_word_cap(len(parent), depth + 1)
+        check_word_cap(len(parent), words.shape[1] + 1)
         kids = np.column_stack([words[parent], nxt])
         kid_left, kid_right = _cylinder_ends(sys, kids)
         big = kid_right - kid_left >= t - tol
         refined = np.zeros(len(words), dtype=bool)
         refined[parent[big]] = True
         small = ~big & refined[parent]
-        found += [(left[~refined], right[~refined], depth),
-                  (kid_left[small], kid_right[small], depth + 1)]
+        found += [(left[~refined], right[~refined]),
+                  (kid_left[small], kid_right[small])]
         words, left, right = kids[big], kid_left[big], kid_right[big]
-    left, right, depth = (np.concatenate(column) for column in zip(*[
-        (lo, hi, np.full(len(lo), d)) for lo, hi, d in found]))
+    left, right = (np.concatenate(column) for column in zip(*found))
     order = np.argsort(left, kind="stable")
-    return AdaptedPartition(left[order], right[order], depth[order])
+    return AdaptedPartition(left[order], right[order])

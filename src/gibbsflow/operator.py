@@ -249,13 +249,12 @@ def transfer_matrix(sys: MarkovSystem, s: complex, N: int) -> sp.csr_matrix:
 @dataclass
 class EigenData:
     """Leading eigendata of P_sigma: eigenvalue, right eigenfunction f (with
-    integral 1 against nu), left probability weights nu, and mu = f nu."""
+    integral 1 against the left probability weights nu), and mu = f nu."""
     system: MarkovSystem
     sigma: float
     N: int
     lam: float
     f: GridFunction
-    nu: np.ndarray          # (m, N) nonnegative, sums to 1
     mu: np.ndarray          # (m, N) nonnegative, sums to 1
     iterations: int
     matrix: sp.csr_matrix = field(repr=False)
@@ -315,8 +314,7 @@ def eigendata(sys: MarkovSystem, sigma: float, N: int) -> EigenData:
     mu = nu * f
     mu = mu / mu.sum()
     fgrid = GridFunction(sys, f.reshape(sys.m, N))
-    return EigenData(sys, float(sigma), N, lam, fgrid,
-                     nu.reshape(sys.m, N), mu.reshape(sys.m, N),
+    return EigenData(sys, float(sigma), N, lam, fgrid, mu.reshape(sys.m, N),
                      iterations=it1 + it2, matrix=M)
 
 

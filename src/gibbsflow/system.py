@@ -158,12 +158,7 @@ class SystemConstants:
 
 @dataclass
 class ValidationReport:
-    expansion: float          # lam: inf |T'|
-    rho: float                # sup |T'|
     c2: float                 # distortion constant of inverse branch derivatives
-    c4: float                 # sup |D(r o h)| over inverse branches h
-    roof_inf: float
-    roof_sup: float
     markov_residual: float    # worst endpoint mismatch of branch images
     covering_power: int       # least k with all-positive transition matrix power
     ok: bool
@@ -479,9 +474,9 @@ def validate(sys: MarkovSystem) -> ValidationReport:
     0 < inf r <= sup r <= 1, and estimates the distortion constant C2 of
     inverse-branch derivatives (NaN when some branch is not monotone or
     misses its declared breakpoints, so that its inverse is not defined on
-    the image).  lam, rho, C4 and the roof range are read from
-    ``sys.constants``.  Each failed check is reported in ``messages``, and
-    ``ok`` is False.
+    the image).  lam and the roof range are read from ``sys.constants``,
+    which the report does not copy.  Each failed check is reported in
+    ``messages``, and ``ok`` is False.
     """
     c = sys.constants
     msgs: list[str] = []
@@ -534,12 +529,8 @@ def validate(sys: MarkovSystem) -> ValidationReport:
                 q = np.where(scale > 0, d / scale, 0.0)
             c2 = max(c2, float(np.nanmax(q)))
 
-    return ValidationReport(
-        expansion=c.lam, rho=c.rho, c2=c2, c4=c.c4,
-        roof_inf=c.roof_inf, roof_sup=c.roof_sup,
-        markov_residual=markov_res, covering_power=power,
-        ok=not msgs, messages=msgs,
-    )
+    return ValidationReport(c2=c2, markov_residual=markov_res,
+                            covering_power=power, ok=not msgs, messages=msgs)
 
 
 # -- words, the pullback engine, cylinders ------------------------------------

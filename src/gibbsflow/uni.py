@@ -36,6 +36,7 @@ import math
 
 import numpy as np
 
+from .gibbs import FrequencyTooSmallError
 from .operator import EigenData
 from .system import (MarkovSystem, branch_chain, count_words, cylinders,
                      pullback, symbol_pullbacks, word_array)
@@ -120,7 +121,7 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
             pair = tuple(tuple(words[a].tolist()) for a in pair)
         d_point = min(d_point, best)
         witness.append({"y": float(y), "D": best, "pair": pair})
-    return {"n": n, "R": R, "D_full": d_full,
+    return {"D_full": d_full,
             "D_point": float(d_point if np.isfinite(d_point) else 0.0),
             "witnesses": witness}
 
@@ -421,8 +422,11 @@ def transversal_pair(sys: MarkovSystem, tails: np.ndarray, n1: int, y: float):
 
     ``tails`` is ``word_array(sys, n2)``; the tails whose domain holds y are
     pulled back in one engine call, and ties go to the first pair in
-    lexicographic order.
+    lexicographic order.  n1 < 0, from |b| < 1, is refused.
     """
+    if n1 < 0:
+        raise FrequencyTooSmallError(
+            f"prefix length n1 = {n1} < 0: |b| is below 1")
     tails = tails[_closed_images(sys, np.array([y]))[tails[:, -1], 0]]
     if len(tails) < 2:
         return None

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -6,6 +7,7 @@ import pytest
 
 from gibbsflow.gibbs import _mass_tables
 from gibbsflow.operator import node_grid
+from gibbsflow.presets import PRESETS
 from gibbsflow.system import (branch_chain, pullback, pullbacks,
                               system_from_config, word_array)
 
@@ -72,16 +74,9 @@ def itineraries(sys, x, n: int) -> np.ndarray:
     return out
 
 
-def to_config(sys) -> dict:
-    """The JSON config layout of ``system_from_config`` for a system."""
-    return {
-        "partition": [float(a) for a in sys.partition],
-        "branches": [{"expr": str(T.expr), "image": list(image)}
-                     for T, image in zip(sys.T, sys.images)],
-        "roof": [str(p.expr) for p in sys.r],
-        "potential": [str(p.expr) for p in sys.phi],
-        "alpha": sys.alpha,
-    }
+def preset_config(name: str) -> dict:
+    """A copy of preset ``name``'s config block, free to edit."""
+    return copy.deepcopy(PRESETS[name])
 
 
 def jacobian_weight(sys, eig, word, xs):
@@ -324,6 +319,6 @@ def check_uni_loop(sys, n, R, grid):
                     best, best_pair = v, (w1, w2)
         d_point = min(d_point, best)
         witness.append({"y": float(y), "D": best, "pair": best_pair})
-    return {"n": n, "R": R, "D_full": d_full,
+    return {"D_full": d_full,
             "D_point": float(d_point if np.isfinite(d_point) else 0.0),
             "witnesses": witness}

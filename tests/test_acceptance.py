@@ -17,7 +17,7 @@ from gibbsflow.flow import correlation, sample_flow_measure
 from gibbsflow.gibbs import adapted_partition, gibbs_audit, sample_mu
 from gibbsflow.operator import GridFunction, apply_L, eigendata
 from gibbsflow.presets import make_preset, preset_names
-from gibbsflow.system import branch_chain, validate, word_array
+from gibbsflow.system import branch_chain, word_array
 from gibbsflow.uni import a_sequence, b_sequence, coboundary_test
 
 # runtime budgets are on CPU time: the sandboxed runner throttles wall clock
@@ -104,7 +104,7 @@ def test_adapted_partition_bounds(sys_a, sys_b, sys_c):
     t0 = cpu_now()
     Delta = 1.0
     for sys in (sys_a, sys_b, sys_c):
-        rho = validate(sys).rho
+        rho = sys.constants.rho
         for b in [2.0 ** q for q in range(7, 13)]:
             part = adapted_partition(sys, b, Delta)
             diam = part.right - part.left
@@ -189,7 +189,7 @@ def test_cancellation_and_cone_iteration(sys_b, eig_b, b):
     t0 = cpu_now()
     ones = lambda x: np.ones(np.asarray(x, dtype=float).shape)
     pair = ConeBPair(u=ones, v=lambda x: ones(x).astype(complex),
-                     b=b, C0=c0_constant(sys_b, eig_b)["C0"])
+                     b=b, C0=c0_constant(sys_b, eig_b))
     geom = bump_geometry(sys_b, b, 0.05, pair.C0, None)
     bump = build_bump(geom, pair)
     part = adapted_partition(sys_b, b, geom.Delta)

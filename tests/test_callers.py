@@ -6,21 +6,46 @@ either test-only code, which belongs in tests/, or dead.  The check parses
 src/gibbsflow and walks the name graph from ``cli.main``.  Names are matched
 as in test_options.py: a reached definition reaches every function, class,
 method or module-level assignment whose name it mentions, as ``f`` or as
-``obj.f``, unless it binds ``f`` itself as a local.  A reached class reaches its bases, decorators, class-level
-statements and dunder methods; its other methods are reached by name.
+``obj.f``, unless it binds ``f`` itself as a local.  A reached class reaches
+its bases, decorators, class-level statements, ``__init__`` and
+``__call__``; its other methods, other dunders included, are reached by
+name, so a ``__str__`` that only ``str()`` in a test calls is unreached.
+
+A dataclass field is a result some caller reads: every field of a dataclass
+in src/gibbsflow is read as ``obj.field`` somewhere in the program, that is
+in src/, perfbench/ or tools/, as test_options.py counts it.  A field that
+only tests read is test-only code.
 """
 
 import ast
 from pathlib import Path
 
+from test_options import _is_dataclass
+
 ROOT = Path(__file__).resolve().parents[1]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-# Library entry points that no CLI experiment calls yet, with the reason:
-# the cancellation inequality |L^n_s v| <= L^n_sigma(chi u).  The open
-# ROADMAP item that audits the whole Dolgopyat step makes ``cone_iteration``
-# call it at every step.
-ALLOWED = {"cancellation_check"}
+# Names the program needs and does not reach yet, with the reason:
+#   cancellation_check     a library entry point that no CLI experiment calls
+#                          yet: the cancellation inequality |L^n_s v| <=
+#                          L^n_sigma(chi u).  The open ROADMAP item that
+#                          audits the whole Dolgopyat step makes
+#                          ``cone_iteration`` call it at every step.
+#   FlowSample.mean_roof   a field the sampler fills in and nothing reads
+#                          yet: the sample mean of r under mu, which the
+#                          ROADMAP item on the pressure function checks
+#                          against -P'(sigma).
+#   FlowSample.slab_mass, slab_expected, slab_se
+#                          fields of the sampler's slab check, for the
+#                          health block of the ROADMAP item on run
+#                          telemetry.
+# The fields detect faults, so they stay until a report shows them.
+ALLOWED = {"cancellation_check", "mean_roof", "slab_mass", "slab_expected",
+           "slab_se"}
+
+# the dunders a reached class brings along: calling the class or one of its
+# instances runs them without naming them
+IMPLICIT = ("__init__", "__call__")
 
 
 def _mentions(*nodes) -> set[str]:
@@ -53,10 +78,10 @@ def _definitions(package=ROOT / "src" / "gibbsflow"):
                              not node.name.startswith("_"), _mentions(node)))
             elif isinstance(node, ast.ClassDef):
                 methods = [f for f in node.body if isinstance(f, FUNCTIONS)
-                           and not f.name.startswith("__")]
+                           and f.name not in IMPLICIT]
                 for f in methods:
                     defs.append((f"{module}.{node.name}.{f.name}", f.name,
-                                 not f.name.startswith("_"), _mentions(f)))
+                                 _public(f.name), _mentions(f)))
                 rest = [item for item in node.body if item not in methods]
                 defs.append((f"{module}.{node.name}", node.name,
                              not node.name.startswith("_"),
@@ -76,8 +101,15 @@ def _definitions(package=ROOT / "src" / "gibbsflow"):
     return defs, exported
 
 
+def _public(name: str) -> bool:
+    """Whether the walk checks the method ``name``: a public name or a
+    dunder, which is reached by name too."""
+    return not name.startswith("_") or (name.startswith("__")
+                                        and name.endswith("__"))
+
+
 def _reached(defs) -> set[str]:
-    """Simple names reached from ``cli.main`` and the allowed entry points."""
+    """Simple names reached from ``cli.main`` and the ALLOWED names."""
     by_name: dict[str, list[set[str]]] = {}
     for _, name, _, mentions in defs:
         by_name.setdefault(name, []).append(mentions)
@@ -90,6 +122,33 @@ def _reached(defs) -> set[str]:
         for mentions in by_name.get(name, []):
             todo += mentions - reached
     return reached
+
+
+def _dataclass_fields(package=ROOT / "src" / "gibbsflow"):
+    """(class, field) of every field of every dataclass in the package."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                out += [(cls.name, item.target.id) for item in cls.body
+                        if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)]
+    return out
+
+
+def _attribute_reads(tops=(ROOT / "src", ROOT / "perfbench", ROOT / "tools")
+                     ) -> set[str]:
+    """Every attribute read as ``obj.name`` in the trees ``tops``."""
+    return {node.attr for top in tops for path in sorted(top.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _unread(fields, reads) -> list[str]:
+    return [f"{cls}.{field}" for cls, field in fields
+            if field not in reads and field not in ALLOWED]
 
 
 def test_walk_sees_the_package():
@@ -133,3 +192,46 @@ def test_a_local_of_the_same_spelling_reaches_nothing(tmp_path):
     reached = _reached(_definitions(tmp_path)[0])
     assert {"main", "Table", "width"} <= reached
     assert not {"total", "scale", "step", "size"} & reached
+
+
+def test_every_dataclass_field_is_read():
+    fields = _dataclass_fields()
+    # the scan sees the package: fields with defaults and init=False state
+    assert {("Pullback", "words"), ("EigenData", "_lmat_cache"),
+            ("_Param", "above_low"), ("Num", "value")} <= set(fields)
+    unread = _unread(fields, _attribute_reads())
+    assert not unread, ("dataclass fields the program never reads; delete "
+                        "them or move them into tests/:\n" + "\n".join(unread))
+
+
+def test_a_dunder_is_a_method_and_a_field_is_read(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "def main():\n"
+        "    r = Result(1, 2)\n"
+        "    r.kept = r.stored\n"
+        "    return Shown(), Printed(), r.used, len(r)\n"
+        "class Shown:\n"
+        "    def __init__(self):\n        pass\n"
+        "    def __call__(self):\n        return helper()\n"
+        "    def __len__(self):\n        return 0\n"
+        "class Printed:\n"
+        "    def __str__(self):\n        return ''\n"
+        "def helper():\n    pass\n"
+        "@dataclass\n"
+        "class Result:\n"
+        "    used: int\n"
+        "    unused: int\n"
+        "    kept: int = 0\n"
+        "    stored: int = field(init=False, default=0)\n", encoding="utf-8")
+    defs, _ = _definitions(tmp_path)
+    reached = _reached(defs)
+    # __call__ comes with its class, and reaches what it names; __len__ and
+    # __str__ are methods that no reached code names
+    assert {"Shown", "Printed", "helper"} <= reached
+    assert {"cli.Shown.__len__", "cli.Printed.__str__"} <= {
+        q for q, name, public, _ in defs if public and name not in reached}
+    # a field that is only written, or never named, is unread
+    assert _unread(_dataclass_fields(tmp_path),
+                   _attribute_reads([tmp_path])) == ["Result.unused",
+                                                     "Result.kept"]

@@ -8,12 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import NL_DOUBLING, to_config
+from conftest import NL_DOUBLING, preset_config
 import gibbsflow
 import gibbsflow.cli as cli
 from gibbsflow.cli import (ConfigError, MissingManifestError, load_config,
                            main, report_bundle, run)
-from gibbsflow.presets import make_preset
 
 
 def write_cfg(path, obj):
@@ -155,6 +154,18 @@ def test_positive_param_refused_at_zero_and_below(tmp_path, monkeypatch,
                              {name: value}, f"/params/{name}", WORK)
 
 
+@pytest.mark.parametrize("exp,b", [("transversality", 0.5),
+                                   ("cancellation", 0.5),
+                                   ("cancellation", 0.9)])
+def test_b_below_one_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                             exp, b):
+    # the prefix length floor(beta log b) is < 0 there: transversality wrote
+    # n1 = -1 and n = 3 beside depth-4 pairs and exited 2; cancellation ran
+    # a geometry whose n = n2 - 1 missed its depth-n2 words
+    _refused_before_any_work(tmp_path, monkeypatch, capsys, exp, {"b": b},
+                             "/params/b", WORK)
+
+
 @pytest.mark.parametrize("name", ["v", "w"])
 def test_expression_param_must_be_a_string(tmp_path, monkeypatch, capsys,
                                            name):
@@ -275,7 +286,7 @@ def test_validate_success_writes_manifest(tmp_path):
 
 
 def test_validate_audit_failure_exits_2(tmp_path):
-    cfg = to_config(make_preset("SYS-A"))
+    cfg = preset_config("SYS-A")
     cfg["roof"] = ["3/2", "3/2"]  # violates sup r <= 1
     p = write_cfg(tmp_path / "c.json",
                   {"system": cfg, "experiment": "validate"})
@@ -287,7 +298,7 @@ def test_validate_audit_failure_exits_2(tmp_path):
 
 
 def test_validate_non_monotone_branch_exits_2(tmp_path):
-    cfg = to_config(make_preset("SYS-A"))
+    cfg = preset_config("SYS-A")
     cfg["branches"][0]["expr"] = "8*x*(1-2*x)"
     p = write_cfg(tmp_path / "c.json",
                   {"system": cfg, "experiment": "validate"})
@@ -305,7 +316,7 @@ def test_validate_non_monotone_branch_exits_2(tmp_path):
 
 
 def test_preset_flag_overrides_config_system(tmp_path):
-    cfg = to_config(make_preset("SYS-B"))
+    cfg = preset_config("SYS-B")
     p = write_cfg(tmp_path / "c.json",
                   {"system": cfg, "experiment": "validate"})
     out = tmp_path / "out"
@@ -316,7 +327,7 @@ def test_preset_flag_overrides_config_system(tmp_path):
 
 def _malformed(edit):
     """SYS-B's system block with ``edit`` applied to it."""
-    block = to_config(make_preset("SYS-B"))
+    block = preset_config("SYS-B")
     edit(block)
     return block
 
@@ -371,7 +382,7 @@ def test_malformed_system_block_refused_before_any_work(tmp_path, monkeypatch,
 
 def test_well_formed_system_blocks_admitted(tmp_path):
     # every preset's block and NL-DOUBLING's, written out, run validate
-    blocks = [to_config(make_preset(name)) for name in cli.PRESETS]
+    blocks = [preset_config(name) for name in cli.PRESETS]
     for k, block in enumerate(blocks + [NL_DOUBLING]):
         p = write_cfg(tmp_path / f"c{k}.json",
                       {"system": block, "experiment": "validate"})
@@ -614,9 +625,36 @@ def test_bundle_summarizes_trichotomy(tmp_path):
 def test_bundle_missing_manifest(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(MissingManifestError):
-        report_bundle([str(tmp_path / "empty")], None)
+        report_bundle([str(tmp_path / "empty")], tmp_path / "bundle")
     with pytest.raises(MissingManifestError):
-        report_bundle([], None)
+        report_bundle([], tmp_path / "bundle")
+
+
+def test_bundle_without_out_writes_gibbsflow_out(tmp_path, monkeypatch):
+    # as every experiment writes gibbsflow-out/<experiment>; bundle wrote
+    # nothing and exited 0
+    p = write_cfg(tmp_path / "c.json",
+                  {"preset": "SYS-A", "experiment": "validate"})
+    assert run(p, out_dir=str(tmp_path / "r")) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["bundle", "--runs", str(tmp_path / "r")]) == 0
+    bundle = json.loads(
+        (tmp_path / "gibbsflow-out" / "bundle" / "bundle.json").read_text())
+    assert bundle["runs"] == ["validate"]
+
+
+def test_config_that_is_not_utf8_refused(tmp_path, capsys):
+    # UnicodeDecodeError escaped load_config, and main printed
+    # "error: UnicodeDecodeError: ..."
+    p = tmp_path / "c.json"
+    p.write_bytes(b'{"experiment": "validate", "preset": "SYS-A\xff"}')
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(str(p))
+    out = tmp_path / "o"
+    assert main(["validate", "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: config file is not UTF-8")
+    assert not out.exists()
 
 
 def test_console_script_entry_point(tmp_path):

@@ -56,16 +56,14 @@ def test_eta0_value():
 
 
 def test_c0_constant_roof_floored(sys_a, eig_a):
-    rep = c0_constant(sys_a, eig_a)
-    assert rep["raw"] == pytest.approx(0.0, abs=1e-9)
-    assert rep["floored"]
-    assert rep["C0"] == 0.1
+    # every seminorm vanishes on SYS-A, so C0 is the floor
+    assert c0_constant(sys_a, eig_a) == 0.1
 
 
 def test_c0_sys_b_closed_form(sys_b, eig_b):
     # f is constant, so C0 = 2 |r|_alpha (1 - 1/2) = sup|r'| = 2 pi / 3
-    rep = c0_constant(sys_b, eig_b)
-    assert rep["C0"] == pytest.approx(2 * np.pi / 3, rel=1e-6)
+    assert c0_constant(sys_b, eig_b) == pytest.approx(2 * np.pi / 3,
+                                                      rel=1e-6)
 
 
 def test_c0_monotone_in_roof_amplitude(eig_b):
@@ -77,12 +75,12 @@ def test_c0_monotone_in_roof_amplitude(eig_b):
     eig = eigendata(big, 0.0, N=128)
     small = make_preset("SYS-B")
     eig_s = eigendata(small, 0.0, N=128)
-    assert (c0_constant(big, eig)["C0"]
-            >= c0_constant(small, eig_s)["C0"] * (1 - 1e-9))
+    assert (c0_constant(big, eig)
+            >= c0_constant(small, eig_s) * (1 - 1e-9))
 
 
 def test_gates_pass_and_refuse(sys_b, eig_b):
-    c0 = c0_constant(sys_b, eig_b)["C0"]
+    c0 = c0_constant(sys_b, eig_b)
     rep = constraint_gates(sys_b, 0.05, c0)
     assert all(v["value"] < v["bound"] for v in rep.values())
     with pytest.raises(ConstraintViolationError):
@@ -98,7 +96,7 @@ def _element_grids(sys, n=2048):
 
 
 def test_in_cone_constant_pairs(sys_a, eig_a):
-    c0 = c0_constant(sys_a, eig_a)["C0"]
+    c0 = c0_constant(sys_a, eig_a)
     u = GridFunction(sys_a, np.ones((sys_a.m, 128)))
     v0 = GridFunction(sys_a, np.zeros((sys_a.m, 128), dtype=complex))
     v1 = GridFunction(sys_a, np.ones((sys_a.m, 128), dtype=complex))
@@ -108,7 +106,7 @@ def test_in_cone_constant_pairs(sys_a, eig_a):
 
 
 def test_in_cone_rejects_dominating_v(sys_a, eig_a):
-    c0 = c0_constant(sys_a, eig_a)["C0"]
+    c0 = c0_constant(sys_a, eig_a)
     nodes = node_grid(sys_a, 128)
     u = GridFunction(sys_a, np.ones_like(nodes))
     v = GridFunction(sys_a, 2.0 * nodes + 0j)
@@ -122,7 +120,7 @@ def test_in_cone_rejects_dominating_v(sys_a, eig_a):
 def test_cone_test_reads_v_hoelder(sys_b, eig_b, scale):
     # u = 1 and v = sin(M x)/2 with |v|_1 = M/2 = scale K: |v| <= u and
     # |log u| = 0 hold whatever M, so the v-Hoelder condition alone decides
-    c0 = c0_constant(sys_b, eig_b)["C0"]
+    c0 = c0_constant(sys_b, eig_b)
     K = c0 * 64.0 ** sys_b.alpha
     M = 2.0 * scale * K
     pair = ConeBPair(u=lambda x: np.ones(np.shape(x)),
@@ -138,7 +136,7 @@ def test_cone_test_reads_v_hoelder(sys_b, eig_b, scale):
 
 
 def test_build_bump_sys_b(sys_b, eig_b):
-    c0 = c0_constant(sys_b, eig_b)["C0"]
+    c0 = c0_constant(sys_b, eig_b)
     b = 2.0 ** 10
     pair = _ones_pair(sys_b, b, c0)
     geom = bump_geometry(sys_b, b, 0.05, c0, None)
@@ -242,7 +240,7 @@ def test_build_bump_equals_the_scan_of_each_element(sys_b, eig_b, b, v):
     # element with its own pullbacks, to the bit, whichever case wins:
     # (a) for v = 1, (b) on w for |v| = 1/2, (b) on wbar in some elements
     # for digit7, and no case in one element for digit8 and |v| = 0.9
-    c0 = c0_constant(sys_b, eig_b)["C0"]
+    c0 = c0_constant(sys_b, eig_b)
     vs = {"one": lambda x: np.ones(np.shape(x), dtype=complex),
           "small": _scrambled(lambda x: np.full(x.shape, 0.5)),
           "digit7": _scrambled(_odd_digit(7)),
@@ -269,7 +267,7 @@ def test_build_bump_equals_the_scan_of_each_element(sys_b, eig_b, b, v):
 
 
 def test_cancellation_holds_sys_b(sys_b, eig_b):
-    c0 = c0_constant(sys_b, eig_b)["C0"]
+    c0 = c0_constant(sys_b, eig_b)
     pair = _ones_pair(sys_b, 2.0 ** 10, c0)
     bump = build_bump(bump_geometry(sys_b, 2.0 ** 10, 0.05, c0, None), pair)
     rep = cancellation_check(sys_b, eig_b, pair, bump)
@@ -280,7 +278,7 @@ def test_cancellation_holds_sys_b(sys_b, eig_b):
 def test_cancellation_checker_sign(sys_b, eig_b):
     # v = u real positive and b = 0: |L^n u| = L^n u > L^n(chi u) wherever a
     # synthetic bump dips, so the margin must come back negative
-    c0 = c0_constant(sys_b, eig_b)["C0"]
+    c0 = c0_constant(sys_b, eig_b)
     pair = _ones_pair(sys_b, 0.0, c0)
     bump = BumpFunction(eta=0.9, plateaus=[(0.45, 0.55)],
                         supports=[(0.40, 0.60)], balls=[(0.40, 0.60)],
@@ -327,7 +325,7 @@ def test_bump_geometry_and_uni_read_the_same_scales(sys_b, monkeypatch):
         monkeypatch.setattr(mod, "transversal_scales", scales)
         monkeypatch.setattr(mod, "transversal_pair", pair)
     b, delta = 256.0, 0.05
-    c0 = c0_constant(sys_b, eigendata(sys_b, 0.0, N=128))["C0"]
+    c0 = c0_constant(sys_b, eigendata(sys_b, 0.0, N=128))
     geom = bump_geometry(sys_b, b, delta, c0, None)
     rep = uni.uni_from_transversality(sys_b, delta, b, 1.0)
     n1 = int(math.floor(math.log(b)))
@@ -336,6 +334,16 @@ def test_bump_geometry_and_uni_read_the_same_scales(sys_b, monkeypatch):
     # both SYS-B branches are full, so every pair is defined on [0, 1]
     assert len(seen["domains"]) > 33
     assert set(seen["domains"]) == {(0.0, 1.0)}
+
+
+@pytest.mark.parametrize("Delta", [0.01, 0.03])
+def test_bump_geometry_refuses_an_element_narrower_than_a_ball(sys_b, eig_b,
+                                                               Delta):
+    # at b = 256 these Delta give elements shorter than 2 delta/|b|: the
+    # candidate centres ran backwards past the element, and the run died
+    # in inverse_branch with OutsideImageError
+    with pytest.raises(ConstraintViolationError, match=r"Q_\d+ has width"):
+        bump_geometry(sys_b, 256.0, 0.05, c0_constant(sys_b, eig_b), Delta)
 
 
 def test_cone_iteration_builds_the_bump_geometry_once(sys_b, eig_b,

@@ -6,7 +6,7 @@ import pytest
 
 from gibbsflow.expr import (
     Add, Call, DomainError, Div, Mul, Neg, Num, ParseError, Pi, Pow, Sub,
-    UnknownIdentifierError, Var, compile_expr, differentiate, parse, to_str,
+    UnknownIdentifierError, Var, compile_expr, differentiate, parse,
 )
 
 
@@ -102,13 +102,6 @@ def _random_expr(rng: random.Random, depth: int):
     return Call(rng.choice(["sin", "cos", "exp"]), a)
 
 
-def test_roundtrip_print_parse_1000():
-    rng = random.Random(7)
-    for _ in range(1000):
-        e = _random_expr(rng, rng.randrange(1, 5))
-        assert parse(to_str(e)) == e
-
-
 def test_derivative_against_finite_differences():
     # oracle: central differences at h=1e-6, relative tolerance 1e-6
     rng = random.Random(13)
@@ -147,9 +140,10 @@ def test_negative_power_at_scalar_zero_is_inf():
     assert compile_expr(parse("1/x"))(x=0.0) == math.inf
 
 
-def test_derivative_of_negative_power_round_trips():
-    for src in ("x^-1", "x^-3", "(1+x)^-2"):
-        d = differentiate(parse(src))
-        assert parse(to_str(d)) == d
-    d = differentiate(parse("x^-1"))
-    assert compile_expr(d)(x=2.0) == pytest.approx(-0.25, rel=1e-15)
+def test_derivative_of_negative_power():
+    # d/dx u^-k = (-k) u^-(k+1) u': the literal -k times y is -(k y) to the bit
+    xs = np.linspace(0.5, 3.0, 11)
+    for src, want in (("x^-1", -xs ** -2.0), ("x^-3", -3 * xs ** -4.0),
+                      ("(1+x)^-2", -2 * (1 + xs) ** -3.0)):
+        assert np.array_equal(compile_expr(differentiate(parse(src)))(x=xs),
+                              want)

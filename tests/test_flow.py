@@ -183,7 +183,7 @@ def test_base_marginal_proportional_to_roof(sys_b, eig_b, sample_b):
     r = sys_b.roof_at(nodes)
     expected = float(np.sum(wq * r * (nodes < 0.5)) / np.sum(wq * r))
     got = float(np.mean(s.xs < 0.5))
-    se = np.sqrt(expected * (1 - expected) / len(s))
+    se = np.sqrt(expected * (1 - expected) / len(s.xs))
     assert abs(got - expected) < 3 * se
 
 

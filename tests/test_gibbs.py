@@ -365,7 +365,6 @@ def test_sampler_depth6_frequencies_chi_square(nl_doubling, name, sigma):
 def test_adapted_partition_sys_a_b64():
     sys = make_preset("SYS-A")
     part = adapted_partition(sys, 64.0, 1.0)
-    assert np.array_equal(part.depth, np.full(32, 5))
     assert np.array_equal(part.left, np.arange(32) / 32)
     assert np.array_equal(part.right, np.arange(1, 33) / 32)
 
@@ -392,15 +391,14 @@ def test_adapted_partition_precondition():
 @pytest.mark.parametrize("name", sorted(PRESETS) + ["NL-DOUBLING"])
 def test_adapted_partition_equals_the_walk_over_whole_levels(name, b, Delta):
     # the level walk pulls back only the children of cylinders still too
-    # long; its ends and depths keep the bits of the walk over every
-    # cylinder of every level it visits
+    # long; its ends keep the bits of the walk over every cylinder of every
+    # level it visits, and they determine the depths
     sys = (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
            else make_preset(name))
     part = adapted_partition(sys, b, Delta)
     want = partition_walk(sys, b, Delta)
     assert np.array_equal(part.left, [q.left for q in want])
     assert np.array_equal(part.right, [q.right for q in want])
-    assert np.array_equal(part.depth, [q.depth for q in want])
 
 
 def test_adapted_partition_past_a_full_level_cap():
@@ -415,4 +413,17 @@ def test_adapted_partition_past_a_full_level_cap():
     assert np.all(diam >= t - t * 1e-9)
     # consecutive elements tile [0, 1] up to rounding
     assert np.max(np.abs(part.left[1:] - part.right[:-1])) <= 1e-15
-    assert part.depth.max() == 17
+    # the deepest elements have depth 17: T^k along an element's own
+    # branches maps a depth-d cylinder onto an element first at k = d - 1
+    sys = make_preset("SYS-C")
+    lo, hi = part.left.copy(), part.right.copy()
+    depth = np.zeros(len(lo), dtype=int)
+    for d in range(1, 19):
+        e = sys.element_of((lo + hi) / 2)
+        onto = (np.abs(lo - sys.partition[e]) < 1e-6) \
+            & (np.abs(hi - sys.partition[e + 1]) < 1e-6)
+        depth[onto & (depth == 0)] = d
+        for i in range(sys.m):
+            lo[e == i] = sys.T[i].value(x=lo[e == i])
+            hi[e == i] = sys.T[i].value(x=hi[e == i])
+    assert depth.min() >= 1 and depth.max() == 17

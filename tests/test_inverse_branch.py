@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import NL_DOUBLING, to_config
+from conftest import NL_DOUBLING, preset_config
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.system import OutsideImageError, system_from_config
 
@@ -115,7 +115,7 @@ def test_affine_presets_keep_the_one_step_inverse(name):
         for i, T in enumerate(sys.T)]
 
 
-@pytest.mark.parametrize("cfg", [to_config(make_preset("SYS-B")), NL_DOUBLING])
+@pytest.mark.parametrize("cfg", [preset_config("SYS-B"), NL_DOUBLING])
 def test_slack_outside_the_image_returns_the_element_end(cfg):
     # 4e-13 outside the image no z in the element meets the 1e-13 residual
     # test; the point is clamped to the image end, so its element end is
@@ -129,7 +129,7 @@ def test_slack_outside_the_image_returns_the_element_end(cfg):
     assert np.array_equal(z[:-2], sys.inverse_branch(0, inside))
 
 
-@pytest.mark.parametrize("cfg", [to_config(make_preset("SYS-B")), NL_DOUBLING])
+@pytest.mark.parametrize("cfg", [preset_config("SYS-B"), NL_DOUBLING])
 def test_nan_is_outside_the_image(cfg):
     # NaN fails every comparison, so it must fail the image check rather
     # than reach Newton; the points inside the image keep their bits

@@ -28,10 +28,10 @@ def eig_b():
 def test_sys_a_eigendata(eig_a):
     assert eig_a.lam == pytest.approx(2.0, abs=1e-11)
     assert np.max(np.abs(eig_a.f.values - 1.0)) < 1e-10
-    # nu is Lebesgue: integrates polynomials correctly
+    # f = 1, so mu = nu is Lebesgue: integrates polynomials correctly
     nodes = node_grid(eig_a.system, N)
-    assert float((eig_a.nu * nodes).sum()) == pytest.approx(0.5, abs=1e-6)
-    assert float((eig_a.nu * np.cos(2 * np.pi * nodes)).sum()) == pytest.approx(
+    assert float((eig_a.mu * nodes).sum()) == pytest.approx(0.5, abs=1e-6)
+    assert float((eig_a.mu * np.cos(2 * np.pi * nodes)).sum()) == pytest.approx(
         0.0, abs=1e-6)
     assert eig_a.pressure == pytest.approx(math.log(2.0), abs=1e-11)
 

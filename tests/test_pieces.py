@@ -4,11 +4,10 @@ the exponent phi - s r of P_s formed once, in ``MarkovSystem.log_weight``."""
 import numpy as np
 import pytest
 
-from conftest import NL_DOUBLING, to_config
+from conftest import NL_DOUBLING, preset_config
 from gibbsflow.expr import parse
 from gibbsflow.gibbs import _backward_step
 from gibbsflow.operator import eigendata, node_grid, transfer_matrix
-from gibbsflow.presets import make_preset
 from gibbsflow.system import (Piece, potential_seminorm, symbol_pullbacks,
                               system_from_config, word_array)
 
@@ -51,7 +50,7 @@ def test_a_decreasing_affine_branch_takes_the_one_step_inverse():
 
 
 @pytest.mark.parametrize(
-    "cfg", [NL_DOUBLING, to_config(make_preset("SYS-C-NLROOF"))],
+    "cfg", [NL_DOUBLING, preset_config("SYS-C-NLROOF")],
     ids=["NL-DOUBLING", "SYS-C-NLROOF"])
 def test_sigma_zero_reads_no_roof(cfg, expr_calls):
     # phi - 0 r is phi to the bit, so at sigma = 0 no roof value is read:

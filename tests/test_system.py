@@ -1,13 +1,12 @@
 import importlib
 import itertools
-import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
-                      jacobian_weight, to_config)
+                      jacobian_weight, preset_config)
 from gibbsflow.operator import deep_apply, eigendata, node_grid
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.system import (
@@ -20,30 +19,33 @@ from gibbsflow.expr import parse
 
 def test_presets_validate():
     for name in preset_names():
-        rep = validate(make_preset(name))
-        assert rep.expansion > 1
-        assert rep.roof_inf > 0 and rep.roof_sup <= 1 + 1e-12
+        sys = make_preset(name)
+        assert validate(sys).ok
+        c = sys.constants
+        assert c.lam > 1
+        assert c.roof_inf > 0 and c.roof_sup <= 1 + 1e-12
 
 
 def test_sys_a_constants():
-    rep = validate(make_preset("SYS-A"))
-    assert rep.expansion == pytest.approx(2.0, abs=1e-12)
-    assert rep.rho == pytest.approx(2.0, abs=1e-12)
-    assert rep.c4 == pytest.approx(0.0, abs=1e-14)
-    assert rep.c2 == pytest.approx(0.0, abs=1e-10)
+    sys = make_preset("SYS-A")
+    c = sys.constants
+    assert c.lam == pytest.approx(2.0, abs=1e-12)
+    assert c.rho == pytest.approx(2.0, abs=1e-12)
+    assert c.c4 == pytest.approx(0.0, abs=1e-14)
+    assert validate(sys).c2 == pytest.approx(0.0, abs=1e-10)
 
 
 def test_sys_b_c4():
     # sup |D(r o h)| = sup |r'| / inf |T'| = (2 pi / 3) / 2 = pi / 3
-    rep = validate(make_preset("SYS-B"))
-    assert rep.c4 == pytest.approx(math.pi / 3, rel=1e-5)
+    assert make_preset("SYS-B").constants.c4 == pytest.approx(math.pi / 3,
+                                                              rel=1e-5)
 
 
 def test_sys_c_structure():
     sys = make_preset("SYS-C")
-    rep = validate(sys)
-    assert rep.expansion == pytest.approx(2.0, abs=1e-12)
-    assert rep.rho == pytest.approx(3.0, abs=1e-12)
+    assert validate(sys).ok
+    assert sys.constants.lam == pytest.approx(2.0, abs=1e-12)
+    assert sys.constants.rho == pytest.approx(3.0, abs=1e-12)
     # depth-2 words: 11,12,13 from symbol 0; 22,23 from symbol 1; 31,32 from 2
     words = cylinders(sys, 2)[0].tolist()
     assert words == [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 0], [2, 1]]
@@ -77,7 +79,7 @@ def test_system_constants_constant_roof():
 def test_system_constants_seminorm_below_one_sees_long_pairs():
     # r(0) = 1 and r(1/2) = 1/3 on one element of SYS-B, so at alpha = 1/2
     # |r|_alpha >= (2/3) / sqrt(1/2); adjacent pairs alone give 0.033
-    cfg = to_config(make_preset("SYS-B"))
+    cfg = preset_config("SYS-B")
     cfg["alpha"] = 0.5
     c = system_from_config(cfg).constants
     assert c.semi_r >= (2 / 3) / math.sqrt(0.5)
@@ -107,12 +109,11 @@ def test_sampled_seminorm_against_all_pairs(n, kind):
 
 def test_system_constants_are_cached():
     sys = make_preset("SYS-B")
-    assert sys.constants is sys.constants
-    # validate reads the same scan
-    rep = validate(sys)
     c = sys.constants
-    assert (rep.expansion, rep.rho, rep.c4, rep.roof_inf, rep.roof_sup) == (
-        c.lam, c.rho, c.c4, c.roof_inf, c.roof_sup)
+    assert sys.constants is c
+    # validate reads the same scan
+    validate(sys)
+    assert sys.constants is c
 
 
 @pytest.mark.parametrize("name", ["cli", "dolgopyat", "expr", "flow", "gibbs",
@@ -155,16 +156,8 @@ def _bad_system(expr0, image0):
     })
 
 
-def test_config_roundtrip():
-    sys = make_preset("SYS-B")
-    sys2 = system_from_config(json.loads(json.dumps(to_config(sys))))
-    xs = np.linspace(0, 0.999, 101)
-    assert np.allclose(sys.apply_T(xs), sys2.apply_T(xs))
-    assert np.allclose(sys.roof_at(xs), sys2.roof_at(xs))
-
-
 def test_unknown_config_key_rejected():
-    cfg = to_config(make_preset("SYS-A"))
+    cfg = preset_config("SYS-A")
     cfg["extra"] = 1
     with pytest.raises(NotMarkovError):
         system_from_config(cfg)

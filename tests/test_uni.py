@@ -3,11 +3,13 @@ import pytest
 
 from conftest import (check_uni_loop, cone_image, jacobian_weight,
                       last_depth, psi, transversal)
+from gibbsflow.gibbs import FrequencyTooSmallError
 from gibbsflow.operator import eigendata
 from gibbsflow.presets import make_preset
 from gibbsflow.system import OutsideImageError, branch_chain, word_array
 from gibbsflow.uni import (_sweep, _tableau_runs, _y_grid, a_sequence,
                            b_sequence, check_uni, coboundary_test,
+                           transversal_pair, transversal_scales,
                            uni_from_transversality)
 
 
@@ -551,6 +553,17 @@ def test_uni_from_transversality_sys_b(sys_b):
 def test_uni_from_transversality_degenerate(sys_a):
     rep = uni_from_transversality(sys_a, delta=0.05, b=1000.0, beta=1.0)
     assert rep["no_pair_everywhere"]
+
+
+def test_a_negative_prefix_length_is_refused(sys_b):
+    # |b| < 1 gives n1 = floor(beta log |b|) < 0, where the greedy prefix
+    # is empty: at b = 0.5 the report read n1 = -1 and n = 3 beside pairs
+    # of depth-4 words, and the audit failed
+    tails = transversal_scales(sys_b, 0.05)[2]
+    with pytest.raises(FrequencyTooSmallError, match="n1 = -1"):
+        transversal_pair(sys_b, tails, -1, 0.3)
+    with pytest.raises(FrequencyTooSmallError):
+        uni_from_transversality(sys_b, delta=0.05, b=0.5, beta=1.0)
 
 
 def test_tableau_weights_are_mu_sigma_jacobians(sys_b):
