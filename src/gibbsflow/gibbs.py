@@ -64,9 +64,11 @@ def _mass_tables(sys: MarkovSystem, eig: EigenData, words: np.ndarray):
     del words  # the runs drop it too once each holds its own rows
     mu = eig.mu.reshape(-1)
     for blocks, norm in runs:
-        yield (np.concatenate([pb.words for _, _, pb in blocks]),
-               np.concatenate([pb.J @ (mu[cols] / norm[cols])
-                               for _, cols, pb in blocks]))
+        table = (np.concatenate([pb.words for _, _, pb in blocks]),
+                 np.concatenate([pb.J @ (mu[cols] / norm[cols])
+                                 for _, cols, pb in blocks]))
+        del blocks, norm  # this depth's J is gone before the next is built
+        yield table
 
 
 def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
@@ -222,6 +224,10 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
 # -- adapted partitions --------------------------------------------------------
 
 
+# open cylinders whose children one pass of adapted_partition pulls back
+_CHUNK = 1 << 15
+
+
 def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedPartition:
     """Partition into cylinders Q = P^(l(x,b))(x) where l(x,b) is the largest
     depth whose cylinder still has diameter >= t = 2 Delta / |b|.
@@ -236,7 +242,17 @@ def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedParti
     cylinder of depth d <= 1 + log(min_diam / t) / log rho is refined and
     every cylinder one level deeper is built.  When that level has more
     words than ``word_array``'s cap, CapExceededError is raised before any
-    cylinder is built; so it is for any later level of children past the cap.
+    cylinder is built; so it is for any later level of children past the
+    cap, before any child of that level is built.
+
+    A level is walked in chunks of _CHUNK open cylinders, each chunk's
+    children pulled back, classified and dropped before the next, so the
+    memory a level takes is bounded by the chunk, not by the level.  The
+    elements are sorted by ``left`` at the end, stably.  A cylinder's ends
+    keep their bits whatever chunk pulls them back, unless a batched solve
+    there falls back to Newton (SYS-C's branch 1 at 1/3): Newton steps
+    every point of its block until the slowest converges, which can move
+    an end by an ulp or two.
     """
     rho = sys.constants.rho
     min_diam = float(np.min(np.diff(sys.partition)))
@@ -250,19 +266,26 @@ def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedParti
 
     words = np.arange(sys.m)[:, None]
     left, right = sys.partition[:-1], sys.partition[1:]
-    found = []  # (left, right) of the elements found at each level
+    fanout = sys.transition.sum(axis=1)
+    found = []  # (left, right) of the elements found, chunk after chunk
     while len(words):
-        parent, nxt = np.nonzero(sys.transition[words[:, -1]])
-        check_word_cap(len(parent), words.shape[1] + 1)
-        kids = np.column_stack([words[parent], nxt])
-        kid_left, kid_right = _cylinder_ends(sys, kids)
-        big = kid_right - kid_left >= t - tol
-        refined = np.zeros(len(words), dtype=bool)
-        refined[parent[big]] = True
-        small = ~big & refined[parent]
-        found += [(left[~refined], right[~refined]),
-                  (kid_left[small], kid_right[small])]
-        words, left, right = kids[big], kid_left[big], kid_right[big]
+        check_word_cap(int(fanout[words[:, -1]].sum()), words.shape[1] + 1)
+        opened = []  # (words, left, right) of the next level, chunk after chunk
+        for c in range(0, len(words), _CHUNK):
+            chunk = slice(c, c + _CHUNK)
+            heads = words[chunk]
+            parent, nxt = np.nonzero(sys.transition[heads[:, -1]])
+            kids = np.column_stack([heads[parent], nxt])
+            kid_left, kid_right = _cylinder_ends(sys, kids)
+            big = kid_right - kid_left >= t - tol
+            refined = np.zeros(len(heads), dtype=bool)
+            refined[parent[big]] = True
+            small = ~big & refined[parent]
+            found += [(left[chunk][~refined], right[chunk][~refined]),
+                      (kid_left[small], kid_right[small])]
+            opened.append((kids[big], kid_left[big], kid_right[big]))
+        words, left, right = (np.concatenate(column)
+                              for column in zip(*opened))
     left, right = (np.concatenate(column) for column in zip(*found))
     order = np.argsort(left, kind="stable")
     return AdaptedPartition(left[order], right[order])

@@ -380,15 +380,17 @@ def lasota_yorke_audit(eig: EigenData, b: float, n: int) -> float:
     a, lam = sys.alpha, sys.constants.lam
     rng = np.random.default_rng(0)
     nodes = eig.f.nodes
+    # exp(2 pi i q x) at the nodes for q = 0..6, the modes of every test
+    # function (degree 1..6)
+    modes = [np.exp(2j * np.pi * q * nodes) for q in range(7)]
     c8_hat = 0.0
     for _ in range(4):
         deg = int(rng.integers(1, 7))
         coef = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
         vals = np.zeros_like(nodes, dtype=complex)
-        for q, c in enumerate(coef):
+        for c, mode in zip(coef, modes):
             # named, so numpy cannot multiply a large unnamed temporary in
             # place, array first: the product rounds by operand order
-            mode = np.exp(2j * np.pi * q * nodes)
             vals += c * mode
         v = eig.f.copy_with(vals)
         lhs = norm_b(apply_L(eig, b, v, n), b)

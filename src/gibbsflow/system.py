@@ -276,14 +276,16 @@ class MarkovSystem:
 
     # -- inverse branches ---------------------------------------------------
 
-    def inverse_branch(self, i: int, y):
+    def inverse_branch(self, i: int, y, out=None):
         """Solve T_i(z) = y on element i; safeguarded Newton, |residual| tol 1e-13.
 
         Raises OutsideImageError when some y is NaN or lies outside the
         closed image of branch i by more than 1e-12 times the element width,
         and NoConvergenceError when Newton has not converged after 200 steps.
         A y within that slack outside the image is clamped to the image, so
-        it returns the element end.
+        it returns the element end.  The root is written into ``out`` when
+        it is given, an array shaped like y that does not overlap it, and
+        returned.
         For an affine branch (``Piece.slope``) the first Newton step from
         the midpoint is the root up to rounding; it is kept when it passes
         the bracket and residual tests that Newton applies to it, and Newton
@@ -315,15 +317,29 @@ class MarkovSystem:
         mid = 0.5 * (a + b)
         T = self.T[i]
         if T.slope:
-            z = mid - (self._inverse_starts[i] - y) / T.slope
-            # the step lands on the side of mid that holds the root, so
-            # Newton's bracket test reduces to staying inside the element
-            if (np.all((z >= a) & (z <= b))
-                    and np.all(np.abs(T.value(x=z) - y) < 1e-13)):
+            z = np.empty(y.shape) if out is None else out
+            np.subtract(self._inverse_starts[i], y, out=z)
+            z /= T.slope
+            np.subtract(mid, z, out=z)
+            if not z.size:
                 return z
+            # the step lands on the side of mid that holds the root, so
+            # Newton's bracket test reduces to staying inside the element;
+            # NaN fails both tests
+            if z.min() >= a and z.max() <= b:
+                res = np.subtract(T.value(x=z), y)
+                if np.abs(res, out=res).max() < 1e-13:
+                    return z
+                del res
             del z  # Newton's arrays need not sit beside the rejected step
-            return self._newton(i, y, np.full(y.shape, mid))
-        return self._newton(i, y, self._tabulated_inverse(i, y))
+            start = np.full(y.shape, mid)
+        else:
+            start = self._tabulated_inverse(i, y)
+        z = self._newton(i, y, start)
+        if out is None:
+            return z
+        out[...] = z
+        return out
 
     def _tabulated_inverse(self, i: int, y):
         """Cubic Hermite interpolant at y of h_i on _INVERSE_NODES equally
@@ -612,27 +628,33 @@ def _suffix_tree(words: np.ndarray) -> list[tuple]:
     return levels
 
 
-def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, need: set, k: int,
-             eig, fy) -> dict:
-    """Depth-k fields of the words i + w from the depth-(k-1) rows of w."""
-    z = sys.inverse_branch(i, prev["x"][rows])
-    out = {"x": z}
-    if "dTn" in need:
-        out["dTn"] = sys.T[i].deriv(x=z) * prev["dTn"][rows]
-    if "DSnr_h" in need:
-        out["DSnr_h"] = sys.r[i].deriv(x=z) / out["dTn"] + prev["DSnr_h"][rows]
+def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, out: dict, k: int,
+             eig, fy) -> None:
+    """Write the depth-k fields of the words i + w, from the depth-(k-1)
+    rows ``rows`` of w (a slice or an index array), into ``out``: one array
+    per field to compute, the block's rows of that depth.  Each field is
+    written once, by ``out=`` ufuncs in the order of the plain expressions
+    (J = lam^-k exp(lw) f(z) / f(y)), so it has their bits."""
+    z = sys.inverse_branch(i, prev["x"][rows], out=out["x"])
+    if "dTn" in out:
+        np.multiply(sys.T[i].deriv(x=z), prev["dTn"][rows], out=out["dTn"])
+    if "DSnr_h" in out:
+        d = np.divide(sys.r[i].deriv(x=z), out["dTn"], out=out["DSnr_h"])
+        d += prev["DSnr_h"][rows]
     r = None
-    if "lw" in need:
+    if "lw" in out:
         g, r = sys.log_weight(i, eig.sigma, z)
-        out["lw"] = g + prev["lw"][rows]
-    if "Snr" in need:
-        out["Snr"] = (sys.r[i].value(x=z) if r is None else r) + prev["Snr"][rows]
-    if "Snphi" in need:
-        out["Snphi"] = sys.phi[i].value(x=z) + prev["Snphi"][rows]
-    if "J" in need:
-        out["J"] = (eig.lam ** (-k) * np.exp(out["lw"])
-                    * eig.f.eval(z).real / fy)
-    return out
+        np.add(g, prev["lw"][rows], out=out["lw"])
+    if "Snr" in out:
+        np.add(sys.r[i].value(x=z) if r is None else r, prev["Snr"][rows],
+               out=out["Snr"])
+    if "Snphi" in out:
+        np.add(sys.phi[i].value(x=z), prev["Snphi"][rows], out=out["Snphi"])
+    if "J" in out:
+        J = np.exp(out["lw"], out=out["J"])
+        J *= eig.lam ** (-k)
+        J *= eig.f.eval(z).real
+        J /= fy
 
 
 def pullbacks(sys: MarkovSystem, words, ys, fields, eig, every_depth: bool):
@@ -645,10 +667,18 @@ def pullbacks(sys: MarkovSystem, words, ys, fields, eig, every_depth: bool):
     2^16 (word, point) pairs.  Yields one Pullback per depth k = 1..n, with
     rows the distinct length-k suffixes in lexicographic order (at depth n,
     ``words`` itself), carrying ``fields``; "J" needs the EigenData ``eig``,
-    and no other field reads it (None will do).  Only the previous depth is
-    held while the next is built, and the last depth keeps nothing but
-    ``fields``.  With ``every_depth`` False only depth n is yielded, and J,
-    which no deeper depth needs, is computed there alone.
+    and no other field reads it (None will do).  With ``every_depth`` False
+    only depth n is yielded, and J, which no deeper depth needs, is computed
+    there alone.
+
+    Each (word, point) pair is written once, straight into its depth's
+    array.  While depth k is built the engine holds the previous depth's x
+    and running sums (dTn, DSnr_h, Snr, Snphi and the log weight, as
+    ``fields`` need them); a yielded J is dropped, so it lives only as long
+    as the caller keeps it.  The last depth keeps nothing but ``fields``.
+    A block whose parents form one run of rows (every block, for the words
+    of ``word_array``) reads the previous depth through a slice, others
+    through an index array.
     """
     words = np.asarray(words, dtype=np.intp)
     ys = np.asarray(ys, dtype=float)
@@ -666,7 +696,8 @@ def pullbacks(sys: MarkovSystem, words, ys, fields, eig, every_depth: bool):
         fy = eig.f.eval(ys).real
     P = len(ys)
     # depth 0: the empty word, h = identity
-    state = {f: np.full((1, P), 1.0 if f == "dTn" else 0.0) for f in need}
+    state = {f: np.full((1, P), 1.0 if f == "dTn" else 0.0)
+             for f in need - {"J"}}
     state["x"] = ys[None, :]
     step = max(1, _BLOCK // max(P, 1))
     for k, (sym, parent, first) in enumerate(levels, start=1):
@@ -678,14 +709,20 @@ def pullbacks(sys: MarkovSystem, words, ys, fields, eig, every_depth: bool):
         for i in range(sys.m):
             for a in range(bounds[i], bounds[i + 1], step):
                 rows = slice(a, min(a + step, bounds[i + 1]))
-                block = _prepend(sys, i, state, parent[rows], step_need, k,
-                                 eig, fy)
-                for f in keep:
-                    new[f][rows] = block[f]
+                up = parent[rows]  # strictly increasing within a symbol
+                if up[-1] - up[0] == len(up) - 1:
+                    up = slice(up[0], up[-1] + 1)
+                # a field the last depth does not keep lives for the block
+                _prepend(sys, i, state, up,
+                         {f: new[f][rows] if f in new
+                          else np.empty((rows.stop - a, P))
+                          for f in step_need}, k, eig, fy)
         state = new
         if yields:
+            # J goes to the caller alone: no deeper depth reads it
             yield Pullback(words[first, n - k:],
-                           **{f: state[f] for f in want})
+                           **{f: state.pop(f) if f == "J" else state[f]
+                              for f in want})
 
 
 def pullback(sys: MarkovSystem, words, ys, fields=FIELDS) -> Pullback:
@@ -705,7 +742,7 @@ def symbol_pullbacks(sys: MarkovSystem, words, ys, holds, fields, eig=None,
     some y, in symbol order, cols indexing ys; and the sum of J_w over all
     rows at each y, added symbol after symbol, when "J" is in ``fields``,
     else None.  The full ``words`` array is dropped once each run holds its
-    rows.
+    rows, and a depth's blocks once the next depth is asked for.
     """
     depths = words.shape[1] if every_depth else 1
     runs = []
@@ -718,12 +755,17 @@ def symbol_pullbacks(sys: MarkovSystem, words, ys, holds, fields, eig=None,
     del words  # each run holds its own rows
     for _ in range(depths):
         blocks = [(s, cols, next(run)) for s, cols, run in runs]
-        norm = None
-        if "J" in fields:
-            norm = np.zeros(len(ys))
-            for _, cols, pb in blocks:
-                norm[cols] += pb.J.sum(axis=0)
-        yield blocks, norm
+        yield blocks, _normaliser(blocks, len(ys)) if "J" in fields else None
+        del blocks  # no J of this depth is held while the next is built
+
+
+def _normaliser(blocks, P: int):
+    """The sum of J_w over the rows of ``blocks`` at each of P points, added
+    symbol after symbol."""
+    norm = np.zeros(P)
+    for _, cols, pb in blocks:
+        norm[cols] += pb.J.sum(axis=0)
+    return norm
 
 
 def branch_chain(sys: MarkovSystem, word: tuple[int, ...], y) -> dict:

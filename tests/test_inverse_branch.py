@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import NL_DOUBLING, preset_config
+from conftest import (NL_DOUBLING, inverse_branch_oracle, preset_config,
+                      rounds_out_at_an_image_end)
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.system import OutsideImageError, system_from_config
 
@@ -194,3 +195,45 @@ def test_seeded_solve_agrees_with_bisection(s, k, frac, sign, increasing,
     # the residual test admits |z - root| up to 1e-13 / inf |T'|
     lam = s - 2 * np.pi * k * abs(eps)
     assert np.max(np.abs(z - _bisect(sys, y))) <= 1e-13 / lam
+
+
+# -- the root written into a given array, against the checks as they were -----
+
+
+@pytest.mark.parametrize("name,i", [("SYS-C", 0), ("SYS-C", 1),
+                                    ("NL-DOUBLING", 1)])
+def test_root_written_into_out_keeps_the_bits(name, i):
+    # one case per path: SYS-C's branch 0 keeps the affine step; branch 1's
+    # step rounds out of its element at its image ends, which the points
+    # hold, so Newton runs from the midpoint; NL-DOUBLING starts Newton from
+    # its table
+    sys = (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
+           else make_preset(name))
+    y = _test_points(sys, i)
+    assert (sys.T[i].slope is None
+            or rounds_out_at_an_image_end(sys, i) == (i == 1))
+    want = inverse_branch_oracle(sys, i, y)
+    out = np.full(y.shape, np.nan)
+    got = sys.inverse_branch(i, y, out=out)
+    assert got is out
+    for root in (sys.inverse_branch(i, y), out):
+        assert root.dtype == want.dtype and root.tobytes() == want.tobytes()
+    # a block of rows of a 2-d array, as the engine passes them
+    rows = np.full((3, len(y)), np.nan)
+    sys.inverse_branch(i, np.stack([y, y]), out=rows[1:])
+    assert rows[1:].tobytes() == np.stack([want, want]).tobytes()
+    assert np.isnan(rows[0]).all()
+
+
+@pytest.mark.parametrize("cfg", [preset_config("SYS-B"), NL_DOUBLING])
+def test_out_leaves_the_image_check_as_it_was(cfg):
+    sys = system_from_config(cfg)
+    lo, hi = sys.image_interval(0)
+    for y in ([0.3, np.nan], [np.nan], [lo - 1e-9], [hi + 1e-9, 0.3]):
+        y = np.array(y)
+        for out in (None, np.empty(y.shape)):
+            with pytest.raises(OutsideImageError) as err:
+                sys.inverse_branch(0, y, out=out)
+            with pytest.raises(OutsideImageError) as was:
+                inverse_branch_oracle(sys, 0, y)
+            assert str(err.value) == str(was.value)

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
-                      jacobian_weight, preset_config)
+                      jacobian_weight, preset_config, pullbacks_oracle)
 from gibbsflow.operator import deep_apply, eigendata, node_grid
 from gibbsflow.presets import make_preset, preset_names
+from gibbsflow.gibbs import _mass_tables
 from gibbsflow.system import (
-    CapExceededError, NoConvergenceError, NotCoveringError,
-    NotMarkovError, OutsideImageError, branch_chain,
-    cylinders, pullback, sampled_seminorm, symbol_pullbacks,
-    system_from_config, validate, word_array,
+    FIELDS, CapExceededError, MarkovSystem, NoConvergenceError,
+    NotCoveringError, NotMarkovError, OutsideImageError, _suffix_tree,
+    branch_chain, cylinders, pullback, pullbacks, sampled_seminorm,
+    symbol_pullbacks, system_from_config, validate, word_array,
 )
 from gibbsflow.expr import parse
 
@@ -415,6 +416,111 @@ def test_symbol_pullbacks_contract(nl_doubling):
     assert [s for s, _, _ in blocks] == [0, 1]
     assert all(pb.J is None and pb.words.shape == (2, 2)
                for _, _, pb in blocks)
+
+
+def _parents_split(words) -> bool:
+    """Whether some depth of ``words``' suffix tree has a symbol whose
+    parent rows are not one run, so the engine gathers them by index."""
+    for sym, parent, _ in _suffix_tree(words):
+        for s in np.unique(sym):
+            up = parent[sym == s]
+            if up[-1] - up[0] != len(up) - 1:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_pullback_engine_keeps_the_bits_of_the_old_engine(name, block,
+                                                          nl_doubling,
+                                                          monkeypatch):
+    # the engine that writes each depth in place gives every field the
+    # bytes of the engine that built blocks and copied them, whether
+    # blocks split symbol runs (3 points: 1 and 7 give blocks of 1 and 2
+    # rows) and whether parents are sliced or gathered
+    import gibbsflow.system as system_mod
+    monkeypatch.setattr(system_mod, "_BLOCK", block)
+    sys = _system(name, nl_doubling)
+    whole = word_array(sys, 4)
+    # every third word: on two symbols every other word is the words
+    # ending in 0, whose parents are whole runs again
+    sparse = word_array(sys, 5)[::3]
+    assert _parents_split(sparse) and not _parents_split(whole)
+    fields = FIELDS + ("J",)
+    for sigma in (0.0, 0.5):
+        eig = eigendata(sys, sigma, N=32)
+        for words, every_depth, s in itertools.product(
+                (whole, sparse), (True, False), range(sys.m)):
+            ws = words[words[:, -1] == s]
+            if not len(ws):
+                continue
+            lo, hi = sys.image_interval(s)
+            ys = lo + (hi - lo) * np.array([0.0, 0.37, 1.0])
+            got = list(pullbacks(sys, ws, ys, fields, eig, every_depth))
+            want = list(pullbacks_oracle(sys, ws, ys, fields, eig,
+                                         every_depth))
+            assert len(got) == len(want) == (ws.shape[1] if every_depth
+                                              else 1)
+            for g, w in zip(got, want):
+                assert np.array_equal(g.words, w.words)
+                for f in fields:
+                    a, b = getattr(g, f), getattr(w, f)
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes(), (f, sigma, s)
+
+
+def test_a_yielded_J_is_gone_before_the_next_depth_is_built(monkeypatch):
+    # the engine keeps x and the running sums of the previous depth, not
+    # its J: once the caller has let a depth go, no block of the next
+    # depth is computed while any J of it is still alive
+    import weakref
+    import gibbsflow.system as system_mod
+    sys = make_preset("SYS-C-NLROOF")
+    eig = eigendata(sys, 0.5, N=32)
+    words = word_array(sys, 4)
+    yielded = []   # a weakref to every J the engine has yielded
+    released = []  # those the caller has let go
+    alive = []     # per block computed: how many released J still live
+
+    class Recorded:
+        """The engine's levels, each J recorded on the way: an iterator, not
+        a generator, so no suspended frame of its own holds a level."""
+
+        def __init__(self, run):
+            self.run = run
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            level = next(self.run)
+            yielded.append(weakref.ref(level.J))
+            return level
+
+    engine = system_mod.pullbacks
+    monkeypatch.setattr(system_mod, "pullbacks",
+                        lambda *args: Recorded(engine(*args)))
+    solve = MarkovSystem.inverse_branch
+
+    def checked(self, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in released))
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(MarkovSystem, "inverse_branch", checked)
+    ys = np.linspace(0.0, 1.0, 17)
+    holds = np.array([(ys >= lo) & (ys <= hi) for lo, hi in
+                      map(sys.image_interval, range(sys.m))])
+    depths = 0
+    for blocks, norm in symbol_pullbacks(sys, words, ys, holds, ("J",), eig,
+                                         every_depth=True):
+        depths += 1
+        del blocks, norm
+        released[:] = yielded
+    for _ in _mass_tables(sys, eig, words):
+        depths += 1
+        released[:] = yielded
+    assert depths == 8 and len(yielded) == 8 * sys.m
+    assert len(alive) > 8 * sys.m and max(alive) == 0
 
 
 def test_pullback_engine_rejects_unsorted_words():
