@@ -9,10 +9,14 @@ Without ``--config``, ``--preset`` runs the config ``{"experiment":
 <experiment>}``: every parameter at its default.  Without ``--out`` the
 reports go to ``gibbsflow-out/<experiment>``, ``bundle``'s too.
 
-Each experiment's parameters are declared once, in ``_PARAMS``: name, kind
-(integer, float, list of floats or expression string), default and bounds.
-``load_config`` checks a config against that table and the handlers read
-their typed values from it.  A config is refused with ``ConfigError``
+Each experiment is declared once, in ``_EXPERIMENTS``: its handler, the JSON
+report its summary goes to, and its parameters (name, kind: integer, float,
+list of floats or expression string, default and bounds).  ``load_config``
+checks a config against that table and the handlers read their typed
+values from it.  A handler writes its CSVs (each by ``_write_csv``) and
+returns ``(passed, summary)``; ``run`` alone writes the summary to the
+entry's report, maps ``passed`` to the exit code and writes the run
+manifest.  A config is refused with ``ConfigError``
 (exit 1), naming the JSON pointer of the offending value, before a system
 is built or any work starts, when it has an unknown key or parameter, an
 experiment other than the one on the command line, a number that is not
@@ -21,7 +25,6 @@ not an integer >= 0, or a ``system`` block with a key missing or unknown,
 a value of the wrong type or a per-element list of the wrong length.  A
 bound that depends on the system (``uni``'s word pairs, ``correlate``'s
 53-bit ``t_max`` cap) is checked by the handler before its eigendata.
-Every report CSV is written by ``_write_csv``.
 
 Exit codes: 0 success, 1 operational error, 2 a numerically audited
 inequality failed beyond tolerance.  GIBBSFLOW_SEED overrides the seed.
@@ -38,6 +41,7 @@ import sys as _sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -127,41 +131,6 @@ def _positive(default):
 
 _SIGMA = _Param("float", 0.0, -50, 50)
 
-# The parameters of each experiment.  The least value of an integer is the
-# least the experiment can run on: eigendata needs two nodes per element,
-# the fit of correlate four points above the noise, and each of its
-# batches at least one sample.  The least b of transversality and
-# cancellation is 1: below it the prefix length floor(beta log b) is < 0.
-_PARAMS = {
-    "validate": {},
-    "eigen": {"sigma": _SIGMA, "N": _Param("int", 1024, 2)},
-    "gibbs-audit": {"sigma": _SIGMA, "depth": _Param("int", 8, 1, 30)},
-    "partition": {"b": _Param("float", 2.0 ** 10, 1e-9),
-                  "Delta": _positive(1.0)},
-    "uni": {"n": _Param("int", 2, 1), "R": _positive(0.1),
-            "n_max": _Param("int", 6, 1), "grid": _Param("int", 128, 1),
-            "sigma": _SIGMA},
-    "transversality": {"delta": _Param("float", 0.05, 1e-9, 1 - 1e-9),
-                       "b": _Param("float", 2.0 ** 10, 1),
-                       "beta": _positive(1.0)},
-    "cohomology": {"J_trunc": _Param("int", 40, 1), "tol": _positive(1e-6)},
-    # Delta None: cone_iteration derives it from the system
-    "cancellation": {"b": _Param("float", 2.0 ** 8, 1),
-                     "delta": _Param("float", 0.05, 1e-9, 1 - 1e-9),
-                     "Delta": _positive(None), "m_max": _Param("int", 10, 1),
-                     "sigma": _SIGMA},
-    "contraction": {"b_list": _Param("floats",
-                                     [2.0 ** q for q in range(8, 13)], 1e-9),
-                    "beta": _positive(1.0), "B": _positive(1.0),
-                    "sigma": _SIGMA},
-    # w None: w is v
-    "correlate": {"v": _Param("expr", "cos(2*pi*u)+x"),
-                  "w": _Param("expr", None), "t_max": _positive(10.0),
-                  "t_points": _Param("int", 21, 4),
-                  "samples": _Param("int", 100_000, BATCHES),
-                  "sigma": _SIGMA},
-}
-
 _SEED = _Param("int", 0, 0)
 
 # the values of a system block (see ``system.system_from_config``)
@@ -236,20 +205,20 @@ def load_config(path: str) -> dict:
 
 def _parameters(cfg: dict) -> dict:
     """Every parameter of the config's experiment, typed: the value the
-    config gives, checked against _PARAMS, or the default.  Refuses with
+    config gives, checked against the table, or the default.  Refuses with
     ConfigError a config that the table and the top-level keys do not
     admit."""
     for key in cfg:
         if key not in _TOP_KEYS:
             raise ConfigError(f"unknown key {key!r}", f"/{key}")
     exp = cfg.get("experiment")
-    if exp not in _PARAMS:
+    if exp not in _EXPERIMENTS:
         raise ConfigError(
-            f"experiment must be one of {sorted(_PARAMS)}", "/experiment")
+            f"experiment must be one of {sorted(_EXPERIMENTS)}", "/experiment")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object", "/params")
-    table = _PARAMS[exp]
+    table = _EXPERIMENTS[exp].params
     for key in params:
         if key not in table:
             raise ConfigError(f"unknown parameter {key!r} for {exp}",
@@ -327,7 +296,7 @@ def _reprs(c: np.ndarray) -> list:
 
 
 # -- experiment handlers -------------------------------------------------------------
-# each takes the typed parameters of _PARAMS and returns (exit_code, summary)
+# each takes its typed parameters and returns (passed, summary)
 
 
 def _run_validate(sys_, p, out, seed):
@@ -340,8 +309,7 @@ def _run_validate(sys_, p, out, seed):
         "covering_power": rep.covering_power,
         "ok": rep.ok, "messages": rep.messages,
     }
-    _write_json(out / "validate.json", summary)
-    return (0 if rep.ok else AUDIT_FAILED), summary
+    return rep.ok, summary
 
 
 def _run_eigen(sys_, p, out, seed):
@@ -355,8 +323,7 @@ def _run_eigen(sys_, p, out, seed):
                 eig.f.nodes.reshape(-1), vals.real, vals.imag])
     summary = {"sigma": p["sigma"], "N": p["N"], "lambda": eig.lam,
                "pressure": eig.pressure, "residual": residual}
-    _write_json(out / "eigen.json", summary)
-    return (0 if residual <= 1e-8 else AUDIT_FAILED), summary
+    return residual <= 1e-8, summary
 
 
 def _run_gibbs_audit(sys_, p, out, seed):
@@ -367,10 +334,9 @@ def _run_gibbs_audit(sys_, p, out, seed):
                      in sorted(rep["per_depth"].items())]))
     summary = {"sigma": p["sigma"], "depth": p["depth"], "C5": rep["C5"],
                "C5_lower": rep["C5_lower"], "C5_upper": rep["C5_upper"]}
-    _write_json(out / "gibbs_audit.json", summary)
     ok = rep["C5_lower"] <= 1.0 + 1e-9 <= rep["C5_upper"] * (1 + 1e-9) \
         and math.isfinite(rep["C5"])
-    return (0 if ok else AUDIT_FAILED), summary
+    return ok, summary
 
 
 def _run_partition(sys_, p, out, seed):
@@ -387,8 +353,7 @@ def _run_partition(sys_, p, out, seed):
     summary = {"b": b, "Delta": Delta, "count": len(diams),
                "diam_min": float(diams.min()),
                "diam_max": float(diams.max()), "bounds_ok": ok}
-    _write_json(out / "partition.json", summary)
-    return (0 if ok else AUDIT_FAILED), summary
+    return ok, summary
 
 
 def _run_uni(sys_, p, out, seed):
@@ -405,46 +370,36 @@ def _run_uni(sys_, p, out, seed):
                [range(1, n_max + 1), a, bseq])
     summary = {"a": a, "b": bseq, "D_full": cu["D_full"],
                "D_point": cu["D_point"], "n": n, "R": p["R"]}
-    _write_json(out / "uni.json", summary)
-    ok = all(v <= 1 + 1e-8 for v in a + bseq)
-    return (0 if ok else AUDIT_FAILED), summary
+    return all(v <= 1 + 1e-8 for v in a + bseq), summary
 
 
 def _run_transversality(sys_, p, out, seed):
     rep = uni_from_transversality(sys_, p["delta"], p["b"], beta=p["beta"])
     summary = {k: rep[k] for k in rep if k != "results"}
     summary["statuses"] = [r["status"] for r in rep["results"]]
-    _write_json(out / "transversality.json", summary)
-    if rep["no_pair_everywhere"]:
-        return 0, summary
-    ok = rep["pass_rate"] == 1.0
-    return (0 if ok else AUDIT_FAILED), summary
+    return rep["no_pair_everywhere"] or rep["pass_rate"] == 1.0, summary
 
 
 def _run_cohomology(sys_, p, out, seed):
-    rep = coboundary_test(sys_, J_trunc=p["J_trunc"], tol=p["tol"])
-    _write_json(out / "cohomology.json", rep)
-    return 0, rep
+    return True, coboundary_test(sys_, J_trunc=p["J_trunc"], tol=p["tol"])
 
 
-def _constant_roof(sys_, out, name):
-    """The summary, also written to ``name``, of a run stopped by a roof
-    cohomologous to a locally constant one, by the test of the cohomology
-    experiment at its defaults; None when the roof is not."""
+def _constant_roof(sys_):
+    """The summary of a run stopped by a roof cohomologous to a locally
+    constant one, by the test of the cohomology experiment at its defaults;
+    None when the roof is not."""
     p = _parameters({"experiment": "cohomology"})
     coh = coboundary_test(sys_, J_trunc=p["J_trunc"], tol=p["tol"])
     if not coh["cohomologous"]:
         return None
-    summary = {"no_contraction": "roof_cohomologous_to_locally_constant",
-               "residual": coh["residual"]}
-    _write_json(out / name, summary)
-    return summary
+    return {"no_contraction": "roof_cohomologous_to_locally_constant",
+            "residual": coh["residual"]}
 
 
 def _run_cancellation(sys_, p, out, seed):
-    summary = _constant_roof(sys_, out, "cancellation.json")
+    summary = _constant_roof(sys_)
     if summary is not None:
-        return 0, summary
+        return True, summary
     eig = eigendata(sys_, p["sigma"], N=512)
     rep = cone_iteration(sys_, eig, p["b"], m_max=p["m_max"],
                          delta=p["delta"], Delta=p["Delta"])
@@ -455,15 +410,13 @@ def _run_cancellation(sys_, p, out, seed):
     summary = {k: rep[k] for k in
                ("b", "n", "delta", "C0", "Delta", "tau_hats",
                 "all_contracting", "all_in_cone")}
-    _write_json(out / "cancellation.json", summary)
-    ok = rep["all_contracting"] and rep["all_in_cone"]
-    return (0 if ok else AUDIT_FAILED), summary
+    return rep["all_contracting"] and rep["all_in_cone"], summary
 
 
 def _run_contraction(sys_, p, out, seed):
-    summary = _constant_roof(sys_, out, "contraction.json")
+    summary = _constant_roof(sys_)
     if summary is not None:
-        return 0, summary
+        return True, summary
     eig = eigendata(sys_, p["sigma"], N=512)
     l1 = l1_contraction(sys_, eig, p["b_list"], beta=p["beta"])
     sweep = norm_contraction_sweep(sys_, eig, p["b_list"], B=p["B"])
@@ -474,10 +427,9 @@ def _run_contraction(sys_, p, out, seed):
                      for r1, r2 in zip(l1["rows"], sweep["rows"])]))
     summary = {"xi_hat": l1["xi_hat"], "zeta_max": sweep["zeta_max"],
                "l1_rows": l1["rows"], "sweep_rows": sweep["rows"]}
-    _write_json(out / "contraction.json", summary)
     ok = (all(r["ratio"] < 1.0 for r in l1["rows"])
           and l1["xi_hat"] > 0 and sweep["zeta_max"] < 1.0)
-    return (0 if ok else AUDIT_FAILED), summary
+    return ok, summary
 
 
 def _run_correlate(sys_, p, out, seed):
@@ -506,21 +458,61 @@ def _run_correlate(sys_, p, out, seed):
     summary = {"rate": series.rate, "prefactor": series.prefactor,
                "t_star": series.t_star, "window": list(series.window),
                "samples": p["samples"], "v": v, "w": w}
-    _write_json(out / "correlate_fit.json", summary)
-    return 0, summary
+    return True, summary
 
 
-_HANDLERS = {
-    "validate": _run_validate,
-    "eigen": _run_eigen,
-    "gibbs-audit": _run_gibbs_audit,
-    "partition": _run_partition,
-    "uni": _run_uni,
-    "transversality": _run_transversality,
-    "cohomology": _run_cohomology,
-    "cancellation": _run_cancellation,
-    "contraction": _run_contraction,
-    "correlate": _run_correlate,
+class _Experiment(NamedTuple):
+    """One experiment: its handler, the JSON report of the summary the
+    handler returns, and its parameters, {name: _Param}."""
+    handler: Callable
+    report: str
+    params: dict
+
+
+# Every experiment.  The least value of an integer parameter is the least
+# the experiment can run on: eigendata needs two nodes per element,
+# the fit of correlate four points above the noise, and each of its
+# batches at least one sample.  The least b of transversality and
+# cancellation is 1: below it the prefix length floor(beta log b) is < 0.
+_EXPERIMENTS = {
+    "validate": _Experiment(_run_validate, "validate.json", {}),
+    "eigen": _Experiment(_run_eigen, "eigen.json",
+                         {"sigma": _SIGMA, "N": _Param("int", 1024, 2)}),
+    "gibbs-audit": _Experiment(
+        _run_gibbs_audit, "gibbs_audit.json",
+        {"sigma": _SIGMA, "depth": _Param("int", 8, 1, 30)}),
+    "partition": _Experiment(
+        _run_partition, "partition.json",
+        {"b": _Param("float", 2.0 ** 10, 1e-9), "Delta": _positive(1.0)}),
+    "uni": _Experiment(
+        _run_uni, "uni.json",
+        {"n": _Param("int", 2, 1), "R": _positive(0.1),
+         "n_max": _Param("int", 6, 1), "grid": _Param("int", 128, 1),
+         "sigma": _SIGMA}),
+    "transversality": _Experiment(
+        _run_transversality, "transversality.json",
+        {"delta": _Param("float", 0.05, 1e-9, 1 - 1e-9),
+         "b": _Param("float", 2.0 ** 10, 1), "beta": _positive(1.0)}),
+    "cohomology": _Experiment(
+        _run_cohomology, "cohomology.json",
+        {"J_trunc": _Param("int", 40, 1), "tol": _positive(1e-6)}),
+    # Delta None: cone_iteration derives it from the system
+    "cancellation": _Experiment(
+        _run_cancellation, "cancellation.json",
+        {"b": _Param("float", 2.0 ** 8, 1),
+         "delta": _Param("float", 0.05, 1e-9, 1 - 1e-9),
+         "Delta": _positive(None), "m_max": _Param("int", 10, 1),
+         "sigma": _SIGMA}),
+    "contraction": _Experiment(
+        _run_contraction, "contraction.json",
+        {"b_list": _Param("floats", [2.0 ** q for q in range(8, 13)], 1e-9),
+         "beta": _positive(1.0), "B": _positive(1.0), "sigma": _SIGMA}),
+    # w None: w is v
+    "correlate": _Experiment(
+        _run_correlate, "correlate_fit.json",
+        {"v": _Param("expr", "cos(2*pi*u)+x"), "w": _Param("expr", None),
+         "t_max": _positive(10.0), "t_points": _Param("int", 21, 4),
+         "samples": _Param("int", 100_000, BATCHES), "sigma": _SIGMA}),
 }
 
 
@@ -529,9 +521,10 @@ _HANDLERS = {
 
 def run(config_path: str | dict, out_dir: str | None = None,
         preset: str | None = None) -> int:
-    """Execute one experiment; returns the exit code and writes reports plus
-    a run manifest into the output directory.  ``config_path`` is a JSON
-    config file, or a config already read (a dict), as ``main`` passes it."""
+    """Execute one experiment; returns the exit code.  Into the output
+    directory go the handler's CSVs, the summary it returns (the entry's
+    report) and a run manifest.  ``config_path`` is a JSON config file, or
+    a config already read (a dict), as ``main`` passes it."""
     t0 = time.time()
     cfg = (config_path if isinstance(config_path, dict)
            else load_config(config_path))
@@ -541,7 +534,10 @@ def run(config_path: str | dict, out_dir: str | None = None,
     exp = cfg["experiment"]
     out = Path(out_dir) if out_dir else Path("gibbsflow-out") / exp
     out.mkdir(parents=True, exist_ok=True)
-    code, summary = _HANDLERS[exp](sys_, params, out, seed)
+    entry = _EXPERIMENTS[exp]
+    passed, summary = entry.handler(sys_, params, out, seed)
+    _write_json(out / entry.report, summary)
+    code = 0 if passed else AUDIT_FAILED
     blob = json.dumps(cfg, sort_keys=True).encode()
     manifest = {
         "experiment": exp,
@@ -558,10 +554,10 @@ def run(config_path: str | dict, out_dir: str | None = None,
     return code
 
 
-def report_bundle(run_dirs, out_dir) -> dict:
+def report_bundle(run_dirs, out_dir) -> None:
     """Merge completed runs into a cross-experiment summary (the trichotomy
     table): cohomologous? / a(n) trend / xi_hat / c_hat, written into the
-    directory ``out_dir``."""
+    directory ``out_dir`` as bundle.json and bundle.dat."""
     if not run_dirs:
         raise MissingManifestError("no run directories given")
     row = {"cohomologous": None, "a_trend": None, "xi_hat": None,
@@ -576,15 +572,10 @@ def report_bundle(run_dirs, out_dir) -> dict:
         runs.append(manifest)
         row["systems"].append(manifest.get("system"))
         exp = manifest["experiment"]
-        rep_file = {
-            "cohomology": "cohomology.json", "uni": "uni.json",
-            "contraction": "contraction.json",
-            "cancellation": "cancellation.json",
-            "correlate": "correlate_fit.json",
-        }.get(exp)
-        if rep_file is None or not (d / rep_file).exists():
+        report = d / _EXPERIMENTS[exp].report
+        if not report.exists():
             continue
-        rep = json.loads((d / rep_file).read_text(encoding="utf-8"))
+        rep = json.loads(report.read_text(encoding="utf-8"))
         if exp == "cohomology":
             row["cohomologous"] = rep["cohomologous"]
         elif exp == "uni":
@@ -610,7 +601,6 @@ def report_bundle(run_dirs, out_dir) -> dict:
         if row[key] is not None:
             lines.append(f"{key} {row[key]!r}")
     (outp / "bundle.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return bundle
 
 
 def main(argv=None) -> int:
@@ -619,7 +609,7 @@ def main(argv=None) -> int:
         description="Audit suite for Gibbs measures, transfer-operator "
                     "contraction, and suspension-flow mixing.")
     parser.add_argument("experiment",
-                        choices=sorted(_HANDLERS) + ["bundle"])
+                        choices=sorted(_EXPERIMENTS) + ["bundle"])
     parser.add_argument("--config", help="JSON experiment configuration")
     parser.add_argument("--out", default=None)
     parser.add_argument("--preset", default=None,

@@ -78,7 +78,7 @@ def c0_constant(sys: MarkovSystem, eig0: EigenData) -> float:
     return max(4.0 * (1.0 / fmin) * semi_f + 2.0 * tail, 0.1)
 
 
-def constraint_gates(sys: MarkovSystem, delta: float, c0: float) -> dict:
+def constraint_gates(sys: MarkovSystem, delta: float, c0: float) -> None:
     """Admissibility inequalities for the cancellation construction; raises
     ConstraintViolationError when any fails:
 
@@ -97,7 +97,6 @@ def constraint_gates(sys: MarkovSystem, delta: float, c0: float) -> dict:
     bad = {k: v for k, v in checks.items() if not v[0] < v[1] * (1 + 1e-12)}
     if bad:
         raise ConstraintViolationError(f"constraint gate failed: {bad}")
-    return {k: {"value": v[0], "bound": v[1]} for k, v in checks.items()}
 
 
 # -- the cone ------------------------------------------------------------------
@@ -310,11 +309,9 @@ def cancellation_check(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
     branch sums at 1024 points of [0, 1], refined by 64 points inside each
     forward-image ball."""
     xs = _check_points(bump)
-    out = deep_apply(sys, eig, pair.b, bump.n, xs, sys.element_of(xs), [
-        {"name": "Lv", "fn": pair.v, "twist": True},
-        {"name": "Lchiu", "fn": pair.u, "chi": bump},
-    ])
-    margin = np.real(out["Lchiu"]) - np.abs(out["Lv"])
+    plan = BranchPlan(sys, eig, pair.b, bump.n, xs, sys.element_of(xs))
+    margin = (np.real(plan.apply(lambda x: bump(x) * pair.u(x), False))
+              - np.abs(plan.apply(pair.v, True)))
     worst = float(margin.min())
     return {"ok": bool(worst >= -1e-9), "margin": worst,
             "argmin": float(xs[int(np.argmin(margin))]), "points": len(xs)}
@@ -513,11 +510,12 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
 
     Per b, one ``deep_apply`` pulls the eigendata's nodes, each in the
     element of its row (an element's right end included), back along the
-    depth-k words once and carries every admissible test function as its own
-    term, so each ratio has the bits of a pullback made for it alone; the
-    ratios are checked against C6 in q order.  A b that fails the beta gate,
-    or that admits no test function (k <= 0, where the bound is at most
-    1), is refused with ConstraintViolationError before any pullback runs.
+    depth-k words once and applies the twisted operator to every admissible
+    test function, so each ratio has the bits of a pullback made for it
+    alone; the ratios are checked against C6 in q order.  A b that fails
+    the beta gate, or that admits no test function (k <= 0, where the bound
+    is at most 1), is refused with ConstraintViolationError before any
+    pullback runs.
     """
     a = sys.alpha
     lam = sys.constants.lam
@@ -543,10 +541,9 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
     wq = eig.mu.reshape(-1)
     rows = []
     for b, k, qs in plans:
-        out = deep_apply(sys, eig, b, k, xs, elements, [
-            {"name": q, "twist": True,
-             "fn": lambda x, q=q: np.exp(2j * np.pi * q * np.asarray(x))}
-            for q in qs])
+        out = deep_apply(sys, eig, b, k, xs, elements, {
+            q: lambda x, q=q: np.exp(2j * np.pi * q * np.asarray(x))
+            for q in qs})
         worst = 0.0
         for q in qs:
             ratio = float(np.sum(wq * np.abs(out[q])))
@@ -558,7 +555,7 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
     ks = np.array([r["k"] for r in rows], dtype=float) * math.log(lam)
     ys = -np.log(np.array([max(r["ratio"], 1e-300) for r in rows]))
     xi_hat = float(ks @ ys / (ks @ ks)) if np.any(ks) else 0.0
-    return {"rows": rows, "xi_hat": xi_hat, "C6": c6}
+    return {"rows": rows, "xi_hat": xi_hat}
 
 
 def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,

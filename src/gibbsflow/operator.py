@@ -433,48 +433,33 @@ class BranchPlan:
                 twisted = J * phase
             self.blocks.append((cols, pb.x.reshape(-1), J, twisted))
 
-    def apply(self, fn, twist: bool, chi=None) -> np.ndarray:
-        """sum_w J_w [exp(-i b S_n r) if ``twist``] [chi] fn at h_w(x) over
-        the normaliser, a complex array over the points; fn and chi are
-        callables on the preimages, fn None standing for 1."""
+    def apply(self, fn, twist: bool) -> np.ndarray:
+        """sum_w J_w [exp(-i b S_n r) if ``twist``] fn at h_w(x) over the
+        normaliser, a complex array over the points; fn is a callable on
+        the preimages."""
         acc = np.zeros(self.norm.shape, dtype=complex)
         for cols, hx, J, twisted in self.blocks:
             val = twisted if twist else J
-            if chi is not None:
-                val = val * np.reshape(chi(hx), val.shape)
-            if fn is not None:
-                val = val * np.reshape(fn(hx), val.shape)
-            acc[cols] += val.sum(axis=0)
+            acc[cols] += (val * np.reshape(fn(hx), val.shape)).sum(axis=0)
         return acc / self.norm
 
 
 def deep_apply(sys: MarkovSystem, eig: EigenData, b: float, n: int,
-               xs: np.ndarray, elements: np.ndarray, terms: list[dict]) -> dict:
-    """Depth-n branch-sum application of the normalised operator at points xs.
+               xs: np.ndarray, elements: np.ndarray, fns: dict) -> dict:
+    """Depth-n branch-sum application of the twisted normalised operator at
+    points xs to each function of ``fns``, {name: callable on the
+    preimages h_w(xs)}; returns {name: complex array over xs}.
 
     One ``BranchPlan`` at the xs, xs[k] in element ``elements[k]`` (see
     ``BranchPlan``: ``element_of`` is right only for points that are no
-    element's right end), then one application per term.  Twisting phases
-    exp(-i b S_n r) are exact and no intermediate iterate is ever
-    interpolated.  Each branch h_w enters
-    with its inverse Jacobian J_w (see ``Pullback``); the sums are divided
-    per point by the sum of the J_w, so the untwisted operator maps 1 to
-    exactly 1.
-
-    Each term is a dict with keys:
-        name   output key
-        fn     callable evaluated at the preimages h_w(xs) (may be None for 1)
-        twist  bool, multiply by exp(-i b S_n r(h_w xs))
-        chi    optional extra factor evaluated at the preimages
-
-    Returns {name: array over xs} plus 'weight_sum', the sum of the J_w
-    before that division: (L_sigma^n 1)(x) up to interpolation error in f.
+    element's right end), then one application per function.  Twisting
+    phases exp(-i b S_n r) are exact and no intermediate iterate is ever
+    interpolated.  Each branch h_w enters with its inverse Jacobian J_w
+    (see ``Pullback``); the sums are divided per point by the sum of the
+    J_w, so at b = 0 the operator maps 1 to exactly 1.
     """
     xs = np.asarray(xs, dtype=float)
     plan = BranchPlan(sys, eig, b, n, xs.reshape(-1),
                       np.asarray(elements).reshape(-1))
-    out = {t["name"]: plan.apply(t.get("fn"), t.get("twist"),
-                                 t.get("chi")).reshape(xs.shape)
-           for t in terms}
-    out["weight_sum"] = plan.norm.reshape(xs.shape)
-    return out
+    return {name: plan.apply(fn, True).reshape(xs.shape)
+            for name, fn in fns.items()}

@@ -73,8 +73,7 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
     D_full: max over pairs of depth-n branches with full image of the inf of
     |D psi| over the whole interval (0 when no full pair exists).
     D_point: min over grid y of the best pair through y of the inf of
-    |D psi| over B(y, R) intersected with the pair's domain; each y's
-    witness is its best pair, the first in word order on a tie.  More than
+    |D psi| over B(y, R) intersected with the pair's domain.  More than
     MAX_PAIRS ordered pairs of depth-n words are refused.
     """
     if count_words(sys, n) ** 2 > MAX_PAIRS:
@@ -92,38 +91,29 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
 
     def best_pair(rows, where):
         """The largest over pairs of ``rows`` of the least |D psi| over the
-        grid points in the mask ``where`` that both domains hold, and the
-        first pair in word order that reaches it; (0.0, None) when no pair
-        is positive.  One (rows x where) block is held."""
+        grid points in the mask ``where`` that both domains hold; 0.0 when
+        no pair is positive.  One (rows x where) block is held."""
         dw, iw = d[np.ix_(rows, where)], inside[np.ix_(rows, where)]
-        best, pair = 0.0, None
+        best = 0.0
         for a in range(len(rows) - 1):
             both = iw[a + 1:] & iw[a]
             least = np.abs(dw[a + 1:] - dw[a]).min(axis=1, where=both,
                                                    initial=np.inf)
             least[~both.any(axis=1)] = 0.0
-            k = int(np.argmax(least))
-            if least[k] > best:
-                best, pair = float(least[k]), (rows[a], rows[a + 1 + k])
-        return best, pair
+            best = max(best, float(least.max()))
+        return best
 
     ends = np.array([1e-12, 1 - 1e-12])
     full = np.flatnonzero(_closed_images(sys, ends)[last].all(axis=1))
-    d_full = best_pair(full, np.ones(grid, dtype=bool))[0]
+    d_full = best_pair(full, np.ones(grid, dtype=bool))
 
     d_point = np.inf
-    witness = []
     ys = np.linspace(0.0, 1.0, 65)
     for y, through in zip(ys, _closed_images(sys, ys)[last].T):
-        best, pair = best_pair(np.flatnonzero(through),
-                               (xs >= y - R) & (xs <= y + R))
-        if pair is not None:
-            pair = tuple(tuple(words[a].tolist()) for a in pair)
-        d_point = min(d_point, best)
-        witness.append({"y": float(y), "D": best, "pair": pair})
+        d_point = min(d_point, best_pair(np.flatnonzero(through),
+                                         (xs >= y - R) & (xs <= y + R)))
     return {"D_full": d_full,
-            "D_point": float(d_point if np.isfinite(d_point) else 0.0),
-            "witnesses": witness}
+            "D_point": float(d_point if np.isfinite(d_point) else 0.0)}
 
 
 # -- a(n) and b(n) ---------------------------------------------------------------

@@ -421,21 +421,15 @@ def check_uni_loop(sys, n, R, grid):
         for w2 in full[i + 1:]:
             d_full = max(d_full, float(np.min(gaps(w1, w2, True))))
     d_point = np.inf
-    witness = []
     for y in np.linspace(0.0, 1.0, 65):
-        best, best_pair = 0.0, None
+        best = 0.0
         win = (xs >= y - R) & (xs <= y + R)
         through = [w for w in words if doms[w][0] <= y <= doms[w][1]]
         for i, w1 in enumerate(through):
             for w2 in through[i + 1:]:
                 vals = gaps(w1, w2, win)
-                if len(vals) == 0:
-                    continue
-                v = float(np.min(vals))
-                if v > best:
-                    best, best_pair = v, (w1, w2)
+                if len(vals):
+                    best = max(best, float(np.min(vals)))
         d_point = min(d_point, best)
-        witness.append({"y": float(y), "D": best, "pair": best_pair})
     return {"D_full": d_full,
-            "D_point": float(d_point if np.isfinite(d_point) else 0.0),
-            "witnesses": witness}
+            "D_point": float(d_point if np.isfinite(d_point) else 0.0)}

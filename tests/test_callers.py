@@ -157,7 +157,7 @@ def test_walk_sees_the_package():
     assert {"cli.main", "system.MarkovSystem.inverse_branch",
             "operator.GridFunction.eval"} <= names
     reached = _reached(defs)
-    # the handlers are reached through the _HANDLERS table
+    # the handlers are reached through the _EXPERIMENTS table
     assert {"_run_correlate", "correlation", "evolve_many"} <= reached
     assert ("dolgopyat", "cancellation_check") in exported
 

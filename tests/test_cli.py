@@ -102,8 +102,8 @@ WORK = ("make_preset", "system_from_config", "validate", "eigendata",
         "norm_contraction_sweep", "correlation")
 
 # (experiment, parameter) of every numeric parameter in the table
-NUMERIC = [(exp, name) for exp, table in cli._PARAMS.items()
-           for name, spec in table.items() if spec.kind != "expr"]
+NUMERIC = [(exp, name) for exp, entry in cli._EXPERIMENTS.items()
+           for name, spec in entry.params.items() if spec.kind != "expr"]
 
 
 def _refused_before_any_work(tmp_path, monkeypatch, capsys, exp, params,
@@ -135,7 +135,7 @@ def test_non_finite_param_refused_before_any_work(tmp_path, monkeypatch,
     # every comparison with NaN is false, so NaN passed every range check:
     # sigma NaN ran 100,000 power steps before NoConvergenceError, and
     # cohomology's tol NaN reported SYS-A-LINROOF not cohomologous
-    kind = cli._PARAMS[exp][name].kind
+    kind = cli._EXPERIMENTS[exp].params[name].kind
     params = {name: [256.0, value] if kind == "floats" else value}
     _refused_before_any_work(tmp_path, monkeypatch, capsys, exp, params,
                              f"/params/{name}", WORK)
@@ -174,8 +174,8 @@ def test_expression_param_must_be_a_string(tmp_path, monkeypatch, capsys,
 
 
 def test_every_default_lies_in_its_bounds():
-    for exp, table in cli._PARAMS.items():
-        for name, spec in table.items():
+    for exp, entry in cli._EXPERIMENTS.items():
+        for name, spec in entry.params.items():
             if spec.default is not None:
                 assert spec.value(name, spec.default, "") == spec.default, \
                     (exp, name)
@@ -604,6 +604,53 @@ def test_correlate_refuses_t_max_before_any_work(tmp_path, monkeypatch,
     assert exc.value.pointer == "/params/t_max"
 
 
+# a small run of every experiment that passes its audit; cancellation and
+# contraction stop at the constant-roof test
+CONTRACT_RUNS = {
+    "validate": ("SYS-B", {}),
+    "eigen": ("SYS-A", {"N": 64}),
+    "gibbs-audit": ("SYS-B", {"depth": 3}),
+    "partition": ("SYS-B", {"b": 64.0}),
+    "uni": ("SYS-B", {"n": 1, "n_max": 2, "grid": 16}),
+    "transversality": ("SYS-B", {"b": 64.0}),
+    "cohomology": ("SYS-A", {}),
+    "cancellation": ("SYS-A-LINROOF", {}),
+    "contraction": ("SYS-A", {}),
+    "correlate": ("SYS-B", {"t_max": 2.0, "t_points": 5, "samples": 2000}),
+}
+
+
+@pytest.mark.parametrize("exp", sorted(cli._EXPERIMENTS))
+def test_run_alone_writes_the_summary_a_handler_returns(tmp_path,
+                                                       monkeypatch, exp):
+    # a handler writes its CSVs and returns (passed, summary); run writes
+    # the summary to the entry's report, then the manifest
+    entry = cli._EXPERIMENTS[exp]
+    written, returned = [], []
+    write_json = cli._write_json
+    monkeypatch.setattr(cli, "_write_json", lambda path, obj: (
+        written.append(Path(path).name), write_json(path, obj)))
+
+    def handler(*args):
+        passed, summary = entry.handler(*args)
+        assert written == [], "the handler wrote a JSON report"
+        returned.append(json.dumps(summary, sort_keys=True, default=float))
+        return passed, summary
+
+    monkeypatch.setitem(cli._EXPERIMENTS, exp,
+                        entry._replace(handler=handler))
+    preset, params = CONTRACT_RUNS[exp]
+    out = tmp_path / "out"
+    assert run({"experiment": exp, "preset": preset, "params": params},
+               out_dir=str(out)) == 0
+    assert written == [entry.report, "run_manifest.json"]
+    assert sorted(p.name for p in out.glob("*.json")) == sorted(written)
+    assert json.loads((out / entry.report).read_text()) == json.loads(
+        returned[0])
+    assert json.loads((out / "run_manifest.json").read_text())[
+        "exit_code"] == 0
+
+
 def test_bundle_summarizes_trichotomy(tmp_path):
     for preset, exp, name in (("SYS-A", "cohomology", "r1"),
                               ("SYS-A", "contraction", "r2"),
@@ -613,13 +660,13 @@ def test_bundle_summarizes_trichotomy(tmp_path):
                        "params": ({"n_max": 4, "grid": 64}
                                   if exp == "uni" else {})})
         assert run(p, out_dir=str(tmp_path / name)) == 0
-    bundle = report_bundle([str(tmp_path / n) for n in ("r1", "r2", "r3")],
-                           out_dir=str(tmp_path / "bundle"))
-    table = bundle["table"]
+    report_bundle([str(tmp_path / n) for n in ("r1", "r2", "r3")],
+                  out_dir=str(tmp_path / "bundle"))
+    table = json.loads((tmp_path / "bundle" / "bundle.json").read_text())[
+        "table"]
     assert table["cohomologous"] is True
     assert table["no_contraction"] == "roof_cohomologous_to_locally_constant"
     assert table["a_trend"] in ("constant_one", "decreasing")
-    assert (tmp_path / "bundle" / "bundle.json").exists()
 
 
 def test_bundle_missing_manifest(tmp_path):

@@ -260,10 +260,9 @@ def test_deep_apply_matches_matrix(eig_b):
     xs = np.linspace(0.01, 0.99, 301)
     n = 4
     vfun = lambda z: np.exp(2j * np.pi * z)
-    out = deep_apply(sys, eig_b, 0.0, n, xs, sys.element_of(xs), [
-        {"name": "one", "fn": None, "twist": False},
-        {"name": "v", "fn": vfun, "twist": False},
-    ])
+    # at b = 0 the twist is 1
+    out = deep_apply(sys, eig_b, 0.0, n, xs, sys.element_of(xs),
+                     {"one": np.ones_like, "v": vfun})
     assert np.max(np.abs(out["one"] - 1.0)) < 1e-14
     nodes = node_grid(sys, N)
     v = GridFunction(sys, vfun(nodes))
@@ -276,8 +275,8 @@ def test_deep_apply_twist_phase_exact():
     eig = eigendata(make_preset("SYS-A"), 0.0, N=128)
     xs = np.linspace(0.0, 0.999, 57)
     b, n = 2 * np.pi, 3
-    out = deep_apply(eig.system, eig, b, n, xs, eig.system.element_of(xs), [
-        {"name": "v", "fn": None, "twist": True}])
+    out = deep_apply(eig.system, eig, b, n, xs, eig.system.element_of(xs),
+                     {"v": np.ones_like})
     assert np.max(np.abs(out["v"] - np.exp(-1j * b * n))) < 1e-12
 
 

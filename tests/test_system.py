@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
                       jacobian_weight, preset_config, pullbacks_oracle)
-from gibbsflow.operator import deep_apply, eigendata, node_grid
+from gibbsflow.operator import BranchPlan, deep_apply, eigendata, node_grid
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.gibbs import _mass_tables
 from gibbsflow.system import (
@@ -575,9 +575,9 @@ def test_deep_apply_matches_per_word_jacobians(name, sigma, b, nl_doubling):
     xs = np.linspace(0.0, 1.0, 41)
     fn = lambda z: np.cos(3 * z) + 1j * z
     idx = sys.element_of(xs)
-    out = deep_apply(sys, eig, b, n, xs, idx, [
-        {"name": "Lv", "fn": fn, "twist": True},
-        {"name": "one", "fn": None}])
+    Lv = deep_apply(sys, eig, b, n, xs, idx, {"Lv": fn})["Lv"]
+    plan = BranchPlan(sys, eig, b, n, xs, idx)
+    one = plan.apply(np.ones_like, False)
     for k, x in enumerate(xs):
         total, norm = 0.0, 0.0
         for w in word_array(sys, n).tolist():
@@ -586,6 +586,6 @@ def test_deep_apply_matches_per_word_jacobians(name, sigma, b, nl_doubling):
             u, ch = jacobian_weight(sys, eig, w, np.array([x]))
             total += u[0] * np.exp(-1j * b * ch["Snr"][0]) * fn(ch["x"][0])
             norm += u[0]
-        _close(out["Lv"][k], total / norm, rel=1e-12)
-        assert out["one"][k] == pytest.approx(1.0, abs=1e-14)
-        _close(out["weight_sum"][k], norm, rel=1e-12)
+        _close(Lv[k], total / norm, rel=1e-12)
+        assert one[k] == pytest.approx(1.0, abs=1e-14)
+        _close(plan.norm[k], norm, rel=1e-12)

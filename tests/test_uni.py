@@ -431,8 +431,7 @@ ORACLE_SYSTEMS = ["SYS-B", "SYS-C", "SYS-C-NLROOF", "NL-DOUBLING"]
 
 @pytest.mark.parametrize("name", ORACLE_SYSTEMS + ["SYS-A"])
 def test_check_uni_equals_the_pair_loop(name, nl_doubling):
-    # D_full, D_point and every witness, the first pair in word order on a
-    # tie, as the loop over word-tuple pairs finds them
+    # D_full and D_point as the loop over word-tuple pairs finds them
     s = _system(name, nl_doubling)
     for n, R in ((1, 0.1), (2, 0.1), (3, 0.02), (4, 0.5)):
         assert check_uni(s, n, R, grid=96) == check_uni_loop(s, n, R, 96)
