@@ -15,8 +15,8 @@ of windows (the forward images of the bump supports), so the contraction
 signal, of order 1e-11 per step, is resolved as a small positive number with
 only relative quadrature error.  Every application of the operator, on those
 node sets and in the cancellation check, is an exact branch sum of the
-pullback engine through ``operator.BranchPlan``, and one test of the four
-cone conditions (``_cone_test``) decides cone membership.
+pullback engine through ``operator.BranchPlan`` at per-element node sets, and
+one test of the four cone conditions (``_cone_test``) decides cone membership.
 
 The bumps of one run share their geometry: the adapted partition, each
 element's transversal pair and the candidate balls pulled back along it
@@ -40,13 +40,17 @@ from .system import MarkovSystem, branch_chain, sampled_seminorm
 from .uni import transversal_pair, transversal_scales
 
 __all__ = [
-    "ConeBPair", "BumpFunction", "BumpGeometry", "ConstraintViolationError",
+    "BumpFunction", "BumpGeometry", "ConstraintViolationError",
     "NoCancellationWitness", "ETA0", "c0_constant", "constraint_gates",
     "bump_geometry", "build_bump", "cancellation_check", "cone_iteration",
     "l1_contraction", "norm_contraction_sweep",
 ]
 
 ETA0 = 0.5 * (math.sqrt(7.0) - 1.0)
+
+# cone_iteration's grids: d's base nodes and v's nodes per |b|, per element
+_BASE_N = 4096
+_V_NODES_PER_B = 64
 
 
 class ConstraintViolationError(ValueError):
@@ -102,22 +106,10 @@ def constraint_gates(sys: MarkovSystem, delta: float, c0: float) -> None:
 # -- the cone ------------------------------------------------------------------
 
 
-@dataclass
-class ConeBPair:
-    """Pair (u, v) tested against the frequency-adapted cone at parameter b.
-
-    u and v are callables on arrays of points: u real, v complex.
-    """
-    u: object
-    v: object
-    b: float
-    C0: float
-
-
-def _cone_test(sys: MarkovSystem, pair: ConeBPair, node_sets) -> dict:
-    """Cone membership of ``pair`` read at ``node_sets``, one array of
-    points per element; returns the worst margin of each condition (>= 0
-    means satisfied) and whether all four hold to 1e-8:
+def _cone_test(sys: MarkovSystem, u, v, K: float, node_sets) -> dict:
+    """Cone membership of (u, v), callables on points (u real, v complex),
+    read at ``node_sets``, one array of points per element; returns the worst
+    margin of each condition (>= 0 means satisfied) and whether all hold:
 
         u > 0,  |v| <= u,  |log u|_alpha <= K,
         |v(x) - v(y)| <= K u(y) d(x, y)^alpha,   K = C0 |b|^alpha.
@@ -127,18 +119,17 @@ def _cone_test(sys: MarkovSystem, pair: ConeBPair, node_sets) -> dict:
     |v|_alpha <= K inf u, which implies it.
     """
     a = sys.alpha
-    K = pair.C0 * abs(pair.b) ** a
     margins = dict.fromkeys(
         ("positivity", "dominates_v", "log_u_hoelder", "v_hoelder"), np.inf)
     for xs in node_sets:
-        u = np.real(np.asarray(pair.u(xs)))
-        v = np.asarray(pair.v(xs))
-        u_min = float(u.min())
+        ux = np.real(np.asarray(u(xs)))
+        vx = np.asarray(v(xs))
+        u_min = float(ux.min())
         here = {"positivity": u_min,
-                "dominates_v": float(np.min(u - np.abs(v))),
-                "log_u_hoelder": (K - sampled_seminorm(xs, np.log(u), a)
+                "dominates_v": float(np.min(ux - np.abs(vx))),
+                "log_u_hoelder": (K - sampled_seminorm(xs, np.log(ux), a)
                                   if u_min > 0 else -np.inf),
-                "v_hoelder": K * u_min - sampled_seminorm(xs, v, a)}
+                "v_hoelder": K * u_min - sampled_seminorm(xs, vx, a)}
         margins = {k: min(margins[k], here[k]) for k in margins}
     return {"ok": all(m >= -1e-8 for m in margins.values()),
             "margins": margins}
@@ -183,11 +174,12 @@ class BumpFunction:
 @dataclass
 class BumpGeometry:
     """What the bumps of a run depend on besides u and v (``bump_geometry``):
-    per adapted-partition element, transversal word h (w, then wbar),
+    b and, per adapted-partition element, transversal word h (w, then wbar),
     candidate centre x1 and point z of its sub-grid of B(x1, delta/|b|),
     ``x`` = h(z), ``ends`` = the sorted ends of h(B(x1, delta/6|b|)) and
     h(B(x1, delta/2|b|)), ``bpsi`` = b (S_n r(h_w z) - S_n r(h_wbar z)) and
     ``balls`` = the ends of B(x1, delta/2|b|)."""
+    b: float
     n: int
     Delta: float
     x: np.ndarray           # (elements, 2, candidates, sub-grid)
@@ -250,14 +242,14 @@ def bump_geometry(sys: MarkovSystem, b: float, delta: float, c0: float,
         bpsi.append((b * (chains[0]["Snr"][:grid] - chains[1]["Snr"][:grid])
                      ).reshape(zs.shape))
         balls.append(ball)
-    return BumpGeometry(n=n1 + n2, Delta=Delta, x=np.array(xs),
+    return BumpGeometry(b=b, n=n1 + n2, Delta=Delta, x=np.array(xs),
                         ends=np.array(ends), bpsi=np.array(bpsi),
                         balls=np.array(balls))
 
 
-def build_bump(geom: BumpGeometry, pair: ConeBPair) -> BumpFunction:
-    """Pick each element's cancellation witness for the pair (u, v) on the
-    run's geometry and assemble the bump.
+def build_bump(geom: BumpGeometry, u, v) -> BumpFunction:
+    """Pick each element's cancellation witness for (u, v), callables on
+    points, on the run's geometry and assemble the bump.
 
     In each Q_j the first candidate x1 is taken whose sub-grid of B(x1,
     delta/|b|) either (a) keeps the phase difference b psi + arg v(h x) -
@@ -267,8 +259,8 @@ def build_bump(geom: BumpGeometry, pair: ConeBPair) -> BumpFunction:
     B(x1, delta/2|b|) become plateau and support.
     """
     flat = geom.x.reshape(-1)
-    u = np.real(np.asarray(pair.u(flat))).reshape(geom.x.shape)
-    v = np.asarray(pair.v(flat)).reshape(geom.x.shape)
+    u = np.real(np.asarray(u(flat))).reshape(geom.x.shape)
+    v = np.asarray(v(flat)).reshape(geom.x.shape)
     phase = (geom.bpsi + np.angle(v[:, 0] + 1e-300)
              - np.angle(v[:, 1] + 1e-300))
     dist = np.abs(np.mod(phase + np.pi, 2 * np.pi) - np.pi)
@@ -289,7 +281,7 @@ def build_bump(geom: BumpGeometry, pair: ConeBPair) -> BumpFunction:
     w_min = float(min((plateaus[:, 0] - supports[:, 0]).min(),
                       (supports[:, 1] - plateaus[:, 1]).min()))
     return BumpFunction(
-        eta=max(ETA0, 1.0 - abs(pair.b) * w_min / 1.5),
+        eta=max(ETA0, 1.0 - abs(geom.b) * w_min / 1.5),
         plateaus=list(map(tuple, plateaus.tolist())),
         supports=list(map(tuple, supports.tolist())),
         balls=list(map(tuple, geom.balls[rows, k].tolist())),
@@ -303,15 +295,16 @@ def _check_points(bump: BumpFunction) -> np.ndarray:
     return np.unique(np.concatenate(xs))
 
 
-def cancellation_check(sys: MarkovSystem, eig: EigenData, pair: ConeBPair,
+def cancellation_check(sys: MarkovSystem, eig: EigenData, b: float, u, v,
                        bump: BumpFunction) -> dict:
-    """Verify |L^n_s v| <= L^n_sigma(chi u) pointwise via exact depth-n
-    branch sums at 1024 points of [0, 1], refined by 64 points inside each
-    forward-image ball."""
+    """Verify |L^n_s v| <= L^n_sigma(chi u), s = sigma + i b, pointwise via
+    exact depth-n branch sums at 1024 points of [0, 1] and 64 inside each
+    forward-image ball, each in the element ``element_of`` names."""
     xs = _check_points(bump)
-    plan = BranchPlan(sys, eig, pair.b, bump.n, xs, sys.element_of(xs))
-    margin = (np.real(plan.apply(lambda x: bump(x) * pair.u(x), False))
-              - np.abs(plan.apply(pair.v, True)))
+    plan = BranchPlan(sys, eig, b, bump.n,
+                      np.split(xs, np.searchsorted(xs, sys.partition[1:-1])))
+    margin = (np.real(plan.apply(lambda x: bump(x) * u(x), False))
+              - np.abs(plan.apply(v, True)))
     worst = float(margin.min())
     return {"ok": bool(worst >= -1e-9), "margin": worst,
             "argmin": float(xs[int(np.argmin(margin))]), "points": len(xs)}
@@ -364,31 +357,22 @@ def _map_windows(sys: MarkovSystem, windows):
     return merged[:256]
 
 
-def _plan(sys: MarkovSystem, eig: EigenData, b: float, node_sets):
-    """Depth-1 ``BranchPlan`` at per-element node sets, every node in the
-    element of its set, its right end included."""
-    return BranchPlan(sys, eig, b, 1, np.concatenate(node_sets), np.repeat(
-        np.arange(sys.m), [len(x) for x in node_sets]))
-
-
-def _union(sys: MarkovSystem, plans):
-    """Per element, the union of the points of ``plans`` (from ``_plan``,
-    disjoint) in increasing order, and the layout (order, cuts) that takes
-    the plans' concatenated points there and splits them by element."""
-    xs = np.concatenate([p.xs for p in plans])
-    elements = np.concatenate([p.elements for p in plans])
-    order = np.lexsort((xs, elements))
-    cuts = np.searchsorted(elements[order], np.arange(1, sys.m))
-    return np.split(xs[order], cuts), (order, cuts)
-
-
-def _apply_on(plans, layout, g_eval, twist: bool):
-    """One application of the normalised operator to ``g_eval``: per
-    element, the complex values at the nodes ``_union`` gives with
-    ``layout``."""
-    order, cuts = layout
-    vals = np.concatenate([plan.apply(g_eval, twist) for plan in plans])
-    return np.split(vals[order], cuts)
+def _advance(sys: MarkovSystem, eig: EigenData, base, base_plan, windows, fn):
+    """One application of L_sigma to ``fn`` at the ``base`` nodes joined with
+    the window nodes of ``windows`` (``_window_nodes``): per element, the
+    nodes in increasing order and the real values there.  ``base_plan`` is
+    the base nodes' plan; the window nodes get a plan of their own."""
+    extra = _window_nodes(sys, base, windows)
+    on_base = base_plan.apply(fn, False).real.reshape(base.shape)
+    on_extra = np.split(BranchPlan(sys, eig, 0.0, 1, extra).apply(
+        fn, False).real, np.cumsum([len(x) for x in extra])[:-1])
+    nodes, vals = [], []
+    for xb, xw, yb, yw in zip(base, extra, on_base, on_extra):
+        xs = np.concatenate([xb, xw])
+        order = np.argsort(xs, kind="stable")
+        nodes.append(xs[order])
+        vals.append(np.concatenate([yb, yw])[order])
+    return nodes, vals
 
 
 def _mu_density(eig: EigenData):
@@ -415,8 +399,7 @@ def _integrate_mu(d_eval, node_sets, dens):
 
 
 def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
-                   delta: float, Delta: float | None, base_n: int = 4096,
-                   v_nodes_per_b: int = 64) -> dict:
+                   delta: float, Delta: float | None) -> dict:
     """Iterate u_{m+1} = L^n_sigma(chi_m u_m), v_{m+1} = L^n_s v_m from
     (u_0, v_0) = (1, 1), picking the bump chi_m from u_m and v_m each step
     (``build_bump``) on one ``bump_geometry`` built before the first.
@@ -429,30 +412,30 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
     on v's nodes joined with d's.  C0 is ``c0_constant``; n and Delta are
     the geometry's.
 
-    Every application is exact depth-1 branch sums of ``BranchPlan``s whose
-    nodes carry their element, the node sets being closed at both ends.  The
-    plans of v's fixed nodes and of d's base_n fixed nodes per element are
-    built once per run; each of d's n m_max advances pulls back only the
-    window nodes it joins to the base nodes.
+    Every application is exact depth-1 branch sums of ``BranchPlan``s at
+    per-element node sets closed at both ends.  The plans of v's fixed nodes
+    and of d's _BASE_N fixed nodes per element are built once per run; each
+    of d's n m_max advances (``_advance``) pulls back only the window nodes
+    it joins to the base nodes.
     """
     c0 = c0_constant(sys, eig)
+    K = c0 * abs(b) ** sys.alpha
     geom = bump_geometry(sys, b, delta, c0, Delta)
     dens = _mu_density(eig)
 
     # v lives on a uniform grid resolving the 1/b oscillation scale
-    nv = int(max(base_n, v_nodes_per_b * abs(b)))
+    nv = int(max(_BASE_N, _V_NODES_PER_B * abs(b)))
     v = GridFunction(sys, np.ones((sys.m, nv), dtype=complex))
-    v_plans = [_plan(sys, eig, b, v.nodes)]
-    v_layout = _union(sys, v_plans)[1]
-    base = node_grid(sys, base_n)
-    base_plan = _plan(sys, eig, 0.0, base)
+    v_plan = BranchPlan(sys, eig, b, 1, v.nodes)
+    base = node_grid(sys, _BASE_N)
+    base_plan = BranchPlan(sys, eig, 0.0, 1, base)
     d_eval = lambda x: np.zeros(np.asarray(x, dtype=float).shape)
     u_eval = lambda x: 1.0 - np.real(np.asarray(d_eval(x)))
     windows: list = []
     trace = []
     int_u2 = 1.0
     for m in range(m_max):
-        bump = build_bump(geom, ConeBPair(u_eval, v.eval, b, c0))
+        bump = build_bump(geom, u_eval, v.eval)
 
         # advance d through n exact depth-1 applications; the first maps
         # the bump factor, called only before d_eval and bump move on
@@ -463,24 +446,21 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
         windows = sorted(set(windows) | set(bump.supports))
         for _ in range(geom.n):
             windows = _map_windows(sys, windows)
-            plans = [base_plan, _plan(sys, eig, 0.0,
-                                      _window_nodes(sys, base, windows))]
-            nodes, layout = _union(sys, plans)
-            vals = _apply_on(plans, layout, cur_eval, False)
-            cur_eval = _ElementwisePchip(sys, nodes,
-                                         [np.real(y) for y in vals]).eval
+            nodes, vals = _advance(sys, eig, base, base_plan, windows,
+                                   cur_eval)
+            cur_eval = _ElementwisePchip(sys, nodes, vals).eval
         d_eval = cur_eval
 
         # advance v
         for _ in range(geom.n):
-            v = v.copy_with(np.stack(_apply_on(v_plans, v_layout, v.eval,
-                                               True)))
+            v = v.copy_with(v_plan.apply(v.eval, True).reshape(
+                v.values.shape))
 
         I_next, J_next = _integrate_mu(d_eval, nodes, dens)
         int_u2_next = 1.0 - 2.0 * I_next + J_next
         tau_hat = int_u2_next / int_u2
 
-        cone = _cone_test(sys, ConeBPair(u_eval, v.eval, b, c0), [
+        cone = _cone_test(sys, u_eval, v.eval, K, [
             np.unique(np.concatenate([v.nodes[e], nodes[e]]))
             for e in range(sys.m)])
         trace.append({
@@ -508,8 +488,8 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
     ||v||_inf, report max ||L^k_s v||_{L1(mu)} / ||v||_inf, and fit the decay
     exponent xi_hat from log-ratio against k log lam.
 
-    Per b, one ``deep_apply`` pulls the eigendata's nodes, each in the
-    element of its row (an element's right end included), back along the
+    Per b, one ``deep_apply`` pulls the eigendata's nodes, each row the node
+    set of its element (an element's right end included), back along the
     depth-k words once and applies the twisted operator to every admissible
     test function, so each ratio has the bits of a pullback made for it
     alone; the ratios are checked against C6 in q order.  A b that fails
@@ -536,12 +516,10 @@ def l1_contraction(sys: MarkovSystem, eig: EigenData, b_list,
                 f"||v||_(b) is at least lam^(a k/16) = {bound:g} ||v||_inf")
         plans.append((b, k, qs))
     c6 = c6_bound(eig)
-    xs = eig.f.nodes.reshape(-1)
-    elements = np.repeat(np.arange(sys.m), eig.N)
     wq = eig.mu.reshape(-1)
     rows = []
     for b, k, qs in plans:
-        out = deep_apply(sys, eig, b, k, xs, elements, {
+        out = deep_apply(sys, eig, b, k, eig.f.nodes, {
             q: lambda x, q=q: np.exp(2j * np.pi * q * np.asarray(x))
             for q in qs})
         worst = 0.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import EigenData, node_grid
+from .operator import EigenData
 from .system import (MarkovSystem, NotCoveringError, NotExpandingError,
                      _cylinder_ends, check_word_cap, count_words,
                      symbol_pullbacks, word_array)
@@ -58,7 +58,7 @@ def _mass_tables(sys: MarkovSystem, eig: EigenData, words: np.ndarray):
         # the engine builds the lower depths as suffixes of the deepest words
         raise NotCoveringError("some symbol has no predecessor")
     elements = np.repeat(np.arange(sys.m), eig.N)
-    runs = symbol_pullbacks(sys, words, node_grid(sys, eig.N).reshape(-1),
+    runs = symbol_pullbacks(sys, words, eig.f.nodes.reshape(-1),
                             sys.transition[:, elements], ("J",), eig,
                             every_depth=True)
     del words  # the runs drop it too once each holds its own rows

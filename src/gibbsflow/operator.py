@@ -403,25 +403,24 @@ def lasota_yorke_audit(eig: EigenData, b: float, n: int) -> float:
 
 
 class BranchPlan:
-    """The depth-n inverse branches of the normalised operator at points xs,
-    kept to apply to any number of functions (``apply``).
+    """The depth-n inverse branches of the normalised operator at per-element
+    node sets, kept to apply to any number of functions (``apply``).
 
-    ``elements[k]`` is the element of xs[k], given explicitly: a node set
-    closed at both ends puts an element's right end into that element,
-    where ``element_of`` puts it into the next one, whose branches differ.
-    ``symbol_pullbacks`` pulls the points whose element is in the image of
-    a symbol s back along every admissible depth-n word ending in s; the
-    plan keeps each run's (columns, h_w(x), J_w, J_w exp(-i b S_n r)) and
-    the normaliser, the sum of J_w at each point.  xs is a 1-D float array,
-    and ``elements`` an integer array like it.
+    ``nodes[e]`` is a 1-D float array of points in element e.  A set closed
+    at both ends holds the element's right end, which ``element_of`` would
+    put into the next element, whose branches differ.  ``symbol_pullbacks``
+    pulls the points whose element is in the image of a symbol s back along
+    every admissible depth-n word ending in s; the plan keeps each run's
+    (columns, h_w(x), J_w, J_w exp(-i b S_n r)) and the normaliser, the sum
+    of J_w at each point, over the sets concatenated.
     """
 
     def __init__(self, sys: MarkovSystem, eig: EigenData, b: float, n: int,
-                 xs: np.ndarray, elements: np.ndarray):
-        self.xs, self.elements = xs, elements
+                 nodes):
+        elements = np.repeat(np.arange(sys.m), [len(xs) for xs in nodes])
         [(runs, self.norm)] = symbol_pullbacks(
-            sys, word_array(sys, n), xs, sys.transition[:, elements],
-            ("x", "Snr", "J"), eig)
+            sys, word_array(sys, n), np.concatenate(nodes),
+            sys.transition[:, elements], ("x", "Snr", "J"), eig)
         self.blocks = []
         for _, cols, pb in runs:
             J = pb.J.astype(complex)
@@ -435,8 +434,8 @@ class BranchPlan:
 
     def apply(self, fn, twist: bool) -> np.ndarray:
         """sum_w J_w [exp(-i b S_n r) if ``twist``] fn at h_w(x) over the
-        normaliser, a complex array over the points; fn is a callable on
-        the preimages."""
+        normaliser, a complex array over the node sets concatenated; fn is
+        a callable on the preimages."""
         acc = np.zeros(self.norm.shape, dtype=complex)
         for cols, hx, J, twisted in self.blocks:
             val = twisted if twist else J
@@ -445,21 +444,17 @@ class BranchPlan:
 
 
 def deep_apply(sys: MarkovSystem, eig: EigenData, b: float, n: int,
-               xs: np.ndarray, elements: np.ndarray, fns: dict) -> dict:
+               nodes, fns: dict) -> dict:
     """Depth-n branch-sum application of the twisted normalised operator at
-    points xs to each function of ``fns``, {name: callable on the
-    preimages h_w(xs)}; returns {name: complex array over xs}.
+    the per-element node sets ``nodes`` (see ``BranchPlan``) to each
+    function of ``fns``, {name: callable on the preimages}; returns {name:
+    complex array over the sets concatenated}.
 
-    One ``BranchPlan`` at the xs, xs[k] in element ``elements[k]`` (see
-    ``BranchPlan``: ``element_of`` is right only for points that are no
-    element's right end), then one application per function.  Twisting
-    phases exp(-i b S_n r) are exact and no intermediate iterate is ever
-    interpolated.  Each branch h_w enters with its inverse Jacobian J_w
-    (see ``Pullback``); the sums are divided per point by the sum of the
-    J_w, so at b = 0 the operator maps 1 to exactly 1.
+    One ``BranchPlan`` at the sets, then one application per function.
+    Twisting phases exp(-i b S_n r) are exact and no intermediate iterate
+    is ever interpolated.  Each branch h_w enters with its inverse Jacobian
+    J_w (see ``Pullback``); the sums are divided per point by the sum of
+    the J_w, so at b = 0 the operator maps 1 to exactly 1.
     """
-    xs = np.asarray(xs, dtype=float)
-    plan = BranchPlan(sys, eig, b, n, xs.reshape(-1),
-                      np.asarray(elements).reshape(-1))
-    return {name: plan.apply(fn, True).reshape(xs.shape)
-            for name, fn in fns.items()}
+    plan = BranchPlan(sys, eig, b, n, nodes)
+    return {name: plan.apply(fn, True) for name, fn in fns.items()}

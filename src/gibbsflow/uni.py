@@ -49,6 +49,8 @@ __all__ = [
 
 # most ordered pairs of depth-n words check_uni compares
 MAX_PAIRS = 40_000
+# check_uni's equally spaced points of [0, 1]
+_GRID = 512
 
 
 def _closed_images(sys: MarkovSystem, ys: np.ndarray) -> np.ndarray:
@@ -67,7 +69,7 @@ def _slope_interval(c7: float, dsnr_h: np.ndarray, dtn: np.ndarray):
     return centre - half, centre + half
 
 
-def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
+def check_uni(sys: MarkovSystem, n: int, R: float) -> dict:
     """Full-branch and pointwise uniform-nonintegrability constants at depth n.
 
     D_full: max over pairs of depth-n branches with full image of the inf of
@@ -80,7 +82,7 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
         raise ValueError("too many branch pairs at this depth")
     words = word_array(sys, n)
     last = words[:, -1]
-    xs = np.linspace(0.0, 1.0, grid)
+    xs = np.linspace(0.0, 1.0, _GRID)
     holds = _closed_images(sys, xs)
     inside = holds[last]
     # row a: D(S_n r o h_w)(x) of the word words[a] where its domain holds x
@@ -105,7 +107,7 @@ def check_uni(sys: MarkovSystem, n: int, R: float, grid: int = 512) -> dict:
 
     ends = np.array([1e-12, 1 - 1e-12])
     full = np.flatnonzero(_closed_images(sys, ends)[last].all(axis=1))
-    d_full = best_pair(full, np.ones(grid, dtype=bool))
+    d_full = best_pair(full, np.ones(_GRID, dtype=bool))
 
     d_point = np.inf
     ys = np.linspace(0.0, 1.0, 65)
@@ -220,19 +222,14 @@ def _ab_sequences(sys: MarkovSystem, eig: EigenData, n_max: int,
                   grid: int) -> tuple[list[float], list[float]]:
     """(a(1..n_max), b(1..n_max)) from one sweep of the tableau per depth.
 
-    A value above 1 + 1e-8 is an error, and the rest is capped at
-    1 + 1e-12.  The latest result is kept in one slot on ``eig``, keyed by
-    ``sys`` (identity), ``n_max`` and ``grid``.
+    The latest result is kept in one slot on ``eig``, keyed by ``sys``
+    (identity), ``n_max`` and ``grid``.
     """
     slot = eig._ab_slot
     if slot is not None and slot[0] is sys and slot[1:3] == (n_max, grid):
         return slot[3], slot[4]
-    seqs = ([], [])
-    for n in range(1, n_max + 1):
-        for name, worst, out in zip("ab", _ab_depth(sys, eig, n, grid), seqs):
-            if worst > 1.0 + 1e-8:
-                raise AssertionError(f"{name}({n}) = {worst} exceeds 1")
-            out.append(min(worst, 1.0 + 1e-12))
+    depths = [_ab_depth(sys, eig, n, grid) for n in range(1, n_max + 1)]
+    seqs = ([a for a, _ in depths], [b for _, b in depths])
     eig._ab_slot = (sys, n_max, grid, *seqs)
     return seqs
 

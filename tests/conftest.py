@@ -350,10 +350,19 @@ def last_depth(sys, words, ys, fields, eig):
     return level
 
 
-def branch_plan_loop(sys, eig, b, n, xs, elements):
+def element_sets(sys, xs):
+    """The points of xs in each element, as ``element_of`` assigns them:
+    per-element node sets whose concatenation is xs when xs is sorted."""
+    idx = sys.element_of(xs)
+    return [xs[idx == e] for e in range(sys.m)]
+
+
+def branch_plan_loop(sys, eig, b, n, nodes):
     """(blocks, norm) of ``operator.BranchPlan`` by its own loop: one engine
-    call per symbol s at the xs whose element is in the image of s, and the
-    normaliser summed symbol after symbol."""
+    call per symbol s at the points of the node sets ``nodes`` whose element
+    is in the image of s, and the normaliser summed symbol after symbol."""
+    xs = np.concatenate(nodes)
+    elements = np.repeat(np.arange(sys.m), [len(x) for x in nodes])
     words = word_array(sys, n)
     blocks = []
     norm = np.zeros(xs.shape)

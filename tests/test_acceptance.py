@@ -10,7 +10,8 @@ import pytest
 
 from conftest import cone_image, cylinder_masses, psi, transversal
 from gibbsflow.cli import run
-from gibbsflow.dolgopyat import (ConeBPair, build_bump, bump_geometry,
+import gibbsflow.dolgopyat as dg
+from gibbsflow.dolgopyat import (build_bump, bump_geometry,
                                  c0_constant, cancellation_check,
                                  cone_iteration, l1_contraction)
 from gibbsflow.flow import correlation, sample_flow_measure
@@ -185,22 +186,22 @@ def test_sequence_and_cone_bounds(sys_b, sys_c, eig_b):
 
 
 @pytest.mark.parametrize("b", [2.0 ** 8, 2.0 ** 10])
-def test_cancellation_and_cone_iteration(sys_b, eig_b, b):
+def test_cancellation_and_cone_iteration(sys_b, eig_b, b, monkeypatch):
     t0 = cpu_now()
     ones = lambda x: np.ones(np.asarray(x, dtype=float).shape)
-    pair = ConeBPair(u=ones, v=lambda x: ones(x).astype(complex),
-                     b=b, C0=c0_constant(sys_b, eig_b))
-    geom = bump_geometry(sys_b, b, 0.05, pair.C0, None)
-    bump = build_bump(geom, pair)
+    v = lambda x: ones(x).astype(complex)
+    geom = bump_geometry(sys_b, b, 0.05, c0_constant(sys_b, eig_b), None)
+    bump = build_bump(geom, ones, v)
     part = adapted_partition(sys_b, b, geom.Delta)
     assert len(bump.cases) == len(part.left)  # a witness in every element
     assert all(c in ("a", "b") for c in bump.cases)
 
-    chk = cancellation_check(sys_b, eig_b, pair, bump)
+    chk = cancellation_check(sys_b, eig_b, b, ones, v, bump)
     assert chk["margin"] >= -1e-9
 
-    rep = cone_iteration(sys_b, eig_b, b, m_max=10, delta=0.05, Delta=None,
-                         base_n=2048, v_nodes_per_b=32)
+    monkeypatch.setattr(dg, "_BASE_N", 2048)
+    monkeypatch.setattr(dg, "_V_NODES_PER_B", 32)
+    rep = cone_iteration(sys_b, eig_b, b, m_max=10, delta=0.05, Delta=None)
     assert rep["all_in_cone"]
     assert all(t < 1.0 for t in rep["tau_hats"])
     assert cpu_now() - t0 < 300.0

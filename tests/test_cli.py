@@ -551,6 +551,22 @@ def test_uni_report_and_exit(tmp_path):
     assert len(lines) == 5
 
 
+def test_uni_exits_2_with_its_report_when_a_value_exceeds_one(tmp_path,
+                                                             monkeypatch):
+    # a(n) above 1 is a failed audit, not a crash: the report is written
+    # with the value as computed, and the exit code is 2
+    import gibbsflow.uni as uni
+    monkeypatch.setattr(uni, "_ab_depth", lambda *args: (1.5, 0.5))
+    p = write_cfg(tmp_path / "c.json",
+                  {"preset": "SYS-B", "experiment": "uni",
+                   "params": {"n_max": 2, "grid": 16}})
+    out = tmp_path / "out"
+    assert main(["uni", "--config", p, "--out", str(out)]) == 2
+    rep = json.loads((out / "uni.json").read_text())
+    assert rep["a"] == [1.5, 1.5]
+    assert rep["b"] == [0.5, 0.5]
+
+
 def test_uni_refuses_n_with_too_many_pairs_before_any_work(tmp_path,
                                                           monkeypatch, capsys):
     # SYS-B has 2^8 depth-8 words: 65,536 ordered pairs, above check_uni's cap

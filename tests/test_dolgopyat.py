@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import NL_DOUBLING, branch_plan_loop
-from gibbsflow.dolgopyat import (ETA0, BumpFunction, ConeBPair,
-                                 ConstraintViolationError,
+from conftest import NL_DOUBLING, branch_plan_loop, element_sets
+from gibbsflow.dolgopyat import (ETA0, BumpFunction, ConstraintViolationError,
                                  NoCancellationWitness, _cone_test,
                                  build_bump, bump_geometry, c0_constant,
                                  cancellation_check,
@@ -42,10 +41,19 @@ def eig_b(sys_b):
     return eigendata(sys_b, 0.0, N=256)
 
 
-def _ones_pair(sys, b, c0):
+def _ones_pair(sys):
+    """(u, v) = (1, 1) as grid functions' evaluations."""
     u = GridFunction(sys, np.ones((sys.m, 256)))
     v = GridFunction(sys, np.ones((sys.m, 256), dtype=complex))
-    return ConeBPair(u=u.eval, v=v.eval, b=b, C0=c0)
+    return u.eval, v.eval
+
+
+@pytest.fixture
+def small_grids(monkeypatch):
+    """cone_iteration on 2048 base nodes per element and 32 of v's nodes
+    per unit of |b|."""
+    monkeypatch.setattr(dg, "_BASE_N", 2048)
+    monkeypatch.setattr(dg, "_V_NODES_PER_B", 32)
 
 
 # -- C0 and the gates --------------------------------------------------------------
@@ -101,8 +109,9 @@ def test_in_cone_constant_pairs(sys_a, eig_a):
     v0 = GridFunction(sys_a, np.zeros((sys_a.m, 128), dtype=complex))
     v1 = GridFunction(sys_a, np.ones((sys_a.m, 128), dtype=complex))
     grids = _element_grids(sys_a)
-    assert _cone_test(sys_a, ConeBPair(u.eval, v0.eval, 64.0, c0), grids)["ok"]
-    assert _cone_test(sys_a, ConeBPair(u.eval, v1.eval, 64.0, c0), grids)["ok"]
+    K = c0 * 64.0 ** sys_a.alpha
+    assert _cone_test(sys_a, u.eval, v0.eval, K, grids)["ok"]
+    assert _cone_test(sys_a, u.eval, v1.eval, K, grids)["ok"]
 
 
 def test_in_cone_rejects_dominating_v(sys_a, eig_a):
@@ -110,7 +119,7 @@ def test_in_cone_rejects_dominating_v(sys_a, eig_a):
     nodes = node_grid(sys_a, 128)
     u = GridFunction(sys_a, np.ones_like(nodes))
     v = GridFunction(sys_a, 2.0 * nodes + 0j)
-    rep = _cone_test(sys_a, ConeBPair(u.eval, v.eval, 64.0, c0),
+    rep = _cone_test(sys_a, u.eval, v.eval, c0 * 64.0 ** sys_a.alpha,
                      _element_grids(sys_a))
     assert not rep["ok"]
     assert rep["margins"]["dominates_v"] < -0.5
@@ -123,10 +132,9 @@ def test_cone_test_reads_v_hoelder(sys_b, eig_b, scale):
     c0 = c0_constant(sys_b, eig_b)
     K = c0 * 64.0 ** sys_b.alpha
     M = 2.0 * scale * K
-    pair = ConeBPair(u=lambda x: np.ones(np.shape(x)),
-                     v=lambda x: 0.5 * np.sin(M * np.asarray(x)) + 0j,
-                     b=64.0, C0=c0)
-    rep = _cone_test(sys_b, pair, _element_grids(sys_b))
+    rep = _cone_test(sys_b, lambda x: np.ones(np.shape(x)),
+                     lambda x: 0.5 * np.sin(M * np.asarray(x)) + 0j, K,
+                     _element_grids(sys_b))
     failed = [k for k, m in rep["margins"].items() if m < -1e-8]
     assert rep["ok"] == (scale < 1.0)
     assert failed == ([] if scale < 1.0 else ["v_hoelder"])
@@ -138,9 +146,8 @@ def test_cone_test_reads_v_hoelder(sys_b, eig_b, scale):
 def test_build_bump_sys_b(sys_b, eig_b):
     c0 = c0_constant(sys_b, eig_b)
     b = 2.0 ** 10
-    pair = _ones_pair(sys_b, b, c0)
     geom = bump_geometry(sys_b, b, 0.05, c0, None)
-    bump = build_bump(geom, pair)
+    bump = build_bump(geom, *_ones_pair(sys_b))
     assert len(bump.supports) == len(geom.x) > 0
     assert ETA0 <= bump.eta < 1.0
     assert all(c in ("a", "b") for c in bump.cases)
@@ -165,11 +172,11 @@ def test_build_bump_constant_roof_fails(sys_a):
         bump_geometry(sys_a, 256.0, 0.05, 0.1, 30.0)
 
 
-def _bump_by_element(sys, pair, delta, Delta):
-    """The bump by a scan of each element on its own: the element's
-    transversal pair, its 64 x 32 candidate sub-grid pulled back along both
-    words, and the winner's plateau and support pulled back afresh."""
-    b = pair.b
+def _bump_by_element(sys, b, u, v, delta, Delta):
+    """The bump for (u, v) at b by a scan of each element on its own: the
+    element's transversal pair, its 64 x 32 candidate sub-grid pulled back
+    along both words, and the winner's plateau and support pulled back
+    afresh."""
     n1 = int(math.floor(math.log(abs(b))))
     n2 = int(math.floor(math.log(1.0 / delta) / math.log(sys.constants.rho)))
     part = adapted_partition(sys, b, Delta)
@@ -186,8 +193,8 @@ def _bump_by_element(sys, pair, delta, Delta):
         zs = np.clip(x1s[:, None] + np.linspace(-rad, rad, 32)[None, :],
                      max(dlo, 0.0), min(dhi, 1.0)).reshape(-1)
         ch1, ch2 = branch_chain(sys, w, zs), branch_chain(sys, wbar, zs)
-        v1, v2 = pair.v(ch1["x"]), pair.v(ch2["x"])
-        u1, u2 = np.real(pair.u(ch1["x"])), np.real(pair.u(ch2["x"]))
+        v1, v2 = v(ch1["x"]), v(ch2["x"])
+        u1, u2 = np.real(u(ch1["x"])), np.real(u(ch2["x"]))
         phase = (b * (ch1["Snr"] - ch2["Snr"])
                  + np.angle(v1 + 1e-300) - np.angle(v2 + 1e-300))
         dist = np.abs(np.mod(phase + np.pi, 2 * np.pi) - np.pi)
@@ -246,18 +253,18 @@ def test_build_bump_equals_the_scan_of_each_element(sys_b, eig_b, b, v):
           "digit7": _scrambled(_odd_digit(7)),
           "digit8": _scrambled(_odd_digit(8)),
           "none": _scrambled(lambda x: np.full(x.shape, 0.9))}
-    pair = ConeBPair(u=lambda x: np.ones(np.shape(x)), v=vs[v], b=b, C0=c0)
+    pair = (lambda x: np.ones(np.shape(x)), vs[v])
     geom = bump_geometry(sys_b, b, 0.05, c0, None)
     Delta = 4.0 * math.pi / (sys_b.constants.c7 * 0.05)
     if v in ("digit8", "none"):
         with pytest.raises(NoCancellationWitness) as got:
-            build_bump(geom, pair)
+            build_bump(geom, *pair)
         with pytest.raises(NoCancellationWitness) as want:
-            _bump_by_element(sys_b, pair, 0.05, Delta)
+            _bump_by_element(sys_b, b, *pair, 0.05, Delta)
         assert got.value.q_index == want.value.q_index
         return
-    bump = build_bump(geom, pair)
-    assert bump == _bump_by_element(sys_b, pair, 0.05, Delta)
+    bump = build_bump(geom, *pair)
+    assert bump == _bump_by_element(sys_b, b, *pair, 0.05, Delta)
     wbar = [list(s) in geom.ends[j, 1, :, 1].tolist()
             for j, s in enumerate(bump.supports)]
     assert any(wbar) == (v == "digit7")
@@ -268,9 +275,9 @@ def test_build_bump_equals_the_scan_of_each_element(sys_b, eig_b, b, v):
 
 def test_cancellation_holds_sys_b(sys_b, eig_b):
     c0 = c0_constant(sys_b, eig_b)
-    pair = _ones_pair(sys_b, 2.0 ** 10, c0)
-    bump = build_bump(bump_geometry(sys_b, 2.0 ** 10, 0.05, c0, None), pair)
-    rep = cancellation_check(sys_b, eig_b, pair, bump)
+    u, v = _ones_pair(sys_b)
+    bump = build_bump(bump_geometry(sys_b, 2.0 ** 10, 0.05, c0, None), u, v)
+    rep = cancellation_check(sys_b, eig_b, 2.0 ** 10, u, v, bump)
     assert rep["ok"]
     assert rep["margin"] >= -1e-9
 
@@ -278,23 +285,55 @@ def test_cancellation_holds_sys_b(sys_b, eig_b):
 def test_cancellation_checker_sign(sys_b, eig_b):
     # v = u real positive and b = 0: |L^n u| = L^n u > L^n(chi u) wherever a
     # synthetic bump dips, so the margin must come back negative
-    c0 = c0_constant(sys_b, eig_b)
-    pair = _ones_pair(sys_b, 0.0, c0)
     bump = BumpFunction(eta=0.9, plateaus=[(0.45, 0.55)],
                         supports=[(0.40, 0.60)], balls=[(0.40, 0.60)],
                         cases=["b"], n=2)
-    rep = cancellation_check(sys_b, eig_b, pair, bump)
+    rep = cancellation_check(sys_b, eig_b, 0.0, *_ones_pair(sys_b), bump)
     assert not rep["ok"]
     assert rep["margin"] < -1e-3
+
+
+def test_cancellation_check_reads_each_point_in_the_element_of_element_of(
+        monkeypatch):
+    # the balls put 0, 1/3, 2/3 and 1 among the check points; SYS-C-NLROOF
+    # takes different branch sums on either side of 1/3 and 2/3, and the
+    # check reads each point in the element element_of names
+    sys = make_preset("SYS-C-NLROOF")
+    eig = eigendata(sys, 0.0, N=64)
+    p = sys.partition
+    bump = BumpFunction(eta=0.9, plateaus=[(0.45, 0.55)],
+                        supports=[(0.40, 0.60)],
+                        balls=[(0.0, p[1]), (p[2], 1.0)], cases=["b"], n=2)
+    xs = dg._check_points(bump)
+    assert {0.0, p[1], p[2], 1.0} <= set(xs.tolist())
+    u = lambda x: 1.0 + 0.5 * np.sin(5.0 * np.asarray(x))
+    v = lambda x: 0.5 * np.exp(3j * np.asarray(x))
+    seen = []
+
+    class Recorded(BranchPlan):
+        def __init__(self, *args):
+            seen.append(args[-1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(dg, "BranchPlan", Recorded)
+    rep = cancellation_check(sys, eig, 40.0, u, v, bump)
+    want = element_sets(sys, xs)
+    [got] = seen
+    assert len(got) == len(want) == sys.m
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    plan = BranchPlan(sys, eig, 40.0, 2, want)
+    margin = (np.real(plan.apply(lambda x: bump(x) * u(x), False))
+              - np.abs(plan.apply(v, True)))
+    assert rep["margin"] == float(margin.min())
+    assert rep["argmin"] == float(xs[int(np.argmin(margin))])
 
 
 # -- cone iteration ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("b", [2.0 ** 8, 2.0 ** 10])
-def test_cone_iteration_contracts(sys_b, eig_b, b):
-    rep = cone_iteration(sys_b, eig_b, b, m_max=10, delta=0.05, Delta=None,
-                         base_n=2048, v_nodes_per_b=32)
+def test_cone_iteration_contracts(sys_b, eig_b, b, small_grids):
+    rep = cone_iteration(sys_b, eig_b, b, m_max=10, delta=0.05, Delta=None)
     assert rep["all_in_cone"]
     assert rep["all_contracting"]
     taus = rep["tau_hats"]
@@ -347,7 +386,8 @@ def test_bump_geometry_refuses_an_element_narrower_than_a_ball(sys_b, eig_b,
 
 
 def test_cone_iteration_builds_the_bump_geometry_once(sys_b, eig_b,
-                                                      monkeypatch):
+                                                      monkeypatch,
+                                                      small_grids):
     # the partition, the transversal pairs and the candidate pullbacks are
     # built once per run, one branch_chain per transversal word; each
     # step's build_bump only reads u and v at them
@@ -361,15 +401,14 @@ def test_cone_iteration_builds_the_bump_geometry_once(sys_b, eig_b,
     build = dg.build_bump
     bumps = []
 
-    def build_counted(geom, pair):
+    def build_counted(geom, u, v):
         before = dict(calls)
-        bumps.append(build(geom, pair))
+        bumps.append(build(geom, u, v))
         assert calls == before
         return bumps[-1]
 
     monkeypatch.setattr(dg, "build_bump", build_counted)
-    cone_iteration(sys_b, eig_b, 256.0, m_max=3, delta=0.05, Delta=None,
-                   base_n=2048, v_nodes_per_b=32)
+    cone_iteration(sys_b, eig_b, 256.0, m_max=3, delta=0.05, Delta=None)
     assert len(bumps) == 3
     J = len(bumps[0].supports)
     assert calls == {"bump_geometry": 1, "adapted_partition": 1,
@@ -417,38 +456,53 @@ def test_cone_iteration_plans_match_fresh_applications(sys_b, eig_b,
                                                        monkeypatch):
     # v's plan and d's base-node plan are built once per run, and every d
     # advance adds a plan of its window nodes alone; each advance must keep
-    # the bits of one plan made afresh over its whole node set with the same
-    # explicit elements, and agree with the per-branch sums.  The report
-    # alone would not do: v's last bits barely reach the dominates_v margin.
-    # The applied function is read at the call: the bump factor's closure
-    # moves on with the iteration.
-    import gibbsflow.dolgopyat as dg
-    apply_on = dg._apply_on
+    # the bits of one plan made afresh over its merged node sets, and agree
+    # with the per-branch sums.  The report alone would not do: v's last
+    # bits barely reach the dominates_v margin.  The applied function is
+    # read at the call: the bump factor's closure moves on with the
+    # iteration.
+    monkeypatch.setattr(dg, "_BASE_N", 2048)
+    advance = dg._advance
     seen = []
 
-    def checked(plans, layout, g_eval, twist):
-        vals = apply_on(plans, layout, g_eval, twist)
-        nodes = dg._union(sys_b, plans)[0]
-        b = 256.0 if twist else 0.0
-        xs = np.concatenate(nodes)
-        elements = np.repeat(np.arange(sys_b.m), [len(x) for x in nodes])
-        fresh = BranchPlan(sys_b, eig_b, b, 1, xs, elements).apply(g_eval,
-                                                                   twist)
-        assert np.array_equal(np.concatenate(vals), fresh)
+    def checked(sys, eig, base, base_plan, windows, g_eval):
+        nodes, vals = advance(sys, eig, base, base_plan, windows, g_eval)
+        fresh = BranchPlan(sys_b, eig_b, 0.0, 1, nodes).apply(g_eval, False)
+        assert not fresh.imag.any()
+        assert np.array_equal(np.concatenate(vals), fresh.real)
         _assert_close(fresh, np.concatenate(
-            _apply_once(sys_b, eig_b, g_eval, nodes, b)))
-        seen.append((twist, len(plans)))
-        return vals
+            _apply_once(sys_b, eig_b, g_eval, nodes)))
+        seen.append(False)
+        return nodes, vals
 
-    monkeypatch.setattr(dg, "_apply_on", checked)
+    class Checked(BranchPlan):
+        # v's plan is the run's one twisted application
+        def __init__(self, sys, eig, b, n, nodes):
+            super().__init__(sys, eig, b, n, nodes)
+            self.nodes = nodes
+
+        def apply(self, fn, twist):
+            vals = super().apply(fn, twist)
+            if twist:
+                fresh = BranchPlan(sys_b, eig_b, 256.0, 1, self.nodes).apply(
+                    fn, True)
+                assert np.array_equal(vals, fresh)
+                _assert_close(fresh, np.concatenate(
+                    _apply_once(sys_b, eig_b, fn, self.nodes, 256.0)))
+                seen.append(True)
+            return vals
+
+    monkeypatch.setattr(dg, "_advance", checked)
+    monkeypatch.setattr(dg, "BranchPlan", Checked)
     rep = cone_iteration(sys_b, eig_b, 256.0, m_max=2, delta=0.05,
-                         Delta=None, base_n=2048)
+                         Delta=None)
     n = rep["n"]
-    assert seen == 2 * ([(False, 2)] * n + [(True, 1)] * n)
+    assert seen == 2 * ([False] * n + [True] * n)
 
 
 def test_cone_iteration_pulls_the_base_nodes_back_once(sys_b, eig_b,
-                                                       monkeypatch):
+                                                       monkeypatch,
+                                                       small_grids):
     # every interior base node lies in the image of both SYS-B branches, so
     # its engine columns over a whole run are one per symbol: the base plan
     # is built once, and no window node repeats a base node
@@ -464,9 +518,9 @@ def test_cone_iteration_pulls_the_base_nodes_back_once(sys_b, eig_b,
         return pullbacks(sys, words, ys, fields, *rest, **kwargs)
 
     monkeypatch.setattr(system_mod, "pullbacks", counted)
-    base_n = 2048
+    base_n = dg._BASE_N
     rep = cone_iteration(sys_b, eig_b, 256.0, m_max=2, delta=0.05,
-                         Delta=None, base_n=base_n, v_nodes_per_b=32)
+                         Delta=None)
     base = np.concatenate([np.linspace(*sys_b.element_interval(e),
                                        base_n)[1:-1] for e in range(sys_b.m)])
     values, counts = np.unique(np.concatenate(columns), return_counts=True)
@@ -481,7 +535,8 @@ def test_cone_iteration_pulls_the_base_nodes_back_once(sys_b, eig_b,
 @pytest.mark.parametrize("m_max", [1, 2])
 def test_cone_iteration_builds_one_interpolant_per_advance(sys_b, eig_b,
                                                            m_max,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           small_grids):
     # a monotone cubic is built once per function, never per evaluation:
     # v_0 and the result of each of v's n m_max advances, the result of
     # each of d's n m_max advances, and mu's density
@@ -496,7 +551,7 @@ def test_cone_iteration_builds_one_interpolant_per_advance(sys_b, eig_b,
 
     monkeypatch.setattr(op._ElementwisePchip, "__init__", counted)
     rep = cone_iteration(sys_b, eig_b, 256.0, m_max=m_max, delta=0.05,
-                         Delta=None, base_n=2048, v_nodes_per_b=32)
+                         Delta=None)
     n = rep["n"]
     assert builds[0] == (1 + n * m_max) + n * m_max + 1
 
@@ -510,10 +565,8 @@ def test_plan_with_explicit_elements_matches_per_branch_sums(name, b):
     sys = make_preset(name)
     eig = eigendata(sys, 0.0, N=256)
     nodes = _element_grids(sys, 5000)
-    elements = np.repeat(np.arange(sys.m), 5000)
     g = lambda x: 2.0 + np.sin(7.0 * np.asarray(x)) + 0.5j * np.asarray(x)
-    got = BranchPlan(sys, eig, b, 1, np.concatenate(nodes), elements).apply(
-        g, True)
+    got = BranchPlan(sys, eig, b, 1, nodes).apply(g, True)
     want = np.concatenate(_apply_once(sys, eig, g, nodes, b))
     _assert_close(got, want)
     # the two copies of each interior breakpoint take different sums
@@ -531,12 +584,10 @@ def test_plan_equals_the_per_symbol_loop(name, sigma):
            else make_preset(name))
     eig = eigendata(sys, sigma, N=128)
     nodes = _element_grids(sys, 129)
-    xs = np.concatenate(nodes)
-    elements = np.repeat(np.arange(sys.m), 129)
     for b in (0.0, 256.0):
         for n in (1, 3):
-            plan = BranchPlan(sys, eig, b, n, xs, elements)
-            blocks, norm = branch_plan_loop(sys, eig, b, n, xs, elements)
+            plan = BranchPlan(sys, eig, b, n, nodes)
+            blocks, norm = branch_plan_loop(sys, eig, b, n, nodes)
             assert np.array_equal(plan.norm, norm)
             assert len(plan.blocks) == len(blocks)
             for got, want in zip(plan.blocks, blocks):
@@ -589,8 +640,7 @@ def _l1_one_pullback_per_q(sys, eig, b_list, beta=1.0):
     number of test functions each b admits."""
     from gibbsflow.operator import deep_apply
     a, lam = sys.alpha, sys.constants.lam
-    xs = np.concatenate([eig.f.nodes[e] for e in range(sys.m)])
-    elements = np.repeat(np.arange(sys.m), eig.N)
+    nodes = [eig.f.nodes[e] for e in range(sys.m)]
     wq = eig.mu.reshape(-1)
     rows, admitted = [], []
     for b in b_list:
@@ -602,7 +652,7 @@ def _l1_one_pullback_per_q(sys, eig, b_list, beta=1.0):
             semi = (2 * np.pi * q) ** a if q else 0.0
             if semi / (1.0 + abs(b) ** a) + 1.0 >= bound:
                 continue
-            out = deep_apply(sys, eig, b, k, xs, elements, {"Lv": fn})
+            out = deep_apply(sys, eig, b, k, nodes, {"Lv": fn})
             worst = max(worst, float(np.sum(wq * np.abs(out["Lv"]))))
             count += 1
         rows.append({"b": float(b), "k": k, "ratio": worst,
@@ -630,18 +680,17 @@ def test_l1_reads_each_node_in_the_element_of_its_row():
     sys = make_preset("SYS-C-NLROOF")
     eig = eigendata(sys, 0.0, N=64)
     xs = eig.f.nodes.reshape(-1)
-    rows = np.repeat(np.arange(sys.m), eig.N)
 
-    def worst(elements):
-        plan = BranchPlan(sys, eig, 256.0, 5, xs, elements)
+    def worst(nodes):
+        plan = BranchPlan(sys, eig, 256.0, 5, nodes)
         return max(float(np.sum(eig.mu.reshape(-1) * np.abs(plan.apply(
             lambda x, q=q: np.exp(2j * np.pi * q * np.asarray(x)), True))))
             for q in (0, 1, 2, 3, 5, 8))
 
     [row] = l1_contraction(sys, eig, [256.0], 1.0)["rows"]
     assert row["k"] == 5   # and b = 256 admits all six test functions
-    assert row["ratio"] == worst(rows)
-    assert worst(sys.element_of(xs)) != row["ratio"]
+    assert row["ratio"] == worst(list(eig.f.nodes))
+    assert worst(element_sets(sys, xs)) != row["ratio"]
 
 
 def test_l1_matches_the_benchmark_reference(sys_b):

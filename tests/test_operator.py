@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import element_sets
 from gibbsflow.cli import _write_csv, run
 from gibbsflow.operator import (
     GridFunction, apply_L, c6_bound, deep_apply, eigendata, hoelder_seminorm,
@@ -115,7 +116,6 @@ def test_runs_build_a_node_grid_per_grid_function_not_per_copy(
     # apply_L, each v advance and each sweep step copy a GridFunction, and
     # a copy builds no grid (SYS-B at the CLI defaults)
     import gibbsflow.dolgopyat as dg
-    import gibbsflow.gibbs as gb
     import gibbsflow.operator as op
     count = [0]
 
@@ -123,7 +123,7 @@ def test_runs_build_a_node_grid_per_grid_function_not_per_copy(
         count[0] += 1
         return _fn(*args)
 
-    for mod in (op, dg, gb):
+    for mod in (op, dg):
         monkeypatch.setattr(mod, "node_grid", counted)
     assert run({"experiment": experiment, "preset": "SYS-B"},
                out_dir=str(tmp_path / experiment)) == 0
@@ -261,7 +261,7 @@ def test_deep_apply_matches_matrix(eig_b):
     n = 4
     vfun = lambda z: np.exp(2j * np.pi * z)
     # at b = 0 the twist is 1
-    out = deep_apply(sys, eig_b, 0.0, n, xs, sys.element_of(xs),
+    out = deep_apply(sys, eig_b, 0.0, n, element_sets(sys, xs),
                      {"one": np.ones_like, "v": vfun})
     assert np.max(np.abs(out["one"] - 1.0)) < 1e-14
     nodes = node_grid(sys, N)
@@ -275,7 +275,7 @@ def test_deep_apply_twist_phase_exact():
     eig = eigendata(make_preset("SYS-A"), 0.0, N=128)
     xs = np.linspace(0.0, 0.999, 57)
     b, n = 2 * np.pi, 3
-    out = deep_apply(eig.system, eig, b, n, xs, eig.system.element_of(xs),
+    out = deep_apply(eig.system, eig, b, n, element_sets(eig.system, xs),
                      {"v": np.ones_like})
     assert np.max(np.abs(out["v"] - np.exp(-1j * b * n))) < 1e-12
 

@@ -31,13 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # (module, callee, parameter) that tests alone may set, with the reason:
 #   main(argv)       the console script passes none, so argparse reads
 #                    sys.argv; tests pass the arguments
-#   cone_iteration(base_n, v_nodes_per_b), check_uni(grid)
-#                    tier-1 shrinks these grids to keep its runtime down;
-#                    the CLI runs at the defaults
-TEST_ONLY = {("cli.py", "main", "argv"),
-              ("dolgopyat.py", "cone_iteration", "base_n"),
-              ("dolgopyat.py", "cone_iteration", "v_nodes_per_b"),
-              ("uni.py", "check_uni", "grid")}
+TEST_ONLY = {("cli.py", "main", "argv")}
 
 
 def _signatures(package: Path = ROOT / "src" / "gibbsflow"):

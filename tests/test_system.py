@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
-                      jacobian_weight, preset_config, pullbacks_oracle)
+                      element_sets, jacobian_weight, preset_config,
+                      pullbacks_oracle)
 from gibbsflow.operator import BranchPlan, deep_apply, eigendata, node_grid
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.gibbs import _mass_tables
@@ -575,8 +576,8 @@ def test_deep_apply_matches_per_word_jacobians(name, sigma, b, nl_doubling):
     xs = np.linspace(0.0, 1.0, 41)
     fn = lambda z: np.cos(3 * z) + 1j * z
     idx = sys.element_of(xs)
-    Lv = deep_apply(sys, eig, b, n, xs, idx, {"Lv": fn})["Lv"]
-    plan = BranchPlan(sys, eig, b, n, xs, idx)
+    Lv = deep_apply(sys, eig, b, n, element_sets(sys, xs), {"Lv": fn})["Lv"]
+    plan = BranchPlan(sys, eig, b, n, element_sets(sys, xs))
     one = plan.apply(np.ones_like, False)
     for k, x in enumerate(xs):
         total, norm = 0.0, 0.0

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (check_uni_loop, cone_image, jacobian_weight,
                       last_depth, psi, transversal)
+import gibbsflow.uni as uni_mod
 from gibbsflow.gibbs import FrequencyTooSmallError
 from gibbsflow.operator import eigendata
 from gibbsflow.presets import make_preset
@@ -166,22 +167,25 @@ def test_sys_b_has_a_transversal_sibling_pair(sys_b):
     assert found
 
 
-def test_check_uni_positive_for_sys_b(sys_b):
-    rep = check_uni(sys_b, 2, R=0.1, grid=256)
+def test_check_uni_positive_for_sys_b(sys_b, monkeypatch):
+    monkeypatch.setattr(uni_mod, "_GRID", 256)
+    rep = check_uni(sys_b, 2, R=0.1)
     assert rep["D_full"] > 0.0
     assert rep["D_point"] > 0.0
 
 
-def test_check_uni_zero_for_constant_roof(sys_a):
-    rep = check_uni(sys_a, 2, R=0.1, grid=128)
+def test_check_uni_zero_for_constant_roof(sys_a, monkeypatch):
+    monkeypatch.setattr(uni_mod, "_GRID", 128)
+    rep = check_uni(sys_a, 2, R=0.1)
     assert rep["D_full"] == 0.0
     assert rep["D_point"] == 0.0
 
 
-def test_check_uni_refuses_too_many_pairs(sys_b):
+def test_check_uni_refuses_too_many_pairs(sys_b, monkeypatch):
     # 2^8 depth-8 words: 65,536 ordered pairs
+    monkeypatch.setattr(uni_mod, "_GRID", 8)
     with pytest.raises(ValueError, match="too many branch pairs"):
-        check_uni(sys_b, 8, R=0.1, grid=8)
+        check_uni(sys_b, 8, R=0.1)
 
 
 # -- a(n) and b(n) -------------------------------------------------------------
@@ -306,7 +310,7 @@ def _column_loop_sequences(sys, eig, n_max, grid):
                 worst[0] = max(worst[0], _non_transversal_weight(*args))
                 worst[1] = max(worst[1], _stabbing_weight(*args))
         for out, v in zip(seqs, worst):
-            out.append(min(v, 1.0 + 1e-12))
+            out.append(v)
     return seqs
 
 
@@ -366,7 +370,6 @@ def test_blocks_are_slices_of_the_nan_tableau(name, sigma, nl_doubling,
                                               monkeypatch):
     # an inadmissible cell is +inf/+inf/0 where the tableau has NaN; at 97
     # cells a run, depth-6 runs are one column wide
-    import gibbsflow.uni as uni_mod
     s = _system(name, nl_doubling)
     eig = eigendata(s, sigma, N=256)
     for block in (uni_mod._SWEEP_BLOCK, 97):
@@ -430,11 +433,12 @@ ORACLE_SYSTEMS = ["SYS-B", "SYS-C", "SYS-C-NLROOF", "NL-DOUBLING"]
 
 
 @pytest.mark.parametrize("name", ORACLE_SYSTEMS + ["SYS-A"])
-def test_check_uni_equals_the_pair_loop(name, nl_doubling):
+def test_check_uni_equals_the_pair_loop(name, nl_doubling, monkeypatch):
     # D_full and D_point as the loop over word-tuple pairs finds them
     s = _system(name, nl_doubling)
+    monkeypatch.setattr(uni_mod, "_GRID", 96)
     for n, R in ((1, 0.1), (2, 0.1), (3, 0.02), (4, 0.5)):
-        assert check_uni(s, n, R, grid=96) == check_uni_loop(s, n, R, 96)
+        assert check_uni(s, n, R) == check_uni_loop(s, n, R, 96)
 
 
 def test_b_sequence_reuses_the_tableaux_of_a_sequence(sys_b, monkeypatch):
