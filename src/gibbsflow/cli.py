@@ -13,18 +13,27 @@ Each experiment is declared once, in ``_EXPERIMENTS``: its handler, the JSON
 report its summary goes to, and its parameters (name, kind: integer, float,
 list of floats or expression string, default and bounds).  ``load_config``
 checks a config against that table and the handlers read their typed
-values from it.  A handler writes its CSVs (each by ``_write_csv``) and
-returns ``(passed, summary)``; ``run`` alone writes the summary to the
-entry's report, maps ``passed`` to the exit code and writes the run
-manifest.  A config is refused with ``ConfigError``
-(exit 1), naming the JSON pointer of the offending value, before a system
-is built or any work starts, when it has an unknown key or parameter, an
-experiment other than the one on the command line, a number that is not
-finite, outside its bounds or (for an integer) fractional, a seed that is
-not an integer >= 0, or a ``system`` block with a key missing or unknown,
-a value of the wrong type or a per-element list of the wrong length.  A
-bound that depends on the system (``uni``'s word pairs, ``correlate``'s
-53-bit ``t_max`` cap) is checked by the handler before its eigendata.
+values from it.  A handler writes its data files and returns ``(passed,
+summary)``; ``run`` alone writes the summary to the entry's report, maps
+``passed`` to the exit code and writes the run manifest.
+
+Every report is text (a CSV by ``_write_csv`` or a JSON) but ``eigen``'s
+``f.npy``: the (m, N) float64 values of f on its node grid, written by
+``np.save`` without pickling, exact to the bit.  The grid is not written:
+it is ``operator.node_grid``, N equally spaced points per element, ends
+included, so element e's row is ``np.linspace(a[e], a[e + 1], N)`` with
+the element ends ``a`` from ``eigen.json``'s ``partition`` and ``N`` from
+its ``N``.
+
+A config is refused with ``ConfigError`` (exit 1), naming the JSON pointer
+of the offending value, before a system is built or any work starts, when
+it has an unknown key or parameter, an experiment other than the one on the
+command line, a number that is not finite, outside its bounds or (for an
+integer) fractional, a seed that is not an integer >= 0, or a ``system``
+block with a key missing or unknown, a value of the wrong type or a
+per-element list of the wrong length.  A bound that depends on the system
+(``uni``'s word pairs, ``correlate``'s 53-bit ``t_max`` cap) is checked by
+the handler before its eigendata.
 
 Exit codes: 0 success, 1 operational error, 2 a numerically audited
 inequality failed beyond tolerance.  GIBBSFLOW_SEED overrides the seed.
@@ -317,11 +326,9 @@ def _run_eigen(sys_, p, out, seed):
     f = eig.f.values.reshape(-1)
     residual = float(np.max(np.abs(eig.matrix @ f - eig.lam * f))
                      / eig.f.sup_norm())
-    vals = eig.f.values.astype(complex).reshape(-1)
-    _write_csv(out / "f.csv", ["element_index", "node_x", "re", "im"],
-               [np.repeat(np.arange(sys_.m), eig.f.N),
-                eig.f.nodes.reshape(-1), vals.real, vals.imag])
-    summary = {"sigma": p["sigma"], "N": p["N"], "lambda": eig.lam,
+    np.save(out / "f.npy", eig.f.values, allow_pickle=False)
+    summary = {"sigma": p["sigma"], "N": p["N"],
+               "partition": sys_.partition.tolist(), "lambda": eig.lam,
                "pressure": eig.pressure, "residual": residual}
     return residual <= 1e-8, summary
 
@@ -425,9 +432,11 @@ def _run_contraction(sys_, p, out, seed):
                zip(*[(r1["b"], r1["k"], r1["ratio"], r2["zeta_hat"],
                       l1["xi_hat"])
                      for r1, r2 in zip(l1["rows"], sweep["rows"])]))
-    summary = {"xi_hat": l1["xi_hat"], "zeta_max": sweep["zeta_max"],
-               "l1_rows": l1["rows"], "sweep_rows": sweep["rows"]}
-    ok = (all(r["ratio"] < 1.0 for r in l1["rows"])
+    summary = {"xi_hat": l1["xi_hat"], "C6": l1["C6"],
+               "zeta_max": sweep["zeta_max"], "l1_rows": l1["rows"],
+               "sweep_rows": sweep["rows"]}
+    ok = (all(r["ratio"] < 1.0 and r["ratio"] <= l1["C6"] * (1 + 1e-9)
+              for r in l1["rows"])
           and l1["xi_hat"] > 0 and sweep["zeta_max"] < 1.0)
     return ok, summary
 
@@ -522,9 +531,9 @@ _EXPERIMENTS = {
 def run(config_path: str | dict, out_dir: str | None = None,
         preset: str | None = None) -> int:
     """Execute one experiment; returns the exit code.  Into the output
-    directory go the handler's CSVs, the summary it returns (the entry's
-    report) and a run manifest.  ``config_path`` is a JSON config file, or
-    a config already read (a dict), as ``main`` passes it."""
+    directory go the handler's data files, the summary it returns (the
+    entry's report) and a run manifest.  ``config_path`` is a JSON config
+    file, or a config already read (a dict), as ``main`` passes it."""
     t0 = time.time()
     cfg = (config_path if isinstance(config_path, dict)
            else load_config(config_path))

@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import NL_DOUBLING, preset_config
@@ -449,7 +451,11 @@ def test_eigen_report(tmp_path):
     rep = json.loads((out / "eigen.json").read_text())
     assert rep["lambda"] == pytest.approx(2.0, abs=1e-9)
     assert rep["residual"] <= 1e-8
-    assert (out / "f.csv").read_text().startswith("element_index,node_x,")
+    assert rep["partition"] == [0.0, 0.5, 1.0]
+    f = np.load(out / "f.npy", allow_pickle=False)
+    assert f.dtype == np.float64 and f.shape == (2, 256)
+    assert sorted(path.name for path in out.iterdir()) == [
+        "eigen.json", "f.npy", "run_manifest.json"]
 
 
 def test_partition_csv_deterministic(tmp_path):
@@ -526,6 +532,23 @@ def test_contraction_refuses_b_without_test_functions(tmp_path, capsys):
     assert main(["contraction", "--config", p, "--out", str(out)]) == 1
     assert "ConstraintViolationError" in capsys.readouterr().err
     assert not (out / "contraction.json").exists()
+
+
+def test_contraction_exits_2_with_its_report_when_a_ratio_exceeds_c6(
+        tmp_path, monkeypatch):
+    # a ratio above the a priori bound C6 is a failed audit, not a crash:
+    # the report is written with the ratio and C6, and the exit code is 2
+    import gibbsflow.dolgopyat as dg
+    monkeypatch.setattr(dg, "c6_bound", lambda eig: 1e-6)
+    p = write_cfg(tmp_path / "c.json",
+                  {"preset": "SYS-B", "experiment": "contraction",
+                   "params": {"b_list": [256.0]}})
+    out = tmp_path / "out"
+    assert main(["contraction", "--config", p, "--out", str(out)]) == 2
+    rep = json.loads((out / "contraction.json").read_text())
+    assert rep["C6"] == 1e-6
+    [row] = rep["l1_rows"]
+    assert 1e-6 < row["ratio"] < 1.0
 
 
 def test_cancellation_constant_roof_short_circuits(tmp_path):
@@ -639,8 +662,8 @@ CONTRACT_RUNS = {
 @pytest.mark.parametrize("exp", sorted(cli._EXPERIMENTS))
 def test_run_alone_writes_the_summary_a_handler_returns(tmp_path,
                                                        monkeypatch, exp):
-    # a handler writes its CSVs and returns (passed, summary); run writes
-    # the summary to the entry's report, then the manifest
+    # a handler writes its data files and returns (passed, summary); run
+    # writes the summary to the entry's report, then the manifest
     entry = cli._EXPERIMENTS[exp]
     written, returned = [], []
     write_json = cli._write_json
@@ -665,6 +688,28 @@ def test_run_alone_writes_the_summary_a_handler_returns(tmp_path,
         returned[0])
     assert json.loads((out / "run_manifest.json").read_text())[
         "exit_code"] == 0
+
+
+@pytest.mark.parametrize("exp", sorted(cli._EXPERIMENTS))
+def test_reports_are_byte_identical_across_two_runs(tmp_path, monkeypatch,
+                                                    exp):
+    # tools/report_digests.py and the benchmark's traced-run check compare
+    # report bytes; the second run sees a clock a day later, so a report
+    # that records the time (a gzip header, a zip entry by writestr) fails
+    preset, params = CONTRACT_RUNS[exp]
+    cfg = {"experiment": exp, "preset": preset, "params": params}
+    reports = []
+    for run_ in range(2):
+        if run_:
+            now = time.time
+            monkeypatch.setattr(time, "time", lambda: now() + 86400.0)
+        out = tmp_path / str(run_)
+        assert run(cfg, out_dir=str(out)) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = json.loads(files.pop("run_manifest.json"))
+        manifest.pop("wall_time_s")
+        reports.append((files, manifest))
+    assert reports[0] == reports[1]
 
 
 def test_bundle_summarizes_trichotomy(tmp_path):

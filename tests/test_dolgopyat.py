@@ -605,6 +605,7 @@ def test_cone_iteration_aborts_on_constant_roof(sys_a, eig_a):
 def test_l1_contraction_sys_b(sys_b, eig_b):
     rep = l1_contraction(sys_b, eig_b, [2.0 ** 8, 2.0 ** 10, 2.0 ** 12], 1.0)
     c6 = c6_bound(eig_b)
+    assert rep["C6"] == c6
     for row in rep["rows"]:
         assert row["ratio"] < 1.0
         assert row["ratio"] <= c6 * (1 + 1e-9)

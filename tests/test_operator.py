@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -145,22 +146,21 @@ def test_contraction_reports_do_not_depend_on_shared_grids(monkeypatch,
                 == (tmp_path / "own" / name).read_bytes())
 
 
-def _f_csv(tmp_path) -> str:
-    """f.csv of the eigen experiment on the system and N of eig_b."""
+def test_eigen_f_npy_roundtrip(eig_b, tmp_path):
+    # the eigen report's f.npy holds f's (m, N) values to the bit, and
+    # eigen.json's partition and N rebuild the node grid to the bit
     out = tmp_path / "eigen"
     assert run({"experiment": "eigen", "preset": "SYS-B",
                 "params": {"N": N}}, out_dir=str(out)) == 0
-    return (out / "f.csv").read_text(encoding="utf-8")
-
-
-def test_gridfunction_csv_roundtrip(eig_b, tmp_path):
-    rows = list(csv.reader(io.StringIO(_f_csv(tmp_path))))
-    assert rows[0] == ["element_index", "node_x", "re", "im"]
-    elem, x, re, im = (np.array(col, dtype=float) for col in zip(*rows[1:]))
-    # element by element, each node's x and value written back to the bit
-    assert np.array_equal(elem, np.repeat(np.arange(eig_b.system.m), N))
-    assert np.array_equal(x, eig_b.f.nodes.reshape(-1))
-    assert np.array_equal(re + 1j * im, eig_b.f.values.reshape(-1))
+    f = np.load(out / "f.npy", allow_pickle=False)
+    assert f.dtype == np.float64 and f.shape == (eig_b.system.m, N)
+    assert f.tobytes() == eig_b.f.values.tobytes()
+    rep = json.loads((out / "eigen.json").read_text(encoding="utf-8"))
+    ends = rep["partition"]
+    nodes = np.stack([np.linspace(a, b, rep["N"])
+                      for a, b in zip(ends[:-1], ends[1:])])
+    assert nodes.tobytes() == eig_b.f.nodes.tobytes()
+    assert not (out / "f.csv").exists()
 
 
 def test_hoelder_seminorm_linear(eig_a):
@@ -330,21 +330,20 @@ def test_hoelder_seminorm_matches_the_element_loop(eig_b):
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_gridfunction_csv_bytes_match_csv_writer(eig_b, tmp_path, kind):
-    # the real f is the eigen report's f.csv; the complex values, with
-    # imaginary parts -0.0, go through the report writer directly
+    # a grid function through the report writer: the real f of eig_b, and
+    # complex values with imaginary parts -0.0
     if kind == "real":
         v = eig_b.f
-        text = _f_csv(tmp_path)
     else:
         nodes = node_grid(eig_b.system, 33)
         vals = np.exp(2j * np.pi * nodes)
         vals.imag[:, ::3] = -0.0
         v = GridFunction(eig_b.system, vals)
-        _write_csv(tmp_path / "v.csv", ["element_index", "node_x", "re", "im"],
-                   [np.repeat(np.arange(v.system.m), v.N),
-                    v.nodes.reshape(-1), vals.real.reshape(-1),
-                    vals.imag.reshape(-1)])
-        text = (tmp_path / "v.csv").read_text(encoding="utf-8")
+    vals = v.values.astype(complex).reshape(-1)
+    _write_csv(tmp_path / "v.csv", ["element_index", "node_x", "re", "im"],
+               [np.repeat(np.arange(v.system.m), v.N), v.nodes.reshape(-1),
+                vals.real, vals.imag])
+    text = (tmp_path / "v.csv").read_text(encoding="utf-8")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["element_index", "node_x", "re", "im"])
