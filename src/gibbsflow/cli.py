@@ -23,7 +23,8 @@ Every report is text (a CSV by ``_write_csv`` or a JSON) but ``eigen``'s
 it is ``operator.node_grid``, N equally spaced points per element, ends
 included, so element e's row is ``np.linspace(a[e], a[e + 1], N)`` with
 the element ends ``a`` from ``eigen.json``'s ``partition`` and ``N`` from
-its ``N``.
+its ``N``.  A JSON report is strict: ``_write_json`` refuses NaN and
+infinity, so a handler writes such a value as null.
 
 A config is refused with ``ConfigError`` (exit 1), naming the JSON pointer
 of the offending value, before a system is built or any work starts, when
@@ -274,7 +275,8 @@ def _seed(cfg: dict) -> int:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=float)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=float,
+                               allow_nan=False)
                     + "\n", encoding="utf-8")
 
 
@@ -383,6 +385,9 @@ def _run_uni(sys_, p, out, seed):
 def _run_transversality(sys_, p, out, seed):
     rep = uni_from_transversality(sys_, p["delta"], p["b"], beta=p["beta"])
     summary = {k: rep[k] for k in rep if k != "results"}
+    for k in ("Delta", "worst_margin"):  # inf (C7 = 0) and NaN are not JSON
+        if not math.isfinite(summary.get(k, 0.0)):
+            summary[k] = None
     summary["statuses"] = [r["status"] for r in rep["results"]]
     return rep["no_pair_everywhere"] or rep["pass_rate"] == 1.0, summary
 

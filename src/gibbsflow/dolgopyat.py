@@ -34,8 +34,7 @@ import numpy as np
 from .gibbs import adapted_partition
 from .operator import (BranchPlan, EigenData, GridFunction, _ElementwisePchip,
                        apply_L, c6_bound, deep_apply, eigendata,
-                       hoelder_seminorm, lasota_yorke_audit, node_grid,
-                       norm_b)
+                       hoelder_seminorm, node_grid, norm_b)
 from .system import MarkovSystem, branch_chain, sampled_seminorm
 from .uni import transversal_pair, transversal_scales
 
@@ -540,8 +539,7 @@ def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
     Four power steps of L^ell run from w = 1 on the eigendata's nodes, each
     renormalised; zeta_hat(b) is the ell-th root of the largest step ratio
     ||L^ell w||_(b) / ||w||_(b).  That ratio is a lower bound on ||L^ell||, so
-    zeta_hat(b) is a lower bound on ||L^ell||^{1/ell}.  Each row also reports
-    the Lasota-Yorke envelope (C6 + C8_hat)^{1/ell}.  The eigendata lives on
+    zeta_hat(b) is a lower bound on ||L^ell||^{1/ell}.  The eigendata lives on
     N = 16 |b| nodes per element, clipped to [2048, 32768]; consecutive b
     with the same N share it.
     """
@@ -561,8 +559,6 @@ def norm_contraction_sweep(sys: MarkovSystem, eig: EigenData, b_list,
             cur = norm_b(w, b)
             best = max(best, cur / prev)
             w = w.copy_with(w.values / cur)
-        envelope = (c6_bound(eg)
-                    + lasota_yorke_audit(eg, b, ell)) ** (1.0 / ell)
         results.append({"b": float(b), "ell": ell, "ratio": best,
-                        "zeta_hat": best ** (1.0 / ell), "envelope": envelope})
+                        "zeta_hat": best ** (1.0 / ell)})
     return {"rows": results, "zeta_max": max(r["zeta_hat"] for r in results)}

@@ -35,7 +35,7 @@ __all__ = [
     "GridFunction", "EigenData", "NoConvergenceError",
     "node_grid", "transfer_matrix",
     "eigendata", "apply_L", "hoelder_seminorm", "norm_b",
-    "c6_bound", "lasota_yorke_audit", "BranchPlan", "deep_apply",
+    "c6_bound", "BranchPlan", "deep_apply",
 ]
 
 
@@ -362,41 +362,6 @@ def c6_bound(eig: EigenData) -> float:
     fmax = float(eig.f.values.max())
     fmin = float(eig.f.values.min())
     return float(np.exp(semi * diam ** a / (1.0 - lam ** (-a))) * fmax / fmin)
-
-
-# -- Lasota-Yorke audit --------------------------------------------------------
-
-
-def lasota_yorke_audit(eig: EigenData, b: float, n: int) -> float:
-    """Empirical constant C8_hat for the two-norm inequality
-
-        ||L^n_s v||_(b) <= C8 lam^{-alpha n} ||v||_(b) + C8 ||v||_inf
-
-    at one n: the worst quotient ||L^n_s v||_(b) / (lam^{-alpha n}
-    ||v||_(b) + ||v||_inf) over 4 random smooth test functions, drawn from
-    seed 0, with lam = inf |T'| from the system's constants.
-    """
-    sys = eig.system
-    a, lam = sys.alpha, sys.constants.lam
-    rng = np.random.default_rng(0)
-    nodes = eig.f.nodes
-    # exp(2 pi i q x) at the nodes for q = 0..6, the modes of every test
-    # function (degree 1..6)
-    modes = [np.exp(2j * np.pi * q * nodes) for q in range(7)]
-    c8_hat = 0.0
-    for _ in range(4):
-        deg = int(rng.integers(1, 7))
-        coef = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        vals = np.zeros_like(nodes, dtype=complex)
-        for c, mode in zip(coef, modes):
-            # named, so numpy cannot multiply a large unnamed temporary in
-            # place, array first: the product rounds by operand order
-            vals += c * mode
-        v = eig.f.copy_with(vals)
-        lhs = norm_b(apply_L(eig, b, v, n), b)
-        quot = lhs / (lam ** (-a * n) * norm_b(v, b) + v.sup_norm())
-        c8_hat = max(c8_hat, float(quot))
-    return c8_hat
 
 
 # -- exact depth-n application -------------------------------------------------

@@ -317,6 +317,39 @@ def test_validate_non_monotone_branch_exits_2(tmp_path):
     assert rep["C2"] is None
 
 
+@pytest.mark.parametrize("preset,nulls", [
+    ("SYS-A", {"Delta"}),  # C7 = 0: Delta is infinite
+    ("SYS-C-NLROOF", {"worst_margin"}),  # no pair tested: no margin
+])
+def test_transversality_writes_null_for_a_value_that_is_not_finite(
+        tmp_path, preset, nulls):
+    out = tmp_path / "out"
+    assert run({"experiment": "transversality", "preset": preset},
+               out_dir=str(out)) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    rep = json.loads((out / "transversality.json").read_text(),
+                     parse_constant=refuse)
+    assert rep["no_pair_everywhere"]
+    assert {k for k, v in rep.items() if v is None} == nulls
+
+
+def test_write_json_refuses_nan(tmp_path, monkeypatch, capsys):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "x.json", {"x": float("nan")})
+    assert not (tmp_path / "x.json").exists()
+    # a handler's non-finite value is an operational error, not a report
+    entry = cli._EXPERIMENTS["validate"]
+    monkeypatch.setitem(cli._EXPERIMENTS, "validate", entry._replace(
+        handler=lambda *args: (True, {"x": float("inf")})))
+    out = tmp_path / "out"
+    assert main(["validate", "--preset", "SYS-B", "--out", str(out)]) == 1
+    assert "ValueError" in capsys.readouterr().err
+    assert not (out / "validate.json").exists()
+
+
 def test_preset_flag_overrides_config_system(tmp_path):
     cfg = preset_config("SYS-B")
     p = write_cfg(tmp_path / "c.json",

@@ -715,8 +715,25 @@ def test_norm_sweep_sys_b(sys_b, eig_b):
     rep = norm_contraction_sweep(sys_b, eig_b, [2.0 ** 8, 2.0 ** 10, 2.0 ** 12],
                                  1.0)
     assert rep["zeta_max"] < 1.0
-    for row in rep["rows"]:
-        assert row["zeta_hat"] <= row["envelope"] * (1 + 1e-9)
+
+
+def test_norm_sweep_rows_cost_four_powers_of_L_per_b(sys_b, eig_b,
+                                                     monkeypatch):
+    # each b runs the four power steps of L^ell and no other application of
+    # L, wherever apply_L is looked up
+    import gibbsflow.operator as op
+    apply_L, depths = op.apply_L, {}
+
+    def counted(eig, b, v, n):
+        depths[b] = depths.get(b, 0) + n
+        return apply_L(eig, b, v, n)
+
+    monkeypatch.setattr(op, "apply_L", counted)
+    monkeypatch.setattr(dg, "apply_L", counted)
+    rep = norm_contraction_sweep(sys_b, eig_b, [64.0, 256.0], 1.0)
+    assert [set(row) for row in rep["rows"]] == [
+        {"b", "ell", "ratio", "zeta_hat"}] * 2
+    assert depths == {row["b"]: 4 * row["ell"] for row in rep["rows"]}
 
 
 def test_norm_sweep_constant_roof_no_contraction(sys_a, eig_a):
@@ -737,8 +754,7 @@ def _sweep_one_trial_at_a_time(sys, eig, b_list, B=1.0, trials=200,
     once it reaches 256 KiB, and that in-place product rounds differently
     in the last bit; the sum would then depend on the array size.
     """
-    from gibbsflow.operator import (GridFunction, apply_L, c6_bound,
-                                    lasota_yorke_audit, norm_b)
+    from gibbsflow.operator import GridFunction, apply_L, norm_b
     rng = np.random.default_rng(seed)
     results, all_ratios = [], []
     for b in b_list:
@@ -772,10 +788,8 @@ def _sweep_one_trial_at_a_time(sys, eig, b_list, B=1.0, trials=200,
             cur = norm_b(w, b)
             best = max(best, cur / prev)
             w = w.copy_with(w.values / cur)
-        envelope = (c6_bound(eg)
-                    + lasota_yorke_audit(eg, b, ell)) ** (1.0 / ell)
         results.append({"b": float(b), "ell": ell, "ratio": best,
-                        "zeta_hat": best ** (1.0 / ell), "envelope": envelope})
+                        "zeta_hat": best ** (1.0 / ell)})
     return results, all_ratios
 
 

@@ -10,7 +10,7 @@ from conftest import element_sets
 from gibbsflow.cli import _write_csv, run
 from gibbsflow.operator import (
     GridFunction, apply_L, c6_bound, deep_apply, eigendata, hoelder_seminorm,
-    lasota_yorke_audit, node_grid, norm_b,
+    node_grid, norm_b,
 )
 from gibbsflow.presets import make_preset
 
@@ -223,36 +223,6 @@ def test_c6_bound_takes_the_seminorm_of_the_difference(nl_doubling, sigma):
     fmax, fmin = float(eig.f.values.max()), float(eig.f.values.min())
     want = float(np.exp(semi / (1.0 - lam ** (-a))) * fmax / fmin)
     assert c6_bound(eig) == want
-
-
-def test_lasota_yorke_audit_bounded(eig_b):
-    q = {n: lasota_yorke_audit(eig_b, 16.0, n) for n in (1, 2, 3, 4)}
-    assert max(q.values()) < 50
-    # no blow-up in n
-    assert q[4] < 4 * max(q[1], 1.0)
-
-
-def test_lasota_yorke_audit_rounding_does_not_depend_on_grid_size():
-    # at N = 8192 the (m, N) complex array is 256 KiB, where numpy starts to
-    # multiply into unnamed temporaries in place
-    eig = eigendata(make_preset("SYS-B"), 0.0, N=8192)
-    b, n = 64.0, 2
-    c8_hat = lasota_yorke_audit(eig, b, n)
-    rng = np.random.default_rng(0)
-    nodes = node_grid(eig.system, eig.N)
-    worst = 0.0
-    for _ in range(4):
-        deg = int(rng.integers(1, 7))
-        coef = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        vals = np.zeros_like(nodes, dtype=complex)
-        for q, c in enumerate(coef):
-            mode = np.exp(2j * np.pi * q * nodes)
-            vals += c * mode
-        v = GridFunction(eig.system, vals)
-        nv, sup = norm_b(v, b), v.sup_norm()
-        w = apply_L(eig, b, v, n)
-        worst = max(worst, float(norm_b(w, b) / (2.0 ** (-n) * nv + sup)))
-    assert c8_hat == worst
 
 
 def test_deep_apply_matches_matrix(eig_b):
