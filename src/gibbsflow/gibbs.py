@@ -249,10 +249,7 @@ def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedParti
     children pulled back, classified and dropped before the next, so the
     memory a level takes is bounded by the chunk, not by the level.  The
     elements are sorted by ``left`` at the end, stably.  A cylinder's ends
-    keep their bits whatever chunk pulls them back, unless a batched solve
-    there falls back to Newton (SYS-C's branch 1 at 1/3): Newton steps
-    every point of its block until the slowest converges, which can move
-    an end by an ulp or two.
+    keep their bits whatever chunk pulls them back.
     """
     rho = sys.constants.rho
     min_diam = float(np.min(np.diff(sys.partition)))

@@ -277,7 +277,11 @@ class MarkovSystem:
     # -- inverse branches ---------------------------------------------------
 
     def inverse_branch(self, i: int, y, out=None):
-        """Solve T_i(z) = y on element i; safeguarded Newton, |residual| tol 1e-13.
+        """Solve T_i(z) = y on element i, each point on its own: a start,
+        one residual test, and safeguarded Newton (``_newton``) on the
+        points whose |residual| is not below 1e-13.  So
+        ``inverse_branch(i, y)[k]`` has the bits of
+        ``inverse_branch(i, y[k:k+1])``, and a scalar y gives a 0-d array.
 
         Raises OutsideImageError when some y is NaN or lies outside the
         closed image of branch i by more than 1e-12 times the element width,
@@ -286,20 +290,18 @@ class MarkovSystem:
         it returns the element end.  The root is written into ``out`` when
         it is given, an array shaped like y that does not overlap it, and
         returned.
-        For an affine branch (``Piece.slope``) the first Newton step from
-        the midpoint is the root up to rounding; it is kept when it passes
-        the bracket and residual tests that Newton applies to it, and Newton
-        runs from the midpoint otherwise.
 
-        A nonlinear branch starts Newton from a tabulated inverse
+        An affine branch (``Piece.slope``) starts from one Newton step from
+        the midpoint, clipped to the element: the step lands on the root's
+        side of the midpoint, so only rounding can take it out.
+        A nonlinear branch starts from a tabulated inverse
         (``_tabulated_inverse``): a cubic Hermite interpolant of h_i on
         _INVERSE_NODES equally spaced points of its image, clipped to the
         element.  On a branch whose inverse has four bounded derivatives
         the start is within spacing^4 sup |h_i^(4)| / 384 of the root, below
-        rounding on NL-DOUBLING, so the first residual test passes and a
-        solve costs one evaluation of T_i.  Where the start misses the
-        tolerance (a branch that is only C^{1+alpha}, say), Newton runs on
-        from it.
+        rounding on NL-DOUBLING, so the residual test passes and a solve
+        costs one evaluation of T_i.  Where the start misses the tolerance
+        (a branch that is only C^{1+alpha}, say), Newton runs on from it.
         """
         a, b = self.element_interval(i)
         y = np.asarray(y, dtype=float)
@@ -314,37 +316,21 @@ class MarkovSystem:
             if y_lo < lo_img or y_hi > hi_img:
                 # no z in the element may meet the residual test out there
                 y = np.clip(y, lo_img, hi_img)
-        mid = 0.5 * (a + b)
+        z = np.empty(y.shape) if out is None else out
         T = self.T[i]
         if T.slope:
-            z = np.empty(y.shape) if out is None else out
             np.subtract(self._inverse_starts[i], y, out=z)
             z /= T.slope
-            np.subtract(mid, z, out=z)
-            if not z.size:
-                return z
-            # the step lands on the side of mid that holds the root, so
-            # Newton's bracket test reduces to staying inside the element;
-            # NaN fails both tests
-            if z.min() >= a and z.max() <= b:
-                res = np.subtract(T.value(x=z), y)
-                if np.abs(res, out=res).max() < 1e-13:
-                    return z
-                del res
-            del z  # Newton's arrays need not sit beside the rejected step
-            start = np.full(y.shape, mid)
+            np.subtract(0.5 * (a + b), z, out=z)
+            np.clip(z, a, b, out=z)
         else:
-            start = self._tabulated_inverse(i, y)
-        z = self._newton(i, y, start)
-        if out is None:
-            return z
-        out[...] = z
-        return out
+            self._tabulated_inverse(i, y, z)
+        return self._newton(i, y, z)
 
-    def _tabulated_inverse(self, i: int, y):
+    def _tabulated_inverse(self, i: int, y, out):
         """Cubic Hermite interpolant at y of h_i on _INVERSE_NODES equally
         spaced points y_k of the image, with y clipped to the table's ends
-        and the result clipped to the element.
+        and the result clipped to the element, written into ``out``.
 
         The table, built on the first call, is (values, slopes, c2, c3):
         z_k = h_i(y_k) (Newton from the midpoint, then one more step to
@@ -376,26 +362,37 @@ class MarkovSystem:
         for c in (c2, slopes, values):
             z *= s
             z += c[j]
-        return np.clip(z, a, b)
+        return np.clip(z, a, b, out=out)
 
     def _newton(self, i: int, y, z):
-        """Safeguarded Newton for T_i = y on element i, started at z; a start
-        that meets the tolerance costs one evaluation of T_i and nothing
-        else."""
-        a, b = self.element_interval(i)
-        lo, hi = a, b  # the bracket; the first step makes it arrays
+        """Safeguarded Newton for T_i = y on element i, started at the array
+        z (inside the element) and written into it.  Each point stops at its
+        first |residual| below 1e-13, so its root depends on its own y and
+        start alone; a start that meets the tolerance costs one evaluation
+        of T_i and nothing else."""
         T = self.T[i]
+        f = T.value(x=z) - y
+        # NaN fails the test, so it stays in Newton until the refusal
+        k = np.flatnonzero(~(np.abs(f) < 1e-13))
+        if not k.size:
+            return z
+        y, x, f = np.ravel(y)[k], np.ravel(z)[k], np.ravel(f)[k]
+        # the brackets, which hold every iterate
+        lo, hi = (np.full(k.shape, e) for e in self.element_interval(i))
         sign = 1.0 if self.increasing[i] else -1.0
         for _ in range(200):
-            f = T.value(x=z) - y
-            if np.all(np.abs(f) < 1e-13):
-                return np.clip(z, a, b)
             fs = f * sign
-            lo = np.where(fs <= 0, z, lo)
-            hi = np.where(fs > 0, z, hi)
-            zn = z - f / T.deriv(x=z)
-            zn = np.where((zn < lo) | (zn > hi), 0.5 * (lo + hi), zn)
-            z = zn
+            lo = np.where(fs <= 0, x, lo)
+            hi = np.where(fs > 0, x, hi)
+            xn = x - f / T.deriv(x=x)
+            x = np.where((xn < lo) | (xn > hi), 0.5 * (lo + hi), xn)
+            f = T.value(x=x) - y
+            done = np.abs(f) < 1e-13
+            z.flat[k[done]] = x[done]
+            if done.all():
+                return z
+            go = ~done
+            k, y, x, f, lo, hi = k[go], y[go], x[go], f[go], lo[go], hi[go]
         raise NoConvergenceError(
             f"inverse of branch {i}: Newton residual {float(np.max(np.abs(f)))!r}"
             " after 200 steps")

@@ -5,12 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import gibbsflow.system as system
 from gibbsflow.gibbs import _mass_tables
 from gibbsflow.operator import node_grid
 from gibbsflow.presets import PRESETS
-from gibbsflow.system import (OutsideImageError, Pullback, _suffix_tree,
-                              branch_chain, pullback, pullbacks,
+from gibbsflow.system import (branch_chain, pullback, pullbacks,
                               system_from_config, word_array)
 
 # T(x) = 2x + 0.12 sin(2 pi x) mod 1: Markov on {0, 1/2, 1} with nonlinear
@@ -223,121 +221,6 @@ def psi(sys, w1, w2) -> PsiFunction:
     a1, b1 = sys.image_interval(w1[-1])
     a2, b2 = sys.image_interval(w2[-1])
     return PsiFunction(sys, tuple(w1), tuple(w2), (max(a1, a2), min(b1, b2)))
-
-
-def rounds_out_at_an_image_end(sys, i: int) -> bool:
-    """Whether affine branch i's one-step inverse at an end of its image
-    leaves element i, so that a batched solve holding that end falls back
-    to Newton from the midpoint (SYS-C's branch 1 at 1/3)."""
-    T = sys.T[i]
-    a, b = sys.element_interval(i)
-    y = np.array(sys.image_interval(i))
-    mid = 0.5 * (a + b)
-    z = mid - (float(T.value(x=mid)) - y) / T.slope
-    return bool(np.any((z < a) | (z > b)))
-
-
-# -- the pullback engine before it wrote each depth in place ------------------
-
-
-def inverse_branch_oracle(sys, i: int, y):
-    """``MarkovSystem.inverse_branch`` as it was before its checks ran in
-    place, copied verbatim bar ``self``."""
-    a, b = sys.element_interval(i)
-    y = np.asarray(y, dtype=float)
-    lo_img, hi_img = sys.image_interval(i)
-    slack = 1e-12 * (b - a)
-    if y.size:
-        y_lo, y_hi = y.min(), y.max()
-        # written so that NaN, which fails every comparison, fails it
-        if not (y_lo >= lo_img - slack and y_hi <= hi_img + slack):
-            raise OutsideImageError(
-                f"points outside the image [{lo_img}, {hi_img}] of branch {i}")
-        if y_lo < lo_img or y_hi > hi_img:
-            # no z in the element may meet the residual test out there
-            y = np.clip(y, lo_img, hi_img)
-    mid = 0.5 * (a + b)
-    T = sys.T[i]
-    if T.slope:
-        z = mid - (sys._inverse_starts[i] - y) / T.slope
-        # the step lands on the side of mid that holds the root, so
-        # Newton's bracket test reduces to staying inside the element
-        if (np.all((z >= a) & (z <= b))
-                and np.all(np.abs(T.value(x=z) - y) < 1e-13)):
-            return z
-        del z  # Newton's arrays need not sit beside the rejected step
-        return sys._newton(i, y, np.full(y.shape, mid))
-    return sys._newton(i, y, sys._tabulated_inverse(i, y))
-
-
-def prepend_oracle(sys, i: int, prev: dict, rows, need: set, k: int,
-                   eig, fy) -> dict:
-    """Depth-k fields of the words i + w from the depth-(k-1) rows of w
-    (``pullbacks_oracle``'s step)."""
-    z = inverse_branch_oracle(sys, i, prev["x"][rows])
-    out = {"x": z}
-    if "dTn" in need:
-        out["dTn"] = sys.T[i].deriv(x=z) * prev["dTn"][rows]
-    if "DSnr_h" in need:
-        out["DSnr_h"] = sys.r[i].deriv(x=z) / out["dTn"] + prev["DSnr_h"][rows]
-    r = None
-    if "lw" in need:
-        g, r = sys.log_weight(i, eig.sigma, z)
-        out["lw"] = g + prev["lw"][rows]
-    if "Snr" in need:
-        out["Snr"] = (sys.r[i].value(x=z) if r is None else r) + prev["Snr"][rows]
-    if "Snphi" in need:
-        out["Snphi"] = sys.phi[i].value(x=z) + prev["Snphi"][rows]
-    if "J" in need:
-        out["J"] = (eig.lam ** (-k) * np.exp(out["lw"])
-                    * eig.f.eval(z).real / fy)
-    return out
-
-
-def pullbacks_oracle(sys, words, ys, fields, eig, every_depth: bool):
-    """``system.pullbacks`` as it was before it wrote each depth in place,
-    with ``prepend_oracle`` and ``inverse_branch_oracle`` as its steps:
-    copied verbatim bar the names.  It reads ``system._BLOCK`` as the
-    engine does, so both split a depth into the same blocks: an affine
-    step rejected at one point sends its whole block through Newton, which
-    moves the other points' last bits, so a block's bits depend on what
-    else it holds."""
-    words = np.asarray(words, dtype=np.intp)
-    ys = np.asarray(ys, dtype=float)
-    n = words.shape[1]
-    if n < 1:
-        raise ValueError("depth must be >= 1")
-    levels = _suffix_tree(words)
-    want = set(fields)
-    need = want | {"x"}
-    if "DSnr_h" in need:
-        need.add("dTn")
-    fy = None
-    if "J" in need:
-        need.add("lw")
-        fy = eig.f.eval(ys).real
-    P = len(ys)
-    # depth 0: the empty word, h = identity
-    state = {f: np.full((1, P), 1.0 if f == "dTn" else 0.0) for f in need}
-    state["x"] = ys[None, :]
-    step = max(1, system._BLOCK // max(P, 1))
-    for k, (sym, parent, first) in enumerate(levels, start=1):
-        yields = every_depth or k == n
-        step_need = need if yields else need - {"J"}
-        keep = step_need if k < n else want
-        new = {f: np.empty((len(sym), P)) for f in keep}
-        bounds = np.searchsorted(sym, np.arange(sys.m + 1))
-        for i in range(sys.m):
-            for a in range(bounds[i], bounds[i + 1], step):
-                rows = slice(a, min(a + step, bounds[i + 1]))
-                block = prepend_oracle(sys, i, state, parent[rows], step_need,
-                                       k, eig, fy)
-                for f in keep:
-                    new[f][rows] = block[f]
-        state = new
-        if yields:
-            yield Pullback(words[first, n - k:],
-                           **{f: state[f] for f in want})
 
 
 # -- the per-symbol engine loops, as each caller kept its own -----------------

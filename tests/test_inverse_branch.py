@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import (NL_DOUBLING, inverse_branch_oracle, preset_config,
-                      rounds_out_at_an_image_end)
+from conftest import NL_DOUBLING, preset_config
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.system import OutsideImageError, system_from_config
 
@@ -25,21 +24,32 @@ NONLINEAR = [(NL_DOUBLING, 0), (NL_DOUBLING, 1), (DECREASING, 0)]
 
 
 def _midpoint_newton(sys, i, y):
-    """The safeguarded Newton of inverse_branch, started at the midpoint."""
+    """The safeguarded Newton of inverse_branch, started at the midpoint and
+    run on each point of y on its own."""
     a, b = sys.element_interval(i)
     T, dT = sys.T[i].value, sys.T[i].deriv
     sign = 1.0 if sys.increasing[i] else -1.0
-    lo, hi = np.full(y.shape, a), np.full(y.shape, b)
-    z = np.full(y.shape, 0.5 * (a + b))
-    for _ in range(200):
-        f = T(x=z) - y
-        if np.all(np.abs(f) < 1e-13):
-            return np.clip(z, a, b)
-        lo = np.where(f * sign <= 0, z, lo)
-        hi = np.where(f * sign > 0, z, hi)
-        zn = z - f / dT(x=z)
-        z = np.where((zn < lo) | (zn > hi), 0.5 * (lo + hi), zn)
-    raise AssertionError("reference Newton did not converge")
+    out = np.empty(y.shape)
+    for k, yk in enumerate(y):
+        lo, hi, z = a, b, 0.5 * (a + b)
+        for _ in range(200):
+            f = T(x=np.array([z]))[0] - yk
+            if abs(f) < 1e-13:
+                break
+            lo, hi = (z, hi) if f * sign <= 0 else (lo, z)
+            zn = z - f / dT(x=np.array([z]))[0]
+            z = 0.5 * (lo + hi) if zn < lo or zn > hi else zn
+        else:
+            raise AssertionError("reference Newton did not converge")
+        out[k] = min(max(z, a), b)
+    return out
+
+
+def _one_step_further(sys, i, z, y):
+    """One more Newton step for T_i = y from z, clipped to the element."""
+    T = sys.T[i]
+    return np.clip(z - (T.value(x=z) - y) / T.deriv(x=z),
+                   *sys.element_interval(i))
 
 
 def _test_points(sys, i):
@@ -62,18 +72,19 @@ def test_seeded_solve_matches_midpoint_newton(cfg, i):
     a, b = sys.element_interval(i)
     assert np.all((z >= a) & (z <= b))
     assert np.max(np.abs(sys.T[i].value(x=z) - y)) < 1e-13
-    # outside the image there is no root to agree on, only the tolerance
+    # outside the image there is no root to agree on, only the tolerance;
+    # the midpoint start stops at the tolerance, one step short of rounding
     inside = y[:-2]
-    assert np.max(np.abs(z[:-2] - _midpoint_newton(sys, i, inside))) <= 1e-15
+    assert np.max(np.abs(z[:-2] - _one_step_further(
+        sys, i, _midpoint_newton(sys, i, inside), inside))) <= 1e-15
     # the table's values are the midpoint-start Newton at its nodes, one
     # step further, and its slopes H / T' there, H the node spacing
     values, slopes = sys._inverse_starts[i][:2]
     lo, hi = sys.image_interval(i)
     nodes = np.linspace(lo, hi, len(values))
-    start = _midpoint_newton(sys, i, nodes)
+    assert np.array_equal(values, _one_step_further(
+        sys, i, _midpoint_newton(sys, i, nodes), nodes))
     T = sys.T[i]
-    step = (T.value(x=start) - nodes) / T.deriv(x=start)
-    assert np.array_equal(values, np.clip(start - step, a, b))
     H = (hi - lo) / (len(values) - 1)
     assert np.array_equal(slopes, H / T.deriv(x=values))
 
@@ -105,10 +116,12 @@ def test_affine_presets_keep_the_one_step_inverse(name):
         expect = 0.5 * (a + b) - (t_mid - y) / T.slope
         assert np.array_equal(sys.inverse_branch(i, y), expect)
         # at an image end the step may round out of the element (SYS-C,
-        # branch 1, at 1/3); Newton from the midpoint then takes over
+        # branch 1, at 1/3); the clip puts it on the element end, which
+        # meets the tolerance, so no end needs Newton
         ends = np.array([lo, hi])
         z = sys.inverse_branch(i, ends)
-        assert np.all((z >= a) & (z <= b))
+        t_ends = np.clip(0.5 * (a + b) - (t_mid - ends) / T.slope, a, b)
+        assert np.array_equal(z, t_ends)
         assert np.max(np.abs(T.value(x=z) - ends)) < 1e-13
     # the start kept is T at the midpoint: no Hermite table is built
     assert sys._inverse_starts == [
@@ -197,22 +210,56 @@ def test_seeded_solve_agrees_with_bisection(s, k, frac, sign, increasing,
     assert np.max(np.abs(z - _bisect(sys, y))) <= 1e-13 / lam
 
 
-# -- the root written into a given array, against the checks as they were -----
+# -- each point on its own -------------------------------------------------------
+
+
+def _system(name):
+    return (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
+            else make_preset(name))
+
+
+def _one_at_a_time(sys, i, y):
+    """The roots of y, each solved in a call of its own."""
+    return np.array([sys.inverse_branch(i, y[k:k + 1])[0]
+                     for k in range(len(y))])
+
+
+@pytest.mark.parametrize("name", preset_names() + ["NL-DOUBLING"])
+def test_a_root_does_not_depend_on_its_batch(name):
+    # an image end whose step rounds out of the element (SYS-C's branch 1
+    # at 1/3) and points that need Newton leave every other root as it is
+    sys = _system(name)
+    for i in range(sys.m):
+        lo, hi = sys.image_interval(i)
+        y = np.concatenate([np.linspace(lo, hi, 257), _test_points(sys, i)[-8:],
+                            lo + (hi - lo) * np.random.default_rng(i).random(500)])
+        assert sys.inverse_branch(i, y).tobytes() == \
+            _one_at_a_time(sys, i, y).tobytes()
+
+
+@pytest.mark.parametrize("name", preset_names() + ["NL-DOUBLING"])
+def test_a_scalar_is_solved_as_a_one_point_array(name):
+    sys = _system(name)
+    for i in range(sys.m):
+        lo, hi = sys.image_interval(i)
+        for y in (lo, hi, lo + 0.3 * (hi - lo), 1.0 / 3.0, 0.3):
+            if not lo <= y <= hi:
+                continue
+            z = sys.inverse_branch(i, y)
+            assert np.shape(z) == ()
+            assert np.asarray(z).tobytes() == \
+                sys.inverse_branch(i, np.array([y])).tobytes()
 
 
 @pytest.mark.parametrize("name,i", [("SYS-C", 0), ("SYS-C", 1),
                                     ("NL-DOUBLING", 1)])
 def test_root_written_into_out_keeps_the_bits(name, i):
-    # one case per path: SYS-C's branch 0 keeps the affine step; branch 1's
+    # one case per start: SYS-C's branch 0 keeps the affine step; branch 1's
     # step rounds out of its element at its image ends, which the points
-    # hold, so Newton runs from the midpoint; NL-DOUBLING starts Newton from
-    # its table
-    sys = (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
-           else make_preset(name))
+    # hold, and is clipped; NL-DOUBLING starts from its table
+    sys = _system(name)
     y = _test_points(sys, i)
-    assert (sys.T[i].slope is None
-            or rounds_out_at_an_image_end(sys, i) == (i == 1))
-    want = inverse_branch_oracle(sys, i, y)
+    want = _one_at_a_time(sys, i, y)
     out = np.full(y.shape, np.nan)
     got = sys.inverse_branch(i, y, out=out)
     assert got is out
@@ -234,6 +281,5 @@ def test_out_leaves_the_image_check_as_it_was(cfg):
         for out in (None, np.empty(y.shape)):
             with pytest.raises(OutsideImageError) as err:
                 sys.inverse_branch(0, y, out=out)
-            with pytest.raises(OutsideImageError) as was:
-                inverse_branch_oracle(sys, 0, y)
-            assert str(err.value) == str(was.value)
+            assert str(err.value) == \
+                f"points outside the image [{lo}, {hi}] of branch 0"
