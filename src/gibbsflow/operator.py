@@ -292,7 +292,8 @@ def _power_iteration(M: sp.csr_matrix):
     maxit = 100_000
     for it in range(1, maxit + 1):
         w = M @ v
-        lam = float(w @ v) / float(v @ v)
+        # numpy's sums, not BLAS ddot, whose sum the BLAS threads split
+        lam = float((w * v).sum()) / float((v * v).sum())
         resid = np.max(np.abs(w - lam * v))
         nrm = np.max(np.abs(w))
         v = w / nrm
@@ -303,14 +304,15 @@ def _power_iteration(M: sp.csr_matrix):
 
 def eigendata(sys: MarkovSystem, sigma: float, N: int) -> EigenData:
     """Leading eigendata of P_sigma by two-sided power iteration, each side
-    to a residual of 1e-12 |lam| within 100,000 steps."""
+    to a residual of 1e-12 |lam| within 100,000 steps; every sum is numpy's,
+    so the bits do not depend on the number of BLAS threads."""
     M = transfer_matrix(sys, float(sigma), N)
     lam, f, it1 = _power_iteration(M)
     _, nu, it2 = _power_iteration(M.T.tocsr())
     f = np.abs(f)
     nu = np.abs(nu)
     nu = nu / nu.sum()
-    f = f / float(nu @ f)
+    f = f / float((nu * f).sum())
     mu = nu * f
     mu = mu / mu.sum()
     fgrid = GridFunction(sys, f.reshape(sys.m, N))

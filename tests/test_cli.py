@@ -813,6 +813,29 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
+def test_eigen_does_not_depend_on_the_blas_threads(tmp_path):
+    # BLAS ddot splits its sum across threads: SYS-C's lambda at N = 4096
+    # read 2.246979603717633 on one OpenBLAS thread and 2.2469796037176315
+    # on two while eigendata summed by it
+    p = write_cfg(tmp_path / "c.json", {"preset": "SYS-C",
+                                        "experiment": "eigen",
+                                        "params": {"N": 4096}})
+    src = str(Path(gibbsflow.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                  "MKL_NUM_THREADS"), threads))
+        outs.append(tmp_path / f"out-{threads}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gibbsflow.cli", "eigen", "--config", p,
+             "--out", str(outs[-1])], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("eigen.json", "f.npy"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_unknown_experiment_rejected(tmp_path):
     p = write_cfg(tmp_path / "c.json",
                   {"preset": "SYS-A", "experiment": "frobnicate"})
