@@ -30,11 +30,11 @@ A config is refused with ``ConfigError`` (exit 1), naming the JSON pointer
 of the offending value, before a system is built or any work starts, when
 it has an unknown key or parameter, an experiment other than the one on the
 command line, a number that is not finite, outside its bounds or (for an
-integer) fractional, a seed that is not an integer >= 0, or a ``system``
-block with a key missing or unknown, a value of the wrong type or a
-per-element list of the wrong length.  A bound that depends on the system
-(``uni``'s word pairs, ``correlate``'s 53-bit ``t_max`` cap) is checked by
-the handler before its eigendata.
+integer) fractional, an expression that does not parse, a seed that is not
+an integer >= 0, or a ``system`` block with a key missing or unknown, a
+value of the wrong type or a per-element list of the wrong length.  A
+bound that depends on the system (``uni``'s word pairs, ``correlate``'s
+53-bit ``t_max`` cap) is checked by the handler before its eigendata.
 
 Exit codes: 0 success, 1 operational error, 2 a numerically audited
 inequality failed beyond tolerance.  GIBBSFLOW_SEED overrides the seed.
@@ -57,6 +57,7 @@ import numpy as np
 
 from . import __version__
 from .dolgopyat import cone_iteration, l1_contraction, norm_contraction_sweep
+from .expr import ParseError, parse
 from .flow import BATCHES, correlation
 from .gibbs import adapted_partition, gibbs_audit
 from .operator import eigendata
@@ -91,8 +92,8 @@ class _Param:
     """One experiment parameter: its kind, its default and the bounds a
     value must lie in.  Kinds: "int" (an integer, written as an integral
     float or not), "float", "floats" (a nonempty list of floats, each in the
-    bounds) and "expr" (an expression string).  Every number must be finite.
-    A default of None leaves the value to the experiment."""
+    bounds) and "expr" (an expression string in x and u).  Every number
+    must be finite.  A default of None leaves the value to the experiment."""
     kind: str
     default: object
     low: float = -math.inf
@@ -102,10 +103,7 @@ class _Param:
     def value(self, name: str, raw, pointer: str):
         """``raw`` as this kind, or ConfigError at ``pointer``."""
         if self.kind == "expr":
-            if not isinstance(raw, str):
-                raise ConfigError(f"{name} must be an expression string",
-                                  pointer)
-            return raw
+            return _expression(name, raw, pointer, ("x", "u"))
         if self.kind == "floats":
             if not isinstance(raw, list) or not raw:
                 raise ConfigError(f"{name} must be a nonempty list", pointer)
@@ -135,6 +133,18 @@ class _Param:
         return int(raw)
 
 
+def _expression(name: str, raw, pointer: str, variables: tuple) -> str:
+    """``raw`` if it is an expression string that parses in ``variables``,
+    or ConfigError at ``pointer``."""
+    if not isinstance(raw, str):
+        raise ConfigError(f"{name} must be an expression string", pointer)
+    try:
+        parse(raw, variables)
+    except ParseError as e:
+        raise ConfigError(f"{name} {raw!r}: {e}", pointer) from None
+    return raw
+
+
 def _positive(default):
     return _Param("float", default, 0, above_low=True)
 
@@ -146,17 +156,16 @@ _SEED = _Param("int", 0, 0)
 # the values of a system block (see ``system.system_from_config``)
 _NUMBER = _Param("float", None)
 _INDEX = _Param("int", None)
-_EXPR = _Param("expr", None)
 _ALPHA = _Param("float", 1.0, 0, 1, above_low=True)
 
 
 def _check_system(block) -> None:
     """Refuse with ConfigError, at /system/<key>, a system block that is not
     in the layout of ``system_from_config``: a key missing or unknown, a
-    value of the wrong type, or a per-element list whose length is not the
-    number of elements.  What the layout admits but the map does not
-    (breakpoints out of order, an image out of range) is refused when the
-    system is built."""
+    value of the wrong type, an expression that does not parse in x, or a
+    per-element list whose length is not the number of elements.  What the
+    layout admits but the map does not (breakpoints out of order, an image
+    out of range) is refused when the system is built."""
     if not isinstance(block, dict):
         raise ConfigError("system must be an object", "/system")
     for key in block:
@@ -181,7 +190,7 @@ def _check_system(block) -> None:
         if not isinstance(branch, dict) or set(branch) != {"expr", "image"}:
             raise ConfigError('a branch must be an object with keys "expr" '
                               'and "image"', pointer)
-        _EXPR.value("expr", branch["expr"], pointer + "/expr")
+        _expression("expr", branch["expr"], pointer + "/expr", ("x",))
         image = branch["image"]
         if not isinstance(image, list) or len(image) != 2:
             raise ConfigError("image must be a list of two element indices",
@@ -190,7 +199,7 @@ def _check_system(block) -> None:
             _INDEX.value("image entry", e, f"{pointer}/image/{j}")
     for key in ("roof", "potential"):
         for k, e in enumerate(block[key]):
-            _EXPR.value(f"{key} entry", e, f"/system/{key}/{k}")
+            _expression(f"{key} entry", e, f"/system/{key}/{k}", ("x",))
     if "alpha" in block:
         _ALPHA.value("alpha", block["alpha"], "/system/alpha")
 

@@ -394,6 +394,16 @@ MALFORMED_SYSTEMS = {
         "/system/branches/0/image"),
     "roof entry a number": (
         _malformed(lambda b: b["roof"].__setitem__(0, 1)), "/system/roof/0"),
+    "roof entry unbalanced": (
+        _malformed(lambda b: b["roof"].__setitem__(0, "(2+cos(2*pi*x)/3")),
+        "/system/roof/0"),
+    "expr unbalanced": (
+        _malformed(lambda b: b["branches"][1].update(expr="2*x-1)")),
+        "/system/branches/1/expr"),
+    # u is a variable of the flow's observables, not of the map
+    "potential entry in u": (
+        _malformed(lambda b: b["potential"].__setitem__(1, "u")),
+        "/system/potential/1"),
     "alpha NaN": (_malformed(lambda b: b.update(alpha=float("nan"))),
                   "/system/alpha"),
     "alpha zero": (_malformed(lambda b: b.update(alpha=0)), "/system/alpha"),
@@ -413,6 +423,16 @@ def test_malformed_system_block_refused_before_any_work(tmp_path, monkeypatch,
     block, pointer = MALFORMED_SYSTEMS[case]
     _refused_before_any_work(tmp_path, monkeypatch, capsys, "validate", {},
                              pointer, WORK, system=block)
+
+
+@pytest.mark.parametrize("name,text", [("v", "cos(2*pi*u"),
+                                       ("w", "x+y"), ("v", "2**x")])
+def test_malformed_observable_refused_before_any_work(tmp_path, monkeypatch,
+                                                      capsys, name, text):
+    # it was parsed only by the flow's sampler, after the eigendata, and
+    # exited 1 with "ParseError: expected ')' at offset 11", no pointer
+    _refused_before_any_work(tmp_path, monkeypatch, capsys, "correlate",
+                             {name: text}, f"/params/{name}", WORK)
 
 
 def test_well_formed_system_blocks_admitted(tmp_path):
