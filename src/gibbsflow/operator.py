@@ -287,12 +287,11 @@ class EigenData:
 
 
 def _power_iteration(M: sp.csr_matrix):
-    n = M.shape[0]
-    v = np.ones(n)
+    v = np.ones(M.shape[0])
     maxit = 100_000
     for it in range(1, maxit + 1):
         w = M @ v
-        # numpy's sums, not BLAS ddot, whose sum the BLAS threads split
+        # numpy's sums: BLAS ddot's depend on the number of BLAS threads
         lam = float((w * v).sum()) / float((v * v).sum())
         resid = np.max(np.abs(w - lam * v))
         nrm = np.max(np.abs(w))
@@ -304,8 +303,7 @@ def _power_iteration(M: sp.csr_matrix):
 
 def eigendata(sys: MarkovSystem, sigma: float, N: int) -> EigenData:
     """Leading eigendata of P_sigma by two-sided power iteration, each side
-    to a residual of 1e-12 |lam| within 100,000 steps; every sum is numpy's,
-    so the bits do not depend on the number of BLAS threads."""
+    to a residual of 1e-12 |lam| within 100,000 steps."""
     M = transfer_matrix(sys, float(sigma), N)
     lam, f, it1 = _power_iteration(M)
     _, nu, it2 = _power_iteration(M.T.tocsr())

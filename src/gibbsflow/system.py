@@ -199,8 +199,7 @@ class MarkovSystem:
         self.increasing = np.array(
             [float(self.T[i].deriv(x=mids[i])) > 0 for i in range(self.m)])
         # per branch, what starts its inverse: T_i at the midpoint if it is
-        # affine; else the cubic Hermite table of h_i on _INVERSE_NODES points
-        # of its image (``_tabulated_inverse``), built by its first call
+        # affine, else the Hermite table ``_tabulated_inverse`` builds
         self._inverse_starts: list[float | tuple | None] = [
             float(T.value(x=mid)) if T.slope else None
             for T, mid in zip(self.T, mids)]
@@ -294,14 +293,13 @@ class MarkovSystem:
         An affine branch (``Piece.slope``) starts from one Newton step from
         the midpoint, clipped to the element: the step lands on the root's
         side of the midpoint, so only rounding can take it out.
-        A nonlinear branch starts from a tabulated inverse
-        (``_tabulated_inverse``): a cubic Hermite interpolant of h_i on
-        _INVERSE_NODES equally spaced points of its image, clipped to the
-        element.  On a branch whose inverse has four bounded derivatives
+
+        A nonlinear branch starts from its Hermite table
+        (``_tabulated_inverse``).  Where h_i has four bounded derivatives
         the start is within spacing^4 sup |h_i^(4)| / 384 of the root, below
-        rounding on NL-DOUBLING, so the residual test passes and a solve
-        costs one evaluation of T_i.  Where the start misses the tolerance
-        (a branch that is only C^{1+alpha}, say), Newton runs on from it.
+        rounding on NL-DOUBLING, so a solve costs one evaluation of T_i;
+        where it misses the tolerance (a branch that is only C^{1+alpha},
+        say), Newton runs on from it.
         """
         a, b = self.element_interval(i)
         y = np.asarray(y, dtype=float)
@@ -377,8 +375,7 @@ class MarkovSystem:
         if not k.size:
             return z
         y, x, f = np.ravel(y)[k], np.ravel(z)[k], np.ravel(f)[k]
-        # the brackets, which hold every iterate
-        lo, hi = (np.full(k.shape, e) for e in self.element_interval(i))
+        lo, hi = self.element_interval(i)  # the brackets hold every iterate
         sign = 1.0 if self.increasing[i] else -1.0
         for _ in range(200):
             fs = f * sign
@@ -391,8 +388,7 @@ class MarkovSystem:
             z.flat[k[done]] = x[done]
             if done.all():
                 return z
-            go = ~done
-            k, y, x, f, lo, hi = k[go], y[go], x[go], f[go], lo[go], hi[go]
+            k, y, x, f, lo, hi = (v[~done] for v in (k, y, x, f, lo, hi))
         raise NoConvergenceError(
             f"inverse of branch {i}: Newton residual {float(np.max(np.abs(f)))!r}"
             " after 200 steps")
