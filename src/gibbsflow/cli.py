@@ -134,8 +134,7 @@ class _Param:
 
 
 def _expression(name: str, raw, pointer: str, variables: tuple) -> str:
-    """``raw`` if it is an expression string that parses in ``variables``,
-    or ConfigError at ``pointer``."""
+    """``raw`` if it is an expression in ``variables``, else ConfigError."""
     if not isinstance(raw, str):
         raise ConfigError(f"{name} must be an expression string", pointer)
     try:

@@ -370,10 +370,11 @@ class MarkovSystem:
         of T_i and nothing else."""
         T = self.T[i]
         f = T.value(x=z) - y
+        r = np.abs(f)
         # NaN fails the test, so it stays in Newton until the refusal
-        k = np.flatnonzero(~(np.abs(f) < 1e-13))
-        if not k.size:
+        if r.max(initial=0.0) < 1e-13:
             return z
+        k = np.flatnonzero(~(r < 1e-13))
         y, x, f = np.ravel(y)[k], np.ravel(z)[k], np.ravel(f)[k]
         lo, hi = self.element_interval(i)  # the brackets hold every iterate
         sign = 1.0 if self.increasing[i] else -1.0
