@@ -484,10 +484,17 @@ def test_pullback_engine_keeps_the_bits_of_the_old_engine(name, block,
             ws = words[words[:, -1] == s]
             if not len(ws):
                 continue
-            got = list(pullbacks(sys, ws, _points(sys, s), fields, eig,
-                                 every_depth))
+            ys = _points(sys, s)
+            got = list(pullbacks(sys, ws, ys, fields, eig, every_depth))
             assert len(got) == (ws.shape[1] if every_depth else 1)
             for level in got:
+                if sigma == 0.0:
+                    # the log weight is then S_k phi, so J has the bits of
+                    # the plain expression lam^-k exp(lw) f(x) / f(y)
+                    plain = (eig.lam ** (-level.words.shape[1])
+                             * np.exp(level.Snphi) * eig.f.eval(level.x).real
+                             / eig.f.eval(ys).real)
+                    assert plain.tobytes() == level.J.tobytes()
                 for r, w in enumerate(level.words.tolist()):
                     for b in range(3):
                         want = ref[tuple(w), b]
