@@ -818,18 +818,21 @@ def test_config_that_is_not_utf8_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def _run_child(*args, **env):
+    """``python -m gibbsflow.cli *args`` in a child process, with ``env``
+    added to its environment; the child imports the same gibbsflow as this
+    process, however pytest put it on the path."""
+    src = str(Path(gibbsflow.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "gibbsflow.cli", *args], capture_output=True,
+        text=True, env=dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))))
+
+
 def test_console_script_entry_point(tmp_path):
     p = write_cfg(tmp_path / "c.json",
                   {"preset": "SYS-A", "experiment": "validate"})
-    # the child imports the same gibbsflow as this process, however pytest
-    # put it on the path
-    src = str(Path(gibbsflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gibbsflow.cli", "validate", "--config", p,
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env)
+    proc = _run_child("validate", "--config", p, "--out", str(tmp_path / "o"))
     assert proc.returncode == 0
 
 
@@ -840,20 +843,14 @@ def test_eigen_does_not_depend_on_the_blas_threads(tmp_path):
     p = write_cfg(tmp_path / "c.json", {"preset": "SYS-C",
                                         "experiment": "eigen",
                                         "params": {"N": 4096}})
-    src = str(Path(gibbsflow.__file__).resolve().parents[1])
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                                  "MKL_NUM_THREADS"), threads))
-        outs.append(tmp_path / f"out-{threads}")
-        proc = subprocess.run(
-            [sys.executable, "-m", "gibbsflow.cli", "eigen", "--config", p,
-             "--out", str(outs[-1])], capture_output=True, text=True, env=env)
+    for t in "12":
+        proc = _run_child("eigen", "--config", p, "--out", str(tmp_path / t),
+                          OMP_NUM_THREADS=t, OPENBLAS_NUM_THREADS=t,
+                          MKL_NUM_THREADS=t)
         assert proc.returncode == 0, proc.stderr
     for name in ("eigen.json", "f.npy"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes()
 
 
 def test_unknown_experiment_rejected(tmp_path):

@@ -37,24 +37,29 @@ NONLINEAR = [(NL_DOUBLING, 0), (NL_DOUBLING, 1), (DECREASING, 0)]
 
 def _midpoint_newton(sys, i, y):
     """The safeguarded Newton of inverse_branch, started at the midpoint and
-    run on each point of y on its own."""
+    applied to each point on its own: a point whose residual is below 1e-13
+    takes no further step, whatever the others do."""
     a, b = sys.element_interval(i)
     T, dT = sys.T[i].value, sys.T[i].deriv
     sign = 1.0 if sys.increasing[i] else -1.0
-    out = np.empty(y.shape)
-    for k, yk in enumerate(y):
-        lo, hi, z = a, b, 0.5 * (a + b)
-        for _ in range(200):
-            f = T(x=np.array([z]))[0] - yk
-            if abs(f) < 1e-13:
-                break
-            lo, hi = (z, hi) if f * sign <= 0 else (lo, z)
-            zn = z - f / dT(x=np.array([z]))[0]
-            z = 0.5 * (lo + hi) if zn < lo or zn > hi else zn
-        else:
-            raise AssertionError("reference Newton did not converge")
-        out[k] = min(max(z, a), b)
-    return out
+    lo, hi = np.full(y.shape, a), np.full(y.shape, b)
+    z = np.full(y.shape, 0.5 * (a + b))
+    for _ in range(200):
+        f = T(x=z) - y
+        go = ~(np.abs(f) < 1e-13)
+        if not go.any():
+            return np.clip(z, a, b)
+        lo = np.where(go & (f * sign <= 0), z, lo)
+        hi = np.where(go & (f * sign > 0), z, hi)
+        zn = z - f / dT(x=z)
+        z = np.where(go, np.where((zn < lo) | (zn > hi), 0.5 * (lo + hi), zn),
+                     z)
+    raise AssertionError("reference Newton did not converge")
+
+
+def _each(solve, y):
+    """``solve`` applied to each point of y on its own."""
+    return np.concatenate([solve(y[k:k + 1]) for k in range(len(y))])
 
 
 def _one_step_further(sys, i, z, y):
@@ -231,40 +236,24 @@ def _system(name):
             else make_preset(name))
 
 
-def _one_at_a_time(sys, i, y):
-    """The roots of y, each solved in a call of its own."""
-    return np.array([sys.inverse_branch(i, y[k:k + 1])[0]
-                     for k in range(len(y))])
-
-
 @pytest.mark.parametrize("name",
                          preset_names() + ["NL-DOUBLING", "HOELDER"])
 def test_a_root_does_not_depend_on_its_batch(name):
     # an image end whose step rounds out of the element (SYS-C's branch 1
     # at 1/3) and points that need Newton (HOELDER's branch 0 near 0)
-    # leave every other root as it is
+    # leave every other root as it is; a scalar y is solved as [y] is
     sys = _system(name)
     for i in range(sys.m):
         lo, hi = sys.image_interval(i)
         y = np.concatenate([np.linspace(lo, hi, 257), _test_points(sys, i)[-8:],
                             lo + (hi - lo) * np.geomspace(1e-12, 1e-2, 40),
                             lo + (hi - lo) * np.random.default_rng(i).random(500)])
-        assert sys.inverse_branch(i, y).tobytes() == \
-            _one_at_a_time(sys, i, y).tobytes()
-
-
-@pytest.mark.parametrize("name", preset_names() + ["NL-DOUBLING"])
-def test_a_scalar_is_solved_as_a_one_point_array(name):
-    sys = _system(name)
-    for i in range(sys.m):
-        lo, hi = sys.image_interval(i)
-        for y in (lo, hi, lo + 0.3 * (hi - lo), 1.0 / 3.0, 0.3):
-            if not lo <= y <= hi:
-                continue
-            z = sys.inverse_branch(i, y)
-            assert np.shape(z) == ()
-            assert np.asarray(z).tobytes() == \
-                sys.inverse_branch(i, np.array([y])).tobytes()
+        z = sys.inverse_branch(i, y)
+        assert _each(lambda v: sys.inverse_branch(i, v), y).tobytes() == \
+            z.tobytes()
+        scalars = [sys.inverse_branch(i, float(v)) for v in y]
+        assert all(np.shape(r) == () for r in scalars)
+        assert np.array(scalars).tobytes() == z.tobytes()
 
 
 @pytest.mark.parametrize("name,i", [("SYS-C", 0), ("SYS-C", 1),
@@ -275,7 +264,7 @@ def test_root_written_into_out_keeps_the_bits(name, i):
     # hold, and is clipped; NL-DOUBLING starts from its table
     sys = _system(name)
     y = _test_points(sys, i)
-    want = _one_at_a_time(sys, i, y)
+    want = _each(lambda v: sys.inverse_branch(i, v), y)
     out = np.full(y.shape, np.nan)
     got = sys.inverse_branch(i, y, out=out)
     assert got is out
