@@ -435,16 +435,19 @@ def _points(sys, s):
     return lo + (hi - lo) * np.array([0.0, 0.37, 1.0])
 
 
-# {(system, sigma): {(suffix, b): {field: value}}}, filled once per system
-_ONE_AT_A_TIME = {}
+@pytest.fixture(scope="module")
+def references():
+    """``_one_at_a_time``'s references by (system, sigma), each built once
+    for all block sizes."""
+    return {}
 
 
-def _one_at_a_time(name, sys, eig, fields):
-    """The fields of every suffix of every depth-5 word at each point b of
-    ``_points``, each (word, point) pulled back by an engine run of its
-    own."""
+def _one_at_a_time(references, name, sys, eig, fields):
+    """{(suffix, b): {field: value}} over every suffix of every depth-5 word
+    and each point b of ``_points``, each (word, point) pulled back by an
+    engine run of its own."""
     key = (name, eig.sigma)
-    if key not in _ONE_AT_A_TIME:
+    if key not in references:
         ref = {}
         for w in word_array(sys, 5):
             ys = _points(sys, w[-1])
@@ -453,14 +456,15 @@ def _one_at_a_time(name, sys, eig, fields):
                                        eig, every_depth=True):
                     ref[tuple(level.words[0].tolist()), b] = {
                         f: getattr(level, f)[0, 0] for f in fields}
-        _ONE_AT_A_TIME[key] = ref
-    return _ONE_AT_A_TIME[key]
+        references[key] = ref
+    return references[key]
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 16])
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_pullback_engine_keeps_the_bits_of_the_old_engine(name, block,
                                                           nl_doubling,
+                                                          references,
                                                           monkeypatch):
     # every (word, point) of a batched run has the bytes of that (word,
     # point) pulled back on its own, whether blocks split symbol runs (3
@@ -478,7 +482,7 @@ def test_pullback_engine_keeps_the_bits_of_the_old_engine(name, block,
     fields = FIELDS + ("J",)
     for sigma in (0.0, 0.5):
         eig = eigendata(sys, sigma, N=32)
-        ref = _one_at_a_time(name, sys, eig, fields)
+        ref = _one_at_a_time(references, name, sys, eig, fields)
         for words, every_depth, s in itertools.product(
                 (whole, sparse), (True, False), range(sys.m)):
             ws = words[words[:, -1] == s]
