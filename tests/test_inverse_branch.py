@@ -1,5 +1,6 @@
 """Inverse branches: the tabulated start of Newton on nonlinear branches, the
-affine one-step path, and a property test against bisection."""
+affine one-step start, a property test against bisection, and each point
+solved on its own."""
 
 import numpy as np
 import pytest
