@@ -11,11 +11,12 @@ reports go to ``gibbsflow-out/<experiment>``, ``bundle``'s too.
 
 Each experiment is declared once, in ``_EXPERIMENTS``: its handler, the JSON
 report its summary goes to, and its parameters (name, kind: integer, float,
-list of floats or expression string, default and bounds).  ``load_config``
-checks a config against that table and the handlers read their typed
-values from it.  A handler writes its data files and returns ``(passed,
-summary)``; ``run`` alone writes the summary to the entry's report, maps
-``passed`` to the exit code and writes the run manifest.
+list of floats or expression string, default and bounds).  ``run`` checks
+a config against that table once (``load_config`` reads a file and checks
+it the same way) and the handlers read their typed values from it.  A
+handler writes its data files and returns ``(passed, summary)``; ``run``
+alone writes the summary to the entry's report, maps ``passed`` to the
+exit code and writes the run manifest.
 
 Every report is text (a CSV by ``_write_csv`` or a JSON) but ``eigen``'s
 ``f.npy``: the (m, N) float64 values of f on its node grid, written by
@@ -206,6 +207,14 @@ def _check_system(block) -> None:
 def load_config(path: str) -> dict:
     """The config in the JSON file ``path``, as written, once the parameter
     table admits it."""
+    cfg = _read_config(path)
+    _parameters(cfg)
+    return cfg
+
+
+def _read_config(path: str) -> dict:
+    """The JSON object in the file ``path``, as written and not yet checked
+    against the parameter table (``_parameters``)."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -217,7 +226,6 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file is not UTF-8: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    _parameters(cfg)
     return cfg
 
 
@@ -546,10 +554,11 @@ def run(config_path: str | dict, out_dir: str | None = None,
     """Execute one experiment; returns the exit code.  Into the output
     directory go the handler's data files, the summary it returns (the
     entry's report) and a run manifest.  ``config_path`` is a JSON config
-    file, or a config already read (a dict), as ``main`` passes it."""
+    file, or a config already read (a dict), as ``main`` passes it; either
+    is checked here, once."""
     t0 = time.time()
     cfg = (config_path if isinstance(config_path, dict)
-           else load_config(config_path))
+           else _read_config(config_path))
     params = _parameters(cfg)
     sys_, system_name = _resolve_system(cfg, preset)
     seed = _seed(cfg)
@@ -645,14 +654,14 @@ def main(argv=None) -> int:
                           args.out or Path("gibbsflow-out") / "bundle")
             return 0
         if args.config is not None:
-            cfg = load_config(args.config)
+            cfg = _read_config(args.config)  # run checks it
         elif args.preset is not None:
             cfg = {"experiment": args.experiment}
         else:
             raise ConfigError("--config is required")
-        if cfg["experiment"] != args.experiment:
+        if cfg.get("experiment") != args.experiment:
             raise ConfigError(
-                f"the config's experiment {cfg['experiment']!r} is not "
+                f"the config's experiment {cfg.get('experiment')!r} is not "
                 f"{args.experiment!r}", "/experiment")
         return run(cfg, out_dir=args.out, preset=args.preset)
     except (ConfigError, MissingManifestError) as e:

@@ -53,6 +53,12 @@ def _mass_tables(sys: MarkovSystem, eig: EigenData, words: np.ndarray):
     quadrature against the node weights of mu gives the mass of each
     cylinder.  The rows at a depth are the runs' rows, symbol after symbol:
     for s = 0..m-1, the words ending in s, in lexicographic order.
+
+    A depth's J is dropped before the next depth is built.  So the most the
+    tables hold at once is at the last depth n: its J, (words x points) of
+    every run, and the previous depth's x, of the runs not yet advanced to
+    n.  The engine's log weight adds a column per word when phi (and r at
+    sigma != 0) is constant on each element, else as much as x again.
     """
     if not np.all(sys.transition.any(axis=0)):
         # the engine builds the lower depths as suffixes of the deepest words

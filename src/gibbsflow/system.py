@@ -39,9 +39,13 @@ words are built by prepending symbols, h_{iw} = h_i o h_w, and each depth
 carries (words x points) arrays of the pulled-back points and the orbit
 sums along them.  Other modules reach it through ``pullback`` (the last
 depth) and ``symbol_pullbacks`` (one run per last symbol, and the one
-normaliser sum of J_w).  Cylinders are arrays too: a words array and the
-ends of each word's cylinder, pulled back by that engine (``cylinders``);
-no module builds an object per word.
+normaliser sum of J_w).  The log weight S_k(phi - sigma r) behind J is
+held as a (words x 1) column when every piece it reads (phi, and r at
+sigma != 0) is a constant on its element, as on every preset at sigma =
+0: it is then one number per word.  J is (words x points) either way, with the same
+bits.  Cylinders are arrays too: a words array and the ends of each word's
+cylinder, pulled back by that engine (``cylinders``); no module builds an
+object per word.
 """
 
 from __future__ import annotations
@@ -592,7 +596,9 @@ class Pullback:
         J       lam^-k exp(S_k(phi - sigma r)(x)) f(x) / f(y), the inverse
                 Jacobian of mu_sigma along h_w
 
-    Fields that were not asked for are None.
+    Fields that were not asked for are None.  The log weight
+    S_k(phi - sigma r) is not a field: the engine holds it only to build J,
+    as one column when it is constant along each row (see ``pullbacks``).
     """
     words: np.ndarray
     x: np.ndarray | None = None
@@ -628,7 +634,13 @@ def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, out: dict, k: int,
     rows ``rows`` of w (a slice or an index array), into ``out``: one array
     per field to compute, the block's rows of that depth.  Each field is
     written once, by ``out=`` ufuncs in the order of the plain expressions
-    (J = lam^-k exp(lw) f(z) / f(y)), so it has their bits."""
+    (J = (exp(lw) lam^-k) f(z) / f(y)), so it has their bits.
+
+    The log weight lw is read on as many columns of z as ``out["lw"]``
+    has: all of them, or one when ``pullbacks`` holds lw as a column.  Then
+    exp(lw) lam^-k is one number per word, broadcast along its row of J;
+    a product of the same two doubles has the same bits wherever it is
+    taken, so J does not depend on lw's width."""
     z = sys.inverse_branch(i, prev["x"][rows], out=out["x"])
     if "dTn" in out:
         np.multiply(sys.T[i].deriv(x=z), prev["dTn"][rows], out=out["dTn"])
@@ -637,7 +649,7 @@ def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, out: dict, k: int,
         d += prev["DSnr_h"][rows]
     r = None
     if "lw" in out:
-        g, r = sys.log_weight(i, eig.sigma, z)
+        g, r = sys.log_weight(i, eig.sigma, z[:, :out["lw"].shape[1]])
         np.add(g, prev["lw"][rows], out=out["lw"])
     if "Snr" in out:
         np.add(sys.r[i].value(x=z) if r is None else r, prev["Snr"][rows],
@@ -645,9 +657,9 @@ def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, out: dict, k: int,
     if "Snphi" in out:
         np.add(sys.phi[i].value(x=z), prev["Snphi"][rows], out=out["Snphi"])
     if "J" in out:
-        J = np.exp(out["lw"], out=out["J"])
-        J *= eig.lam ** (-k)
-        J *= eig.f.eval(z).real
+        w = np.exp(out["lw"])
+        w *= eig.lam ** (-k)
+        J = np.multiply(w, eig.f.eval(z).real, out=out["J"])
         J /= fy
 
 
@@ -670,6 +682,14 @@ def pullbacks(sys: MarkovSystem, words, ys, fields, eig, every_depth: bool):
     and running sums (dTn, DSnr_h, Snr, Snphi and the log weight, as
     ``fields`` need them); a yielded J is dropped, so it lives only as long
     as the caller keeps it.  The last depth keeps nothing but ``fields``.
+
+    The log weight lw = S_k(phi - sigma r) is one column, a number per
+    word, when every phi piece is a constant (``expr.is_constant``), and so
+    is every r piece at sigma != 0: it then takes one value along each row.
+    A piece whose derivative is 0 is not enough, since x + 0.1 - x rounds
+    to different values at different x.  Otherwise lw is (words x points).
+    J is (exp(lw) lam^-k) f(x) / f(y) in that order either way, the column
+    broadcast along its row, so it has the same bits.
     A block whose parents form one run of rows (every block, for the words
     of ``word_array``) reads the previous depth through a slice, others
     through an index array.
@@ -684,13 +704,19 @@ def pullbacks(sys: MarkovSystem, words, ys, fields, eig, every_depth: bool):
     need = want | {"x"}
     if "DSnr_h" in need:
         need.add("dTn")
+    P = len(ys)
+    width = dict.fromkeys(need, P)  # columns of each field's array
     fy = None
     if "J" in need:
         need.add("lw")
         fy = eig.f.eval(ys).real
-    P = len(ys)
+        # lw is a column when every piece it reads is a constant (no
+        # column at all when there are no points)
+        read = sys.phi + (sys.r if eig.sigma else [])
+        width["lw"] = min(P, 1) if all(is_constant(p.expr) for p in read) \
+            else P
     # depth 0: the empty word, h = identity
-    state = {f: np.full((1, P), 1.0 if f == "dTn" else 0.0)
+    state = {f: np.full((1, width[f]), 1.0 if f == "dTn" else 0.0)
              for f in need - {"J"}}
     state["x"] = ys[None, :]
     step = max(1, _BLOCK // max(P, 1))
@@ -698,7 +724,7 @@ def pullbacks(sys: MarkovSystem, words, ys, fields, eig, every_depth: bool):
         yields = every_depth or k == n
         step_need = need if yields else need - {"J"}
         keep = step_need if k < n else want
-        new = {f: np.empty((len(sym), P)) for f in keep}
+        new = {f: np.empty((len(sym), width[f])) for f in keep}
         bounds = np.searchsorted(sym, np.arange(sys.m + 1))
         for i in range(sys.m):
             for a in range(bounds[i], bounds[i + 1], step):
@@ -709,7 +735,7 @@ def pullbacks(sys: MarkovSystem, words, ys, fields, eig, every_depth: bool):
                 # a field the last depth does not keep lives for the block
                 _prepend(sys, i, state, up,
                          {f: new[f][rows] if f in new
-                          else np.empty((rows.stop - a, P))
+                          else np.empty((rows.stop - a, width[f]))
                           for f in step_need}, k, eig, fy)
         state = new
         if yields:

@@ -444,6 +444,22 @@ def test_well_formed_system_blocks_admitted(tmp_path):
         assert run(p, out_dir=str(tmp_path / f"o{k}")) == 0
 
 
+def test_a_config_is_checked_once(tmp_path, monkeypatch):
+    # main checked a config in load_config and again in run, parsing each
+    # of SYS-C-NLROOF's 9 expressions twice; run(path) did the same
+    p = write_cfg(tmp_path / "c.json", {"system": preset_config("SYS-C-NLROOF"),
+                                        "experiment": "validate"})
+    parsed = []
+    parse = cli.parse
+    monkeypatch.setattr(cli, "parse", lambda *a: parsed.append(a) or parse(*a))
+    for go in (lambda: main(["validate", "--config", p, "--out",
+                             str(tmp_path / "main")]),
+               lambda: run(p, out_dir=str(tmp_path / "run"))):
+        parsed.clear()
+        assert go() == 0
+        assert len(parsed) == 9
+
+
 def test_env_seed_overrides_config_seed(tmp_path, monkeypatch):
     p = write_cfg(tmp_path / "c.json",
                   {"preset": "SYS-A", "experiment": "validate", "seed": 3})

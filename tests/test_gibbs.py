@@ -211,6 +211,33 @@ def test_gibbs_audit_builds_no_cylinders(eig_c, monkeypatch):
     assert not calls
 
 
+def test_gibbs_audit_holds_the_last_J_and_the_previous_x():
+    # the most a depth-9 audit holds at once is the last depth's J and the
+    # previous depth's x, plus 1 MiB for a block's temporaries (2^16 pairs,
+    # 0.5 MiB an array) and the word arrays.  SYS-C-NLROOF's potential is
+    # constant on each element, so the engine's log weight is one column
+    # per word; held at full width it costs the size of x again (a peak of
+    # 29.8 MB against this bound's 28.5 MB; 23.9 MB as one column)
+    import tracemalloc
+    sys = make_preset("SYS-C-NLROOF")
+    eig = eigendata(sys, 0.0, N=N)
+    gibbs_audit(sys, eig, 2)  # lazily built caches are not the audit's
+    # the points each word's J and x hold: the nodes in its last symbol's image
+    held = sys.transition[:, np.repeat(np.arange(sys.m), N)].sum(axis=1)
+
+    def nbytes(n):
+        return 8 * int(held[word_array(sys, n)[:, -1]].sum())
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gibbs_audit(sys, eig, 9)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= nbytes(9) + nbytes(8) + 2 ** 20, (peak, nbytes(9), nbytes(8))
+
+
 def test_transition_weights_normalized(eig_c):
     for x in (0.1, 0.37, 0.62, 0.9):
         _, w = _backward_step(eig_c.system, eig_c, np.array([x]))
