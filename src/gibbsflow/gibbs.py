@@ -7,6 +7,13 @@ sums at the reference points.  Both are built on the same words, so at
 every depth their rows are the same words in the same order, and the
 audit divides them row by row as the engine lays them out.
 
+The backward chain that samples mu holds its states in ascending order,
+so that scipy's PPoly, which starts each interval search at the previous
+point's interval, evaluates f along monotone runs.  Branch i lands in
+element i, so grouping the new states by chosen branch keeps them
+ascending with no float sort.  Each state is solved and weighed on its own,
+so no value depends on the order.
+
 The adapted partition is walked on arrays of words and cylinder ends, one
 level at a time, through the children of the cylinders still too long.
 """
@@ -119,40 +126,39 @@ def _backward_step(sys: MarkovSystem, eig: EigenData, x: np.ndarray):
     sums to 1.
 
     A branch whose image is the whole interval is admissible at every
-    point: it is solved on x itself and writes its rows whole.  Any other
-    branch is solved on the indices of its admissible points alone.  The
-    exponent is ``MarkovSystem.log_weight``'s, which skips r at sigma = 0.
+    point: it is solved on x itself and writes its rows whole, in place.
+    Any other branch is solved on the indices of its admissible points
+    alone.  The exponent is ``MarkovSystem.log_weight``'s, which skips r at
+    sigma = 0.
 
-    f is evaluated once, on every preimage stacked, with the columns taken
-    in the order of x.  Each h_i is monotone and the x where branch i is
-    admissible form one interval, so each row is then one monotone run
-    between runs of the zeros that stand for inadmissible points.  scipy's
-    PPoly starts each point's interval search at the previous point's
-    interval, so it mostly finds the point in the interval it already
-    holds instead of bisecting all the breakpoints.  A point's value does
-    not depend on the order, so the weights keep their bits, and the
-    zeros of the weights stay zeros.
+    f is evaluated once, on every preimage stacked, in the order given.
+    ``sample_mu`` hands x in ascending order: each h_i is monotone and the
+    x where branch i is admissible form one interval, so each row is then
+    one monotone run between runs of the zeros that stand for inadmissible
+    points, and scipy's PPoly, which starts each point's interval search
+    at the previous point's interval, mostly finds the point in the
+    interval it already holds instead of bisecting all the breakpoints.
+    Each point is solved and evaluated on its own, so no value depends on
+    the order of x, and the zeros of the weights stay zeros.
     """
     ys = np.zeros((sys.m, len(x)))
     weights = np.zeros((sys.m, len(x)))
     elem = None
     for i in range(sys.m):
         if sys.transition[i].all():
-            k = slice(None)
-        else:
-            if elem is None:
-                elem = sys.element_of(x)
-            k = np.flatnonzero(sys.transition[i, elem])
-            if not k.size:
-                continue
-        y = sys.inverse_branch(i, x[k])
-        ys[i, k] = y
-        g, _ = sys.log_weight(i, eig.sigma, y)
-        weights[i, k] = np.exp(g)
-    order = np.argsort(x)
-    f_sorted = eig.f.eval(ys.take(order, axis=1)).real
-    for w, fy in zip(weights, f_sorted):
-        w[order] *= fy
+            sys.inverse_branch(i, x, out=ys[i])
+            g, _ = sys.log_weight(i, eig.sigma, ys[i])
+            np.exp(g, out=weights[i])
+            continue
+        if elem is None:
+            elem = sys.element_of(x)
+        k = np.flatnonzero(sys.transition[i, elem])
+        if k.size:
+            y = sys.inverse_branch(i, x[k])
+            ys[i, k] = y
+            g, _ = sys.log_weight(i, eig.sigma, y)
+            weights[i, k] = np.exp(g)
+    weights *= eig.f.eval(ys).real
     weights /= weights.sum(axis=0)
     return ys, weights
 
@@ -194,6 +200,17 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
     weights are >= 0, so the running sums never decrease and that branch
     is the one a cumulative sum of the weights picks.
 
+    The states are held in ascending order, the order in which
+    ``_backward_step`` evaluates f fastest, with ``perm`` mapping each
+    position to its chain: the mu_N start is sorted once, each step reads
+    the chains' uniforms through ``perm``, and each emit writes its states
+    back to their chains.  Order is kept without sorting a float: branch
+    i lands in element i, left of branch i + 1, and is monotone, so a
+    stable sort of the chosen branches, with the group of a decreasing
+    branch reversed, leaves the new states ascending.  Every state is
+    solved and weighed on its own and meets its chain's uniform, so no
+    sample depends on the order.
+
     After burn-in every 10th state is emitted; ``count`` samples run on
     min(max(1, count // 64), 4096) independent chains in parallel, all from
     one seed stream (the start, then one uniform per chain per step).
@@ -205,25 +222,39 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
     per = -(-count // chains)  # emits per chain
     burn_in = _burn_in(sys)
     rng = np.random.default_rng(seed)
-    x = rng.choice(eig.f.nodes.reshape(-1), size=chains, p=eig.mu.reshape(-1))
+    start = rng.choice(eig.f.nodes.reshape(-1), size=chains,
+                       p=eig.mu.reshape(-1))
+    perm = np.argsort(start, kind="stable")  # position -> chain
+    x = start[perm]
+    decreasing = np.flatnonzero(~sys.increasing)
+    # the smallest type that holds a branch index, which numpy sorts
+    # stably by radix
+    index_type = np.min_scalar_type(sys.m - 1)
 
-    def step(x):
+    def step(x, perm):
         ys, weights = _backward_step(sys, eig, x)
-        u = rng.random(chains)
+        u = rng.random(chains)[perm]
         # the first row whose running sum of weights reaches u, else the last
-        y, c = ys[0], weights[0]
-        for row, w in zip(ys[1:], weights[1:]):
-            y = np.where(c < u, row, y)
+        branch = np.zeros(chains, dtype=index_type)
+        c = weights[0]
+        for w in weights[1:]:
+            branch += c < u
             c = c + w
-        return y
+        order = np.argsort(branch, kind="stable")
+        if decreasing.size:
+            ends = np.cumsum(np.bincount(branch, minlength=sys.m))
+            for i in decreasing:  # its preimages descend as x ascends
+                group = slice(ends[i - 1] if i else 0, ends[i])
+                order[group] = order[group][::-1]
+        return ys[branch[order], order], perm[order]
 
     for _ in range(burn_in):
-        x = step(x)
+        x, perm = step(x, perm)
     out = np.empty((per, chains))
     for k in range(per):
         for _ in range(thin):
-            x = step(x)
-        out[k] = x
+            x, perm = step(x, perm)
+        out[k, perm] = x
     return out.reshape(-1)[:count]
 
 

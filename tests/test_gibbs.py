@@ -6,13 +6,14 @@ from scipy.stats import chi2
 
 from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
                       itineraries, mass_tables_loop, partition_walk)
+from gibbsflow import gibbs
 from gibbsflow.gibbs import (FrequencyTooSmallError, _backward_step, _burn_in,
                              _mass_tables, adapted_partition, gibbs_audit,
                              sample_mu)
 from gibbsflow.operator import eigendata, node_grid
 from gibbsflow.presets import PRESETS, make_preset
 from gibbsflow.system import (branch_chain, pullbacks, symbol_pullbacks,
-                              system_from_config, word_array)
+                              system_from_config, validate, word_array)
 
 N = 512
 
@@ -323,21 +324,63 @@ TENT = {"partition": [0.0, 0.5, 1.0],
         "roof": ["(2+cos(2*pi*x))/3"] * 2,
         "potential": ["0.3*sin(2*pi*x)"] * 2}
 
+# three elements: a full branch, a decreasing branch onto [1/3, 1) and an
+# increasing one onto [0, 2/3), so one branch is non-full and decreasing
+THREE = {"partition": [0.0, 1 / 3, 2 / 3, 1.0],
+         "branches": [{"expr": "3*x", "image": [0, 3]},
+                      {"expr": "5/3-2*x", "image": [1, 3]},
+                      {"expr": "2*x-4/3", "image": [0, 2]}],
+         "roof": ["(2+cos(2*pi*x))/3"] * 3,
+         "potential": ["0.3*sin(2*pi*x)"] * 3}
+
+
+@pytest.fixture(scope="module")
+def sampler_eigs(eig_c, nl_doubling):
+    """Eigendata of the systems the sampler tests run on, by id: SYS-B,
+    full-branch with constant f; SYS-C, not full-branch; at sigma != 0 the
+    roof enters the weights, on SYS-C-NLROOF not full-branch either; TENT
+    and THREE have a decreasing branch, THREE's non-full."""
+    eigs = {name: eigendata(sys, sigma, N=256) for name, sys, sigma in (
+        ("SYS-B", make_preset("SYS-B"), 0.0),
+        ("NL-DOUBLING", nl_doubling, 0.0),
+        ("TENT", system_from_config(TENT), 0.0),
+        ("SYS-C-NLROOF-1", make_preset("SYS-C-NLROOF"), 1.0),
+        ("TENT-0.5", system_from_config(TENT), 0.5),
+        ("THREE", system_from_config(THREE), 0.0),
+        ("THREE-0.5", system_from_config(THREE), 0.5))}
+    return {"SYS-C": eig_c, **eigs}
+
+
+def test_three_element_system_validates(sampler_eigs):
+    sys = sampler_eigs["THREE"].system
+    assert validate(sys).ok
+    assert sys.increasing.tolist() == [True, False, True]
+    assert not sys.transition[1].all()
+
 
 @pytest.mark.parametrize("count", [40, 3000])
-def test_sampler_equals_per_branch_steps(eig_c, nl_doubling, count):
-    # SYS-B: full-branch with constant f; SYS-C: not full-branch; at
-    # sigma != 0 the roof enters the weights, on SYS-C-NLROOF not
-    # full-branch either
-    eigs = [eigendata(sys, sigma, N=256)
-            for sys, sigma in ((make_preset("SYS-B"), 0.0), (nl_doubling, 0.0),
-                               (system_from_config(TENT), 0.0),
-                               (make_preset("SYS-C-NLROOF"), 1.0),
-                               (system_from_config(TENT), 0.5))]
-    for eig in [eig_c] + eigs:
+def test_sampler_equals_per_branch_steps(sampler_eigs, count):
+    for eig in sampler_eigs.values():
         got = sample_mu(eig.system, eig, count, seed=7)
         want = _per_branch_sampler(eig.system, eig, count, seed=7)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["SYS-B", "NL-DOUBLING", "TENT-0.5", "SYS-C",
+                                  "SYS-C-NLROOF-1", "THREE"])
+def test_sampler_hands_each_step_ascending_states(sampler_eigs, name,
+                                                  monkeypatch):
+    # no value depends on the order, so only this test sees it
+    eig = sampler_eigs[name]
+    steps = []
+
+    def recording_step(sys, eig, x):
+        steps.append(bool(np.all(np.diff(x) >= 0)))
+        return _backward_step(sys, eig, x)
+
+    monkeypatch.setattr(gibbs, "_backward_step", recording_step)
+    sample_mu(eig.system, eig, count=3000, seed=7)
+    assert steps and all(steps)
 
 
 @pytest.mark.parametrize("name", ["SYS-B", "SYS-C-NLROOF"])
