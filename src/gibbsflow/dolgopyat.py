@@ -13,10 +13,15 @@ below any fixed grid.  All quantities that live on those scales are tracked
 through the deviation d = 1 - u, on node sets refined inside a moving family
 of windows (the forward images of the bump supports), so the contraction
 signal, of order 1e-11 per step, is resolved as a small positive number with
-only relative quadrature error.  Every application of the operator, on those
-node sets and in the cancellation check, is an exact branch sum of the
-pullback engine through ``operator.BranchPlan`` at per-element node sets, and
-one test of the four cone conditions (``_cone_test``) decides cone membership.
+only relative quadrature error.  Every application of the operator to d and
+in the cancellation check is an exact branch sum of the pullback engine
+through ``operator.BranchPlan`` at per-element node sets.  v lives on a fixed
+uniform grid, so its step is one matrix per run: the exact depth-1 branch
+weights composed with a 4-point cubic Lagrange stencil at the preimages
+(``_lagrange_step``).  d keeps monotone cubics (PCHIP): it needs
+interpolation that does not overshoot, and its node sets move with the
+windows at every step.  One test of the four cone conditions (``_cone_test``)
+decides cone membership.
 
 The bumps of one run share their geometry: the adapted partition, each
 element's transversal pair and the candidate balls pulled back along it
@@ -30,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .gibbs import adapted_partition
 from .operator import (BranchPlan, EigenData, GridFunction, _ElementwisePchip,
@@ -397,6 +403,45 @@ def _integrate_mu(d_eval, node_sets, dens):
 # -- cone iteration ---------------------------------------------------------------
 
 
+def _lagrange_step(sys: MarkovSystem, plan: BranchPlan, N: int) -> sp.csr_matrix:
+    """The depth-1 twisted operator on the uniform grid ``node_grid(sys, N)``
+    as one CSR matrix: row k is node k, and branch i adds its exact weight
+    J_i exp(-i b r) / norm, read from ``plan`` (built at depth 1 on that
+    grid), times the 4-point cubic Lagrange weights of element i's grid at
+    the preimage h_i(x_k).
+
+    The preimage lies in element i, so its stencil is element i's nodes j -
+    1 .. j + 2, j = clip(floor(t), 1, N - 3) for t the preimage in units of
+    the grid step: the end intervals take one-sided stencils, and a preimage
+    on a partition point reads its own element's end value.  Every symbol's
+    image holds grid nodes, so the plan's blocks are the branches in order,
+    and the columns of a row, branch after branch, ascend.
+    """
+    per_row = np.zeros(sys.m * N, dtype=np.intp)
+    for cols, *_ in plan.blocks:
+        per_row[cols] += 4
+    # the index type scipy would pick, so that it keeps these arrays as given
+    itype = np.int32 if per_row.sum() < 2 ** 31 else np.int64
+    indptr = np.concatenate([[0], np.cumsum(per_row)]).astype(itype)
+    data = np.empty(indptr[-1], dtype=complex)
+    indices = np.empty(indptr[-1], dtype=itype)
+    filled = indptr[:-1].copy()  # each row's next free entry
+    for i, (cols, hx, _, twisted) in enumerate(plan.blocks):
+        lo, hi = sys.element_interval(i)
+        t = (hx - lo) * ((N - 1) / (hi - lo))
+        j = np.clip(np.floor(t).astype(np.intp), 1, N - 3)
+        s = t - j
+        weights = (-s * (s - 1) * (s - 2) / 6, (s + 1) * (s - 1) * (s - 2) / 2,
+                   -(s + 1) * s * (s - 2) / 2, (s + 1) * s * (s - 1) / 6)
+        coef = twisted.reshape(-1) / plan.norm[cols]
+        at = filled[cols]
+        for k, w in enumerate(weights):  # nodes j - 1 .. j + 2
+            data[at + k] = coef * w
+            indices[at + k] = i * N + j + (k - 1)
+        filled[cols] += 4
+    return sp.csr_matrix((data, indices, indptr), shape=(sys.m * N,) * 2)
+
+
 def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
                    delta: float, Delta: float | None) -> dict:
     """Iterate u_{m+1} = L^n_sigma(chi_m u_m), v_{m+1} = L^n_s v_m from
@@ -411,11 +456,16 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
     on v's nodes joined with d's.  C0 is ``c0_constant``; n and Delta are
     the geometry's.
 
-    Every application is exact depth-1 branch sums of ``BranchPlan``s at
-    per-element node sets closed at both ends.  The plans of v's fixed nodes
-    and of d's _BASE_N fixed nodes per element are built once per run; each
-    of d's n m_max advances (``_advance``) pulls back only the window nodes
-    it joins to the base nodes.
+    d's applications are exact depth-1 branch sums of ``BranchPlan``s at
+    per-element node sets closed at both ends: the plan of its _BASE_N fixed
+    nodes per element is built once per run, and each of its n m_max
+    advances (``_advance``) pulls back only the window nodes it joins to the
+    base nodes, and is read between nodes as a monotone cubic, which does
+    not overshoot.  v's step is one matrix, built once per run from the
+    depth-1 plan of its uniform grid (``_lagrange_step``): exact branch
+    weights times 4-point cubic Lagrange weights at the preimages, so each
+    of its n m_max advances is one sparse product.  v is read between nodes
+    (``build_bump``, ``_cone_test``) through ``GridFunction.eval``.
     """
     c0 = c0_constant(sys, eig)
     K = c0 * abs(b) ** sys.alpha
@@ -425,7 +475,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
     # v lives on a uniform grid resolving the 1/b oscillation scale
     nv = int(max(_BASE_N, _V_NODES_PER_B * abs(b)))
     v = GridFunction(sys, np.ones((sys.m, nv), dtype=complex))
-    v_plan = BranchPlan(sys, eig, b, 1, v.nodes)
+    v_step = _lagrange_step(sys, BranchPlan(sys, eig, b, 1, v.nodes), nv)
     base = node_grid(sys, _BASE_N)
     base_plan = BranchPlan(sys, eig, 0.0, 1, base)
     d_eval = lambda x: np.zeros(np.asarray(x, dtype=float).shape)
@@ -450,10 +500,11 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
             cur_eval = _ElementwisePchip(sys, nodes, vals).eval
         d_eval = cur_eval
 
-        # advance v
+        # advance v through n products with the run's one step matrix
+        w = v.values.reshape(-1)
         for _ in range(geom.n):
-            v = v.copy_with(v_plan.apply(v.eval, True).reshape(
-                v.values.shape))
+            w = v_step @ w
+        v = v.copy_with(w.reshape(v.values.shape))
 
         I_next, J_next = _integrate_mu(d_eval, nodes, dens)
         int_u2_next = 1.0 - 2.0 * I_next + J_next

@@ -8,11 +8,12 @@ every depth their rows are the same words in the same order, and the
 audit divides them row by row as the engine lays them out.
 
 The backward chain that samples mu holds its states in ascending order,
-so that scipy's PPoly, which starts each interval search at the previous
-point's interval, evaluates f along monotone runs.  Branch i lands in
-element i, so grouping the new states by chosen branch keeps them
-ascending with no float sort.  Each state is solved and weighed on its own,
-so no value depends on the order.
+so that each branch is solved on one slice of them, and scipy's PPoly,
+which starts each interval search at the previous point's interval,
+evaluates f along monotone runs.  Branch i lands in element i, so grouping
+the new states by chosen branch keeps them ascending with no float sort.
+Each state is solved and weighed on its own, so no value depends on the
+order.
 
 The adapted partition is walked on arrays of words and cylinder ends, one
 level at a time, through the children of the cylinders still too long.
@@ -118,46 +119,41 @@ def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
 
 
 def _backward_step(sys: MarkovSystem, eig: EigenData, x: np.ndarray):
-    """Preimages and backward transition probabilities at the points x.
+    """Preimages and backward transition probabilities at the points x,
+    which must ascend.
 
     Returns ``(ys, weights)``, both (m, len(x)): ys[i] = h_i(x) and
     weights[i] proportional to exp((phi - sigma r)(ys[i])) f(ys[i]) where
     branch i is admissible at x, zeros elsewhere; each column of weights
     sums to 1.
 
-    A branch whose image is the whole interval is admissible at every
-    point: it is solved on x itself and writes its rows whole, in place.
-    Any other branch is solved on the indices of its admissible points
-    alone.  The exponent is ``MarkovSystem.log_weight``'s, which skips r at
-    sigma = 0.
+    As x ascends, the points where branch i is admissible, those whose
+    element (left-closed) lies in its image, are one run of x, whose ends
+    are two of the ``searchsorted`` ends of the partition in x.  Branch i
+    is solved on that run alone and writes its rows' slice in place; a
+    branch whose image is the whole interval writes its rows whole.  The
+    exponent is ``MarkovSystem.log_weight``'s, which skips r at sigma = 0.
 
     f is evaluated once, on every preimage stacked, in the order given.
-    ``sample_mu`` hands x in ascending order: each h_i is monotone and the
-    x where branch i is admissible form one interval, so each row is then
-    one monotone run between runs of the zeros that stand for inadmissible
-    points, and scipy's PPoly, which starts each point's interval search
-    at the previous point's interval, mostly finds the point in the
-    interval it already holds instead of bisecting all the breakpoints.
-    Each point is solved and evaluated on its own, so no value depends on
-    the order of x, and the zeros of the weights stay zeros.
+    Each h_i is monotone, so each row is one monotone run between runs of
+    the zeros that stand for inadmissible points, and scipy's PPoly, which
+    starts each point's interval search at the previous point's interval,
+    mostly finds the point in the interval it already holds instead of
+    bisecting all the breakpoints.  Each point is solved and evaluated on
+    its own, so no value depends on where its run starts, and the zeros of
+    the weights stay zeros.
     """
     ys = np.zeros((sys.m, len(x)))
     weights = np.zeros((sys.m, len(x)))
-    elem = None
-    for i in range(sys.m):
-        if sys.transition[i].all():
-            sys.inverse_branch(i, x, out=ys[i])
-            g, _ = sys.log_weight(i, eig.sigma, ys[i])
-            np.exp(g, out=weights[i])
-            continue
-        if elem is None:
-            elem = sys.element_of(x)
-        k = np.flatnonzero(sys.transition[i, elem])
-        if k.size:
-            y = sys.inverse_branch(i, x[k])
-            ys[i, k] = y
-            g, _ = sys.log_weight(i, eig.sigma, y)
-            weights[i, k] = np.exp(g)
+    # x[ends[e]:ends[e + 1]] are the points of element e
+    ends = np.concatenate([[0], np.searchsorted(x, sys.partition[1:-1]),
+                           [len(x)]])
+    for i, (lo, hi) in enumerate(sys.images):
+        run = slice(ends[lo], ends[hi])
+        if run.start < run.stop:
+            sys.inverse_branch(i, x[run], out=ys[i, run])
+            g, _ = sys.log_weight(i, eig.sigma, ys[i, run])
+            np.exp(g, out=weights[i, run])
     weights *= eig.f.eval(ys).real
     weights /= weights.sum(axis=0)
     return ys, weights
@@ -200,16 +196,15 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
     weights are >= 0, so the running sums never decrease and that branch
     is the one a cumulative sum of the weights picks.
 
-    The states are held in ascending order, the order in which
-    ``_backward_step`` evaluates f fastest, with ``perm`` mapping each
-    position to its chain: the mu_N start is sorted once, each step reads
-    the chains' uniforms through ``perm``, and each emit writes its states
-    back to their chains.  Order is kept without sorting a float: branch
-    i lands in element i, left of branch i + 1, and is monotone, so a
-    stable sort of the chosen branches, with the group of a decreasing
-    branch reversed, leaves the new states ascending.  Every state is
-    solved and weighed on its own and meets its chain's uniform, so no
-    sample depends on the order.
+    The states are held in ascending order, which ``_backward_step``
+    requires, with ``perm`` mapping each position to its chain: the mu_N
+    start is sorted once, each step reads the chains' uniforms through
+    ``perm``, and each emit writes its states back to their chains.  Order
+    is kept without sorting a float: branch i lands in element i, left of
+    branch i + 1, and is monotone, so a stable sort of the chosen branches,
+    with the group of a decreasing branch reversed, leaves the new states
+    ascending.  Every state is solved and weighed on its own and meets its
+    chain's uniform, so no sample depends on the order.
 
     After burn-in every 10th state is emitted; ``count`` samples run on
     min(max(1, count // 64), 4096) independent chains in parallel, all from

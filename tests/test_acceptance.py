@@ -200,7 +200,6 @@ def test_cancellation_and_cone_iteration(sys_b, eig_b, b, monkeypatch):
     assert chk["margin"] >= -1e-9
 
     monkeypatch.setattr(dg, "_BASE_N", 2048)
-    monkeypatch.setattr(dg, "_V_NODES_PER_B", 32)
     rep = cone_iteration(sys_b, eig_b, b, m_max=10, delta=0.05, Delta=None)
     assert rep["all_in_cone"]
     assert all(t < 1.0 for t in rep["tau_hats"])
