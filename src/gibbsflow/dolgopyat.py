@@ -39,9 +39,10 @@ import scipy.sparse as sp
 
 from .gibbs import adapted_partition
 from .operator import (BranchPlan, EigenData, GridFunction, _ElementwisePchip,
-                       apply_L, c6_bound, deep_apply, eigendata,
+                       _twisted, apply_L, c6_bound, deep_apply, eigendata,
                        hoelder_seminorm, node_grid, norm_b)
-from .system import MarkovSystem, branch_chain, sampled_seminorm
+from .system import (MarkovSystem, branch_chain, sampled_seminorm,
+                     symbol_pullbacks, symbol_trees, word_array)
 from .uni import transversal_pair, transversal_scales
 
 __all__ = [
@@ -403,39 +404,57 @@ def _integrate_mu(d_eval, node_sets, dens):
 # -- cone iteration ---------------------------------------------------------------
 
 
-def _lagrange_step(sys: MarkovSystem, plan: BranchPlan, N: int) -> sp.csr_matrix:
-    """The depth-1 twisted operator on the uniform grid ``node_grid(sys, N)``
-    as one CSR matrix: row k is node k, and branch i adds its exact weight
-    J_i exp(-i b r) / norm, read from ``plan`` (built at depth 1 on that
-    grid), times the 4-point cubic Lagrange weights of element i's grid at
-    the preimage h_i(x_k).
+def _lagrange_weights(s: np.ndarray):
+    """The 4-point cubic Lagrange weights of nodes j - 1 .. j + 2 of a
+    uniform grid at the points j + s, one node at a time."""
+    yield -s * (s - 1) * (s - 2) / 6
+    yield (s + 1) * (s - 1) * (s - 2) / 2
+    yield -(s + 1) * s * (s - 2) / 2
+    yield (s + 1) * s * (s - 1) / 6
+
+
+def _lagrange_step(sys: MarkovSystem, eig: EigenData, b: float,
+                   nodes: np.ndarray) -> sp.csr_matrix:
+    """The depth-1 twisted operator on the uniform grid ``nodes``, the (m, N)
+    ``node_grid``, as one CSR matrix: row k is node k, and branch i adds its
+    exact weight J_i exp(-i b r) / norm (``operator._twisted`` of the
+    depth-1 pullback of the grid) times the 4-point cubic Lagrange weights
+    of element i's grid at the preimage h_i(x_k).
 
     The preimage lies in element i, so its stencil is element i's nodes j -
     1 .. j + 2, j = clip(floor(t), 1, N - 3) for t the preimage in units of
     the grid step: the end intervals take one-sided stencils, and a preimage
     on a partition point reads its own element's end value.  Every symbol's
-    image holds grid nodes, so the plan's blocks are the branches in order,
-    and the columns of a row, branch after branch, ascend.
+    image holds grid nodes, so the pullback's blocks are the branches in
+    order, and the columns of a row, branch after branch, ascend.  The
+    matrix is filled branch by branch, and each branch's block is dropped
+    once its rows are written.
     """
-    per_row = np.zeros(sys.m * N, dtype=np.intp)
-    for cols, *_ in plan.blocks:
-        per_row[cols] += 4
+    N = nodes.shape[1]
+    [(blocks, norm)] = symbol_pullbacks(
+        sys, symbol_trees(sys, word_array(sys, 1)), nodes.reshape(-1),
+        sys.transition[:, np.repeat(np.arange(sys.m), N)],
+        ("x", "Snr", "J"), eig)
+    indptr = np.zeros(sys.m * N + 1, dtype=np.intp)
+    for _, cols, _ in blocks:
+        indptr[cols + 1] += 4
+    np.cumsum(indptr, out=indptr)
     # the index type scipy would pick, so that it keeps these arrays as given
-    itype = np.int32 if per_row.sum() < 2 ** 31 else np.int64
-    indptr = np.concatenate([[0], np.cumsum(per_row)]).astype(itype)
+    indptr = indptr.astype(np.int32 if indptr[-1] < 2 ** 31 else np.int64)
     data = np.empty(indptr[-1], dtype=complex)
-    indices = np.empty(indptr[-1], dtype=itype)
+    indices = np.empty(indptr[-1], dtype=indptr.dtype)
     filled = indptr[:-1].copy()  # each row's next free entry
-    for i, (cols, hx, _, twisted) in enumerate(plan.blocks):
+    while blocks:
+        i, cols, pb = blocks.pop(0)
+        coef = _twisted(pb, b).reshape(-1)
+        coef /= norm[cols]
         lo, hi = sys.element_interval(i)
-        t = (hx - lo) * ((N - 1) / (hi - lo))
+        t = (pb.x.reshape(-1) - lo) * ((N - 1) / (hi - lo))
+        del pb  # the branch's J, x and S r
         j = np.clip(np.floor(t).astype(np.intp), 1, N - 3)
         s = t - j
-        weights = (-s * (s - 1) * (s - 2) / 6, (s + 1) * (s - 1) * (s - 2) / 2,
-                   -(s + 1) * s * (s - 2) / 2, (s + 1) * s * (s - 1) / 6)
-        coef = twisted.reshape(-1) / plan.norm[cols]
         at = filled[cols]
-        for k, w in enumerate(weights):  # nodes j - 1 .. j + 2
+        for k, w in enumerate(_lagrange_weights(s)):  # nodes j - 1 .. j + 2
             data[at + k] = coef * w
             indices[at + k] = i * N + j + (k - 1)
         filled[cols] += 4
@@ -462,7 +481,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
     advances (``_advance``) pulls back only the window nodes it joins to the
     base nodes, and is read between nodes as a monotone cubic, which does
     not overshoot.  v's step is one matrix, built once per run from the
-    depth-1 plan of its uniform grid (``_lagrange_step``): exact branch
+    depth-1 pullback of its uniform grid (``_lagrange_step``): exact branch
     weights times 4-point cubic Lagrange weights at the preimages, so each
     of its n m_max advances is one sparse product.  v is read between nodes
     (``build_bump``, ``_cone_test``) through ``GridFunction.eval``.
@@ -475,7 +494,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
     # v lives on a uniform grid resolving the 1/b oscillation scale
     nv = int(max(_BASE_N, _V_NODES_PER_B * abs(b)))
     v = GridFunction(sys, np.ones((sys.m, nv), dtype=complex))
-    v_step = _lagrange_step(sys, BranchPlan(sys, eig, b, 1, v.nodes), nv)
+    v_step = _lagrange_step(sys, eig, b, v.nodes)
     base = node_grid(sys, _BASE_N)
     base_plan = BranchPlan(sys, eig, 0.0, 1, base)
     d_eval = lambda x: np.zeros(np.asarray(x, dtype=float).shape)

@@ -3,9 +3,15 @@ audit, sampling and adapted partitions.
 
 The audit reads everything off ``symbol_pullbacks``: the inverse
 Jacobians and their normaliser at the nodes for the masses, and the orbit
-sums at the reference points.  Both are built on the same words, so at
-every depth their rows are the same words in the same order, and the
-audit divides them row by row as the engine lays them out.
+sums at the reference points.  Both are built on the same ``symbol_trees``,
+so at every depth their rows are the same words in the same order, and the
+audit divides them row by row as the engine lays them out.  The mass
+tables run the engine on column blocks of the node grid, every depth of a
+block before the next block, so the most they hold at once is one block's
+J and x, at most _MASS_BLOCK (word, node) pairs an array, however deep the
+audit.  A depth-13 SYS-C-NLROOF audit from the CLI peaks at about 120 MB
+of RSS, imports included, against 630 MB when a depth's J covered every
+node.
 
 The backward chain that samples mu holds its states in ascending order,
 so that each branch is solved on one slice of them, and scipy's PPoly,
@@ -29,7 +35,7 @@ import numpy as np
 from .operator import EigenData
 from .system import (MarkovSystem, NotCoveringError, NotExpandingError,
                      _cylinder_ends, check_word_cap, count_words,
-                     symbol_pullbacks, word_array)
+                     symbol_pullbacks, symbol_trees, word_array)
 
 __all__ = [
     "AdaptedPartition", "FrequencyTooSmallError",
@@ -41,6 +47,11 @@ class FrequencyTooSmallError(ValueError):
     pass
 
 
+# (word, node) pairs of one column block of the mass tables: 16 MiB a
+# float64 array
+_MASS_BLOCK = 1 << 21
+
+
 @dataclass
 class AdaptedPartition:
     """The elements of an adapted partition, as arrays sorted by ``left``:
@@ -49,9 +60,10 @@ class AdaptedPartition:
     right: np.ndarray
 
 
-def _mass_tables(sys: MarkovSystem, eig: EigenData, words: np.ndarray):
-    """Yield (words, masses) for every depth 1..n, from ``words``, the
-    (K, n) ``word_array`` of all admissible depth-n words.
+def _mass_tables(sys: MarkovSystem, eig: EigenData, trees: list):
+    """Yield (words, masses) for every depth 1..n, from ``trees``, the
+    ``symbol_trees`` of the (K, n) ``word_array`` of all admissible depth-n
+    words.
 
     ``symbol_pullbacks`` pulls the nodes of the elements in the image of
     each symbol s back along the admissible words ending in s, depth by
@@ -62,27 +74,44 @@ def _mass_tables(sys: MarkovSystem, eig: EigenData, words: np.ndarray):
     cylinder.  The rows at a depth are the runs' rows, symbol after symbol:
     for s = 0..m-1, the words ending in s, in lexicographic order.
 
+    The engine runs on column blocks of the node grid, of at most
+    _MASS_BLOCK // K nodes each: every depth of one block, then the next
+    block, all on the one set of trees.  The normaliser at a node is a sum
+    down its column, so a block holds the whole normaliser of its own
+    columns, with the bits it has over the whole grid, and each depth's
+    masses add J @ (mu / norm) over the block's columns, block after block.
     A depth's J is dropped before the next depth is built.  So the most the
-    tables hold at once is at the last depth n: its J, (words x points) of
-    every run, and the previous depth's x, of the runs not yet advanced to
-    n.  The engine's log weight adds a column per word when phi (and r at
-    sigma != 0) is constant on each element, else as much as x again.
+    tables hold at once is one block's last depth: its J, at most
+    _MASS_BLOCK (word, node) pairs, and the previous depth's x, of the runs
+    not yet advanced to n; and the words and masses of every depth.  The
+    engine's log weight adds a column per word when phi (and r at sigma !=
+    0) is constant on each element, else as much as x again.
     """
     if not np.all(sys.transition.any(axis=0)):
         # the engine builds the lower depths as suffixes of the deepest words
         raise NotCoveringError("some symbol has no predecessor")
-    elements = np.repeat(np.arange(sys.m), eig.N)
-    runs = symbol_pullbacks(sys, words, eig.f.nodes.reshape(-1),
-                            sys.transition[:, elements], ("J",), eig,
-                            every_depth=True)
-    del words  # the runs drop it too once each holds its own rows
-    mu = eig.mu.reshape(-1)
-    for blocks, norm in runs:
-        table = (np.concatenate([pb.words for _, _, pb in blocks]),
-                 np.concatenate([pb.J @ (mu[cols] / norm[cols])
-                                 for _, cols, pb in blocks]))
-        del blocks, norm  # this depth's J is gone before the next is built
-        yield table
+    nodes, mu = eig.f.nodes.reshape(-1), eig.mu.reshape(-1)
+    holds = sys.transition[:, np.repeat(np.arange(sys.m), eig.N)]
+    width = max(1, _MASS_BLOCK // sum(len(words) for _, words, _ in trees))
+    # per depth, the (words, masses) of each tree, in tree order
+    tables = [dict.fromkeys(s for s, _, _ in trees)
+              for _ in range(trees[0][1].shape[1])]
+    for c in range(0, len(nodes), width):
+        block = slice(c, c + width)
+        weights = mu[block]
+        k = 0  # not enumerate, whose result tuple holds the last depth
+        for blocks, norm in symbol_pullbacks(sys, trees, nodes[block],
+                                             holds[:, block], ("J",), eig,
+                                             every_depth=True):
+            for s, cols, pb in blocks:
+                if tables[k][s] is None:
+                    tables[k][s] = (pb.words, np.zeros(len(pb.words)))
+                masses = tables[k][s][1]
+                masses += pb.J @ (weights[cols] / norm[cols])
+            del blocks, norm, pb  # no J of this depth while the next is built
+            k += 1
+    for depth in tables:
+        yield tuple(map(np.concatenate, zip(*depth.values())))
 
 
 def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
@@ -99,12 +128,11 @@ def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
     lo, hi = np.inf, 0.0
     per_depth = {}
     P = eig.pressure
-    words = word_array(sys, max_depth)
+    trees = symbol_trees(sys, word_array(sys, max_depth))
     mids = np.array([0.5 * sum(sys.image_interval(s)) for s in range(sys.m)])
-    points = symbol_pullbacks(sys, words, mids, np.eye(sys.m, dtype=bool),
+    points = symbol_pullbacks(sys, trees, mids, np.eye(sys.m, dtype=bool),
                               ("Snr", "Snphi"), every_depth=True)
-    tables = _mass_tables(sys, eig, words)
-    del words  # the runs drop it too once each holds its own rows
+    tables = _mass_tables(sys, eig, trees)
     for n, ((_, masses), (blocks, _)) in enumerate(zip(tables, points),
                                                    start=1):
         sn = np.concatenate([(pb.Snphi - eig.sigma * pb.Snr)[:, 0]

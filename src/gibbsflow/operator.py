@@ -28,8 +28,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import PPoly
 
-from .system import (MarkovSystem, NoConvergenceError, potential_seminorm,
-                     sampled_seminorm, symbol_pullbacks, word_array)
+from .system import (MarkovSystem, NoConvergenceError, Pullback,
+                     potential_seminorm, sampled_seminorm, symbol_pullbacks,
+                     symbol_trees, word_array)
 
 __all__ = [
     "GridFunction", "EigenData", "NoConvergenceError",
@@ -367,6 +368,15 @@ def c6_bound(eig: EigenData) -> float:
 # -- exact depth-n application -------------------------------------------------
 
 
+def _twisted(pb: Pullback, b: float) -> np.ndarray:
+    """J_w exp(-i b S_n r) at a Pullback's (words, points), complex: a
+    complex copy of J at b = 0.  J is real, so its product with the phase
+    has the bits of J's complex copy times the phase, in either order."""
+    if b == 0.0:
+        return pb.J.astype(complex)
+    return pb.J * np.exp(-1j * b * pb.Snr)
+
+
 class BranchPlan:
     """The depth-n inverse branches of the normalised operator at per-element
     node sets, kept to apply to any number of functions (``apply``).
@@ -376,25 +386,21 @@ class BranchPlan:
     put into the next element, whose branches differ.  ``symbol_pullbacks``
     pulls the points whose element is in the image of a symbol s back along
     every admissible depth-n word ending in s; the plan keeps each run's
-    (columns, h_w(x), J_w, J_w exp(-i b S_n r)) and the normaliser, the sum
-    of J_w at each point, over the sets concatenated.
+    (columns, h_w(x), J_w, J_w exp(-i b S_n r)) (``_twisted``) and the
+    normaliser, the sum of J_w at each point, over the sets concatenated.
     """
 
     def __init__(self, sys: MarkovSystem, eig: EigenData, b: float, n: int,
                  nodes):
         elements = np.repeat(np.arange(sys.m), [len(xs) for xs in nodes])
         [(runs, self.norm)] = symbol_pullbacks(
-            sys, word_array(sys, n), np.concatenate(nodes),
-            sys.transition[:, elements], ("x", "Snr", "J"), eig)
+            sys, symbol_trees(sys, word_array(sys, n)),
+            np.concatenate(nodes), sys.transition[:, elements],
+            ("x", "Snr", "J"), eig)
         self.blocks = []
         for _, cols, pb in runs:
-            J = pb.J.astype(complex)
-            twisted = J
-            if b != 0.0:
-                # named: numpy may compute J * temporary as temporary * J,
-                # in place, which rounds differently
-                phase = np.exp(-1j * b * pb.Snr)
-                twisted = J * phase
+            twisted = _twisted(pb, b)
+            J = twisted if b == 0.0 else pb.J.astype(complex)
             self.blocks.append((cols, pb.x.reshape(-1), J, twisted))
 
     def apply(self, fn, twist: bool) -> np.ndarray:

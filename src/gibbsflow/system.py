@@ -35,17 +35,21 @@ module scans the expressions for them.  Every Hoelder seminorm of sampled
 values, there and in the other modules, is one ``sampled_seminorm``.
 
 Inverse branches of every depth are computed by one engine, ``pullbacks``:
-words are built by prepending symbols, h_{iw} = h_i o h_w, and each depth
-carries (words x points) arrays of the pulled-back points and the orbit
-sums along them.  Other modules reach it through ``pullback`` (the last
-depth) and ``symbol_pullbacks`` (one run per last symbol, and the one
-normaliser sum of J_w).  The log weight S_k(phi - sigma r) behind J is
-held as a (words x 1) column when every piece it reads (phi, and r at
-sigma != 0) is a constant on its element, as on every preset at sigma =
-0: it is then one number per word.  J is (words x points) either way, with the same
-bits.  Cylinders are arrays too: a words array and the ends of each word's
-cylinder, pulled back by that engine (``cylinders``); no module builds an
-object per word.
+words are built by prepending symbols, h_{iw} = h_i o h_w, along the
+words' suffix tree, and each depth carries (words x points) arrays of the
+pulled-back points and the orbit sums along them.  Other modules reach it
+through ``pullback`` (the last depth, on a tree of its own) and
+``symbol_pullbacks`` (one run per last symbol, and the one normaliser sum
+of J_w).  ``symbol_pullbacks`` reads the words and trees of
+``symbol_trees``, built once, so a caller pulls the same words back at
+several sets of points, as the mass tables do block by block, without
+building them again.  The log weight S_k(phi - sigma r) behind J is held
+as a (words x 1) column when every piece it reads (phi, and r at sigma !=
+0) is a constant on its element, as on every preset at sigma = 0: it is
+then one number per word.  J is (words x points) either way, with the
+same bits.  Cylinders are arrays too: a words array and the ends of each
+word's cylinder, pulled back by that engine (``cylinders``); no module
+builds an object per word.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ __all__ = [
     "NotCoveringError", "CapExceededError",
     "OutsideImageError", "NoConvergenceError", "system_from_config",
     "validate", "cylinders", "count_words", "check_word_cap", "word_array",
-    "pullbacks", "pullback", "symbol_pullbacks", "branch_chain",
+    "pullbacks", "pullback", "symbol_trees", "symbol_pullbacks",
+    "branch_chain",
     "sampled_seminorm", "potential_seminorm",
 ]
 
@@ -663,25 +668,28 @@ def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, out: dict, k: int,
         J /= fy
 
 
-def pullbacks(sys: MarkovSystem, words, ys, fields, eig, every_depth: bool):
+def pullbacks(sys: MarkovSystem, words: np.ndarray, levels: list, ys,
+              fields, eig, every_depth: bool):
     """Pull the points ys back along every suffix of ``words``, depth by depth.
 
-    ``words`` is a (K, n) array of distinct words in lexicographic order;
-    every y must lie in the image of the last symbol of every word.  Depth k
-    comes from depth k - 1 by prepending a symbol, h_{iw} = h_i o h_w, with
-    one batched ``inverse_branch`` per symbol over row blocks of at most
-    2^16 (word, point) pairs.  Yields one Pullback per depth k = 1..n, with
-    rows the distinct length-k suffixes in lexicographic order (at depth n,
-    ``words`` itself), carrying ``fields``; "J" needs the EigenData ``eig``,
-    and no other field reads it (None will do).  With ``every_depth`` False
-    only depth n is yielded, and J, which no deeper depth needs, is computed
-    there alone.
+    ``words`` is a (K, n) array of distinct words in lexicographic order,
+    and ``levels`` its ``_suffix_tree``, which a caller that pulls the same
+    words back at several sets of points builds once; every y must lie in
+    the image of the last symbol of every word.  Yields one Pullback per
+    depth k = 1..n, with rows the distinct length-k suffixes in
+    lexicographic order (at depth n, ``words`` itself), carrying
+    ``fields``; "J" needs the EigenData ``eig``, and no other field reads
+    it (None will do).  With ``every_depth`` False only depth n is yielded,
+    and J, which no deeper depth needs, is computed there alone.
 
-    Each (word, point) pair is written once, straight into its depth's
-    array.  While depth k is built the engine holds the previous depth's x
-    and running sums (dTn, DSnr_h, Snr, Snphi and the log weight, as
-    ``fields`` need them); a yielded J is dropped, so it lives only as long
-    as the caller keeps it.  The last depth keeps nothing but ``fields``.
+    Depth k comes from depth k - 1 by prepending a symbol, h_{iw} = h_i o
+    h_w, with one batched ``inverse_branch`` per symbol over row blocks of
+    at most 2^16 (word, point) pairs.  Each (word, point) pair is written
+    once, straight into its depth's array.  While depth k is built the
+    engine holds the previous depth's x and running sums (dTn, DSnr_h, Snr,
+    Snphi and the log weight, as ``fields`` need them); a yielded J is
+    dropped, so it lives only as long as the caller keeps it.  The last
+    depth keeps nothing but ``fields``.
 
     The log weight lw = S_k(phi - sigma r) is one column, a number per
     word, when every phi piece is a constant (``expr.is_constant``), and so
@@ -694,12 +702,8 @@ def pullbacks(sys: MarkovSystem, words, ys, fields, eig, every_depth: bool):
     of ``word_array``) reads the previous depth through a slice, others
     through an index array.
     """
-    words = np.asarray(words, dtype=np.intp)
     ys = np.asarray(ys, dtype=float)
     n = words.shape[1]
-    if n < 1:
-        raise ValueError("depth must be >= 1")
-    levels = _suffix_tree(words)
     want = set(fields)
     need = want | {"x"}
     if "DSnr_h" in need:
@@ -739,40 +743,60 @@ def pullbacks(sys: MarkovSystem, words, ys, fields, eig, every_depth: bool):
                           for f in step_need}, k, eig, fy)
         state = new
         if yields:
-            # J goes to the caller alone: no deeper depth reads it
-            yield Pullback(words[first, n - k:],
+            # J goes to the caller alone: no deeper depth reads it; the
+            # rows of depth n are ``words`` itself
+            yield Pullback(words if k == n else words[first, n - k:],
                            **{f: state.pop(f) if f == "J" else state[f]
                               for f in want})
 
 
 def pullback(sys: MarkovSystem, words, ys, fields=FIELDS) -> Pullback:
-    """The last depth of ``pullbacks``: one row per word of ``words``."""
-    for level in pullbacks(sys, words, ys, fields, None, False):
+    """The last depth of ``pullbacks`` on the ``_suffix_tree`` of ``words``:
+    one row per word of ``words``."""
+    words = np.asarray(words, dtype=np.intp)
+    if words.shape[1] < 1:
+        raise ValueError("depth must be >= 1")
+    for level in pullbacks(sys, words, _suffix_tree(words), ys, fields, None,
+                           False):
         pass
     return level
 
 
-def symbol_pullbacks(sys: MarkovSystem, words, ys, holds, fields, eig=None,
+def symbol_trees(sys: MarkovSystem, words) -> list[tuple]:
+    """The (K, n) ``words``, distinct and in lexicographic order, by last
+    symbol: (s, the words ending in s, their ``_suffix_tree``) for each
+    symbol s that ends some word, in symbol order.  Each holds its own
+    rows, so the caller may drop ``words``; ``symbol_pullbacks`` reads
+    them, as often as the caller needs."""
+    words = np.asarray(words, dtype=np.intp)
+    trees = []
+    for s in range(sys.m):
+        ends = words[words[:, -1] == s]
+        if len(ends):
+            trees.append((s, ends, _suffix_tree(ends)))
+    return trees
+
+
+def symbol_pullbacks(sys: MarkovSystem, trees, ys, holds, fields, eig=None,
                      every_depth: bool = False):
-    """One ``pullbacks`` run per last symbol s, of the words ending in s at
-    the ys that the boolean row holds[s] marks, zipped depth by depth.
+    """One run of the engine per tree of ``trees`` (``symbol_trees``): the
+    words ending in s, at the ys that the boolean row holds[s] marks,
+    zipped depth by depth.
 
     Yields (blocks, norm) per depth, at the depths ``pullbacks`` yields:
     one (s, cols, Pullback) block per symbol that ends some word and holds
     some y, in symbol order, cols indexing ys; and the sum of J_w over all
     rows at each y, added symbol after symbol, when "J" is in ``fields``,
-    else None.  The full ``words`` array is dropped once each run holds its
-    rows, and a depth's blocks once the next depth is asked for.
+    else None.  A depth's blocks are dropped once the next depth is asked
+    for.
     """
-    depths = words.shape[1] if every_depth else 1
+    depths = trees[0][1].shape[1] if every_depth else 1
     runs = []
-    for s in range(sys.m):
+    for s, words, levels in trees:
         cols = np.flatnonzero(holds[s])
-        ends = words[:, -1] == s
-        if len(cols) and ends.any():
-            runs.append((s, cols, pullbacks(sys, words[ends], ys[cols], fields,
-                                             eig, every_depth)))
-    del words  # each run holds its own rows
+        if len(cols):
+            runs.append((s, cols, pullbacks(sys, words, levels, ys[cols],
+                                            fields, eig, every_depth)))
     for _ in range(depths):
         blocks = [(s, cols, next(run)) for s, cols, run in runs]
         yield blocks, _normaliser(blocks, len(ys)) if "J" in fields else None
@@ -781,10 +805,14 @@ def symbol_pullbacks(sys: MarkovSystem, words, ys, holds, fields, eig=None,
 
 def _normaliser(blocks, P: int):
     """The sum of J_w over the rows of ``blocks`` at each of P points, added
-    symbol after symbol."""
+    symbol after symbol, and within a symbol row after row: numpy sums a
+    lone column pairwise, so one is summed by ``cumsum``, which keeps the
+    bits a column has among others."""
     norm = np.zeros(P)
     for _, cols, pb in blocks:
-        norm[cols] += pb.J.sum(axis=0)
+        J = pb.J
+        norm[cols] += J.sum(axis=0) if J.shape[1] != 1 \
+            else np.cumsum(J[:, 0])[-1:]
     return norm
 
 

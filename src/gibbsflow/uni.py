@@ -39,7 +39,7 @@ import numpy as np
 from .gibbs import FrequencyTooSmallError
 from .operator import EigenData
 from .system import (MarkovSystem, branch_chain, count_words, cylinders,
-                     pullback, symbol_pullbacks, word_array)
+                     pullback, symbol_pullbacks, symbol_trees, word_array)
 
 __all__ = [
     "MAX_PAIRS", "check_uni", "a_sequence", "b_sequence",
@@ -87,7 +87,8 @@ def check_uni(sys: MarkovSystem, n: int, R: float) -> dict:
     inside = holds[last]
     # row a: D(S_n r o h_w)(x) of the word words[a] where its domain holds x
     d = np.zeros(inside.shape)
-    [(blocks, _)] = symbol_pullbacks(sys, words, xs, holds, ("DSnr_h",))
+    [(blocks, _)] = symbol_pullbacks(sys, symbol_trees(sys, words), xs, holds,
+                                     ("DSnr_h",))
     for s, cols, pb in blocks:
         d[np.ix_(last == s, cols)] = pb.DSnr_h
 
@@ -177,7 +178,8 @@ def _tableau_runs(sys: MarkovSystem, eig: EigenData, words: np.ndarray,
     """
     c7 = sys.constants.c7
     last = words[:, -1]
-    [(blocks, _)] = symbol_pullbacks(sys, words, ys, _closed_images(sys, ys),
+    [(blocks, _)] = symbol_pullbacks(sys, symbol_trees(sys, words), ys,
+                                     _closed_images(sys, ys),
                                      ("dTn", "DSnr_h", "J"), eig)
     blocks = [(np.flatnonzero(last == s), cols, pb) for s, cols, pb in blocks]
     step = max(1, _SWEEP_BLOCK // len(words))
@@ -279,15 +281,21 @@ def _greedy_chain(sys: MarkovSystem, start_elem: int, length: int,
 def _theta_eval(sys: MarkovSystem, chains: dict[int, list[int]], y0: float,
                 pts: np.ndarray, J: int) -> np.ndarray:
     """Truncated telescoping sum theta(y) = sum_j [r(h_j y) - r(h_j y0)]:
-    S_J r along the word of the backward chain, at y minus at y0."""
+    S_J r along the word of the backward chain, at y minus at y0.
+
+    The points of every element whose chain gives the same word are pulled
+    back in one ``branch_chain`` call, y0 with them; each point is solved
+    on its own, so its value does not depend on what else the call holds.
+    """
     pts = np.asarray(pts, dtype=float)
     out = np.zeros_like(pts)
     elems = sys.element_of(pts)
-    for e in np.unique(elems):
-        mask = elems == e
-        word = tuple(reversed(chains[int(e)][:J]))
-        snr = branch_chain(sys, word, np.append(pts[mask], y0))["Snr"]
-        out[mask] = snr[:-1] - snr[-1]
+    words = [tuple(reversed(chains[e][:J])) for e in range(sys.m)]
+    for word in dict.fromkeys(words):
+        mask = np.isin(elems, [e for e in range(sys.m) if words[e] == word])
+        if mask.any():
+            snr = branch_chain(sys, word, np.append(pts[mask], y0))["Snr"]
+            out[mask] = snr[:-1] - snr[-1]
     return out
 
 
@@ -298,7 +306,9 @@ def coboundary_test(sys: MarkovSystem, J_trunc: int, tol: float) -> dict:
     theta is built by telescoping pullbacks along a fixed backward branch
     chain per element (greedy lowest admissible index); a second chain
     (greedy highest) provides an independent witness.  The residual is
-    read at 512 points per element.
+    read at 512 points per element.  theta is evaluated in one batch per
+    chain family: at the points and their images under T for the lowest
+    chains, at the points for the highest.
     """
     lam, c4 = sys.constants.lam, sys.constants.c4
     chains_lo = {e: _greedy_chain(sys, e, J_trunc, lowest=True)
@@ -307,22 +317,20 @@ def coboundary_test(sys: MarkovSystem, J_trunc: int, tol: float) -> dict:
                  for e in range(sys.m)}
     y0 = 0.5
 
+    xs = np.stack([np.linspace(a + (b - a) * 1e-9, b - (b - a) * 1e-9, 512)
+                   for a, b in map(sys.element_interval, range(sys.m))])
+    tx = np.clip(sys.apply_T(xs), 0.0, np.nextafter(1.0, 0.0))
+    theta, theta_tx = _theta_eval(sys, chains_lo, y0,
+                                  np.stack([xs, tx]), J_trunc)
+    theta_hi = _theta_eval(sys, chains_hi, y0, xs, J_trunc)
     residual = 0.0
     chi = []
     chain_dev = 0.0
     for e in range(sys.m):
-        a, b = sys.element_interval(e)
-        eps = (b - a) * 1e-9
-        xs = np.linspace(a + eps, b - eps, 512)
-        tx = sys.apply_T(xs)
-        tx = np.clip(tx, 0.0, np.nextafter(1.0, 0.0))
-        theta = _theta_eval(sys, chains_lo, y0, xs, J_trunc)
-        g = (sys.r[e].value(x=xs)
-             - _theta_eval(sys, chains_lo, y0, tx, J_trunc)
-             + theta)
+        g = sys.r[e].value(x=xs[e]) - theta_tx[e] + theta[e]
         residual = max(residual, float(g.max() - g.min()))
         chi.append(float(np.mean(g)))
-        d = theta - _theta_eval(sys, chains_hi, y0, xs, J_trunc)
+        d = theta[e] - theta_hi[e]
         chain_dev = max(chain_dev, float(d.max() - d.min()))
     tail = c4 * lam ** (-float(J_trunc)) / (1.0 - 1.0 / lam)
     return {

@@ -8,8 +8,8 @@ import pytest
 from gibbsflow.gibbs import _mass_tables
 from gibbsflow.operator import node_grid
 from gibbsflow.presets import PRESETS
-from gibbsflow.system import (branch_chain, pullback, pullbacks,
-                              system_from_config, word_array)
+from gibbsflow.system import (_suffix_tree, branch_chain, pullback, pullbacks,
+                              symbol_trees, system_from_config, word_array)
 
 # T(x) = 2x + 0.12 sin(2 pi x) mod 1: Markov on {0, 1/2, 1} with nonlinear
 # branches, roof (2 + cos 2 pi x)/3 and potential -log T', so J_w depends on x
@@ -169,7 +169,8 @@ def cylinder_masses(sys, eig, n: int):
     """The mu_sigma masses of the depth-n cylinders, as the Gibbs audit
     computes them, with ``cylinders`` = ``cylinder_list(sys, n)`` and
     ``masses`` their masses in that order."""
-    for words, masses in _mass_tables(sys, eig, word_array(sys, n)):
+    for words, masses in _mass_tables(sys, eig,
+                                      symbol_trees(sys, word_array(sys, n))):
         pass
     cyls = cylinder_list(sys, n)
     row = {tuple(w): k for k, w in enumerate(words.tolist())}
@@ -226,9 +227,16 @@ def psi(sys, w1, w2) -> PsiFunction:
 # -- the per-symbol engine loops, as each caller kept its own -----------------
 
 
+def engine(sys, words, ys, fields, eig, every_depth):
+    """``system.pullbacks`` on ``words`` and their own suffix tree."""
+    words = np.asarray(words, dtype=np.intp)
+    return pullbacks(sys, words, _suffix_tree(words), ys, fields, eig,
+                     every_depth)
+
+
 def last_depth(sys, words, ys, fields, eig):
     """The last depth of the engine with the EigenData ``eig``."""
-    for level in pullbacks(sys, words, ys, fields, eig, every_depth=False):
+    for level in engine(sys, words, ys, fields, eig, every_depth=False):
         pass
     return level
 
@@ -272,7 +280,7 @@ def mass_tables_loop(sys, eig, words):
     and the normaliser, an (m, N) array, summed symbol after symbol."""
     nodes = node_grid(sys, eig.N)
     images = [slice(*image) for image in sys.images]
-    engines = [pullbacks(sys, words[words[:, -1] == s],
+    engines = [engine(sys, words[words[:, -1] == s],
                          nodes[img].reshape(-1), ("J",), eig, True)
                for s, img in enumerate(images)]
     for levels in zip(*engines):

@@ -499,9 +499,8 @@ def test_cone_iteration_plans_match_fresh_applications(sys_b, eig_b,
         seen.append("d")
         return nodes, vals
 
-    def step_checked(sys, plan, N):
-        M = lagrange_step(sys, plan, N)
-        nodes = node_grid(sys, N)
+    def step_checked(sys, eig, b, nodes):
+        M = lagrange_step(sys, eig, b, nodes)
         g = 2.0 + np.sin(7.0 * nodes) + 0.5j * nodes
         per_branch = [_lagrange_on(*sys.element_interval(i), g[i])
                       for i in range(sys.m)]
@@ -521,8 +520,7 @@ def _v_grid_advances(sys, eig, b, k):
     """v_k = k applications of cone_iteration's step matrix to v_0 = 1 on
     its grid at |b|, as (m, N) node values."""
     N = int(max(dg._BASE_N, dg._V_NODES_PER_B * abs(b)))
-    M = dg._lagrange_step(sys, BranchPlan(sys, eig, b, 1, node_grid(sys, N)),
-                          N)
+    M = dg._lagrange_step(sys, eig, b, node_grid(sys, N))
     w = np.ones(M.shape[0], dtype=complex)
     for _ in range(k):
         w = M @ w
@@ -589,6 +587,31 @@ def test_v_step_maps_one_to_one_at_b_zero(name):
     assert np.max(np.abs(v1 - 1.0)) <= 1e-15
 
 
+def test_v_step_build_holds_the_matrix_and_one_branch_at_a_time(sys_b,
+                                                                eig_b):
+    # at b = 1024 v's grid has 65,536 nodes per element, each in the image
+    # of both SYS-B branches.  The build holds the matrix (20.5 MiB), the
+    # depth-1 pullback's x, S r and J (24 B a (branch, node) pair, 6 MiB)
+    # and normaliser until their branch is written, and one branch's
+    # temporaries, at most a dozen float64 arrays of its pairs (12 MiB): a
+    # peak of 36.6 MiB.  Built from a BranchPlan, whose blocks and complex
+    # copies of J lived while the matrix was filled, it peaked at 49.5 MiB
+    import tracemalloc
+    b = 1024.0
+    nodes = node_grid(sys_b, int(dg._V_NODES_PER_B * b))
+    dg._lagrange_step(sys_b, eig_b, b, node_grid(sys_b, 64))  # lazy caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        M = dg._lagrange_step(sys_b, eig_b, b, nodes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    matrix = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    pullback = (3 * 8 * sys_b.m + 8) * nodes.size
+    assert peak <= matrix + pullback + 12 * 8 * nodes.size, (peak, matrix)
+
+
 def test_cone_iteration_pulls_the_base_nodes_back_once(sys_b, eig_b,
                                                        monkeypatch,
                                                        small_grids):
@@ -599,12 +622,12 @@ def test_cone_iteration_pulls_the_base_nodes_back_once(sys_b, eig_b,
     pullbacks = system_mod.pullbacks
     columns = []
 
-    def counted(sys, words, ys, fields, *rest, **kwargs):
+    def counted(sys, words, levels, ys, fields, *rest):
         # the plans' runs carry J; the cylinder ends of the bump geometry
         # and the transversal pairs do not
         if "J" in fields:
             columns.append(np.array(ys))
-        return pullbacks(sys, words, ys, fields, *rest, **kwargs)
+        return pullbacks(sys, words, levels, ys, fields, *rest)
 
     monkeypatch.setattr(system_mod, "pullbacks", counted)
     base_n = dg._BASE_N

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
+from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses, engine,
                       itineraries, mass_tables_loop, partition_walk)
 from gibbsflow import gibbs
 from gibbsflow.gibbs import (FrequencyTooSmallError, _backward_step, _burn_in,
@@ -12,7 +12,7 @@ from gibbsflow.gibbs import (FrequencyTooSmallError, _backward_step, _burn_in,
                              sample_mu)
 from gibbsflow.operator import eigendata, node_grid
 from gibbsflow.presets import PRESETS, make_preset
-from gibbsflow.system import (branch_chain, pullbacks, symbol_pullbacks,
+from gibbsflow.system import (branch_chain, symbol_pullbacks, symbol_trees,
                               system_from_config, validate, word_array)
 
 N = 512
@@ -113,10 +113,10 @@ def _audit_by_sorted_x(sys, eig, max_depth):
     nodes = node_grid(sys, eig.N)
     words = word_array(sys, max_depth)
     images = [slice(*image) for image in sys.images]
-    mass_engines = [pullbacks(sys, words[words[:, -1] == s],
+    mass_engines = [engine(sys, words[words[:, -1] == s],
                               nodes[img].reshape(-1), ("J",), eig, True)
                     for s, img in enumerate(images)]
-    point_engines = [pullbacks(sys, words[words[:, -1] == s],
+    point_engines = [engine(sys, words[words[:, -1] == s],
                                [0.5 * sum(sys.image_interval(s))],
                                ("x", "Snr", "Snphi"), None, True)
                      for s in range(sys.m)]
@@ -145,8 +145,10 @@ def _audit_by_sorted_x(sys, eig, max_depth):
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
 @pytest.mark.parametrize("name", sorted(PRESETS) + ["NL-DOUBLING"])
 def test_gibbs_audit_equals_the_audit_by_sorted_x(name, sigma, nl_doubling):
+    # the mass tables are one column block at these sizes
     sys = nl_doubling if name == "NL-DOUBLING" else make_preset(name)
     eig = eigendata(sys, sigma, N=128)
+    assert len(word_array(sys, 6)) * sys.m * eig.N <= gibbs._MASS_BLOCK
     assert gibbs_audit(sys, eig, 6) == _audit_by_sorted_x(sys, eig, 6)
 
 
@@ -155,21 +157,70 @@ def test_gibbs_audit_equals_the_audit_by_sorted_x(name, sigma, nl_doubling):
                                   "NL-DOUBLING"])
 def test_mass_tables_equal_the_per_symbol_loop(name, sigma, nl_doubling):
     # symbol_pullbacks gives the words, the normaliser and the masses of one
-    # engine per symbol zipped by depth, bit for bit
+    # engine per symbol zipped by depth, bit for bit, in one column block
     sys = nl_doubling if name == "NL-DOUBLING" else make_preset(name)
     eig = eigendata(sys, sigma, N=128)
     words = word_array(sys, 6)
+    assert len(words) * sys.m * eig.N <= gibbs._MASS_BLOCK
     elements = np.repeat(np.arange(sys.m), eig.N)
-    norms = symbol_pullbacks(sys, words, node_grid(sys, eig.N).reshape(-1),
+    trees = symbol_trees(sys, words)
+    norms = symbol_pullbacks(sys, trees, node_grid(sys, eig.N).reshape(-1),
                              sys.transition[:, elements], ("J",), eig,
                              every_depth=True)
     depths = 0
     for (got_words, masses), (_, norm), (want_words, want, want_norm) in zip(
-            _mass_tables(sys, eig, words), norms,
+            _mass_tables(sys, eig, trees), norms,
             mass_tables_loop(sys, eig, words)):
         assert np.array_equal(got_words, want_words)
         assert np.array_equal(norm, want_norm.reshape(-1))
         assert np.array_equal(masses, want)
+        depths += 1
+    assert depths == 6
+
+
+def _blocked_tables(sys, eig, words, width, monkeypatch):
+    """The mass tables of ``words`` run on column blocks of ``width`` nodes:
+    (words, masses) of each depth, the normaliser of each depth over the
+    node grid, the blocks' own put side by side in column order, and the
+    number of blocks."""
+    norms = []  # per block, the normaliser of each depth
+    run = gibbs.symbol_pullbacks
+
+    def recorded(*args, **kwargs):
+        norms.append([])
+        for blocks, norm in run(*args, **kwargs):
+            norms[-1].append(norm)
+            yield blocks, norm
+
+    monkeypatch.setattr(gibbs, "_MASS_BLOCK", width * len(words))
+    monkeypatch.setattr(gibbs, "symbol_pullbacks", recorded)
+    tables = list(_mass_tables(sys, eig, symbol_trees(sys, words)))
+    return tables, [np.concatenate(depth) for depth in zip(*norms)], len(norms)
+
+
+@pytest.mark.parametrize("width", [51, 100])
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("name", ["SYS-B", "SYS-C", "SYS-C-NLROOF"])
+def test_mass_tables_over_column_blocks_equal_the_per_symbol_loop(
+        name, sigma, width, monkeypatch):
+    # the tables' engine runs on 3 to 8 column blocks of the 256 or 384
+    # nodes.  A node's normaliser is a sum down its column, so it keeps its
+    # bits, and so do the words; each mass is a sum over the nodes split
+    # into one sum per block, so it moves by rounding alone.  At width 51 a
+    # block ends one node into a symbol's image, and a lone column is
+    # summed row after row, as among others
+    sys = make_preset(name)
+    eig = eigendata(sys, sigma, N=128)
+    words = word_array(sys, 6)
+    tables, norms, blocks = _blocked_tables(sys, eig, words, width,
+                                            monkeypatch)
+    assert blocks == -(-sys.m * eig.N // width) >= 3
+    depths = 0
+    for (got_words, masses), norm, (want_words, want, want_norm) in zip(
+            tables, norms, mass_tables_loop(sys, eig, words)):
+        assert np.array_equal(got_words, want_words)
+        assert np.array_equal(norm, want_norm.reshape(-1))
+        assert np.max(np.abs(masses - want) / want) <= 1e-14
         depths += 1
     assert depths == 6
 
@@ -213,12 +264,15 @@ def test_gibbs_audit_builds_no_cylinders(eig_c, monkeypatch):
 
 
 def test_gibbs_audit_holds_the_last_J_and_the_previous_x():
-    # the most a depth-9 audit holds at once is the last depth's J and the
-    # previous depth's x, plus 1 MiB for a block's temporaries (2^16 pairs,
-    # 0.5 MiB an array) and the word arrays.  SYS-C-NLROOF's potential is
-    # constant on each element, so the engine's log weight is one column
-    # per word; held at full width it costs the size of x again (a peak of
-    # 29.8 MB against this bound's 28.5 MB; 23.9 MB as one column)
+    # the whole-level bound: a depth-9 audit holds no more than the last
+    # depth's J and the previous depth's x over the whole node grid, plus 1
+    # MiB for a block's temporaries (2^16 pairs, 0.5 MiB an array) and the
+    # word arrays.  The mass tables run on column blocks of at most
+    # _MASS_BLOCK (word, node) pairs, two blocks of 1,015 nodes here, so
+    # their peak, 16.5 MiB, stays below the bound's 28.5 MB.
+    # SYS-C-NLROOF's potential is constant on each element, so the
+    # engine's log weight is one column per word; held at full width it
+    # costs the size of x again
     import tracemalloc
     sys = make_preset("SYS-C-NLROOF")
     eig = eigendata(sys, 0.0, N=N)
@@ -237,6 +291,40 @@ def test_gibbs_audit_holds_the_last_J_and_the_previous_x():
     finally:
         tracemalloc.stop()
     assert peak <= nbytes(9) + nbytes(8) + 2 ** 20, (peak, nbytes(9), nbytes(8))
+
+
+def test_gibbs_audit_peak_is_set_by_a_column_block(monkeypatch):
+    # with column blocks of at most 2^17 (word, node) pairs, 1 MiB a
+    # float64 array, the depth-9 and depth-10 audits of 768 nodes run 13
+    # and 28 blocks of 63 and 28 nodes.  Each peaks below one block's J and
+    # previous-depth x, plus 1 MiB of temporaries and the arrays of words
+    # and masses, and depth 10 within 1 MiB of depth 9: its words grow, its
+    # block does not (measured 2.0 and 2.5 MiB)
+    import tracemalloc
+    sys = make_preset("SYS-C-NLROOF")
+    eig = eigendata(sys, 0.0, N=256)
+    gibbs_audit(sys, eig, 2)  # lazily built caches are not the audit's
+    cap = 1 << 17
+    monkeypatch.setattr(gibbs, "_MASS_BLOCK", cap)
+    peaks = {}
+    for n in (9, 10):
+        K = [len(word_array(sys, k)) for k in range(1, n + 1)]
+        block = 8 * (cap // K[-1]) * (K[-1] + K[-2])
+        # the depth-n words, once in word_array and once in the trees, the
+        # trees' three index arrays per depth, and each depth's table words
+        # and masses
+        arrays = 8 * (2 * n * K[-1] + 3 * sum(K)
+                      + sum((k + 1) * K[k - 1] for k in range(1, n + 1)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gibbs_audit(sys, eig, n)
+            peaks[n] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peaks[n] <= block + 2 ** 20 + arrays, (n, peaks[n], block,
+                                                      arrays)
+    assert peaks[10] - peaks[9] <= 2 ** 20, peaks
 
 
 def test_transition_weights_normalized(eig_c):

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
-                      element_sets, jacobian_weight, preset_config)
+                      element_sets, engine, jacobian_weight, preset_config)
 from gibbsflow.operator import BranchPlan, deep_apply, eigendata, node_grid
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.gibbs import _mass_tables
 from gibbsflow.system import (
     FIELDS, CapExceededError, MarkovSystem, NoConvergenceError,
     NotCoveringError, NotMarkovError, OutsideImageError, _suffix_tree,
-    branch_chain, cylinders, pullback, pullbacks, sampled_seminorm,
-    symbol_pullbacks, system_from_config, validate, word_array,
+    branch_chain, cylinders, pullback, sampled_seminorm,
+    symbol_pullbacks, symbol_trees, system_from_config, validate, word_array,
 )
 from gibbsflow.expr import parse
 
@@ -393,12 +393,14 @@ def test_symbol_pullbacks_contract(nl_doubling):
     ys = np.linspace(0.0, 1.0, 13)
     holds = np.array([ys < 0.5, ys >= 0.0, np.zeros(13, dtype=bool)])
     ref = weakref.ref(words)
-    runs = symbol_pullbacks(sys, words, ys, holds, ("x", "J"), eig,
-                            every_depth=True)
+    trees = symbol_trees(sys, words)
     del words
+    assert ref() is None  # each tree holds its own rows
+    assert [s for s, _, _ in trees] == [0, 2]
+    runs = symbol_pullbacks(sys, trees, ys, holds, ("x", "J"), eig,
+                            every_depth=True)
     for k, (blocks, norm) in enumerate(runs, start=1):
         # symbol 1 ends no word and symbol 2 holds no point: one block
-        assert ref() is None  # each run holds its own rows
         [(s, cols, pb)] = blocks
         assert s == 0 and np.array_equal(cols, np.flatnonzero(ys < 0.5))
         assert pb.words.shape[1] == k
@@ -409,9 +411,9 @@ def test_symbol_pullbacks_contract(nl_doubling):
         assert np.array_equal(norm, total)
     assert k == 3
     # without "J" no normaliser; the last depth alone by default
-    [(blocks, norm)] = symbol_pullbacks(nl_doubling, word_array(nl_doubling, 2),
-                                        ys, np.ones((2, 13), dtype=bool),
-                                        ("x",))
+    [(blocks, norm)] = symbol_pullbacks(
+        nl_doubling, symbol_trees(nl_doubling, word_array(nl_doubling, 2)),
+        ys, np.ones((2, 13), dtype=bool), ("x",))
     assert norm is None
     assert [s for s, _, _ in blocks] == [0, 1]
     assert all(pb.J is None and pb.words.shape == (2, 2)
@@ -452,8 +454,8 @@ def _one_at_a_time(references, name, sys, eig, fields):
         for w in word_array(sys, 5):
             ys = _points(sys, w[-1])
             for b in range(len(ys)):
-                for level in pullbacks(sys, w[None, :], ys[b:b + 1], fields,
-                                       eig, every_depth=True):
+                for level in engine(sys, w[None, :], ys[b:b + 1], fields,
+                                    eig, every_depth=True):
                     ref[tuple(level.words[0].tolist()), b] = {
                         f: getattr(level, f)[0, 0] for f in fields}
         references[key] = ref
@@ -489,7 +491,7 @@ def test_pullback_engine_keeps_the_bits_of_the_old_engine(name, block,
             if not len(ws):
                 continue
             ys = _points(sys, s)
-            got = list(pullbacks(sys, ws, ys, fields, eig, every_depth))
+            got = list(engine(sys, ws, ys, fields, eig, every_depth))
             assert len(got) == (ws.shape[1] if every_depth else 1)
             for level in got:
                 if sigma == 0.0:
@@ -511,38 +513,51 @@ def test_pullback_engine_keeps_the_bits_of_the_old_engine(name, block,
 def test_a_yielded_J_is_gone_before_the_next_depth_is_built(monkeypatch):
     # the engine keeps x and the running sums of the previous depth, not
     # its J: once the caller has let a depth go, no block of the next
-    # depth is computed while any J of it is still alive
+    # depth is computed while any J of it is still alive.  The mass tables
+    # are the caller in the second half, over four column blocks: no J of
+    # an earlier depth, or of an earlier column block, lives while a depth
+    # is built
     import weakref
+    import gibbsflow.gibbs as gibbs_mod
     import gibbsflow.system as system_mod
     sys = make_preset("SYS-C-NLROOF")
     eig = eigendata(sys, 0.5, N=32)
     words = word_array(sys, 4)
-    yielded = []   # a weakref to every J the engine has yielded
-    released = []  # those the caller has let go
-    alive = []     # per block computed: how many released J still live
+    yielded = []  # ((batch, depth), weakref to J) of every J yielded
+    building = {"batch": 0, "asked": False, "at": None}
+    alive = []    # per block computed: how many J of another depth live
 
     class Recorded:
         """The engine's levels, each J recorded on the way: an iterator, not
-        a generator, so no suspended frame of its own holds a level."""
+        a generator, so no suspended frame of its own holds a level.  The
+        runs of one ``symbol_pullbacks`` call are made before any is asked
+        for a level, and form one batch."""
 
         def __init__(self, run):
-            self.run = run
+            if building["asked"]:
+                building["batch"] += 1
+                building["asked"] = False
+            self.run, self.batch, self.depth = run, building["batch"], 0
 
         def __iter__(self):
             return self
 
         def __next__(self):
+            building["asked"] = True
+            self.depth += 1
+            building["at"] = (self.batch, self.depth)
             level = next(self.run)
-            yielded.append(weakref.ref(level.J))
+            yielded.append((building["at"], weakref.ref(level.J)))
             return level
 
-    engine = system_mod.pullbacks
+    run = system_mod.pullbacks
     monkeypatch.setattr(system_mod, "pullbacks",
-                        lambda *args: Recorded(engine(*args)))
+                        lambda *args: Recorded(run(*args)))
     solve = MarkovSystem.inverse_branch
 
     def checked(self, *args, **kwargs):
-        alive.append(sum(ref() is not None for ref in released))
+        alive.append(sum(ref() is not None for at, ref in yielded
+                         if at != building["at"]))
         return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(MarkovSystem, "inverse_branch", checked)
@@ -550,15 +565,17 @@ def test_a_yielded_J_is_gone_before_the_next_depth_is_built(monkeypatch):
     holds = np.array([(ys >= lo) & (ys <= hi) for lo, hi in
                       map(sys.image_interval, range(sys.m))])
     depths = 0
-    for blocks, norm in symbol_pullbacks(sys, words, ys, holds, ("J",), eig,
+    trees = symbol_trees(sys, words)
+    for blocks, norm in symbol_pullbacks(sys, trees, ys, holds, ("J",), eig,
                                          every_depth=True):
         depths += 1
         del blocks, norm
-        released[:] = yielded
-    for _ in _mass_tables(sys, eig, words):
+    assert len(yielded) == 4 * sys.m
+    # 96 nodes in four blocks of 24
+    monkeypatch.setattr(gibbs_mod, "_MASS_BLOCK", 24 * len(words))
+    for _ in _mass_tables(sys, eig, trees):
         depths += 1
-        released[:] = yielded
-    assert depths == 8 and len(yielded) == 8 * sys.m
+    assert depths == 8 and building["batch"] == 4
     assert len(alive) > 8 * sys.m and max(alive) == 0
 
 
