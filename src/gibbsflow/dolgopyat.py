@@ -38,8 +38,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .gibbs import adapted_partition
-from .operator import (BranchPlan, EigenData, GridFunction, _ElementwisePchip,
-                       _twisted, apply_L, c6_bound, deep_apply, eigendata,
+from .operator import (BranchPlan, EigenData, GridFunction, _collocation,
+                       _ElementwisePchip, _lagrange, _row_chunks, _twisted,
+                       apply_L, c6_bound, deep_apply, eigendata,
                        hoelder_seminorm, node_grid, norm_b)
 from .system import (MarkovSystem, branch_chain, sampled_seminorm,
                      symbol_pullbacks, symbol_trees, word_array)
@@ -404,61 +405,41 @@ def _integrate_mu(d_eval, node_sets, dens):
 # -- cone iteration ---------------------------------------------------------------
 
 
-def _lagrange_weights(s: np.ndarray):
-    """The 4-point cubic Lagrange weights of nodes j - 1 .. j + 2 of a
-    uniform grid at the points j + s, one node at a time."""
-    yield -s * (s - 1) * (s - 2) / 6
-    yield (s + 1) * (s - 1) * (s - 2) / 2
-    yield -(s + 1) * s * (s - 2) / 2
-    yield (s + 1) * s * (s - 1) / 6
-
-
 def _lagrange_step(sys: MarkovSystem, eig: EigenData, b: float,
                    nodes: np.ndarray) -> sp.csr_matrix:
     """The depth-1 twisted operator on the uniform grid ``nodes``, the (m, N)
     ``node_grid``, as one CSR matrix: row k is node k, and branch i adds its
     exact weight J_i exp(-i b r) / norm (``operator._twisted`` of the
     depth-1 pullback of the grid) times the 4-point cubic Lagrange weights
-    of element i's grid at the preimage h_i(x_k).
+    (``operator._lagrange``) of element i's grid at the preimage h_i(x_k).
 
     The preimage lies in element i, so its stencil is element i's nodes j -
     1 .. j + 2, j = clip(floor(t), 1, N - 3) for t the preimage in units of
     the grid step: the end intervals take one-sided stencils, and a preimage
     on a partition point reads its own element's end value.  Every symbol's
     image holds grid nodes, so the pullback's blocks are the branches in
-    order, and the columns of a row, branch after branch, ascend.  The
-    matrix is filled branch by branch, and each branch's block is dropped
-    once its rows are written.
+    order, each over its image's rows in order, as
+    ``operator._collocation`` fills them: a chunk of _ROWS rows at a time,
+    each branch's block dropped once its rows are written.
     """
     N = nodes.shape[1]
     [(blocks, norm)] = symbol_pullbacks(
         sys, symbol_trees(sys, word_array(sys, 1)), nodes.reshape(-1),
         sys.transition[:, np.repeat(np.arange(sys.m), N)],
         ("x", "Snr", "J"), eig)
-    indptr = np.zeros(sys.m * N + 1, dtype=np.intp)
-    for _, cols, _ in blocks:
-        indptr[cols + 1] += 4
-    np.cumsum(indptr, out=indptr)
-    # the index type scipy would pick, so that it keeps these arrays as given
-    indptr = indptr.astype(np.int32 if indptr[-1] < 2 ** 31 else np.int64)
-    data = np.empty(indptr[-1], dtype=complex)
-    indices = np.empty(indptr[-1], dtype=indptr.dtype)
-    filled = indptr[:-1].copy()  # each row's next free entry
-    while blocks:
-        i, cols, pb = blocks.pop(0)
-        coef = _twisted(pb, b).reshape(-1)
-        coef /= norm[cols]
-        lo, hi = sys.element_interval(i)
-        t = (pb.x.reshape(-1) - lo) * ((N - 1) / (hi - lo))
-        del pb  # the branch's J, x and S r
-        j = np.clip(np.floor(t).astype(np.intp), 1, N - 3)
-        s = t - j
-        at = filled[cols]
-        for k, w in enumerate(_lagrange_weights(s)):  # nodes j - 1 .. j + 2
-            data[at + k] = coef * w
-            indices[at + k] = i * N + j + (k - 1)
-        filled[cols] += 4
-    return sp.csr_matrix((data, indices, indptr), shape=(sys.m * N,) * 2)
+
+    def chunks():
+        while blocks:
+            i, cols, pb = blocks.pop(0)
+            lo, hi = sys.element_interval(i)
+            for part in _row_chunks(len(cols)):
+                # complex at b = 0 too: a complex quotient has other bits
+                coef = _twisted(pb.J[0, part], pb.Snr[0, part], b).astype(
+                    complex, copy=False)
+                coef /= norm[cols[part]]
+                yield i, (pb.x[0, part] - lo) * ((N - 1) / (hi - lo)), coef
+
+    return _collocation(sys, N, _lagrange, chunks())
 
 
 def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,

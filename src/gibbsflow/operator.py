@@ -8,15 +8,21 @@ discretised by collocation on N equally spaced nodes per partition
 element.  Off-grid preimages are filled in by interpolation: linear
 inside operator matrices (so the discrete eigenproblem is exactly
 linear), monotone cubic in GridFunction.eval for function evaluation.
-Every monotone cubic is one ``_ElementwisePchip``: Fritsch-Carlson
-coefficients for all elements built in one numpy pass, bit for bit those
-of scipy's per-element ``PchipInterpolator``, held by a single scipy PPoly
-over all elements' nodes, so an evaluation is one clip and one interval
-search.
+Every collocation matrix is filled straight into CSR by one assembler
+(``_collocation``), a chunk of rows at a time, with the stencil of its
+caller: the linear hat here, the 4-point cubic of ``_lagrange`` for
+``dolgopyat``'s v.  Every monotone cubic is one ``_ElementwisePchip``:
+Fritsch-Carlson coefficients for all elements built in one numpy pass, bit
+for bit those of scipy's per-element ``PchipInterpolator``, held by a
+single scipy PPoly over all elements' nodes, so an evaluation is one clip
+and one interval search.
 
 The normalised operator at the leading real eigendata (lam, f) is
 
-    L_s v = (lam f)^{-1} P_s (f v),   so  L_sigma 1 = 1.
+    L_s v = (lam f)^{-1} P_s (f v),   so  L_sigma 1 = 1,
+
+whose matrix is that of P_s scaled in place (``EigenData.L_matrix``).  The
+left eigenvector nu is read through the CSC view of P_sigma's transpose.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import PPoly
 
-from .system import (MarkovSystem, NoConvergenceError, Pullback,
-                     potential_seminorm, sampled_seminorm, symbol_pullbacks,
-                     symbol_trees, word_array)
+from .system import (MarkovSystem, NoConvergenceError, potential_seminorm,
+                     sampled_seminorm, symbol_pullbacks, symbol_trees,
+                     word_array)
 
 __all__ = [
     "GridFunction", "EigenData", "NoConvergenceError",
@@ -41,7 +47,10 @@ __all__ = [
 
 
 def node_grid(sys: MarkovSystem, N: int) -> np.ndarray:
-    """(m, N) array of nodes, N equally spaced points per element (inclusive)."""
+    """(m, N) array of nodes, N equally spaced points per element (inclusive),
+    so N >= 2; a smaller N is refused with ValueError."""
+    if N < 2:
+        raise ValueError(f"a node grid needs N >= 2 nodes per element, got {N}")
     return np.stack([
         np.linspace(*sys.element_interval(i), N) for i in range(sys.m)
     ])
@@ -219,32 +228,97 @@ class GridFunction:
 
 # -- operator matrix ----------------------------------------------------------
 
+# rows per chunk of a collocation matrix's build: bounds its temporaries
+_ROWS = 1 << 12
+
+
+def _row_chunks(n: int):
+    """range(n) as slices of at most _ROWS, in order."""
+    return (slice(a, min(a + _ROWS, n)) for a in range(0, n, _ROWS))
+
+
+def _hat(s):
+    """The linear hat weights of nodes j, j + 1 of a uniform grid at the
+    points j + s."""
+    return 1.0 - s, s
+
+
+def _lagrange(s):
+    """The 4-point cubic Lagrange weights of nodes j - 1 .. j + 2 of a
+    uniform grid at the points j + s."""
+    return (-s * (s - 1) * (s - 2) / 6, (s + 1) * (s - 1) * (s - 2) / 2,
+            -(s + 1) * s * (s - 2) / 2, (s + 1) * s * (s - 1) / 6)
+
+
+def _collocation(sys: MarkovSystem, N: int, stencil, chunks) -> sp.csr_matrix:
+    """The collocation matrix on ``node_grid(sys, N)``, filled straight into
+    CSR: row r is node x_r, and each branch i whose image holds x_r adds
+    coef times the p weights ``stencil(s)`` of element i's nodes
+    j - p/2 + 1 .. j + p/2, where t = j + s is the preimage h_i(x_r) in
+    units of element i's grid step from its left end and
+    j = clip(floor(t), p/2 - 1, N - 1 - p/2), so the end intervals take
+    one-sided stencils.  An N below p is refused with ValueError.
+
+    ``chunks`` yields (i, t, coef), branch after branch in order, each
+    branch's image rows in order, in chunks of any length.  So row r's
+    entries come branch after branch, and its columns ascend.  data,
+    indices and indptr are sized from ``sys.transition`` before the first
+    chunk and written in place, the indices int32 when they fit (the type
+    scipy picks, so it keeps the arrays as given), the data of the first
+    coef's type; no entry is copied or sorted.
+    """
+    p = len(stencil(0.0))
+    half = p // 2
+    if N < p:
+        raise ValueError(f"a {p}-point stencil needs N >= {p}, got {N}")
+    per_row = p * sys.transition.sum(axis=0)  # entries of a row, by element
+    nnz = N * int(per_row.sum())
+    # indptr[r + 1] is row r's next free entry while rows are filled, and
+    # row r's end once all are
+    indptr = np.empty(sys.m * N + 1, dtype=np.int32 if nnz < 2 ** 31
+                      else np.int64)
+    indptr[0] = start = 0
+    for e, c in enumerate(per_row):
+        indptr[1 + e * N:1 + (e + 1) * N] = start + c * np.arange(N)
+        start += c * N
+    indices = np.empty(nnz, dtype=indptr.dtype)
+    data = branch = None
+    for i, t, coef in chunks:
+        if data is None:
+            data = np.empty(nnz, dtype=coef.dtype)
+        if i != branch:
+            branch, row = i, sys.images[i][0] * N
+        at = indptr[row + 1:row + 1 + len(t)]
+        j = np.clip(np.floor(t).astype(np.intp), half - 1, N - 1 - half)
+        col = j + (i * N + 1 - half)
+        for k, w in enumerate(stencil(t - j)):
+            data[at + k] = coef * w
+            indices[at + k] = col + k
+        at += p
+        row += len(t)
+    return sp.csr_matrix((data, indices, indptr), shape=(sys.m * N,) * 2)
+
 
 def transfer_matrix(sys: MarkovSystem, s: complex, N: int) -> sp.csr_matrix:
-    """Collocation matrix of P_s on the node grid (linear interpolation)."""
-    nodes = node_grid(sys, N)
-    rows, cols, vals = [], [], []
-    for e in range(sys.m):
-        xs = nodes[e]
+    """Collocation matrix of P_s on the node grid, N >= 2 nodes per element:
+    row r holds, for each branch i whose image holds x_r, the weight
+    exp((phi_i - s r_i)(y)) at y = h_i(x_r) times the linear hat weights of
+    element i's nodes about y (``_collocation``), a chunk of _ROWS rows at
+    a time."""
+    x = node_grid(sys, N).reshape(-1)
+
+    def chunks():
         for i in range(sys.m):
-            if not sys.transition[i, e]:
-                continue
-            y = sys.inverse_branch(i, xs)
             a, bnd = sys.element_interval(i)
             h = (bnd - a) / (N - 1)
-            t = (y - a) / h
-            j = np.clip(np.floor(t).astype(int), 0, N - 2)
-            frac = t - j
-            g, _ = sys.log_weight(i, s, y)
-            wgt = np.exp(g)
-            base = e * N + np.arange(N)
-            rows.extend([base, base])
-            cols.extend([i * N + j, i * N + j + 1])
-            vals.extend([wgt * (1.0 - frac), wgt * frac])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(sys.m * N, sys.m * N))
+            lo, hi = sys.images[i]
+            image = x[lo * N:hi * N]
+            for part in _row_chunks(len(image)):
+                y = sys.inverse_branch(i, image[part])
+                g, _ = sys.log_weight(i, s, y)
+                yield i, (y - a) / h, np.exp(g)
+
+    return _collocation(sys, N, _hat, chunks())
 
 
 @dataclass
@@ -270,6 +344,13 @@ class EigenData:
     def L_matrix(self, b: float) -> sp.csr_matrix:
         """Matrix of the normalised twisted operator L_{sigma + i b}.
 
+        It is P_{sigma + i b}, built afresh (a copy of ``matrix`` at b = 0)
+        and scaled in place, a chunk of _ROWS rows at a time: each entry
+        by 1 / (lam f) at its row, then by f at its column, the products of
+        the diagonal matrices D^-1 P D.  Entries that come out 0 are
+        dropped, as those products drop them, so a product with the matrix
+        sums the same terms in the same order.
+
         Only the matrix of the latest b is cached, so a sweep over b holds
         one at a time.
         """
@@ -277,17 +358,22 @@ class EigenData:
         if key not in self._lmat_cache:
             self._lmat_cache.clear()
             if key == 0.0:
-                P = self.matrix
+                P = self.matrix.copy()
             else:
                 P = transfer_matrix(self.system, self.sigma + 1j * key, self.N)
-            fflat = self.f.values.reshape(-1)
-            D = sp.diags(fflat)
-            Dinv = sp.diags(1.0 / (self.lam * fflat))
-            self._lmat_cache[key] = (Dinv @ P @ D).tocsr()
+            f = self.f.values.reshape(-1)
+            scale = 1.0 / (self.lam * f)
+            for rows in _row_chunks(P.shape[0]):
+                ends = P.indptr[rows.start:rows.stop + 1]
+                data = P.data[ends[0]:ends[-1]]
+                data *= np.repeat(scale[rows], np.diff(ends))
+                data *= f[P.indices[ends[0]:ends[-1]]]
+            P.eliminate_zeros()
+            self._lmat_cache[key] = P
         return self._lmat_cache[key]
 
 
-def _power_iteration(M: sp.csr_matrix):
+def _power_iteration(M: sp.spmatrix):
     v = np.ones(M.shape[0])
     maxit = 100_000
     for it in range(1, maxit + 1):
@@ -304,10 +390,13 @@ def _power_iteration(M: sp.csr_matrix):
 
 def eigendata(sys: MarkovSystem, sigma: float, N: int) -> EigenData:
     """Leading eigendata of P_sigma by two-sided power iteration, each side
-    to a residual of 1e-12 |lam| within 100,000 steps."""
+    to a residual of 1e-12 |lam| within 100,000 steps, on N >= 2 nodes per
+    element.  The left side reads the transpose as the CSC view of the
+    matrix, not a copy: its product adds each output's terms in ascending
+    order, as a sorted CSR copy would."""
     M = transfer_matrix(sys, float(sigma), N)
     lam, f, it1 = _power_iteration(M)
-    _, nu, it2 = _power_iteration(M.T.tocsr())
+    _, nu, it2 = _power_iteration(M.T)
     f = np.abs(f)
     nu = np.abs(nu)
     nu = nu / nu.sum()
@@ -368,13 +457,17 @@ def c6_bound(eig: EigenData) -> float:
 # -- exact depth-n application -------------------------------------------------
 
 
-def _twisted(pb: Pullback, b: float) -> np.ndarray:
-    """J_w exp(-i b S_n r) at a Pullback's (words, points), complex: a
-    complex copy of J at b = 0.  J is real, so its product with the phase
-    has the bits of J's complex copy times the phase, in either order."""
+def _twisted(J: np.ndarray, Snr: np.ndarray, b: float) -> np.ndarray:
+    """J_w exp(-i b S_n r) from a Pullback's J and S_n r: one complex array,
+    the phase, exponentiated in place, times J; at b = 0, J itself, real.
+    J is real, so its product with the phase has the bits of J's complex
+    copy times the phase, in either order."""
     if b == 0.0:
-        return pb.J.astype(complex)
-    return pb.J * np.exp(-1j * b * pb.Snr)
+        return J
+    out = -1j * b * Snr
+    np.exp(out, out=out)
+    out *= J
+    return out
 
 
 class BranchPlan:
@@ -388,6 +481,9 @@ class BranchPlan:
     every admissible depth-n word ending in s; the plan keeps each run's
     (columns, h_w(x), J_w, J_w exp(-i b S_n r)) (``_twisted``) and the
     normaliser, the sum of J_w at each point, over the sets concatenated.
+    J_w is kept real, and at b = 0 it is its own twisted weight; ``apply``
+    multiplies in complex, so its products have the bits they have with a
+    complex copy of J_w.
     """
 
     def __init__(self, sys: MarkovSystem, eig: EigenData, b: float, n: int,
@@ -397,11 +493,8 @@ class BranchPlan:
             sys, symbol_trees(sys, word_array(sys, n)),
             np.concatenate(nodes), sys.transition[:, elements],
             ("x", "Snr", "J"), eig)
-        self.blocks = []
-        for _, cols, pb in runs:
-            twisted = _twisted(pb, b)
-            J = twisted if b == 0.0 else pb.J.astype(complex)
-            self.blocks.append((cols, pb.x.reshape(-1), J, twisted))
+        self.blocks = [(cols, pb.x.reshape(-1), pb.J,
+                        _twisted(pb.J, pb.Snr, b)) for _, cols, pb in runs]
 
     def apply(self, fn, twist: bool) -> np.ndarray:
         """sum_w J_w [exp(-i b S_n r) if ``twist``] fn at h_w(x) over the
@@ -410,7 +503,8 @@ class BranchPlan:
         acc = np.zeros(self.norm.shape, dtype=complex)
         for cols, hx, J, twisted in self.blocks:
             val = twisted if twist else J
-            acc[cols] += (val * np.reshape(fn(hx), val.shape)).sum(axis=0)
+            acc[cols] += np.multiply(val, np.reshape(fn(hx), val.shape),
+                                     dtype=complex).sum(axis=0)
         return acc / self.norm
 
 

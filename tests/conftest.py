@@ -265,12 +265,11 @@ def branch_plan_loop(sys, eig, b, n, nodes):
             continue
         pb = last_depth(sys, words[ends], xs[cols], ("x", "Snr", "J"), eig)
         norm[cols] += pb.J.sum(axis=0)
-        J = pb.J.astype(complex)
-        twisted = J
+        twisted = pb.J
         if b != 0.0:
             phase = np.exp(-1j * b * pb.Snr)
-            twisted = J * phase
-        blocks.append((cols, pb.x.reshape(-1), J, twisted))
+            twisted = pb.J.astype(complex) * phase
+        blocks.append((cols, pb.x.reshape(-1), pb.J, twisted))
     return blocks, norm
 
 
