@@ -11,18 +11,20 @@ linear), monotone cubic in GridFunction.eval for function evaluation.
 Every collocation matrix is filled straight into CSR by one assembler
 (``_collocation``), a chunk of rows at a time, with the stencil of its
 caller: the linear hat here, the 4-point cubic of ``_lagrange`` for
-``dolgopyat``'s v.  Every monotone cubic is one ``_ElementwisePchip``:
-Fritsch-Carlson coefficients for all elements built in one numpy pass, bit
-for bit those of scipy's per-element ``PchipInterpolator``, held by a
-single scipy PPoly over all elements' nodes, so an evaluation is one clip
-and one interval search.
+``dolgopyat``'s v.  No collocation matrix stores an explicit 0: the
+assembler drops zero weights once its fill is done.  Every monotone cubic
+is one ``_ElementwisePchip``: Fritsch-Carlson coefficients for all elements
+built in one numpy pass, bit for bit those of scipy's per-element
+``PchipInterpolator``, held by a single scipy PPoly over all elements'
+nodes, so an evaluation is one clip and one interval search.
 
 The normalised operator at the leading real eigendata (lam, f) is
 
     L_s v = (lam f)^{-1} P_s (f v),   so  L_sigma 1 = 1,
 
-whose matrix is that of P_s scaled in place (``EigenData.L_matrix``).  The
-left eigenvector nu is read through the CSC view of P_sigma's transpose.
+whose matrix is that of a fresh P_s scaled in place (``EigenData.L_matrix``),
+for every s.  The left eigenvector nu is read through the CSC view of
+P_sigma's transpose, and P_sigma is freed once ``eigendata`` returns.
 """
 
 from __future__ import annotations
@@ -205,10 +207,6 @@ class GridFunction:
             raise ValueError("values are not one row per element")
         self._pchip = None
 
-    @property
-    def N(self) -> int:
-        return self.values.shape[1]
-
     def eval(self, x):
         if self._pchip is None:
             self._pchip = _ElementwisePchip(self.system, self.nodes, self.values)
@@ -257,7 +255,9 @@ def _collocation(sys: MarkovSystem, N: int, stencil, chunks) -> sp.csr_matrix:
     j - p/2 + 1 .. j + p/2, where t = j + s is the preimage h_i(x_r) in
     units of element i's grid step from its left end and
     j = clip(floor(t), p/2 - 1, N - 1 - p/2), so the end intervals take
-    one-sided stencils.  An N below p is refused with ValueError.
+    one-sided stencils.  An N below p is refused with ValueError.  Weights
+    of exactly 0 (a preimage on a node) are dropped once the fill is done,
+    so the matrix stores no explicit 0.
 
     ``chunks`` yields (i, t, coef), branch after branch in order, each
     branch's image rows in order, in chunks of any length.  So row r's
@@ -296,7 +296,9 @@ def _collocation(sys: MarkovSystem, N: int, stencil, chunks) -> sp.csr_matrix:
             indices[at + k] = col + k
         at += p
         row += len(t)
-    return sp.csr_matrix((data, indices, indptr), shape=(sys.m * N,) * 2)
+    M = sp.csr_matrix((data, indices, indptr), shape=(sys.m * N,) * 2)
+    M.eliminate_zeros()
+    return M
 
 
 def transfer_matrix(sys: MarkovSystem, s: complex, N: int) -> sp.csr_matrix:
@@ -324,7 +326,9 @@ def transfer_matrix(sys: MarkovSystem, s: complex, N: int) -> sp.csr_matrix:
 @dataclass
 class EigenData:
     """Leading eigendata of P_sigma: eigenvalue, right eigenfunction f (with
-    integral 1 against the left probability weights nu), and mu = f nu."""
+    integral 1 against the left probability weights nu), mu = f nu, and the
+    residual max |P_sigma f - lam f| / sup f at the nodes.  P_sigma itself
+    is not kept; ``L_matrix`` builds each operator it needs afresh."""
     system: MarkovSystem
     sigma: float
     N: int
@@ -332,7 +336,7 @@ class EigenData:
     f: GridFunction
     mu: np.ndarray          # (m, N) nonnegative, sums to 1
     iterations: int
-    matrix: sp.csr_matrix = field(repr=False)
+    residual: float
     _lmat_cache: dict = field(init=False, default_factory=dict, repr=False)
     # the latest (sys, n_max, grid, a, b) of uni's a(n)/b(n) sweep
     _ab_slot: tuple | None = field(init=False, default=None, repr=False)
@@ -344,12 +348,13 @@ class EigenData:
     def L_matrix(self, b: float) -> sp.csr_matrix:
         """Matrix of the normalised twisted operator L_{sigma + i b}.
 
-        It is P_{sigma + i b}, built afresh (a copy of ``matrix`` at b = 0)
-        and scaled in place, a chunk of _ROWS rows at a time: each entry
-        by 1 / (lam f) at its row, then by f at its column, the products of
-        the diagonal matrices D^-1 P D.  Entries that come out 0 are
-        dropped, as those products drop them, so a product with the matrix
-        sums the same terms in the same order.
+        It is P_s, s = sigma + i b (real at b = 0), built by
+        ``transfer_matrix`` and scaled in place, a chunk of _ROWS rows at a
+        time: each entry by 1 / (lam f) at its row, then by f at its column,
+        the products of the diagonal matrices D^-1 P D.  P_s stores no 0,
+        and scaling by the positive 1 / (lam f) and f leaves every entry
+        nonzero short of underflow, so the matrix holds the entries of those
+        products, in their order.
 
         Only the matrix of the latest b is cached, so a sweep over b holds
         one at a time.
@@ -357,10 +362,8 @@ class EigenData:
         key = float(b)
         if key not in self._lmat_cache:
             self._lmat_cache.clear()
-            if key == 0.0:
-                P = self.matrix.copy()
-            else:
-                P = transfer_matrix(self.system, self.sigma + 1j * key, self.N)
+            s = self.sigma + 1j * key if key != 0.0 else self.sigma
+            P = transfer_matrix(self.system, s, self.N)
             f = self.f.values.reshape(-1)
             scale = 1.0 / (self.lam * f)
             for rows in _row_chunks(P.shape[0]):
@@ -368,7 +371,6 @@ class EigenData:
                 data = P.data[ends[0]:ends[-1]]
                 data *= np.repeat(scale[rows], np.diff(ends))
                 data *= f[P.indices[ends[0]:ends[-1]]]
-            P.eliminate_zeros()
             self._lmat_cache[key] = P
         return self._lmat_cache[key]
 
@@ -393,7 +395,8 @@ def eigendata(sys: MarkovSystem, sigma: float, N: int) -> EigenData:
     to a residual of 1e-12 |lam| within 100,000 steps, on N >= 2 nodes per
     element.  The left side reads the transpose as the CSC view of the
     matrix, not a copy: its product adds each output's terms in ascending
-    order, as a sorted CSR copy would."""
+    order, as a sorted CSR copy would.  The matrix, which stores no 0, is
+    read once more for the residual of the normalised f and then freed."""
     M = transfer_matrix(sys, float(sigma), N)
     lam, f, it1 = _power_iteration(M)
     _, nu, it2 = _power_iteration(M.T)
@@ -403,9 +406,10 @@ def eigendata(sys: MarkovSystem, sigma: float, N: int) -> EigenData:
     f = f / float((nu * f).sum())
     mu = nu * f
     mu = mu / mu.sum()
+    residual = float(np.max(np.abs(M @ f - lam * f)) / f.max())
     fgrid = GridFunction(sys, f.reshape(sys.m, N))
     return EigenData(sys, float(sigma), N, lam, fgrid, mu.reshape(sys.m, N),
-                     iterations=it1 + it2, matrix=M)
+                     iterations=it1 + it2, residual=residual)
 
 
 def apply_L(eig: EigenData, b: float, v: GridFunction, n: int) -> GridFunction:

@@ -1,11 +1,16 @@
 """The collocation assembler: every matrix it fills has the bits of the
-construction it replaced, and a build holds little beyond its matrix.
+construction it replaced, less that construction's explicit zeros, and a
+build holds little beyond its matrix.
 
 Each oracle below is the replaced construction, kept inline: COO triplets
 converted to CSR for ``transfer_matrix``, diagonal matrix products for
 ``L_matrix``, a CSR copy of the transpose for the left power iteration, and
-a whole-branch fill for ``dolgopyat._lagrange_step``.  The assembler's row
-chunks are shrunk to a few rows, so chunks split elements and branches.
+a whole-branch fill for ``dolgopyat._lagrange_step``.  The COO build and
+the whole-branch fill store a 0 wherever a preimage lands on a node; the
+assembler drops it, so they are compared after ``eliminate_zeros()``, and
+the eigendata is compared with a power iteration on the zeros kept.  The
+assembler's row chunks are shrunk to a few rows, so chunks split elements
+and branches.
 """
 
 import tracemalloc
@@ -55,6 +60,12 @@ def _same_csr(got, want):
         assert g.tobytes() == w.tobytes(), name
 
 
+def _zero_free(M):
+    """M with its explicit zeros dropped, in place."""
+    M.eliminate_zeros()
+    return M
+
+
 def _csr_bytes(M):
     return M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
 
@@ -89,9 +100,10 @@ def coo_transfer_matrix(sys, s, N):
 
 
 def diag_products_L(eig, b):
-    """L_{sigma + i b} as D^-1 P D with sparse diagonal matrices."""
-    P = eig.matrix if b == 0.0 else coo_transfer_matrix(
-        eig.system, eig.sigma + 1j * b, eig.N)
+    """L_{sigma + i b} as D^-1 P D with sparse diagonal matrices, P the COO
+    build, real at b = 0; the products drop P's explicit zeros."""
+    P = coo_transfer_matrix(eig.system,
+                            eig.sigma + 1j * b if b else eig.sigma, eig.N)
     fflat = eig.f.values.reshape(-1)
     D = sp.diags(fflat)
     Dinv = sp.diags(1.0 / (eig.lam * fflat))
@@ -150,7 +162,7 @@ def test_transfer_matrix_equals_the_coo_build(name, N, rows):
         for b in (0.0, 1.0, 256.0):
             s = sigma if b == 0.0 else sigma + 1j * b
             _same_csr(transfer_matrix(sys, s, N),
-                      coo_transfer_matrix(sys, s, N))
+                      _zero_free(coo_transfer_matrix(sys, s, N)))
 
 
 @pytest.mark.parametrize("N", [2, 3, 64])
@@ -184,7 +196,47 @@ def test_lagrange_step_equals_the_whole_branch_fill(name, N, rows):
         eig = eigendata(sys, sigma, 64)
         for b in (0.0, 1.0, 256.0):
             _same_csr(dg._lagrange_step(sys, eig, b, nodes),
-                      whole_branch_lagrange_step(sys, eig, b, nodes))
+                      _zero_free(whole_branch_lagrange_step(sys, eig, b,
+                                                            nodes)))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_collocation_matrices_store_no_zero(name):
+    # the replaced builds store a 0 for each preimage on a node, on every
+    # system; v's step is built on cone_iteration's grid at b = 256
+    sys = _system(name)
+    for N in (64, 1025):
+        assert np.any(coo_transfer_matrix(sys, 0.0, N).data == 0)
+        assert np.all(transfer_matrix(sys, 0.0, N).data != 0)
+    nodes = node_grid(sys, int(max(dg._BASE_N, dg._V_NODES_PER_B * 256)))
+    eig = eigendata(sys, 0.0, 64)
+    assert np.any(whole_branch_lagrange_step(sys, eig, 256.0, nodes).data
+                  == 0)
+    assert np.all(dg._lagrange_step(sys, eig, 256.0, nodes).data != 0)
+
+
+@pytest.mark.parametrize("N", [64, 1025])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_eigendata_has_the_bits_of_the_power_iteration_on_the_zeros(
+        name, N, monkeypatch):
+    # lam, f and nu of both sides, then everything eigendata derives from
+    # them, with the COO build's zeros kept
+    sys = _system(name)
+    for sigma in (0.0, 0.5):
+        P = transfer_matrix(sys, sigma, N)
+        M = coo_transfer_matrix(sys, sigma, N)
+        for got, want in ((_power_iteration(P), _power_iteration(M)),
+                          (_power_iteration(P.T), _power_iteration(M.T))):
+            assert (got[0], got[2]) == (want[0], want[2])
+            assert got[1].tobytes() == want[1].tobytes()
+        eig = eigendata(sys, sigma, N)
+        with monkeypatch.context() as patch:
+            patch.setattr(op, "transfer_matrix", coo_transfer_matrix)
+            kept = eigendata(sys, sigma, N)
+        assert (eig.lam, eig.iterations, eig.residual) == (
+            kept.lam, kept.iterations, kept.residual)
+        assert eig.f.values.tobytes() == kept.f.values.tobytes()
+        assert eig.mu.tobytes() == kept.mu.tobytes()
 
 
 @pytest.mark.parametrize("name", ["SYS-B", "SYS-C-NLROOF"])

@@ -590,10 +590,12 @@ def test_v_step_maps_one_to_one_at_b_zero(name):
 def test_v_step_build_holds_the_matrix_and_one_branch_at_a_time(sys_b,
                                                                 eig_b):
     # at b = 1024 v's grid has 65,536 nodes per element, each in the image
-    # of both SYS-B branches.  The build holds the matrix (20.5 MiB) and the
-    # depth-1 pullback: each block's columns, x, S r and J (32 B a (branch,
-    # node) pair, 8 MiB) until its branch is written, and the normaliser
-    # (8 B a node, 1 MiB); beyond those, the temporaries of one chunk of
+    # of both SYS-B branches.  The build holds the matrix as filled (20.5
+    # MiB; the zeros dropped at the end leave their room in its buffers,
+    # so these are counted, not the entries kept) and the depth-1
+    # pullback: each block's columns, x, S r and J (32 B a (branch, node)
+    # pair, 8 MiB) until its branch is written, and the normaliser (8 B a
+    # node, 1 MiB); beyond those, the temporaries of one chunk of
     # rows (``operator._collocation``).  Filled a whole branch at a time, a
     # dozen float64 arrays of a branch's pairs, it peaked at 36.5 MiB; built
     # from a BranchPlan, whose blocks and complex copies of J lived while
@@ -609,7 +611,8 @@ def test_v_step_build_holds_the_matrix_and_one_branch_at_a_time(sys_b,
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    matrix = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    matrix = sum((a if a.base is None else a.base).nbytes
+                 for a in (M.data, M.indices, M.indptr))
     pullback = (4 * 8 * sys_b.m + 8) * nodes.size
     assert peak <= matrix + pullback + (1 << 20), (peak, matrix)
 

@@ -10,7 +10,7 @@ from conftest import element_sets
 from gibbsflow.cli import _write_csv, run
 from gibbsflow.operator import (
     GridFunction, apply_L, c6_bound, deep_apply, eigendata, hoelder_seminorm,
-    node_grid, norm_b,
+    node_grid, norm_b, transfer_matrix,
 )
 from gibbsflow.presets import make_preset
 
@@ -53,9 +53,24 @@ def test_bernoulli_eigenvalue():
 
 
 def test_eigen_residual_at_nodes(eig_b):
-    f = eig_b.f.values.reshape(-1)
-    rel = np.max(np.abs(eig_b.matrix @ f - eig_b.lam * f)) / eig_b.lam
-    assert rel < 1e-8
+    assert eig_b.residual < 1e-8
+
+
+@pytest.mark.parametrize("preset", ["SYS-B", "SYS-C"])
+def test_eigen_report_residual_is_that_of_a_fresh_transfer_matrix(
+        tmp_path, preset):
+    # max |P_sigma f - lam f| / sup f from eigen.json's lambda and f.npy,
+    # with P_sigma built again after the run
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"preset": preset, "experiment": "eigen",
+                               "params": {"sigma": 0.5, "N": 1025}}),
+                   encoding="utf-8")
+    assert run(str(cfg), out_dir=str(tmp_path / "out")) == 0
+    rep = json.loads((tmp_path / "out" / "eigen.json").read_text())
+    f = np.load(tmp_path / "out" / "f.npy", allow_pickle=False).reshape(-1)
+    P = transfer_matrix(make_preset(preset), 0.5, 1025)
+    assert rep["residual"] == float(
+        np.max(np.abs(P @ f - rep["lambda"] * f)) / np.max(f))
 
 
 def test_normalized_operator_fixes_one(eig_b):
@@ -311,15 +326,15 @@ def test_gridfunction_csv_bytes_match_csv_writer(eig_b, tmp_path, kind):
         v = GridFunction(eig_b.system, vals)
     vals = v.values.astype(complex).reshape(-1)
     _write_csv(tmp_path / "v.csv", ["element_index", "node_x", "re", "im"],
-               [np.repeat(np.arange(v.system.m), v.N), v.nodes.reshape(-1),
-                vals.real, vals.imag])
+               [np.repeat(np.arange(v.system.m), v.values.shape[1]),
+                v.nodes.reshape(-1), vals.real, vals.imag])
     text = (tmp_path / "v.csv").read_text(encoding="utf-8")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["element_index", "node_x", "re", "im"])
     vals = v.values.astype(complex)
     for e in range(v.system.m):
-        for k in range(v.N):
+        for k in range(v.values.shape[1]):
             w.writerow([e, repr(float(v.nodes[e, k])),
                         repr(float(vals[e, k].real)),
                         repr(float(vals[e, k].imag))])
@@ -329,9 +344,8 @@ def test_gridfunction_csv_bytes_match_csv_writer(eig_b, tmp_path, kind):
 
 
 def test_csv_bytes_match_csv_writer_on_repeated_and_special_values(tmp_path):
-    # each distinct value of a chunk is formatted once; 0.0 and -0.0, NaNs
-    # of other bit patterns and both infinities keep their own text, over
-    # more rows than one 4096-row chunk
+    # 0.0 and -0.0, NaNs of other bit patterns and both infinities keep
+    # their own text, over many rows of repeated values
     rng = np.random.default_rng(3)
     n = 10_000
     nans = np.array([0x7FF8000000000001, 0xFFF8000000000000],
