@@ -1,17 +1,19 @@
 """Gibbs measures on the base map: cylinder masses, the Gibbs-property
 audit, sampling and adapted partitions.
 
-The audit reads everything off ``symbol_pullbacks``: the inverse
-Jacobians and their normaliser at the nodes for the masses, and the orbit
-sums at the reference points.  Both are built on the same ``symbol_trees``,
-so at every depth their rows are the same words in the same order, and the
+The audit reads everything off the pullback engine: the inverse
+Jacobians and their normaliser at the nodes for the masses
+(``column_blocks``), and the orbit sums at the reference points
+(``symbol_pullbacks``).  Both are built on the same ``symbol_trees``, so
+at every depth their rows are the same words in the same order, and the
 audit divides them row by row as the engine lays them out.  The mass
-tables run the engine on column blocks of the node grid, every depth of a
-block before the next block, so the most they hold at once is one block's
-J and x, at most _MASS_BLOCK (word, node) pairs an array, however deep the
-audit.  A depth-13 SYS-C-NLROOF audit from the CLI peaks at about 120 MB
-of RSS, imports included, against 630 MB when a depth's J covered every
-node.
+tables pull the shallow depths back once over the whole node grid and the
+deeper ones on column blocks of it, so the most they hold at once is about
+two and a half arrays of at most ``system._BUDGET`` (word, node) pairs,
+however deep the audit.  A depth-13 SYS-C-NLROOF audit from the CLI peaks
+at about 95 MB of RSS, imports included, against 630 MB when a depth's J
+covered every node and about 120 MB when every depth ran on blocks of
+2^21 pairs.
 
 The backward chain that samples mu holds its states in ascending order,
 so that each branch is solved on one slice of them, and scipy's PPoly,
@@ -34,8 +36,8 @@ import numpy as np
 
 from .operator import EigenData
 from .system import (MarkovSystem, NotCoveringError, NotExpandingError,
-                     _cylinder_ends, check_word_cap, count_words,
-                     symbol_pullbacks, symbol_trees, word_array)
+                     _cylinder_ends, check_word_cap, column_blocks,
+                     count_words, symbol_pullbacks, symbol_trees, word_array)
 
 __all__ = [
     "AdaptedPartition", "FrequencyTooSmallError",
@@ -47,11 +49,6 @@ class FrequencyTooSmallError(ValueError):
     pass
 
 
-# (word, node) pairs of one column block of the mass tables: 16 MiB a
-# float64 array
-_MASS_BLOCK = 1 << 21
-
-
 @dataclass
 class AdaptedPartition:
     """The elements of an adapted partition, as arrays sorted by ``left``:
@@ -61,57 +58,51 @@ class AdaptedPartition:
 
 
 def _mass_tables(sys: MarkovSystem, eig: EigenData, trees: list):
-    """Yield (words, masses) for every depth 1..n, from ``trees``, the
+    """Yield the masses of every depth 1..n, from ``trees``, the
     ``symbol_trees`` of the (K, n) ``word_array`` of all admissible depth-n
     words.
 
-    ``symbol_pullbacks`` pulls the nodes of the elements in the image of
-    each symbol s back along the admissible words ending in s, depth by
-    depth, carrying only the inverse Jacobians J_w (see ``Pullback``).
-    Their sum over all words, the normaliser, is L_sigma^n 1 = 1 only up to
+    ``column_blocks`` pulls the nodes of the elements in the image of each
+    symbol s back along the admissible words ending in s, depth by depth,
+    carrying only the inverse Jacobians J_w (see ``Pullback``).  Their sum
+    over all words, the normaliser, is L_sigma^n 1 = 1 only up to
     interpolation error in f, so J is normalised pointwise before the
     quadrature against the node weights of mu gives the mass of each
-    cylinder.  The rows at a depth are the runs' rows, symbol after symbol:
-    for s = 0..m-1, the words ending in s, in lexicographic order.
+    cylinder.  A depth's masses are in tree order: for s = 0..m-1, the
+    depth's distinct words ending in s, in lexicographic order.
 
-    The engine runs on column blocks of the node grid, of at most
-    _MASS_BLOCK // K nodes each: every depth of one block, then the next
-    block, all on the one set of trees.  The normaliser at a node is a sum
-    down its column, so a block holds the whole normaliser of its own
-    columns, with the bits it has over the whole grid, and each depth's
+    The shared depths, whose whole level fits half the engine's budget
+    (``system._BUDGET`` (word, node) pairs for J alone), are pulled back
+    once over the whole node grid, and their masses are one J @ (mu /
+    norm) each.  The deeper depths run on column
+    blocks of the grid, all of them for one block before the next, each
+    resuming from the last shared depth.  The normaliser at a node is a
+    sum down its column, so a block holds the whole normaliser of its own
+    columns, with the bits it has over the whole grid, and a deeper depth's
     masses add J @ (mu / norm) over the block's columns, block after block.
     A depth's J is dropped before the next depth is built.  So the most the
-    tables hold at once is one block's last depth: its J, at most
-    _MASS_BLOCK (word, node) pairs, and the previous depth's x, of the runs
-    not yet advanced to n; and the words and masses of every depth.  The
-    engine's log weight adds a column per word when phi (and r at sigma !=
-    0) is constant on each element, else as much as x again.
+    tables hold at once is the last shared depth's x, at most _BUDGET / 2
+    pairs, and, for a block, its last depth's J and previous x, each at
+    most _BUDGET pairs; and the masses of every depth.  The engine's log
+    weight adds a column per word when phi (and r at sigma != 0) is
+    constant on each element, else as much as x again.
     """
     if not np.all(sys.transition.any(axis=0)):
         # the engine builds the lower depths as suffixes of the deepest words
         raise NotCoveringError("some symbol has no predecessor")
     nodes, mu = eig.f.nodes.reshape(-1), eig.mu.reshape(-1)
     holds = sys.transition[:, np.repeat(np.arange(sys.m), eig.N)]
-    width = max(1, _MASS_BLOCK // sum(len(words) for _, words, _ in trees))
-    # per depth, the (words, masses) of each tree, in tree order
-    tables = [dict.fromkeys(s for s, _, _ in trees)
-              for _ in range(trees[0][1].shape[1])]
-    for c in range(0, len(nodes), width):
-        block = slice(c, c + width)
+    # per depth, the masses of each tree, in tree order
+    tables = [{s: np.zeros(len(levels[k][0])) for s, levels in trees}
+              for k in range(len(trees[0][1]))]
+    for k, block, blocks, norm in column_blocks(
+            sys, trees, nodes, holds, ("J",), eig, every_depth=True):
         weights = mu[block]
-        k = 0  # not enumerate, whose result tuple holds the last depth
-        for blocks, norm in symbol_pullbacks(sys, trees, nodes[block],
-                                             holds[:, block], ("J",), eig,
-                                             every_depth=True):
-            for s, cols, pb in blocks:
-                if tables[k][s] is None:
-                    tables[k][s] = (pb.words, np.zeros(len(pb.words)))
-                masses = tables[k][s][1]
-                masses += pb.J @ (weights[cols] / norm[cols])
-            del blocks, norm, pb  # no J of this depth while the next is built
-            k += 1
+        for s, cols, pb in blocks:
+            tables[k - 1][s] += pb.J @ (weights[cols] / norm[cols])
+        del blocks, norm, pb  # no J of this depth while the next is built
     for depth in tables:
-        yield tuple(map(np.concatenate, zip(*depth.values())))
+        yield np.concatenate(list(depth.values()))
 
 
 def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
@@ -122,8 +113,9 @@ def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
     midpoint of the domain of h_omega (the image of omega's last symbol); on
     affine branches it is the cylinder's midpoint.  The orbit sums come from
     ``symbol_pullbacks`` with symbol s holding the midpoint of its image
-    alone, on the words of ``_mass_tables``, so row k of the sums and row k
-    of the masses are the same cylinder.
+    alone, on the trees of ``_mass_tables``, so row k of the sums and row k
+    of the masses are the same cylinder.  The trees hold no words, so the
+    words are held once, while the trees are built.
     """
     lo, hi = np.inf, 0.0
     per_depth = {}
@@ -133,8 +125,7 @@ def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
     points = symbol_pullbacks(sys, trees, mids, np.eye(sys.m, dtype=bool),
                               ("Snr", "Snphi"), every_depth=True)
     tables = _mass_tables(sys, eig, trees)
-    for n, ((_, masses), (blocks, _)) in enumerate(zip(tables, points),
-                                                   start=1):
+    for n, (masses, (blocks, _)) in enumerate(zip(tables, points), start=1):
         sn = np.concatenate([(pb.Snphi - eig.sigma * pb.Snr)[:, 0]
                              for _, _, pb in blocks])
         ratios = masses / np.exp(-P * n + sn)

@@ -34,19 +34,21 @@ one scan of the system, cached as ``MarkovSystem.constants``; no other
 module scans the expressions for them.  Every Hoelder seminorm of sampled
 values, there and in the other modules, is one ``sampled_seminorm``.
 
-Inverse branches of every depth are computed by one engine, ``pullbacks``:
+Inverse branches of every depth are computed by one engine, ``_Run``:
 words are built by prepending symbols, h_{iw} = h_i o h_w, along the
 words' suffix tree, and each depth carries (words x points) arrays of the
 pulled-back points and the orbit sums along them.  Other modules reach it
-through ``pullback`` (the last depth, on a tree of its own) and
+through ``pullback`` (the last depth, on a tree of its own),
 ``symbol_pullbacks`` (one run per last symbol, and the one normaliser sum
-of J_w).  ``symbol_pullbacks`` reads the words and trees of
-``symbol_trees``, built once, so a caller pulls the same words back at
-several sets of points, as the mass tables do block by block, without
-building them again.  The log weight S_k(phi - sigma r) behind J is held
-as a (words x 1) column when every piece it reads (phi, and r at sigma !=
-0) is a constant on its element, as on every preset at sigma = 0: it is
-then one number per word.  J is (words x points) either way, with the
+of J_w) and ``column_blocks`` (``symbol_pullbacks`` under one budget of
+values a depth: the shallow depths once over every point, the deeper ones
+on column blocks of the points that resume from the last shared depth).
+The last two read the trees of ``symbol_trees``, built once and holding
+no words, so a caller pulls the same words back at several sets of points
+without building them again.  The log weight S_k(phi - sigma r) behind J
+is held as a (words x 1) column when every piece it reads (phi, and r at
+sigma != 0) is a constant on its element, as on every preset at sigma =
+0: it is then one number per word.  J is (words x points) either way, with the
 same bits.  Cylinders are arrays too: a words array and the ends of each
 word's cylinder, pulled back by that engine (``cylinders``); no module
 builds an object per word.
@@ -54,6 +56,7 @@ builds an object per word.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,7 +70,7 @@ __all__ = [
     "NotCoveringError", "CapExceededError",
     "OutsideImageError", "NoConvergenceError", "system_from_config",
     "validate", "cylinders", "count_words", "check_word_cap", "word_array",
-    "pullbacks", "pullback", "symbol_trees", "symbol_pullbacks",
+    "pullback", "symbol_trees", "symbol_pullbacks", "column_blocks",
     "branch_chain",
     "sampled_seminorm", "potential_seminorm",
 ]
@@ -111,7 +114,8 @@ class NoConvergenceError(RuntimeError):
 class Piece:
     """One element's branch, roof or potential, compiled from its Expr:
     ``value(x=...)`` and ``deriv(x=...)`` return arrays shaped like x, a
-    constant as an ``np.broadcast_to`` view of its one number, and
+    constant as a read-only ``np.broadcast_to`` view of its one number,
+    built once per shape and handed to every read at that shape, and
     ``slope`` is the derivative of an affine piece (0.0 for a constant
     one), else None.  The derivative is compiled on first use."""
 
@@ -129,11 +133,21 @@ class Piece:
 
 
 def _shaped(e: Expr):
-    """e compiled, its one number broadcast to x's shape if e is constant."""
+    """e compiled, its one number broadcast to x's shape if e is constant:
+    one view per shape, kept on first read (a view is a few hundred bytes,
+    and the engine reads a few hundred shapes a run)."""
     fn = compile_expr(e)
     if not is_constant(e):
         return fn
-    return lambda x: np.broadcast_to(fn(x=x), np.shape(x))
+    views = {}
+
+    def value(x):
+        shape = np.shape(x)
+        view = views.get(shape)
+        if view is None:
+            view = views[shape] = np.broadcast_to(fn(x=x), shape)
+        return view
+    return value
 
 
 @dataclass(frozen=True)
@@ -586,12 +600,17 @@ def word_array(sys: MarkovSystem, n: int) -> np.ndarray:
 
 FIELDS = ("x", "dTn", "Snr", "Snphi", "DSnr_h")
 _BLOCK = 1 << 16  # (word, point) pairs per batched solve; bounds temporaries
+# values the fields of one depth of ``column_blocks`` hold in all: 4 MiB of
+# float64
+_BUDGET = 1 << 19
 
 
 @dataclass
 class Pullback:
-    """One depth k of the pullback engine: row a is the word ``words[a]``,
-    column b the point y_b, and each field is a (words, points) array:
+    """One depth k of the pullback engine: row a is the a-th of the distinct
+    length-k suffixes of the run's words in lexicographic order (at the
+    last depth, the words themselves), column b the point y_b, and each
+    field is a (rows, points) array:
 
         x       h_w(y)
         dTn     DT^k(x)
@@ -603,9 +622,8 @@ class Pullback:
 
     Fields that were not asked for are None.  The log weight
     S_k(phi - sigma r) is not a field: the engine holds it only to build J,
-    as one column when it is constant along each row (see ``pullbacks``).
+    as one column when it is constant along each row (see ``_Run``).
     """
-    words: np.ndarray
     x: np.ndarray | None = None
     dTn: np.ndarray | None = None
     Snr: np.ndarray | None = None
@@ -616,17 +634,16 @@ class Pullback:
 
 def _suffix_tree(words: np.ndarray) -> list[tuple]:
     """Per depth k = 1..n, over the distinct length-k suffixes of ``words`` in
-    lexicographic order: their first symbols, the row of each one's own
-    suffix at depth k - 1, and a row of ``words`` that ends in it."""
+    lexicographic order: their first symbols, and the row of each one's own
+    suffix at depth k - 1."""
     K, n = words.shape
     rank = np.zeros(K, dtype=np.intp)
     count = 1
     levels = []
     for k in range(1, n + 1):
-        uniq, first, rank = np.unique(words[:, n - k] * count + rank,
-                                      return_index=True, return_inverse=True)
-        sym, parent = np.divmod(uniq, count)
-        levels.append((sym, parent, first))
+        uniq, rank = np.unique(words[:, n - k] * count + rank,
+                               return_inverse=True)
+        levels.append(np.divmod(uniq, count))
         count = len(uniq)
     if count != K or np.any(rank != np.arange(K)):
         raise ValueError("words must be distinct and in lexicographic order")
@@ -642,7 +659,7 @@ def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, out: dict, k: int,
     (J = (exp(lw) lam^-k) f(z) / f(y)), so it has their bits.
 
     The log weight lw is read on as many columns of z as ``out["lw"]``
-    has: all of them, or one when ``pullbacks`` holds lw as a column.  Then
+    has: all of them, or one when ``_Run`` holds lw as a column.  Then
     exp(lw) lam^-k is one number per word, broadcast along its row of J;
     a product of the same two doubles has the same bits wherever it is
     taken, so J does not depend on lw's width."""
@@ -668,28 +685,29 @@ def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, out: dict, k: int,
         J /= fy
 
 
-def pullbacks(sys: MarkovSystem, words: np.ndarray, levels: list, ys,
-              fields, eig, every_depth: bool):
-    """Pull the points ys back along every suffix of ``words``, depth by depth.
+class _Run:
+    """The pullback engine: the points ys pulled back along every suffix of
+    a set of words, one depth at a time.
 
-    ``words`` is a (K, n) array of distinct words in lexicographic order,
-    and ``levels`` its ``_suffix_tree``, which a caller that pulls the same
-    words back at several sets of points builds once; every y must lie in
-    the image of the last symbol of every word.  Yields one Pullback per
-    depth k = 1..n, with rows the distinct length-k suffixes in
-    lexicographic order (at depth n, ``words`` itself), carrying
-    ``fields``; "J" needs the EigenData ``eig``, and no other field reads
-    it (None will do).  With ``every_depth`` False only depth n is yielded,
-    and J, which no deeper depth needs, is computed there alone.
+    ``levels`` is the ``_suffix_tree`` of a (K, n) array of distinct words
+    in lexicographic order, which a caller that pulls the same words back
+    at several sets of points builds once; every y must lie in the image of
+    the last symbol of every word.  ``step`` builds depth k = 1..n in turn,
+    with rows the distinct length-k suffixes in lexicographic order (at
+    depth n, the words themselves), and returns its Pullback, carrying
+    ``fields``, at every depth, or with ``every_depth`` False at depth n
+    alone; "J" needs the EigenData ``eig``, and no other field reads it
+    (None will do).  J is computed at a returned depth alone.
 
     Depth k comes from depth k - 1 by prepending a symbol, h_{iw} = h_i o
     h_w, with one batched ``inverse_branch`` per symbol over row blocks of
     at most 2^16 (word, point) pairs.  Each (word, point) pair is written
-    once, straight into its depth's array.  While depth k is built the
-    engine holds the previous depth's x and running sums (dTn, DSnr_h, Snr,
-    Snphi and the log weight, as ``fields`` need them); a yielded J is
-    dropped, so it lives only as long as the caller keeps it.  The last
-    depth keeps nothing but ``fields``.
+    once, straight into its depth's array.  While depth k is built the run
+    holds the previous depth's x and running sums (dTn, DSnr_h, Snr, Snphi
+    and the log weight, as ``fields`` need them); a returned J goes to the
+    caller, so it lives only as long as the caller keeps it, and once the
+    last depth is built the run holds nothing.  ``columns`` resumes a copy
+    at the same depth on a run of the points.
 
     The log weight lw = S_k(phi - sigma r) is one column, a number per
     word, when every phi piece is a constant (``expr.is_constant``), and so
@@ -702,33 +720,59 @@ def pullbacks(sys: MarkovSystem, words: np.ndarray, levels: list, ys,
     of ``word_array``) reads the previous depth through a slice, others
     through an index array.
     """
-    ys = np.asarray(ys, dtype=float)
-    n = words.shape[1]
-    want = set(fields)
-    need = want | {"x"}
-    if "DSnr_h" in need:
-        need.add("dTn")
-    P = len(ys)
-    width = dict.fromkeys(need, P)  # columns of each field's array
-    fy = None
-    if "J" in need:
-        need.add("lw")
-        fy = eig.f.eval(ys).real
-        # lw is a column when every piece it reads is a constant (no
-        # column at all when there are no points)
-        read = sys.phi + (sys.r if eig.sigma else [])
-        width["lw"] = min(P, 1) if all(is_constant(p.expr) for p in read) \
-            else P
-    # depth 0: the empty word, h = identity
-    state = {f: np.full((1, width[f]), 1.0 if f == "dTn" else 0.0)
-             for f in need - {"J"}}
-    state["x"] = ys[None, :]
-    step = max(1, _BLOCK // max(P, 1))
-    for k, (sym, parent, first) in enumerate(levels, start=1):
-        yields = every_depth or k == n
-        step_need = need if yields else need - {"J"}
-        keep = step_need if k < n else want
-        new = {f: np.empty((len(sym), width[f])) for f in keep}
+
+    def __init__(self, sys: MarkovSystem, levels: list, ys, fields, eig,
+                 every_depth: bool):
+        ys = np.asarray(ys, dtype=float)
+        self.sys, self.levels, self.eig = sys, levels, eig
+        self.every_depth, self.k = every_depth, 0
+        self.want = set(fields)
+        self.need = self.want | {"x"}
+        if "DSnr_h" in self.need:
+            self.need.add("dTn")
+        P = len(ys)
+        self.width = dict.fromkeys(self.need, P)  # columns of each array
+        self.fy = None
+        if "J" in self.need:
+            self.need.add("lw")
+            self.fy = eig.f.eval(ys).real
+            # lw is a column when every piece it reads is a constant (no
+            # column at all when there are no points)
+            read = sys.phi + (sys.r if eig.sigma else [])
+            self.width["lw"] = min(P, 1) if all(is_constant(p.expr)
+                                                for p in read) else P
+        # depth 0: the empty word, h = identity
+        self.state = {f: np.full((1, self.width[f]), 1.0 if f == "dTn"
+                                 else 0.0) for f in self.need - {"J"}}
+        self.state["x"] = ys[None, :]
+
+    def columns(self, i: int, j: int) -> _Run:
+        """A copy of this run at its depth on its points i..j-1 alone: their
+        columns of the state and of f(y), and the log weight whole where it
+        is one column."""
+        P = self.width["x"]
+        run = copy.copy(self)
+        run.width = {f: j - i if w == P else w for f, w in self.width.items()}
+        run.state = {f: a[:, i:j] if self.width[f] == P else a
+                     for f, a in self.state.items()}
+        if self.fy is not None:
+            run.fy = self.fy[i:j]
+        return run
+
+    def step(self) -> Pullback | None:
+        """Build the next depth k from the one held, which it replaces, and
+        return its Pullback at a depth the run returns (every depth, or
+        only the last); else None.  J is computed at a returned depth alone
+        and goes to the caller, so the run does not hold it."""
+        sys, n = self.sys, len(self.levels)
+        self.k += 1
+        k = self.k
+        sym, parent = self.levels[k - 1]
+        yields = self.every_depth or k == n
+        step_need = self.need if yields else self.need - {"J"}
+        keep = step_need if k < n else self.want
+        new = {f: np.empty((len(sym), self.width[f])) for f in keep}
+        step = max(1, _BLOCK // max(self.width["x"], 1))
         bounds = np.searchsorted(sym, np.arange(sys.m + 1))
         for i in range(sys.m):
             for a in range(bounds[i], bounds[i + 1], step):
@@ -737,43 +781,43 @@ def pullbacks(sys: MarkovSystem, words: np.ndarray, levels: list, ys,
                 if up[-1] - up[0] == len(up) - 1:
                     up = slice(up[0], up[-1] + 1)
                 # a field the last depth does not keep lives for the block
-                _prepend(sys, i, state, up,
+                _prepend(sys, i, self.state, up,
                          {f: new[f][rows] if f in new
-                          else np.empty((rows.stop - a, width[f]))
-                          for f in step_need}, k, eig, fy)
-        state = new
-        if yields:
-            # J goes to the caller alone: no deeper depth reads it; the
-            # rows of depth n are ``words`` itself
-            yield Pullback(words if k == n else words[first, n - k:],
-                           **{f: state.pop(f) if f == "J" else state[f]
-                              for f in want})
+                          else np.empty((rows.stop - a, self.width[f]))
+                          for f in step_need}, k, self.eig, self.fy)
+        # the last depth goes to the caller alone: no deeper depth reads it
+        self.state = new if k < n else {}
+        if not yields:
+            return None
+        return Pullback(**{f: new.pop(f) if f == "J" else new[f]
+                           for f in self.want})
 
 
 def pullback(sys: MarkovSystem, words, ys, fields=FIELDS) -> Pullback:
-    """The last depth of ``pullbacks`` on the ``_suffix_tree`` of ``words``:
-    one row per word of ``words``."""
+    """The last depth of the engine (``_Run``) on the ``_suffix_tree`` of
+    ``words``: one row per word of ``words``."""
     words = np.asarray(words, dtype=np.intp)
     if words.shape[1] < 1:
         raise ValueError("depth must be >= 1")
-    for level in pullbacks(sys, words, _suffix_tree(words), ys, fields, None,
-                           False):
-        pass
-    return level
+    run = _Run(sys, _suffix_tree(words), ys, fields, None, False)
+    for _ in range(words.shape[1] - 1):
+        run.step()
+    return run.step()
 
 
 def symbol_trees(sys: MarkovSystem, words) -> list[tuple]:
     """The (K, n) ``words``, distinct and in lexicographic order, by last
-    symbol: (s, the words ending in s, their ``_suffix_tree``) for each
-    symbol s that ends some word, in symbol order.  Each holds its own
-    rows, so the caller may drop ``words``; ``symbol_pullbacks`` reads
-    them, as often as the caller needs."""
+    symbol: (s, the ``_suffix_tree`` of the words ending in s) for each
+    symbol s that ends some word, in symbol order.  A tree holds no words,
+    only its index arrays, so ``words`` is the one copy of them, and the
+    caller may drop it; ``symbol_pullbacks`` and ``column_blocks`` read the
+    trees, as often as the caller needs."""
     words = np.asarray(words, dtype=np.intp)
     trees = []
     for s in range(sys.m):
-        ends = words[words[:, -1] == s]
-        if len(ends):
-            trees.append((s, ends, _suffix_tree(ends)))
+        ends = words[:, -1] == s
+        if ends.any():
+            trees.append((s, _suffix_tree(words[ends])))
     return trees
 
 
@@ -783,23 +827,105 @@ def symbol_pullbacks(sys: MarkovSystem, trees, ys, holds, fields, eig=None,
     words ending in s, at the ys that the boolean row holds[s] marks,
     zipped depth by depth.
 
-    Yields (blocks, norm) per depth, at the depths ``pullbacks`` yields:
+    Yields (blocks, norm) per depth, at the depths ``_Run`` returns:
     one (s, cols, Pullback) block per symbol that ends some word and holds
     some y, in symbol order, cols indexing ys; and the sum of J_w over all
     rows at each y, added symbol after symbol, when "J" is in ``fields``,
     else None.  A depth's blocks are dropped once the next depth is asked
     for.
     """
-    depths = trees[0][1].shape[1] if every_depth else 1
+    n = len(trees[0][1])
+    runs = _runs(sys, trees, ys, holds, fields, eig, every_depth)
+    for _, _, blocks, norm in _advance(runs, 0, n, slice(0, len(ys)),
+                                       fields, every_depth, n):
+        yield blocks, norm
+        del blocks, norm  # no J of a depth is held while the next is built
+
+
+def column_blocks(sys: MarkovSystem, trees, ys, holds, fields, eig,
+                  every_depth: bool = False):
+    """``symbol_pullbacks`` under one budget: the arrays of ``fields`` at a
+    depth hold at most _BUDGET values in all, _BUDGET // len(fields) (word,
+    y) pairs each, however deep the words of ``trees`` and however many
+    the ys.
+
+    Yields (k, block, blocks, norm) at the depths ``_Run`` returns:
+    ``block`` a slice of ys; ``blocks`` one (s, cols, Pullback) per symbol
+    that ends some word and holds some y of the block, in symbol order,
+    cols indexing ys[block]; and ``norm`` the sum of J_w at each y of the
+    block, added symbol after symbol (None without "J").
+
+    The shared depths, each whose whole level over every y its symbols
+    hold is at most half that many pairs, are pulled back once over all of
+    ys, one block each, and come first.  The deeper depths run on column
+    blocks, every deeper depth of a block before the next block: each the
+    widest run of ys from where the last ended whose last depth fits, a y
+    holding the words of every symbol whose row of ``holds`` marks it, and
+    one y at least.  Each block resumes from its columns of the last shared
+    depth's x and running sums, which stay held while the blocks run (so
+    at most half a block beside each), and no block repeats a shared
+    depth's engine steps.  A (word, y) pair is
+    pulled back on its own wherever it falls, so every field and norm has
+    the bits ``symbol_pullbacks`` gives it.  A depth's blocks are dropped
+    once the next is asked for.
+    """
+    P = len(ys)
+    runs = _runs(sys, trees, ys, holds, fields, eig, every_depth)
+    n = len(trees[0][1])
+    pairs = _BUDGET // len(fields)  # per field
+    # the last shared depth's state is held beside every block: half one
+    shared = 0
+    while shared < n and sum(len(run.levels[shared][0]) * len(cols)
+                             for _, cols, run in runs) <= pairs // 2:
+        shared += 1
+    whole = slice(0, P)
+    yield from _advance(runs, 0, shared, whole, fields, every_depth, n)
+    # the last depth's pairs over ys[:c + 1]: each y holds the words of
+    # every run that holds it
+    weight = np.zeros(P, dtype=np.int64)
+    for _, cols, run in runs:
+        weight[cols] += len(run.levels[-1][0])
+    level = np.cumsum(weight)
+    c = 0
+    while shared < n and c < P:
+        # the widest block from c whose last depth fits, one y at least
+        stop = max(c + 1, int(np.searchsorted(level, level[c] - weight[c]
+                                              + pairs, side="right")))
+        block = slice(c, stop)
+        part = []
+        for s, cols, run in runs:
+            i, j = np.searchsorted(cols, [c, stop])
+            if i < j:
+                part.append((s, cols[i:j] - c, run.columns(i, j)))
+        yield from _advance(part, shared, n, block, fields, every_depth, n)
+        del part  # a block's runs are dropped before the next is built
+        c = stop
+
+
+def _runs(sys: MarkovSystem, trees, ys, holds, fields, eig,
+          every_depth: bool) -> list:
+    """(s, cols, _Run) of each tree whose symbol s holds some y: cols the
+    indices into ys that the boolean row holds[s] marks."""
     runs = []
-    for s, words, levels in trees:
+    for s, levels in trees:
         cols = np.flatnonzero(holds[s])
         if len(cols):
-            runs.append((s, cols, pullbacks(sys, words, levels, ys[cols],
-                                            fields, eig, every_depth)))
-    for _ in range(depths):
-        blocks = [(s, cols, next(run)) for s, cols, run in runs]
-        yield blocks, _normaliser(blocks, len(ys)) if "J" in fields else None
+            runs.append((s, cols, _Run(sys, levels, ys[cols], fields, eig,
+                                       every_depth)))
+    return runs
+
+
+def _advance(runs, start: int, stop: int, block: slice, fields,
+             every_depth: bool, n: int):
+    """Step the (s, cols, _Run) ``runs``, all at depth ``start`` of n,
+    together to depth ``stop``, and yield (k, block, blocks, norm) at each
+    depth k they yield (see ``column_blocks``): every depth, or only n."""
+    for k in range(start + 1, stop + 1):
+        blocks = [(s, cols, run.step()) for s, cols, run in runs]
+        if every_depth or k == n:
+            yield (k, block, blocks,
+                   _normaliser(blocks, block.stop - block.start)
+                   if "J" in fields else None)
         del blocks  # no J of this depth is held while the next is built
 
 

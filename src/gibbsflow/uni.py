@@ -17,14 +17,18 @@ a difference of two engine rows; ``check_uni`` indexes them by word row.
 
 a(n) and b(n) come from the slope intervals and mu_sigma-Jacobian weights
 of every depth-n preimage at every y of a grid: one (words x ys) tableau,
-rows in ``word_array`` order, swept in runs of consecutive ys.  A run is
-filled from the per-symbol blocks of one ``symbol_pullbacks`` call; a word
-whose domain misses y has the interval [+inf, +inf] and weight 0, which
-move neither statistic.  One endpoint sweep per y reads both statistics
-off a run: a stable argsort of [lo | hi] puts every opening before any
-closing at an equal coordinate (closed intervals that touch meet), b(n) is
-the largest prefix sum of the signed weights, and a(n) the largest weight
-of intervals meeting one interval.  ``a_sequence`` and ``b_sequence``
+rows in ``word_array`` order, swept in runs of consecutive ys.  The
+tableau is pulled back by one ``column_blocks`` pass under the engine's one
+budget (``system._BUDGET`` values a depth): the shallow depths, whose whole
+level fits half of it, once over every y, and the deeper ones a column
+block of ys at a time, each block resuming from the last shared depth.  A
+run is cut from one block's per-symbol Pullbacks; a word whose domain
+misses y has the interval [+inf, +inf] and weight 0, which move neither
+statistic.  One endpoint sweep per y reads both statistics off a run: a
+stable argsort of [lo | hi] puts every opening before any closing at an
+equal coordinate (closed intervals that touch meet), b(n) is the largest
+prefix sum of the signed weights, and a(n) the largest weight of
+intervals meeting one interval.  ``a_sequence`` and ``b_sequence``
 share the sweep: the latest result is kept in one slot on the EigenData,
 keyed by the system, n_max and grid, so the CLI's call of both builds each
 tableau once.
@@ -38,8 +42,9 @@ import numpy as np
 
 from .gibbs import FrequencyTooSmallError
 from .operator import EigenData
-from .system import (MarkovSystem, branch_chain, count_words, cylinders,
-                     pullback, symbol_pullbacks, symbol_trees, word_array)
+from .system import (MarkovSystem, branch_chain, column_blocks, count_words,
+                     cylinders, pullback, symbol_pullbacks, symbol_trees,
+                     word_array)
 
 __all__ = [
     "MAX_PAIRS", "check_uni", "a_sequence", "b_sequence",
@@ -128,8 +133,9 @@ def _y_grid(sys: MarkovSystem, n: int, grid: int) -> np.ndarray:
         [np.linspace(1e-9, 1 - 1e-9, grid), 0.5 * (left + right)]))
 
 
-# (word, y) cells per run of the a(n)/b(n) sweep; bounds temporaries
-_SWEEP_BLOCK = 1 << 16
+# (word, y) cells per run of the a(n)/b(n) sweep; bounds its temporaries,
+# about 72 bytes a cell
+_SWEEP_BLOCK = 1 << 15
 
 
 def _sweep(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -143,24 +149,26 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> tuple[float, float]
     the closing weight before lo_j: the weight of the intervals meeting j.
     """
     c, k = lo.shape
-    order = np.argsort(np.concatenate([lo, hi], axis=1), axis=1, kind="stable")
     # flat index, in the (c, 2k) block, of each endpoint in sweep order
-    flat = (order + np.arange(0, 2 * k * c, 2 * k)[:, None]).ravel()
+    flat = np.argsort(np.concatenate([lo, hi], axis=1), axis=1, kind="stable")
+    flat += np.arange(0, 2 * k * c, 2 * k)[:, None]
+    flat = flat.reshape(-1)
     zero = np.zeros_like(w)
 
     def running(opens, closes):
-        swept = np.concatenate([opens, closes], axis=1).ravel()[flat]
-        return np.cumsum(swept.reshape(c, 2 * k), axis=1)
+        swept = np.concatenate([opens, closes], axis=1).reshape(-1)[flat]
+        swept = swept.reshape(c, 2 * k)
+        return np.cumsum(swept, axis=1, out=swept)
 
     def unswept(x):
         out = np.empty(2 * k * c)
-        out[flat] = x.ravel()
+        out[flat] = x.reshape(-1)
         return out.reshape(c, 2 * k)
 
     b = running(w, -w).max()
-    a = (unswept(running(w, zero))[:, k:]
-         - unswept(running(zero, w))[:, :k]).max()
-    return float(a), float(b)
+    opened = unswept(running(w, zero))[:, k:]
+    opened -= unswept(running(zero, w))[:, :k]
+    return float(opened.max()), float(b)
 
 
 def _tableau_runs(sys: MarkovSystem, eig: EigenData, words: np.ndarray,
@@ -175,32 +183,49 @@ def _tableau_runs(sys: MarkovSystem, eig: EigenData, words: np.ndarray,
     w = 0 where the word's domain misses y.  A run keeps the ``rows`` of the
     words ending in a symbol whose image holds one of its ys, in word order,
     each filled from its symbol's block; a run with none is left out.
+
+    The last depth comes from one ``column_blocks`` pass, under the
+    engine's one budget: the shallow depths are pulled back once over every
+    y, and the deeper ones one column block of ys at a time, each resuming
+    from the last shared depth; the runs of a block are cut from it.  A
+    cell has the same bits in any block, so a(n) and b(n) do not depend on
+    the blocks.
     """
     c7 = sys.constants.c7
     last = words[:, -1]
-    [(blocks, _)] = symbol_pullbacks(sys, symbol_trees(sys, words), ys,
-                                     _closed_images(sys, ys),
-                                     ("dTn", "DSnr_h", "J"), eig)
-    blocks = [(np.flatnonzero(last == s), cols, pb) for s, cols, pb in blocks]
+    at = {s: np.flatnonzero(last == s) for s in range(sys.m)}
     step = max(1, _SWEEP_BLOCK // len(words))
-    for c in range(0, len(ys), step):
-        width = min(step, len(ys) - c)
-        spans = [(at, cols[i:j] - c, pb, slice(i, j))
-                 for at, cols, pb in blocks
-                 for i, j in [np.searchsorted(cols, [c, c + width])] if i < j]
+    for _, block, blocks, _ in column_blocks(
+            sys, symbol_trees(sys, words), ys, _closed_images(sys, ys),
+            ("dTn", "DSnr_h", "J"), eig):
+        yield from _block_runs(c7, at, step, block, blocks)
+        del blocks  # no block is held while the next is built
+
+
+def _block_runs(c7: float, at: dict, step: int, block: slice, blocks):
+    """The runs of ``_tableau_runs`` within one column block of ys, from its
+    (s, cols, Pullback) ``blocks``; ``at[s]`` are the word rows of the
+    words ending in s."""
+    for c in range(block.start, block.stop, step):
+        width = min(step, block.stop - c)
+        start = c - block.start
+        spans = [(at[s], cols[i:j] - start, pb, slice(i, j))
+                 for s, cols, pb in blocks
+                 for i, j in [np.searchsorted(cols, [start, start + width])]
+                 if i < j]
         if not spans:
             continue
         rows = np.sort(np.concatenate([span[0] for span in spans]))
         lo, hi = np.full((2, len(rows), width), np.inf)
         w = np.zeros((len(rows), width))
-        for at, cols, pb, part in spans:
-            cell = np.ix_(np.searchsorted(rows, at), cols)
+        for ends, cols, pb, part in spans:
+            cell = np.ix_(np.searchsorted(rows, ends), cols)
             lo[cell], hi[cell] = _slope_interval(c7, pb.DSnr_h[:, part],
                                                  pb.dTn[:, part])
             w[cell] = pb.J[:, part]
         # each column's own sum, row after row (cumsum, as sum adds a lone
-        # column pairwise); symbol_pullbacks' normaliser adds symbol after
-        # symbol and would move a(n) and b(n) by up to 8.9e-16
+        # column pairwise); the engine's normaliser adds symbol after symbol
+        # and would move a(n) and b(n) by up to 8.9e-16
         total = np.cumsum(w, axis=0)[-1]
         w /= np.where(total > 0, total, 1.0)
         yield c, rows, lo, hi, w

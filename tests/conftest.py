@@ -8,7 +8,7 @@ import pytest
 from gibbsflow.gibbs import _mass_tables
 from gibbsflow.operator import node_grid
 from gibbsflow.presets import PRESETS
-from gibbsflow.system import (_suffix_tree, branch_chain, pullback, pullbacks,
+from gibbsflow.system import (_Run, _suffix_tree, branch_chain, pullback,
                               symbol_trees, system_from_config, word_array)
 
 # T(x) = 2x + 0.12 sin(2 pi x) mod 1: Markov on {0, 1/2, 1} with nonlinear
@@ -169,11 +169,11 @@ def cylinder_masses(sys, eig, n: int):
     """The mu_sigma masses of the depth-n cylinders, as the Gibbs audit
     computes them, with ``cylinders`` = ``cylinder_list(sys, n)`` and
     ``masses`` their masses in that order."""
-    for words, masses in _mass_tables(sys, eig,
-                                      symbol_trees(sys, word_array(sys, n))):
+    words = word_array(sys, n)
+    for masses in _mass_tables(sys, eig, symbol_trees(sys, words)):
         pass
     cyls = cylinder_list(sys, n)
-    row = {tuple(w): k for k, w in enumerate(words.tolist())}
+    row = {tuple(w): k for k, w in enumerate(tree_order(sys, words).tolist())}
     return SimpleNamespace(cylinders=cyls,
                            masses=masses[[row[c.word] for c in cyls]])
 
@@ -227,11 +227,30 @@ def psi(sys, w1, w2) -> PsiFunction:
 # -- the per-symbol engine loops, as each caller kept its own -----------------
 
 
+def suffixes(words, k: int):
+    """The distinct length-k suffixes of ``words`` in lexicographic order:
+    the rows of depth k of the engine on ``words``."""
+    return np.unique(np.asarray(words)[:, words.shape[1] - k:], axis=0)
+
+
 def engine(sys, words, ys, fields, eig, every_depth):
-    """``system.pullbacks`` on ``words`` and their own suffix tree."""
+    """The engine (``system._Run``) on ``words`` and their own suffix tree,
+    each depth it returns given its rows' words as ``words``
+    (``suffixes``)."""
     words = np.asarray(words, dtype=np.intp)
-    return pullbacks(sys, words, _suffix_tree(words), ys, fields, eig,
-                     every_depth)
+    n = words.shape[1]
+    run = _Run(sys, _suffix_tree(words), ys, fields, eig, every_depth)
+    for k in range(1, n + 1):
+        level = run.step()
+        if level is not None:
+            level.words = suffixes(words, k)
+            yield level
+
+
+def tree_order(sys, words):
+    """``words`` (distinct, in lexicographic order) in the row order of
+    ``symbol_trees``: the words ending in s, in order, for s = 0..m-1."""
+    return np.concatenate([words[words[:, -1] == s] for s in range(sys.m)])
 
 
 def last_depth(sys, words, ys, fields, eig):

@@ -201,7 +201,7 @@ def test_a_local_of_the_same_spelling_reaches_nothing(tmp_path):
 def test_every_dataclass_field_is_read():
     fields = _dataclass_fields()
     # the scan sees the package: fields with defaults and init=False state
-    assert {("Pullback", "words"), ("EigenData", "_lmat_cache"),
+    assert {("Pullback", "J"), ("EigenData", "_lmat_cache"),
             ("_Param", "above_low"), ("Num", "value")} <= set(fields)
     unread = _unread(fields, _attribute_reads())
     assert not unread, ("dataclass fields the program never reads; delete "

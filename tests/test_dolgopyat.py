@@ -624,17 +624,17 @@ def test_cone_iteration_pulls_the_base_nodes_back_once(sys_b, eig_b,
     # its engine columns over a whole run are one per symbol: the base plan
     # is built once, and no window node repeats a base node
     import gibbsflow.system as system_mod
-    pullbacks = system_mod.pullbacks
     columns = []
 
-    def counted(sys, words, levels, ys, fields, *rest):
-        # the plans' runs carry J; the cylinder ends of the bump geometry
-        # and the transversal pairs do not
-        if "J" in fields:
-            columns.append(np.array(ys))
-        return pullbacks(sys, words, levels, ys, fields, *rest)
+    class Counted(system_mod._Run):
+        def __init__(self, sys, levels, ys, fields, *rest):
+            # the plans' runs carry J; the cylinder ends of the bump
+            # geometry and the transversal pairs do not
+            if "J" in fields:
+                columns.append(np.array(ys))
+            super().__init__(sys, levels, ys, fields, *rest)
 
-    monkeypatch.setattr(system_mod, "pullbacks", counted)
+    monkeypatch.setattr(system_mod, "_Run", Counted)
     base_n = dg._BASE_N
     rep = cone_iteration(sys_b, eig_b, 256.0, m_max=2, delta=0.05,
                          Delta=None)

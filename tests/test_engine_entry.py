@@ -2,10 +2,11 @@
 
 The per-symbol layout around the engine (one run per last symbol on the
 points its image holds, the runs zipped by depth, the normaliser of J_w)
-is ``system.symbol_pullbacks``; the other modules reach the engine through
-it or through ``pullback``.  The check parses src/gibbsflow: no module but
-system.py imports ``pullbacks``, calls it as ``pullbacks(...)`` or
-``obj.pullbacks(...)``, or mentions it as an attribute, so a per-depth,
+is ``system.symbol_pullbacks``, and ``system.column_blocks`` under one
+budget; the other modules reach the engine through them or through
+``pullback``.  The check parses src/gibbsflow: no module but system.py
+imports the engine ``_Run``, calls it as ``_Run(...)`` or
+``obj._Run(...)``, or mentions it as an attribute, so a per-depth,
 per-symbol engine loop cannot grow back in another module.
 """
 
@@ -16,14 +17,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _uses(tree: ast.AST) -> list[int]:
-    """Lines of ``tree`` that import, name or call ``pullbacks``."""
+    """Lines of ``tree`` that import, name or call ``_Run``."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            if any(a.name == "pullbacks" for a in node.names):
+            if any(a.name == "_Run" for a in node.names):
                 lines.append(node.lineno)
-        elif isinstance(node, ast.Name) and node.id == "pullbacks" \
-                or isinstance(node, ast.Attribute) and node.attr == "pullbacks":
+        elif isinstance(node, ast.Name) and node.id == "_Run" \
+                or isinstance(node, ast.Attribute) and node.attr == "_Run":
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -35,14 +36,15 @@ def test_only_system_runs_the_engine_by_depth():
     found = [f"{path.name}:{line}"
              for path in sorted(package.glob("*.py")) if path.name != "system.py"
              for line in _uses(ast.parse(path.read_text(encoding="utf-8")))]
-    assert not found, ("pullbacks used outside system.py; go through "
-                       "symbol_pullbacks or pullback:\n" + "\n".join(found))
+    assert not found, ("_Run used outside system.py; go through "
+                       "symbol_pullbacks, column_blocks or pullback:\n"
+                       + "\n".join(found))
 
 
 def test_the_scan_finds_each_form():
-    src = ("from .system import pullbacks\n"
+    src = ("from .system import _Run\n"
            "import gibbsflow.system as s\n"
-           "s.pullbacks(1)\n"
+           "s._Run(1)\n"
            "pullback(1)\n"
-           "f = pullbacks\n")
+           "f = _Run\n")
     assert _uses(ast.parse(src)) == [1, 3, 5]

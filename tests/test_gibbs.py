@@ -5,8 +5,9 @@ import pytest
 from scipy.stats import chi2
 
 from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses, engine,
-                      itineraries, mass_tables_loop, partition_walk)
-from gibbsflow import gibbs
+                      itineraries, mass_tables_loop, partition_walk, suffixes,
+                      tree_order)
+from gibbsflow import gibbs, system
 from gibbsflow.gibbs import (FrequencyTooSmallError, _backward_step, _burn_in,
                              _mass_tables, adapted_partition, gibbs_audit,
                              sample_mu)
@@ -148,7 +149,7 @@ def test_gibbs_audit_equals_the_audit_by_sorted_x(name, sigma, nl_doubling):
     # the mass tables are one column block at these sizes
     sys = nl_doubling if name == "NL-DOUBLING" else make_preset(name)
     eig = eigendata(sys, sigma, N=128)
-    assert len(word_array(sys, 6)) * sys.m * eig.N <= gibbs._MASS_BLOCK
+    assert len(word_array(sys, 6)) * sys.m * eig.N <= system._BUDGET
     assert gibbs_audit(sys, eig, 6) == _audit_by_sorted_x(sys, eig, 6)
 
 
@@ -156,46 +157,53 @@ def test_gibbs_audit_equals_the_audit_by_sorted_x(name, sigma, nl_doubling):
 @pytest.mark.parametrize("name", ["SYS-B", "SYS-C", "SYS-C-NLROOF",
                                   "NL-DOUBLING"])
 def test_mass_tables_equal_the_per_symbol_loop(name, sigma, nl_doubling):
-    # symbol_pullbacks gives the words, the normaliser and the masses of one
-    # engine per symbol zipped by depth, bit for bit, in one column block
+    # column_blocks gives the normaliser and the masses of one engine per
+    # symbol zipped by depth, bit for bit, when every depth is shared
     sys = nl_doubling if name == "NL-DOUBLING" else make_preset(name)
     eig = eigendata(sys, sigma, N=128)
     words = word_array(sys, 6)
-    assert len(words) * sys.m * eig.N <= gibbs._MASS_BLOCK
+    assert len(words) * sys.m * eig.N <= system._BUDGET
     elements = np.repeat(np.arange(sys.m), eig.N)
     trees = symbol_trees(sys, words)
     norms = symbol_pullbacks(sys, trees, node_grid(sys, eig.N).reshape(-1),
                              sys.transition[:, elements], ("J",), eig,
                              every_depth=True)
     depths = 0
-    for (got_words, masses), (_, norm), (want_words, want, want_norm) in zip(
-            _mass_tables(sys, eig, trees), norms,
-            mass_tables_loop(sys, eig, words)):
-        assert np.array_equal(got_words, want_words)
+    for k, (masses, (_, norm), (want_words, want, want_norm)) in enumerate(
+            zip(_mass_tables(sys, eig, trees), norms,
+                mass_tables_loop(sys, eig, words)), start=1):
+        # the tables' rows are the distinct suffixes in tree order
+        assert np.array_equal(tree_order(sys, suffixes(words, k)),
+                              want_words)
         assert np.array_equal(norm, want_norm.reshape(-1))
         assert np.array_equal(masses, want)
         depths += 1
     assert depths == 6
 
 
-def _blocked_tables(sys, eig, words, width, monkeypatch):
-    """The mass tables of ``words`` run on column blocks of ``width`` nodes:
-    (words, masses) of each depth, the normaliser of each depth over the
-    node grid, the blocks' own put side by side in column order, and the
-    number of blocks."""
-    norms = []  # per block, the normaliser of each depth
-    run = gibbs.symbol_pullbacks
+def _blocked_tables(sys, eig, words, budget, monkeypatch):
+    """The mass tables of ``words`` under a budget of ``budget`` values:
+    the masses of each depth, the normaliser of each depth over the node
+    grid, the blocks' own put side by side in column order, the number of
+    shared depths and the number of column blocks."""
+    norms = {}  # depth -> [(block, norm)]
+    run = gibbs.column_blocks
 
     def recorded(*args, **kwargs):
-        norms.append([])
-        for blocks, norm in run(*args, **kwargs):
-            norms[-1].append(norm)
-            yield blocks, norm
+        for k, block, blocks, norm in run(*args, **kwargs):
+            norms.setdefault(k, []).append((block, norm))
+            yield k, block, blocks, norm
 
-    monkeypatch.setattr(gibbs, "_MASS_BLOCK", width * len(words))
-    monkeypatch.setattr(gibbs, "symbol_pullbacks", recorded)
+    monkeypatch.setattr(system, "_BUDGET", budget)
+    monkeypatch.setattr(gibbs, "column_blocks", recorded)
     tables = list(_mass_tables(sys, eig, symbol_trees(sys, words)))
-    return tables, [np.concatenate(depth) for depth in zip(*norms)], len(norms)
+    shared = sum(len(parts) == 1 for parts in norms.values())
+    for parts in norms.values():
+        assert [b.start for b, _ in parts[1:]] == [b.stop for b, _ in
+                                                   parts[:-1]]
+    return (tables, [np.concatenate([n for _, n in norms[k]])
+                     for k in sorted(norms)],
+            shared, len(norms[max(norms)]))
 
 
 @pytest.mark.parametrize("width", [51, 100])
@@ -203,26 +211,86 @@ def _blocked_tables(sys, eig, words, width, monkeypatch):
 @pytest.mark.parametrize("name", ["SYS-B", "SYS-C", "SYS-C-NLROOF"])
 def test_mass_tables_over_column_blocks_equal_the_per_symbol_loop(
         name, sigma, width, monkeypatch):
-    # the tables' engine runs on 3 to 8 column blocks of the 256 or 384
-    # nodes.  A node's normaliser is a sum down its column, so it keeps its
-    # bits, and so do the words; each mass is a sum over the nodes split
-    # into one sum per block, so it moves by rounding alone.  At width 51 a
-    # block ends one node into a symbol's image, and a lone column is
-    # summed row after row, as among others
+    # a budget of ``width`` nodes of the last depth's words runs the deeper
+    # depths on 3 to 8 column blocks of the 256 or 384 nodes.  A node's
+    # normaliser is a sum down its column, so it keeps its bits, and so do
+    # the words; each mass is a sum over the nodes split into one sum per
+    # block, so it moves by rounding alone.  At width 51 a block ends one
+    # node into a symbol's image, and a lone column is summed row after
+    # row, as among others
     sys = make_preset(name)
     eig = eigendata(sys, sigma, N=128)
     words = word_array(sys, 6)
-    tables, norms, blocks = _blocked_tables(sys, eig, words, width,
-                                            monkeypatch)
-    assert blocks == -(-sys.m * eig.N // width) >= 3
+    tables, norms, shared, blocks = _blocked_tables(
+        sys, eig, words, width * len(words), monkeypatch)
+    assert blocks >= 3 and shared < 6
     depths = 0
-    for (got_words, masses), norm, (want_words, want, want_norm) in zip(
+    for masses, norm, (_, want, want_norm) in zip(
             tables, norms, mass_tables_loop(sys, eig, words)):
-        assert np.array_equal(got_words, want_words)
         assert np.array_equal(norm, want_norm.reshape(-1))
         assert np.max(np.abs(masses - want) / want) <= 1e-14
         depths += 1
     assert depths == 6
+
+
+@pytest.mark.parametrize("shared", [1, 3, 5])
+@pytest.mark.parametrize("name", ["SYS-C", "SYS-C-NLROOF"])
+def test_mass_tables_share_the_depths_whose_level_fits(name, shared,
+                                                       monkeypatch):
+    # a budget of twice the whole level at depth ``shared`` puts the
+    # boundary there: depths 1..shared are pulled back once over the whole
+    # grid, the deeper ones on column blocks.  Normalisers keep their bits;
+    # the masses move by rounding alone.  (On a full shift of two symbols
+    # the next level is twice this one, so it would fit one block.)
+    sys = make_preset(name)
+    eig = eigendata(sys, 0.5, N=64)
+    words = word_array(sys, 6)
+    held = sys.transition.sum(axis=1) * eig.N  # nodes each symbol holds
+    trees = symbol_trees(sys, words)
+    level = sum(len(levels[shared - 1][0]) * held[s] for s, levels in trees)
+    tables, norms, got, blocks = _blocked_tables(sys, eig, words,
+                                                 2 * level, monkeypatch)
+    assert got == shared and blocks >= 2
+    for masses, norm, (_, want, want_norm) in zip(
+            tables, norms, mass_tables_loop(sys, eig, words)):
+        assert np.array_equal(norm, want_norm.reshape(-1))
+        assert np.max(np.abs(masses - want) / want) <= 1e-14
+
+
+def test_shared_depths_run_the_engine_once_per_tree_and_symbol(monkeypatch):
+    # a shared depth costs one _prepend call per (tree, first symbol),
+    # however many column blocks the deeper depths take; a deeper depth
+    # costs one call per block at least
+    sys = make_preset("SYS-C-NLROOF")
+    eig = eigendata(sys, 0.0, N=64)
+    trees = symbol_trees(sys, word_array(sys, 7))
+    groups = [sum(len(np.unique(levels[k][0])) for _, levels in trees)
+              for k in range(7)]
+    held = sys.transition.sum(axis=1) * eig.N  # nodes each symbol holds
+    level = [sum(len(levels[k][0]) * held[s] for s, levels in trees)
+             for k in range(7)]
+    prepend = system._prepend
+    calls = {}
+
+    def counted(sys_, i, prev, rows, out, k, *rest):
+        calls[k] = calls.get(k, 0) + 1
+        return prepend(sys_, i, prev, rows, out, k, *rest)
+
+    monkeypatch.setattr(system, "_prepend", counted)
+    blocks = []
+    for budget in (2 * level[3], level[3] + level[4]):
+        monkeypatch.setattr(system, "_BUDGET", budget)
+        calls.clear()
+        widths = [block.stop - block.start for k, block, _, _ in
+                  system.column_blocks(
+                      sys, trees, eig.f.nodes.reshape(-1),
+                      sys.transition[:, np.repeat(np.arange(sys.m), eig.N)],
+                      ("J",), eig, every_depth=True) if k == 7]
+        blocks.append(len(widths))
+        assert [calls[k] for k in range(1, 5)] == groups[:4]
+        assert all(calls[k] >= max(groups[k - 1], len(widths))
+                   for k in range(5, 8))
+    assert blocks[0] > blocks[1] >= 2
 
 
 def test_gibbs_audit_matches_the_benchmark_reference():
@@ -263,68 +331,90 @@ def test_gibbs_audit_builds_no_cylinders(eig_c, monkeypatch):
     assert not calls
 
 
-def test_gibbs_audit_holds_the_last_J_and_the_previous_x():
-    # the whole-level bound: a depth-9 audit holds no more than the last
-    # depth's J and the previous depth's x over the whole node grid, plus 1
-    # MiB for a block's temporaries (2^16 pairs, 0.5 MiB an array) and the
-    # word arrays.  The mass tables run on column blocks of at most
-    # _MASS_BLOCK (word, node) pairs, two blocks of 1,015 nodes here, so
-    # their peak, 16.5 MiB, stays below the bound's 28.5 MB.
-    # SYS-C-NLROOF's potential is constant on each element, so the
-    # engine's log weight is one column per word; held at full width it
-    # costs the size of x again
+def _audit_peak(sys, eig, n):
+    """The tracemalloc peak of a depth-n audit, above what was held before."""
     import tracemalloc
-    sys = make_preset("SYS-C-NLROOF")
-    eig = eigendata(sys, 0.0, N=N)
-    gibbs_audit(sys, eig, 2)  # lazily built caches are not the audit's
-    # the points each word's J and x hold: the nodes in its last symbol's image
-    held = sys.transition[:, np.repeat(np.arange(sys.m), N)].sum(axis=1)
-
-    def nbytes(n):
-        return 8 * int(held[word_array(sys, n)[:, -1]].sum())
-
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        gibbs_audit(sys, eig, 9)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        gibbs_audit(sys, eig, n)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= nbytes(9) + nbytes(8) + 2 ** 20, (peak, nbytes(9), nbytes(8))
+
+
+def _block_bytes(sys, eig, n):
+    """What the mass tables' engine may hold at once under ``system._BUDGET``
+    at depth n, 8 bytes a (word, node) pair: the last shared depth's x over
+    the whole node grid, and a column block's last J, at most _BUDGET
+    pairs, and its previous x, at most the previous depth's share of them
+    (the largest over the symbols).  SYS-C-NLROOF's and SYS-A's potentials
+    are constant on each element, so the log weight is a column per word."""
+    held = sys.transition.sum(axis=1) * eig.N  # nodes each symbol holds
+    trees = symbol_trees(sys, word_array(sys, n))
+    level = [sum(len(levels[k][0]) * held[s] for s, levels in trees)
+             for k in range(n)]
+    shared = sum(pairs <= system._BUDGET // 2 for pairs in level)
+    assert shared < n  # the deeper depths run on column blocks
+    previous = max(len(levels[-2][0]) / len(levels[-1][0])
+                   for _, levels in trees)
+    return 8 * (level[shared - 1] + system._BUDGET * (1 + previous))
+
+
+def _word_bytes(sys, n):
+    """One copy of the depth-n words, and per depth the trees' two index
+    arrays and the masses: 8 bytes a number."""
+    K = [len(word_array(sys, k)) for k in range(1, n + 1)]
+    return 8 * (n * K[-1] + 3 * sum(K))
+
+
+def test_gibbs_audit_holds_the_last_J_and_the_previous_x():
+    # the whole-level bound, tightened to one column block: a depth-9 audit
+    # holds no more than the last shared depth's x and a block's last J
+    # and previous x (``_block_bytes``, 7.4 MiB here, against 26.2 MiB for
+    # the last depth's J and the previous x over the whole grid), plus 1
+    # MiB for a block's temporaries (2^16 pairs, 0.5 MiB an array) and the
+    # word arrays (measured 8.3 MiB against a bound of 8.6 MiB)
+    sys = make_preset("SYS-C-NLROOF")
+    eig = eigendata(sys, 0.0, N=N)
+    gibbs_audit(sys, eig, 2)  # lazily built caches are not the audit's
+    peak = _audit_peak(sys, eig, 9)
+    bound = _block_bytes(sys, eig, 9) + 2 ** 20 + _word_bytes(sys, 9)
+    assert peak <= bound, (peak, bound)
 
 
 def test_gibbs_audit_peak_is_set_by_a_column_block(monkeypatch):
-    # with column blocks of at most 2^17 (word, node) pairs, 1 MiB a
-    # float64 array, the depth-9 and depth-10 audits of 768 nodes run 13
-    # and 28 blocks of 63 and 28 nodes.  Each peaks below one block's J and
-    # previous-depth x, plus 1 MiB of temporaries and the arrays of words
-    # and masses, and depth 10 within 1 MiB of depth 9: its words grow, its
-    # block does not (measured 2.0 and 2.5 MiB)
-    import tracemalloc
+    # with a budget of 2^17 values, 1 MiB a float64 array, depths 9 and 10
+    # of 768 nodes run their deeper depths on column blocks; each peaks
+    # below one block (``_block_bytes``) plus 1 MiB of temporaries and the
+    # arrays of words and masses, and depth 10 within 1 MiB of depth 9: its
+    # words grow, its block does not (measured 2.7 and 2.7 MiB against
+    # bounds of 3.0 and 3.4 MiB; 3.1 and 4.0 MiB before the shared depths
+    # and with every depth's words kept)
     sys = make_preset("SYS-C-NLROOF")
     eig = eigendata(sys, 0.0, N=256)
     gibbs_audit(sys, eig, 2)  # lazily built caches are not the audit's
-    cap = 1 << 17
-    monkeypatch.setattr(gibbs, "_MASS_BLOCK", cap)
+    monkeypatch.setattr(system, "_BUDGET", 1 << 17)
     peaks = {}
     for n in (9, 10):
-        K = [len(word_array(sys, k)) for k in range(1, n + 1)]
-        block = 8 * (cap // K[-1]) * (K[-1] + K[-2])
-        # the depth-n words, once in word_array and once in the trees, the
-        # trees' three index arrays per depth, and each depth's table words
-        # and masses
-        arrays = 8 * (2 * n * K[-1] + 3 * sum(K)
-                      + sum((k + 1) * K[k - 1] for k in range(1, n + 1)))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            gibbs_audit(sys, eig, n)
-            peaks[n] = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peaks[n] <= block + 2 ** 20 + arrays, (n, peaks[n], block,
-                                                      arrays)
+        peaks[n] = _audit_peak(sys, eig, n)
+        bound = _block_bytes(sys, eig, n) + 2 ** 20 + _word_bytes(sys, n)
+        assert peaks[n] <= bound, (n, peaks[n], bound)
     assert peaks[10] - peaks[9] <= 2 ** 20, peaks
+
+
+def test_deep_sys_a_audit_holds_one_block_and_one_copy_of_the_words():
+    # depth 14 on SYS-A: 16,384 words of 14 symbols.  The trees hold no
+    # words and the tables keep masses alone, so past one block the audit
+    # holds one copy of the words, the trees' index arrays and the masses
+    # (measured 9.4 MiB against a bound of 11.5 MiB; a second copy of the
+    # words, or every depth's words, would add 1.75 and 3.25 MiB)
+    sys = make_preset("SYS-A")
+    eig = eigendata(sys, 0.0, N=N)
+    gibbs_audit(sys, eig, 2)  # lazily built caches are not the audit's
+    peak = _audit_peak(sys, eig, 14)
+    bound = _block_bytes(sys, eig, 14) + 2 ** 20 + _word_bytes(sys, 14)
+    assert peak <= bound, (peak, bound)
 
 
 def test_transition_weights_normalized(eig_c):

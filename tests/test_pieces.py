@@ -36,6 +36,18 @@ def test_a_piece_returns_arrays_shaped_like_x():
     assert np.array_equal(nonlinear.value(x=x), (2 + np.cos(2 * np.pi * x)) / 3)
 
 
+def test_a_constant_piece_reads_one_view_per_shape():
+    # two reads at one shape return the one read-only view, with the bits
+    # of the constant; another shape gets its own
+    const = Piece(parse("log(0.3)"))
+    a, b = np.linspace(0.0, 1.0, 12).reshape(3, 4), np.zeros((3, 4))
+    v = const.value(x=a)
+    assert const.value(x=b) is v and not v.flags.writeable
+    assert _bits(v) == _bits(np.full((3, 4), np.log(0.3)))
+    assert const.value(x=a[0]) is not v and const.value(x=a[0]).shape == (4,)
+    assert const.deriv(x=a) is const.deriv(x=b)
+
+
 def test_a_decreasing_affine_branch_takes_the_one_step_inverse():
     sys = system_from_config({
         "partition": [0.0, 0.5, 1.0],

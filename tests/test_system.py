@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
-                      element_sets, engine, jacobian_weight, preset_config)
+                      element_sets, engine, jacobian_weight, preset_config,
+                      suffixes)
 from gibbsflow.operator import BranchPlan, deep_apply, eigendata, node_grid
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.gibbs import _mass_tables
@@ -392,19 +393,21 @@ def test_symbol_pullbacks_contract(nl_doubling):
     words = words[words[:, -1] != 1]  # symbol 1 ends no word
     ys = np.linspace(0.0, 1.0, 13)
     holds = np.array([ys < 0.5, ys >= 0.0, np.zeros(13, dtype=bool)])
+    ending = words[words[:, -1] == 0]
     ref = weakref.ref(words)
     trees = symbol_trees(sys, words)
     del words
-    assert ref() is None  # each tree holds its own rows
-    assert [s for s, _, _ in trees] == [0, 2]
+    assert ref() is None  # the trees hold no words
+    assert [s for s, _ in trees] == [0, 2]
     runs = symbol_pullbacks(sys, trees, ys, holds, ("x", "J"), eig,
                             every_depth=True)
     for k, (blocks, norm) in enumerate(runs, start=1):
         # symbol 1 ends no word and symbol 2 holds no point: one block
         [(s, cols, pb)] = blocks
         assert s == 0 and np.array_equal(cols, np.flatnonzero(ys < 0.5))
-        assert pb.words.shape[1] == k
-        want = pullback(sys, pb.words, ys[cols], ("x",))
+        # its rows are the distinct length-k suffixes of the words ending
+        # in 0, in lexicographic order
+        want = pullback(sys, suffixes(ending, k), ys[cols], ("x",))
         assert np.array_equal(pb.x, want.x)
         total = np.zeros(len(ys))
         total[cols] = pb.J.sum(axis=0)
@@ -416,14 +419,13 @@ def test_symbol_pullbacks_contract(nl_doubling):
         ys, np.ones((2, 13), dtype=bool), ("x",))
     assert norm is None
     assert [s for s, _, _ in blocks] == [0, 1]
-    assert all(pb.J is None and pb.words.shape == (2, 2)
-               for _, _, pb in blocks)
+    assert all(pb.J is None and pb.x.shape == (2, 13) for _, _, pb in blocks)
 
 
 def _parents_split(words) -> bool:
     """Whether some depth of ``words``' suffix tree has a symbol whose
     parent rows are not one run, so the engine gathers them by index."""
-    for sym, parent, _ in _suffix_tree(words):
+    for sym, parent in _suffix_tree(words):
         for s in np.unique(sym):
             up = parent[sym == s]
             if up[-1] - up[0] != len(up) - 1:
@@ -514,11 +516,10 @@ def test_a_yielded_J_is_gone_before_the_next_depth_is_built(monkeypatch):
     # the engine keeps x and the running sums of the previous depth, not
     # its J: once the caller has let a depth go, no block of the next
     # depth is computed while any J of it is still alive.  The mass tables
-    # are the caller in the second half, over four column blocks: no J of
-    # an earlier depth, or of an earlier column block, lives while a depth
-    # is built
+    # are the caller in the second half, their deeper depths over column
+    # blocks: no J of an earlier depth, or of an earlier column block,
+    # lives while a depth is built
     import weakref
-    import gibbsflow.gibbs as gibbs_mod
     import gibbsflow.system as system_mod
     sys = make_preset("SYS-C-NLROOF")
     eig = eigendata(sys, 0.5, N=32)
@@ -527,32 +528,25 @@ def test_a_yielded_J_is_gone_before_the_next_depth_is_built(monkeypatch):
     building = {"batch": 0, "asked": False, "at": None}
     alive = []    # per block computed: how many J of another depth live
 
-    class Recorded:
-        """The engine's levels, each J recorded on the way: an iterator, not
-        a generator, so no suspended frame of its own holds a level.  The
-        runs of one ``symbol_pullbacks`` call are made before any is asked
-        for a level, and form one batch."""
+    class Recorded(system_mod._Run):
+        """The engine's runs, each J recorded on the way.  The runs resumed
+        on one column block (``columns``) form one batch."""
 
-        def __init__(self, run):
+        def columns(self, i, j):
             if building["asked"]:
                 building["batch"] += 1
                 building["asked"] = False
-            self.run, self.batch, self.depth = run, building["batch"], 0
+            return super().columns(i, j)
 
-        def __iter__(self):
-            return self
-
-        def __next__(self):
+        def step(self):
             building["asked"] = True
-            self.depth += 1
-            building["at"] = (self.batch, self.depth)
-            level = next(self.run)
-            yielded.append((building["at"], weakref.ref(level.J)))
+            building["at"] = (building["batch"], self.k + 1)
+            level = super().step()
+            if level is not None:
+                yielded.append((building["at"], weakref.ref(level.J)))
             return level
 
-    run = system_mod.pullbacks
-    monkeypatch.setattr(system_mod, "pullbacks",
-                        lambda *args: Recorded(run(*args)))
+    monkeypatch.setattr(system_mod, "_Run", Recorded)
     solve = MarkovSystem.inverse_branch
 
     def checked(self, *args, **kwargs):
@@ -571,11 +565,12 @@ def test_a_yielded_J_is_gone_before_the_next_depth_is_built(monkeypatch):
         depths += 1
         del blocks, norm
     assert len(yielded) == 4 * sys.m
-    # 96 nodes in four blocks of 24
-    monkeypatch.setattr(gibbs_mod, "_MASS_BLOCK", 24 * len(words))
+    # 96 nodes: the first two depths shared, the last two on column blocks
+    building["batch"] += 1
+    monkeypatch.setattr(system_mod, "_BUDGET", 24 * len(words))
     for _ in _mass_tables(sys, eig, trees):
         depths += 1
-    assert depths == 8 and building["batch"] == 4
+    assert depths == 8 and building["batch"] >= 4
     assert len(alive) > 8 * sys.m and max(alive) == 0
 
 

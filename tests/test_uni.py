@@ -398,18 +398,71 @@ def test_blocks_are_slices_of_the_nan_tableau(name, sigma, nl_doubling,
 
 
 def test_blocks_pull_each_symbol_back_once(sys_c, monkeypatch):
-    # the engine runs once per symbol, not once per run
+    # the engine runs once per symbol, not once per run: its column blocks
+    # resume the symbol's run from the last shared depth
     import gibbsflow.system as system_mod
     eig = eigendata(sys_c, 0.0, N=256)
     words = word_array(sys_c, 8)
     ys = _y_grid(sys_c, 8, 128)
-    pullbacks = system_mod.pullbacks
-    calls = []
-    monkeypatch.setattr(system_mod, "pullbacks", lambda *args: (
-        calls.append(args[1]) or pullbacks(*args)))
+    started, resumed = [], []
+
+    class Counted(system_mod._Run):
+        def __init__(self, sys, levels, *rest):
+            started.append(len(levels[-1][0]))
+            super().__init__(sys, levels, *rest)
+
+        def columns(self, i, j):
+            resumed.append(self.k)
+            return super().columns(i, j)
+
+    monkeypatch.setattr(system_mod, "_Run", Counted)
     runs = list(_tableau_runs(sys_c, eig, words, ys))
-    assert len(runs) > 1 and len(calls) == sys_c.m
-    assert sum(len(w) for w in calls) == len(words)
+    assert len(runs) > 1 and len(started) == sys_c.m
+    assert sum(started) == len(words)
+    # the tableau is wider than the budget: some depths are shared, and
+    # every block resumes at the last of them
+    assert len(resumed) > sys_c.m and len(set(resumed)) == 1
+    assert 0 < resumed[0] < 8
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("name", ["SYS-C", "SYS-C-NLROOF", "NL-DOUBLING"])
+def test_sequences_keep_their_bits_across_budgets(name, sigma, nl_doubling,
+                                                  monkeypatch):
+    # a(n) and b(n) with the whole tableau in one block, at the default
+    # budget, and at a budget that shares depth 1 alone and runs every
+    # deeper depth on column blocks, with runs of the sweep's cells and of
+    # 97 cells: bit for bit
+    import gibbsflow.system as system_mod
+    s = _system(name, nl_doubling)
+    eig = eigendata(s, sigma, N=128)
+    resumed = []
+
+    class Counted(system_mod._Run):
+        def columns(self, i, j):
+            resumed.append(self.k)
+            return super().columns(i, j)
+
+    monkeypatch.setattr(system_mod, "_Run", Counted)
+    n = 6
+    ys = _y_grid(s, n, 64)
+    holds = uni_mod._closed_images(s, ys)
+    trees = system_mod.symbol_trees(s, word_array(s, n))
+    level1 = sum(len(levels[0][0]) * int(holds[t].sum())
+                 for t, levels in trees)
+    monkeypatch.setattr(system_mod, "_BUDGET", 1 << 40)
+    whole = uni_mod._ab_depth(s, eig, n, 64)
+    assert not resumed
+    for budget, sweep in ((system_mod._BUDGET, uni_mod._SWEEP_BLOCK),
+                          (6 * level1, uni_mod._SWEEP_BLOCK),
+                          (6 * level1, 97)):
+        monkeypatch.setattr(system_mod, "_BUDGET", budget)
+        monkeypatch.setattr(uni_mod, "_SWEEP_BLOCK", sweep)
+        resumed.clear()
+        assert uni_mod._ab_depth(s, eig, n, 64) == whole
+    # the small budget resumed every block at depth 1, a block 3 to 5 ys
+    # of the 128 or 246
+    assert set(resumed) == {1} and len(resumed) > 3 * len(trees)
 
 
 def test_a_run_across_symbol_sets_sweeps_as_its_columns(sys_c):
@@ -454,7 +507,9 @@ def test_b_sequence_reuses_the_tableaux_of_a_sequence(sys_b, monkeypatch):
 
     monkeypatch.setattr(uni_mod, "pullback", counted(uni_mod.pullback))
     monkeypatch.setattr(system_mod, "pullback", counted(system_mod.pullback))
-    monkeypatch.setattr(system_mod, "pullbacks", counted(system_mod.pullbacks))
+    monkeypatch.setattr(system_mod, "_Run", type(
+        "Counted", (system_mod._Run,),
+        {"step": counted(system_mod._Run.step)}))
     eig = eigendata(sys_b, 0.0, N=64)
     a = a_sequence(sys_b, eig, 4, grid=32)
     assert calls
