@@ -72,10 +72,10 @@ def _mass_tables(sys: MarkovSystem, eig: EigenData, trees: list):
     depth's distinct words ending in s, in lexicographic order.
 
     The shared depths, whose whole level fits half the engine's budget
-    (``system._BUDGET`` (word, node) pairs for J alone), are pulled back
-    once over the whole node grid, and their masses are one J @ (mu /
-    norm) each.  The deeper depths run on column
-    blocks of the grid, all of them for one block before the next, each
+    (``system._BUDGET`` (word, node) pairs, counted for J alone, the one
+    field asked for), are pulled back once over the whole node grid, and
+    their masses are one J @ (mu / norm) each.  The deeper depths run on
+    column blocks of the grid, all of them for one block before the next, each
     resuming from the last shared depth.  The normaliser at a node is a
     sum down its column, so a block holds the whole normaliser of its own
     columns, with the bits it has over the whole grid, and a deeper depth's

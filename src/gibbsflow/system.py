@@ -600,8 +600,9 @@ def word_array(sys: MarkovSystem, n: int) -> np.ndarray:
 
 FIELDS = ("x", "dTn", "Snr", "Snphi", "DSnr_h")
 _BLOCK = 1 << 16  # (word, point) pairs per batched solve; bounds temporaries
-# values the fields of one depth of ``column_blocks`` hold in all: 4 MiB of
-# float64
+# values the requested fields of one depth of ``column_blocks`` hold in all:
+# 4 MiB of float64.  The engine's own x and log weight, and the previous
+# depth's state, are held beside them, not counted in it
 _BUDGET = 1 << 19
 
 
@@ -847,7 +848,10 @@ def column_blocks(sys: MarkovSystem, trees, ys, holds, fields, eig,
     """``symbol_pullbacks`` under one budget: the arrays of ``fields`` at a
     depth hold at most _BUDGET values in all, _BUDGET // len(fields) (word,
     y) pairs each, however deep the words of ``trees`` and however many
-    the ys.
+    the ys.  The budget counts the requested fields alone: beside them the
+    engine holds its x and log weight, which are not fields unless asked
+    for, and the previous depth's state (see ``_Run``), so a run of J
+    alone holds up to about twice the budget at a depth.
 
     Yields (k, block, blocks, norm) at the depths ``_Run`` returns:
     ``block`` a slice of ys; ``blocks`` one (s, cols, Pullback) per symbol

@@ -19,10 +19,11 @@ a(n) and b(n) come from the slope intervals and mu_sigma-Jacobian weights
 of every depth-n preimage at every y of a grid: one (words x ys) tableau,
 rows in ``word_array`` order, swept in runs of consecutive ys.  The
 tableau is pulled back by one ``column_blocks`` pass under the engine's one
-budget (``system._BUDGET`` values a depth): the shallow depths, whose whole
-level fits half of it, once over every y, and the deeper ones a column
-block of ys at a time, each block resuming from the last shared depth.  A
-run is cut from one block's per-symbol Pullbacks; a word whose domain
+budget (``system._BUDGET`` values a depth, counted over its three fields
+dTn, DSnr_h and J; the engine's x and log weight are held beside them):
+the shallow depths, whose whole level fits half of it, once over every y,
+and the deeper ones a column block of ys at a time, each block resuming
+from the last shared depth.  A run is cut from one block's per-symbol Pullbacks; a word whose domain
 misses y has the interval [+inf, +inf] and weight 0, which move neither
 statistic.  One endpoint sweep per y reads both statistics off a run: a
 stable argsort of [lo | hi] puts every opening before any closing at an

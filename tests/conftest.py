@@ -311,6 +311,54 @@ def mass_tables_loop(sys, eig, words):
                norm)
 
 
+def column_layout(trees, holds, budget: int, fields: int):
+    """(shared depths, column blocks) of ``system.column_blocks`` on the
+    trees ``trees`` and the boolean (m, points) ``holds`` under a budget of
+    ``budget`` values a depth for ``fields`` fields, by its own greedy
+    walk: the leading depths whose level over every point its symbols hold
+    is at most half of budget // fields pairs are shared, and each block
+    adds points from where the last ended while its last depth's pairs fit,
+    one point at least.  No block is cut when every depth is shared."""
+    pairs = budget // fields
+    n = len(trees[0][1])
+    level = [sum(len(levels[k][0]) * int(holds[s].sum())
+                 for s, levels in trees) for k in range(n)]
+    shared = 0
+    while shared < n and level[shared] <= pairs // 2:
+        shared += 1
+    if shared == n:
+        return shared, 0
+    weight = np.zeros(holds.shape[1], dtype=np.int64)
+    for s, levels in trees:
+        weight[holds[s]] += len(levels[-1][0])
+    blocks, filled = 0, None
+    for w in weight.tolist():
+        if filled is None or filled + w > pairs:
+            blocks, filled = blocks + 1, w
+        else:
+            filled += w
+    return shared, blocks
+
+
+def _mass_holds(sys, eig):
+    """The nodes each symbol's words are pulled back at in
+    ``gibbs._mass_tables``: those of the elements in its image."""
+    return sys.transition[:, np.repeat(np.arange(sys.m), eig.N)]
+
+
+def mass_levels(sys, eig, trees) -> list[int]:
+    """Per depth, the (word, node) pairs of the mass tables' whole level."""
+    held = _mass_holds(sys, eig).sum(axis=1)
+    return [sum(len(levels[k][0]) * int(held[s]) for s, levels in trees)
+            for k in range(len(trees[0][1]))]
+
+
+def mass_layout(sys, eig, trees, budget: int):
+    """``column_layout`` of ``gibbs._mass_tables``: J alone, over the node
+    grid."""
+    return column_layout(trees, _mass_holds(sys, eig), budget, 1)
+
+
 def check_uni_loop(sys, n, R, grid):
     """``uni.check_uni`` by a loop over word-tuple pairs, one engine call per
     symbol and a dict from word to its row of D(S_n r o h_w)."""

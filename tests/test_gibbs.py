@@ -5,8 +5,8 @@ import pytest
 from scipy.stats import chi2
 
 from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses, engine,
-                      itineraries, mass_tables_loop, partition_walk, suffixes,
-                      tree_order)
+                      itineraries, mass_layout, mass_levels, mass_tables_loop,
+                      partition_walk, suffixes, tree_order)
 from gibbsflow import gibbs, system
 from gibbsflow.gibbs import (FrequencyTooSmallError, _backward_step, _burn_in,
                              _mass_tables, adapted_partition, gibbs_audit,
@@ -185,45 +185,70 @@ def _blocked_tables(sys, eig, words, budget, monkeypatch):
     """The mass tables of ``words`` under a budget of ``budget`` values:
     the masses of each depth, the normaliser of each depth over the node
     grid, the blocks' own put side by side in column order, the number of
-    shared depths and the number of column blocks."""
+    shared depths (those yielded before the first column block is cut)
+    and the number of column blocks."""
     norms = {}  # depth -> [(block, norm)]
-    run = gibbs.column_blocks
+    cut = []    # the depths yielded before each column block
+    run, columns = gibbs.column_blocks, system._Run.columns
 
     def recorded(*args, **kwargs):
         for k, block, blocks, norm in run(*args, **kwargs):
             norms.setdefault(k, []).append((block, norm))
             yield k, block, blocks, norm
 
+    def counted(self, i, j):
+        if not cut or cut[-1] != len(norms):
+            cut.append(len(norms))
+        return columns(self, i, j)
+
     monkeypatch.setattr(system, "_BUDGET", budget)
     monkeypatch.setattr(gibbs, "column_blocks", recorded)
+    monkeypatch.setattr(system._Run, "columns", counted)
     tables = list(_mass_tables(sys, eig, symbol_trees(sys, words)))
-    shared = sum(len(parts) == 1 for parts in norms.values())
     for parts in norms.values():
         assert [b.start for b, _ in parts[1:]] == [b.stop for b, _ in
                                                    parts[:-1]]
+    shared = cut[0] if cut else len(norms)
     return (tables, [np.concatenate([n for _, n in norms[k]])
                      for k in sorted(norms)],
-            shared, len(norms[max(norms)]))
+            shared, len(norms[max(norms)]) if cut else 0)
 
 
-@pytest.mark.parametrize("width", [51, 100])
+@pytest.mark.parametrize("width,boundary", [
+    pytest.param(51, None, id="51"), pytest.param(100, None, id="100"),
+    pytest.param(None, 1, id="shared-1"), pytest.param(None, 3, id="shared-3"),
+    pytest.param(None, 5, id="shared-5")])
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
 @pytest.mark.parametrize("name", ["SYS-B", "SYS-C", "SYS-C-NLROOF"])
 def test_mass_tables_over_column_blocks_equal_the_per_symbol_loop(
-        name, sigma, width, monkeypatch):
+        name, sigma, width, boundary, monkeypatch):
     # a budget of ``width`` nodes of the last depth's words runs the deeper
-    # depths on 3 to 8 column blocks of the 256 or 384 nodes.  A node's
-    # normaliser is a sum down its column, so it keeps its bits, and so do
-    # the words; each mass is a sum over the nodes split into one sum per
-    # block, so it moves by rounding alone.  At width 51 a block ends one
-    # node into a symbol's image, and a lone column is summed row after
-    # row, as among others
+    # depths on 3 to 6 column blocks of the 256 or 384 nodes; a budget of
+    # twice the whole level at depth ``boundary`` shares depths
+    # 1..boundary over the whole grid and runs the deeper ones on column
+    # blocks (one, on SYS-B's full shift at 5, whose next level is twice
+    # that one).  The shared depths and the blocks are exactly those of
+    # the layout (``mass_layout``), so no block is cut narrower than the
+    # budget lets it be.  A node's normaliser is a sum down its column, so
+    # it keeps its bits, and so do the words; each mass is a sum over the
+    # nodes split into one sum per block, so it moves by rounding alone.
+    # At width 51 a block ends one node into a symbol's image, and a lone
+    # column is summed row after row, as among others
     sys = make_preset(name)
     eig = eigendata(sys, sigma, N=128)
     words = word_array(sys, 6)
-    tables, norms, shared, blocks = _blocked_tables(
-        sys, eig, words, width * len(words), monkeypatch)
-    assert blocks >= 3 and shared < 6
+    trees = symbol_trees(sys, words)
+    if width is not None:
+        budget = width * len(words)
+    else:
+        budget = 2 * mass_levels(sys, eig, trees)[boundary - 1]
+    tables, norms, shared, blocks = _blocked_tables(sys, eig, words, budget,
+                                                    monkeypatch)
+    assert (shared, blocks) == mass_layout(sys, eig, trees, budget)
+    if width is not None:
+        assert blocks >= 3 and shared < 6
+    else:
+        assert shared == boundary and blocks >= 1
     depths = 0
     for masses, norm, (_, want, want_norm) in zip(
             tables, norms, mass_tables_loop(sys, eig, words)):
@@ -231,30 +256,6 @@ def test_mass_tables_over_column_blocks_equal_the_per_symbol_loop(
         assert np.max(np.abs(masses - want) / want) <= 1e-14
         depths += 1
     assert depths == 6
-
-
-@pytest.mark.parametrize("shared", [1, 3, 5])
-@pytest.mark.parametrize("name", ["SYS-C", "SYS-C-NLROOF"])
-def test_mass_tables_share_the_depths_whose_level_fits(name, shared,
-                                                       monkeypatch):
-    # a budget of twice the whole level at depth ``shared`` puts the
-    # boundary there: depths 1..shared are pulled back once over the whole
-    # grid, the deeper ones on column blocks.  Normalisers keep their bits;
-    # the masses move by rounding alone.  (On a full shift of two symbols
-    # the next level is twice this one, so it would fit one block.)
-    sys = make_preset(name)
-    eig = eigendata(sys, 0.5, N=64)
-    words = word_array(sys, 6)
-    held = sys.transition.sum(axis=1) * eig.N  # nodes each symbol holds
-    trees = symbol_trees(sys, words)
-    level = sum(len(levels[shared - 1][0]) * held[s] for s, levels in trees)
-    tables, norms, got, blocks = _blocked_tables(sys, eig, words,
-                                                 2 * level, monkeypatch)
-    assert got == shared and blocks >= 2
-    for masses, norm, (_, want, want_norm) in zip(
-            tables, norms, mass_tables_loop(sys, eig, words)):
-        assert np.array_equal(norm, want_norm.reshape(-1))
-        assert np.max(np.abs(masses - want) / want) <= 1e-14
 
 
 def test_shared_depths_run_the_engine_once_per_tree_and_symbol(monkeypatch):
@@ -266,9 +267,7 @@ def test_shared_depths_run_the_engine_once_per_tree_and_symbol(monkeypatch):
     trees = symbol_trees(sys, word_array(sys, 7))
     groups = [sum(len(np.unique(levels[k][0])) for _, levels in trees)
               for k in range(7)]
-    held = sys.transition.sum(axis=1) * eig.N  # nodes each symbol holds
-    level = [sum(len(levels[k][0]) * held[s] for s, levels in trees)
-             for k in range(7)]
+    level = mass_levels(sys, eig, trees)
     prepend = system._prepend
     calls = {}
 
@@ -286,6 +285,7 @@ def test_shared_depths_run_the_engine_once_per_tree_and_symbol(monkeypatch):
                       sys, trees, eig.f.nodes.reshape(-1),
                       sys.transition[:, np.repeat(np.arange(sys.m), eig.N)],
                       ("J",), eig, every_depth=True) if k == 7]
+        assert mass_layout(sys, eig, trees, budget) == (4, len(widths))
         blocks.append(len(widths))
         assert [calls[k] for k in range(1, 5)] == groups[:4]
         assert all(calls[k] >= max(groups[k - 1], len(widths))
@@ -350,12 +350,10 @@ def _block_bytes(sys, eig, n):
     pairs, and its previous x, at most the previous depth's share of them
     (the largest over the symbols).  SYS-C-NLROOF's and SYS-A's potentials
     are constant on each element, so the log weight is a column per word."""
-    held = sys.transition.sum(axis=1) * eig.N  # nodes each symbol holds
     trees = symbol_trees(sys, word_array(sys, n))
-    level = [sum(len(levels[k][0]) * held[s] for s, levels in trees)
-             for k in range(n)]
-    shared = sum(pairs <= system._BUDGET // 2 for pairs in level)
-    assert shared < n  # the deeper depths run on column blocks
+    level = mass_levels(sys, eig, trees)
+    shared, blocks = mass_layout(sys, eig, trees, system._BUDGET)
+    assert blocks  # the deeper depths run on column blocks
     previous = max(len(levels[-2][0]) / len(levels[-1][0])
                    for _, levels in trees)
     return 8 * (level[shared - 1] + system._BUDGET * (1 + previous))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
-                      element_sets, engine, jacobian_weight, preset_config,
-                      suffixes)
+                      element_sets, engine, jacobian_weight, mass_layout,
+                      preset_config, suffixes)
 from gibbsflow.operator import BranchPlan, deep_apply, eigendata, node_grid
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.gibbs import _mass_tables
@@ -565,12 +565,14 @@ def test_a_yielded_J_is_gone_before_the_next_depth_is_built(monkeypatch):
         depths += 1
         del blocks, norm
     assert len(yielded) == 4 * sys.m
-    # 96 nodes: the first two depths shared, the last two on column blocks
+    # 96 nodes: the first depth shared, the last three on 4 column blocks,
+    # each a batch after the shared one's
     building["batch"] += 1
     monkeypatch.setattr(system_mod, "_BUDGET", 24 * len(words))
+    assert mass_layout(sys, eig, trees, system_mod._BUDGET) == (1, 4)
     for _ in _mass_tables(sys, eig, trees):
         depths += 1
-    assert depths == 8 and building["batch"] >= 4
+    assert depths == 8 and building["batch"] == 1 + 4
     assert len(alive) > 8 * sys.m and max(alive) == 0
 
 
