@@ -42,8 +42,8 @@ from .operator import (BranchPlan, EigenData, GridFunction, _collocation,
                        _ElementwisePchip, _lagrange, _row_chunks, _twisted,
                        apply_L, c6_bound, deep_apply, eigendata,
                        hoelder_seminorm, node_grid, norm_b)
-from .system import (MarkovSystem, branch_chain, sampled_seminorm,
-                     symbol_pullbacks, symbol_trees, word_array)
+from .system import (MarkovSystem, branch_chain, column_blocks,
+                     sampled_seminorm, symbol_trees, word_array)
 from .uni import transversal_pair, transversal_scales
 
 __all__ = [
@@ -416,28 +416,32 @@ def _lagrange_step(sys: MarkovSystem, eig: EigenData, b: float,
     The preimage lies in element i, so its stencil is element i's nodes j -
     1 .. j + 2, j = clip(floor(t), 1, N - 3) for t the preimage in units of
     the grid step: the end intervals take one-sided stencils, and a preimage
-    on a partition point reads its own element's end value.  Every symbol's
-    image holds grid nodes, so the pullback's blocks are the branches in
-    order, each over its image's rows in order, as
-    ``operator._collocation`` fills them: a chunk of _ROWS rows at a time,
-    each branch's block dropped once its rows are written.
+    on a partition point reads its own element's end value.  The blocks of
+    one ``column_blocks`` pass, each a run of rows, are all collected
+    before the matrix is allocated, once the engine's copies of the points
+    are gone; ``operator._collocation`` writes each a chunk of _ROWS rows
+    at a time and drops it.
     """
     N = nodes.shape[1]
-    [(blocks, norm)] = symbol_pullbacks(
-        sys, symbol_trees(sys, word_array(sys, 1)), nodes.reshape(-1),
-        sys.transition[:, np.repeat(np.arange(sys.m), N)],
-        ("x", "Snr", "J"), eig)
+    blocks = [(i, block.start + cols[0], pb, norm[cols[0]:cols[-1] + 1])
+              for _, block, runs, norm in column_blocks(
+                  sys, symbol_trees(sys, word_array(sys, 1)),
+                  nodes.reshape(-1),
+                  sys.transition[:, np.repeat(np.arange(sys.m), N)],
+                  ("x", "Snr", "J"), eig)
+              for i, cols, pb in runs]
 
     def chunks():
         while blocks:
-            i, cols, pb = blocks.pop(0)
+            i, first, pb, norm = blocks.pop(0)
             lo, hi = sys.element_interval(i)
-            for part in _row_chunks(len(cols)):
+            for part in _row_chunks(len(norm)):
                 # complex at b = 0 too: a complex quotient has other bits
                 coef = _twisted(pb.J[0, part], pb.Snr[0, part], b).astype(
                     complex, copy=False)
-                coef /= norm[cols[part]]
-                yield i, (pb.x[0, part] - lo) * ((N - 1) / (hi - lo)), coef
+                coef /= norm[part]
+                yield (i, first + part.start,
+                       (pb.x[0, part] - lo) * ((N - 1) / (hi - lo)), coef)
 
     return _collocation(sys, N, _lagrange, chunks())
 

@@ -1,12 +1,12 @@
 """Gibbs measures on the base map: cylinder masses, the Gibbs-property
 audit, sampling and adapted partitions.
 
-The audit reads everything off the pullback engine: the inverse
-Jacobians and their normaliser at the nodes for the masses
-(``column_blocks``), and the orbit sums at the reference points
-(``symbol_pullbacks``).  Both are built on the same ``symbol_trees``, so
-at every depth their rows are the same words in the same order, and the
-audit divides them row by row as the engine lays them out.  The mass
+The audit reads everything off the pullback engine, in two
+``column_blocks`` passes: the inverse Jacobians and their normaliser at
+the nodes for the masses, and the orbit sums at the reference points.
+Both are built on the same ``symbol_trees``, so at every depth their rows
+are the same words in the same order, and the audit divides them row by
+row as the engine lays them out.  The mass
 tables pull the shallow depths back once over the whole node grid and the
 deeper ones on column blocks of it, so the most they hold at once is about
 two and a half arrays of at most ``system._BUDGET`` (word, node) pairs,
@@ -37,7 +37,7 @@ import numpy as np
 from .operator import EigenData
 from .system import (MarkovSystem, NotCoveringError, NotExpandingError,
                      _cylinder_ends, check_word_cap, column_blocks,
-                     count_words, symbol_pullbacks, symbol_trees, word_array)
+                     count_words, symbol_trees, word_array)
 
 __all__ = [
     "AdaptedPartition", "FrequencyTooSmallError",
@@ -112,22 +112,26 @@ def gibbs_audit(sys: MarkovSystem, eig: EigenData, max_depth: int) -> dict:
     The reference point of a cylinder omega is x_omega = h_omega(y), y the
     midpoint of the domain of h_omega (the image of omega's last symbol); on
     affine branches it is the cylinder's midpoint.  The orbit sums come from
-    ``symbol_pullbacks`` with symbol s holding the midpoint of its image
-    alone, on the trees of ``_mass_tables``, so row k of the sums and row k
-    of the masses are the same cylinder.  The trees hold no words, so the
-    words are held once, while the trees are built.
+    ``column_blocks`` with symbol s holding the midpoint of its image
+    alone, on the trees of ``_mass_tables``, once the masses are done, and
+    are kept by depth and tree, so row k of the sums and row k of the
+    masses are the same cylinder.  The trees hold no words, so the words
+    are held once, while the trees are built.
     """
     lo, hi = np.inf, 0.0
     per_depth = {}
     P = eig.pressure
     trees = symbol_trees(sys, word_array(sys, max_depth))
+    tables = list(_mass_tables(sys, eig, trees))
     mids = np.array([0.5 * sum(sys.image_interval(s)) for s in range(sys.m)])
-    points = symbol_pullbacks(sys, trees, mids, np.eye(sys.m, dtype=bool),
-                              ("Snr", "Snphi"), every_depth=True)
-    tables = _mass_tables(sys, eig, trees)
-    for n, (masses, (blocks, _)) in enumerate(zip(tables, points), start=1):
-        sn = np.concatenate([(pb.Snphi - eig.sigma * pb.Snr)[:, 0]
-                             for _, _, pb in blocks])
+    sums = {}  # (depth, symbol): S_n(phi - sigma r) at the tree's rows
+    for k, _, blocks, _ in column_blocks(
+            sys, trees, mids, np.eye(sys.m, dtype=bool), ("Snr", "Snphi"),
+            every_depth=True):
+        for s, _, pb in blocks:
+            sums[k, s] = (pb.Snphi - eig.sigma * pb.Snr)[:, 0]
+    for n, masses in enumerate(tables, start=1):
+        sn = np.concatenate([sums.pop((n, s)) for s, _ in trees])
         ratios = masses / np.exp(-P * n + sn)
         per_depth[n] = (float(ratios.min()), float(ratios.max()))
         lo = min(lo, per_depth[n][0])

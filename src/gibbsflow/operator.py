@@ -36,9 +36,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import PPoly
 
-from .system import (MarkovSystem, NoConvergenceError, potential_seminorm,
-                     sampled_seminorm, symbol_pullbacks, symbol_trees,
-                     word_array)
+from .system import (MarkovSystem, NoConvergenceError, column_blocks,
+                     column_sums, potential_seminorm, sampled_seminorm,
+                     symbol_trees, word_array)
 
 __all__ = [
     "GridFunction", "EigenData", "NoConvergenceError",
@@ -259,13 +259,13 @@ def _collocation(sys: MarkovSystem, N: int, stencil, chunks) -> sp.csr_matrix:
     of exactly 0 (a preimage on a node) are dropped once the fill is done,
     so the matrix stores no explicit 0.
 
-    ``chunks`` yields (i, t, coef), branch after branch in order, each
-    branch's image rows in order, in chunks of any length.  So row r's
-    entries come branch after branch, and its columns ascend.  data,
-    indices and indptr are sized from ``sys.transition`` before the first
-    chunk and written in place, the indices int32 when they fit (the type
-    scipy picks, so it keeps the arrays as given), the data of the first
-    coef's type; no entry is copied or sorted.
+    ``chunks`` yields (i, row, t, coef), branch i's entries at rows row,
+    row + 1, ... of its image, in chunks of any length, a row's branch
+    after branch: so its columns ascend.  data, indices and indptr are
+    sized from ``sys.transition`` before the first chunk and written in
+    place, the indices int32 when they fit (the type scipy picks, so it
+    keeps the arrays as given), the data of the first coef's type; no
+    entry is copied or sorted.
     """
     p = len(stencil(0.0))
     half = p // 2
@@ -282,12 +282,10 @@ def _collocation(sys: MarkovSystem, N: int, stencil, chunks) -> sp.csr_matrix:
         indptr[1 + e * N:1 + (e + 1) * N] = start + c * np.arange(N)
         start += c * N
     indices = np.empty(nnz, dtype=indptr.dtype)
-    data = branch = None
-    for i, t, coef in chunks:
+    data = None
+    for i, row, t, coef in chunks:
         if data is None:
             data = np.empty(nnz, dtype=coef.dtype)
-        if i != branch:
-            branch, row = i, sys.images[i][0] * N
         at = indptr[row + 1:row + 1 + len(t)]
         j = np.clip(np.floor(t).astype(np.intp), half - 1, N - 1 - half)
         col = j + (i * N + 1 - half)
@@ -295,7 +293,6 @@ def _collocation(sys: MarkovSystem, N: int, stencil, chunks) -> sp.csr_matrix:
             data[at + k] = coef * w
             indices[at + k] = col + k
         at += p
-        row += len(t)
     M = sp.csr_matrix((data, indices, indptr), shape=(sys.m * N,) * 2)
     M.eliminate_zeros()
     return M
@@ -318,7 +315,7 @@ def transfer_matrix(sys: MarkovSystem, s: complex, N: int) -> sp.csr_matrix:
             for part in _row_chunks(len(image)):
                 y = sys.inverse_branch(i, image[part])
                 g, _ = sys.log_weight(i, s, y)
-                yield i, (y - a) / h, np.exp(g)
+                yield i, lo * N + part.start, (y - a) / h, np.exp(g)
 
     return _collocation(sys, N, _hat, chunks())
 
@@ -480,36 +477,44 @@ class BranchPlan:
 
     ``nodes[e]`` is a 1-D float array of points in element e.  A set closed
     at both ends holds the element's right end, which ``element_of`` would
-    put into the next element, whose branches differ.  ``symbol_pullbacks``
+    put into the next element, whose branches differ.  ``column_blocks``
     pulls the points whose element is in the image of a symbol s back along
-    every admissible depth-n word ending in s; the plan keeps each run's
-    (columns, h_w(x), J_w, J_w exp(-i b S_n r)) (``_twisted``) and the
-    normaliser, the sum of J_w at each point, over the sets concatenated.
-    J_w is kept real, and at b = 0 it is its own twisted weight; ``apply``
-    multiplies in complex, so its products have the bits they have with a
-    complex copy of J_w.
+    every admissible depth-n word ending in s; the plan keeps each block's
+    (columns, h_w(x), J_w, J_w exp(-i b S_n r)) (``_twisted``), columns
+    into the sets concatenated, and the normaliser, the sum of J_w at each
+    point.  J_w is kept real, and at b = 0 it is its own twisted weight;
+    ``apply`` multiplies in complex, so its products have the bits they
+    have with a complex copy of J_w.
     """
 
     def __init__(self, sys: MarkovSystem, eig: EigenData, b: float, n: int,
                  nodes):
         elements = np.repeat(np.arange(sys.m), [len(xs) for xs in nodes])
-        [(runs, self.norm)] = symbol_pullbacks(
-            sys, symbol_trees(sys, word_array(sys, n)),
-            np.concatenate(nodes), sys.transition[:, elements],
-            ("x", "Snr", "J"), eig)
-        self.blocks = [(cols, pb.x.reshape(-1), pb.J,
-                        _twisted(pb.J, pb.Snr, b)) for _, cols, pb in runs]
+        self.norm = np.empty(len(elements))
+        self.blocks = []
+        for _, block, runs, norm in column_blocks(
+                sys, symbol_trees(sys, word_array(sys, n)),
+                np.concatenate(nodes), sys.transition[:, elements],
+                ("x", "Snr", "J"), eig):
+            self.norm[block] = norm
+            self.blocks += [(cols + block.start, pb.x.reshape(-1), pb.J,
+                             _twisted(pb.J, pb.Snr, b))
+                            for _, cols, pb in runs]
 
     def apply(self, fn, twist: bool) -> np.ndarray:
         """sum_w J_w [exp(-i b S_n r) if ``twist``] fn at h_w(x) over the
         normaliser, a complex array over the node sets concatenated; fn is
-        a callable on the preimages."""
+        a callable on the preimages.  A point's terms add as its
+        normaliser's do, and each part is divided by it apart (a complex
+        quotient is an ulp off), so 1 maps to exactly 1 at b = 0."""
         acc = np.zeros(self.norm.shape, dtype=complex)
         for cols, hx, J, twisted in self.blocks:
             val = twisted if twist else J
-            acc[cols] += np.multiply(val, np.reshape(fn(hx), val.shape),
-                                     dtype=complex).sum(axis=0)
-        return acc / self.norm
+            acc[cols] += column_sums(np.multiply(
+                val, np.reshape(fn(hx), val.shape), dtype=complex))
+        acc.real /= self.norm
+        acc.imag /= self.norm
+        return acc
 
 
 def deep_apply(sys: MarkovSystem, eig: EigenData, b: float, n: int,

@@ -38,20 +38,22 @@ Inverse branches of every depth are computed by one engine, ``_Run``:
 words are built by prepending symbols, h_{iw} = h_i o h_w, along the
 words' suffix tree, and each depth carries (words x points) arrays of the
 pulled-back points and the orbit sums along them.  Other modules reach it
-through ``pullback`` (the last depth, on a tree of its own),
-``symbol_pullbacks`` (one run per last symbol, and the one normaliser sum
-of J_w) and ``column_blocks`` (``symbol_pullbacks`` under one budget of
-values a depth: the shallow depths once over every point, the deeper ones
-on column blocks of the points that resume from the last shared depth).
-The last two read the trees of ``symbol_trees``, built once and holding
-no words, so a caller pulls the same words back at several sets of points
-without building them again.  The log weight S_k(phi - sigma r) behind J
-is held as a (words x 1) column when every piece it reads (phi, and r at
-sigma != 0) is a constant on its element, as on every preset at sigma =
-0: it is then one number per word.  J is (words x points) either way, with the
-same bits.  Cylinders are arrays too: a words array and the ends of each
-word's cylinder, pulled back by that engine (``cylinders``); no module
-builds an object per word.
+through one entry per contract: ``pullback`` (the last depth of one tree,
+at points every word reaches) and ``column_blocks`` (one run per last
+symbol, at the points its image holds, with the normaliser sum of J_w,
+under one budget of values a depth: the shallow depths once over every
+point, the deeper ones on column blocks of the points that resume from
+the last shared depth).  ``column_blocks`` reads the trees of
+``symbol_trees``, built once and holding no words, so a caller pulls the
+same words back at several sets of points without building them again.
+Every sum down the columns of a block is one ``column_sums``, so no sum
+depends on the block its column lands in.  The log weight S_k(phi -
+sigma r) behind J is held as a (words x 1) column when every piece it
+reads (phi, and r at sigma != 0) is a constant on its element, as on
+every preset at sigma = 0: it is then one number per word.  J is (words x
+points) either way, with the same bits.  Cylinders are arrays too: a
+words array and the ends of each word's cylinder, pulled back by that
+engine (``cylinders``); no module builds an object per word.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ __all__ = [
     "NotCoveringError", "CapExceededError",
     "OutsideImageError", "NoConvergenceError", "system_from_config",
     "validate", "cylinders", "count_words", "check_word_cap", "word_array",
-    "pullback", "symbol_trees", "symbol_pullbacks", "column_blocks",
+    "pullback", "symbol_trees", "column_blocks", "column_sums",
     "branch_chain",
     "sampled_seminorm", "potential_seminorm",
 ]
@@ -696,9 +698,9 @@ class _Run:
     the last symbol of every word.  ``step`` builds depth k = 1..n in turn,
     with rows the distinct length-k suffixes in lexicographic order (at
     depth n, the words themselves), and returns its Pullback, carrying
-    ``fields``, at every depth, or with ``every_depth`` False at depth n
-    alone; "J" needs the EigenData ``eig``, and no other field reads it
-    (None will do).  J is computed at a returned depth alone.
+    ``fields``, at a depth the caller asks it returned; "J" needs the
+    EigenData ``eig``, and no other field reads it (None will do).  J is
+    computed at a returned depth alone.
 
     Depth k comes from depth k - 1 by prepending a symbol, h_{iw} = h_i o
     h_w, with one batched ``inverse_branch`` per symbol over row blocks of
@@ -722,11 +724,9 @@ class _Run:
     through an index array.
     """
 
-    def __init__(self, sys: MarkovSystem, levels: list, ys, fields, eig,
-                 every_depth: bool):
+    def __init__(self, sys: MarkovSystem, levels: list, ys, fields, eig):
         ys = np.asarray(ys, dtype=float)
-        self.sys, self.levels, self.eig = sys, levels, eig
-        self.every_depth, self.k = every_depth, 0
+        self.sys, self.levels, self.eig, self.k = sys, levels, eig, 0
         self.want = set(fields)
         self.need = self.want | {"x"}
         if "DSnr_h" in self.need:
@@ -760,17 +760,16 @@ class _Run:
             run.fy = self.fy[i:j]
         return run
 
-    def step(self) -> Pullback | None:
+    def step(self, returned: bool) -> Pullback | None:
         """Build the next depth k from the one held, which it replaces, and
-        return its Pullback at a depth the run returns (every depth, or
-        only the last); else None.  J is computed at a returned depth alone
-        and goes to the caller, so the run does not hold it."""
+        return its Pullback when ``returned``, else None.  J is computed at
+        a returned depth alone and goes to the caller, so the run does not
+        hold it."""
         sys, n = self.sys, len(self.levels)
         self.k += 1
         k = self.k
         sym, parent = self.levels[k - 1]
-        yields = self.every_depth or k == n
-        step_need = self.need if yields else self.need - {"J"}
+        step_need = self.need if returned else self.need - {"J"}
         keep = step_need if k < n else self.want
         new = {f: np.empty((len(sym), self.width[f])) for f in keep}
         step = max(1, _BLOCK // max(self.width["x"], 1))
@@ -788,7 +787,7 @@ class _Run:
                           for f in step_need}, k, self.eig, self.fy)
         # the last depth goes to the caller alone: no deeper depth reads it
         self.state = new if k < n else {}
-        if not yields:
+        if not returned:
             return None
         return Pullback(**{f: new.pop(f) if f == "J" else new[f]
                            for f in self.want})
@@ -800,10 +799,10 @@ def pullback(sys: MarkovSystem, words, ys, fields=FIELDS) -> Pullback:
     words = np.asarray(words, dtype=np.intp)
     if words.shape[1] < 1:
         raise ValueError("depth must be >= 1")
-    run = _Run(sys, _suffix_tree(words), ys, fields, None, False)
+    run = _Run(sys, _suffix_tree(words), ys, fields, None)
     for _ in range(words.shape[1] - 1):
-        run.step()
-    return run.step()
+        run.step(False)
+    return run.step(True)
 
 
 def symbol_trees(sys: MarkovSystem, words) -> list[tuple]:
@@ -811,8 +810,8 @@ def symbol_trees(sys: MarkovSystem, words) -> list[tuple]:
     symbol: (s, the ``_suffix_tree`` of the words ending in s) for each
     symbol s that ends some word, in symbol order.  A tree holds no words,
     only its index arrays, so ``words`` is the one copy of them, and the
-    caller may drop it; ``symbol_pullbacks`` and ``column_blocks`` read the
-    trees, as often as the caller needs."""
+    caller may drop it; ``column_blocks`` reads the trees, as often as the
+    caller needs."""
     words = np.asarray(words, dtype=np.intp)
     trees = []
     for s in range(sys.m):
@@ -822,68 +821,64 @@ def symbol_trees(sys: MarkovSystem, words) -> list[tuple]:
     return trees
 
 
-def symbol_pullbacks(sys: MarkovSystem, trees, ys, holds, fields, eig=None,
-                     every_depth: bool = False):
-    """One run of the engine per tree of ``trees`` (``symbol_trees``): the
-    words ending in s, at the ys that the boolean row holds[s] marks,
-    zipped depth by depth.
-
-    Yields (blocks, norm) per depth, at the depths ``_Run`` returns:
-    one (s, cols, Pullback) block per symbol that ends some word and holds
-    some y, in symbol order, cols indexing ys; and the sum of J_w over all
-    rows at each y, added symbol after symbol, when "J" is in ``fields``,
-    else None.  A depth's blocks are dropped once the next depth is asked
-    for.
-    """
-    n = len(trees[0][1])
-    runs = _runs(sys, trees, ys, holds, fields, eig, every_depth)
-    for _, _, blocks, norm in _advance(runs, 0, n, slice(0, len(ys)),
-                                       fields, every_depth, n):
-        yield blocks, norm
-        del blocks, norm  # no J of a depth is held while the next is built
+def column_sums(a: np.ndarray) -> np.ndarray:
+    """The sum down each column of the 2-D ``a``, row after row, as numpy
+    adds the rows of a wider array; a lone column, which numpy would sum
+    pairwise, by ``cumsum``.  So a column's sum has the same bits whatever
+    columns stand beside it."""
+    return a.sum(axis=0) if a.shape[1] != 1 else np.cumsum(a[:, 0])[-1:]
 
 
-def column_blocks(sys: MarkovSystem, trees, ys, holds, fields, eig,
+def column_blocks(sys: MarkovSystem, trees, ys, holds, fields, eig=None,
                   every_depth: bool = False):
-    """``symbol_pullbacks`` under one budget: the arrays of ``fields`` at a
-    depth hold at most _BUDGET values in all, _BUDGET // len(fields) (word,
-    y) pairs each, however deep the words of ``trees`` and however many
-    the ys.  The budget counts the requested fields alone: beside them the
+    """One run of the engine per tree of ``trees`` (``symbol_trees``), the
+    words ending in s at the ys that the boolean row holds[s] marks, under
+    one budget: the arrays of ``fields`` at a depth hold at most _BUDGET
+    values in all, _BUDGET // len(fields) (word, y) pairs each, however
+    deep the words and however many the ys.  "J" needs the EigenData
+    ``eig``.  The budget counts the requested fields alone: beside them the
     engine holds its x and log weight, which are not fields unless asked
     for, and the previous depth's state (see ``_Run``), so a run of J
     alone holds up to about twice the budget at a depth.
 
-    Yields (k, block, blocks, norm) at the depths ``_Run`` returns:
-    ``block`` a slice of ys; ``blocks`` one (s, cols, Pullback) per symbol
-    that ends some word and holds some y of the block, in symbol order,
-    cols indexing ys[block]; and ``norm`` the sum of J_w at each y of the
-    block, added symbol after symbol (None without "J").
+    Yields (k, block, blocks, norm) at every depth k with ``every_depth``,
+    else at the last alone: ``block`` a slice of ys; ``blocks`` one (s,
+    cols, Pullback) per symbol that ends some word and holds some y of the
+    block, in symbol order, cols indexing ys[block]; and ``norm`` the sum
+    of J_w at each y of the block, added symbol after symbol, each
+    symbol's by ``column_sums`` (None without "J").
 
     The shared depths, each whose whole level over every y its symbols
     hold is at most half that many pairs, are pulled back once over all of
-    ys, one block each, and come first.  The deeper depths run on column
-    blocks, every deeper depth of a block before the next block: each the
-    widest run of ys from where the last ended whose last depth fits, a y
-    holding the words of every symbol whose row of ``holds`` marks it, and
-    one y at least.  Each block resumes from its columns of the last shared
-    depth's x and running sums, which stay held while the blocks run (so
-    at most half a block beside each), and no block repeats a shared
-    depth's engine steps.  A (word, y) pair is
-    pulled back on its own wherever it falls, so every field and norm has
-    the bits ``symbol_pullbacks`` gives it.  A depth's blocks are dropped
-    once the next is asked for.
+    ys, one block each, and come first; when every depth is shared, that
+    is all.  The deeper depths run on column blocks, every deeper depth of
+    a block before the next block: each the widest run of ys from where
+    the last ended whose last depth fits, a y holding the words of every
+    symbol whose row of ``holds`` marks it, and one y at least.  Each block
+    resumes from its columns of the last shared depth's x and running
+    sums, which stay held while the blocks run (so at most half a block
+    beside each), and no block repeats a shared depth's engine steps.  A
+    (word, y) pair is pulled back on its own wherever it falls, and a
+    column is summed the same way in any block, so every field and norm
+    has the bits it has in one block over all of ys.  A depth's blocks are
+    dropped once the next is asked for.
     """
     P = len(ys)
-    runs = _runs(sys, trees, ys, holds, fields, eig, every_depth)
     n = len(trees[0][1])
+    runs = []  # (s, cols, _Run): cols the ys that holds[s] marks
+    for s, levels in trees:
+        cols = np.flatnonzero(holds[s])
+        if len(cols):
+            runs.append((s, cols, _Run(sys, levels, ys[cols], fields, eig)))
     pairs = _BUDGET // len(fields)  # per field
     # the last shared depth's state is held beside every block: half one
     shared = 0
     while shared < n and sum(len(run.levels[shared][0]) * len(cols)
                              for _, cols, run in runs) <= pairs // 2:
         shared += 1
-    whole = slice(0, P)
-    yield from _advance(runs, 0, shared, whole, fields, every_depth, n)
+    yield from _advance(runs, 0, shared, slice(0, P), fields, every_depth, n)
+    if shared == n:
+        return
     # the last depth's pairs over ys[:c + 1]: each y holds the words of
     # every run that holds it
     weight = np.zeros(P, dtype=np.int64)
@@ -891,42 +886,30 @@ def column_blocks(sys: MarkovSystem, trees, ys, holds, fields, eig,
         weight[cols] += len(run.levels[-1][0])
     level = np.cumsum(weight)
     c = 0
-    while shared < n and c < P:
+    while c < P:
         # the widest block from c whose last depth fits, one y at least
         stop = max(c + 1, int(np.searchsorted(level, level[c] - weight[c]
                                               + pairs, side="right")))
-        block = slice(c, stop)
         part = []
         for s, cols, run in runs:
             i, j = np.searchsorted(cols, [c, stop])
             if i < j:
                 part.append((s, cols[i:j] - c, run.columns(i, j)))
-        yield from _advance(part, shared, n, block, fields, every_depth, n)
+        yield from _advance(part, shared, n, slice(c, stop), fields,
+                            every_depth, n)
         del part  # a block's runs are dropped before the next is built
         c = stop
-
-
-def _runs(sys: MarkovSystem, trees, ys, holds, fields, eig,
-          every_depth: bool) -> list:
-    """(s, cols, _Run) of each tree whose symbol s holds some y: cols the
-    indices into ys that the boolean row holds[s] marks."""
-    runs = []
-    for s, levels in trees:
-        cols = np.flatnonzero(holds[s])
-        if len(cols):
-            runs.append((s, cols, _Run(sys, levels, ys[cols], fields, eig,
-                                       every_depth)))
-    return runs
 
 
 def _advance(runs, start: int, stop: int, block: slice, fields,
              every_depth: bool, n: int):
     """Step the (s, cols, _Run) ``runs``, all at depth ``start`` of n,
     together to depth ``stop``, and yield (k, block, blocks, norm) at each
-    depth k they yield (see ``column_blocks``): every depth, or only n."""
+    depth k they return (see ``column_blocks``): every depth, or only n."""
     for k in range(start + 1, stop + 1):
-        blocks = [(s, cols, run.step()) for s, cols, run in runs]
-        if every_depth or k == n:
+        returned = every_depth or k == n
+        blocks = [(s, cols, run.step(returned)) for s, cols, run in runs]
+        if returned:
             yield (k, block, blocks,
                    _normaliser(blocks, block.stop - block.start)
                    if "J" in fields else None)
@@ -935,14 +918,10 @@ def _advance(runs, start: int, stop: int, block: slice, fields,
 
 def _normaliser(blocks, P: int):
     """The sum of J_w over the rows of ``blocks`` at each of P points, added
-    symbol after symbol, and within a symbol row after row: numpy sums a
-    lone column pairwise, so one is summed by ``cumsum``, which keeps the
-    bits a column has among others."""
+    symbol after symbol, each symbol's by ``column_sums``."""
     norm = np.zeros(P)
     for _, cols, pb in blocks:
-        J = pb.J
-        norm[cols] += J.sum(axis=0) if J.shape[1] != 1 \
-            else np.cumsum(J[:, 0])[-1:]
+        norm[cols] += column_sums(pb.J)
     return norm
 
 

@@ -43,8 +43,8 @@ import numpy as np
 
 from .gibbs import FrequencyTooSmallError
 from .operator import EigenData
-from .system import (MarkovSystem, branch_chain, column_blocks, count_words,
-                     cylinders, pullback, symbol_pullbacks, symbol_trees,
+from .system import (MarkovSystem, branch_chain, column_blocks, column_sums,
+                     count_words, cylinders, pullback, symbol_trees,
                      word_array)
 
 __all__ = [
@@ -93,10 +93,10 @@ def check_uni(sys: MarkovSystem, n: int, R: float) -> dict:
     inside = holds[last]
     # row a: D(S_n r o h_w)(x) of the word words[a] where its domain holds x
     d = np.zeros(inside.shape)
-    [(blocks, _)] = symbol_pullbacks(sys, symbol_trees(sys, words), xs, holds,
-                                     ("DSnr_h",))
-    for s, cols, pb in blocks:
-        d[np.ix_(last == s, cols)] = pb.DSnr_h
+    for _, block, blocks, _ in column_blocks(
+            sys, symbol_trees(sys, words), xs, holds, ("DSnr_h",)):
+        for s, cols, pb in blocks:
+            d[np.ix_(last == s, cols + block.start)] = pb.DSnr_h
 
     def best_pair(rows, where):
         """The largest over pairs of ``rows`` of the least |D psi| over the
@@ -224,10 +224,10 @@ def _block_runs(c7: float, at: dict, step: int, block: slice, blocks):
             lo[cell], hi[cell] = _slope_interval(c7, pb.DSnr_h[:, part],
                                                  pb.dTn[:, part])
             w[cell] = pb.J[:, part]
-        # each column's own sum, row after row (cumsum, as sum adds a lone
-        # column pairwise); the engine's normaliser adds symbol after symbol
-        # and would move a(n) and b(n) by up to 8.9e-16
-        total = np.cumsum(w, axis=0)[-1]
+        # each column's own sum, row after row; the engine's normaliser
+        # adds symbol after symbol and would move a(n) and b(n) by up to
+        # 8.9e-16
+        total = column_sums(w)
         w /= np.where(total > 0, total, 1.0)
         yield c, rows, lo, hi, w
 

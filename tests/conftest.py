@@ -239,9 +239,9 @@ def engine(sys, words, ys, fields, eig, every_depth):
     (``suffixes``)."""
     words = np.asarray(words, dtype=np.intp)
     n = words.shape[1]
-    run = _Run(sys, _suffix_tree(words), ys, fields, eig, every_depth)
+    run = _Run(sys, _suffix_tree(words), ys, fields, eig)
     for k in range(1, n + 1):
-        level = run.step()
+        level = run.step(every_depth or k == n)
         if level is not None:
             level.words = suffixes(words, k)
             yield level

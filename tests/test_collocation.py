@@ -21,13 +21,12 @@ import scipy.sparse as sp
 
 import gibbsflow.dolgopyat as dg
 import gibbsflow.operator as op
-from conftest import NL_DOUBLING
+from conftest import NL_DOUBLING, last_depth
 from gibbsflow.operator import (BranchPlan, GridFunction, _lagrange,
                                 _power_iteration, eigendata, node_grid,
                                 transfer_matrix)
 from gibbsflow.presets import make_preset, preset_names
-from gibbsflow.system import (symbol_pullbacks, symbol_trees,
-                              system_from_config, word_array)
+from gibbsflow.system import system_from_config
 
 SYSTEMS = preset_names() + ["NL-DOUBLING"]
 MiB = 1 << 20
@@ -112,12 +111,18 @@ def diag_products_L(eig, b):
 
 def whole_branch_lagrange_step(sys, eig, b, nodes):
     """v's step matrix with every branch's weights, stencils and columns
-    formed over the whole branch at once."""
+    formed over the whole branch at once, from one engine run per branch
+    over its image's nodes."""
     N = nodes.shape[1]
-    [(blocks, norm)] = symbol_pullbacks(
-        sys, symbol_trees(sys, word_array(sys, 1)), nodes.reshape(-1),
-        sys.transition[:, np.repeat(np.arange(sys.m), N)],
-        ("x", "Snr", "J"), eig)
+    xs = nodes.reshape(-1)
+    elements = np.repeat(np.arange(sys.m), N)
+    blocks = []
+    norm = np.zeros(len(xs))
+    for i in range(sys.m):
+        cols = np.flatnonzero(sys.transition[i, elements])
+        pb = last_depth(sys, [[i]], xs[cols], ("x", "Snr", "J"), eig)
+        norm[cols] += pb.J[0]
+        blocks.append((i, cols, pb))
     indptr = np.zeros(sys.m * N + 1, dtype=np.intp)
     for _, cols, _ in blocks:
         indptr[cols + 1] += 4
@@ -143,12 +148,17 @@ def whole_branch_lagrange_step(sys, eig, b, nodes):
 
 def complex_j_apply(plan, b, fn, twist):
     """``BranchPlan.apply`` with a complex copy of each block's J, the
-    twisted weight at b = 0."""
+    twisted weight at b = 0: each column summed row after row (cumsum, as
+    sum adds a lone column pairwise), the real and imaginary parts divided
+    by the normaliser apart."""
     acc = np.zeros(plan.norm.shape, dtype=complex)
     for cols, hx, J, twisted in plan.blocks:
         val = twisted if twist and b != 0.0 else J.astype(complex)
-        acc[cols] += (val * np.reshape(fn(hx), val.shape)).sum(axis=0)
-    return acc / plan.norm
+        acc[cols] += np.cumsum(val * np.reshape(fn(hx), val.shape),
+                               axis=0)[-1]
+    out = np.empty_like(acc)
+    out.real, out.imag = acc.real / plan.norm, acc.imag / plan.norm
+    return out
 
 
 # -- bits -----------------------------------------------------------------------
@@ -243,8 +253,8 @@ def test_eigendata_has_the_bits_of_the_power_iteration_on_the_zeros(
 def test_branch_plan_applies_its_real_j_with_the_bits_of_a_complex_copy(
         name):
     # real and complex functions, twisted or not; on SYS-C-NLROOF the node
-    # sets make blocks of one point, whose sums over the words numpy takes
-    # pairwise, not row after row
+    # sets make blocks of one point, summed row after row as a column is
+    # among others (numpy's sum would add a lone column pairwise)
     sys = make_preset(name)
     eig = eigendata(sys, 0.5, 128)
     sets = ([np.array([0.1]), np.array([]), np.array([0.9])]

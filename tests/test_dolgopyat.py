@@ -696,7 +696,7 @@ def test_plan_with_explicit_elements_matches_per_branch_sums(name, b):
 @pytest.mark.parametrize("name", ["SYS-B", "SYS-C", "SYS-C-NLROOF",
                                   "NL-DOUBLING"])
 def test_plan_equals_the_per_symbol_loop(name, sigma):
-    # symbol_pullbacks gives the plan of one engine call per symbol, with its
+    # column_blocks gives the plan of one engine call per symbol, with its
     # normaliser, bit for bit
     sys = (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
            else make_preset(name))

@@ -1,10 +1,11 @@
 """Only ``system`` runs the pullback engine depth by depth.
 
-The per-symbol layout around the engine (one run per last symbol on the
-points its image holds, the runs zipped by depth, the normaliser of J_w)
-is ``system.symbol_pullbacks``, and ``system.column_blocks`` under one
-budget; the other modules reach the engine through them or through
-``pullback``.  The check parses src/gibbsflow: no module but system.py
+The engine has one entry per contract: ``system.pullback`` for one tree
+at points every word reaches, and ``system.column_blocks`` for the
+per-symbol layout (one run per last symbol on the points its image holds,
+the runs zipped by depth, the normaliser of J_w) under one budget of
+values a depth; the other modules reach the engine through those two
+alone.  The check parses src/gibbsflow: no module but system.py
 imports the engine ``_Run``, calls it as ``_Run(...)`` or
 ``obj._Run(...)``, or mentions it as an attribute, so a per-depth,
 per-symbol engine loop cannot grow back in another module.
@@ -37,7 +38,7 @@ def test_only_system_runs_the_engine_by_depth():
              for path in sorted(package.glob("*.py")) if path.name != "system.py"
              for line in _uses(ast.parse(path.read_text(encoding="utf-8")))]
     assert not found, ("_Run used outside system.py; go through "
-                       "symbol_pullbacks, column_blocks or pullback:\n"
+                       "column_blocks or pullback:\n"
                        + "\n".join(found))
 
 

@@ -13,7 +13,7 @@ from gibbsflow.gibbs import (FrequencyTooSmallError, _backward_step, _burn_in,
                              sample_mu)
 from gibbsflow.operator import eigendata, node_grid
 from gibbsflow.presets import PRESETS, make_preset
-from gibbsflow.system import (branch_chain, symbol_pullbacks, symbol_trees,
+from gibbsflow.system import (branch_chain, column_blocks, symbol_trees,
                               system_from_config, validate, word_array)
 
 N = 512
@@ -165,11 +165,11 @@ def test_mass_tables_equal_the_per_symbol_loop(name, sigma, nl_doubling):
     assert len(words) * sys.m * eig.N <= system._BUDGET
     elements = np.repeat(np.arange(sys.m), eig.N)
     trees = symbol_trees(sys, words)
-    norms = symbol_pullbacks(sys, trees, node_grid(sys, eig.N).reshape(-1),
-                             sys.transition[:, elements], ("J",), eig,
-                             every_depth=True)
+    norms = column_blocks(sys, trees, node_grid(sys, eig.N).reshape(-1),
+                          sys.transition[:, elements], ("J",), eig,
+                          every_depth=True)
     depths = 0
-    for k, (masses, (_, norm), (want_words, want, want_norm)) in enumerate(
+    for k, (masses, (*_, norm), (want_words, want, want_norm)) in enumerate(
             zip(_mass_tables(sys, eig, trees), norms,
                 mass_tables_loop(sys, eig, words)), start=1):
         # the tables' rows are the distinct suffixes in tree order

@@ -9,7 +9,7 @@ import pytest
 from conftest import element_sets
 from gibbsflow.cli import _write_csv, run
 from gibbsflow.operator import (
-    GridFunction, apply_L, c6_bound, deep_apply, eigendata, hoelder_seminorm,
+    BranchPlan, GridFunction, apply_L, c6_bound, deep_apply, eigendata, hoelder_seminorm,
     node_grid, norm_b, transfer_matrix,
 )
 from gibbsflow.presets import make_preset
@@ -253,6 +253,30 @@ def test_deep_apply_matches_matrix(eig_b):
     v = GridFunction(sys, vfun(nodes))
     ref = apply_L(eig_b, 0.0, v, n)
     assert np.max(np.abs(out["v"] - ref.eval(xs))) < 1e-5
+
+
+@pytest.mark.parametrize("name", ["SYS-B", "SYS-C", "SYS-C-NLROOF",
+                                  "NL-DOUBLING"])
+def test_branch_plan_maps_one_to_exactly_one(name, nl_doubling):
+    # cone_iteration's d = 1 - u takes L_sigma 1 = 1 exactly: at b = 0 each
+    # point's sum of J_w adds its terms as its normaliser does, and a real
+    # quotient of equal numbers is 1.  Divided as complex numbers it was
+    # 1.1e-16 off on each of these systems, and with a lone column summed
+    # pairwise 2.3e-14 off on SYS-C-NLROOF's one-point sets at depth 10
+    sys = nl_doubling if name == "NL-DOUBLING" else make_preset(name)
+    ends = [sys.element_interval(e) for e in range(sys.m)]
+    grids = [np.linspace(lo, hi, 33) for lo, hi in ends]
+    points = [np.array([lo + 0.37 * (hi - lo)]) for lo, hi in ends]
+    for sigma in (0.0, 0.5):
+        eig = eigendata(sys, sigma, N=128)
+        for n, sets in ((1, grids), (4, grids), (8, grids), (1, points),
+                        (4, points), (8, points), (10, points)):
+            if n == 10 and name != "SYS-C-NLROOF":
+                continue
+            plan = BranchPlan(sys, eig, 0.0, n, sets)
+            for twist in (False, True):
+                got = plan.apply(np.ones_like, twist)
+                assert np.all(got == 1.0), (sigma, n, len(got), twist)
 
 
 def test_deep_apply_twist_phase_exact():

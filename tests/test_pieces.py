@@ -8,7 +8,7 @@ from conftest import NL_DOUBLING, preset_config
 from gibbsflow.expr import parse
 from gibbsflow.gibbs import _backward_step
 from gibbsflow.operator import eigendata, node_grid, transfer_matrix
-from gibbsflow.system import (Piece, potential_seminorm, symbol_pullbacks,
+from gibbsflow.system import (Piece, column_blocks, potential_seminorm,
                               symbol_trees, system_from_config, word_array)
 
 
@@ -76,7 +76,7 @@ def test_sigma_zero_reads_no_roof(cfg, expr_calls):
     for s in (sys, twin):
         eig = eigendata(s, 0.0, N=64)
         ys = node_grid(s, 64).reshape(-1)
-        [(blocks, norm)] = symbol_pullbacks(
+        [(_, _, blocks, norm)] = column_blocks(
             s, symbol_trees(s, words), ys, s.transition[:, s.element_of(ys)],
             ("J",), eig)
         outputs.append([transfer_matrix(s, 0.0, 64).toarray(),
@@ -106,8 +106,8 @@ def test_the_engine_reads_each_piece_once_per_block(expr_calls):
     ys = np.linspace(0.0, 1.0, 17)
     holds = np.ones((sys.m, len(ys)), dtype=bool)
     expr_calls.clear()
-    for _ in symbol_pullbacks(sys, symbol_trees(sys, words), ys, holds,
-                              ("x", "Snr", "J"), eig):
+    for _ in column_blocks(sys, symbol_trees(sys, words), ys, holds,
+                           ("x", "Snr", "J"), eig):
         pass
     # per last symbol s, one block per first symbol at each depth: (s),
     # then (0 s) and (1 s), then (0 . s) and (1 . s); each block is one

@@ -5,19 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (NL_DOUBLING, cylinder_list, cylinder_masses,
-                      element_sets, engine, jacobian_weight, mass_layout,
-                      preset_config, suffixes)
+from conftest import (NL_DOUBLING, column_layout, cylinder_list,
+                      cylinder_masses, element_sets, engine, jacobian_weight,
+                      mass_layout, preset_config, suffixes)
+from gibbsflow.gibbs import gibbs_audit
 from gibbsflow.operator import BranchPlan, deep_apply, eigendata, node_grid
 from gibbsflow.presets import make_preset, preset_names
 from gibbsflow.gibbs import _mass_tables
 from gibbsflow.system import (
     FIELDS, CapExceededError, MarkovSystem, NoConvergenceError,
     NotCoveringError, NotMarkovError, OutsideImageError, _suffix_tree,
-    branch_chain, cylinders, pullback, sampled_seminorm,
-    symbol_pullbacks, symbol_trees, system_from_config, validate, word_array,
+    branch_chain, column_blocks, cylinders, pullback, sampled_seminorm,
+    symbol_trees, system_from_config, validate, word_array,
 )
 from gibbsflow.expr import parse
+from gibbsflow.uni import check_uni
 
 def test_presets_validate():
     for name in preset_names():
@@ -385,8 +387,9 @@ def test_piecewise_matches_boolean_masks(name, nl_doubling):
                                       equal_nan=True)
 
 
-def test_symbol_pullbacks_contract(nl_doubling):
+def test_column_blocks_contract(nl_doubling, monkeypatch):
     import weakref
+    import gibbsflow.system as system_mod
     sys = make_preset("SYS-C")
     eig = eigendata(sys, 0.5, N=32)
     words = word_array(sys, 3)
@@ -399,9 +402,13 @@ def test_symbol_pullbacks_contract(nl_doubling):
     del words
     assert ref() is None  # the trees hold no words
     assert [s for s, _ in trees] == [0, 2]
-    runs = symbol_pullbacks(sys, trees, ys, holds, ("x", "J"), eig,
-                            every_depth=True)
-    for k, (blocks, norm) in enumerate(runs, start=1):
+    # every depth fits the budget: one block over all of ys a depth
+    assert column_layout(trees, holds, system_mod._BUDGET, 2) == (3, 0)
+    whole = list(column_blocks(sys, trees, ys, holds, ("x", "J"), eig,
+                               every_depth=True))
+    assert [(k, block) for k, block, _, _ in whole] == [
+        (k, slice(0, 13)) for k in (1, 2, 3)]
+    for k, _, blocks, norm in whole:
         # symbol 1 ends no word and symbol 2 holds no point: one block
         [(s, cols, pb)] = blocks
         assert s == 0 and np.array_equal(cols, np.flatnonzero(ys < 0.5))
@@ -412,14 +419,138 @@ def test_symbol_pullbacks_contract(nl_doubling):
         total = np.zeros(len(ys))
         total[cols] = pb.J.sum(axis=0)
         assert np.array_equal(norm, total)
-    assert k == 3
-    # without "J" no normaliser; the last depth alone by default
-    [(blocks, norm)] = symbol_pullbacks(
+    # without "J" no normaliser and no EigenData; the last depth alone by
+    # default
+    [(k, block, blocks, norm)] = column_blocks(
         nl_doubling, symbol_trees(nl_doubling, word_array(nl_doubling, 2)),
         ys, np.ones((2, 13), dtype=bool), ("x",))
-    assert norm is None
+    assert k == 2 and norm is None
     assert [s for s, _, _ in blocks] == [0, 1]
     assert all(pb.J is None and pb.x.shape == (2, 13) for _, _, pb in blocks)
+    # cut into column blocks, each depth has the bits of its one block,
+    # and the blocks are those of the layout (``conftest.column_layout``):
+    # 24 values share depth 1 (6 pairs) and cut 2 blocks of 12 pairs a
+    # field; 2 values, one pair a field, cut a block per point of symbol 0
+    # (4 words deep) and one of the points it does not hold
+    for budget, layout in ((24, (1, 2)), (2, (0, 7))):
+        monkeypatch.setattr(system_mod, "_BUDGET", budget)
+        assert column_layout(trees, holds, budget, 2) == layout
+        shared, count = layout
+        x = {k: np.full((len(pb.x), 13), np.nan) for k, _, [(_, _, pb)], _
+             in whole}
+        norm = {k: np.full(13, np.nan) for k in x}
+        cuts = {k: [] for k in x}
+        for k, block, blocks, part in column_blocks(
+                sys, trees, ys, holds, ("x", "J"), eig, every_depth=True):
+            cuts[k].append(block)
+            for s, cols, pb in blocks:
+                x[k][:, cols + block.start] = pb.x
+            norm[k][block] = part
+        for k, _, [(_, cols, pb)], total in whole:
+            assert x[k][:, cols].tobytes() == pb.x.tobytes()
+            assert norm[k].tobytes() == total.tobytes()
+            blocks = cuts[k]
+            assert [b.start for b in blocks] == [0] + [b.stop for b in
+                                                       blocks[:-1]]
+            assert blocks[-1].stop == 13
+            assert len(blocks) == (1 if k <= shared else count)
+        if budget == 2:
+            assert all(b.stop - b.start == 1 for b in cuts[3][:6])
+
+
+def _checked_layouts(monkeypatch) -> list:
+    """Route every caller's ``column_blocks`` through a recorder, and return
+    the list it fills: per pass, the (shared depths, column blocks) it ran,
+    the layout ``conftest.column_layout`` walks for it, and the widths of
+    its last depth's blocks.  A pass is shared where no run resumes a copy
+    (``_Run.columns``)."""
+    import gibbsflow.dolgopyat as dg
+    import gibbsflow.gibbs as gibbs_mod
+    import gibbsflow.operator as op
+    import gibbsflow.system as system_mod
+    import gibbsflow.uni as uni_mod
+    seen, resumed = [], []
+    run, columns = system_mod.column_blocks, system_mod._Run.columns
+
+    def counted(self, i, j):
+        resumed.append(self.k)
+        return columns(self, i, j)
+
+    def recorded(sys, trees, ys, holds, fields, eig=None, every_depth=False):
+        n = len(trees[0][1])
+        resumed.clear()
+        widths = []
+        for k, block, blocks, norm in run(sys, trees, ys, holds, fields, eig,
+                                          every_depth):
+            if k == n:
+                widths.append(block.stop - block.start)
+            yield k, block, blocks, norm
+        got = (resumed[0], len(widths)) if resumed else (n, 0)
+        assert len(set(resumed)) <= 1 and (resumed or widths == [len(ys)])
+        seen.append((got, column_layout(trees, holds, system_mod._BUDGET,
+                                        len(fields)), widths))
+
+    monkeypatch.setattr(system_mod._Run, "columns", counted)
+    for module in (op, dg, uni_mod, gibbs_mod):
+        monkeypatch.setattr(module, "column_blocks", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("budget", [pytest.param(120, id="blocks"),
+                                    pytest.param(48, id="shared"),
+                                    pytest.param(3, id="one-column")])
+def test_callers_keep_their_bits_on_column_blocks(budget, monkeypatch):
+    # every caller of column_blocks gives the bits it gives under the
+    # default budget when its passes are cut into column blocks: a
+    # BranchPlan's normaliser and sums and deep_apply's, v's step matrix,
+    # check_uni, and gibbs_audit's C5 and per-depth bounds.  The audit's
+    # mass tables are kept from the default budget, since a mass is a sum
+    # over the nodes and moves by rounding when split into one sum per
+    # block (see test_gibbs); its reference sums are cut.  120 values cut
+    # every pass into blocks of several columns (the reference sums into
+    # one, after 3 shared depths), 48 share 2 depths of the reference sums
+    # and cut the plans into blocks of one column, and 3, one pair a field
+    # for the three fields of the plans and of v's step, cut every pass
+    # into blocks of one column
+    import gibbsflow.dolgopyat as dg
+    import gibbsflow.gibbs as gibbs_mod
+    import gibbsflow.system as system_mod
+    import gibbsflow.uni as uni_mod
+    sys = make_preset("SYS-C")
+    eig = eigendata(sys, 0.5, N=64)
+    nodes = [np.linspace(*sys.element_interval(e), 17) for e in range(sys.m)]
+    fns = {"one": np.ones_like, "wave": lambda x: np.exp(3j * x)}
+    tables = list(_mass_tables(sys, eig, symbol_trees(sys, word_array(sys,
+                                                                      4))))
+    monkeypatch.setattr(gibbs_mod, "_mass_tables", lambda *args: iter(tables))
+    monkeypatch.setattr(uni_mod, "_GRID", 96)
+
+    def outputs():
+        plan = BranchPlan(sys, eig, 256.0, 3, nodes)
+        M = dg._lagrange_step(sys, eig, 256.0, node_grid(sys, 64))
+        return [plan.norm, plan.apply(fns["wave"], False),
+                plan.apply(fns["wave"], True),
+                *deep_apply(sys, eig, 0.0, 3, nodes, fns).values(),
+                M.data, M.indices, M.indptr, check_uni(sys, 3, 0.1),
+                gibbs_audit(sys, eig, 4)]
+
+    seen = _checked_layouts(monkeypatch)
+    want = outputs()
+    assert all(got == layout == (n, 0) for (got, layout, _), n in
+               zip(seen, (3, 1, 3, 3, 4)))
+    seen.clear()
+    monkeypatch.setattr(system_mod, "_BUDGET", budget)
+    got = outputs()
+    for g, w in zip(got[:-2], want[:-2]):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert got[-2:] == want[-2:]
+    # the plan, v's step, deep_apply's plan, check_uni, the reference sums:
+    # each ran its last depth on column blocks, as the layout walks them
+    assert len(seen) == 5
+    for ran, layout, widths in seen:
+        assert ran == layout and ran[1] >= 1
+        if budget == 3:
+            assert max(widths) == 1
 
 
 def _parents_split(words) -> bool:
@@ -538,10 +669,10 @@ def test_a_yielded_J_is_gone_before_the_next_depth_is_built(monkeypatch):
                 building["asked"] = False
             return super().columns(i, j)
 
-        def step(self):
+        def step(self, returned):
             building["asked"] = True
             building["at"] = (building["batch"], self.k + 1)
-            level = super().step()
+            level = super().step(returned)
             if level is not None:
                 yielded.append((building["at"], weakref.ref(level.J)))
             return level
@@ -560,8 +691,8 @@ def test_a_yielded_J_is_gone_before_the_next_depth_is_built(monkeypatch):
                       map(sys.image_interval, range(sys.m))])
     depths = 0
     trees = symbol_trees(sys, words)
-    for blocks, norm in symbol_pullbacks(sys, trees, ys, holds, ("J",), eig,
-                                         every_depth=True):
+    for _, _, blocks, norm in column_blocks(sys, trees, ys, holds, ("J",),
+                                            eig, every_depth=True):
         depths += 1
         del blocks, norm
     assert len(yielded) == 4 * sys.m
