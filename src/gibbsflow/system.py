@@ -47,13 +47,14 @@ the last shared depth).  ``column_blocks`` reads the trees of
 ``symbol_trees``, built once and holding no words, so a caller pulls the
 same words back at several sets of points without building them again.
 Every sum down the columns of a block is one ``column_sums``, so no sum
-depends on the block its column lands in.  The log weight S_k(phi -
-sigma r) behind J is held as a (words x 1) column when every piece it
-reads (phi, and r at sigma != 0) is a constant on its element, as on
-every preset at sigma = 0: it is then one number per word.  J is (words x
-points) either way, with the same bits.  Cylinders are arrays too: a
-words array and the ends of each word's cylinder, pulled back by that
-engine (``cylinders``); no module builds an object per word.
+depends on the block its column lands in.  Every consumer of J divides it
+by the normaliser ``column_blocks`` yields beside it, and sums none of its
+own.  The log weight S_k(phi - sigma r) behind J is held as a (words x 1)
+column when every piece it reads (phi, and r at sigma != 0) is a constant
+on its element, as on every preset at sigma = 0: it is then one number per
+word.  J is (words x points) either way, with the same bits.  Cylinders
+are arrays too: a words array and the ends of each word's cylinder, pulled
+back by that engine (``cylinders``); no module builds an object per word.
 """
 
 from __future__ import annotations

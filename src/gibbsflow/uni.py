@@ -16,23 +16,23 @@ displacement psi = S_n r o h_w1 - S_n r o h_w2 enters through D psi alone,
 a difference of two engine rows; ``check_uni`` indexes them by word row.
 
 a(n) and b(n) come from the slope intervals and mu_sigma-Jacobian weights
-of every depth-n preimage at every y of a grid: one (words x ys) tableau,
-rows in ``word_array`` order, swept in runs of consecutive ys.  The
-tableau is pulled back by one ``column_blocks`` pass under the engine's one
-budget (``system._BUDGET`` values a depth, counted over its three fields
-dTn, DSnr_h and J; the engine's x and log weight are held beside them):
-the shallow depths, whose whole level fits half of it, once over every y,
-and the deeper ones a column block of ys at a time, each block resuming
-from the last shared depth.  A run is cut from one block's per-symbol Pullbacks; a word whose domain
-misses y has the interval [+inf, +inf] and weight 0, which move neither
-statistic.  One endpoint sweep per y reads both statistics off a run: a
-stable argsort of [lo | hi] puts every opening before any closing at an
-equal coordinate (closed intervals that touch meet), b(n) is the largest
-prefix sum of the signed weights, and a(n) the largest weight of
-intervals meeting one interval.  ``a_sequence`` and ``b_sequence``
-share the sweep: the latest result is kept in one slot on the EigenData,
-keyed by the system, n_max and grid, so the CLI's call of both builds each
-tableau once.
+of every depth-n preimage at every y of a grid, read straight off one
+``column_blocks`` pass under the engine's one budget (``system._BUDGET``
+values a depth, counted over its three fields dTn, DSnr_h and J; the
+engine's x and log weight are held beside them): the shallow depths, whose
+whole level fits half of it, once over every y, and the deeper ones a
+column block of ys at a time, each block resuming from the last shared
+depth.  Each block is cut into runs of ys held by one set of symbols, and
+of at most _SWEEP_BLOCK cells; a run stacks those symbols' Pullback
+columns in tree order, so every cell is a preimage, and divides J by the
+normaliser the block carries, as every consumer of J does.  One endpoint
+sweep per y reads both statistics off a run: a stable argsort of [lo | hi]
+puts every opening before any closing at an equal coordinate (closed
+intervals that touch meet), b(n) is the largest prefix sum of the signed
+weights, and a(n) the largest weight of intervals meeting one interval.
+``a_sequence`` and ``b_sequence`` share the sweep: the latest result is
+kept in one slot on the EigenData, keyed by the system, n_max and grid, so
+the CLI's call of both pulls each depth back once.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ import numpy as np
 
 from .gibbs import FrequencyTooSmallError
 from .operator import EigenData
-from .system import (MarkovSystem, branch_chain, column_blocks, column_sums,
-                     count_words, cylinders, pullback, symbol_trees,
-                     word_array)
+from .system import (MarkovSystem, branch_chain, column_blocks, count_words,
+                     cylinders, pullback, symbol_trees, word_array)
 
 __all__ = [
     "MAX_PAIRS", "check_uni", "a_sequence", "b_sequence",
@@ -134,8 +133,8 @@ def _y_grid(sys: MarkovSystem, n: int, grid: int) -> np.ndarray:
         [np.linspace(1e-9, 1 - 1e-9, grid), 0.5 * (left + right)]))
 
 
-# (word, y) cells per run of the a(n)/b(n) sweep; bounds its temporaries,
-# about 72 bytes a cell
+# (preimage, y) cells per run of the a(n)/b(n) sweep, unless the run is one
+# y wide: bounds the run and the sweep's temporaries, about 72 bytes a cell
 _SWEEP_BLOCK = 1 << 15
 
 
@@ -174,73 +173,56 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> tuple[float, float]
 
 def _tableau_runs(sys: MarkovSystem, eig: EigenData, words: np.ndarray,
                   ys: np.ndarray):
-    """Yield (c, rows, lo, hi, w) for runs of at most
-    _SWEEP_BLOCK // len(words) columns c, c + 1, ... of the (words x ys)
-    tableau, ys sorted.
+    """Yield (lo, hi, w), each (preimages x ys), for runs of the ys, sorted,
+    each a stretch of ys held by one set of symbols: a row per word ending in
+    one of them, in tree order (symbol after symbol, each symbol's words in
+    order), the slope interval [lo, hi] of its cone image at y and the weight
+    w = J_w(y), the inverse Jacobian of mu_sigma along h_w at the sigma of
+    ``eig``, divided by the normaliser ``column_blocks`` yields.  Every cell
+    is a preimage; a y that no symbol holds is in no run.  A run holds at
+    most _SWEEP_BLOCK cells, or one y.
 
-    Row a is ``words[a]``: the slope interval [lo, hi] of its cone image at
-    y and the weight w = J_w(y), the inverse Jacobian of mu_sigma along h_w
-    at the sigma of ``eig``, normalised over each column; lo = hi = +inf and
-    w = 0 where the word's domain misses y.  A run keeps the ``rows`` of the
-    words ending in a symbol whose image holds one of its ys, in word order,
-    each filled from its symbol's block; a run with none is left out.
-
-    The last depth comes from one ``column_blocks`` pass, under the
-    engine's one budget: the shallow depths are pulled back once over every
-    y, and the deeper ones one column block of ys at a time, each resuming
-    from the last shared depth; the runs of a block are cut from it.  A
-    cell has the same bits in any block, so a(n) and b(n) do not depend on
-    the blocks.
+    The runs are read off one ``column_blocks`` pass as its blocks come: the
+    shallow depths are pulled back once over every y, and the deeper ones
+    one column block of ys at a time, each resuming from the last shared
+    depth.  A cell and a normaliser have the same bits in any block, so
+    a(n) and b(n) do not depend on the blocks.
     """
     c7 = sys.constants.c7
-    last = words[:, -1]
-    at = {s: np.flatnonzero(last == s) for s in range(sys.m)}
-    step = max(1, _SWEEP_BLOCK // len(words))
-    for _, block, blocks, _ in column_blocks(
-            sys, symbol_trees(sys, words), ys, _closed_images(sys, ys),
+    holds = _closed_images(sys, ys)
+    for _, block, blocks, norm in column_blocks(
+            sys, symbol_trees(sys, words), ys, holds,
             ("dTn", "DSnr_h", "J"), eig):
-        yield from _block_runs(c7, at, step, block, blocks)
-        del blocks  # no block is held while the next is built
-
-
-def _block_runs(c7: float, at: dict, step: int, block: slice, blocks):
-    """The runs of ``_tableau_runs`` within one column block of ys, from its
-    (s, cols, Pullback) ``blocks``; ``at[s]`` are the word rows of the
-    words ending in s."""
-    for c in range(block.start, block.stop, step):
-        width = min(step, block.stop - c)
-        start = c - block.start
-        spans = [(at[s], cols[i:j] - start, pb, slice(i, j))
-                 for s, cols, pb in blocks
-                 for i, j in [np.searchsorted(cols, [start, start + width])]
-                 if i < j]
-        if not spans:
-            continue
-        rows = np.sort(np.concatenate([span[0] for span in spans]))
-        lo, hi = np.full((2, len(rows), width), np.inf)
-        w = np.zeros((len(rows), width))
-        for ends, cols, pb, part in spans:
-            cell = np.ix_(np.searchsorted(rows, ends), cols)
-            lo[cell], hi[cell] = _slope_interval(c7, pb.DSnr_h[:, part],
-                                                 pb.dTn[:, part])
-            w[cell] = pb.J[:, part]
-        # each column's own sum, row after row; the engine's normaliser
-        # adds symbol after symbol and would move a(n) and b(n) by up to
-        # 8.9e-16
-        total = column_sums(w)
-        w /= np.where(total > 0, total, 1.0)
-        yield c, rows, lo, hi, w
+        held = holds[:, block]
+        cuts = np.flatnonzero((held[:, 1:] != held[:, :-1]).any(axis=0)) + 1
+        for i, j in zip([0, *cuts], [*cuts, held.shape[1]]):
+            # each holding symbol's Pullback, and the offset of the ys of
+            # the block in its columns
+            parts = [(pb, int(np.searchsorted(cols, i)) - i)
+                     for s, cols, pb in blocks if held[s, i]]
+            if not parts:
+                continue
+            step = max(1, _SWEEP_BLOCK // sum(len(pb.J) for pb, _ in parts))
+            for c in range(i, j, step):
+                e = min(c + step, j)
+                lo, hi = _slope_interval(c7, *(
+                    np.concatenate([getattr(pb, f)[:, c + o:e + o]
+                                    for pb, o in parts])
+                    for f in ("DSnr_h", "dTn")))
+                w = np.concatenate([pb.J[:, c + o:e + o] for pb, o in parts])
+                w /= norm[c:e]
+                yield lo, hi, w
+        del blocks, parts  # no block is held while the next is built
 
 
 def _ab_depth(sys: MarkovSystem, eig: EigenData, n: int,
               grid: int) -> tuple[float, float]:
     """max over the ys of the grid of the a- and b-statistics at depth n,
-    swept over the runs of ``_tableau_runs``; a y with no admissible
-    preimage reads 0."""
+    each run of ``_tableau_runs`` swept as it comes, one row per y; a y with
+    no admissible preimage is in no run and reads 0."""
     words = word_array(sys, n)  # enforces the cap before the grid is built
     worst_a = worst_b = 0.0
-    for *_, lo, hi, w in _tableau_runs(sys, eig, words,
-                                       _y_grid(sys, n, grid)):
+    for lo, hi, w in _tableau_runs(sys, eig, words, _y_grid(sys, n, grid)):
         a, b = _sweep(lo.T, hi.T, w.T)
         worst_a, worst_b = max(worst_a, a), max(worst_b, b)
     return worst_a, worst_b

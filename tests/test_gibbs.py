@@ -632,9 +632,20 @@ def test_adapted_partition_precondition():
         adapted_partition(make_preset("SYS-A"), 1.0, 1.0)
 
 
-@pytest.mark.parametrize("b,Delta", [(256.0, 1.0), (1024.0, 1.0),
-                                     (1024.0, 0.05)])
-@pytest.mark.parametrize("name", sorted(PRESETS) + ["NL-DOUBLING"])
+# adapted_partition reads a system's map alone, and SYS-B, SYS-A-BERNOULLI
+# and SYS-A-LINROOF share SYS-A's, so of these four the dearest case,
+# (1024, 1), runs on SYS-A alone.  Every mutation of adapted_partition that
+# a left-out case caught (a chunk's slice end off by one either way,
+# ``small = ~big``) fails every kept case, and ``refined`` indexed by the
+# global parent fails the NL-DOUBLING cases alone
+WALK_CASES = [(name, b, Delta)
+              for name in sorted(PRESETS) + ["NL-DOUBLING"]
+              for b, Delta in [(256.0, 1.0), (1024.0, 1.0), (1024.0, 0.05)]
+              if (b, Delta) != (1024.0, 1.0)
+              or name not in ("SYS-B", "SYS-A-BERNOULLI", "SYS-A-LINROOF")]
+
+
+@pytest.mark.parametrize("name,b,Delta", WALK_CASES)
 def test_adapted_partition_equals_the_walk_over_whole_levels(name, b, Delta,
                                                              monkeypatch):
     # the level walk pulls back only the children of cylinders still too

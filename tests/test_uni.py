@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import (check_uni_loop, cone_image, jacobian_weight,
-                      last_depth, psi, transversal)
+                      last_depth, psi, transversal, tree_order)
 import gibbsflow.uni as uni_mod
 from gibbsflow.gibbs import FrequencyTooSmallError
 from gibbsflow.operator import eigendata
 from gibbsflow.presets import make_preset
-from gibbsflow.system import OutsideImageError, branch_chain, word_array
+from gibbsflow.system import (OutsideImageError, branch_chain, column_sums,
+                              word_array)
 from gibbsflow.uni import (_sweep, _tableau_runs, _y_grid, a_sequence,
                            b_sequence, check_uni, coboundary_test,
                            transversal_pair, transversal_scales,
@@ -297,16 +298,14 @@ def _stabbing_weight(l, h, w) -> float:
 
 
 def _column_loop_sequences(sys, eig, n_max, grid):
-    """a(n), b(n) one y at a time over the admissible rows of its run."""
+    """a(n), b(n) one y at a time over the preimages of its run."""
     seqs = ([], [])
     for n in range(1, n_max + 1):
         runs = _tableau_runs(sys, eig, word_array(sys, n),
                              _y_grid(sys, n, grid))
         worst = [0.0, 0.0]
-        for _, _, lo, hi, wgt in runs:
-            for col in range(lo.shape[1]):
-                keep = np.isfinite(lo[:, col])
-                args = lo[keep, col], hi[keep, col], wgt[keep, col]
+        for lo, hi, wgt in runs:
+            for args in zip(lo.T, hi.T, wgt.T):
                 worst[0] = max(worst[0], _non_transversal_weight(*args))
                 worst[1] = max(worst[1], _stabbing_weight(*args))
         for out, v in zip(seqs, worst):
@@ -315,15 +314,18 @@ def _column_loop_sequences(sys, eig, n_max, grid):
 
 
 def _preimage_tableau(sys, eig, n, ys):
-    """Interval and weight arrays over (word, y), NaN where inadmissible:
-    rows are the depth-n words in ``word_array`` order, and each symbol's
-    words are pulled back in one engine call at all the ys of its image."""
+    """Interval and J arrays over (word, y), NaN where inadmissible, and the
+    normaliser of J at each y: rows are the depth-n words in ``word_array``
+    order, each symbol's words are pulled back in one engine call at all the
+    ys of its image, and the normaliser adds the symbols' ``column_sums``
+    symbol after symbol."""
     words = word_array(sys, n)
     c7 = sys.constants.c7
     k, g = len(words), len(ys)
     lo = np.full((k, g), np.nan)
     hi = np.full((k, g), np.nan)
-    wgt = np.full((k, g), np.nan)
+    J = np.full((k, g), np.nan)
+    norm = np.zeros(g)
     for s in range(sys.m):
         rows = np.flatnonzero(words[:, -1] == s)
         dlo, dhi = sys.image_interval(s)
@@ -337,10 +339,9 @@ def _preimage_tableau(sys, eig, n, ys):
         cell = np.ix_(rows, cols)
         lo[cell] = centre - half
         hi[cell] = centre + half
-        wgt[cell] = pb.J
-    totals = np.nansum(wgt, axis=0)
-    wgt = wgt / totals[None, :]
-    return words, lo, hi, wgt
+        J[cell] = pb.J
+        norm[cols] += column_sums(pb.J)
+    return words, lo, hi, J, norm
 
 
 SWEEP_SYSTEMS = ["SYS-A", "SYS-B", "SYS-C", "SYS-A-BERNOULLI", "SYS-A-LINROOF",
@@ -354,7 +355,7 @@ def _system(name, nl_doubling):
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
 @pytest.mark.parametrize("name", SWEEP_SYSTEMS)
 def test_sweep_matches_column_loop(name, sigma, nl_doubling):
-    # same tableau, same endpoint order: b keeps its bits; a sums the
+    # same runs, same endpoint order: b keeps its bits; a sums the
     # weights in another order, so it may move by an ulp or two
     s = _system(name, nl_doubling)
     eig = eigendata(s, sigma, N=256)
@@ -368,33 +369,34 @@ def test_sweep_matches_column_loop(name, sigma, nl_doubling):
 @pytest.mark.parametrize("name", SWEEP_SYSTEMS)
 def test_blocks_are_slices_of_the_nan_tableau(name, sigma, nl_doubling,
                                               monkeypatch):
-    # an inadmissible cell is +inf/+inf/0 where the tableau has NaN; at 97
-    # cells a run, depth-6 runs are one column wide
+    # the runs take the held columns in order, each exactly once; a run is
+    # a stretch of ys held by one set of symbols, its rows those symbols'
+    # words in tree order, lo and hi the tableau's cells and w its J over
+    # the engine's normaliser, bit for bit; at 97 cells a run, depth-6 runs
+    # are one column wide
     s = _system(name, nl_doubling)
     eig = eigendata(s, sigma, N=256)
     for block in (uni_mod._SWEEP_BLOCK, 97):
         monkeypatch.setattr(uni_mod, "_SWEEP_BLOCK", block)
         for n in (1, 3, 6):
             ys = _y_grid(s, n, 64)
-            words, *tableau = _preimage_tableau(s, eig, n, ys)
-            inadmissible = np.isnan(tableau[2])
-            want = [np.where(inadmissible, np.inf, tableau[0]),
-                    np.where(inadmissible, np.inf, tableau[1]),
-                    np.where(inadmissible, 0.0, tableau[2])]
-            start = 0
-            for c, rows, *run in _tableau_runs(s, eig, words, ys):
+            words, lo, hi, J, norm = _preimage_tableau(s, eig, n, ys)
+            holds = uni_mod._closed_images(s, ys)
+            held = iter(np.flatnonzero(holds.any(axis=0)).tolist())
+            for run in _tableau_runs(s, eig, words, ys):
                 width = run[0].shape[1]
-                assert len(words) * width <= block or width == 1
-                # a run left out is inadmissible at all its ys; a run holds
-                # the words admissible at one of its ys at least
-                assert inadmissible[:, start:c].all()
-                cols = slice(c, c + width)
-                held = ~inadmissible[:, cols].all(axis=1)
-                assert np.array_equal(rows, np.flatnonzero(held))
-                for got, full in zip(run, want):
-                    assert np.array_equal(got, full[rows, cols])
-                start = c + width
-            assert inadmissible[:, start:].all()
+                assert run[0].size <= block or width == 1
+                cols = [next(held) for _ in range(width)]
+                assert cols == list(range(cols[0], cols[0] + width))
+                symbols = holds[:, cols[0]]
+                assert (holds[:, cols] == symbols[:, None]).all()
+                rows = np.concatenate([np.flatnonzero(words[:, -1] == t)
+                                       for t in np.flatnonzero(symbols)])
+                cell = np.ix_(rows, cols)
+                for got, want in zip(run, (lo[cell], hi[cell],
+                                           J[cell] / norm[cols])):
+                    assert np.array_equal(got, want)
+            assert next(held, None) is None
 
 
 def test_blocks_pull_each_symbol_back_once(sys_c, monkeypatch):
@@ -465,21 +467,27 @@ def test_sequences_keep_their_bits_across_budgets(name, sigma, nl_doubling,
     assert set(resumed) == {1} and len(resumed) > 3 * len(trees)
 
 
-def test_a_run_across_symbol_sets_sweeps_as_its_columns(sys_c):
+def test_runs_cut_where_the_symbol_set_changes_sweep_as_their_columns(sys_c):
     # SYS-C's ys fall into three regions holding two, three and two of its
-    # symbols; one run spans them, and its +inf rows move neither statistic
+    # symbols; the depth-3 tableau is one column block, cut into one run per
+    # region, each holding that region's preimages alone, and a run sweeps
+    # as the worst of its columns
     eig = eigendata(sys_c, 0.5, N=256)
     words = word_array(sys_c, 3)
-    [(_, rows, lo, hi, w)] = _tableau_runs(sys_c, eig, words,
-                                           _y_grid(sys_c, 3, 64))
-    assert np.array_equal(rows, np.arange(len(words)))
-    admissible = np.isfinite(lo)
-    assert len(np.unique(admissible, axis=1).T) == 3
-    assert np.array_equal(admissible, np.isfinite(hi))
-    assert np.array_equal(admissible, w > 0)
-    columns = [_sweep(lo[keep, j][None], hi[keep, j][None], w[keep, j][None])
-               for j, keep in enumerate(admissible.T)]
-    assert _sweep(lo.T, hi.T, w.T) == tuple(map(max, zip(*columns)))
+    ys = _y_grid(sys_c, 3, 64)
+    holds = uni_mod._closed_images(sys_c, ys)
+    regions, first = np.unique(holds, axis=1, return_index=True)
+    regions = regions[:, np.argsort(first)]
+    assert [int(r.sum()) for r in regions.T] == [2, 3, 2]
+    runs = list(_tableau_runs(sys_c, eig, words, ys))
+    per_symbol = np.bincount(words[:, -1], minlength=sys_c.m)
+    assert [lo.shape[0] for lo, _, _ in runs] == [
+        int(per_symbol[r].sum()) for r in regions.T]
+    assert sum(lo.shape[1] for lo, _, _ in runs) == len(ys)
+    for lo, hi, w in runs:
+        columns = [_sweep(*(x[None] for x in col))
+                   for col in zip(lo.T, hi.T, w.T)]
+        assert _sweep(lo.T, hi.T, w.T) == tuple(map(max, zip(*columns)))
 
 
 ORACLE_SYSTEMS = ["SYS-B", "SYS-C", "SYS-C-NLROOF", "NL-DOUBLING"]
@@ -542,6 +550,23 @@ def test_sequences_match_the_benchmark_reference(nl_doubling):
                          (b_sequence(s, eig, 8, grid=128), want["b"])):
             assert len(got) == len(exp)
             assert max(abs(g - e) for g, e in zip(got, exp)) <= 1e-12
+
+
+def test_the_tableau_holds_one_column_block_at_a_time():
+    # a(n)/b(n) on SYS-C-NLROOF at the CLI sizes peaks at about 8.7 MiB of
+    # tracemalloc; runs that kept a block's Pullbacks while the engine built
+    # the next block peaked at 11.8 MiB
+    import tracemalloc
+    s = make_preset("SYS-C-NLROOF")
+    eig = eigendata(s, 0.0, N=256)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        a_sequence(s, eig, 8, grid=128)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, peak / 2**20
 
 
 # -- coboundary test -------------------------------------------------------------
@@ -630,9 +655,10 @@ def test_tableau_weights_are_mu_sigma_jacobians(sys_b):
     eig = eigendata(sys_b, 0.5, N=256)
     ys = np.linspace(1e-9, 1 - 1e-9, 37)
     words = word_array(sys_b, 4)
-    [(_, _, lo, _, wgt)] = _tableau_runs(sys_b, eig, words, ys)
-    # SYS-B's branches are full: every word is admissible at every y
-    assert np.isfinite(lo).all()
+    [(lo, _, wgt)] = _tableau_runs(sys_b, eig, words, ys)
+    # SYS-B's branches are full: every word is a row at every y, in tree
+    # order
+    assert lo.shape == (len(words), len(ys))
     ref = np.array([jacobian_weight(sys_b, eig, tuple(w), ys)[0]
-                    for w in words])
+                    for w in tree_order(sys_b, words)])
     assert np.max(np.abs(wgt - ref / ref.sum(axis=0))) < 1e-13
