@@ -10,10 +10,8 @@ row as the engine lays them out.  The mass
 tables pull the shallow depths back once over the whole node grid and the
 deeper ones on column blocks of it, so the most they hold at once is about
 two and a half arrays of at most ``system._BUDGET`` (word, node) pairs,
-however deep the audit.  A depth-13 SYS-C-NLROOF audit from the CLI peaks
-at about 95 MB of RSS, imports included, against 630 MB when a depth's J
-covered every node and about 120 MB when every depth ran on blocks of
-2^21 pairs.
+however deep the audit: its memory is set by one column block, not by the
+depth.
 
 The backward chain that samples mu holds its states in ascending order,
 so that each branch is solved on one slice of them, and scipy's PPoly,

@@ -7,9 +7,11 @@ import pytest
 
 from gibbsflow.gibbs import _mass_tables
 from gibbsflow.operator import node_grid
-from gibbsflow.presets import PRESETS
+from gibbsflow.presets import PRESETS, make_preset
 from gibbsflow.system import (_Run, _suffix_tree, branch_chain, pullback,
                               symbol_trees, system_from_config, word_array)
+
+# -- the systems of the suite ---------------------------------------------------
 
 # T(x) = 2x + 0.12 sin(2 pi x) mod 1: Markov on {0, 1/2, 1} with nonlinear
 # branches, roof (2 + cos 2 pi x)/3 and potential -log T', so J_w depends on x
@@ -21,10 +23,72 @@ NL_DOUBLING = {
     "potential": ["-log(2+0.24*pi*cos(2*pi*x))"] * 2,
 }
 
+# T(x) = 2x + (x^{3/2} - 2^{-1/2} x)/2 on [0, 1/2], x^{3/2} written as
+# exp(1.5 log x): only C^{1+1/2} at 0, where its Hermite start misses the
+# tolerance, so a solve there takes Newton steps and one elsewhere does not
+HOELDER = {
+    "partition": [0.0, 0.5, 1.0],
+    "branches": [{"expr": "2*x+0.5*(exp(1.5*log(x+1e-300))"
+                          "-0.7071067811865476*x)", "image": [0, 2]},
+                 {"expr": "2*x-1", "image": [0, 2]}],
+    "roof": ["1", "1"],
+    "potential": ["0", "0"],
+}
+
+# the tent map: a decreasing branch, so a row of preimages taken in the
+# order of x runs downwards
+TENT = {"partition": [0.0, 0.5, 1.0],
+        "branches": [{"expr": "2*x", "image": [0, 2]},
+                     {"expr": "2-2*x", "image": [0, 2]}],
+        "roof": ["(2+cos(2*pi*x))/3"] * 2,
+        "potential": ["0.3*sin(2*pi*x)"] * 2}
+
+# three elements: a full branch, a decreasing branch onto [1/3, 1) and an
+# increasing one onto [0, 2/3), so one branch is non-full and decreasing
+THREE = {"partition": [0.0, 1 / 3, 2 / 3, 1.0],
+         "branches": [{"expr": "3*x", "image": [0, 3]},
+                      {"expr": "5/3-2*x", "image": [1, 3]},
+                      {"expr": "2*x-4/3", "image": [0, 2]}],
+         "roof": ["(2+cos(2*pi*x))/3"] * 3,
+         "potential": ["0.3*sin(2*pi*x)"] * 3}
+
+CONFIGS = {"NL-DOUBLING": NL_DOUBLING, "HOELDER": HOELDER, "TENT": TENT,
+           "THREE": THREE}
+
+SYSTEMS = sorted(PRESETS) + ["NL-DOUBLING"]
+
+
+def system(name: str):
+    """The preset ``name``, or the config of that name above, built anew on
+    each call: a test that counts a system's calls, or patches a constant
+    read while it is built, calls this after its patches."""
+    return (system_from_config(CONFIGS[name]) if name in CONFIGS
+            else make_preset(name))
+
 
 @pytest.fixture(scope="session")
 def nl_doubling():
-    return system_from_config(NL_DOUBLING)
+    return system("NL-DOUBLING")
+
+
+@pytest.fixture(scope="module")
+def sys_a():
+    return system("SYS-A")
+
+
+@pytest.fixture(scope="module")
+def sys_b():
+    return system("SYS-B")
+
+
+@pytest.fixture(scope="module")
+def sys_c():
+    return system("SYS-C")
+
+
+@pytest.fixture(scope="module")
+def sys_lin():
+    return system("SYS-A-LINROOF")
 
 
 class ExprCalls:

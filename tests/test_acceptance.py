@@ -1,5 +1,5 @@
 """End-to-end acceptance checks: exact oracles where closed forms exist,
-property-based bounds elsewhere, each with a wall-clock budget."""
+property-based bounds elsewhere, each with a budget of CPU seconds."""
 
 import json
 import math
@@ -8,37 +8,22 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cone_image, cylinder_masses, psi, transversal
+from conftest import cylinder_masses, psi, system, transversal
 from gibbsflow.cli import run
 import gibbsflow.dolgopyat as dg
 from gibbsflow.dolgopyat import (build_bump, bump_geometry,
                                  c0_constant, cancellation_check,
                                  cone_iteration, l1_contraction)
-from gibbsflow.flow import correlation, sample_flow_measure
+from gibbsflow.flow import correlation
 from gibbsflow.gibbs import adapted_partition, gibbs_audit, sample_mu
 from gibbsflow.operator import GridFunction, apply_L, eigendata
-from gibbsflow.presets import make_preset, preset_names
-from gibbsflow.system import branch_chain, word_array
+from gibbsflow.presets import preset_names
+from gibbsflow.system import pullback, word_array
 from gibbsflow.uni import a_sequence, b_sequence, coboundary_test
 
 # runtime budgets are on CPU time: the sandboxed runner throttles wall clock
 # by large, unpredictable factors
 cpu_now = time.process_time
-
-
-@pytest.fixture(scope="module")
-def sys_a():
-    return make_preset("SYS-A")
-
-
-@pytest.fixture(scope="module")
-def sys_b():
-    return make_preset("SYS-B")
-
-
-@pytest.fixture(scope="module")
-def sys_c():
-    return make_preset("SYS-C")
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +69,10 @@ def test_rpf_exactness_full_shift(sys_a):
 def test_gibbs_audit_full_shift_and_bernoulli(sys_a, eig_a):
     t0 = cpu_now()
     rep = gibbs_audit(sys_a, eig_a, 12)
-    assert 1 - 1e-6 <= rep["C5_lower"] and rep["C5_upper"] <= 1 + 1e-6
+    assert 1 - 1e-6 < rep["C5_lower"] and rep["C5_upper"] < 1 + 1e-6
     assert abs(rep["C5"] - 1.0) < 1e-6
 
-    bern = make_preset("SYS-A-BERNOULLI")
+    bern = system("SYS-A-BERNOULLI")
     eig = eigendata(bern, 0.0, N=512)
     p = 0.3
     for depth in (1, 2, 3, 5):
@@ -111,6 +96,7 @@ def test_adapted_partition_bounds(sys_a, sys_b, sys_c):
             diam = part.right - part.left
             assert np.all(2 * Delta / b <= diam)
             assert np.all(diam <= 2 * Delta * rho / b * (1 + 1e-12))
+            assert diam.sum() == pytest.approx(1.0, abs=1e-9)
             assert len(diam) <= b / (2 * Delta)
     assert cpu_now() - t0 < 10.0
 
@@ -120,7 +106,7 @@ def test_adapted_partition_bounds(sys_a, sys_b, sys_c):
 
 def test_trichotomy_rigid_side(sys_a):
     t0 = cpu_now()
-    lin = make_preset("SYS-A-LINROOF")
+    lin = system("SYS-A-LINROOF")
     for sys in (sys_a, lin):
         assert coboundary_test(sys, J_trunc=40, tol=1e-6)["residual"] < 1e-6
         eig = eigendata(sys, 0.0, N=256)
@@ -132,7 +118,7 @@ def test_trichotomy_rigid_side(sys_a):
 
 def test_trichotomy_oscillating_side(sys_b):
     t0 = cpu_now()
-    nl = make_preset("SYS-C-NLROOF")
+    nl = system("SYS-C-NLROOF")
     for sys in (sys_b, nl):
         assert coboundary_test(sys, J_trunc=40, tol=1e-6)["residual"] > 1e-5
         eig = eigendata(sys, 0.0, N=256)
@@ -171,14 +157,20 @@ def test_sequence_and_cone_bounds(sys_b, sys_c, eig_b):
                 ys = np.linspace(ps.domain[0] + 1e-9, ps.domain[1] - 1e-9, 64)
                 assert np.max(np.abs(ps.deriv(ys))) <= c7 + 1e-9
 
+        # every word ending in s at once, with the bits of one branch
+        # chain per word; the cone image at ys[0] as conftest.cone_image
         for n in range(1, 9):
-            for word in map(tuple, word_array(sys, n).tolist()):
-                dom = sys.image_interval(word[-1])
+            words = word_array(sys, n)
+            for s in range(sys.m):
+                dom = sys.image_interval(s)
                 ys = np.linspace(dom[0] + 1e-9, dom[1] - 1e-9, 16)
-                ch = branch_chain(sys, word, ys)
-                assert np.max(np.abs(ch["DSnr_h"])) <= 0.5 * c7 + 1e-9
-                lo, hi = cone_image(sys, word, ys[0])
-                assert -c7 - 1e-9 <= lo and hi <= c7 + 1e-9
+                pb = pullback(sys, words[words[:, -1] == s], ys,
+                              ("dTn", "DSnr_h"))
+                assert np.max(np.abs(pb.DSnr_h)) <= 0.5 * c7 + 1e-9
+                centre = -pb.DSnr_h[:, 0]
+                half = c7 / np.abs(pb.dTn[:, 0])
+                assert -c7 - 1e-9 <= np.min(centre - half)
+                assert np.max(centre + half) <= c7 + 1e-9
     assert cpu_now() - t0 < 120.0
 
 
@@ -259,7 +251,7 @@ def test_sampler_matches_cylinder_masses():
     t0 = cpu_now()
     count = 50_000
     for name in preset_names():
-        sys = make_preset(name)
+        sys = system(name)
         eig = eigendata(sys, 0.0, N=256)
         xs = sample_mu(sys, eig, count, seed=17)
         table = cylinder_masses(sys, eig, 3)

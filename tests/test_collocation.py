@@ -21,25 +21,12 @@ import scipy.sparse as sp
 
 import gibbsflow.dolgopyat as dg
 import gibbsflow.operator as op
-from conftest import NL_DOUBLING, last_depth
+from conftest import SYSTEMS, last_depth, system
 from gibbsflow.operator import (BranchPlan, GridFunction, _lagrange,
                                 _power_iteration, eigendata, node_grid,
                                 transfer_matrix)
-from gibbsflow.presets import make_preset, preset_names
-from gibbsflow.system import system_from_config
 
-SYSTEMS = preset_names() + ["NL-DOUBLING"]
 MiB = 1 << 20
-
-
-def _system(name):
-    return (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
-            else make_preset(name))
-
-
-@pytest.fixture(scope="module")
-def sys_b():
-    return make_preset("SYS-B")
 
 
 @pytest.fixture(params=[5, None], ids=["rows5", "rows"])
@@ -167,7 +154,7 @@ def complex_j_apply(plan, b, fn, twist):
 @pytest.mark.parametrize("N", [2, 3, 64])
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_transfer_matrix_equals_the_coo_build(name, N, rows):
-    sys = _system(name)
+    sys = system(name)
     for sigma in (0.0, 0.5):
         for b in (0.0, 1.0, 256.0):
             s = sigma if b == 0.0 else sigma + 1j * b
@@ -178,7 +165,7 @@ def test_transfer_matrix_equals_the_coo_build(name, N, rows):
 @pytest.mark.parametrize("N", [2, 3, 64])
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_l_matrix_equals_the_diagonal_products(name, N, rows):
-    sys = _system(name)
+    sys = system(name)
     for sigma in (0.0, 0.5):
         eig = eigendata(sys, sigma, N)
         for b in (0.0, 1.0, 256.0):
@@ -188,7 +175,7 @@ def test_l_matrix_equals_the_diagonal_products(name, N, rows):
 @pytest.mark.parametrize("N", [2, 3, 64])
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_left_power_iteration_reads_the_csc_transpose_bit_for_bit(name, N):
-    sys = _system(name)
+    sys = system(name)
     for sigma in (0.0, 0.5):
         M = transfer_matrix(sys, sigma, N)
         lam, nu, it = _power_iteration(M.T)
@@ -200,7 +187,7 @@ def test_left_power_iteration_reads_the_csc_transpose_bit_for_bit(name, N):
 @pytest.mark.parametrize("N", [4, 5, 64])
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_lagrange_step_equals_the_whole_branch_fill(name, N, rows):
-    sys = _system(name)
+    sys = system(name)
     nodes = node_grid(sys, N)
     for sigma in (0.0, 0.5):
         eig = eigendata(sys, sigma, 64)
@@ -214,7 +201,7 @@ def test_lagrange_step_equals_the_whole_branch_fill(name, N, rows):
 def test_collocation_matrices_store_no_zero(name):
     # the replaced builds store a 0 for each preimage on a node, on every
     # system; v's step is built on cone_iteration's grid at b = 256
-    sys = _system(name)
+    sys = system(name)
     for N in (64, 1025):
         assert np.any(coo_transfer_matrix(sys, 0.0, N).data == 0)
         assert np.all(transfer_matrix(sys, 0.0, N).data != 0)
@@ -231,7 +218,7 @@ def test_eigendata_has_the_bits_of_the_power_iteration_on_the_zeros(
         name, N, monkeypatch):
     # lam, f and nu of both sides, then everything eigendata derives from
     # them, with the COO build's zeros kept
-    sys = _system(name)
+    sys = system(name)
     for sigma in (0.0, 0.5):
         P = transfer_matrix(sys, sigma, N)
         M = coo_transfer_matrix(sys, sigma, N)
@@ -255,7 +242,7 @@ def test_branch_plan_applies_its_real_j_with_the_bits_of_a_complex_copy(
     # real and complex functions, twisted or not; on SYS-C-NLROOF the node
     # sets make blocks of one point, summed row after row as a column is
     # among others (numpy's sum would add a lone column pairwise)
-    sys = make_preset(name)
+    sys = system(name)
     eig = eigendata(sys, 0.5, 128)
     sets = ([np.array([0.1]), np.array([]), np.array([0.9])]
             if sys.m == 3 else [np.linspace(0.0, 0.5, 9), np.array([0.7])])
@@ -309,7 +296,7 @@ def test_transfer_matrix_build_holds_little_beyond_its_matrix():
     # SYS-C at 8,192 nodes per element: 114,688 entries, 1.41 MiB of CSR.
     # The COO build held the triplet lists, their concatenations and the
     # converted copies at once: a peak of 5.5 MiB
-    sys = make_preset("SYS-C")
+    sys = system("SYS-C")
     transfer_matrix(sys, 0.0, 64)  # lazy caches
     M, peak = _peak(lambda: transfer_matrix(sys, 0.0, 8192))
     assert peak <= 1.3 * _csr_bytes(M) + MiB, (peak, _csr_bytes(M))

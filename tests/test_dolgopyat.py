@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import NL_DOUBLING, branch_plan_loop, element_sets
+from conftest import branch_plan_loop, element_sets, system
 from gibbsflow.dolgopyat import (ETA0, BumpFunction, ConstraintViolationError,
                                  NoCancellationWitness, _cone_test,
                                  build_bump, bump_geometry, c0_constant,
@@ -15,20 +15,8 @@ from gibbsflow.expr import parse
 from gibbsflow.gibbs import adapted_partition
 from gibbsflow.operator import (BranchPlan, GridFunction, c6_bound, eigendata,
                                node_grid)
-from gibbsflow.presets import make_preset
-from gibbsflow.system import (MarkovSystem, Piece, branch_chain,
-                              system_from_config, word_array)
+from gibbsflow.system import MarkovSystem, Piece, branch_chain, word_array
 from gibbsflow.uni import transversal_pair
-
-
-@pytest.fixture(scope="module")
-def sys_a():
-    return make_preset("SYS-A")
-
-
-@pytest.fixture(scope="module")
-def sys_b():
-    return make_preset("SYS-B")
 
 
 @pytest.fixture(scope="module")
@@ -73,17 +61,16 @@ def test_c0_sys_b_closed_form(sys_b, eig_b):
                                                       rel=1e-6)
 
 
-def test_c0_monotone_in_roof_amplitude(eig_b):
+def test_c0_monotone_in_roof_amplitude(sys_b):
     big = MarkovSystem(
         [0.0, 0.5, 1.0], [(0, 2), (0, 2)],
         [Piece(parse("2*x")), Piece(parse("2*x-1"))],
         [Piece(parse("(2+2*cos(2*pi*x))/4"))] * 2,
         [Piece(parse("0"))] * 2, 1.0)
     eig = eigendata(big, 0.0, N=128)
-    small = make_preset("SYS-B")
-    eig_s = eigendata(small, 0.0, N=128)
+    eig_s = eigendata(sys_b, 0.0, N=128)
     assert (c0_constant(big, eig)
-            >= c0_constant(small, eig_s) * (1 - 1e-9))
+            >= c0_constant(sys_b, eig_s) * (1 - 1e-9))
 
 
 def test_gates_pass_and_refuse(sys_b, eig_b):
@@ -296,7 +283,7 @@ def test_cancellation_check_reads_each_point_in_the_element_of_element_of(
     # the balls put 0, 1/3, 2/3 and 1 among the check points; SYS-C-NLROOF
     # takes different branch sums on either side of 1/3 and 2/3, and the
     # check reads each point in the element element_of names
-    sys = make_preset("SYS-C-NLROOF")
+    sys = system("SYS-C-NLROOF")
     eig = eigendata(sys, 0.0, N=64)
     p = sys.partition
     bump = BumpFunction(eta=0.9, plateaus=[(0.45, 0.55)],
@@ -531,7 +518,7 @@ def _v_against_depth_k(name, k, picks):
     """|v_k - exact| and max |exact| at the nodes ``picks`` (per element,
     indices into v's grid at b = 256), exact being one depth-k branch sum
     from v_0 = 1 (``BranchPlan``)."""
-    sys = make_preset(name)
+    sys = system(name)
     eig = eigendata(sys, 0.0, N=512)
     vk = _v_grid_advances(sys, eig, 256.0, k)
     nodes = node_grid(sys, vk.shape[1])
@@ -564,7 +551,7 @@ def test_v_advances_match_exact_depth_k_sums(name, k, f_jumps):
     picks = [np.unique(np.concatenate([
         [0], rng.integers(1, N - 256, 14),
         [] if e in f_jumps else [N - 1]]).astype(int))
-        for e in range(make_preset(name).m)]
+        for e in range(system(name).m)]
     err, scale = _v_against_depth_k(name, k, picks)
     assert np.max(err) <= 1e-8 * scale
 
@@ -581,8 +568,7 @@ def test_v_advances_match_exact_sums_where_f_jumps():
 
 @pytest.mark.parametrize("name", ["SYS-B", "SYS-C-NLROOF", "NL-DOUBLING"])
 def test_v_step_maps_one_to_one_at_b_zero(name):
-    sys = (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
-           else make_preset(name))
+    sys = system(name)
     v1 = _v_grid_advances(sys, eigendata(sys, 0.0, N=256), 0.0, 1)
     assert np.max(np.abs(v1 - 1.0)) <= 1e-15
 
@@ -680,7 +666,7 @@ def test_plan_with_explicit_elements_matches_per_branch_sums(name, b):
     # node sets closed at both ends hold 1/3 and 2/3 twice: as the right
     # end of the element below and as the left end of the one above, and
     # different branches map into the two
-    sys = make_preset(name)
+    sys = system(name)
     eig = eigendata(sys, 0.0, N=256)
     nodes = _element_grids(sys, 5000)
     g = lambda x: 2.0 + np.sin(7.0 * np.asarray(x)) + 0.5j * np.asarray(x)
@@ -698,8 +684,7 @@ def test_plan_with_explicit_elements_matches_per_branch_sums(name, b):
 def test_plan_equals_the_per_symbol_loop(name, sigma):
     # column_blocks gives the plan of one engine call per symbol, with its
     # normaliser, bit for bit
-    sys = (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
-           else make_preset(name))
+    sys = system(name)
     eig = eigendata(sys, sigma, N=128)
     nodes = _element_grids(sys, 129)
     for b in (0.0, 256.0):
@@ -797,7 +782,7 @@ def test_l1_one_pullback_per_b_matches_one_per_q(name, sys_b, eig_b,
 def test_l1_reads_each_node_in_the_element_of_its_row():
     # the nodes 1/3 and 2/3 end rows 0 and 1 of SYS-C-NLROOF, and
     # element_of puts each into the next element, whose branch set differs
-    sys = make_preset("SYS-C-NLROOF")
+    sys = system("SYS-C-NLROOF")
     eig = eigendata(sys, 0.0, N=64)
     xs = eig.f.nodes.reshape(-1)
 
@@ -917,8 +902,7 @@ def test_norm_sweep_from_one_matches_sixty_random_trials(name):
     # the old definition searched 59 random Fourier trials and the constant
     # 1 for the largest ratio before the power steps; the constant wins at
     # every b, so the power steps from 1 alone give the same rows
-    sys = (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
-           else make_preset(name))
+    sys = system(name)
     eig = eigendata(sys, 0.0, N=256)
     b_list = [64.0, 128.0, 256.0]
     rep = norm_contraction_sweep(sys, eig, b_list, 1.0)

@@ -1,23 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import system
 from gibbsflow.cli import run
 from gibbsflow.expr import compile_expr, parse
-from gibbsflow.flow import (CorrelationSeries, InsufficientSignalError,
-                            correlation, evolve_many, sample_flow_measure)
+from gibbsflow.flow import (InsufficientSignalError, correlation, evolve_many,
+                            sample_flow_measure)
 from gibbsflow.operator import eigendata
-from gibbsflow.presets import make_preset
 from gibbsflow.system import system_from_config
-
-
-@pytest.fixture(scope="module")
-def sys_a():
-    return make_preset("SYS-A")
-
-
-@pytest.fixture(scope="module")
-def sys_b():
-    return make_preset("SYS-B")
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +82,8 @@ def _evolve_every_point(sys, xs, us, t):
 
 
 @pytest.mark.parametrize("name", ["SYS-B", "NL-DOUBLING"])
-def test_evolve_many_equals_every_point_loop(nl_doubling, name):
-    sys = nl_doubling if name == "NL-DOUBLING" else make_preset(name)
+def test_evolve_many_equals_every_point_loop(name):
+    sys = system(name)
     rng = np.random.default_rng(2)
     xs = rng.random(5000)
     us = rng.random(5000) * sys.roof_at(xs)

@@ -8,26 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import NL_DOUBLING, preset_config
-from gibbsflow.presets import make_preset, preset_names
+from conftest import NL_DOUBLING, preset_config, system
+from gibbsflow.presets import preset_names
 from gibbsflow.system import OutsideImageError, system_from_config
 
 # a decreasing nonlinear branch: T(0) = 1, T(1/2) = 0, T' in [-2.63, -1.37]
 DECREASING = {
     "partition": [0.0, 0.5, 1.0],
     "branches": [{"expr": "1-2*x+0.1*sin(2*pi*x)", "image": [0, 2]},
-                 {"expr": "2*x-1", "image": [0, 2]}],
-    "roof": ["1", "1"],
-    "potential": ["0", "0"],
-}
-
-# T(x) = 2x + (x^{3/2} - 2^{-1/2} x)/2 on [0, 1/2], x^{3/2} written as
-# exp(1.5 log x): only C^{1+1/2} at 0, where its Hermite start misses the
-# tolerance, so a solve there takes Newton steps and one elsewhere does not
-HOELDER = {
-    "partition": [0.0, 0.5, 1.0],
-    "branches": [{"expr": "2*x+0.5*(exp(1.5*log(x+1e-300))"
-                          "-0.7071067811865476*x)", "image": [0, 2]},
                  {"expr": "2*x-1", "image": [0, 2]}],
     "roof": ["1", "1"],
     "potential": ["0", "0"],
@@ -123,7 +111,7 @@ def test_seeded_solve_takes_one_newton_step(cfg, i, expr_calls):
 
 @pytest.mark.parametrize("name", preset_names())
 def test_affine_presets_keep_the_one_step_inverse(name):
-    sys = make_preset(name)
+    sys = system(name)
     rng = np.random.default_rng(11)
     for i in range(sys.m):
         a, b = sys.element_interval(i)
@@ -228,19 +216,13 @@ def test_seeded_solve_agrees_with_bisection(s, k, frac, sign, increasing,
 # -- each point on its own -------------------------------------------------------
 
 
-def _system(name):
-    configs = {"NL-DOUBLING": NL_DOUBLING, "HOELDER": HOELDER}
-    return (system_from_config(configs[name]) if name in configs
-            else make_preset(name))
-
-
 @pytest.mark.parametrize("name",
                          preset_names() + ["NL-DOUBLING", "HOELDER"])
 def test_a_root_does_not_depend_on_its_batch(name):
     # an image end whose step rounds out of the element (SYS-C's branch 1
     # at 1/3) and points that need Newton (HOELDER's branch 0 near 0)
     # leave every other root as it is; a scalar y is solved as [y] is
-    sys = _system(name)
+    sys = system(name)
     for i in range(sys.m):
         lo, hi = sys.image_interval(i)
         y = np.concatenate([np.linspace(lo, hi, 257), _test_points(sys, i)[-8:],
@@ -260,7 +242,7 @@ def test_root_written_into_out_keeps_the_bits(name, i):
     # one case per start: SYS-C's branch 0 keeps the affine step; branch 1's
     # step rounds out of its element at its image ends, which the points
     # hold, and is clipped; NL-DOUBLING starts from its table
-    sys = _system(name)
+    sys = system(name)
     y = _test_points(sys, i)
     want = _each(lambda v: sys.inverse_branch(i, v), y)
     out = np.full(y.shape, np.nan)

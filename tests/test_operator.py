@@ -6,25 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from conftest import element_sets
+from conftest import element_sets, system
 from gibbsflow.cli import _write_csv, run
 from gibbsflow.operator import (
     BranchPlan, GridFunction, apply_L, c6_bound, deep_apply, eigendata, hoelder_seminorm,
     node_grid, norm_b, transfer_matrix,
 )
-from gibbsflow.presets import make_preset
 
 N = 512
 
 
 @pytest.fixture(scope="module")
 def eig_a():
-    return eigendata(make_preset("SYS-A"), 0.0, N=N)
+    return eigendata(system("SYS-A"), 0.0, N=N)
 
 
 @pytest.fixture(scope="module")
 def eig_b():
-    return eigendata(make_preset("SYS-B"), 0.0, N=N)
+    return eigendata(system("SYS-B"), 0.0, N=N)
 
 
 def test_sys_a_eigendata(eig_a):
@@ -40,14 +39,14 @@ def test_sys_a_eigendata(eig_a):
 
 def test_sys_a_sigma_one():
     # r = 1 shifts the eigenvalue by e^{-sigma}
-    eig = eigendata(make_preset("SYS-A"), 1.0, N=256)
+    eig = eigendata(system("SYS-A"), 1.0, N=256)
     assert eig.lam == pytest.approx(2.0 / math.e, rel=1e-11)
     assert np.max(np.abs(eig.f.values - 1.0)) < 1e-9
 
 
 def test_bernoulli_eigenvalue():
     # potential log(p), log(1-p): P_0 1 = 1, so lambda = 1 and pressure 0
-    eig = eigendata(make_preset("SYS-A-BERNOULLI"), 0.0, N=256)
+    eig = eigendata(system("SYS-A-BERNOULLI"), 0.0, N=256)
     assert eig.lam == pytest.approx(1.0, abs=1e-11)
     assert eig.pressure == pytest.approx(0.0, abs=1e-11)
 
@@ -68,7 +67,7 @@ def test_eigen_report_residual_is_that_of_a_fresh_transfer_matrix(
     assert run(str(cfg), out_dir=str(tmp_path / "out")) == 0
     rep = json.loads((tmp_path / "out" / "eigen.json").read_text())
     f = np.load(tmp_path / "out" / "f.npy", allow_pickle=False).reshape(-1)
-    P = transfer_matrix(make_preset(preset), 0.5, 1025)
+    P = transfer_matrix(system(preset), 0.5, 1025)
     assert rep["residual"] == float(
         np.max(np.abs(P @ f - rep["lambda"] * f)) / np.max(f))
 
@@ -200,7 +199,7 @@ def test_c6_bound_sys_a(eig_a):
 
 
 def test_c6_bound_dominates(eig_b):
-    eig1 = eigendata(make_preset("SYS-B"), 0.5, N=256)
+    eig1 = eigendata(system("SYS-B"), 0.5, N=256)
     c6 = c6_bound(eig1)
     ratio = float(eig1.f.values.max() / eig1.f.values.min())
     assert c6 >= ratio - 1e-12
@@ -257,13 +256,13 @@ def test_deep_apply_matches_matrix(eig_b):
 
 @pytest.mark.parametrize("name", ["SYS-B", "SYS-C", "SYS-C-NLROOF",
                                   "NL-DOUBLING"])
-def test_branch_plan_maps_one_to_exactly_one(name, nl_doubling):
+def test_branch_plan_maps_one_to_exactly_one(name):
     # cone_iteration's d = 1 - u takes L_sigma 1 = 1 exactly: at b = 0 each
     # point's sum of J_w adds its terms as its normaliser does, and a real
     # quotient of equal numbers is 1.  Divided as complex numbers it was
     # 1.1e-16 off on each of these systems, and with a lone column summed
     # pairwise 2.3e-14 off on SYS-C-NLROOF's one-point sets at depth 10
-    sys = nl_doubling if name == "NL-DOUBLING" else make_preset(name)
+    sys = system(name)
     ends = [sys.element_interval(e) for e in range(sys.m)]
     grids = [np.linspace(lo, hi, 33) for lo, hi in ends]
     points = [np.array([lo + 0.37 * (hi - lo)]) for lo, hi in ends]
@@ -281,7 +280,7 @@ def test_branch_plan_maps_one_to_exactly_one(name, nl_doubling):
 
 def test_deep_apply_twist_phase_exact():
     # SYS-A roof 1: L_{ib}^n v = e^{-ibn} L_0^n v exactly
-    eig = eigendata(make_preset("SYS-A"), 0.0, N=128)
+    eig = eigendata(system("SYS-A"), 0.0, N=128)
     xs = np.linspace(0.0, 0.999, 57)
     b, n = 2 * np.pi, 3
     out = deep_apply(eig.system, eig, b, n, element_sets(eig.system, xs),
@@ -390,7 +389,7 @@ def test_csv_bytes_match_csv_writer_on_repeated_and_special_values(tmp_path):
 
 
 def test_l_matrix_cache_holds_the_latest_b():
-    eig = eigendata(make_preset("SYS-B"), 0.0, N=64)
+    eig = eigendata(system("SYS-B"), 0.0, N=64)
     eig.L_matrix(3.0)
     M = eig.L_matrix(5.0)
     assert list(eig._lmat_cache) == [5.0]

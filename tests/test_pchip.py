@@ -9,17 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from conftest import NL_DOUBLING
+from conftest import SYSTEMS, system
 from gibbsflow.dolgopyat import _window_nodes
 from gibbsflow.operator import GridFunction, _ElementwisePchip, node_grid
-from gibbsflow.presets import make_preset, preset_names
-from gibbsflow.system import system_from_config
-
-SYSTEMS = list(preset_names()) + ["NL-DOUBLING"]
-
-
-def _system(name):
-    return system_from_config(NL_DOUBLING) if name == "NL-DOUBLING" else make_preset(name)
 
 
 def _oracle(sys, nodes, values, x):
@@ -70,7 +62,7 @@ def _probe_points(sys, nodes, rng):
 @pytest.mark.parametrize("N", [2, 3, 256])
 @pytest.mark.parametrize("cplx", [False, True])
 def test_grid_function_eval_matches_per_element_oracle(name, N, cplx):
-    sys = _system(name)
+    sys = system(name)
     rng = np.random.default_rng(N)
     nodes = node_grid(sys, N)
     v = GridFunction(sys, _values(nodes, rng, cplx))
@@ -84,7 +76,7 @@ def test_grid_function_eval_matches_per_element_oracle(name, N, cplx):
 
 @pytest.mark.parametrize("name", ["SYS-B", "SYS-C", "NL-DOUBLING"])
 def test_windowed_node_sets_match_per_element_oracle(name):
-    sys = _system(name)
+    sys = system(name)
     rng = np.random.default_rng(3)
     # one window straddles the first interior partition point
     p1 = sys.partition[1]
@@ -102,7 +94,7 @@ def test_windowed_node_sets_match_per_element_oracle(name):
 
 
 def test_node_sets_that_miss_their_element_are_refused():
-    sys = make_preset("SYS-C")
+    sys = system("SYS-C")
     nodes = [np.linspace(*sys.element_interval(e), 9) for e in range(sys.m)]
     values = [np.ones(9) for _ in range(sys.m)]
     _ElementwisePchip(sys, nodes, values)
@@ -184,7 +176,7 @@ def test_coefficients_are_scipy_pchip_coefficients_side_by_side(name, cplx,
                                                                 data):
     # ragged non-uniform node sets of 2-40 nodes per element; each element
     # and part must have the bytes of its own PchipInterpolator
-    sys = _system(name)
+    sys = system(name)
     sizes = data.draw(st.lists(st.integers(2, 40), min_size=sys.m,
                                max_size=sys.m), label="sizes")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),

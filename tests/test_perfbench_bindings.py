@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import gibbsflow.cli  # noqa: F401  (loads every module the tracer wraps)
-from conftest import NL_DOUBLING
-from gibbsflow.presets import make_preset
+from conftest import NL_DOUBLING, system
 from gibbsflow.system import system_from_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,7 +73,7 @@ def test_every_name_the_probes_import_exists():
 def test_the_private_reads_give_the_pieces_values():
     # the tracer's residual check reads sys._T[i], probe.roof_expr_1pt
     # times sys._r[0](x=0.3)
-    for sys in (make_preset("SYS-B"), system_from_config(NL_DOUBLING)):
+    for sys in (system("SYS-B"), system("NL-DOUBLING")):
         for i in range(sys.m):
             z = sys.inverse_branch(i, np.linspace(*sys.image_interval(i), 257))
             assert sys._T[i](x=z).tobytes() == sys.T[i].value(x=z).tobytes()

@@ -11,7 +11,7 @@ as ``sys._r[e]`` cannot grow back in another module.
 import ast
 from pathlib import Path
 
-from gibbsflow.presets import make_preset
+from conftest import system
 from gibbsflow.system import MarkovSystem
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _private_names() -> set[str]:
     """The class's private names and those a built system sets."""
-    names = set(vars(MarkovSystem)) | set(vars(make_preset("SYS-C")))
+    names = set(vars(MarkovSystem)) | set(vars(system("SYS-C")))
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 

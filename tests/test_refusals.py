@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import system
 from gibbsflow.cli import main
 from gibbsflow.expr import parse
 from gibbsflow.flow import BATCHES, correlation, sample_flow_measure
@@ -20,11 +21,6 @@ from gibbsflow.presets import make_preset
 from gibbsflow.system import (MarkovSystem, NotMarkovError, Piece, pullback,
                               system_from_config, validate, word_array)
 from gibbsflow.uni import transversal_scales, uni_from_transversality
-
-
-@pytest.fixture(scope="module")
-def sys_b():
-    return make_preset("SYS-B")
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +67,9 @@ _SPLIT = {"partition": [0.0, 0.25, 0.5, 0.75, 1.0],
                  id="alpha-1.5"),
     pytest.param(lambda: _markov(images=[(0, 2), (1, 3)]), NotMarkovError,
                  r"\(1, 3\) out of bounds", id="image-range"),
-    pytest.param(lambda: word_array(make_preset("SYS-B"), 0), ValueError,
+    pytest.param(lambda: word_array(system("SYS-B"), 0), ValueError,
                  "depth must be >= 1", id="word-array-depth-0"),
-    pytest.param(lambda: pullback(make_preset("SYS-B"), np.empty((1, 0)),
+    pytest.param(lambda: pullback(system("SYS-B"), np.empty((1, 0)),
                                   np.array([0.5])),
                  ValueError, "depth must be >= 1", id="pullback-depth-0"),
 ])

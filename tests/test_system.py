@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (NL_DOUBLING, column_layout, cylinder_list,
+from conftest import (SYSTEMS, column_layout, cylinder_list,
                       cylinder_masses, element_sets, engine, jacobian_weight,
-                      mass_layout, preset_config, suffixes)
+                      mass_layout, preset_config, suffixes, system)
 from gibbsflow.gibbs import gibbs_audit
 from gibbsflow.operator import BranchPlan, deep_apply, eigendata, node_grid
-from gibbsflow.presets import make_preset, preset_names
+from gibbsflow.presets import preset_names
 from gibbsflow.gibbs import _mass_tables
 from gibbsflow.system import (
     FIELDS, CapExceededError, MarkovSystem, NoConvergenceError,
@@ -18,12 +18,11 @@ from gibbsflow.system import (
     branch_chain, column_blocks, cylinders, pullback, sampled_seminorm,
     symbol_trees, system_from_config, validate, word_array,
 )
-from gibbsflow.expr import parse
 from gibbsflow.uni import check_uni
 
 def test_presets_validate():
     for name in preset_names():
-        sys = make_preset(name)
+        sys = system(name)
         assert validate(sys).ok
         c = sys.constants
         assert c.lam > 1
@@ -31,7 +30,7 @@ def test_presets_validate():
 
 
 def test_sys_a_constants():
-    sys = make_preset("SYS-A")
+    sys = system("SYS-A")
     c = sys.constants
     assert c.lam == pytest.approx(2.0, abs=1e-12)
     assert c.rho == pytest.approx(2.0, abs=1e-12)
@@ -41,12 +40,12 @@ def test_sys_a_constants():
 
 def test_sys_b_c4():
     # sup |D(r o h)| = sup |r'| / inf |T'| = (2 pi / 3) / 2 = pi / 3
-    assert make_preset("SYS-B").constants.c4 == pytest.approx(math.pi / 3,
+    assert system("SYS-B").constants.c4 == pytest.approx(math.pi / 3,
                                                               rel=1e-5)
 
 
 def test_sys_c_structure():
-    sys = make_preset("SYS-C")
+    sys = system("SYS-C")
     assert validate(sys).ok
     assert sys.constants.lam == pytest.approx(2.0, abs=1e-12)
     assert sys.constants.rho == pytest.approx(3.0, abs=1e-12)
@@ -58,7 +57,7 @@ def test_sys_c_structure():
 def test_system_constants_sys_b_closed_forms():
     # |T'| = 2, r = (2 + cos 2 pi x)/3: C4 = sup |r'| / 2 = pi/3, C7 =
     # max{2 C4 rho / (1 - 1/lam), (1 - 1/lam) C4} = 8 pi/3, r in [1/3, 1]
-    c = make_preset("SYS-B").constants
+    c = system("SYS-B").constants
     assert c.lam == 2.0 and c.rho == 2.0
     assert c.c4 == pytest.approx(math.pi / 3, abs=1e-6)
     assert c.c7 == pytest.approx(8 * math.pi / 3, rel=1e-6)
@@ -75,7 +74,7 @@ def test_system_constants_nl_doubling_closed_forms(nl_doubling):
 
 
 def test_system_constants_constant_roof():
-    c = make_preset("SYS-A").constants
+    c = system("SYS-A").constants
     assert c.c4 == 0.0 and c.c7 == 0.0
     assert c.semi_r == 0.0
 
@@ -112,7 +111,7 @@ def test_sampled_seminorm_against_all_pairs(n, kind):
 
 
 def test_system_constants_are_cached():
-    sys = make_preset("SYS-B")
+    sys = system("SYS-B")
     c = sys.constants
     assert sys.constants is c
     # validate reads the same scan
@@ -169,7 +168,7 @@ def test_unknown_config_key_rejected():
 
 def test_cylinders_partition_unit_interval():
     for name in ("SYS-A", "SYS-C"):
-        sys = make_preset(name)
+        sys = system(name)
         for n in (1, 2, 3, 5):
             _, left, right = cylinders(sys, n)
             order = np.argsort(left)
@@ -181,7 +180,7 @@ def test_cylinders_partition_unit_interval():
 
 
 def test_cylinder_count_sys_a():
-    sys = make_preset("SYS-A")
+    sys = system("SYS-A")
     words, left, right = cylinders(sys, 8)
     assert words.shape == (256, 8) and left.shape == right.shape == (256,)
     with pytest.raises(CapExceededError):
@@ -189,11 +188,10 @@ def test_cylinder_count_sys_a():
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
-@pytest.mark.parametrize("name", preset_names() + ["NL-DOUBLING"])
+@pytest.mark.parametrize("name", SYSTEMS)
 def test_cylinders_equal_the_cylinder_objects(name, n):
     # the arrays in word order hold the bits of one object per cylinder
-    sys = (system_from_config(NL_DOUBLING) if name == "NL-DOUBLING"
-           else make_preset(name))
+    sys = system(name)
     words, left, right = cylinders(sys, n)
     want = sorted(cylinder_list(sys, n), key=lambda c: c.word)
     assert words.tolist() == [list(c.word) for c in want]
@@ -202,7 +200,7 @@ def test_cylinders_equal_the_cylinder_objects(name, n):
 
 
 def test_inverse_branch_residual():
-    sys = make_preset("SYS-C")
+    sys = system("SYS-C")
     for i in range(3):
         lo, hi = sys.image_interval(i)
         ys = np.linspace(lo, hi, 57)
@@ -213,7 +211,7 @@ def test_inverse_branch_residual():
 
 
 def test_branch_chain_consistency():
-    sys = make_preset("SYS-B")
+    sys = system("SYS-B")
     word = (0, 1, 1, 0)
     ys = np.linspace(0.05, 0.95, 11)
     ch = branch_chain(sys, word, ys)
@@ -237,13 +235,13 @@ def test_branch_chain_consistency():
 
 
 def test_pullback_orbit_sums_doubling():
-    sys = make_preset("SYS-A")
+    sys = system("SYS-A")
     # orbit 0.1 -> 0.2 -> 0.4 -> 0.8 -> 0.6 -> 0.2: symbols 0, 0, 0, 1, 1
     ch = branch_chain(sys, (0, 0, 0, 1, 1), 0.2)
     assert ch["x"][0] == pytest.approx(0.1, abs=1e-15)
     assert ch["Snr"][0] == pytest.approx(5.0)
     # potential log p / log (1-p): S_3 phi counts symbols
-    sysb = make_preset("SYS-A-BERNOULLI")
+    sysb = system("SYS-A-BERNOULLI")
     # orbit 0.3 -> 0.6 -> 0.2 -> 0.4: symbols 0, 1, 0
     ch = branch_chain(sysb, (0, 1, 0), 0.4)
     assert ch["x"][0] == pytest.approx(0.3, abs=1e-15)
@@ -252,7 +250,7 @@ def test_pullback_orbit_sums_doubling():
 
 
 def test_inverse_branch_refuses_point_outside_image():
-    sys = make_preset("SYS-B")
+    sys = system("SYS-B")
     with pytest.raises(OutsideImageError):
         sys.inverse_branch(0, np.array([0.2, 1.5]))
     # within 1e-12 of the element width the point is accepted
@@ -298,16 +296,9 @@ def _close(got, want, rel=1e-13):
     assert np.max(np.abs(got - want)) <= rel * scale
 
 
-SYSTEMS = preset_names() + ["NL-DOUBLING"]
-
-
-def _system(name, nl_doubling):
-    return nl_doubling if name == "NL-DOUBLING" else make_preset(name)
-
-
 @pytest.mark.parametrize("name", SYSTEMS)
-def test_pullback_engine_matches_per_word_chains(name, nl_doubling):
-    sys = _system(name, nl_doubling)
+def test_pullback_engine_matches_per_word_chains(name):
+    sys = system(name)
     for n in range(1, 7):
         words = word_array(sys, n)
         # every admissible word once, in lexicographic order
@@ -352,8 +343,8 @@ def _edge_points(sys):
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
-def test_element_of_matches_searchsorted(name, nl_doubling):
-    sys = _system(name, nl_doubling)
+def test_element_of_matches_searchsorted(name):
+    sys = system(name)
     edges = _edge_points(sys)
     got = sys.element_of(edges)
     assert got.dtype == np.intp
@@ -369,10 +360,10 @@ def test_element_of_matches_searchsorted(name, nl_doubling):
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
-def test_piecewise_matches_boolean_masks(name, nl_doubling):
+def test_piecewise_matches_boolean_masks(name):
     # the split by element index gives each point the bits of the
     # per-element mask loop
-    sys = _system(name, nl_doubling)
+    sys = system(name)
     edges = _edge_points(sys)
     x = np.random.default_rng(1).random(100_000)
     x[:len(edges)] = edges
@@ -390,7 +381,7 @@ def test_piecewise_matches_boolean_masks(name, nl_doubling):
 def test_column_blocks_contract(nl_doubling, monkeypatch):
     import weakref
     import gibbsflow.system as system_mod
-    sys = make_preset("SYS-C")
+    sys = system("SYS-C")
     eig = eigendata(sys, 0.5, N=32)
     words = word_array(sys, 3)
     words = words[words[:, -1] != 1]  # symbol 1 ends no word
@@ -516,7 +507,7 @@ def test_callers_keep_their_bits_on_column_blocks(budget, monkeypatch):
     import gibbsflow.gibbs as gibbs_mod
     import gibbsflow.system as system_mod
     import gibbsflow.uni as uni_mod
-    sys = make_preset("SYS-C")
+    sys = system("SYS-C")
     eig = eigendata(sys, 0.5, N=64)
     nodes = [np.linspace(*sys.element_interval(e), 17) for e in range(sys.m)]
     fns = {"one": np.ones_like, "wave": lambda x: np.exp(3j * x)}
@@ -598,7 +589,6 @@ def _one_at_a_time(references, name, sys, eig, fields):
 @pytest.mark.parametrize("block", [1, 7, 1 << 16])
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_pullback_engine_keeps_the_bits_of_the_old_engine(name, block,
-                                                          nl_doubling,
                                                           references,
                                                           monkeypatch):
     # every (word, point) of a batched run has the bytes of that (word,
@@ -608,7 +598,7 @@ def test_pullback_engine_keeps_the_bits_of_the_old_engine(name, block,
     # affine step rounds out of its element (SYS-C's branch 1 at 1/3)
     import gibbsflow.system as system_mod
     monkeypatch.setattr(system_mod, "_BLOCK", block)
-    sys = _system(name, nl_doubling)
+    sys = system(name)
     whole = word_array(sys, 4)
     # every third word: on two symbols every other word is the words
     # ending in 0, whose parents are whole runs again
@@ -652,7 +642,7 @@ def test_a_yielded_J_is_gone_before_the_next_depth_is_built(monkeypatch):
     # lives while a depth is built
     import weakref
     import gibbsflow.system as system_mod
-    sys = make_preset("SYS-C-NLROOF")
+    sys = system("SYS-C-NLROOF")
     eig = eigendata(sys, 0.5, N=32)
     words = word_array(sys, 4)
     yielded = []  # ((batch, depth), weakref to J) of every J yielded
@@ -708,7 +698,7 @@ def test_a_yielded_J_is_gone_before_the_next_depth_is_built(monkeypatch):
 
 
 def test_pullback_engine_rejects_unsorted_words():
-    sys = make_preset("SYS-B")
+    sys = system("SYS-B")
     with pytest.raises(ValueError):
         pullback(sys, [(1, 0), (0, 0)], np.array([0.5]))
 
@@ -716,8 +706,8 @@ def test_pullback_engine_rejects_unsorted_words():
 @pytest.mark.parametrize("name,sigma", [("SYS-C-NLROOF", 0.5),
                                         ("SYS-A-BERNOULLI", 0.0),
                                         ("NL-DOUBLING", 0.0)])
-def test_cylinder_masses_match_per_word_jacobians(name, sigma, nl_doubling):
-    sys = _system(name, nl_doubling)
+def test_cylinder_masses_match_per_word_jacobians(name, sigma):
+    sys = system(name)
     eig = eigendata(sys, sigma, N=64)
     nodes = node_grid(sys, eig.N)
     table = cylinder_masses(sys, eig, 6)
@@ -752,8 +742,8 @@ def test_cylinder_masses_refuse_symbol_without_predecessor():
 
 @pytest.mark.parametrize("name,sigma,b", [("SYS-C-NLROOF", 0.5, 7.0),
                                           ("NL-DOUBLING", 0.0, 30.0)])
-def test_deep_apply_matches_per_word_jacobians(name, sigma, b, nl_doubling):
-    sys = _system(name, nl_doubling)
+def test_deep_apply_matches_per_word_jacobians(name, sigma, b):
+    sys = system(name)
     eig = eigendata(sys, sigma, N=64)
     n = 5
     xs = np.linspace(0.0, 1.0, 41)

@@ -1,38 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import (check_uni_loop, cone_image, jacobian_weight,
-                      last_depth, psi, transversal, tree_order)
+from conftest import (SYSTEMS, check_uni_loop, cone_image, jacobian_weight,
+                      last_depth, psi, system, transversal, tree_order)
 import gibbsflow.uni as uni_mod
 from gibbsflow.gibbs import FrequencyTooSmallError
 from gibbsflow.operator import eigendata
-from gibbsflow.presets import make_preset
 from gibbsflow.system import (OutsideImageError, branch_chain, column_sums,
                               word_array)
 from gibbsflow.uni import (_sweep, _tableau_runs, _y_grid, a_sequence,
                            b_sequence, check_uni, coboundary_test,
                            transversal_pair, transversal_scales,
                            uni_from_transversality)
-
-
-@pytest.fixture(scope="module")
-def sys_a():
-    return make_preset("SYS-A")
-
-
-@pytest.fixture(scope="module")
-def sys_b():
-    return make_preset("SYS-B")
-
-
-@pytest.fixture(scope="module")
-def sys_c():
-    return make_preset("SYS-C")
-
-
-@pytest.fixture(scope="module")
-def sys_lin():
-    return make_preset("SYS-A-LINROOF")
 
 
 @pytest.fixture(scope="module")
@@ -156,16 +135,11 @@ def test_constant_roof_never_transversal(sys_a):
 
 
 def test_sys_b_has_a_transversal_sibling_pair(sys_b):
-    found = False
-    for n in (3, 4, 5):
-        ys = np.linspace(0.05, 0.95, 7)
-        for y in ys:
-            words = word_array(sys_b, n).tolist()
-            for i in range(len(words)):
-                for j in range(i + 1, len(words)):
-                    if transversal(sys_b, words[i], words[j], y):
-                        found = True
-    assert found
+    cases = ((words[i], words[j], y)
+             for n in (3, 4, 5) for words in [word_array(sys_b, n).tolist()]
+             for y in np.linspace(0.05, 0.95, 7)
+             for i in range(len(words)) for j in range(i + 1, len(words)))
+    assert any(transversal(sys_b, *case) for case in cases)
 
 
 def test_check_uni_positive_for_sys_b(sys_b, monkeypatch):
@@ -344,20 +318,12 @@ def _preimage_tableau(sys, eig, n, ys):
     return words, lo, hi, J, norm
 
 
-SWEEP_SYSTEMS = ["SYS-A", "SYS-B", "SYS-C", "SYS-A-BERNOULLI", "SYS-A-LINROOF",
-                 "SYS-C-NLROOF", "NL-DOUBLING"]
-
-
-def _system(name, nl_doubling):
-    return nl_doubling if name == "NL-DOUBLING" else make_preset(name)
-
-
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
-@pytest.mark.parametrize("name", SWEEP_SYSTEMS)
-def test_sweep_matches_column_loop(name, sigma, nl_doubling):
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_sweep_matches_column_loop(name, sigma):
     # same runs, same endpoint order: b keeps its bits; a sums the
     # weights in another order, so it may move by an ulp or two
-    s = _system(name, nl_doubling)
+    s = system(name)
     eig = eigendata(s, sigma, N=256)
     a_ref, b_ref = _column_loop_sequences(s, eig, 6, 64)
     assert b_sequence(s, eig, 6, grid=64) == b_ref
@@ -366,15 +332,14 @@ def test_sweep_matches_column_loop(name, sigma, nl_doubling):
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
-@pytest.mark.parametrize("name", SWEEP_SYSTEMS)
-def test_blocks_are_slices_of_the_nan_tableau(name, sigma, nl_doubling,
-                                              monkeypatch):
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_blocks_are_slices_of_the_nan_tableau(name, sigma, monkeypatch):
     # the runs take the held columns in order, each exactly once; a run is
     # a stretch of ys held by one set of symbols, its rows those symbols'
     # words in tree order, lo and hi the tableau's cells and w its J over
     # the engine's normaliser, bit for bit; at 97 cells a run, depth-6 runs
     # are one column wide
-    s = _system(name, nl_doubling)
+    s = system(name)
     eig = eigendata(s, sigma, N=256)
     for block in (uni_mod._SWEEP_BLOCK, 97):
         monkeypatch.setattr(uni_mod, "_SWEEP_BLOCK", block)
@@ -429,14 +394,13 @@ def test_blocks_pull_each_symbol_back_once(sys_c, monkeypatch):
 
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
 @pytest.mark.parametrize("name", ["SYS-C", "SYS-C-NLROOF", "NL-DOUBLING"])
-def test_sequences_keep_their_bits_across_budgets(name, sigma, nl_doubling,
-                                                  monkeypatch):
+def test_sequences_keep_their_bits_across_budgets(name, sigma, monkeypatch):
     # a(n) and b(n) with the whole tableau in one block, at the default
     # budget, and at a budget that shares depth 1 alone and runs every
     # deeper depth on column blocks, with runs of the sweep's cells and of
     # 97 cells: bit for bit
     import gibbsflow.system as system_mod
-    s = _system(name, nl_doubling)
+    s = system(name)
     eig = eigendata(s, sigma, N=128)
     resumed = []
 
@@ -494,9 +458,9 @@ ORACLE_SYSTEMS = ["SYS-B", "SYS-C", "SYS-C-NLROOF", "NL-DOUBLING"]
 
 
 @pytest.mark.parametrize("name", ORACLE_SYSTEMS + ["SYS-A"])
-def test_check_uni_equals_the_pair_loop(name, nl_doubling, monkeypatch):
+def test_check_uni_equals_the_pair_loop(name, monkeypatch):
     # D_full and D_point as the loop over word-tuple pairs finds them
-    s = _system(name, nl_doubling)
+    s = system(name)
     monkeypatch.setattr(uni_mod, "_GRID", 96)
     for n, R in ((1, 0.1), (2, 0.1), (3, 0.02), (4, 0.5)):
         assert check_uni(s, n, R) == check_uni_loop(s, n, R, 96)
@@ -534,7 +498,7 @@ def test_b_sequence_reuses_the_tableaux_of_a_sequence(sys_b, monkeypatch):
     assert calls
 
 
-def test_sequences_match_the_benchmark_reference(nl_doubling):
+def test_sequences_match_the_benchmark_reference():
     # the CLI sizes (n_max 8, grid 128, N = 256, sigma 0) of the uni steps
     # in perfbench/workloads.py, against perfbench/reference.json at the
     # 1e-12 tolerance of its correctness gate
@@ -543,7 +507,7 @@ def test_sequences_match_the_benchmark_reference(nl_doubling):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
     ref = json.loads(path.read_text(encoding="utf-8"))
     for name in ("SYS-C-NLROOF", "NL-DOUBLING"):
-        s = _system(name, nl_doubling)
+        s = system(name)
         eig = eigendata(s, 0.0, N=256)
         want = ref[f"uni:{name}:n_max=8"]
         for got, exp in ((a_sequence(s, eig, 8, grid=128), want["a"]),
@@ -557,7 +521,7 @@ def test_the_tableau_holds_one_column_block_at_a_time():
     # tracemalloc; runs that kept a block's Pullbacks while the engine built
     # the next block peaked at 11.8 MiB
     import tracemalloc
-    s = make_preset("SYS-C-NLROOF")
+    s = system("SYS-C-NLROOF")
     eig = eigendata(s, 0.0, N=256)
     tracemalloc.start()
     try:
@@ -588,12 +552,6 @@ def test_linear_roof_coboundary_closed_form(sys_lin):
     assert rep["residual"] < 1e-8
     assert rep["chi"][0] == pytest.approx(1.0, abs=1e-8)
     assert rep["chi"][1] == pytest.approx(0.5, abs=1e-8)
-
-
-def test_sys_b_is_not_coboundary(sys_b):
-    rep = coboundary_test(sys_b, J_trunc=40, tol=1e-6)
-    assert not rep["cohomologous"]
-    assert rep["residual"] > 10 * rep["tol"]
 
 
 def test_coboundary_residual_stable_under_truncation(sys_b):
