@@ -19,7 +19,11 @@ which starts each interval search at the previous point's interval,
 evaluates f along monotone runs.  Branch i lands in element i, so grouping
 the new states by chosen branch keeps them ascending with no float sort.
 Each state is solved and weighed on its own, so no value depends on the
-order.
+order.  A count runs on ceil(count / 32) chains, each emitting at most 32
+states, every 10th after a burn-in from mu_N long enough that every
+cylinder of its depth is at most 2^-53 long: the least k that some
+d = 1..4 certifies through the d-step expansion inf |(T^d)'| of
+``MarkovSystem.expansion`` (``_burn_in``).
 
 The adapted partition is walked on arrays of words and cylinder ends, one
 level at a time, through the children of the cylinders still too long.
@@ -27,6 +31,7 @@ level at a time, through the children of the cylinders still too long.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -181,12 +186,31 @@ def _backward_step(sys: MarkovSystem, eig: EigenData, x: np.ndarray):
 
 
 def _burn_in(sys: MarkovSystem) -> int:
-    """k = ceil(53 / log2 lam) with lam = inf |T'| from ``sys.constants``:
-    every depth-k cylinder is then at most 2^-53 long (see ``sample_mu``)."""
-    lam = sys.constants.lam
-    if lam <= 1.0:
-        raise NotExpandingError(f"inf |T'| = {lam} <= 1")
-    return math.ceil(53 / math.log2(lam))
+    """The least k with floor(k/d) log2 Lambda_d + (k mod d) log2 lam >= 53
+    for some d = 1, 2, ..., where Lambda_d = inf |(T^d)'| is
+    ``sys.expansion[d - 1]`` and lam = Lambda_1 = inf |T'|: every depth-k
+    cylinder is then at most Lambda_d^-floor(k/d) lam^-(k mod d) <= 2^-53
+    long (see ``sample_mu``).  d = 1 alone gives ceil(53 / log2 lam), so
+    k is never above it; on NL-DOUBLING d = 4 gives 72 where d = 1 gives
+    168.  A d with Lambda_d <= 1 certifies nothing and is skipped.  Each
+    of the ceil(count / _EMITS) chains of ``sample_mu`` runs these k steps
+    before its first emit."""
+    blocks = sys.expansion
+    if blocks[0] <= 1.0:
+        raise NotExpandingError(f"inf |T'| = {blocks[0]} <= 1")
+    step = math.log2(blocks[0])
+    return next(k for k in itertools.count(1) if any(
+        (k // d) * math.log2(big) + (k % d) * step >= 53
+        for d, big in enumerate(blocks, start=1) if big > 1.0))
+
+
+# the most states a chain of sample_mu emits.  A step costs about as much
+# for a few hundred chains as for a few thousand (numpy's per-call overhead
+# leads), so the steps a count takes, burn-in + 10 emits, fall with the
+# emits per chain, while the burn-in's share of the chains' work grows:
+# 32 emits take 373 steps on SYS-B and 392 on NL-DOUBLING, a burn-in share
+# of 14 % and 18 %
+_EMITS = 32
 
 
 def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
@@ -199,13 +223,17 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
     normalised operator L_sigma, so E g(x_{j+1}) = E (L_sigma g)(x_j).
 
     Each chain starts from mu_N, the node weights ``eig.mu`` of the
-    eigendata, and runs k = ceil(53 / log2 lam) steps of burn-in, lam =
-    inf |T'| from ``sys.constants`` (53 on the doubling map).  Then E g(x_k)
-    = mu_N(L^k g), while mu(L^k g) = mu(g) by invariance.  For A a union of
-    depth-k cylinders, L^k 1_A = sum over words w inside A of J_w is smooth,
-    so |P(x_k in A) - mu(A)| is the quadrature error of mu_N on a smooth
-    function, the discretisation error the eigendata already has.  Every
-    depth-k cylinder is at most lam^-k <= 2^-53 long, so every interval is
+    eigendata, and runs the k steps of burn-in ``_burn_in`` certifies (53
+    on the doubling map, 72 on NL-DOUBLING).  Then E g(x_k) = mu_N(L^k g),
+    while mu(L^k g) = mu(g) by invariance.  For A a union of depth-k
+    cylinders, L^k 1_A = sum over words w inside A of J_w is smooth, so
+    |P(x_k in A) - mu(A)| is the quadrature error of mu_N on a smooth
+    function, the discretisation error the eigendata already has.  A
+    depth-k cylinder is mapped by T^k onto an interval of length <= 1, and
+    (T^k)' splits into floor(k/d) runs of d steps and k mod d single steps,
+    so for the d ``_burn_in`` found every depth-k cylinder is at most
+    Lambda_d^-floor(k/d) lam^-(k mod d) <= 2^-53 long, Lambda_d = inf
+    |(T^d)'| and lam = inf |T'| (``sys.expansion``); so every interval is
     such a union up to its two end cylinders.  From a fixed start x0 the
     depth-k word of x_k has law J_w(x0) instead, which differs from mu[w]
     whenever J_w depends on x: no number of steps certifies that start.
@@ -228,14 +256,15 @@ def sample_mu(sys: MarkovSystem, eig: EigenData, count: int,
     chain's uniform, so no sample depends on the order.
 
     After burn-in every 10th state is emitted; ``count`` samples run on
-    min(max(1, count // 64), 4096) independent chains in parallel, all from
-    one seed stream (the start, then one uniform per chain per step).
+    ceil(count / _EMITS) independent chains in parallel, so each chain
+    emits at most _EMITS states, all from one seed stream (the start, then
+    one uniform per chain per step).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     thin = 10
-    chains = int(min(max(1, count // 64), 4096))
-    per = -(-count // chains)  # emits per chain
+    chains = -(-count // _EMITS)
+    per = -(-count // chains)  # emits per chain, at most _EMITS
     burn_in = _burn_in(sys)
     rng = np.random.default_rng(seed)
     start = rng.choice(eig.f.nodes.reshape(-1), size=chains,

@@ -31,7 +31,9 @@ the benchmark harness in perfbench/.
 The constants every estimate runs on (lam = inf|T'|, rho = sup|T'|, C4,
 C7, the roof range and the Hoelder seminorms of phi and r) come from
 one scan of the system, cached as ``MarkovSystem.constants``; no other
-module scans the expressions for them.  Every Hoelder seminorm of sampled
+module scans the expressions for them.  The d-step expansions
+inf |(T^d)'| that certify the sampler's burn-in come from a second scan,
+cached as ``MarkovSystem.expansion``.  Every Hoelder seminorm of sampled
 values, there and in the other modules, is one ``sampled_seminorm``.
 
 Inverse branches of every depth are computed by one engine, ``_Run``:
@@ -83,6 +85,10 @@ __all__ = [
 _INVERSE_NODES = 8193
 # equally spaced points per element of the scan behind MarkovSystem.constants
 _SCAN = 2048
+# the most steps of T whose joint expansion MarkovSystem.expansion scans:
+# on NL-DOUBLING, whose |T'| is least where it is large one step later, the
+# sampler's burn-in certified by 1, 2, 4 and 5 steps is 168, 73, 72 and 70
+_EXPANSION_STEPS = 4
 # evenly spaced sample indices, ends included, whose pairs sampled_seminorm
 # takes all of
 _COARSE = 65
@@ -234,6 +240,15 @@ class MarkovSystem:
     def constants(self) -> SystemConstants:
         """The system's constants, scanned on first use (SystemConstants)."""
         return _scan_constants(self)
+
+    @cached_property
+    def expansion(self) -> tuple[float, ...]:
+        """Lambda_d = inf |(T^d)'| for d = 1.._EXPANSION_STEPS, over the
+        constants' scan points each carried d steps forward
+        (``_scan_expansion``), scanned on first use.  Only the sampler's
+        burn-in reads it, so it is kept apart from ``constants``, which
+        many runs that never sample read."""
+        return _scan_expansion(self)
 
     # the compiled T_i and r_i, for perfbench/ alone (tracer and probes)
     _T = property(lambda self: [p.value for p in self.T])
@@ -499,6 +514,30 @@ def _scan_constants(sys: MarkovSystem) -> SystemConstants:
                            roof_sup=r_sup, semi_r=semi_r,
                            semi_phi=potential_seminorm(sys, 0.0),
                            monotone=tuple(monotone))
+
+
+def _scan_expansion(sys: MarkovSystem) -> tuple[float, ...]:
+    """The scan behind ``MarkovSystem.expansion``: each point x of the
+    constants' scan of element i is carried forward, through T_i and then
+    through the branch of the element each image lies in (left-closed), and
+    Lambda_d is the least of |T'(x)| |T'(Tx)| ... |T'(T^{d-1} x)| over the
+    points.  Lambda_1 is the scan's inf |T'|, ``constants.lam``, to the
+    bit."""
+    x = np.concatenate([np.linspace(*sys.element_interval(i), _SCAN)
+                        for i in range(sys.m)])
+    elem = np.repeat(np.arange(sys.m), _SCAN)
+    jacobian = np.ones_like(x)
+    least = []
+    for _ in range(_EXPANSION_STEPS):
+        nxt = np.empty_like(x)
+        for i in range(sys.m):
+            k = np.flatnonzero(elem == i)
+            if k.size:
+                jacobian[k] *= np.abs(sys.T[i].deriv(x=x[k]))
+                nxt[k] = sys.T[i].value(x=x[k])
+        least.append(float(jacobian.min()))
+        x, elem = nxt, sys.element_of(nxt)
+    return tuple(least)
 
 
 def validate(sys: MarkovSystem) -> ValidationReport:

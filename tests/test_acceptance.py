@@ -122,7 +122,10 @@ def test_trichotomy_oscillating_side(sys_b):
     for sys in (sys_b, nl):
         assert coboundary_test(sys, J_trunc=40, tol=1e-6)["residual"] > 1e-5
         eig = eigendata(sys, 0.0, N=256)
-        assert any(v < 1.0 - 1e-9 for v in a_sequence(sys, eig, 10, grid=512))
+        # a(n) first drops below 1 at n = 5 on both systems (0.8125 on
+        # SYS-B, 0.900 on SYS-C-NLROOF); depths 8-10 cost seconds and could
+        # only add a witness, so n <= 7 asks for the same drop sooner
+        assert any(v < 1.0 - 1e-9 for v in a_sequence(sys, eig, 7, grid=512))
         found = False
         for n in (2, 3, 4):
             for w1, w2 in sibling_pairs(sys, n):

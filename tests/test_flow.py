@@ -107,6 +107,12 @@ def test_batch_means_equal_boolean_masks(sys_b, eig_b, samples):
     cx, cu, cr = sample.xs, sample.us, sys_b.roof_at(sample.xs)
     v0 = f(x=cx, u=cu) + 0.0 * cx
     idx = np.arange(samples) % 32
+    # the layout the batches had before they were strided slices: a stable
+    # argsort of the labels, each batch a contiguous segment
+    order = np.argsort(idx, kind="stable")
+    ends = np.cumsum(np.bincount(idx, minlength=32))
+    segments = [slice(a, b) for a, b in zip(np.r_[0, ends[:-1]], ends)]
+    v0_sorted = v0[order]
     prev = 0.0
     for t, est, se in zip(ts, got.estimates, got.stderrs):
         cx, cu, cr = evolve_many(sys_b, cx, cu, cr, t - prev)
@@ -116,6 +122,11 @@ def test_batch_means_equal_boolean_masks(sys_b, eig_b, samples):
             np.mean(v0[idx == k] * wt[idx == k])
             - np.mean(v0[idx == k]) * np.mean(wt[idx == k])
             for k in range(32)])
+        ws = wt[order]
+        vw = v0_sorted * ws
+        assert np.array_equal(batch_est, [
+            np.mean(vw[seg]) - np.mean(v0_sorted[seg]) * np.mean(ws[seg])
+            for seg in segments])
         assert est == float(np.mean(batch_est))
         assert se == float(np.std(batch_est, ddof=1) / np.sqrt(32))
 
@@ -213,6 +224,29 @@ def test_sampler_deterministic_under_seed(sys_b, eig_b):
     s2 = sample_flow_measure(sys_b, eig_b, 2000, seed=11)
     assert np.array_equal(s1.xs, s2.xs)
     assert np.array_equal(s1.us, s2.us)
+
+
+def test_short_batch_draws_again_for_the_missing_points(sys_b, eig_b,
+                                                        monkeypatch):
+    # the first base batch sits where the roof is least, r = 1/3, so it
+    # keeps about half the points asked for; another batch, from the next
+    # seed, draws for the rest
+    import gibbsflow.flow as fl
+    calls, sample_mu = [], fl.sample_mu
+
+    def first_at_roof_min(sys, eig, count, seed):
+        calls.append((count, seed))
+        if len(calls) == 1:
+            return np.full(count, 0.5)
+        return sample_mu(sys, eig, count, seed)
+
+    monkeypatch.setattr(fl, "sample_mu", first_at_roof_min)
+    s = sample_flow_measure(sys_b, eig_b, 2000, seed=11)
+    assert len(calls) == 2 and calls[1][1] == 11 + 7919
+    assert calls[1][0] < calls[0][0]
+    assert len(s.xs) == len(s.us) == len(s.rs) == 2000
+    assert np.array_equal(s.rs, sys_b.roof_at(s.xs))
+    assert np.all(s.us < s.rs)
 
 
 # -- correlation -------------------------------------------------------------------

@@ -443,7 +443,7 @@ def test_sampler_seed_stability(eig_a):
 def _per_branch_sampler(sys, eig, count, seed):
     """The sampler one branch at a time, f evaluated per branch, from the
     mu_N start with the certified burn-in."""
-    chains = int(min(max(1, count // 64), 4096))
+    chains = -(-count // 32)
     per = -(-count // chains)
     rng = np.random.default_rng(seed)
     x = rng.choice(eig.f.nodes.reshape(-1), size=chains, p=eig.mu.reshape(-1))
@@ -479,9 +479,43 @@ def _per_branch_sampler(sys, eig, count, seed):
 
 
 def test_burn_in_certifies_double_precision(sys_b, nl_doubling):
-    # ceil(53 / log2 inf|T'|): inf|T'| = 2 on SYS-B, 2 - 0.24 pi on NL-DOUBLING
+    # inf |T'| = 2 on SYS-B; on NL-DOUBLING Lambda_d^(1/d) = 1.2460, 1.6635,
+    # 1.6286, 1.6995 for d = 1..4, and d = 4 certifies 18 runs of 4 steps,
+    # 72 steps (d = 1 alone, ceil(53 / log2(2 - 0.24 pi)), needs 168)
     assert _burn_in(sys_b) == 53
-    assert _burn_in(nl_doubling) == 168
+    assert [round(big ** (1 / d), 4) for d, big in
+            enumerate(nl_doubling.expansion, start=1)] == [
+                1.2460, 1.6635, 1.6286, 1.6995]
+    assert _burn_in(nl_doubling) == 72
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_burn_in_is_at_most_the_one_step_bound(name):
+    # d = 1 alone gives ceil(53 / log2 lam); every preset's branches are
+    # affine with |slope| >= 2 on every element, so no run of steps does
+    # better there
+    sys = system(name)
+    one_step = math.ceil(53 / math.log2(sys.constants.lam))
+    assert sys.expansion[0] == sys.constants.lam
+    assert _burn_in(sys) <= one_step
+    if all(piece.slope is not None for piece in sys.T):
+        assert _burn_in(sys) == one_step
+
+
+@pytest.mark.parametrize("name", ["NL-DOUBLING", "THREE"])
+def test_burn_in_orbits_expand_past_double_precision(name):
+    # independently of the scan: along the forward orbits of 10^4 random
+    # points, prod_{j<k} |T'(T^j x)| >= 2^53 at k = _burn_in
+    sys = system(name)
+    x = np.random.default_rng(43).random(10_000)
+    log2_jacobian = np.zeros_like(x)
+    for _ in range(_burn_in(sys)):
+        elem = sys.element_of(x)
+        for i in range(sys.m):
+            at = elem == i
+            log2_jacobian[at] += np.log2(np.abs(sys.T[i].deriv(x=x[at])))
+        x = sys.apply_T(x)
+    assert log2_jacobian.min() >= 53, log2_jacobian.min()
 
 
 @pytest.fixture(scope="module")
@@ -514,6 +548,25 @@ def test_sampler_equals_per_branch_steps(sampler_eigs, count):
         got = sample_mu(eig.system, eig, count, seed=7)
         want = _per_branch_sampler(eig.system, eig, count, seed=7)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [1, 32, 33, 1000, 3000])
+def test_sampler_emits_at_most_32_states_per_chain(sampler_eigs, count,
+                                                   monkeypatch):
+    # ceil(count / 32) chains, each stepped burn-in + 10 * emits times
+    eig = sampler_eigs["NL-DOUBLING"]
+    widths = []
+
+    def recording_step(sys, eig, x):
+        widths.append(len(x))
+        return _backward_step(sys, eig, x)
+
+    monkeypatch.setattr(gibbs, "_backward_step", recording_step)
+    xs = sample_mu(eig.system, eig, count, seed=7)
+    chains = math.ceil(count / 32)
+    emits, rest = divmod(len(widths) - _burn_in(eig.system), 10)
+    assert len(xs) == count and set(widths) == {chains}
+    assert rest == 0 and emits == math.ceil(count / chains) <= 32
 
 
 @pytest.mark.parametrize("name", ["SYS-B", "NL-DOUBLING", "TENT-0.5", "SYS-C",
