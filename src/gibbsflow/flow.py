@@ -135,14 +135,29 @@ class CorrelationSeries:
     window: tuple
 
 
+def _batch_means(a: np.ndarray) -> np.ndarray:
+    """The means of the BATCHES contiguous segments of a, in order: the
+    first len(a) % BATCHES are one element longer than the rest.  The
+    segments of each length are the rows of one reshape, and each row's
+    mean is one pairwise sum over it, as ``np.mean`` of the segment takes,
+    so every mean has that call's bits, in two reductions where a loop took
+    BATCHES."""
+    q, r = divmod(len(a), BATCHES)
+    cut = r * (q + 1)
+    return np.concatenate([a[:cut].reshape(r, q + 1).mean(1),
+                           a[cut:].reshape(BATCHES - r, q).mean(1)])
+
+
 def correlation(sys: MarkovSystem, eig: EigenData, v_expr: str, w_expr: str,
                 t_grid, samples: int, seed: int) -> CorrelationSeries:
     """Monte-Carlo correlation C(t) = E[v (w o X_t)] - E[v] E[w] of two
     observables in (x, u), with standard errors from BATCHES batch means and
     a weighted log-linear rate fit over the window where |C| > 3 SE.  Fewer
-    samples than batches are refused: a batch would be empty.  The sample
-    is flowed from one t to the next with its roof values carried along,
-    so each step reads the roof only where an orbit lands."""
+    samples than batches are refused: a batch would be empty.  Each t
+    takes its batch means of v (w o X_t) and of w o X_t in two reductions
+    each (``_batch_means``), the bits of one ``np.mean`` per batch.  The
+    sample is flowed from one t to the next with its roof values carried
+    along, so each step reads the roof only where an orbit lands."""
     if samples < BATCHES:
         raise ValueError(
             f"{samples} samples are fewer than the {BATCHES} batches")
@@ -154,15 +169,12 @@ def correlation(sys: MarkovSystem, eig: EigenData, v_expr: str, w_expr: str,
     sample = sample_flow_measure(sys, eig, samples, seed)
     # sample j belongs to batch j mod BATCHES: batch b is the strided slice
     # [b::BATCHES] of the sample, laid out as one contiguous segment, batch
-    # after batch; only the laid-out copy is kept
-    ends = np.cumsum([len(range(b, samples, BATCHES))
-                      for b in range(BATCHES)])
-    segments = [slice(a, b) for a, b in zip(np.r_[0, ends[:-1]], ends)]
+    # after batch (``_batch_means``); only the laid-out copy is kept
     cx, cu, cr = (np.concatenate([a[b::BATCHES] for b in range(BATCHES)])
                   for a in (sample.xs, sample.us, sample.rs))
     del sample
     v0 = np.broadcast_to(vf(x=cx, u=cu), cx.shape)
-    v0_means = [np.mean(v0[seg]) for seg in segments]
+    v0_means = _batch_means(v0)
 
     ests, ses = [], []
     prev_t = 0.0
@@ -170,10 +182,7 @@ def correlation(sys: MarkovSystem, eig: EigenData, v_expr: str, w_expr: str,
         cx, cu, cr = evolve_many(sys, cx, cu, cr, t - prev_t)
         prev_t = t
         wt = np.broadcast_to(wf(x=cx, u=cu), cx.shape)
-        vw = v0 * wt
-        batch_est = np.array([
-            np.mean(vw[seg]) - vm * np.mean(wt[seg])
-            for seg, vm in zip(segments, v0_means)])
+        batch_est = _batch_means(v0 * wt) - v0_means * _batch_means(wt)
         ests.append(float(np.mean(batch_est)))
         ses.append(float(np.std(batch_est, ddof=1) / math.sqrt(BATCHES)))
     ests = np.array(ests)

@@ -16,14 +16,16 @@ depth.
 The backward chain that samples mu holds its states in ascending order,
 so that each branch is solved on one slice of them, and scipy's PPoly,
 which starts each interval search at the previous point's interval,
-evaluates f along monotone runs.  Branch i lands in element i, so grouping
-the new states by chosen branch keeps them ascending with no float sort.
-Each state is solved and weighed on its own, so no value depends on the
-order.  A count runs on ceil(count / 32) chains, each emitting at most 32
-states, every 10th after a burn-in from mu_N long enough that every
-cylinder of its depth is at most 2^-53 long: the least k that some
-d = 1..4 certifies through the d-step expansion inf |(T^d)'| of
-``MarkovSystem.expansion`` (``_burn_in``).
+evaluates f along monotone runs.  On the doubling presets (SYS-A, SYS-B,
+SYS-A-LINROOF) f is 1 at every node at sigma = 0, and the sampler reads
+it without PPoly (``operator._ConstantRead``).  Branch i lands in element
+i, so grouping the new states by chosen branch keeps them ascending with
+no float sort.  Each state is solved and weighed on its own, so no value
+depends on the order.  A count runs on ceil(count / 32) chains, each
+emitting at most 32 states, every 10th after a burn-in from mu_N long
+enough that every cylinder of its depth is at most 2^-53 long: the least
+k that some d = 1..4 certifies through the d-step expansion inf |(T^d)'|
+of ``MarkovSystem.expansion`` (``_burn_in``).
 
 The adapted partition is walked on arrays of words and cylinder ends, one
 level at a time, through the children of the cylinders still too long.
@@ -165,9 +167,10 @@ def _backward_step(sys: MarkovSystem, eig: EigenData, x: np.ndarray):
     the zeros that stand for inadmissible points, and scipy's PPoly, which
     starts each point's interval search at the previous point's interval,
     mostly finds the point in the interval it already holds instead of
-    bisecting all the breakpoints.  Each point is solved and evaluated on
-    its own, so no value depends on where its run starts, and the zeros of
-    the weights stay zeros.
+    bisecting all the breakpoints; where f is one number at every node,
+    the read skips PPoly and returns it.  Each point is solved and
+    evaluated on its own, so no value depends on where its run starts, and
+    the zeros of the weights stay zeros.
     """
     ys = np.zeros((sys.m, len(x)))
     weights = np.zeros((sys.m, len(x)))

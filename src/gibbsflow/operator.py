@@ -16,7 +16,9 @@ assembler drops zero weights once its fill is done.  Every monotone cubic
 is one ``_ElementwisePchip``: Fritsch-Carlson coefficients for all elements
 built in one numpy pass, bit for bit those of scipy's per-element
 ``PchipInterpolator``, held by a single scipy PPoly over all elements'
-nodes, so an evaluation is one clip and one interval search.
+nodes, so an evaluation is one clip and one interval search.  A
+GridFunction whose real node values are all one number reads them through
+``_ConstantRead`` instead, with the same bits and no PPoly.
 
 The normalised operator at the leading real eigendata (lam, f) is
 
@@ -186,6 +188,28 @@ class _ElementwisePchip:
         return res.view(complex)[..., 0] if self._complex else res
 
 
+class _ConstantRead:
+    """``_ElementwisePchip``'s read of real node values that are all one
+    finite number c, without PPoly: c at every point but NaN.
+
+    The Fritsch-Carlson coefficients of constant data are c0 = c1 = c2 = 0
+    and c3 = c, and PPoly sums c3 + c2 s + c1 s^2 + c0 s^3 at the offset s
+    >= 0 of the clipped point in its interval, which is c exactly.  So a
+    read is ``clip(x) * 0.0 + c``, one new array shaped like x: NaN stays
+    NaN and +-inf clamps to an end node, as under the PCHIP.
+    """
+
+    def __init__(self, nodes: np.ndarray, c: float):
+        self.value = c
+        self._lo, self._hi = nodes[0, 0], nodes[-1, -1]
+
+    def eval(self, x):
+        out = np.clip(np.asarray(x, dtype=float), self._lo, self._hi)
+        out *= 0.0
+        out += self.value
+        return out
+
+
 class GridFunction:
     """Function sampled on the element node grid ``node_grid(sys, N)``, N
     values per element; complex values allowed.
@@ -194,8 +218,12 @@ class GridFunction:
     which reproduces node values exactly and does not overshoot the data
     range of either real part.  It is one ``_ElementwisePchip``, built on
     the first evaluation: one clip and one PPoly call, with real and
-    imaginary parts as one trailing axis.  The node grid is read-only, and
-    ``copy_with`` shares it.
+    imaginary parts as one trailing axis.  Real node values that are all
+    one finite number c, as f is at sigma = 0 on the doubling presets, are
+    read by ``_ConstantRead`` instead, which returns the PCHIP's bits
+    without building or calling PPoly; that is decided from the values at
+    the first evaluation.  The node grid is read-only, and ``copy_with``
+    shares it.
     """
 
     def __init__(self, sys: MarkovSystem, values: np.ndarray):
@@ -209,14 +237,21 @@ class GridFunction:
 
     def eval(self, x):
         if self._pchip is None:
-            self._pchip = _ElementwisePchip(self.system, self.nodes, self.values)
+            v = self.values
+            c = v.flat[0]
+            self._pchip = (
+                _ConstantRead(self.nodes, float(c))
+                if not np.iscomplexobj(v) and np.isfinite(c) and np.all(v == c)
+                else _ElementwisePchip(self.system, self.nodes, v))
         return self._pchip.eval(np.atleast_1d(x))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
     def copy_with(self, values: np.ndarray) -> "GridFunction":
-        """The function with these node values, on this one's grid."""
+        """The function with these node values, on this one's grid; its
+        interpolant (or constant read) is decided anew at its first
+        evaluation."""
         out = copy.copy(self)
         out.values, out._pchip = np.asarray(values), None
         if out.values.shape != self.values.shape:

@@ -4,8 +4,8 @@ import pytest
 from conftest import system
 from gibbsflow.cli import run
 from gibbsflow.expr import compile_expr, parse
-from gibbsflow.flow import (InsufficientSignalError, correlation, evolve_many,
-                            sample_flow_measure)
+from gibbsflow.flow import (InsufficientSignalError, _batch_means, correlation,
+                            evolve_many, sample_flow_measure)
 from gibbsflow.operator import eigendata
 from gibbsflow.system import system_from_config
 
@@ -129,6 +129,23 @@ def test_batch_means_equal_boolean_masks(sys_b, eig_b, samples):
             for seg in segments])
         assert est == float(np.mean(batch_est))
         assert se == float(np.std(batch_est, ddof=1) / np.sqrt(32))
+
+
+@pytest.mark.parametrize("n", [32, 1_000, 99_999, 100_000, 100_001])
+def test_batch_means_equal_one_mean_per_segment(n):
+    # the first n % 32 segments are one longer; values spread over many
+    # binades, so a sum in another order would show in the last bits
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=n) * np.exp(rng.normal(scale=5.0, size=n))
+    q, r = divmod(n, 32)
+    lengths = [q + 1] * r + [q] * (32 - r)
+    ends = np.cumsum(lengths)
+    want = [np.mean(a[e - k:e]) for e, k in zip(ends, lengths)]
+    assert np.array_equal(_batch_means(a), want)
+    # a constant observable is a broadcast view, with stride 0
+    flat = np.broadcast_to(np.float64(0.1), (n,))
+    assert np.array_equal(_batch_means(flat), [np.mean(flat[e - k:e])
+                                               for e, k in zip(ends, lengths)])
 
 
 def test_each_landing_reads_the_roof_once(sys_b, eig_b, monkeypatch):

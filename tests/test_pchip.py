@@ -1,7 +1,9 @@
 """The one piecewise-PCHIP evaluator (``operator._ElementwisePchip``) behind
 ``GridFunction.eval`` and the cone iteration's windowed functions, checked
 bit for bit against one ``PchipInterpolator`` per element and part, applied
-by the per-element mask loop it replaced."""
+by the per-element mask loop it replaced; and the constant read
+(``operator._ConstantRead``) that stands in for it on constant real data,
+checked bit for bit against it."""
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from scipy.interpolate import PchipInterpolator
 
 from conftest import SYSTEMS, system
 from gibbsflow.dolgopyat import _window_nodes
-from gibbsflow.operator import GridFunction, _ElementwisePchip, node_grid
+from gibbsflow.operator import (GridFunction, _ConstantRead, _ElementwisePchip,
+                                eigendata, node_grid)
 
 
 def _oracle(sys, nodes, values, x):
@@ -200,3 +203,68 @@ def test_coefficients_are_scipy_pchip_coefficients_side_by_side(name, cplx,
     want = want if cplx else want[..., 0]
     assert c.flags.c_contiguous and c.dtype == np.float64
     assert c.shape == want.shape and c.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("N", [2, 3, 256])
+@pytest.mark.parametrize("c", [1.0, -2.5, 0.0])
+def test_constant_read_has_the_pchip_bits(name, N, c):
+    # nodes, interior partition points (each read as its right-hand
+    # element's, left-closed) and their neighbours, points outside [0, 1],
+    # NaN and +-inf; 1-d, 2-d and 0-d input
+    sys = system(name)
+    rng = np.random.default_rng(N)
+    nodes = node_grid(sys, N)
+    v = GridFunction(sys, np.full(nodes.shape, c))
+    pchip = _ElementwisePchip(sys, nodes, v.values)
+    x = _probe_points(sys, nodes, rng)
+    got = v.eval(x)
+    assert isinstance(v._pchip, _ConstantRead)
+    _assert_same_bits(got, pchip.eval(x))
+    assert not np.shares_memory(got, x)  # a new array, x untouched
+    x2 = x[: 2 * (len(x) // 2)].reshape(2, -1)
+    _assert_same_bits(v.eval(x2), pchip.eval(x2))
+    _assert_same_bits(v.eval(0.5), pchip.eval(np.atleast_1d(0.5)))
+    # the 0-d read of the reader itself stays 0-d, as the PCHIP's does
+    _assert_same_bits(v._pchip.eval(sys.partition[1]),
+                      pchip.eval(sys.partition[1]))
+    nan_inf = v.eval([np.nan, -np.inf, np.inf])
+    assert np.isnan(nan_inf[0]) and np.all(nan_inf[1:] == c)
+
+
+def test_constant_read_needs_one_finite_real_value():
+    sys = system("SYS-C")
+    nodes = node_grid(sys, 9)
+    ones = np.ones(nodes.shape)
+    first, last = ones.copy(), ones.copy()
+    first[0, 0] = last[-1, -1] = np.nextafter(1.0, 2.0)  # one ulp off
+    for values in (ones + 0j, first, last):
+        v = GridFunction(sys, values)
+        v.eval(0.5)
+        assert isinstance(v._pchip, _ElementwisePchip)
+    for bad in (np.inf, -np.inf, np.nan):  # refused, as the PCHIP refuses it
+        with pytest.raises(ValueError):
+            GridFunction(sys, np.full(nodes.shape, bad)).eval(0.5)
+
+
+@pytest.mark.parametrize("name,constant", [
+    ("SYS-A", True), ("SYS-B", True), ("SYS-A-LINROOF", True),
+    ("SYS-C", False), ("NL-DOUBLING", False), ("SYS-A-BERNOULLI", False)])
+def test_f_is_read_as_a_constant_exactly_on_the_doubling_presets(name,
+                                                                 constant):
+    eig = eigendata(system(name), 0.0, N=512)
+    eig.f.eval(0.5)
+    assert isinstance(eig.f._pchip, _ConstantRead) == constant
+    assert np.all(eig.f.values == 1.0) == constant
+
+
+def test_copy_with_drops_the_constant_read():
+    sys = system("SYS-B")
+    nodes = node_grid(sys, 64)
+    v = GridFunction(sys, np.full(nodes.shape, 2.0))
+    assert v.eval(0.3)[0] == 2.0
+    w = v.copy_with(np.sin(5 * nodes))
+    _assert_same_bits(w.eval(0.3), _oracle(sys, nodes, w.values, [0.3]))
+    assert isinstance(w._pchip, _ElementwisePchip)
+    u = v.copy_with(np.full(nodes.shape, -1.0))
+    assert u.eval(0.3)[0] == -1.0 and v.eval(0.3)[0] == 2.0

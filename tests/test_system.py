@@ -128,6 +128,25 @@ def test_every_export_resolves(name):
     assert not missing
 
 
+@pytest.mark.parametrize("name", SYSTEMS + ["HOELDER", "THREE", "TENT"])
+def test_validate_c2_equals_per_word_chains(name):
+    # the distortion scan, one branch_chain per word of depths 1-3 at 64
+    # points of the word's domain, a word at a time
+    sys = system(name)
+    c2 = 0.0
+    for depth in (1, 2, 3):
+        for word in word_array(sys, depth).tolist():
+            ys = np.linspace(*sys.image_interval(word[-1]), 64)
+            dh = 1.0 / branch_chain(sys, tuple(word), ys)["dTn"]
+            d = np.abs(dh[:, None] - dh[None, :])
+            scale = (np.abs(dh)[:, None]
+                     * np.abs(ys[:, None] - ys[None, :]) ** sys.alpha)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = np.where(scale > 0, d / scale, 0.0)
+            c2 = max(c2, float(np.nanmax(q)))
+    assert validate(sys).c2 == c2
+
+
 def test_not_expanding_rejected():
     rep = validate(_bad_system("x/2+1/4", (0, 2)))
     assert not rep.ok
