@@ -102,13 +102,15 @@ class _Param:
     above_low: bool = False   # low itself is refused: the value is > low
 
     def value(self, name: str, raw, pointer: str):
-        """``raw`` as this kind, or ConfigError at ``pointer``."""
+        """``raw`` as this kind, or ConfigError at ``pointer``, or at
+        ``pointer``/k for entry k of a list."""
         if self.kind == "expr":
             return _expression(name, raw, pointer, ("x", "u"))
         if self.kind == "floats":
             if not isinstance(raw, list) or not raw:
                 raise ConfigError(f"{name} must be a nonempty list", pointer)
-            return [self._number(f"{name} entry", r, pointer) for r in raw]
+            return [self._number(f"{name} entry", r, f"{pointer}/{k}")
+                    for k, r in enumerate(raw)]
         return self._number(name, raw, pointer)
 
     def _number(self, name, raw, pointer):

@@ -18,7 +18,7 @@ in the cancellation check is an exact branch sum of the pullback engine
 through ``operator.BranchPlan`` at per-element node sets.  v lives on a fixed
 uniform grid, so its step is one matrix per run: the exact depth-1 branch
 weights composed with a 4-point cubic Lagrange stencil at the preimages
-(``_lagrange_step``).  d keeps monotone cubics (PCHIP): it needs
+(``operator.lagrange_step``).  d keeps monotone cubics (PCHIP): it needs
 interpolation that does not overshoot, and its node sets move with the
 windows at every step.  One test of the four cone conditions (``_cone_test``)
 decides cone membership.
@@ -35,15 +35,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .gibbs import adapted_partition
-from .operator import (BranchPlan, EigenData, GridFunction, _collocation,
-                       _ElementwisePchip, _lagrange, _row_chunks, _twisted,
+from .operator import (BranchPlan, EigenData, ElementwisePchip, GridFunction,
                        apply_L, c6_bound, deep_apply, eigendata,
-                       hoelder_seminorm, node_grid, norm_b)
-from .system import (MarkovSystem, branch_chain, column_blocks,
-                     sampled_seminorm, symbol_trees, word_array)
+                       hoelder_seminorm, lagrange_step, node_grid, norm_b)
+from .system import MarkovSystem, branch_chain, sampled_seminorm
 from .uni import transversal_pair, transversal_scales
 
 __all__ = [
@@ -318,8 +315,8 @@ def cancellation_check(sys: MarkovSystem, eig: EigenData, b: float, u, v,
 
 
 # -- windowed piecewise representation -------------------------------------------
-# Functions on the windowed node sets are ``_ElementwisePchip`` interpolants
-# (from ``operator``): one PPoly over all elements' non-uniform nodes.
+# Functions on the windowed node sets are ``operator.ElementwisePchip``
+# interpolants: one PPoly over all elements' non-uniform nodes.
 
 
 def _window_nodes(sys: MarkovSystem, base, windows):
@@ -405,47 +402,6 @@ def _integrate_mu(d_eval, node_sets, dens):
 # -- cone iteration ---------------------------------------------------------------
 
 
-def _lagrange_step(sys: MarkovSystem, eig: EigenData, b: float,
-                   nodes: np.ndarray) -> sp.csr_matrix:
-    """The depth-1 twisted operator on the uniform grid ``nodes``, the (m, N)
-    ``node_grid``, as one CSR matrix: row k is node k, and branch i adds its
-    exact weight J_i exp(-i b r) / norm (``operator._twisted`` of the
-    depth-1 pullback of the grid) times the 4-point cubic Lagrange weights
-    (``operator._lagrange``) of element i's grid at the preimage h_i(x_k).
-
-    The preimage lies in element i, so its stencil is element i's nodes j -
-    1 .. j + 2, j = clip(floor(t), 1, N - 3) for t the preimage in units of
-    the grid step: the end intervals take one-sided stencils, and a preimage
-    on a partition point reads its own element's end value.  The blocks of
-    one ``column_blocks`` pass, each a run of rows, are all collected
-    before the matrix is allocated, once the engine's copies of the points
-    are gone; ``operator._collocation`` writes each a chunk of _ROWS rows
-    at a time and drops it.
-    """
-    N = nodes.shape[1]
-    blocks = [(i, block.start + cols[0], pb, norm[cols[0]:cols[-1] + 1])
-              for _, block, runs, norm in column_blocks(
-                  sys, symbol_trees(sys, word_array(sys, 1)),
-                  nodes.reshape(-1),
-                  sys.transition[:, np.repeat(np.arange(sys.m), N)],
-                  ("x", "Snr", "J"), eig)
-              for i, cols, pb in runs]
-
-    def chunks():
-        while blocks:
-            i, first, pb, norm = blocks.pop(0)
-            lo, hi = sys.element_interval(i)
-            for part in _row_chunks(len(norm)):
-                # complex at b = 0 too: a complex quotient has other bits
-                coef = _twisted(pb.J[0, part], pb.Snr[0, part], b).astype(
-                    complex, copy=False)
-                coef /= norm[part]
-                yield (i, first + part.start,
-                       (pb.x[0, part] - lo) * ((N - 1) / (hi - lo)), coef)
-
-    return _collocation(sys, N, _lagrange, chunks())
-
-
 def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
                    delta: float, Delta: float | None) -> dict:
     """Iterate u_{m+1} = L^n_sigma(chi_m u_m), v_{m+1} = L^n_s v_m from
@@ -466,7 +422,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
     advances (``_advance``) pulls back only the window nodes it joins to the
     base nodes, and is read between nodes as a monotone cubic, which does
     not overshoot.  v's step is one matrix, built once per run from the
-    depth-1 pullback of its uniform grid (``_lagrange_step``): exact branch
+    depth-1 pullback of its uniform grid (``lagrange_step``): exact branch
     weights times 4-point cubic Lagrange weights at the preimages, so each
     of its n m_max advances is one sparse product.  v is read between nodes
     (``build_bump``, ``_cone_test``) through ``GridFunction.eval``.
@@ -479,7 +435,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
     # v lives on a uniform grid resolving the 1/b oscillation scale
     nv = int(max(_BASE_N, _V_NODES_PER_B * abs(b)))
     v = GridFunction(sys, np.ones((sys.m, nv), dtype=complex))
-    v_step = _lagrange_step(sys, eig, b, v.nodes)
+    v_step = lagrange_step(sys, eig, b, v.nodes)
     base = node_grid(sys, _BASE_N)
     base_plan = BranchPlan(sys, eig, 0.0, 1, base)
     d_eval = lambda x: np.zeros(np.asarray(x, dtype=float).shape)
@@ -501,7 +457,7 @@ def cone_iteration(sys: MarkovSystem, eig: EigenData, b: float, m_max: int,
             windows = _map_windows(sys, windows)
             nodes, vals = _advance(sys, eig, base, base_plan, windows,
                                    cur_eval)
-            cur_eval = _ElementwisePchip(sys, nodes, vals).eval
+            cur_eval = ElementwisePchip(sys, nodes, vals).eval
         d_eval = cur_eval
 
         # advance v through n products with the run's one step matrix

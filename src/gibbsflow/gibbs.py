@@ -41,8 +41,8 @@ import numpy as np
 
 from .operator import EigenData
 from .system import (MarkovSystem, NotCoveringError, NotExpandingError,
-                     _cylinder_ends, check_word_cap, column_blocks,
-                     count_words, symbol_trees, word_array)
+                     check_word_cap, column_blocks, count_words,
+                     cylinder_ends, symbol_trees, word_array)
 
 __all__ = [
     "AdaptedPartition", "FrequencyTooSmallError",
@@ -318,7 +318,7 @@ def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedParti
     depth whose cylinder still has diameter >= t = 2 Delta / |b|.
 
     Level by level, the open cylinders (all of depth 1, then those >= t)
-    have their children's ends pulled back (``_cylinder_ends``).  An open
+    have their children's ends pulled back (``cylinder_ends``).  An open
     cylinder with no child >= t is an element; otherwise its children >= t
     are open and the shorter ones are elements, so the family stays
     disjoint where siblings straddle the cutoff.
@@ -358,7 +358,7 @@ def adapted_partition(sys: MarkovSystem, b: float, Delta: float) -> AdaptedParti
             heads = words[chunk]
             parent, nxt = np.nonzero(sys.transition[heads[:, -1]])
             kids = np.column_stack([heads[parent], nxt])
-            kid_left, kid_right = _cylinder_ends(sys, kids)
+            kid_left, kid_right = cylinder_ends(sys, kids)
             big = kid_right - kid_left >= t - tol
             refined = np.zeros(len(heads), dtype=bool)
             refined[parent[big]] = True

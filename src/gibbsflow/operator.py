@@ -8,16 +8,16 @@ discretised by collocation on N equally spaced nodes per partition
 element.  Off-grid preimages are filled in by interpolation: linear
 inside operator matrices (so the discrete eigenproblem is exactly
 linear), monotone cubic in GridFunction.eval for function evaluation.
-Every collocation matrix is filled straight into CSR by one assembler
-(``_collocation``), a chunk of rows at a time, with the stencil of its
-caller: the linear hat here, the 4-point cubic of ``_lagrange`` for
-``dolgopyat``'s v.  No collocation matrix stores an explicit 0: the
-assembler drops zero weights once its fill is done.  Every monotone cubic
-is one ``_ElementwisePchip``: Fritsch-Carlson coefficients for all elements
-built in one numpy pass, bit for bit those of scipy's per-element
-``PchipInterpolator``, held by a single scipy PPoly over all elements'
-nodes, so an evaluation is one clip and one interval search.  A
-GridFunction whose real node values are all one number reads them through
+Both collocation matrices are built here, each filled straight into CSR by
+one assembler (``_collocation``), a chunk of rows at a time: the linear hat
+of ``transfer_matrix``, and the 4-point cubic of ``_lagrange`` in
+``lagrange_step``, ``dolgopyat``'s step of v.  No collocation matrix stores
+an explicit 0: the assembler drops zero weights once its fill is done.
+Every monotone cubic is one ``ElementwisePchip``: Fritsch-Carlson
+coefficients for all elements built in one numpy pass, bit for bit those of
+scipy's per-element ``PchipInterpolator``, held by a single scipy PPoly over
+all elements' nodes, so an evaluation is one clip and one interval search.
+A GridFunction whose real node values are all one number reads them through
 ``_ConstantRead`` instead, with the same bits and no PPoly.
 
 The normalised operator at the leading real eigendata (lam, f) is
@@ -43,8 +43,8 @@ from .system import (MarkovSystem, NoConvergenceError, column_blocks,
                      symbol_trees, word_array)
 
 __all__ = [
-    "GridFunction", "EigenData", "NoConvergenceError",
-    "node_grid", "transfer_matrix",
+    "GridFunction", "ElementwisePchip", "EigenData", "NoConvergenceError",
+    "node_grid", "transfer_matrix", "lagrange_step",
     "eigendata", "apply_L", "hoelder_seminorm", "norm_b",
     "c6_bound", "BranchPlan", "deep_apply",
 ]
@@ -118,7 +118,7 @@ def _pchip_part(h, w, y, firsts, lasts, pair, out):
         out[3, k] = y[i:j]
 
 
-class _ElementwisePchip:
+class ElementwisePchip:
     """Monotone cubic (PCHIP, Fritsch-Carlson) interpolant on per-element
     nodes, evaluated as one scipy ``PPoly`` over all elements.
 
@@ -189,7 +189,7 @@ class _ElementwisePchip:
 
 
 class _ConstantRead:
-    """``_ElementwisePchip``'s read of real node values that are all one
+    """``ElementwisePchip``'s read of real node values that are all one
     finite number c, without PPoly: c at every point but NaN.
 
     The Fritsch-Carlson coefficients of constant data are c0 = c1 = c2 = 0
@@ -216,7 +216,7 @@ class GridFunction:
 
     Evaluation between nodes uses monotone cubic interpolation per element,
     which reproduces node values exactly and does not overshoot the data
-    range of either real part.  It is one ``_ElementwisePchip``, built on
+    range of either real part.  It is one ``ElementwisePchip``, built on
     the first evaluation: one clip and one PPoly call, with real and
     imaginary parts as one trailing axis.  Real node values that are all
     one finite number c, as f is at sigma = 0 on the doubling presets, are
@@ -242,7 +242,7 @@ class GridFunction:
             self._pchip = (
                 _ConstantRead(self.nodes, float(c))
                 if not np.iscomplexobj(v) and np.isfinite(c) and np.all(v == c)
-                else _ElementwisePchip(self.system, self.nodes, v))
+                else ElementwisePchip(self.system, self.nodes, v))
         return self._pchip.eval(np.atleast_1d(x))
 
     def sup_norm(self) -> float:
@@ -355,6 +355,47 @@ def transfer_matrix(sys: MarkovSystem, s: complex, N: int) -> sp.csr_matrix:
     return _collocation(sys, N, _hat, chunks())
 
 
+def lagrange_step(sys: MarkovSystem, eig: EigenData, b: float,
+                  nodes: np.ndarray) -> sp.csr_matrix:
+    """The depth-1 twisted operator on the uniform grid ``nodes``, the (m, N)
+    ``node_grid``, as one CSR matrix: row k is node k, and branch i adds its
+    exact weight J_i exp(-i b r) / norm (``_twisted`` of the depth-1
+    pullback of the grid) times the 4-point cubic Lagrange weights
+    (``_lagrange``) of element i's grid at the preimage h_i(x_k).
+
+    The preimage lies in element i, so its stencil is element i's nodes j -
+    1 .. j + 2, j = clip(floor(t), 1, N - 3) for t the preimage in units of
+    the grid step: the end intervals take one-sided stencils, and a preimage
+    on a partition point reads its own element's end value.  The blocks of
+    one ``column_blocks`` pass, each a run of rows, are all collected
+    before the matrix is allocated, once the engine's copies of the points
+    are gone; ``_collocation`` writes each a chunk of _ROWS rows at a time
+    and drops it.
+    """
+    N = nodes.shape[1]
+    blocks = [(i, block.start + cols[0], pb, norm[cols[0]:cols[-1] + 1])
+              for _, block, runs, norm in column_blocks(
+                  sys, symbol_trees(sys, word_array(sys, 1)),
+                  nodes.reshape(-1),
+                  sys.transition[:, np.repeat(np.arange(sys.m), N)],
+                  ("x", "Snr", "J"), eig)
+              for i, cols, pb in runs]
+
+    def chunks():
+        while blocks:
+            i, first, pb, norm = blocks.pop(0)
+            lo, hi = sys.element_interval(i)
+            for part in _row_chunks(len(norm)):
+                # complex at b = 0 too: a complex quotient has other bits
+                coef = _twisted(pb.J[0, part], pb.Snr[0, part], b).astype(
+                    complex, copy=False)
+                coef /= norm[part]
+                yield (i, first + part.start,
+                       (pb.x[0, part] - lo) * ((N - 1) / (hi - lo)), coef)
+
+    return _collocation(sys, N, _lagrange, chunks())
+
+
 @dataclass
 class EigenData:
     """Leading eigendata of P_sigma: eigenvalue, right eigenfunction f (with
@@ -369,9 +410,9 @@ class EigenData:
     mu: np.ndarray          # (m, N) nonnegative, sums to 1
     iterations: int
     residual: float
-    _lmat_cache: dict = field(init=False, default_factory=dict, repr=False)
-    # the latest (sys, n_max, grid, a, b) of uni's a(n)/b(n) sweep
-    _ab_slot: tuple | None = field(init=False, default=None, repr=False)
+    # results kept for later calls: "L" holds {b: L_matrix(b)} of the
+    # latest b, "ab" uni's latest (sys, n_max, grid, a, b) a(n)/b(n) sweep
+    memo: dict = field(init=False, default_factory=dict, repr=False)
 
     @property
     def pressure(self) -> float:
@@ -392,8 +433,9 @@ class EigenData:
         one at a time.
         """
         key = float(b)
-        if key not in self._lmat_cache:
-            self._lmat_cache.clear()
+        cache = self.memo.setdefault("L", {})
+        if key not in cache:
+            cache.clear()
             s = self.sigma + 1j * key if key != 0.0 else self.sigma
             P = transfer_matrix(self.system, s, self.N)
             f = self.f.values.reshape(-1)
@@ -403,8 +445,8 @@ class EigenData:
                 data = P.data[ends[0]:ends[-1]]
                 data *= np.repeat(scale[rows], np.diff(ends))
                 data *= f[P.indices[ends[0]:ends[-1]]]
-            self._lmat_cache[key] = P
-        return self._lmat_cache[key]
+            cache[key] = P
+        return cache[key]
 
 
 def _power_iteration(M: sp.spmatrix):
@@ -484,10 +526,9 @@ def c6_bound(eig: EigenData) -> float:
     sys = eig.system
     a, lam = sys.alpha, sys.constants.lam
     semi = potential_seminorm(sys, eig.sigma)
-    diam = 1.0  # the interval J = [0, 1]
     fmax = float(eig.f.values.max())
     fmin = float(eig.f.values.min())
-    return float(np.exp(semi * diam ** a / (1.0 - lam ** (-a))) * fmax / fmin)
+    return float(np.exp(semi / (1.0 - lam ** (-a))) * fmax / fmin)
 
 
 # -- exact depth-n application -------------------------------------------------

@@ -24,9 +24,10 @@ piece carries its slope.  ``system_from_config`` compiles each expression
 of the config into its piece, whose ``expr`` is the one copy of it kept;
 another source of pieces, a tabulated or reduced roof say, needs no change
 to ``MarkovSystem``.  phi - s r is formed only by
-``MarkovSystem.log_weight``, which skips the roof at s = 0.  No other module
-reads a private name of ``MarkovSystem``: ``_T`` and ``_r`` exist only for
-the benchmark harness in perfbench/.
+``MarkovSystem.log_weight``, which skips the roof at s = 0.  No module of
+gibbsflow imports or reads another module's underscore name (checked by
+tests/test_callers.py), so ``MarkovSystem``'s ``_T`` and ``_r`` exist only
+for the benchmark harness in perfbench/.
 
 The constants every estimate runs on (lam = inf|T'|, rho = sup|T'|, C4,
 C7, the roof range and the Hoelder seminorms of phi and r) come from
@@ -76,7 +77,7 @@ __all__ = [
     "OutsideImageError", "NoConvergenceError", "system_from_config",
     "validate", "cylinders", "count_words", "check_word_cap", "word_array",
     "pullback", "symbol_trees", "column_blocks", "column_sums",
-    "branch_chain",
+    "branch_chain", "cylinder_ends",
     "sampled_seminorm", "potential_seminorm",
 ]
 
@@ -981,7 +982,7 @@ def branch_chain(sys: MarkovSystem, word: tuple[int, ...], y) -> dict:
     return {f: getattr(level, f)[0].reshape(y.shape) for f in FIELDS}
 
 
-def _cylinder_ends(sys: MarkovSystem, words: np.ndarray):
+def cylinder_ends(sys: MarkovSystem, words: np.ndarray):
     """(left, right) arrays of the cylinders of the (K, n) ``words``, rows
     distinct and in lexicographic order.
 
@@ -1007,4 +1008,4 @@ def cylinders(sys: MarkovSystem, n: int):
     ``word_array`` and each word's cylinder ends, in word (lexicographic)
     order; more than 2,000,000 words raise CapExceededError."""
     words = word_array(sys, n)
-    return (words, *_cylinder_ends(sys, words))
+    return (words, *cylinder_ends(sys, words))

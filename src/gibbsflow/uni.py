@@ -31,7 +31,7 @@ puts every opening before any closing at an equal coordinate (closed
 intervals that touch meet), b(n) is the largest prefix sum of the signed
 weights, and a(n) the largest weight of intervals meeting one interval.
 ``a_sequence`` and ``b_sequence`` share the sweep: the latest result is
-kept in one slot on the EigenData, keyed by the system, n_max and grid, so
+kept in ``eig.memo["ab"]``, keyed by the system, n_max and grid, so
 the CLI's call of both pulls each depth back once.
 """
 
@@ -232,15 +232,15 @@ def _ab_sequences(sys: MarkovSystem, eig: EigenData, n_max: int,
                   grid: int) -> tuple[list[float], list[float]]:
     """(a(1..n_max), b(1..n_max)) from one sweep of the tableau per depth.
 
-    The latest result is kept in one slot on ``eig``, keyed by ``sys``
+    The latest result is kept in ``eig.memo["ab"]``, keyed by ``sys``
     (identity), ``n_max`` and ``grid``.
     """
-    slot = eig._ab_slot
+    slot = eig.memo.get("ab")
     if slot is not None and slot[0] is sys and slot[1:3] == (n_max, grid):
         return slot[3], slot[4]
     depths = [_ab_depth(sys, eig, n, grid) for n in range(1, n_max + 1)]
     seqs = ([a for a, _ in depths], [b for _, b in depths])
-    eig._ab_slot = (sys, n_max, grid, *seqs)
+    eig.memo["ab"] = (sys, n_max, grid, *seqs)
     return seqs
 
 
@@ -251,7 +251,7 @@ def a_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
     of one preimage x0 (touching intervals meet), over the y grid.
 
     Read with b(n) off one endpoint sweep of each depth's tableau; the
-    result stays in one slot on ``eig``, so ``b_sequence`` with the same
+    result stays in ``eig.memo``, so ``b_sequence`` with the same
     system, n_max and grid builds nothing again.
     """
     return list(_ab_sequences(sys, eig, n_max, grid)[0])
@@ -265,7 +265,7 @@ def b_sequence(sys: MarkovSystem, eig: EigenData, n_max: int,
 
     The sweep fires every opening before any closing at an equal
     coordinate and takes the largest prefix sum of the signed weights.  It
-    is shared with ``a_sequence`` through the one-slot memo on ``eig``.
+    is shared with ``a_sequence`` through ``eig.memo``.
     """
     return list(_ab_sequences(sys, eig, n_max, grid)[1])
 

@@ -1,5 +1,8 @@
+import ast
 import copy
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -463,3 +466,46 @@ def check_uni_loop(sys, n, R, grid):
         d_point = min(d_point, best)
     return {"D_full": d_full,
             "D_point": float(d_point if np.isfinite(d_point) else 0.0)}
+
+
+# -- the structural tests' parse (test_callers, test_options) -----------------
+
+
+@functools.cache
+def parsed(path: Path) -> ast.Module:
+    """The syntax tree of one source file, parsed once a session."""
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def dataclass_fields(tree: ast.AST) -> list[tuple]:
+    """(class, field, position in a call, default node or None) of every
+    field of every dataclass in ``tree``.  A ``field(init=False, ...)`` is
+    state, not a parameter: its position is None.  A field has a default
+    when it is ``x: T = v``, or ``field(default=...)`` or
+    ``field(default_factory=...)``.  (The package has no ClassVar, InitVar
+    or kw_only field.)"""
+    out = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "dataclass"
+                or isinstance(d, ast.Call)
+                and getattr(d.func, "id", None) == "dataclass"
+                for d in cls.decorator_list)):
+            continue
+        position = 0
+        for item in cls.body:
+            if not (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                continue
+            value, k = item.value, position
+            if isinstance(value, ast.Call) and getattr(value.func, "id",
+                                                       None) == "field":
+                keywords = {kw.arg: kw.value for kw in value.keywords}
+                init = keywords.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    k = None
+                value = keywords.get("default",
+                                     keywords.get("default_factory"))
+            out.append((cls.name, item.target.id, k, value))
+            position += k is not None
+    return out

@@ -15,14 +15,21 @@ A dataclass field is a result some caller reads: every field of a dataclass
 in src/gibbsflow is read as ``obj.field`` somewhere in the program, that is
 in src/, perfbench/ or tools/, as test_options.py counts it.  A field that
 only tests read is test-only code.
+
+An underscore name (not a dunder) is private to its module: no module of
+src/gibbsflow imports one, or names ``obj._x`` when only other modules
+define ``_x``.  A module defines its module-level defs and assignments, its
+classes' methods, class-level names and dataclass fields, and the
+``self._x`` attributes its methods set.
 """
 
 import ast
 from pathlib import Path
 
-from test_options import _is_dataclass
+from conftest import dataclass_fields, parsed
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gibbsflow"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # Names the program needs and does not reach yet, with the reason:
@@ -68,15 +75,14 @@ def _mentions(*nodes) -> set[str]:
     return out
 
 
-def _definitions(package=ROOT / "src" / "gibbsflow"):
+def _definitions(package=PACKAGE):
     """(qualified name, simple name, public, mentions) of every function,
     class, method and module-level assignment in the package, and the
     ``__all__`` entries as (module, name)."""
     defs, exported = [], []
     for path in sorted(package.glob("*.py")):
         module = path.stem
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
+        for node in parsed(path).body:
             if isinstance(node, FUNCTIONS):
                 defs.append((f"{module}.{node.name}", node.name,
                              not node.name.startswith("_"), _mentions(node)))
@@ -128,24 +134,17 @@ def _reached(defs) -> set[str]:
     return reached
 
 
-def _dataclass_fields(package=ROOT / "src" / "gibbsflow"):
+def _dataclass_fields(package=PACKAGE):
     """(class, field) of every field of every dataclass in the package."""
-    out = []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
-                out += [(cls.name, item.target.id) for item in cls.body
-                        if isinstance(item, ast.AnnAssign)
-                        and isinstance(item.target, ast.Name)]
-    return out
+    return [(cls, field) for path in sorted(package.glob("*.py"))
+            for cls, field, _, _ in dataclass_fields(parsed(path))]
 
 
 def _attribute_reads(tops=(ROOT / "src", ROOT / "perfbench", ROOT / "tools")
                      ) -> set[str]:
     """Every attribute read as ``obj.name`` in the trees ``tops``."""
     return {node.attr for top in tops for path in sorted(top.rglob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for node in ast.walk(parsed(path))
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
 
@@ -201,7 +200,7 @@ def test_a_local_of_the_same_spelling_reaches_nothing(tmp_path):
 def test_every_dataclass_field_is_read():
     fields = _dataclass_fields()
     # the scan sees the package: fields with defaults and init=False state
-    assert {("Pullback", "J"), ("EigenData", "_lmat_cache"),
+    assert {("Pullback", "J"), ("EigenData", "memo"),
             ("_Param", "above_low"), ("Num", "value")} <= set(fields)
     unread = _unread(fields, _attribute_reads())
     assert not unread, ("dataclass fields the program never reads; delete "
@@ -239,3 +238,78 @@ def test_a_dunder_is_a_method_and_a_field_is_read(tmp_path):
     assert _unread(_dataclass_fields(tmp_path),
                    _attribute_reads([tmp_path])) == ["Result.unused",
                                                      "Result.kept"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _own_names(tree: ast.Module) -> set[str]:
+    """The underscore names the module ``tree`` defines."""
+    tops = [node for body in [tree.body] + [
+        cls.body for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
+        for node in body]
+    names = {node.name for node in tops
+             if isinstance(node, (*FUNCTIONS, ast.ClassDef))}
+    names |= {sub.id for node in tops
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for sub in ast.walk(node)
+              if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)
+              and getattr(node.value, "id", None) == "self"}
+    return {name for name in names if _private(name)}
+
+
+def _private_reaches(package=PACKAGE) -> list[str]:
+    """'module.py:line name' of every underscore name a module of the
+    package imports, or names as ``obj._x`` where only other modules
+    define ``_x``."""
+    trees = {path.name: parsed(path) for path in sorted(package.glob("*.py"))}
+    own = {module: _own_names(tree) for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        others = set().union(*(names for m, names in own.items()
+                               if m != module)) - own[module]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found += [(module, node.lineno, a.name) for a in node.names
+                          if _private(a.name)]
+            elif isinstance(node, ast.Attribute) and node.attr in others:
+                found.append((module, node.lineno, node.attr))
+    return [f"{module}:{line} {name}" for module, line, name in sorted(found)]
+
+
+def test_no_module_reaches_another_modules_private_names():
+    # the scan sees each kind of own name where it lives
+    assert {"_BUDGET", "_Run", "_T", "_newton", "_inverse_starts", "_pchip",
+            "_collocation"} <= _own_names(parsed(PACKAGE / "system.py")) \
+        | _own_names(parsed(PACKAGE / "operator.py"))
+    found = _private_reaches()
+    assert not found, ("underscore names reached from another module; make "
+                       "them public, or move the code that reaches them "
+                       "beside them:\n" + "\n".join(found))
+
+
+def test_the_privacy_rule_finds_each_form(tmp_path):
+    for name, text in {
+            "system.py": "_BUDGET = 1\nclass _Run:\n    pass\n"
+                         "class MarkovSystem:\n    _r = None\n"
+                         "    def _newton(self):\n"
+                         "        self._inverse_starts = self._r, _BUDGET\n",
+            "operator.py": "@dataclass\nclass EigenData:\n    _slot: tuple\n"
+                           "    def eval(self):\n        self._pchip = 0\n",
+            "uni.py": "from __future__ import annotations\n"
+                      "from .system import _Run\neig._slot = eig._slot\n",
+            "gibbs.py": "s._r[0]\n",
+            "flow.py": "_newton = 0\n"
+                       "s._inverse_starts, s._newton, s.__class__\n",
+            "cli.py": "import gibbsflow.system as s\ns._Run\n",
+            "dolgopyat.py": "v._pchip, v._unknown\n"}.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    # a name the module defines too, a dunder and a name no module defines
+    # are not reaches
+    assert _private_reaches(tmp_path) == [
+        "cli.py:2 _Run", "dolgopyat.py:1 _pchip", "flow.py:2 _inverse_starts",
+        "gibbs.py:1 _r", "uni.py:2 _Run", "uni.py:3 _slot", "uni.py:3 _slot"]

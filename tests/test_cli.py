@@ -137,10 +137,23 @@ def test_non_finite_param_refused_before_any_work(tmp_path, monkeypatch,
     # every comparison with NaN is false, so NaN passed every range check:
     # sigma NaN ran 100,000 power steps before NoConvergenceError, and
     # cohomology's tol NaN reported SYS-A-LINROOF not cohomologous
-    kind = cli._EXPERIMENTS[exp].params[name].kind
-    params = {name: [256.0, value] if kind == "floats" else value}
+    floats = cli._EXPERIMENTS[exp].params[name].kind == "floats"
+    params = {name: [256.0, value] if floats else value}
     _refused_before_any_work(tmp_path, monkeypatch, capsys, exp, params,
+                             f"/params/{name}/1" if floats else
                              f"/params/{name}", WORK)
+
+
+@pytest.mark.parametrize("entry,reason", [
+    ("x", "numeric"), (float("nan"), "finite"), (-1.0, ">= 1e-09")])
+def test_bad_list_entry_refused_at_its_index(tmp_path, monkeypatch, capsys,
+                                             entry, reason):
+    # each was refused at the list's pointer, /params/b_list
+    _refused_before_any_work(tmp_path, monkeypatch, capsys, "contraction",
+                             {"b_list": [256.0, entry]}, "/params/b_list/1",
+                             WORK)
+    with pytest.raises(ConfigError, match=f"b_list entry must be {reason}"):
+        load_config(tmp_path / "c.json")
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0])
@@ -549,7 +562,7 @@ def test_partition_refuses_a_depth_past_the_word_cap_up_front(
     def never(*args, **kwargs):
         raise AssertionError("built a level of cylinders")
 
-    monkeypatch.setattr(gibbs, "_cylinder_ends", never)
+    monkeypatch.setattr(gibbs, "cylinder_ends", never)
     p = write_cfg(tmp_path / "c.json",
                   {"preset": "SYS-B", "experiment": "partition",
                    "params": {"b": 1024.0, "Delta": 1e-4}})

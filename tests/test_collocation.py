@@ -5,7 +5,7 @@ build holds little beyond its matrix.
 Each oracle below is the replaced construction, kept inline: COO triplets
 converted to CSR for ``transfer_matrix``, diagonal matrix products for
 ``L_matrix``, a CSR copy of the transpose for the left power iteration, and
-a whole-branch fill for ``dolgopyat._lagrange_step``.  The COO build and
+a whole-branch fill for ``operator.lagrange_step``.  The COO build and
 the whole-branch fill store a 0 wherever a preimage lands on a node; the
 assembler drops it, so they are compared after ``eliminate_zeros()``, and
 the eigendata is compared with a power iteration on the zeros kept.  The
@@ -192,7 +192,7 @@ def test_lagrange_step_equals_the_whole_branch_fill(name, N, rows):
     for sigma in (0.0, 0.5):
         eig = eigendata(sys, sigma, 64)
         for b in (0.0, 1.0, 256.0):
-            _same_csr(dg._lagrange_step(sys, eig, b, nodes),
+            _same_csr(op.lagrange_step(sys, eig, b, nodes),
                       _zero_free(whole_branch_lagrange_step(sys, eig, b,
                                                             nodes)))
 
@@ -209,7 +209,7 @@ def test_collocation_matrices_store_no_zero(name):
     eig = eigendata(sys, 0.0, 64)
     assert np.any(whole_branch_lagrange_step(sys, eig, 256.0, nodes).data
                   == 0)
-    assert np.all(dg._lagrange_step(sys, eig, 256.0, nodes).data != 0)
+    assert np.all(op.lagrange_step(sys, eig, 256.0, nodes).data != 0)
 
 
 @pytest.mark.parametrize("N", [64, 1025])
@@ -259,7 +259,7 @@ def test_branch_plan_applies_its_real_j_with_the_bits_of_a_complex_copy(
 
 def test_a_stencil_wider_than_the_grid_is_refused(sys_b):
     with pytest.raises(ValueError, match="N >= 4"):
-        dg._lagrange_step(sys_b, eigendata(sys_b, 0.0, 64), 256.0,
+        op.lagrange_step(sys_b, eigendata(sys_b, 0.0, 64), 256.0,
                           node_grid(sys_b, 3))
 
 
@@ -308,7 +308,7 @@ def test_l_matrix_build_adds_at_most_its_transfer_matrix(sys_b):
     # beside the COO build's transients: a peak of 4.6 MiB
     eig = eigendata(sys_b, 0.0, 8192)
     eig.L_matrix(1.0)  # lazy caches
-    eig._lmat_cache.clear()
+    eig.memo.clear()
     P = _csr_bytes(transfer_matrix(sys_b, 256j, 8192))
     _, peak = _peak(lambda: eig.L_matrix(256.0))
     assert peak <= P + MiB, (peak, P)

@@ -14,7 +14,7 @@ import gibbsflow.dolgopyat as dg
 from gibbsflow.expr import parse
 from gibbsflow.gibbs import adapted_partition
 from gibbsflow.operator import (BranchPlan, GridFunction, c6_bound, eigendata,
-                               node_grid)
+                               lagrange_step, node_grid)
 from gibbsflow.system import MarkovSystem, Piece, branch_chain, word_array
 from gibbsflow.uni import transversal_pair
 
@@ -473,7 +473,6 @@ def test_cone_iteration_plans_match_fresh_applications(sys_b, eig_b,
     # closure moves on with the iteration.
     monkeypatch.setattr(dg, "_BASE_N", 2048)
     advance = dg._advance
-    lagrange_step = dg._lagrange_step
     seen = []
 
     def checked(sys, eig, base, base_plan, windows, g_eval):
@@ -497,7 +496,7 @@ def test_cone_iteration_plans_match_fresh_applications(sys_b, eig_b,
         return M
 
     monkeypatch.setattr(dg, "_advance", checked)
-    monkeypatch.setattr(dg, "_lagrange_step", step_checked)
+    monkeypatch.setattr(dg, "lagrange_step", step_checked)
     rep = cone_iteration(sys_b, eig_b, 256.0, m_max=2, delta=0.05,
                          Delta=None)
     assert seen == ["v"] + ["d"] * (2 * rep["n"])
@@ -507,7 +506,7 @@ def _v_grid_advances(sys, eig, b, k):
     """v_k = k applications of cone_iteration's step matrix to v_0 = 1 on
     its grid at |b|, as (m, N) node values."""
     N = int(max(dg._BASE_N, dg._V_NODES_PER_B * abs(b)))
-    M = dg._lagrange_step(sys, eig, b, node_grid(sys, N))
+    M = lagrange_step(sys, eig, b, node_grid(sys, N))
     w = np.ones(M.shape[0], dtype=complex)
     for _ in range(k):
         w = M @ w
@@ -589,11 +588,11 @@ def test_v_step_build_holds_the_matrix_and_one_branch_at_a_time(sys_b,
     import tracemalloc
     b = 1024.0
     nodes = node_grid(sys_b, int(dg._V_NODES_PER_B * b))
-    dg._lagrange_step(sys_b, eig_b, b, node_grid(sys_b, 64))  # lazy caches
+    lagrange_step(sys_b, eig_b, b, node_grid(sys_b, 64))  # lazy caches
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        M = dg._lagrange_step(sys_b, eig_b, b, nodes)
+        M = lagrange_step(sys_b, eig_b, b, nodes)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -646,14 +645,14 @@ def test_cone_iteration_builds_one_interpolant_per_advance(sys_b, eig_b,
     # result of each of d's n m_max advances, and mu's density
     import gibbsflow.operator as op
     eig_b.f.eval(0.5)  # f's interpolant, built once per eigendata
-    init = op._ElementwisePchip.__init__
+    init = op.ElementwisePchip.__init__
     builds = [0]
 
     def counted(self, *args):
         builds[0] += 1
         init(self, *args)
 
-    monkeypatch.setattr(op._ElementwisePchip, "__init__", counted)
+    monkeypatch.setattr(op.ElementwisePchip, "__init__", counted)
     rep = cone_iteration(sys_b, eig_b, 256.0, m_max=m_max, delta=0.05,
                          Delta=None)
     n = rep["n"]

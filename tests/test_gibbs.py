@@ -305,17 +305,17 @@ def test_gibbs_audit_matches_the_benchmark_reference():
 
 def test_gibbs_audit_builds_no_cylinders(eig_c, monkeypatch):
     # every cylinder end, of ``cylinders`` and of the partition walk alike,
-    # comes from system._cylinder_ends
+    # comes from system.cylinder_ends
     import gibbsflow.gibbs as gibbs_mod
-    ends = system_mod._cylinder_ends
+    ends = system_mod.cylinder_ends
     calls = []
 
     def counted(*args):
         calls.append(args)
         return ends(*args)
 
-    monkeypatch.setattr(gibbs_mod, "_cylinder_ends", counted)
-    monkeypatch.setattr(system_mod, "_cylinder_ends", counted)
+    monkeypatch.setattr(gibbs_mod, "cylinder_ends", counted)
+    monkeypatch.setattr(system_mod, "cylinder_ends", counted)
     system_mod.cylinders(eig_c.system, 2)
     adapted_partition(eig_c.system, 64.0, 1.0)
     assert len(calls) > 1

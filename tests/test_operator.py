@@ -392,5 +392,5 @@ def test_l_matrix_cache_holds_the_latest_b():
     eig = eigendata(system("SYS-B"), 0.0, N=64)
     eig.L_matrix(3.0)
     M = eig.L_matrix(5.0)
-    assert list(eig._lmat_cache) == [5.0]
+    assert list(eig.memo["L"]) == [5.0]
     assert eig.L_matrix(5.0) is M

@@ -26,6 +26,8 @@ ways.
 import ast
 from pathlib import Path
 
+from conftest import dataclass_fields, parsed
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # (module, callee, parameter) that tests alone may set, with the reason:
@@ -41,7 +43,7 @@ def _signatures(package: Path = ROOT / "src" / "gibbsflow"):
     ``*args`` and ``**kwargs`` are not parameters a call names."""
     found = []
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree = parsed(path)
         owner = {fn: cls for cls in ast.walk(tree)
                  if isinstance(cls, ast.ClassDef) for fn in cls.body}
         for fn in ast.walk(tree):
@@ -62,10 +64,9 @@ def _signatures(package: Path = ROOT / "src" / "gibbsflow"):
             found += [(path.name, name, arg.arg, None, default)
                       for arg, default in zip(args.kwonlyargs,
                                               args.kw_defaults)]
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
-                found += [(path.name, cls.name, field, k, default)
-                          for field, k, default in _dataclass_fields(cls)]
+        found += [(path.name, cls, field, k, default)
+                  for cls, field, k, default in dataclass_fields(tree)
+                  if k is not None]
     return found
 
 
@@ -73,36 +74,6 @@ def _options() -> list[tuple[str, str, str, int | None]]:
     """(module, callee name, parameter, position in a call or None for a
     keyword-only one) of every defaulted parameter in the package."""
     return [sig[:4] for sig in _signatures() if sig[4] is not None]
-
-
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and getattr(d.func, "id", None)
-               == "dataclass" for d in cls.decorator_list)
-
-
-def _dataclass_fields(cls: ast.ClassDef) -> list[tuple[str, int, object]]:
-    """(field, position in a call, default node or None) of every field that
-    the dataclass's ``__init__`` takes.  A field has a default when it is
-    ``x: T = v``, or ``field(default=...)`` or ``field(default_factory=...)``.
-    A ``field(init=False, ...)`` is state, not a parameter.  (The package
-    has no ClassVar, InitVar or kw_only field.)"""
-    out, position = [], 0
-    for item in cls.body:
-        if not (isinstance(item, ast.AnnAssign)
-                and isinstance(item.target, ast.Name)):
-            continue
-        value = item.value
-        if isinstance(value, ast.Call) and getattr(value.func, "id",
-                                                   None) == "field":
-            keywords = {k.arg: k.value for k in value.keywords}
-            init = keywords.get("init")
-            if isinstance(init, ast.Constant) and init.value is False:
-                continue
-            value = keywords.get("default", keywords.get("default_factory"))
-        out.append((item.target.id, position, value))
-        position += 1
-    return out
 
 
 def _callee(call: ast.Call) -> str | None:
@@ -116,7 +87,7 @@ def _calls(tops=(ROOT / "src", ROOT / "perfbench", ROOT / "tools")
     calls: dict[str, list[ast.Call]] = {}
     for top in tops:
         for path in sorted(top.rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
+            tree = parsed(path)
             recursive = {id(node) for fn in ast.walk(tree)
                          if isinstance(fn, (ast.FunctionDef,
                                             ast.AsyncFunctionDef))
@@ -168,7 +139,7 @@ def test_every_option_is_set_by_some_call():
     assert ("system.py", "pullback", "fields", 3) in options
     assert ("cli.py", "_Param", "low", 2) in options
     # a field(init=False) is state that no call can set
-    assert not any(o[1:3] == ("EigenData", "_lmat_cache") for o in options)
+    assert not any(o[1:3] == ("EigenData", "memo") for o in options)
     unset = _unset(_signatures(), _calls())
     assert not unset, ("defaulted parameters no call sets; make them "
                        "constants:\n" + "\n".join(unset))

@@ -1,4 +1,4 @@
-"""The one piecewise-PCHIP evaluator (``operator._ElementwisePchip``) behind
+"""The one piecewise-PCHIP evaluator (``operator.ElementwisePchip``) behind
 ``GridFunction.eval`` and the cone iteration's windowed functions, checked
 bit for bit against one ``PchipInterpolator`` per element and part, applied
 by the per-element mask loop it replaced; and the constant read
@@ -13,7 +13,7 @@ from scipy.interpolate import PchipInterpolator
 
 from conftest import SYSTEMS, system
 from gibbsflow.dolgopyat import _window_nodes
-from gibbsflow.operator import (GridFunction, _ConstantRead, _ElementwisePchip,
+from gibbsflow.operator import (GridFunction, _ConstantRead, ElementwisePchip,
                                 eigendata, node_grid)
 
 
@@ -89,7 +89,7 @@ def test_windowed_node_sets_match_per_element_oracle(name):
              for b, w in zip(base, _window_nodes(sys, base, windows))]
     assert len({len(xs) for xs in nodes}) > 1
     values = [_values(xs, rng, True) for xs in nodes]
-    f = _ElementwisePchip(sys, nodes, values)
+    f = ElementwisePchip(sys, nodes, values)
     x = _probe_points(sys, nodes, rng)
     _assert_same_bits(f.eval(x), _oracle(sys, nodes, values, x))
     # without atleast_1d a scalar stays 0-d
@@ -100,14 +100,14 @@ def test_node_sets_that_miss_their_element_are_refused():
     sys = system("SYS-C")
     nodes = [np.linspace(*sys.element_interval(e), 9) for e in range(sys.m)]
     values = [np.ones(9) for _ in range(sys.m)]
-    _ElementwisePchip(sys, nodes, values)
+    ElementwisePchip(sys, nodes, values)
     short = [xs.copy() for xs in nodes]
     short[1][-1] = np.nextafter(short[1][-1], 0.0)
     late = [xs.copy() for xs in nodes]
     late[0] = np.linspace(0.01, sys.partition[1], 9)
     for bad in (short, late, nodes[:-1]):
         with pytest.raises(ValueError):
-            _ElementwisePchip(sys, bad, values[: len(bad)])
+            ElementwisePchip(sys, bad, values[: len(bad)])
     # what scipy's PchipInterpolator refuses, the one-pass builder refuses
     def changed(arrays, e, fn):
         out = [a.copy() for a in arrays]
@@ -140,7 +140,7 @@ def test_node_sets_that_miss_their_element_are_refused():
     ]
     for bad_nodes, bad_values in refused:
         with pytest.raises(ValueError):
-            _ElementwisePchip(sys, bad_nodes, bad_values)
+            ElementwisePchip(sys, bad_nodes, bad_values)
 
 
 def _ragged_part(rng, n):
@@ -194,7 +194,7 @@ def test_coefficients_are_scipy_pchip_coefficients_side_by_side(name, cplx,
         re = _ragged_part(rng, len(xs))
         nodes.append(xs)
         values.append(re + 1j * _ragged_imag(rng, len(xs)) if cplx else re)
-    c = _ElementwisePchip(sys, nodes, values)._pp.c
+    c = ElementwisePchip(sys, nodes, values)._pp.c
     parts = [np.real, np.imag] if cplx else [np.real]
     want = np.stack([
         np.concatenate([PchipInterpolator(xs, part(vs)).c
@@ -216,7 +216,7 @@ def test_constant_read_has_the_pchip_bits(name, N, c):
     rng = np.random.default_rng(N)
     nodes = node_grid(sys, N)
     v = GridFunction(sys, np.full(nodes.shape, c))
-    pchip = _ElementwisePchip(sys, nodes, v.values)
+    pchip = ElementwisePchip(sys, nodes, v.values)
     x = _probe_points(sys, nodes, rng)
     got = v.eval(x)
     assert isinstance(v._pchip, _ConstantRead)
@@ -241,7 +241,7 @@ def test_constant_read_needs_one_finite_real_value():
     for values in (ones + 0j, first, last):
         v = GridFunction(sys, values)
         v.eval(0.5)
-        assert isinstance(v._pchip, _ElementwisePchip)
+        assert isinstance(v._pchip, ElementwisePchip)
     for bad in (np.inf, -np.inf, np.nan):  # refused, as the PCHIP refuses it
         with pytest.raises(ValueError):
             GridFunction(sys, np.full(nodes.shape, bad)).eval(0.5)
@@ -265,6 +265,6 @@ def test_copy_with_drops_the_constant_read():
     assert v.eval(0.3)[0] == 2.0
     w = v.copy_with(np.sin(5 * nodes))
     _assert_same_bits(w.eval(0.3), _oracle(sys, nodes, w.values, [0.3]))
-    assert isinstance(w._pchip, _ElementwisePchip)
+    assert isinstance(w._pchip, ElementwisePchip)
     u = v.copy_with(np.full(nodes.shape, -1.0))
     assert u.eval(0.3)[0] == -1.0 and v.eval(0.3)[0] == 2.0

@@ -9,7 +9,8 @@ from conftest import (SYSTEMS, column_layout, cylinder_list,
                       cylinder_masses, element_sets, engine, jacobian_weight,
                       mass_layout, preset_config, suffixes, system)
 from gibbsflow.gibbs import gibbs_audit
-from gibbsflow.operator import BranchPlan, deep_apply, eigendata, node_grid
+from gibbsflow.operator import (BranchPlan, deep_apply, eigendata,
+                                lagrange_step, node_grid)
 from gibbsflow.presets import preset_names
 from gibbsflow.gibbs import _mass_tables
 from gibbsflow.system import (
@@ -474,7 +475,6 @@ def _checked_layouts(monkeypatch) -> list:
     the layout ``conftest.column_layout`` walks for it, and the widths of
     its last depth's blocks.  A pass is shared where no run resumes a copy
     (``_Run.columns``)."""
-    import gibbsflow.dolgopyat as dg
     import gibbsflow.gibbs as gibbs_mod
     import gibbsflow.operator as op
     import gibbsflow.system as system_mod
@@ -501,7 +501,7 @@ def _checked_layouts(monkeypatch) -> list:
                                         len(fields)), widths))
 
     monkeypatch.setattr(system_mod._Run, "columns", counted)
-    for module in (op, dg, uni_mod, gibbs_mod):
+    for module in (op, uni_mod, gibbs_mod):
         monkeypatch.setattr(module, "column_blocks", recorded)
     return seen
 
@@ -522,7 +522,6 @@ def test_callers_keep_their_bits_on_column_blocks(budget, monkeypatch):
     # and cut the plans into blocks of one column, and 3, one pair a field
     # for the three fields of the plans and of v's step, cut every pass
     # into blocks of one column
-    import gibbsflow.dolgopyat as dg
     import gibbsflow.gibbs as gibbs_mod
     import gibbsflow.system as system_mod
     import gibbsflow.uni as uni_mod
@@ -537,7 +536,7 @@ def test_callers_keep_their_bits_on_column_blocks(budget, monkeypatch):
 
     def outputs():
         plan = BranchPlan(sys, eig, 256.0, 3, nodes)
-        M = dg._lagrange_step(sys, eig, 256.0, node_grid(sys, 64))
+        M = lagrange_step(sys, eig, 256.0, node_grid(sys, 64))
         return [plan.norm, plan.apply(fns["wave"], False),
                 plan.apply(fns["wave"], True),
                 *deep_apply(sys, eig, 0.0, 3, nodes, fns).values(),
