@@ -14,6 +14,8 @@ per-symbol engine loop cannot grow back in another module.
 import ast
 from pathlib import Path
 
+from conftest import parsed
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -32,11 +34,11 @@ def _uses(tree: ast.AST) -> list[int]:
 
 def test_only_system_runs_the_engine_by_depth():
     package = ROOT / "src" / "gibbsflow"
-    assert _uses(ast.parse((package / "system.py").read_text(
-        encoding="utf-8")))  # the scan sees the engine where it lives
+    # the scan sees the engine where it lives
+    assert _uses(parsed(package / "system.py"))
     found = [f"{path.name}:{line}"
              for path in sorted(package.glob("*.py")) if path.name != "system.py"
-             for line in _uses(ast.parse(path.read_text(encoding="utf-8")))]
+             for line in _uses(parsed(path))]
     assert not found, ("_Run used outside system.py; go through "
                        "column_blocks or pullback:\n"
                        + "\n".join(found))

@@ -11,7 +11,7 @@ as ``sys._r[e]`` cannot grow back in another module.
 import ast
 from pathlib import Path
 
-from conftest import system
+from conftest import parsed, system
 from gibbsflow.system import MarkovSystem
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,12 +33,11 @@ def test_only_system_reads_private_names():
     names = _private_names()
     assert {"_T", "_r", "_newton", "_inverse_starts"} <= names
     package = ROOT / "src" / "gibbsflow"
-    assert _uses(ast.parse((package / "system.py").read_text(
-        encoding="utf-8")), names)  # the scan sees them where they live
+    # the scan sees them where they live
+    assert _uses(parsed(package / "system.py"), names)
     found = [f"{path.name}:{line}"
              for path in sorted(package.glob("*.py")) if path.name != "system.py"
-             for line in _uses(ast.parse(path.read_text(encoding="utf-8")),
-                               names)]
+             for line in _uses(parsed(path), names)]
     assert not found, ("private names of MarkovSystem read outside "
                        "system.py; use its pieces and methods:\n"
                        + "\n".join(found))
