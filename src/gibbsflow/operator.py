@@ -17,8 +17,12 @@ Every monotone cubic is one ``ElementwisePchip``: Fritsch-Carlson
 coefficients for all elements built in one numpy pass, bit for bit those of
 scipy's per-element ``PchipInterpolator``, held by a single scipy PPoly over
 all elements' nodes, so an evaluation is one clip and one interval search.
-A GridFunction whose real node values are all one number reads them through
-``_ConstantRead`` instead, with the same bits and no PPoly.
+The pullback engine reads f on rows of preimages, each monotone, through
+``eval_rows``: a row whose two ends share an interval is summed in numpy
+with that interval's coefficients, and only the rows across a breakpoint
+go to PPoly, with the bits of ``eval`` either way.  A GridFunction whose
+real node values are all one number reads them through ``_ConstantRead``
+instead, with the same bits and no PPoly.
 
 The normalised operator at the leading real eigendata (lam, f) is
 
@@ -140,6 +144,12 @@ class ElementwisePchip:
     coefficients, evaluated by one call and read in place as complex
     values: the bits of re + 1j * im wherever im is finite.  Points outside
     [0, 1] are clamped to the end nodes; NaN stays NaN.
+
+    ``eval_rows`` reads a real interpolant on a 2-D array of monotone rows,
+    such as the pullback engine's h_w of ascending points, into a given
+    array: one search per row end in place of one per point, and PPoly's
+    power sum in numpy where a row lies in one interval.  Its bits are
+    those of ``eval``; PPoly serves every other read.
     """
 
     def __init__(self, sys: MarkovSystem, node_list, value_list):
@@ -182,10 +192,66 @@ class ElementwisePchip:
         self._pp = PPoly.construct_fast(c if self._complex else c[..., 0],
                                         breaks)
         self._lo, self._hi = breaks[0], breaks[-1]
+        # eval_rows reads the real coefficients, the array PPoly holds
+        self._breaks, self._c = breaks, c[..., 0]
 
     def eval(self, x):
         res = self._pp(np.clip(np.asarray(x, dtype=float), self._lo, self._hi))
         return res.view(complex)[..., 0] if self._complex else res
+
+    def eval_rows(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the bits of ``eval(z)`` into ``out`` and return it, for a
+        real interpolant and a (K, P) z whose rows each run monotone inside
+        [0, 1], as the pullback engine's rows do; complex values are
+        refused with ValueError.
+
+        Each row's interval is that of its two ends, by PPoly's search: the
+        last breakpoint at or below the end, capped at the last interval,
+        so a row that ends on an interior breakpoint reads the right-hand
+        element.  A row whose two ends share an interval gets PPoly's own
+        power sum, c3 + c2 s + c1 (s s) + c0 ((s s) s) with s = z - break,
+        in numpy, the interval's coefficients broadcast along the row
+        (``_power_sum``, two temporaries shaped like z).  The other rows,
+        those that straddle a breakpoint or end outside [0, 1], are then
+        read by one ``eval``; when no row lies in one interval, that call
+        reads z whole and the power sum is skipped.
+        """
+        if self._complex:
+            raise ValueError("eval_rows reads a real interpolant")
+        ends = z[:, [0, -1]]
+        at = np.minimum(np.searchsorted(self._breaks, ends, side="right") - 1,
+                        len(self._breaks) - 2)
+        i = at[:, 0]
+        one = i == at[:, 1]
+        one &= i >= 0
+        one &= np.all(ends <= self._hi, axis=1)
+        if not one.any():
+            out[...] = self.eval(z)
+            return out
+        c = self._c[:, i]
+        c[3] += 0.0  # PPoly's sum starts at 0.0 + c3: -0.0 turns into 0.0
+        _power_sum(z, self._breaks[i], c, out)
+        if not one.all():
+            rest = ~one
+            out[rest] = self.eval(z[rest])
+        return out
+
+
+def _power_sum(z, left, c, out):
+    """Write into ``out`` PPoly's sum ((c3 + c2 s) + c1 (s s)) + c0 ((s s)
+    s) at s = z - left, row k of z read with left[k] and c[:, k]; each
+    product and sum is PPoly's, operands swapped, so it has PPoly's bits.
+    Two temporaries shaped like z are held, and freed on return."""
+    c0, c1, c2, c3 = c[..., None]
+    s = np.subtract(z, left[:, None])
+    np.multiply(s, c2, out=out)
+    out += c3
+    ss = s * s
+    s *= ss
+    ss *= c1
+    out += ss
+    s *= c0
+    out += s
 
 
 class _ConstantRead:
@@ -204,7 +270,12 @@ class _ConstantRead:
         self._lo, self._hi = nodes[0, 0], nodes[-1, -1]
 
     def eval(self, x):
-        out = np.clip(np.asarray(x, dtype=float), self._lo, self._hi)
+        x = np.asarray(x, dtype=float)
+        return self.eval_rows(x, np.empty_like(x))
+
+    def eval_rows(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The read of z, of any shape, written into ``out`` in place."""
+        np.clip(z, self._lo, self._hi, out=out)
         out *= 0.0
         out += self.value
         return out
@@ -235,7 +306,7 @@ class GridFunction:
             raise ValueError("values are not one row per element")
         self._pchip = None
 
-    def eval(self, x):
+    def _read(self):
         if self._pchip is None:
             v = self.values
             c = v.flat[0]
@@ -243,7 +314,16 @@ class GridFunction:
                 _ConstantRead(self.nodes, float(c))
                 if not np.iscomplexobj(v) and np.isfinite(c) and np.all(v == c)
                 else ElementwisePchip(self.system, self.nodes, v))
-        return self._pchip.eval(np.atleast_1d(x))
+        return self._pchip
+
+    def eval(self, x):
+        return self._read().eval(np.atleast_1d(x))
+
+    def eval_rows(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``eval(z)``'s bits written into ``out``, for real values and a
+        (K, P) z of rows each monotone inside [0, 1]: the row read of
+        ``ElementwisePchip.eval_rows``, or of ``_ConstantRead``."""
+        return self._read().eval_rows(z, out)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -551,9 +631,10 @@ class BranchPlan:
     """The depth-n inverse branches of the normalised operator at per-element
     node sets, kept to apply to any number of functions (``apply``).
 
-    ``nodes[e]`` is a 1-D float array of points in element e.  A set closed
-    at both ends holds the element's right end, which ``element_of`` would
-    put into the next element, whose branches differ.  ``column_blocks``
+    ``nodes[e]`` is a 1-D float array of points in element e, ascending, so
+    that the sets concatenated ascend as ``column_blocks`` needs.  A set
+    closed at both ends holds the element's right end, which ``element_of``
+    would put into the next element, whose branches differ.  ``column_blocks``
     pulls the points whose element is in the image of a symbol s back along
     every admissible depth-n word ending in s; the plan keeps each block's
     (columns, h_w(x), J_w, J_w exp(-i b S_n r)) (``_twisted``), columns

@@ -671,7 +671,8 @@ class Pullback:
 
     Fields that were not asked for are None.  The log weight
     S_k(phi - sigma r) is not a field: the engine holds it only to build J,
-    as one column when it is constant along each row (see ``_Run``).
+    as one column when it is constant along each row (see ``_Run``).  J is
+    built at points y that ascend, so each row of x is monotone.
     """
     x: np.ndarray | None = None
     dTn: np.ndarray | None = None
@@ -705,7 +706,10 @@ def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, out: dict, k: int,
     rows ``rows`` of w (a slice or an index array), into ``out``: one array
     per field to compute, the block's rows of that depth.  Each field is
     written once, by ``out=`` ufuncs in the order of the plain expressions
-    (J = (exp(lw) lam^-k) f(z) / f(y)), so it has their bits.
+    (J = (exp(lw) lam^-k) f(z) / f(y)), so it has their bits.  f(z) is read
+    into J row by row (``GridFunction.eval_rows``: each row of z is h_w of
+    the ascending ys, so monotone) and then multiplied by exp(lw) lam^-k in
+    place; a product of two doubles has the same bits in either order.
 
     The log weight lw is read on as many columns of z as ``out["lw"]``
     has: all of them, or one when ``_Run`` holds lw as a column.  Then
@@ -728,9 +732,10 @@ def _prepend(sys: MarkovSystem, i: int, prev: dict, rows, out: dict, k: int,
     if "Snphi" in out:
         np.add(sys.phi[i].value(x=z), prev["Snphi"][rows], out=out["Snphi"])
     if "J" in out:
+        J = eig.f.eval_rows(z, out=out["J"])
         w = np.exp(out["lw"])
         w *= eig.lam ** (-k)
-        J = np.multiply(w, eig.f.eval(z).real, out=out["J"])
+        J *= w
         J /= fy
 
 
@@ -746,7 +751,10 @@ class _Run:
     depth n, the words themselves), and returns its Pullback, carrying
     ``fields``, at a depth the caller asks it returned; "J" needs the
     EigenData ``eig``, and no other field reads it (None will do).  J is
-    computed at a returned depth alone.
+    computed at a returned depth alone.  With "J" the ys must ascend (not
+    decrease), so that each row of every depth, h_w of the ys, is monotone
+    for f's row read (``GridFunction.eval_rows``); ys that decrease are
+    refused with ValueError.
 
     Depth k comes from depth k - 1 by prepending a symbol, h_{iw} = h_i o
     h_w, with one batched ``inverse_branch`` per symbol over row blocks of
@@ -781,6 +789,8 @@ class _Run:
         self.width = dict.fromkeys(self.need, P)  # columns of each array
         self.fy = None
         if "J" in self.need:
+            if np.any(ys[1:] < ys[:-1]):
+                raise ValueError("J needs ys that do not decrease")
             self.need.add("lw")
             self.fy = eig.f.eval(ys).real
             # lw is a column when every piece it reads is a constant (no
@@ -882,10 +892,12 @@ def column_blocks(sys: MarkovSystem, trees, ys, holds, fields, eig=None,
     one budget: the arrays of ``fields`` at a depth hold at most _BUDGET
     values in all, _BUDGET // len(fields) (word, y) pairs each, however
     deep the words and however many the ys.  "J" needs the EigenData
-    ``eig``.  The budget counts the requested fields alone: beside them the
-    engine holds its x and log weight, which are not fields unless asked
-    for, and the previous depth's state (see ``_Run``), so a run of J
-    alone holds up to about twice the budget at a depth.
+    ``eig`` and ys that ascend (none below the one before it); ys that
+    decrease are refused with ValueError before any engine step.  The
+    budget counts the requested fields alone: beside them the engine holds
+    its x and log weight, which are not fields unless asked for, and the
+    previous depth's state (see ``_Run``), so a run of J alone holds up to
+    about twice the budget at a depth.
 
     Yields (k, block, blocks, norm) at every depth k with ``every_depth``,
     else at the last alone: ``block`` a slice of ys; ``blocks`` one (s,

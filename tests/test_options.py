@@ -26,6 +26,8 @@ ways.
 import ast
 from pathlib import Path
 
+import pytest
+
 from conftest import dataclass_fields, parsed
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,12 +72,6 @@ def _signatures(package: Path = ROOT / "src" / "gibbsflow"):
     return found
 
 
-def _options() -> list[tuple[str, str, str, int | None]]:
-    """(module, callee name, parameter, position in a call or None for a
-    keyword-only one) of every defaulted parameter in the package."""
-    return [sig[:4] for sig in _signatures() if sig[4] is not None]
-
-
 def _callee(call: ast.Call) -> str | None:
     return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
 
@@ -98,6 +94,18 @@ def _calls(tops=(ROOT / "src", ROOT / "perfbench", ROOT / "tools")
                 if isinstance(node, ast.Call) and id(node) not in recursive:
                     calls.setdefault(_callee(node), []).append(node)
     return calls
+
+
+@pytest.fixture(scope="session")
+def signatures():
+    """The package's ``_signatures``, scanned once a session."""
+    return _signatures()
+
+
+@pytest.fixture(scope="session")
+def calls():
+    """The program's ``_calls``, scanned once a session."""
+    return _calls()
 
 
 def _sets(call: ast.Call, param: str, position: int | None) -> bool:
@@ -132,15 +140,16 @@ def _constant(node):
         return False, None
 
 
-def test_every_option_is_set_by_some_call():
-    options = _options()
+def test_every_option_is_set_by_some_call(signatures, calls):
+    # (module, callee, parameter, position) of each defaulted parameter
+    options = [sig[:4] for sig in signatures if sig[4] is not None]
     # the scan sees the package: pullback's fields is an option some calls
     # set, and so is _Param's low, a dataclass field with a default
     assert ("system.py", "pullback", "fields", 3) in options
     assert ("cli.py", "_Param", "low", 2) in options
     # a field(init=False) is state that no call can set
     assert not any(o[1:3] == ("EigenData", "memo") for o in options)
-    unset = _unset(_signatures(), _calls())
+    unset = _unset(signatures, calls)
     assert not unset, ("defaulted parameters no call sets; make them "
                        "constants:\n" + "\n".join(unset))
 
@@ -178,17 +187,13 @@ def _one_constant(signatures, calls) -> list[str]:
     return found
 
 
-def test_every_default_is_used_by_some_call():
-    signatures = _signatures()
-    calls = _calls()
+def test_every_default_is_used_by_some_call(signatures, calls):
     unused = _unused_defaults(signatures, calls)
     assert not unused, ("defaults no call uses; delete them, the callers' "
                         "values are the ones in use:\n" + "\n".join(unused))
 
 
-def test_no_parameter_is_one_constant_in_every_call():
-    signatures = _signatures()
-    calls = _calls()
+def test_no_parameter_is_one_constant_in_every_call(signatures, calls):
     constant = _one_constant(signatures, calls)
     assert not constant, ("parameters every call sets to one value; make "
                           "them that behaviour:\n" + "\n".join(constant))

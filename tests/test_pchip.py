@@ -1,9 +1,10 @@
 """The one piecewise-PCHIP evaluator (``operator.ElementwisePchip``) behind
 ``GridFunction.eval`` and the cone iteration's windowed functions, checked
 bit for bit against one ``PchipInterpolator`` per element and part, applied
-by the per-element mask loop it replaced; and the constant read
+by the per-element mask loop it replaced; the constant read
 (``operator._ConstantRead``) that stands in for it on constant real data,
-checked bit for bit against it."""
+checked bit for bit against it; and the row read of both (``eval_rows``),
+checked bit for bit against their ``eval``."""
 
 import numpy as np
 import pytest
@@ -184,15 +185,10 @@ def test_coefficients_are_scipy_pchip_coefficients_side_by_side(name, cplx,
                                max_size=sys.m), label="sizes")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
                                           label="seed"))
-    nodes, values = [], []
-    for e, n in enumerate(sizes):
-        lo, hi = sys.element_interval(e)
-        # clustered towards lo or spread; a repeat or an end is dropped
-        inner = lo + (hi - lo) * rng.random(n - 2) ** rng.choice([1.0, 4.0])
-        inner = np.unique(inner[(inner > lo) & (inner < hi)])
-        xs = np.concatenate([[lo], inner, [hi]])
+    nodes = _ragged_nodes(sys, sizes, rng)
+    values = []
+    for xs in nodes:
         re = _ragged_part(rng, len(xs))
-        nodes.append(xs)
         values.append(re + 1j * _ragged_imag(rng, len(xs)) if cplx else re)
     c = ElementwisePchip(sys, nodes, values)._pp.c
     parts = [np.real, np.imag] if cplx else [np.real]
@@ -203,6 +199,19 @@ def test_coefficients_are_scipy_pchip_coefficients_side_by_side(name, cplx,
     want = want if cplx else want[..., 0]
     assert c.flags.c_contiguous and c.dtype == np.float64
     assert c.shape == want.shape and c.tobytes() == want.tobytes()
+
+
+def _ragged_nodes(sys, sizes, rng):
+    """Per element, a node set of about ``sizes[e]`` nodes from its left to
+    its right end, clustered towards the left or spread."""
+    nodes = []
+    for e, n in enumerate(sizes):
+        lo, hi = sys.element_interval(e)
+        # a repeat or an end is dropped
+        inner = lo + (hi - lo) * rng.random(n - 2) ** rng.choice([1.0, 4.0])
+        inner = np.unique(inner[(inner > lo) & (inner < hi)])
+        nodes.append(np.concatenate([[lo], inner, [hi]]))
+    return nodes
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -268,3 +277,91 @@ def test_copy_with_drops_the_constant_read():
     assert isinstance(w._pchip, ElementwisePchip)
     u = v.copy_with(np.full(nodes.shape, -1.0))
     assert u.eval(0.3)[0] == -1.0 and v.eval(0.3)[0] == 2.0
+
+
+def _rows(breaks, rng, K, P):
+    """(K, P) rows, each monotone inside [0, 1]: inside one interval of
+    ``breaks``, from its left end or not; ending exactly on the interval's
+    right end, an interior breakpoint or 1.0; or straddling breakpoints;
+    each ascending or descending."""
+    z = np.empty((K, P))
+    for row in z:
+        j = rng.integers(0, len(breaks) - 1)
+        a, b = breaks[j], breaks[j + 1]
+        kind = rng.integers(0, 4)
+        if kind == 3:  # straddling, or inside by chance
+            a, b = np.sort(rng.random(2))
+        t = np.sort(rng.random(P))
+        row[:] = a + (b - a) * t
+        if kind == 1:
+            row[0] = a
+        elif kind == 2:
+            row[-1] = b
+        if rng.random() < 0.5:
+            row[:] = row[::-1]
+    return z
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(SYSTEMS), data=st.data())
+def test_row_read_has_the_bits_of_eval(name, data):
+    # ragged non-uniform node sets of 2-40 nodes per element and ragged
+    # values (-0.0 among them); one-column rows and wider, each read as
+    # eval reads it, whichever way it is read
+    sys = system(name)
+    sizes = data.draw(st.lists(st.integers(2, 40), min_size=sys.m,
+                               max_size=sys.m), label="sizes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                          label="seed"))
+    nodes = _ragged_nodes(sys, sizes, rng)
+    values = []
+    for xs in nodes:
+        v = _ragged_part(rng, len(xs))
+        v[rng.random(len(v)) < 0.2] = -0.0
+        values.append(v)
+    f = ElementwisePchip(sys, nodes, values)
+    breaks = np.unique(np.concatenate(nodes))
+    P = data.draw(st.sampled_from([1, 2, 17]), label="P")
+    z = _rows(breaks, rng, 40, P)
+    out = np.full(z.shape, np.nan)
+    assert f.eval_rows(z, out) is out
+    assert out.view(np.int64).tobytes() == f.eval(z).view(np.int64).tobytes()
+    # every row inside one interval, and every row straddling one
+    for rows in (z[:, :1], np.stack([np.zeros(3), np.ones(3)], axis=1)):
+        out = np.empty(rows.shape)
+        f.eval_rows(rows, out)
+        assert out.view(np.int64).tobytes() == \
+            f.eval(rows).view(np.int64).tobytes()
+
+
+def test_row_read_starts_its_sum_at_zero_as_ppoly_does():
+    # PPoly sums 0.0 + c3 + ..., so a node value of -0.0 whose other terms
+    # are all -0.0 there (c2, c1 and c0 < 0, s = 0) reads as 0.0
+    sys = system("SYS-B")
+    nodes = [np.array([0.0, 0.25, 0.375, 0.5]), np.array([0.5, 1.0])]
+    f = ElementwisePchip(sys, nodes, [np.array([1.0, -0.0, -1.0, -4.0]),
+                                      np.array([1.0, 2.0])])
+    assert np.all(f._pp.c[:3, 1] < 0)
+    out = f.eval_rows(np.array([[0.25, 0.3]]), np.empty((1, 2)))
+    assert out[0, 0] == 0.0 and not np.signbit(out[0, 0])
+
+
+@pytest.mark.parametrize("c", [1.0, -2.5, 0.0, -0.0])
+def test_constant_row_read_has_the_pchip_bits(c):
+    sys = system("SYS-C")
+    nodes = node_grid(sys, 9)
+    values = np.full(nodes.shape, c)
+    rng = np.random.default_rng(7)
+    z = _rows(np.unique(nodes), rng, 30, 5)
+    out = np.full(z.shape, np.nan)
+    assert _ConstantRead(nodes, c).eval_rows(z, out) is out
+    want = ElementwisePchip(sys, nodes, values).eval(z)
+    assert out.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+
+def test_row_read_refuses_complex_values():
+    sys = system("SYS-B")
+    nodes = node_grid(sys, 8)
+    v = GridFunction(sys, np.sin(5 * nodes) + 1j)
+    with pytest.raises(ValueError):
+        v.eval_rows(np.full((1, 2), 0.5), np.empty((1, 2)))

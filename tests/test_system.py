@@ -469,6 +469,55 @@ def test_column_blocks_contract(nl_doubling, monkeypatch):
             assert all(b.stop - b.start == 1 for b in cuts[3][:6])
 
 
+@pytest.mark.parametrize("name", ["SYS-C-NLROOF", "NL-DOUBLING"])
+def test_column_blocks_J_is_the_plain_expression(name):
+    # J, read row by row, has the bits of lam^-k exp(S_k phi) f(x) / f(y)
+    # with f read by eval, at sigma = 0 where the log weight is S_k phi; the
+    # depths hold rows inside one interval of f's nodes and rows across one
+    sys = system(name)
+    eig = eigendata(sys, 0.0, N=64)
+    ys = eig.f.nodes.reshape(-1)
+    holds = sys.transition[:, np.repeat(np.arange(sys.m), eig.N)]
+    breaks = np.unique(eig.f.nodes)
+    kinds = set()
+    for k, block, blocks, _ in column_blocks(
+            sys, symbol_trees(sys, word_array(sys, 7)), ys, holds,
+            ("x", "Snphi", "J"), eig, every_depth=True):
+        for _, cols, pb in blocks:
+            w = eig.lam ** (-k) * np.exp(pb.Snphi)
+            want = w * eig.f.eval(pb.x).real / eig.f.eval(ys[block][cols]).real
+            assert pb.J.view(np.int64).tobytes() == \
+                want.view(np.int64).tobytes(), (k, name)
+            at = np.searchsorted(breaks, pb.x[:, [0, -1]], side="right")
+            kinds |= set(at[:, 0] == at[:, 1])
+    assert kinds == {True, False}
+
+
+def test_column_blocks_refuse_J_at_descending_ys(monkeypatch):
+    # the rows of J are read by their ends, so ys must not decrease; the
+    # refusal comes before any engine step
+    sys = system("NL-DOUBLING")
+    eig = eigendata(sys, 0.0, N=16)
+    steps = []
+    solve = MarkovSystem.inverse_branch
+
+    def counted(self, *args, **kwargs):
+        steps.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(MarkovSystem, "inverse_branch", counted)
+    trees = symbol_trees(sys, word_array(sys, 3))
+    ys = np.linspace(0.9, 0.1, 5)
+    holds = np.ones((sys.m, 5), dtype=bool)
+    with pytest.raises(ValueError, match="do not decrease"):
+        next(column_blocks(sys, trees, ys, holds, ("J",), eig))
+    assert not steps
+    # without J the order of the ys is free; equal ys are not a descent
+    next(column_blocks(sys, trees, ys, holds, ("x",)))
+    next(column_blocks(sys, trees, np.full(5, 0.5), holds, ("J",), eig))
+    assert steps
+
+
 def _checked_layouts(monkeypatch) -> list:
     """Route every caller's ``column_blocks`` through a recorder, and return
     the list it fills: per pass, the (shared depths, column blocks) it ran,
